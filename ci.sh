@@ -6,7 +6,7 @@ set -euxo pipefail
 cd "$(dirname "$0")"
 
 cargo build --release --offline
-cargo test -q --offline
+cargo test -q --offline --no-fail-fast
 cargo fmt --check
 # API docs must build clean: every public item is documented
 # (#![warn(missing_docs)] everywhere) and -D warnings makes any rustdoc

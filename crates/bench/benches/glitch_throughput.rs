@@ -2,8 +2,8 @@
 //!
 //! Runs the seeded glitch-power Monte-Carlo engine on a 16-bit array
 //! multiplier twice over the exact same fixed workload — once with the
-//! scalar [`TimedKernel::Scalar`] heap-based event simulator and once
-//! with the bit-parallel 64-lane [`TimedKernel::Packed64`] time-wheel
+//! scalar [`McKernel::Scalar`] heap-based event simulator and once
+//! with the bit-parallel 64-lane [`McKernel::Packed64`] time-wheel
 //! kernel — verifies that both produce the same glitch-aware power
 //! estimate to the bit, and reports wall time, effective lane-cycles per
 //! second, and the packed/scalar speedup.
@@ -22,8 +22,8 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use hlpower::netlist::{
-    gen, monte_carlo_glitch_power_seeded_threads_kernel, streams, Library, MonteCarloOptions,
-    MonteCarloResult, Netlist, TimedKernel,
+    gen, monte_carlo_glitch_power_seeded_threads_kernel, streams, Library, McKernel,
+    MonteCarloOptions, MonteCarloResult, Netlist,
 };
 use hlpower_bench::json;
 
@@ -54,7 +54,7 @@ fn run(
     nl: &Netlist,
     lib: &Library,
     opts: &MonteCarloOptions,
-    kernel: TimedKernel,
+    kernel: McKernel,
 ) -> (MonteCarloResult, f64) {
     let w = nl.input_count();
     let t = Instant::now();
@@ -101,10 +101,10 @@ fn main() {
     let mut scalar_res = None;
     let mut packed_res = None;
     for _ in 0..reps {
-        let (r, s) = run(&nl, &lib, &opts, TimedKernel::Scalar);
+        let (r, s) = run(&nl, &lib, &opts, McKernel::Scalar);
         scalar_s = scalar_s.min(s);
         scalar_res = Some(r);
-        let (r, s) = run(&nl, &lib, &opts, TimedKernel::Packed64);
+        let (r, s) = run(&nl, &lib, &opts, McKernel::Packed64);
         packed_s = packed_s.min(s);
         packed_res = Some(r);
     }

@@ -4,7 +4,7 @@
 use crate::json;
 use hlpower::fsm::decompose::decompose;
 use hlpower::fsm::{generators, Encoding, EncodingStrategy, MarkovAnalysis, Stg};
-use hlpower::netlist::{gen, streams, Library, Netlist};
+use hlpower::netlist::{gen, streams, Library, McKernel, Netlist};
 use hlpower::optimize::{balance, clockgate, guard, precompute, retime};
 
 use crate::report::ExperimentResult;
@@ -117,7 +117,7 @@ pub fn retiming() -> ExperimentResult {
         let p = gen::array_multiplier(&mut nl, &a, &b);
         nl.output_bus("p", &p);
         let stream: Vec<Vec<bool>> = streams::random(3, 2 * width).take(300).collect();
-        let o = retime::low_power_retime(&nl, &lib, &stream, 4).expect("acyclic");
+        let o = retime::low_power_retime(&nl, &lib, &stream, 4, McKernel::Auto).expect("acyclic");
         lines.push(format!(
             "{width}x{width} multiplier (glitch fraction {:.0}%): output-registered {:.0} uW, best mid-cone cut {:.0} uW ({:.1}% saved at t={:.0} ps)",
             100.0 * o.baseline_glitch_fraction,

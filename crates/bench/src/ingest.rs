@@ -29,7 +29,7 @@ use hlpower::netlist::timed_activity;
 use hlpower::netlist::{
     attribute, emit_verilog, ingest_str, monte_carlo_power_seeded_threads_kernel, parse_verilog,
     sniff_format, streams, structurally_equivalent, Activity, Library, McKernel, MonteCarloOptions,
-    Netlist, Sim64, SourceFormat, TimedKernel, ZeroDelaySim, LANES,
+    Netlist, Sim64, SourceFormat, ZeroDelaySim, LANES,
 };
 use hlpower_rng::Rng;
 
@@ -216,10 +216,8 @@ fn check_scalar_vs_packed(nl: &Netlist) -> Result<(), String> {
 fn check_timed_kernels(nl: &Netlist, lib: &Library) -> Result<(), String> {
     let stream: Vec<Vec<bool>> =
         streams::random(INGEST_SEED, nl.input_count()).take(TIMED_CYCLES).collect();
-    let scalar =
-        timed_activity(nl, lib, &stream, TimedKernel::Scalar).map_err(|e| e.to_string())?;
-    let packed =
-        timed_activity(nl, lib, &stream, TimedKernel::Packed64).map_err(|e| e.to_string())?;
+    let scalar = timed_activity(nl, lib, &stream, McKernel::Scalar).map_err(|e| e.to_string())?;
+    let packed = timed_activity(nl, lib, &stream, McKernel::Packed64).map_err(|e| e.to_string())?;
     if scalar != packed {
         return Err("timed activity diverged between scalar and packed kernels".to_string());
     }

@@ -25,8 +25,8 @@ use hlpower::bdd::build_output_bdds;
 use hlpower::estimate::sampling::{cosimulate, CosimStrategy};
 use hlpower::estimate::{MacroModelKind, ModuleHarness, TrainedMacroModel};
 use hlpower::netlist::{
-    gen, monte_carlo_power_seeded_threads, streams, timed_activity, EventDrivenSim, Library,
-    MonteCarloOptions, Netlist, TimedKernel, ZeroDelaySim,
+    gen, monte_carlo_power_seeded_threads_kernel, streams, timed_activity, EventDrivenSim, Library,
+    McKernel, MonteCarloOptions, Netlist, ZeroDelaySim,
 };
 use hlpower::optimize::rewrite::{demorgan_example, rewrite_gates, RewriteOptions};
 use hlpower_obs::json::escaped;
@@ -132,7 +132,7 @@ pub fn run_smoke() -> Snapshot {
 
     // Packed timed kernel (the 64-lane time-wheel glitch simulator).
     let stream: Vec<Vec<bool>> = streams::random(19, nl.input_count()).take(150).collect();
-    timed_activity(&nl, &lib, &stream, TimedKernel::Packed64).expect("width matches");
+    timed_activity(&nl, &lib, &stream, McKernel::Packed64).expect("width matches");
 
     // BDD manager + sifting on the interleaved-AND function, whose size is
     // order-sensitive (so the sift actually moves variables).
@@ -149,13 +149,14 @@ pub fn run_smoke() -> Snapshot {
     // Monte-Carlo engine on two workers (drives the pool's parallel path
     // and, through the default kernel, the lane-parallel packed simulator).
     let w = nl.input_count();
-    monte_carlo_power_seeded_threads(
+    monte_carlo_power_seeded_threads_kernel(
         &nl,
         &lib,
         |rng| streams::random_rng(rng, w),
         42,
         &MonteCarloOptions { batch_cycles: 100, max_batches: 192, ..Default::default() },
         2,
+        McKernel::Auto,
     )
     .expect("smoke Monte-Carlo run");
 

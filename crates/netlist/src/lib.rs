@@ -70,11 +70,10 @@ pub use ingest::{
 pub use io::{parse_netlist, write_netlist, ParseNetlistError};
 pub use library::{GateKind, Library};
 pub use montecarlo::{
-    mean_ci_half_width, monte_carlo_glitch_power_seeded, monte_carlo_glitch_power_seeded_threads,
-    monte_carlo_glitch_power_seeded_threads_kernel, monte_carlo_power, monte_carlo_power_seeded,
-    monte_carlo_power_seeded_threads, monte_carlo_power_seeded_threads_kernel,
-    simulate_packed_glitch_lanes, simulate_packed_lanes, LaneRequest, McKernel, MonteCarloOptions,
-    MonteCarloResult, StoppingReplay,
+    monte_carlo_glitch_power_seeded_threads_kernel, monte_carlo_power,
+    monte_carlo_power_seeded_threads_kernel, simulate_lanes, simulate_packed_glitch_lanes,
+    simulate_packed_lanes, LaneRequest, McKernel, MonteCarloOptions, MonteCarloResult,
+    StoppingReplay, TimedKernel,
 };
 pub use netlist::{Bus, GroupId, Netlist, NodeId, NodeKind};
 pub use power::attribution::{
@@ -84,6 +83,6 @@ pub use power::{GroupPower, PowerModel, PowerReport};
 pub use prob::{ProbabilityAnalysis, SignalStats};
 pub use sim::{Activity, ZeroDelaySim};
 pub use sim64::{BlockSim64, CompiledKernel, Sim64, LANES};
-pub use sim64timed::{timed_activity, TimedKernel, TimedSim64};
+pub use sim64timed::{timed_activity, TimedSim64};
 pub use simwide::{simd_level, SimdLevel, WideSim, WideTimedSim};
 pub use words::{Word, W256, W512};

@@ -2,28 +2,34 @@
 //! reference 32, Burch et al.), batching, and a deterministic parallel
 //! engine.
 //!
-//! Two entry points:
+//! Entry points:
 //!
 //! * [`monte_carlo_power`] — the classic serial form: one simulator
 //!   instance consumes an arbitrary input-vector iterator, one power
 //!   sample per batch, normal-approximation stopping rule.
-//! * [`monte_carlo_power_seeded`] — the parallel form: every batch gets
-//!   its own RNG stream, *split by batch index* from a root seed
-//!   ([`hlpower_rng::Rng::split`]). Batches are sharded across a scoped
-//!   worker pool in fixed-size waves, and the stopping rule is applied in
-//!   batch-index order, so the result is **bit-identical for any thread
-//!   count** — `threads = 1` and `threads = 64` return the same
-//!   `MonteCarloResult`, exactly.
+//! * [`monte_carlo_power_seeded_threads_kernel`] and its glitch-aware
+//!   sibling [`monte_carlo_glitch_power_seeded_threads_kernel`] — the
+//!   parallel form: every batch gets its own RNG stream, *split by batch
+//!   index* from a root seed ([`hlpower_rng::Rng::split`]). Batches are
+//!   sharded across a scoped worker pool in fixed-size waves, and the
+//!   stopping rule is applied in batch-index order, so the result is
+//!   **bit-identical for any thread count** — `threads = 1` and
+//!   `threads = 64` return the same `MonteCarloResult`, exactly.
+//! * [`simulate_lanes`] — the lane primitive both the seeded engine and
+//!   the estimation server run on: one word of independent batches
+//!   ([`LaneRequest`]s, possibly from different jobs) simulated at the
+//!   chosen width. [`simulate_packed_lanes`] and
+//!   [`simulate_packed_glitch_lanes`] are its width-generic packed halves.
 //!
 //! The seeded engine runs on one of several simulation kernels
-//! ([`McKernel`]): the scalar [`ZeroDelaySim`] (one simulator per batch)
-//! or a bit-parallel [`crate::WideSim`] at 64, 256, or 512 lanes, which
-//! packs that many batches into the bit lanes of one compiled simulator
-//! instance ([`McKernel::Auto`], the default, picks the width from the
-//! batch budget). Per-lane toggle counts are exact integers, so every
-//! kernel produces **bit-identical results** — the packed kernels are
-//! purely a wall-clock optimization and the scalar kernel remains
-//! available as the differential oracle.
+//! ([`McKernel`]): the scalar [`ZeroDelaySim`] / [`EventDrivenSim`] (one
+//! simulator per batch) or a bit-parallel [`WideSim`] / [`WideTimedSim`]
+//! at 64, 256, or 512 lanes, which packs that many batches into the bit
+//! lanes of one compiled simulator instance ([`McKernel::Auto`], the
+//! default, picks the width from the batch budget). Per-lane toggle counts
+//! are exact integers, so every kernel produces **bit-identical results**
+//! — the packed kernels are purely a wall-clock optimization and the
+//! scalar kernel remains available as the differential oracle.
 //!
 //! The serial and seeded forms are statistically equivalent but not
 //! bit-compatible with each other: the seeded engine restarts the
@@ -41,7 +47,6 @@ use crate::netlist::Netlist;
 use crate::power::PowerModel;
 use crate::sim::ZeroDelaySim;
 use crate::sim64::CompiledKernel;
-use crate::sim64timed::TimedKernel;
 use crate::simwide::{WideSim, WideTimedSim};
 use crate::words::{Word, W256, W512};
 
@@ -58,39 +63,50 @@ const WAVE: usize = 16;
 /// `WAVE`.
 const WAVE_WORDS: usize = 4;
 
-/// The simulation kernel used by the seeded Monte-Carlo engine.
+/// The simulation kernel of every Monte-Carlo and glitch-aware consumer:
+/// the seeded engines, [`simulate_lanes`], [`crate::timed_activity`], and
+/// the `optimize` crate's `balance` and `retime` passes.
 ///
-/// Every kernel returns bit-identical [`MonteCarloResult`]s for the same
-/// `(netlist, lib, stream_fn, seed, opts)`: batch `b` of a packed kernel
-/// is lane `b % lanes` of word `b / lanes`, fed by the same split stream
-/// `root.split(b)` a scalar batch would consume, and per-lane activities
-/// are exact. The only difference between kernels is wall clock.
+/// Every kernel returns bit-identical results for the same inputs: batch
+/// `b` of a packed kernel is lane `b % lanes` of word `b / lanes`, fed by
+/// the same split stream `root.split(b)` a scalar batch would consume, and
+/// per-lane activities are exact. The only difference between kernels is
+/// wall clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum McKernel {
-    /// One scalar [`ZeroDelaySim`] per batch — the differential oracle.
+    /// One scalar simulator per batch — [`ZeroDelaySim`], or
+    /// [`EventDrivenSim`] in glitch mode. The differential oracle.
     Scalar,
-    /// One bit-parallel 64-lane [`crate::Sim64`] per 64 batches.
+    /// One bit-parallel 64-lane [`crate::Sim64`] / [`crate::TimedSim64`]
+    /// per 64 batches.
     Packed64,
-    /// One 256-lane [`crate::WideSim`]`<`[`W256`]`>` per 256 batches.
+    /// One 256-lane [`WideSim`]`<`[`W256`]`>` / [`WideTimedSim`] per 256
+    /// batches.
     Packed256,
-    /// One 512-lane [`crate::WideSim`]`<`[`W512`]`>` per 512 batches.
+    /// One 512-lane [`WideSim`]`<`[`W512`]`>` / [`WideTimedSim`] per 512
+    /// batches.
     Packed512,
-    /// Picks the packed width from the batch budget at run time (the
-    /// default): [`Packed512`](Self::Packed512) when `max_batches >= 512`,
-    /// [`Packed256`](Self::Packed256) when `>= 256`, else
+    /// Picks the packed width from the workload at run time (the
+    /// default): [`Packed512`](Self::Packed512) when it is at least 512,
+    /// [`Packed256`](Self::Packed256) when at least 256, else
     /// [`Packed64`](Self::Packed64). Result-invariant — every width
     /// computes identical samples.
     #[default]
     Auto,
 }
 
+/// Former name of [`McKernel`] for glitch-aware consumers; the two
+/// enums were merged, and this alias keeps existing callers compiling.
+pub type TimedKernel = McKernel;
+
 impl McKernel {
-    /// Resolves [`Auto`](Self::Auto) against the run's batch budget;
+    /// Resolves [`Auto`](Self::Auto) against a workload size — a batch
+    /// budget, a word's lane requests, or a stream's transition count;
     /// explicit kernels resolve to themselves.
-    pub fn resolve(self, max_batches: usize) -> Self {
+    pub fn resolve(self, workload: usize) -> Self {
         match self {
-            McKernel::Auto if max_batches >= 512 => McKernel::Packed512,
-            McKernel::Auto if max_batches >= 256 => McKernel::Packed256,
+            McKernel::Auto if workload >= W512::LANES => McKernel::Packed512,
+            McKernel::Auto if workload >= W256::LANES => McKernel::Packed256,
             McKernel::Auto => McKernel::Packed64,
             explicit => explicit,
         }
@@ -106,9 +122,9 @@ impl McKernel {
     pub fn lanes(self) -> usize {
         match self {
             McKernel::Scalar => 1,
-            McKernel::Packed64 => 64,
-            McKernel::Packed256 => 256,
-            McKernel::Packed512 => 512,
+            McKernel::Packed64 => u64::LANES,
+            McKernel::Packed256 => W256::LANES,
+            McKernel::Packed512 => W512::LANES,
             McKernel::Auto => panic!("McKernel::Auto must be resolved before lanes()"),
         }
     }
@@ -217,7 +233,7 @@ impl MonteCarloResult {
 /// `opts.max_batches` is exhausted.
 ///
 /// For parallel estimation with a determinism guarantee, see
-/// [`monte_carlo_power_seeded`].
+/// [`monte_carlo_power_seeded_threads_kernel`].
 ///
 /// # Errors
 ///
@@ -285,18 +301,20 @@ pub fn monte_carlo_power(
     })
 }
 
-/// Parallel Monte-Carlo power estimation on the default worker count
-/// ([`hlpower_rng::par::num_threads`], i.e. `HLPOWER_THREADS` or all
-/// cores).
+/// Parallel Monte-Carlo power estimation with an explicit worker count and
+/// simulation kernel.
 ///
 /// `stream_fn` is called once per batch with that batch's *split* RNG
 /// stream (`root.split(batch_index)`) and must return the batch's input
 /// vectors; typically one of the `_rng` constructors in
-/// [`streams`](crate::streams):
+/// [`streams`](crate::streams). Resolve the worker count with
+/// [`par::num_threads_checked`] to honor `HLPOWER_THREADS` (an invalid
+/// value is an error, never silently clamped):
 ///
 /// ```
-/// use hlpower_netlist::{gen, streams, Library, Netlist};
-/// use hlpower_netlist::{monte_carlo_power_seeded, MonteCarloOptions};
+/// use hlpower_netlist::{gen, streams, Library, Netlist, NetlistError};
+/// use hlpower_netlist::{monte_carlo_power_seeded_threads_kernel, McKernel, MonteCarloOptions};
+/// use hlpower_rng::par;
 ///
 /// let mut nl = Netlist::new();
 /// let a = nl.input_bus("a", 8);
@@ -306,93 +324,42 @@ pub fn monte_carlo_power(
 /// nl.output_bus("s", &s);
 /// let w = nl.input_count();
 ///
-/// let r = monte_carlo_power_seeded(
+/// let threads = par::num_threads_checked()
+///     .map_err(|e| NetlistError::InvalidThreadCount { reason: e.to_string() })?;
+/// let r = monte_carlo_power_seeded_threads_kernel(
 ///     &nl,
 ///     &Library::default(),
 ///     |rng| streams::random_rng(rng, w),
 ///     42,
 ///     &MonteCarloOptions::default(),
-/// ).unwrap();
+///     threads,
+///     McKernel::Auto,
+/// )?;
 /// assert!(r.power_uw > 0.0);
+/// # Ok::<(), NetlistError>(())
 /// ```
 ///
 /// # Determinism
 ///
-/// The result is a pure function of `(netlist, lib, stream_fn, seed,
-/// opts)` — the worker count never affects it. See
-/// [`monte_carlo_power_seeded_threads`] for the mechanism.
-///
-/// # Errors
-///
-/// As [`monte_carlo_power`].
-pub fn monte_carlo_power_seeded<F, I>(
-    netlist: &Netlist,
-    lib: &Library,
-    stream_fn: F,
-    seed: u64,
-    opts: &MonteCarloOptions,
-) -> Result<MonteCarloResult, NetlistError>
-where
-    F: Fn(Rng) -> I + Sync,
-    I: IntoIterator<Item = Vec<bool>>,
-{
-    let threads = par::num_threads_checked()
-        .map_err(|e| NetlistError::InvalidThreadCount { reason: e.to_string() })?;
-    monte_carlo_power_seeded_threads(netlist, lib, stream_fn, seed, opts, threads)
-}
-
-/// [`monte_carlo_power_seeded`] with an explicit worker count, on the
-/// default [`McKernel::Auto`] kernel (packed width picked from the batch
-/// budget).
+/// Work is scheduled in fixed-size waves of parallel tasks — `WAVE`
+/// single-batch tasks for the scalar kernel, `WAVE_WORDS` packed words
+/// (one batch per lane) for the packed kernels, each simulated by
+/// [`simulate_lanes`] — and the serial stopping rule ([`StoppingReplay`])
+/// is replayed over the resulting power samples in batch-index order.
+/// Batch `b` is fed by `stream_fn(root.split(b))` under every kernel, a
+/// batch's sample is a pure function of the seed and its index, and the
+/// stopping decision is a pure function of the ordered sample prefix, so
+/// **every thread count and every kernel computes the identical result**;
+/// only the number of speculative batches discarded at the stop point (an
+/// `hlpower-obs` counter, not a result) depends on the kernel's wave
+/// granularity. A batch budget that is not a multiple of the lane count
+/// simply leaves the trailing lanes of the final word masked out — they
+/// are never simulated, not silently rounded up or down.
 ///
 /// # Errors
 ///
 /// As [`monte_carlo_power`], plus [`NetlistError::InvalidThreadCount`]
-/// when `threads` is 0 (previously this was silently clamped to 1).
-pub fn monte_carlo_power_seeded_threads<F, I>(
-    netlist: &Netlist,
-    lib: &Library,
-    stream_fn: F,
-    seed: u64,
-    opts: &MonteCarloOptions,
-    threads: usize,
-) -> Result<MonteCarloResult, NetlistError>
-where
-    F: Fn(Rng) -> I + Sync,
-    I: IntoIterator<Item = Vec<bool>>,
-{
-    monte_carlo_power_seeded_threads_kernel(
-        netlist,
-        lib,
-        stream_fn,
-        seed,
-        opts,
-        threads,
-        McKernel::default(),
-    )
-}
-
-/// [`monte_carlo_power_seeded_threads`] with an explicit simulation
-/// kernel.
-///
-/// Work is scheduled in fixed-size waves of parallel tasks — `WAVE`
-/// single-batch tasks for the scalar kernel, `WAVE_WORDS` packed words
-/// (one batch per lane) for the packed kernels — and the serial stopping
-/// rule is replayed over the resulting power samples in batch-index
-/// order. Batch `b` is fed by `stream_fn(root.split(b))` under every
-/// kernel, a batch's sample is a pure function of the seed and its index,
-/// and the stopping decision is a pure function of the ordered sample
-/// prefix, so **every thread count and every kernel computes the
-/// identical result**; only the number of speculative batches discarded
-/// at the stop point (an `hlpower-obs` counter, not a result) depends on
-/// the kernel's wave granularity. A batch budget that is not a multiple
-/// of the lane count simply leaves the trailing lanes of the final word
-/// masked out — they are never simulated, not silently rounded up or
-/// down.
-///
-/// # Errors
-///
-/// As [`monte_carlo_power_seeded_threads`].
+/// when `threads` is 0.
 #[allow(clippy::too_many_arguments)]
 pub fn monte_carlo_power_seeded_threads_kernel<F, I>(
     netlist: &Netlist,
@@ -407,104 +374,23 @@ where
     F: Fn(Rng) -> I + Sync,
     I: IntoIterator<Item = Vec<bool>>,
 {
-    // Surface cyclic-netlist errors once, up front, rather than from
-    // whichever worker happens to hit them first.
-    ZeroDelaySim::new(netlist)?;
-    let root = Rng::seed_from_u64(seed);
-    // One coefficient table for the whole run: converting per-lane
-    // activities to power samples is the per-batch fixed cost, and doing
-    // it through `Activity::power` (which re-derives load caps and the
-    // group breakdown every call) used to dwarf the packed simulation.
-    let model = PowerModel::new(netlist, lib);
-    let kernel = kernel.resolve(opts.max_batches);
-    match kernel {
-        McKernel::Scalar => seeded_wave_engine(opts, threads, 1, |base, _lanes| {
-            Ok(vec![run_scalar_batch(netlist, &model, &stream_fn, &root, base, opts)?])
-        }),
-        McKernel::Packed64 => seeded_wave_engine(opts, threads, kernel.lanes(), |base, lanes| {
-            run_packed_word::<u64, _, _>(netlist, &model, &stream_fn, &root, base, lanes, opts)
-        }),
-        McKernel::Packed256 => seeded_wave_engine(opts, threads, kernel.lanes(), |base, lanes| {
-            run_packed_word::<W256, _, _>(netlist, &model, &stream_fn, &root, base, lanes, opts)
-        }),
-        McKernel::Packed512 => seeded_wave_engine(opts, threads, kernel.lanes(), |base, lanes| {
-            run_packed_word::<W512, _, _>(netlist, &model, &stream_fn, &root, base, lanes, opts)
-        }),
-        McKernel::Auto => unreachable!("resolve never returns Auto"),
-    }
+    seeded_engine(netlist, lib, stream_fn, seed, opts, threads, kernel, false)
 }
 
 /// Parallel Monte-Carlo estimation of *glitch-aware* (real-delay) average
-/// power on the default worker count and the default
-/// [`TimedKernel::Auto`] kernel (packed width picked from the batch
-/// budget).
+/// power.
 ///
-/// This is the timed-simulation sibling of [`monte_carlo_power_seeded`]:
-/// identical batching, splitting, and stopping-rule semantics, but each
-/// batch is simulated under the library's transport-delay model, so the
-/// power samples include glitch transitions the zero-delay estimator
-/// cannot see (on arithmetic circuits these can dominate — the survey's
-/// motivation for real-delay estimation).
-///
-/// # Errors
-///
-/// As [`monte_carlo_power`].
-pub fn monte_carlo_glitch_power_seeded<F, I>(
-    netlist: &Netlist,
-    lib: &Library,
-    stream_fn: F,
-    seed: u64,
-    opts: &MonteCarloOptions,
-) -> Result<MonteCarloResult, NetlistError>
-where
-    F: Fn(Rng) -> I + Sync,
-    I: IntoIterator<Item = Vec<bool>>,
-{
-    let threads = par::num_threads_checked()
-        .map_err(|e| NetlistError::InvalidThreadCount { reason: e.to_string() })?;
-    monte_carlo_glitch_power_seeded_threads(netlist, lib, stream_fn, seed, opts, threads)
-}
-
-/// [`monte_carlo_glitch_power_seeded`] with an explicit worker count.
+/// This is the timed-simulation sibling of
+/// [`monte_carlo_power_seeded_threads_kernel`]: identical batching,
+/// splitting, stopping-rule, and determinism semantics, but each batch is
+/// simulated under the library's transport-delay model, so the power
+/// samples include glitch transitions the zero-delay estimator cannot see
+/// (on arithmetic circuits these can dominate — the survey's motivation
+/// for real-delay estimation).
 ///
 /// # Errors
 ///
-/// As [`monte_carlo_power_seeded_threads`].
-pub fn monte_carlo_glitch_power_seeded_threads<F, I>(
-    netlist: &Netlist,
-    lib: &Library,
-    stream_fn: F,
-    seed: u64,
-    opts: &MonteCarloOptions,
-    threads: usize,
-) -> Result<MonteCarloResult, NetlistError>
-where
-    F: Fn(Rng) -> I + Sync,
-    I: IntoIterator<Item = Vec<bool>>,
-{
-    monte_carlo_glitch_power_seeded_threads_kernel(
-        netlist,
-        lib,
-        stream_fn,
-        seed,
-        opts,
-        threads,
-        TimedKernel::default(),
-    )
-}
-
-/// [`monte_carlo_glitch_power_seeded_threads`] with an explicit timed
-/// kernel.
-///
-/// Batch `b` is fed by `stream_fn(root.split(b))` under every kernel and
-/// per-lane timed activities are exact, so — as with the zero-delay engine
-/// — **every thread count and every kernel computes the identical
-/// result**. [`TimedKernel::Auto`] resolves against the batch budget,
-/// exactly as [`McKernel::Auto`] does.
-///
-/// # Errors
-///
-/// As [`monte_carlo_power_seeded_threads`].
+/// As [`monte_carlo_power_seeded_threads_kernel`].
 #[allow(clippy::too_many_arguments)]
 pub fn monte_carlo_glitch_power_seeded_threads_kernel<F, I>(
     netlist: &Netlist,
@@ -513,69 +399,44 @@ pub fn monte_carlo_glitch_power_seeded_threads_kernel<F, I>(
     seed: u64,
     opts: &MonteCarloOptions,
     threads: usize,
-    kernel: TimedKernel,
+    kernel: McKernel,
 ) -> Result<MonteCarloResult, NetlistError>
 where
     F: Fn(Rng) -> I + Sync,
     I: IntoIterator<Item = Vec<bool>>,
 {
-    ZeroDelaySim::new(netlist)?;
-    let root = Rng::seed_from_u64(seed);
-    // Shared coefficient table, as in the zero-delay engine above. The
-    // library is still threaded through for the simulators' delay model.
-    let model = PowerModel::new(netlist, lib);
-    let kernel = kernel.resolve(opts.max_batches);
-    match kernel {
-        TimedKernel::Scalar => seeded_wave_engine(opts, threads, 1, |base, _lanes| {
-            Ok(vec![run_scalar_glitch_batch(netlist, lib, &model, &stream_fn, &root, base, opts)?])
-        }),
-        TimedKernel::Packed64 => {
-            seeded_wave_engine(opts, threads, kernel.lanes(), |base, lanes| {
-                run_packed_glitch_word::<u64, _, _>(
-                    netlist, lib, &model, &stream_fn, &root, base, lanes, opts,
-                )
-            })
-        }
-        TimedKernel::Packed256 => {
-            seeded_wave_engine(opts, threads, kernel.lanes(), |base, lanes| {
-                run_packed_glitch_word::<W256, _, _>(
-                    netlist, lib, &model, &stream_fn, &root, base, lanes, opts,
-                )
-            })
-        }
-        TimedKernel::Packed512 => {
-            seeded_wave_engine(opts, threads, kernel.lanes(), |base, lanes| {
-                run_packed_glitch_word::<W512, _, _>(
-                    netlist, lib, &model, &stream_fn, &root, base, lanes, opts,
-                )
-            })
-        }
-        TimedKernel::Auto => unreachable!("resolve never returns Auto"),
-    }
+    seeded_engine(netlist, lib, stream_fn, seed, opts, threads, kernel, true)
 }
 
-/// The shared seeded-engine core: fixed-size speculative waves plus the
-/// serial stopping-rule replay in batch-index order.
+/// The seeded engine behind both public entry points: fixed-size
+/// speculative waves of [`simulate_lanes`] words plus the serial
+/// stopping-rule replay in batch-index order.
 ///
-/// `run_group(base, lanes)` simulates batches `base..base + lanes` and
-/// returns one `(power, cycles)` sample per batch (`None` for an empty
-/// stream). `group_width` is the kernel's lane count (1 for scalar); the
-/// final group of a wave is *ragged* — `lanes < group_width` — when the
-/// remaining batch budget is not a multiple of the width, so the engine
-/// never simulates batches past `max_batches` (the kernel masks the
-/// unused trailing lanes out). Wave shapes are a pure function of
-/// `(group_width, remaining)`, never of the thread count, so the
+/// Each wave's task groups cover consecutive batches, `kernel.lanes()` per
+/// group; the final group is *ragged* — fewer lanes than the width — when
+/// the remaining batch budget is not a multiple of it, so the engine never
+/// simulates batches past `max_batches`. Wave shapes are a pure function of
+/// `(kernel, remaining)`, never of the thread count, so the
 /// simulated-batch set — and therefore the result — is bit-identical for
 /// any `threads`.
-fn seeded_wave_engine<G>(
+#[allow(clippy::too_many_arguments)]
+fn seeded_engine<F, I>(
+    netlist: &Netlist,
+    lib: &Library,
+    stream_fn: F,
+    seed: u64,
     opts: &MonteCarloOptions,
     threads: usize,
-    group_width: usize,
-    run_group: G,
+    kernel: McKernel,
+    glitch: bool,
 ) -> Result<MonteCarloResult, NetlistError>
 where
-    G: Fn(u64, usize) -> Result<Vec<Option<(f64, u64)>>, NetlistError> + Sync,
+    F: Fn(Rng) -> I + Sync,
+    I: IntoIterator<Item = Vec<bool>>,
 {
+    // Surface cyclic-netlist errors once, up front, rather than from
+    // whichever worker happens to hit them first.
+    ZeroDelaySim::new(netlist)?;
     if threads == 0 {
         return Err(NetlistError::InvalidThreadCount {
             reason: "explicit worker count 0".to_string(),
@@ -583,30 +444,48 @@ where
     }
     obs::MC_RUNS.inc();
     let _t = obs::MC_TIME.span();
+    // One coefficient table for the whole run: converting per-lane
+    // activities to power samples is the per-batch fixed cost, and doing
+    // it through `Activity::power` (which re-derives load caps and the
+    // group breakdown every call) used to dwarf the packed simulation.
+    let model = PowerModel::new(netlist, lib);
+    let kernel = kernel.resolve(opts.max_batches);
+    let width = kernel.lanes();
+    // One compiled instruction stream for every packed word of the run.
+    let compiled = if width > 1 { Some(CompiledKernel::compile(netlist)?) } else { None };
+    let timing_lib = glitch.then_some(lib);
+    let groups_per_wave = if width > 1 { WAVE_WORDS } else { WAVE };
     let mut replay = StoppingReplay::new(opts);
     let mut exhausted = false;
     let mut next_batch = 0u64;
     while !exhausted && !replay.is_done() && replay.batches() < opts.max_batches {
         let remaining = opts.max_batches - replay.batches();
-        // Task groups for this wave as `(first batch index, batch count)`.
-        let groups: Vec<(u64, usize)> = if group_width > 1 {
-            (0..WAVE_WORDS.min(remaining.div_ceil(group_width)))
-                .map(|w| {
-                    let off = w * group_width;
-                    (next_batch + off as u64, group_width.min(remaining - off))
-                })
-                .collect()
-        } else {
-            (0..WAVE.min(remaining)).map(|i| (next_batch + i as u64, 1)).collect()
-        };
-        let dispatched: usize = groups.iter().map(|&(_, n)| n).sum();
+        let groups: Vec<Vec<LaneRequest>> = (0..groups_per_wave.min(remaining.div_ceil(width)))
+            .map(|g| {
+                let off = g * width;
+                let base = next_batch + off as u64;
+                (0..width.min(remaining - off) as u64)
+                    .map(|l| LaneRequest { seed, batch: base + l, cycles: opts.batch_cycles })
+                    .collect()
+            })
+            .collect();
+        let dispatched: usize = groups.iter().map(Vec::len).sum();
         next_batch += dispatched as u64;
         obs::MC_WAVES.inc();
         let wave_span = trace::span_dyn("mc", || {
             format!("mc.wave:{}+{}", next_batch - dispatched as u64, dispatched)
         });
-        let wave: Vec<Result<Vec<Option<(f64, u64)>>, NetlistError>> =
-            par::map_with_threads(threads, &groups, |_, &(base, lanes)| run_group(base, lanes));
+        let wave = par::map_with_threads(threads, &groups, |_, lanes| {
+            simulate_lanes(
+                netlist,
+                timing_lib,
+                &model,
+                compiled.as_ref(),
+                kernel,
+                &stream_fn,
+                lanes,
+            )
+        });
         drop(wave_span);
         let mut consumed = 0usize;
         'replay: for outcome in wave {
@@ -634,24 +513,13 @@ where
     replay.finish()
 }
 
-/// Mean and normal-approximation confidence-interval half-width (`z`
-/// multiplier, sample standard deviation over `sqrt(n)`) of `samples`.
-///
-/// This is the exact arithmetic of the seeded engine's stopping rule,
-/// exported so external consumers (the estimation server's streamed CI
-/// updates) report intervals bit-identical to the engine's. Fewer than
-/// two samples yield an infinite half-width.
-pub fn mean_ci_half_width(samples: &[f64], z: f64) -> (f64, f64) {
-    mean_half_width(samples, z)
-}
-
 /// The seeded engine's serial stopping rule as a reusable object: push
 /// power samples **in batch-index order** and the replay decides — with
 /// exactly the arithmetic and the exact stop conditions of
 /// [`monte_carlo_power_seeded_threads_kernel`] — when the run is done and
 /// what the result is.
 ///
-/// The seeded wave engine itself runs on this type, so any scheduler that
+/// The seeded engine itself runs on this type, so any scheduler that
 /// produces the same per-batch samples (for example the estimation
 /// server's multi-tenant lane packer, which interleaves batches of many
 /// jobs into shared packed words) and replays them through a
@@ -760,189 +628,10 @@ impl StoppingReplay {
     }
 }
 
-/// Simulates one batch on the scalar kernel: a fresh [`ZeroDelaySim`] over
-/// `stream_fn(root.split(batch))`. Returns `None` for an empty stream.
-fn run_scalar_batch<F, I>(
-    netlist: &Netlist,
-    model: &PowerModel,
-    stream_fn: &F,
-    root: &Rng,
-    batch: u64,
-    opts: &MonteCarloOptions,
-) -> Result<Option<(f64, u64)>, NetlistError>
-where
-    F: Fn(Rng) -> I + Sync,
-    I: IntoIterator<Item = Vec<bool>>,
-{
-    let _batch_t = obs::MC_BATCH_NS.time();
-    let _span = trace::span_dyn("mc", || format!("mc.batch:{batch}"));
-    let mut sim = ZeroDelaySim::new(netlist)?;
-    let mut got = 0usize;
-    for v in stream_fn(root.split(batch)).into_iter().take(opts.batch_cycles) {
-        sim.step(&v)?;
-        got += 1;
-    }
-    if got == 0 {
-        return Ok(None);
-    }
-    let act = sim.take_activity();
-    Ok(Some((model.total_power_uw(&act), act.cycles)))
-}
-
-/// Simulates `lanes` consecutive batches (`base..base + lanes`) on one
-/// bit-parallel [`WideSim`]: lane `l` consumes `stream_fn(root.split(base
-/// + l))`, exactly the vectors the scalar kernel would feed batch `base +
-/// l`. Lanes whose streams end early are masked out of later steps, and a
-/// ragged group (`lanes < W::LANES`, the tail of a batch budget that is
-/// not a multiple of the width) starts with its unused trailing lanes
-/// already dead, so each simulated lane's activity — and therefore its
-/// power sample — is bit-identical to a scalar run of the same stream.
-fn run_packed_word<W: Word, F, I>(
-    netlist: &Netlist,
-    model: &PowerModel,
-    stream_fn: &F,
-    root: &Rng,
-    base: u64,
-    lanes: usize,
-    opts: &MonteCarloOptions,
-) -> Result<Vec<Option<(f64, u64)>>, NetlistError>
-where
-    F: Fn(Rng) -> I + Sync,
-    I: IntoIterator<Item = Vec<bool>>,
-{
-    let _batch_t = obs::MC_BATCH_NS.time();
-    let _span = trace::span_dyn("mc", || format!("mc.word:{base}+{lanes}"));
-    let width = netlist.input_count();
-    let mut sim = WideSim::<W>::new(netlist)?;
-    let mut iters: Vec<I::IntoIter> =
-        (0..lanes).map(|l| stream_fn(root.split(base + l as u64)).into_iter()).collect();
-    let mut got = vec![0u64; lanes];
-    let mut words = vec![W::zero(); width];
-    // Lanes still consuming their streams; a lane that returns `None` once
-    // stays dead (iterator contract), matching the scalar `for` loop.
-    let mut live = W::low_mask(lanes);
-    for _ in 0..opts.batch_cycles {
-        words.iter_mut().for_each(|w| *w = W::zero());
-        let mut active = W::zero();
-        for (l, it) in iters.iter_mut().enumerate() {
-            if !live.lane(l) {
-                continue;
-            }
-            if let Some(v) = it.next() {
-                if v.len() != width {
-                    return Err(NetlistError::InputWidthMismatch { got: v.len(), expected: width });
-                }
-                for (i, &b) in v.iter().enumerate() {
-                    words[i].set_lane(l, b);
-                }
-                active.set_lane(l, true);
-                got[l] += 1;
-            }
-        }
-        if active.is_zero() {
-            break;
-        }
-        sim.step_masked(&words, active)?;
-        live = active;
-    }
-    let samples = sim.take_lane_powers(model);
-    Ok((0..lanes).map(|l| if got[l] == 0 { None } else { Some(samples[l]) }).collect())
-}
-
-/// Simulates one glitch batch on the scalar timed kernel: a fresh
-/// [`EventDrivenSim`] over `stream_fn(root.split(batch))`. Returns `None`
-/// for an empty stream.
-#[allow(clippy::too_many_arguments)]
-fn run_scalar_glitch_batch<F, I>(
-    netlist: &Netlist,
-    lib: &Library,
-    model: &PowerModel,
-    stream_fn: &F,
-    root: &Rng,
-    batch: u64,
-    opts: &MonteCarloOptions,
-) -> Result<Option<(f64, u64)>, NetlistError>
-where
-    F: Fn(Rng) -> I + Sync,
-    I: IntoIterator<Item = Vec<bool>>,
-{
-    let _batch_t = obs::MC_BATCH_NS.time();
-    let _span = trace::span_dyn("mc", || format!("mc.glitch_batch:{batch}"));
-    let mut sim = EventDrivenSim::new(netlist, lib)?;
-    let mut got = 0usize;
-    for v in stream_fn(root.split(batch)).into_iter().take(opts.batch_cycles) {
-        sim.step(&v)?;
-        got += 1;
-    }
-    if got == 0 {
-        return Ok(None);
-    }
-    let act = sim.take_activity();
-    Ok(Some((model.total_power_uw(&act.activity), act.activity.cycles)))
-}
-
-/// Simulates `lanes` consecutive glitch batches on one [`WideTimedSim`],
-/// with the same lane/stream mapping, end-of-stream masking, and
-/// ragged-group handling as [`run_packed_word`]. Each simulated lane's
-/// timed activity — and therefore its glitch-aware power sample — is
-/// bit-identical to a scalar [`EventDrivenSim`] run of the same stream.
-#[allow(clippy::too_many_arguments)]
-fn run_packed_glitch_word<W: Word, F, I>(
-    netlist: &Netlist,
-    lib: &Library,
-    model: &PowerModel,
-    stream_fn: &F,
-    root: &Rng,
-    base: u64,
-    lanes: usize,
-    opts: &MonteCarloOptions,
-) -> Result<Vec<Option<(f64, u64)>>, NetlistError>
-where
-    F: Fn(Rng) -> I + Sync,
-    I: IntoIterator<Item = Vec<bool>>,
-{
-    let _batch_t = obs::MC_BATCH_NS.time();
-    let _span = trace::span_dyn("mc", || format!("mc.glitch_word:{base}+{lanes}"));
-    let width = netlist.input_count();
-    let mut sim = WideTimedSim::<W>::new(netlist, lib)?;
-    let mut iters: Vec<I::IntoIter> =
-        (0..lanes).map(|l| stream_fn(root.split(base + l as u64)).into_iter()).collect();
-    let mut got = vec![0u64; lanes];
-    let mut words = vec![W::zero(); width];
-    let mut live = W::low_mask(lanes);
-    for _ in 0..opts.batch_cycles {
-        words.iter_mut().for_each(|w| *w = W::zero());
-        let mut active = W::zero();
-        for (l, it) in iters.iter_mut().enumerate() {
-            if !live.lane(l) {
-                continue;
-            }
-            if let Some(v) = it.next() {
-                if v.len() != width {
-                    return Err(NetlistError::InputWidthMismatch { got: v.len(), expected: width });
-                }
-                for (i, &b) in v.iter().enumerate() {
-                    words[i].set_lane(l, b);
-                }
-                active.set_lane(l, true);
-                got[l] += 1;
-            }
-        }
-        if active.is_zero() {
-            break;
-        }
-        sim.step_masked(&words, active)?;
-        live = active;
-    }
-    let samples = sim.take_lane_powers(model);
-    Ok((0..lanes).map(|l| if got[l] == 0 { None } else { Some(samples[l]) }).collect())
-}
-
-/// One tenant's lane assignment inside a multi-tenant packed word: batch
-/// `batch` of the Monte-Carlo job rooted at `seed`, simulated for
-/// `cycles` input vectors.
+/// One lane's assignment inside a packed word: batch `batch` of the
+/// Monte-Carlo job rooted at `seed`, simulated for `cycles` input vectors.
 ///
-/// See [`simulate_packed_lanes`]. Lane `l` of the word consumes
+/// See [`simulate_lanes`]. The lane consumes
 /// `stream_fn(Rng::seed_from_u64(seed).split(batch))` — exactly the
 /// stream batch `batch` of an offline run with root seed `seed` consumes
 /// — so requests from *different* jobs (different seeds, different cycle
@@ -957,8 +646,137 @@ pub struct LaneRequest {
     pub cycles: usize,
 }
 
-/// Simulates one packed word whose lanes belong to arbitrary independent
-/// Monte-Carlo batches — the **multi-tenant lane packer** primitive.
+/// Simulates one word of independent Monte-Carlo batches on `kernel` —
+/// the **lane primitive** under both the seeded engine and the
+/// estimation server's multi-tenant packer.
+///
+/// Glitch-aware (real-delay) simulation runs exactly when `lib` is given
+/// (its delay model drives the timed simulators); otherwise the word is
+/// simulated zero-delay. [`McKernel::Scalar`] runs each lane through its
+/// own scalar simulator (the oracle), the packed kernels dispatch to
+/// [`simulate_packed_lanes`] / [`simulate_packed_glitch_lanes`] at their
+/// width, and [`McKernel::Auto`] resolves against `lanes.len()`. Every
+/// kernel returns the same per-lane samples, bit for bit.
+///
+/// `compiled` supplies a pre-compiled instruction stream to the packed
+/// kernels (`None` compiles from scratch; the scalar kernel ignores it).
+///
+/// # Errors
+///
+/// As [`simulate_packed_lanes`].
+///
+/// # Panics
+///
+/// Panics if `lanes.len()` exceeds a packed kernel's lane count.
+pub fn simulate_lanes<F, I>(
+    netlist: &Netlist,
+    lib: Option<&Library>,
+    model: &PowerModel,
+    compiled: Option<&CompiledKernel>,
+    kernel: McKernel,
+    stream_fn: &F,
+    lanes: &[LaneRequest],
+) -> Result<Vec<Option<(f64, u64)>>, NetlistError>
+where
+    F: Fn(Rng) -> I,
+    I: IntoIterator<Item = Vec<bool>>,
+{
+    let (nl, k) = (netlist, compiled);
+    match (kernel.resolve(lanes.len()), lib) {
+        (McKernel::Scalar, None) => {
+            lanes.iter().map(|r| run_scalar_batch(nl, model, stream_fn, r)).collect()
+        }
+        (McKernel::Scalar, Some(lib)) => {
+            lanes.iter().map(|r| run_scalar_glitch_batch(nl, lib, model, stream_fn, r)).collect()
+        }
+        (McKernel::Packed64, None) => {
+            simulate_packed_lanes::<u64, _, _>(nl, model, k, stream_fn, lanes)
+        }
+        (McKernel::Packed256, None) => {
+            simulate_packed_lanes::<W256, _, _>(nl, model, k, stream_fn, lanes)
+        }
+        (McKernel::Packed512, None) => {
+            simulate_packed_lanes::<W512, _, _>(nl, model, k, stream_fn, lanes)
+        }
+        (McKernel::Packed64, Some(lib)) => {
+            simulate_packed_glitch_lanes::<u64, _, _>(nl, lib, model, k, stream_fn, lanes)
+        }
+        (McKernel::Packed256, Some(lib)) => {
+            simulate_packed_glitch_lanes::<W256, _, _>(nl, lib, model, k, stream_fn, lanes)
+        }
+        (McKernel::Packed512, Some(lib)) => {
+            simulate_packed_glitch_lanes::<W512, _, _>(nl, lib, model, k, stream_fn, lanes)
+        }
+        (McKernel::Auto, _) => unreachable!("resolve never returns Auto"),
+    }
+}
+
+/// Simulates one batch on the scalar kernel: a fresh [`ZeroDelaySim`] over
+/// the lane's split stream. Returns `None` for an empty stream.
+fn run_scalar_batch<F, I>(
+    netlist: &Netlist,
+    model: &PowerModel,
+    stream_fn: &F,
+    lane: &LaneRequest,
+) -> Result<Option<(f64, u64)>, NetlistError>
+where
+    F: Fn(Rng) -> I,
+    I: IntoIterator<Item = Vec<bool>>,
+{
+    let _batch_t = obs::MC_BATCH_NS.time();
+    let _span = trace::span_dyn("mc", || format!("mc.batch:{}", lane.batch));
+    let mut sim = ZeroDelaySim::new(netlist)?;
+    let mut got = 0usize;
+    for v in lane_stream(stream_fn, lane).take(lane.cycles) {
+        sim.step(&v)?;
+        got += 1;
+    }
+    if got == 0 {
+        return Ok(None);
+    }
+    let act = sim.take_activity();
+    Ok(Some((model.total_power_uw(&act), act.cycles)))
+}
+
+/// Simulates one glitch batch on the scalar timed kernel: a fresh
+/// [`EventDrivenSim`] over the lane's split stream. Returns `None` for an
+/// empty stream.
+fn run_scalar_glitch_batch<F, I>(
+    netlist: &Netlist,
+    lib: &Library,
+    model: &PowerModel,
+    stream_fn: &F,
+    lane: &LaneRequest,
+) -> Result<Option<(f64, u64)>, NetlistError>
+where
+    F: Fn(Rng) -> I,
+    I: IntoIterator<Item = Vec<bool>>,
+{
+    let _batch_t = obs::MC_BATCH_NS.time();
+    let _span = trace::span_dyn("mc", || format!("mc.glitch_batch:{}", lane.batch));
+    let mut sim = EventDrivenSim::new(netlist, lib)?;
+    let mut got = 0usize;
+    for v in lane_stream(stream_fn, lane).take(lane.cycles) {
+        sim.step(&v)?;
+        got += 1;
+    }
+    if got == 0 {
+        return Ok(None);
+    }
+    let act = sim.take_activity();
+    Ok(Some((model.total_power_uw(&act.activity), act.activity.cycles)))
+}
+
+/// The input vectors of one lane: `stream_fn` over the lane's split RNG.
+fn lane_stream<F, I>(stream_fn: &F, lane: &LaneRequest) -> I::IntoIter
+where
+    F: Fn(Rng) -> I,
+    I: IntoIterator<Item = Vec<bool>>,
+{
+    stream_fn(Rng::seed_from_u64(lane.seed).split(lane.batch)).into_iter()
+}
+
+/// The zero-delay packed half of [`simulate_lanes`], at word width `W`.
 ///
 /// Each lane `l` runs batch `lanes[l]`: a fresh stream split from that
 /// lane's own root seed, stepped for that lane's own cycle budget, then
@@ -978,7 +796,8 @@ pub struct LaneRequest {
 /// # Errors
 ///
 /// As [`monte_carlo_power_seeded_threads_kernel`], plus
-/// [`NetlistError::KernelMismatch`] for a foreign `kernel`.
+/// [`NetlistError::KernelMismatch`] for a foreign `kernel` and
+/// [`NetlistError::InputWidthMismatch`] for a vector of the wrong width.
 ///
 /// # Panics
 ///
@@ -996,16 +815,14 @@ where
 {
     assert!(lanes.len() <= W::LANES, "{} requests exceed {} lanes", lanes.len(), W::LANES);
     let _batch_t = obs::MC_BATCH_NS.time();
-    let _span = trace::span_dyn("mc", || format!("mc.tenant_word:{}", lanes.len()));
+    let _span = trace::span_dyn("mc", || format!("mc.word:{}", lanes.len()));
     let mut sim = match kernel {
         Some(k) => WideSim::<W>::with_kernel(netlist, k)?,
         None => WideSim::<W>::new(netlist)?,
     };
-    let got = run_tenant_lanes(netlist, lanes, stream_fn, |words, active| {
-        sim.step_masked(words, active)
-    })?;
+    let got = run_lanes(netlist, lanes, stream_fn, |words, active| sim.step_masked(words, active))?;
     let samples = sim.take_lane_powers(model);
-    Ok(collect_tenant_samples(&got, samples))
+    Ok(collect_lane_samples(&got, samples))
 }
 
 /// The glitch-aware (real-delay) sibling of [`simulate_packed_lanes`]:
@@ -1034,23 +851,23 @@ where
 {
     assert!(lanes.len() <= W::LANES, "{} requests exceed {} lanes", lanes.len(), W::LANES);
     let _batch_t = obs::MC_BATCH_NS.time();
-    let _span = trace::span_dyn("mc", || format!("mc.tenant_glitch_word:{}", lanes.len()));
+    let _span = trace::span_dyn("mc", || format!("mc.glitch_word:{}", lanes.len()));
     let mut sim = match kernel {
         Some(k) => WideTimedSim::<W>::with_kernel(netlist, lib, k)?,
         None => WideTimedSim::<W>::new(netlist, lib)?,
     };
-    let got = run_tenant_lanes(netlist, lanes, stream_fn, |words, active| {
-        sim.step_masked(words, active)
-    })?;
+    let got = run_lanes(netlist, lanes, stream_fn, |words, active| sim.step_masked(words, active))?;
     let samples = sim.take_lane_powers(model);
-    Ok(collect_tenant_samples(&got, samples))
+    Ok(collect_lane_samples(&got, samples))
 }
 
-/// The shared stepping loop of the multi-tenant packers: feeds each lane
-/// its own split stream for its own cycle budget, with the same
-/// end-of-stream masking and word assembly as [`run_packed_word`].
-/// Returns the vectors consumed per lane.
-fn run_tenant_lanes<F, I, W, S>(
+/// The shared stepping loop of the packed kernels: feeds each lane its
+/// own split stream for its own cycle budget. Lanes whose streams end
+/// early are masked out of later steps, and the unused trailing lanes of
+/// a ragged word start dead, so each simulated lane's activity is
+/// bit-identical to a scalar run of the same stream. Returns the vectors
+/// consumed per lane.
+fn run_lanes<F, I, W, S>(
     netlist: &Netlist,
     lanes: &[LaneRequest],
     stream_fn: &F,
@@ -1063,10 +880,7 @@ where
     S: FnMut(&[W], W) -> Result<(), NetlistError>,
 {
     let width = netlist.input_count();
-    let mut iters: Vec<I::IntoIter> = lanes
-        .iter()
-        .map(|r| stream_fn(Rng::seed_from_u64(r.seed).split(r.batch)).into_iter())
-        .collect();
+    let mut iters: Vec<I::IntoIter> = lanes.iter().map(|r| lane_stream(stream_fn, r)).collect();
     let mut got = vec![0usize; lanes.len()];
     let mut words = vec![W::zero(); width];
     let mut live = W::low_mask(lanes.len());
@@ -1101,12 +915,15 @@ where
 }
 
 /// Maps per-lane `(power, cycles)` simulator outputs back to requests,
-/// with `None` for lanes that consumed no vectors — the same
-/// empty-stream signal [`run_packed_word`] reports.
-fn collect_tenant_samples(got: &[usize], samples: Vec<(f64, u64)>) -> Vec<Option<(f64, u64)>> {
+/// with `None` for lanes that consumed no vectors — the engine's
+/// empty-stream signal.
+fn collect_lane_samples(got: &[usize], samples: Vec<(f64, u64)>) -> Vec<Option<(f64, u64)>> {
     got.iter().enumerate().map(|(l, &g)| if g == 0 { None } else { Some(samples[l]) }).collect()
 }
 
+/// Mean and normal-approximation confidence-interval half-width (`z`
+/// multiplier, sample standard deviation over `sqrt(n)`) of `samples`.
+/// Fewer than two samples yield an infinite half-width.
 fn mean_half_width(samples: &[f64], z: f64) -> (f64, f64) {
     let n = samples.len() as f64;
     let mean = samples.iter().sum::<f64>() / n;
@@ -1130,6 +947,29 @@ mod tests {
         let s = crate::gen::ripple_adder(&mut nl, &a, &b, c0);
         nl.output_bus("s", &s);
         nl
+    }
+
+    /// The seeded engine in zero-delay or glitch mode, on two workers.
+    fn seeded<F, I>(
+        nl: &Netlist,
+        lib: &Library,
+        glitch: bool,
+        stream_fn: F,
+        seed: u64,
+        opts: &MonteCarloOptions,
+        kernel: McKernel,
+    ) -> Result<MonteCarloResult, NetlistError>
+    where
+        F: Fn(Rng) -> I + Sync,
+        I: IntoIterator<Item = Vec<bool>>,
+    {
+        if glitch {
+            monte_carlo_glitch_power_seeded_threads_kernel(
+                nl, lib, stream_fn, seed, opts, 2, kernel,
+            )
+        } else {
+            monte_carlo_power_seeded_threads_kernel(nl, lib, stream_fn, seed, opts, 2, kernel)
+        }
     }
 
     #[test]
@@ -1186,13 +1026,14 @@ mod tests {
         let w = nl.input_count();
         let opts = MonteCarloOptions::default();
         let run = |threads: usize| {
-            monte_carlo_power_seeded_threads(
+            monte_carlo_power_seeded_threads_kernel(
                 &nl,
                 &lib,
                 |rng| streams::random_rng(rng, w),
                 99,
                 &opts,
                 threads,
+                McKernel::Auto,
             )
             .unwrap()
         };
@@ -1312,24 +1153,19 @@ mod tests {
                 target_relative_error: 0.0,
                 ..Default::default()
             };
-            let run = |kernel: McKernel| {
-                monte_carlo_power_seeded_threads_kernel(
-                    &nl,
-                    &lib,
-                    |rng| streams::random_rng(rng, w),
-                    41,
-                    &opts,
-                    2,
-                    kernel,
-                )
-                .unwrap()
-            };
-            let scalar = run(McKernel::Scalar);
-            assert_eq!(scalar.batches, max_batches);
-            for kernel in [McKernel::Packed64, McKernel::Packed256, McKernel::Packed512] {
-                let r = run(kernel);
-                assert_eq!(r.batches, max_batches, "{kernel:?} budget {max_batches}");
-                assert_eq!(r, scalar, "{kernel:?} budget {max_batches}");
+            for glitch in [false, true] {
+                let run = |kernel: McKernel| {
+                    seeded(&nl, &lib, glitch, |rng| streams::random_rng(rng, w), 41, &opts, kernel)
+                        .unwrap()
+                };
+                let scalar = run(McKernel::Scalar);
+                assert_eq!(scalar.batches, max_batches);
+                for kernel in [McKernel::Packed64, McKernel::Packed256, McKernel::Packed512] {
+                    let r = run(kernel);
+                    let case = format!("{kernel:?} budget {max_batches} glitch {glitch}");
+                    assert_eq!(r.batches, max_batches, "{case}");
+                    assert_eq!(r, scalar, "{case}");
+                }
             }
         }
     }
@@ -1345,7 +1181,7 @@ mod tests {
             target_relative_error: 0.0,
             ..Default::default()
         };
-        let run = |kernel: TimedKernel| {
+        let run = |kernel: McKernel| {
             monte_carlo_glitch_power_seeded_threads_kernel(
                 &nl,
                 &lib,
@@ -1357,14 +1193,10 @@ mod tests {
             )
             .unwrap()
         };
-        let scalar = run(TimedKernel::Scalar);
+        let scalar = run(McKernel::Scalar);
         assert_eq!(scalar.batches, 70);
-        for kernel in [
-            TimedKernel::Packed64,
-            TimedKernel::Packed256,
-            TimedKernel::Packed512,
-            TimedKernel::Auto,
-        ] {
+        for kernel in [McKernel::Packed64, McKernel::Packed256, McKernel::Packed512, McKernel::Auto]
+        {
             assert_eq!(scalar, run(kernel), "{kernel:?}");
         }
     }
@@ -1379,8 +1211,16 @@ mod tests {
             max_batches: 400,
             ..Default::default()
         };
-        let par = monte_carlo_power_seeded(&nl, &lib, |rng| streams::random_rng(rng, w), 7, &opts)
-            .unwrap();
+        let par = monte_carlo_power_seeded_threads_kernel(
+            &nl,
+            &lib,
+            |rng| streams::random_rng(rng, w),
+            7,
+            &opts,
+            2,
+            McKernel::Auto,
+        )
+        .unwrap();
         let ser = monte_carlo_power(&nl, &lib, streams::random(1234, w), &opts).unwrap();
         let rel = (par.power_uw - ser.power_uw).abs() / ser.power_uw;
         assert!(rel < 0.03, "par {:.2} vs serial {:.2}", par.power_uw, ser.power_uw);
@@ -1393,8 +1233,16 @@ mod tests {
         let w = nl.input_count();
         let opts = MonteCarloOptions { max_batches: 8, ..Default::default() };
         let run = |seed| {
-            monte_carlo_power_seeded(&nl, &lib, |rng| streams::random_rng(rng, w), seed, &opts)
-                .unwrap()
+            monte_carlo_power_seeded_threads_kernel(
+                &nl,
+                &lib,
+                |rng| streams::random_rng(rng, w),
+                seed,
+                &opts,
+                2,
+                McKernel::Auto,
+            )
+            .unwrap()
         };
         assert_eq!(run(5), run(5));
         assert_ne!(run(5).power_uw, run(6).power_uw);
@@ -1405,13 +1253,14 @@ mod tests {
         let nl = adder();
         let lib = Library::default();
         let w = nl.input_count();
-        let err = monte_carlo_power_seeded_threads(
+        let err = monte_carlo_power_seeded_threads_kernel(
             &nl,
             &lib,
             |rng| streams::random_rng(rng, w),
             99,
             &MonteCarloOptions::default(),
             0,
+            McKernel::Auto,
         );
         assert!(matches!(err, Err(NetlistError::InvalidThreadCount { .. })), "got {err:?}");
     }
@@ -1428,7 +1277,7 @@ mod tests {
         let lib = Library::default();
         let w = nl.input_count();
         let opts = MonteCarloOptions { batch_cycles: 40, max_batches: 80, ..Default::default() };
-        let run = |kernel: TimedKernel, threads: usize| {
+        let run = |kernel: McKernel, threads: usize| {
             monte_carlo_glitch_power_seeded_threads_kernel(
                 &nl,
                 &lib,
@@ -1440,19 +1289,20 @@ mod tests {
             )
             .unwrap()
         };
-        let scalar = run(TimedKernel::Scalar, 1);
-        assert_eq!(scalar, run(TimedKernel::Packed64, 1));
-        assert_eq!(scalar, run(TimedKernel::Packed64, 4));
-        assert_eq!(scalar, run(TimedKernel::Scalar, 3));
+        let scalar = run(McKernel::Scalar, 1);
+        assert_eq!(scalar, run(McKernel::Packed64, 1));
+        assert_eq!(scalar, run(McKernel::Packed64, 4));
+        assert_eq!(scalar, run(McKernel::Scalar, 3));
         // Glitches make real-delay power strictly exceed zero-delay power
         // for the same stimulus distribution.
-        let zd = monte_carlo_power_seeded_threads(
+        let zd = monte_carlo_power_seeded_threads_kernel(
             &nl,
             &lib,
             |rng| streams::random_rng(rng, w),
             21,
             &opts,
             2,
+            McKernel::Auto,
         )
         .unwrap();
         assert!(scalar.power_uw > zd.power_uw, "glitch {} vs zd {}", scalar.power_uw, zd.power_uw);
@@ -1463,20 +1313,40 @@ mod tests {
         let nl = adder();
         let lib = Library::default();
         let w = nl.input_count();
-        let opts = MonteCarloOptions { batch_cycles: 50, ..Default::default() };
-        // Empty per-batch streams -> EmptyStream, like the serial engine.
-        let err = monte_carlo_power_seeded(&nl, &lib, |_| Vec::<Vec<bool>>::new(), 1, &opts);
-        assert!(matches!(err, Err(NetlistError::EmptyStream)));
-        // Short per-batch streams still produce samples.
-        let r = monte_carlo_power_seeded(
-            &nl,
-            &lib,
-            |rng| streams::random_rng(rng, w).take(10).collect::<Vec<_>>(),
-            1,
-            &opts,
-        )
-        .unwrap();
-        assert!(r.batches > 0);
+        let opts = MonteCarloOptions {
+            batch_cycles: 50,
+            max_batches: 300,
+            target_relative_error: 0.0,
+            ..Default::default()
+        };
+        // Per-batch stream lengths drawn from the batch's own RNG: 0 to 79
+        // vectors, so lanes end at different cycles (some past the
+        // 50-cycle budget) and some batches are empty.
+        let stream_len = |rng: &mut Rng| (rng.next_u64() % 80) as usize;
+        let stream_fn = |mut rng: Rng| {
+            let len = stream_len(&mut rng);
+            streams::random_rng(rng, w).take(len).collect::<Vec<_>>()
+        };
+        // Consumption stops at the first empty batch.
+        let root = Rng::seed_from_u64(3);
+        let first_empty = (0..).find(|&b| stream_len(&mut root.split(b)) == 0).unwrap() as usize;
+        assert!(first_empty > 0 && first_empty < opts.max_batches, "{first_empty}");
+        for glitch in [false, true] {
+            // Empty per-batch streams -> EmptyStream, like the serial engine.
+            let err =
+                seeded(&nl, &lib, glitch, |_| Vec::<Vec<bool>>::new(), 1, &opts, McKernel::Auto);
+            assert!(matches!(err, Err(NetlistError::EmptyStream)), "glitch {glitch}: {err:?}");
+            let scalar = seeded(&nl, &lib, glitch, stream_fn, 3, &opts, McKernel::Scalar).unwrap();
+            assert_eq!(scalar.batches, first_empty, "glitch {glitch}");
+            for kernel in
+                [McKernel::Packed64, McKernel::Packed256, McKernel::Packed512, McKernel::Auto]
+            {
+                let r = seeded(&nl, &lib, glitch, stream_fn, 3, &opts, kernel).unwrap();
+                assert_eq!(r, scalar, "{kernel:?} glitch {glitch}");
+                assert_eq!(r.power_uw.to_bits(), scalar.power_uw.to_bits());
+                assert_eq!(r.half_width_uw.to_bits(), scalar.half_width_uw.to_bits());
+            }
+        }
     }
 
     #[test]
@@ -1500,15 +1370,7 @@ mod tests {
             simulate_packed_lanes::<u64, _, _>(&nl, &model, Some(&kernel), &stream_fn, &lanes)
                 .unwrap();
         for (l, r) in lanes.iter().enumerate() {
-            let solo = run_scalar_batch(
-                &nl,
-                &model,
-                &stream_fn,
-                &Rng::seed_from_u64(r.seed),
-                r.batch,
-                &MonteCarloOptions { batch_cycles: r.cycles, ..Default::default() },
-            )
-            .unwrap();
+            let solo = run_scalar_batch(&nl, &model, &stream_fn, r).unwrap();
             assert_eq!(packed[l], solo, "lane {l} ({r:?})");
             assert!(packed[l].is_some());
         }
@@ -1561,16 +1423,7 @@ mod tests {
         )
         .unwrap();
         for (l, r) in lanes.iter().enumerate() {
-            let solo = run_scalar_glitch_batch(
-                &nl,
-                &lib,
-                &model,
-                &stream_fn,
-                &Rng::seed_from_u64(r.seed),
-                r.batch,
-                &MonteCarloOptions { batch_cycles: r.cycles, ..Default::default() },
-            )
-            .unwrap();
+            let solo = run_scalar_glitch_batch(&nl, &lib, &model, &stream_fn, r).unwrap();
             assert_eq!(packed[l], solo, "lane {l} ({r:?})");
         }
     }
@@ -1675,8 +1528,8 @@ mod tests {
         assert!(r.is_done());
         assert_eq!(r.push(99.0, 10).cloned().unwrap(), done);
         assert_eq!(r.finish().unwrap(), done);
-        // The exported CI arithmetic is the engine's own.
-        let (mean, half) = mean_ci_half_width(&[1.0, 2.0, 3.0], opts.z);
+        // The replay's CI arithmetic is the engine's own.
+        let (mean, half) = mean_half_width(&[1.0, 2.0, 3.0], opts.z);
         assert_eq!((mean, half), (done.power_uw, done.half_width_uw));
         // No samples -> EmptyStream, like the engine.
         let empty = StoppingReplay::new(&opts);

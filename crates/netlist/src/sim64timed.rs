@@ -1,5 +1,5 @@
-//! Compiled, bit-parallel *timed* (glitch-capturing) simulation — kernel
-//! selection and the single-stream driver.
+//! Compiled, bit-parallel *timed* (glitch-capturing) simulation — the
+//! single-stream driver, on any [`McKernel`].
 //!
 //! The scalar [`EventDrivenSim`] pops one `(time, node)` event at a time
 //! from a binary heap and re-evaluates one `bool` per pop. [`TimedSim64`]
@@ -13,8 +13,8 @@
 //! word-wide gate evaluation where the scalar engine would pay up to one
 //! heap pop per lane. `TimedSim64` is the `u64` instantiation of the
 //! width-generic [`WideTimedSim`](crate::WideTimedSim) in
-//! [`crate::simwide`]; [`TimedKernel::Packed256`]/[`TimedKernel::Packed512`]
-//! select the wider words and [`TimedKernel::Auto`] (the default) picks a
+//! [`crate::simwide`]; [`McKernel::Packed256`]/[`McKernel::Packed512`]
+//! select the wider words and [`McKernel::Auto`] (the default) picks a
 //! width from the workload size.
 //!
 //! # Determinism contract
@@ -43,6 +43,7 @@
 use crate::error::NetlistError;
 use crate::event::{EventDrivenSim, TimedActivity};
 use crate::library::Library;
+use crate::montecarlo::McKernel;
 use crate::netlist::Netlist;
 use crate::sim::ZeroDelaySim;
 use crate::simwide::WideTimedSim;
@@ -54,72 +55,6 @@ use crate::words::{Word, W256, W512};
 /// words.
 pub type TimedSim64<'a> = WideTimedSim<'a, u64>;
 
-/// The simulation kernel used by glitch-aware consumers
-/// ([`timed_activity`], `optimize::balance`, `optimize::retime`, the
-/// glitch Monte-Carlo entry points).
-///
-/// Every kernel produces bit-identical [`TimedActivity`] records; the
-/// packed kernels are purely wall-clock optimizations and the scalar
-/// kernel remains available as the differential oracle. Wider words
-/// amortize the per-instruction overhead over more lanes but cost more
-/// per-lane state, so [`Auto`](Self::Auto) — the default — picks the
-/// widest word the workload can fill.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TimedKernel {
-    /// The scalar heap-based [`EventDrivenSim`] — the differential oracle.
-    Scalar,
-    /// The compiled 64-lane time-wheel [`TimedSim64`].
-    Packed64,
-    /// The compiled 256-lane time-wheel kernel ([`W256`] words).
-    Packed256,
-    /// The compiled 512-lane time-wheel kernel ([`W512`] words).
-    Packed512,
-    /// Picks a packed width from the workload size (the default): wide
-    /// enough words amortize instruction decode, but a workload smaller
-    /// than the lane count would leave lanes masked off for no gain.
-    #[default]
-    Auto,
-}
-
-impl TimedKernel {
-    /// Resolves [`Auto`](Self::Auto) against a workload of `transitions`
-    /// stream transitions (the wide differential batteries and
-    /// `DESIGN.md` document this heuristic): at least 512 transitions
-    /// fill a [`W512`] word, at least 256 fill a [`W256`] word, anything
-    /// smaller stays on `u64`. Explicit kernels resolve to themselves.
-    pub fn resolve(self, transitions: usize) -> TimedKernel {
-        match self {
-            TimedKernel::Auto => {
-                if transitions >= W512::LANES {
-                    TimedKernel::Packed512
-                } else if transitions >= W256::LANES {
-                    TimedKernel::Packed256
-                } else {
-                    TimedKernel::Packed64
-                }
-            }
-            k => k,
-        }
-    }
-
-    /// Number of stimulus lanes one step of this kernel advances (1 for
-    /// the scalar kernel).
-    ///
-    /// # Panics
-    ///
-    /// Panics on [`Auto`](Self::Auto), which has no width until
-    /// [`resolve`](Self::resolve)d against a workload.
-    pub fn lanes(self) -> usize {
-        match self {
-            TimedKernel::Scalar => 1,
-            TimedKernel::Packed64 => 64,
-            TimedKernel::Packed256 => W256::LANES,
-            TimedKernel::Packed512 => W512::LANES,
-            TimedKernel::Auto => panic!("TimedKernel::Auto must be resolved before use"),
-        }
-    }
-}
-
 /// Profiles one input-vector stream with the chosen timed kernel and
 /// returns the glitch-decomposed activity.
 ///
@@ -128,7 +63,7 @@ impl TimedKernel {
 /// zero-delay stable-state trajectory once, then replay the stream's
 /// `N - 1` transitions [`Word::LANES`] per word on a [`WideTimedSim`] and
 /// merge the lanes (exact integer sums, so the reorganization is
-/// invisible). [`TimedKernel::Auto`] resolves to the widest word the
+/// invisible). [`McKernel::Auto`] resolves to the widest word the
 /// transition count can fill.
 ///
 /// # Errors
@@ -139,17 +74,17 @@ pub fn timed_activity(
     netlist: &Netlist,
     lib: &Library,
     stream: &[Vec<bool>],
-    kernel: TimedKernel,
+    kernel: McKernel,
 ) -> Result<TimedActivity, NetlistError> {
     match kernel.resolve(stream.len().saturating_sub(1)) {
-        TimedKernel::Scalar => {
+        McKernel::Scalar => {
             let mut sim = EventDrivenSim::new(netlist, lib)?;
             sim.run(stream.iter().cloned())
         }
-        TimedKernel::Packed64 => timed_activity_packed::<u64>(netlist, lib, stream),
-        TimedKernel::Packed256 => timed_activity_packed::<W256>(netlist, lib, stream),
-        TimedKernel::Packed512 => timed_activity_packed::<W512>(netlist, lib, stream),
-        TimedKernel::Auto => unreachable!("resolve never returns Auto"),
+        McKernel::Packed64 => timed_activity_packed::<u64>(netlist, lib, stream),
+        McKernel::Packed256 => timed_activity_packed::<W256>(netlist, lib, stream),
+        McKernel::Packed512 => timed_activity_packed::<W512>(netlist, lib, stream),
+        McKernel::Auto => unreachable!("resolve never returns Auto"),
     }
 }
 
@@ -321,13 +256,9 @@ mod tests {
         let nl = mult(4);
         let lib = Library::default();
         let stream: Vec<Vec<bool>> = streams::random(3, nl.input_count()).take(150).collect();
-        let scalar = timed_activity(&nl, &lib, &stream, TimedKernel::Scalar).unwrap();
-        for kernel in [
-            TimedKernel::Packed64,
-            TimedKernel::Packed256,
-            TimedKernel::Packed512,
-            TimedKernel::Auto,
-        ] {
+        let scalar = timed_activity(&nl, &lib, &stream, McKernel::Scalar).unwrap();
+        for kernel in [McKernel::Packed64, McKernel::Packed256, McKernel::Packed512, McKernel::Auto]
+        {
             let packed = timed_activity(&nl, &lib, &stream, kernel).unwrap();
             assert_eq!(scalar, packed, "{kernel:?}");
         }
@@ -339,13 +270,9 @@ mod tests {
         let nl = fir();
         let lib = Library::default();
         let stream: Vec<Vec<bool>> = streams::random(8, nl.input_count()).take(130).collect();
-        let scalar = timed_activity(&nl, &lib, &stream, TimedKernel::Scalar).unwrap();
-        for kernel in [
-            TimedKernel::Packed64,
-            TimedKernel::Packed256,
-            TimedKernel::Packed512,
-            TimedKernel::Auto,
-        ] {
+        let scalar = timed_activity(&nl, &lib, &stream, McKernel::Scalar).unwrap();
+        for kernel in [McKernel::Packed64, McKernel::Packed256, McKernel::Packed512, McKernel::Auto]
+        {
             let packed = timed_activity(&nl, &lib, &stream, kernel).unwrap();
             assert_eq!(scalar, packed, "{kernel:?}");
         }
@@ -357,8 +284,8 @@ mod tests {
         let lib = Library::default();
         for take in [0usize, 1, 2, 64, 65, 256, 257] {
             let stream: Vec<Vec<bool>> = streams::random(5, nl.input_count()).take(take).collect();
-            let scalar = timed_activity(&nl, &lib, &stream, TimedKernel::Scalar).unwrap();
-            for kernel in [TimedKernel::Packed64, TimedKernel::Packed512, TimedKernel::Auto] {
+            let scalar = timed_activity(&nl, &lib, &stream, McKernel::Scalar).unwrap();
+            for kernel in [McKernel::Packed64, McKernel::Packed512, McKernel::Auto] {
                 let packed = timed_activity(&nl, &lib, &stream, kernel).unwrap();
                 assert_eq!(scalar, packed, "stream length {take}, {kernel:?}");
             }
@@ -367,14 +294,14 @@ mod tests {
 
     #[test]
     fn auto_kernel_scales_width_with_the_workload() {
-        assert_eq!(TimedKernel::Auto.resolve(0), TimedKernel::Packed64);
-        assert_eq!(TimedKernel::Auto.resolve(255), TimedKernel::Packed64);
-        assert_eq!(TimedKernel::Auto.resolve(256), TimedKernel::Packed256);
-        assert_eq!(TimedKernel::Auto.resolve(511), TimedKernel::Packed256);
-        assert_eq!(TimedKernel::Auto.resolve(512), TimedKernel::Packed512);
-        assert_eq!(TimedKernel::Scalar.resolve(10_000), TimedKernel::Scalar);
-        assert_eq!(TimedKernel::Packed64.lanes(), 64);
-        assert_eq!(TimedKernel::Packed512.lanes(), 512);
+        assert_eq!(McKernel::Auto.resolve(0), McKernel::Packed64);
+        assert_eq!(McKernel::Auto.resolve(255), McKernel::Packed64);
+        assert_eq!(McKernel::Auto.resolve(256), McKernel::Packed256);
+        assert_eq!(McKernel::Auto.resolve(511), McKernel::Packed256);
+        assert_eq!(McKernel::Auto.resolve(512), McKernel::Packed512);
+        assert_eq!(McKernel::Scalar.resolve(10_000), McKernel::Scalar);
+        assert_eq!(McKernel::Packed64.lanes(), 64);
+        assert_eq!(McKernel::Packed512.lanes(), 512);
     }
 
     #[test]
@@ -382,7 +309,7 @@ mod tests {
         let nl = mult(3);
         let lib = Library::default();
         let stream = vec![vec![false; nl.input_count()], vec![true; 2]];
-        for kernel in [TimedKernel::Scalar, TimedKernel::Packed64, TimedKernel::Auto] {
+        for kernel in [McKernel::Scalar, McKernel::Packed64, McKernel::Auto] {
             assert!(matches!(
                 timed_activity(&nl, &lib, &stream, kernel),
                 Err(NetlistError::InputWidthMismatch { got: 2, .. })

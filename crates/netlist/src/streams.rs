@@ -9,8 +9,8 @@
 //! (`random(seed, width)`) for standalone use, and an [`Rng`]-taking
 //! constructor (`random_rng(rng, width)`) for use with *split* generator
 //! streams — the form the parallel Monte-Carlo estimator
-//! ([`crate::monte_carlo_power_seeded`]) uses to give every batch its own
-//! independent, thread-count-invariant stream.
+//! ([`crate::monte_carlo_power_seeded_threads_kernel`]) uses to give every
+//! batch its own independent, thread-count-invariant stream.
 
 use hlpower_rng::Rng;
 

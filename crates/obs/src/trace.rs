@@ -8,24 +8,25 @@
 //!   load per [`span`] call. The `repro` binary enables it when the
 //!   `HLPOWER_TRACE=<path>` environment variable is set (see
 //!   [`env_path`]); tests may call [`set_enabled`] directly.
-//! * **Lock-free push** — every thread records into its own fixed-capacity
-//!   ring buffer (a plain `Vec` behind a `thread_local!`, so pushes take
-//!   no lock at all). Buffers drain into a global sink when their thread
-//!   exits; the exporting thread drains its own buffer at export time.
-//!   Pushes past [`RING_CAP`] (or past the sink cap) are counted in
-//!   [`dropped`] and discarded — a runaway producer can lose events but
-//!   never grow memory without bound.
+//! * **Per-thread push** — every thread records into its own
+//!   fixed-capacity ring buffer, behind a lock no other thread takes
+//!   except while exporting. A thread's ring joins a registry of live
+//!   rings on its first push (so a thread that never records a span costs
+//!   nothing), and [`take_events`] / [`events_for_request`] read every
+//!   registered ring as well as the global sink that exited threads'
+//!   rings drain into. Pushes past [`RING_CAP`] (or past the sink cap) are
+//!   counted in [`dropped`] and discarded — a runaway producer can lose
+//!   events but never grow memory without bound.
 //! * **Determinism-safe** — spans only *observe* wall-clock time; no
 //!   instrumented code path reads the trace state to make a decision, so
 //!   the workspace's bit-identical determinism contract (seed + any
 //!   thread count ⇒ identical output) is untouched with tracing on.
 //!
-//! ## Caveat
-//!
-//! Events held by threads that are still alive (other than the exporting
-//! thread) at export time are not included. The workspace's worker pools
-//! are scoped — workers are joined before any exporter runs — so in
-//! practice only the exporting thread's buffer needs the explicit drain.
+//! Because live rings are read directly, an export sees every span that
+//! has *ended* by the time it runs, on any thread: spans of a scoped
+//! worker that was joined before its thread-local destructors ran, and
+//! spans of long-lived threads (a server's batcher or connection
+//! threads) that never exit.
 //!
 //! ```
 //! use hlpower_obs::trace;
@@ -43,7 +44,7 @@ use std::borrow::Cow;
 use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 use crate::json;
@@ -52,7 +53,8 @@ use crate::{ctx, Counter};
 /// Maximum events retained per thread before drops start.
 pub const RING_CAP: usize = 16 * 1024;
 
-/// Maximum events retained in the global sink (sum over exited threads).
+/// Maximum events retained in the global sink (sum over exited threads'
+/// rings).
 pub const SINK_CAP: usize = 1 << 20;
 
 /// One completed span, in the process-local timebase.
@@ -79,34 +81,46 @@ static RING_DROPPED: Counter = Counter::new();
 static SINK_DROPPED: Counter = Counter::new();
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 static SINK: Mutex<Vec<TraceEvent>> = Mutex::new(Vec::new());
+/// The rings of threads that have pushed at least one event and not yet
+/// exited. Lock order: `LIVE`, then a ring or `SINK`.
+static LIVE: Mutex<Vec<SharedRing>> = Mutex::new(Vec::new());
 static EPOCH: OnceLock<Instant> = OnceLock::new();
+
+type SharedRing = Arc<Mutex<Vec<TraceEvent>>>;
 
 fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 struct ThreadRing {
     tid: u64,
-    events: Vec<TraceEvent>,
+    /// Registered in [`LIVE`] on the first push.
+    events: Option<SharedRing>,
 }
 
 impl Drop for ThreadRing {
     fn drop(&mut self) {
-        if self.events.is_empty() {
-            return;
-        }
-        let mut sink = SINK.lock().unwrap_or_else(PoisonError::into_inner);
-        let room = SINK_CAP.saturating_sub(sink.len());
-        let take = self.events.len().min(room);
-        SINK_DROPPED.add((self.events.len() - take) as u64);
-        sink.extend(self.events.drain(..take));
+        let Some(ring) = self.events.take() else { return };
+        // Deregister and move the events under the `LIVE` lock, so an
+        // exporter sees them either in the ring or in the sink.
+        let mut live = lock(&LIVE);
+        live.retain(|r| !Arc::ptr_eq(r, &ring));
+        let events = std::mem::take(&mut *lock(&ring));
+        let mut sink = lock(&SINK);
+        let take = events.len().min(SINK_CAP.saturating_sub(sink.len()));
+        SINK_DROPPED.add((events.len() - take) as u64);
+        sink.extend(events.into_iter().take(take));
     }
 }
 
 thread_local! {
     static RING: RefCell<ThreadRing> = RefCell::new(ThreadRing {
         tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
-        events: Vec::new(),
+        events: None,
     });
 }
 
@@ -152,8 +166,14 @@ pub fn sink_dropped() -> u64 {
 fn push(event: TraceEvent) {
     RING.with(|ring| {
         let mut ring = ring.borrow_mut();
-        if ring.events.len() < RING_CAP {
-            ring.events.push(event);
+        let shared = ring.events.get_or_insert_with(|| {
+            let shared = SharedRing::default();
+            lock(&LIVE).push(Arc::clone(&shared));
+            shared
+        });
+        let mut events = lock(shared);
+        if events.len() < RING_CAP {
+            events.push(event);
         } else {
             RING_DROPPED.inc();
         }
@@ -207,34 +227,34 @@ pub fn span_dyn(cat: &'static str, name_fn: impl FnOnce() -> String) -> TraceSpa
     span(cat, name_fn())
 }
 
-/// Drains every completed event (the global sink plus the calling
-/// thread's ring buffer), sorted by `(ts_ns, tid)`.
+/// Drains every completed event (the global sink plus every live
+/// thread's ring), sorted by `(ts_ns, tid)`.
 pub fn take_events() -> Vec<TraceEvent> {
-    let mut events: Vec<TraceEvent> = {
-        let mut sink = SINK.lock().unwrap_or_else(PoisonError::into_inner);
-        std::mem::take(&mut *sink)
-    };
-    RING.with(|ring| events.append(&mut ring.borrow_mut().events));
+    let live = lock(&LIVE);
+    let mut events = std::mem::take(&mut *lock(&SINK));
+    for ring in live.iter() {
+        events.append(&mut lock(ring));
+    }
+    drop(live);
     events.sort_by(|a, b| (a.ts_ns, a.tid).cmp(&(b.ts_ns, b.tid)));
     events
 }
 
 /// Copies (without draining) every completed event recorded for request
-/// `id` — the global sink plus the calling thread's own ring — sorted by
+/// `id` — the global sink plus every live thread's ring — sorted by
 /// `(ts_ns, tid)`.
 ///
-/// Used by the access log's slow-request dump: the request's spans are
-/// reported inline while the trace keeps accumulating for the final
-/// export. Spans still held by other live threads' rings are not
-/// visible (same caveat as [`take_events`]).
+/// Used by the access log's slow-request dump: the request's spans,
+/// including those of the worker threads that served it, are reported
+/// inline while the trace keeps accumulating for the final export.
 pub fn events_for_request(id: u64) -> Vec<TraceEvent> {
-    let mut events: Vec<TraceEvent> = {
-        let sink = SINK.lock().unwrap_or_else(PoisonError::into_inner);
-        sink.iter().filter(|e| e.request_id == Some(id)).cloned().collect()
-    };
-    RING.with(|ring| {
-        events.extend(ring.borrow().events.iter().filter(|e| e.request_id == Some(id)).cloned());
-    });
+    let live = lock(&LIVE);
+    let mine = |e: &&TraceEvent| e.request_id == Some(id);
+    let mut events: Vec<TraceEvent> = lock(&SINK).iter().filter(mine).cloned().collect();
+    for ring in live.iter() {
+        events.extend(lock(ring).iter().filter(mine).cloned());
+    }
+    drop(live);
     events.sort_by(|a, b| (a.ts_ns, a.tid).cmp(&(b.ts_ns, b.tid)));
     events
 }

@@ -9,8 +9,8 @@
 //! but without touching the clock discipline.
 
 use hlpower_netlist::{
-    GateKind, IncrementalTimedSim, Library, Netlist, NetlistEditor, NetlistError, NodeKind,
-    TimedKernel,
+    GateKind, IncrementalTimedSim, Library, McKernel, Netlist, NetlistEditor, NetlistError,
+    NodeKind,
 };
 use hlpower_obs::metrics as obs;
 
@@ -52,17 +52,12 @@ pub struct BalanceOptions {
     /// Retained for API compatibility: profiling now runs through the
     /// event-driven [`IncrementalTimedSim`] recording, which is
     /// bit-identical across kernels, so the choice no longer matters.
-    pub kernel: TimedKernel,
+    pub kernel: McKernel,
 }
 
 impl Default for BalanceOptions {
     fn default() -> Self {
-        BalanceOptions {
-            tolerance_ps: 60.0,
-            min_glitches: 2,
-            max_chain: 8,
-            kernel: TimedKernel::default(),
-        }
+        BalanceOptions { tolerance_ps: 60.0, min_glitches: 2, max_chain: 8, kernel: McKernel::Auto }
     }
 }
 
@@ -247,8 +242,8 @@ mod tests {
             let opts = BalanceOptions { kernel, ..BalanceOptions::default() };
             balance_paths(&nl, &lib, &stream, &opts).unwrap()
         };
-        let s = run(TimedKernel::Scalar);
-        let p = run(TimedKernel::Packed64);
+        let s = run(McKernel::Scalar);
+        let p = run(McKernel::Packed64);
         assert_eq!(s.buffers_added, p.buffers_added);
         assert_eq!(s.baseline_uw.to_bits(), p.baseline_uw.to_bits());
         assert_eq!(s.balanced_uw.to_bits(), p.balanced_uw.to_bits());

@@ -12,8 +12,8 @@
 use std::collections::HashMap;
 
 use hlpower_netlist::{
-    timed_activity, IncrementalTimedSim, Library, Netlist, NetlistEditor, NetlistError, NodeId,
-    NodeKind, TimedConeResim, TimedKernel, TimedResimScratch,
+    timed_activity, IncrementalTimedSim, Library, McKernel, Netlist, NetlistEditor, NetlistError,
+    NodeId, NodeKind, TimedConeResim, TimedResimScratch,
 };
 use hlpower_obs::metrics as obs;
 
@@ -83,7 +83,8 @@ pub fn pipeline_cut(
 }
 
 /// Per-node glitch counts under a stream (the selection signal of the
-/// Monteiro heuristic).
+/// Monteiro heuristic), profiled on `kernel` (every kernel gives a
+/// bit-identical profile).
 ///
 /// # Errors
 ///
@@ -92,21 +93,7 @@ pub fn glitch_profile(
     netlist: &Netlist,
     lib: &Library,
     stream: &[Vec<bool>],
-) -> Result<Vec<u64>, NetlistError> {
-    glitch_profile_kernel(netlist, lib, stream, TimedKernel::default())
-}
-
-/// [`glitch_profile`] on an explicit timed kernel (both kernels give
-/// bit-identical profiles).
-///
-/// # Errors
-///
-/// As [`glitch_profile`].
-pub fn glitch_profile_kernel(
-    netlist: &Netlist,
-    lib: &Library,
-    stream: &[Vec<bool>],
-    kernel: TimedKernel,
+    kernel: McKernel,
 ) -> Result<Vec<u64>, NetlistError> {
     let timed = timed_activity(netlist, lib, stream, kernel)?;
     netlist.node_ids().map(|id| timed.node_glitches(id)).collect()
@@ -132,26 +119,6 @@ impl RetimeOutcome {
     pub fn saving(&self) -> f64 {
         1.0 - self.best_uw / self.baseline_uw.max(1e-12)
     }
-}
-
-/// Searches arrival-time thresholds for the minimum-power pipeline cut
-/// (the registers-at-glitchy-outputs heuristic realized as a sweep).
-///
-/// The baseline is the same circuit cut at the *output* boundary (every
-/// path registered once at the end), so all compared designs have equal
-/// latency and register discipline; differences come from where the
-/// registers sit — exactly Fig. 9's point.
-///
-/// # Errors
-///
-/// Returns a netlist error for cyclic circuits.
-pub fn low_power_retime(
-    netlist: &Netlist,
-    lib: &Library,
-    stream: &[Vec<bool>],
-    probes: usize,
-) -> Result<RetimeOutcome, NetlistError> {
-    low_power_retime_kernel(netlist, lib, stream, probes, TimedKernel::default())
 }
 
 /// Applies the threshold cut *in place* on `cut` (a clone of `base`):
@@ -199,25 +166,30 @@ fn apply_cut_in_place(
     Ok(changed)
 }
 
-/// [`low_power_retime`] on an explicit timed kernel. Retained for API
-/// compatibility: the sweep is now scored by dirty-cone replay against a
-/// single event-driven [`IncrementalTimedSim`] recording, which is
-/// bit-identical across kernels, so the choice no longer matters.
+/// Searches arrival-time thresholds for the minimum-power pipeline cut
+/// (the registers-at-glitchy-outputs heuristic realized as a sweep).
+///
+/// The baseline is the same circuit cut at the *output* boundary (every
+/// path registered once at the end), so all compared designs have equal
+/// latency and register discipline; differences come from where the
+/// registers sit — exactly Fig. 9's point.
 ///
 /// Each probed threshold is expressed as an in-place register-insertion
 /// edit of the profiled circuit, and only the forward cone of the rewired
 /// gates and appended registers is replayed — the baseline waveforms of
-/// everything upstream are reused from the recording.
+/// everything upstream are reused from a single event-driven
+/// [`IncrementalTimedSim`] recording. That recording is bit-identical
+/// across kernels, so `kernel` does not change the outcome.
 ///
 /// # Errors
 ///
-/// As [`low_power_retime`].
-pub fn low_power_retime_kernel(
+/// Returns a netlist error for cyclic circuits.
+pub fn low_power_retime(
     netlist: &Netlist,
     lib: &Library,
     stream: &[Vec<bool>],
     probes: usize,
-    kernel: TimedKernel,
+    kernel: McKernel,
 ) -> Result<RetimeOutcome, NetlistError> {
     let _ = kernel;
     let max_arrival = netlist.critical_path_ps(lib)?;
@@ -342,7 +314,7 @@ mod tests {
         let nl = multiplier(6);
         let lib = Library::default();
         let stream: Vec<Vec<bool>> = streams::random(2, 12).take(200).collect();
-        let timed = timed_activity(&nl, &lib, &stream, TimedKernel::default()).unwrap();
+        let timed = timed_activity(&nl, &lib, &stream, McKernel::Auto).unwrap();
         let gf = timed.glitch_fraction().unwrap();
         assert!(gf > 0.15, "glitch fraction {gf}");
     }
@@ -352,11 +324,11 @@ mod tests {
         let nl = multiplier(4);
         let lib = Library::default();
         let stream: Vec<Vec<bool>> = streams::random(11, 8).take(120).collect();
-        let s = low_power_retime_kernel(&nl, &lib, &stream, 3, TimedKernel::Scalar).unwrap();
-        let p = low_power_retime_kernel(&nl, &lib, &stream, 3, TimedKernel::Packed64).unwrap();
+        let s = low_power_retime(&nl, &lib, &stream, 3, McKernel::Scalar).unwrap();
+        let p = low_power_retime(&nl, &lib, &stream, 3, McKernel::Packed64).unwrap();
         assert_eq!(s, p);
-        let sp = glitch_profile_kernel(&nl, &lib, &stream, TimedKernel::Scalar).unwrap();
-        let pp = glitch_profile_kernel(&nl, &lib, &stream, TimedKernel::Packed64).unwrap();
+        let sp = glitch_profile(&nl, &lib, &stream, McKernel::Scalar).unwrap();
+        let pp = glitch_profile(&nl, &lib, &stream, McKernel::Packed64).unwrap();
         assert_eq!(sp, pp);
     }
 
@@ -390,7 +362,7 @@ mod tests {
         let nl = multiplier(4);
         let lib = Library::default();
         let stream: Vec<Vec<bool>> = streams::random(5, 8).take(150).collect();
-        let outcome = low_power_retime(&nl, &lib, &stream, 3).unwrap();
+        let outcome = low_power_retime(&nl, &lib, &stream, 3, McKernel::Auto).unwrap();
         let arrivals = nl.arrival_times_ps(&lib).unwrap();
         let check = |threshold: f64, uw: f64| {
             let mut cut = nl.clone();
@@ -413,7 +385,7 @@ mod tests {
         let nl = multiplier(5);
         let lib = Library::default();
         let stream: Vec<Vec<bool>> = streams::random(3, 10).take(300).collect();
-        let outcome = low_power_retime(&nl, &lib, &stream, 4).unwrap();
+        let outcome = low_power_retime(&nl, &lib, &stream, 4, McKernel::Auto).unwrap();
         assert!(
             outcome.saving() > 0.0,
             "mid-cone registers should beat output-only registers: {outcome:?}"
@@ -426,7 +398,7 @@ mod tests {
         let nl = multiplier(4);
         let lib = Library::default();
         let stream: Vec<Vec<bool>> = streams::random(4, 8).take(150).collect();
-        let profile = glitch_profile(&nl, &lib, &stream).unwrap();
+        let profile = glitch_profile(&nl, &lib, &stream, McKernel::Auto).unwrap();
         assert!(profile.iter().any(|&g| g > 0));
     }
 }

@@ -11,8 +11,8 @@
 //! pushed through its replay **in batch order**.
 //!
 //! Because lane `l` of a packed word consumes exactly the stream batch
-//! `l` of an offline run consumes (see
-//! [`hlpower_netlist::simulate_packed_lanes`]), and the replay is the
+//! `l` of an offline run consumes (see [`hlpower_netlist::simulate_lanes`],
+//! the lane primitive the offline engine runs on too), and the replay is the
 //! engine's own stopping rule, every job's result is **bit-identical** to
 //! [`hlpower_netlist::monte_carlo_power_seeded_threads_kernel`] run
 //! offline with the same seed and options — regardless of which tenants
@@ -25,8 +25,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use hlpower_netlist::{
-    simulate_packed_glitch_lanes, simulate_packed_lanes, streams, LaneRequest, MonteCarloOptions,
-    MonteCarloResult, NetlistError, StoppingReplay, W256, W512,
+    simulate_lanes, streams, LaneRequest, McKernel, MonteCarloOptions, MonteCarloResult,
+    NetlistError, StoppingReplay,
 };
 use hlpower_obs::ctx::{self, RequestCtx, Stage};
 use hlpower_obs::metrics as obs;
@@ -60,10 +60,15 @@ pub enum PackWidth {
 impl PackWidth {
     /// Lanes per word.
     pub fn lanes(self) -> usize {
+        self.kernel().lanes()
+    }
+
+    /// The packed simulation kernel of this width.
+    fn kernel(self) -> McKernel {
         match self {
-            PackWidth::W64 => 64,
-            PackWidth::W256 => 256,
-            PackWidth::W512 => 512,
+            PackWidth::W64 => McKernel::Packed64,
+            PackWidth::W256 => McKernel::Packed256,
+            PackWidth::W512 => McKernel::Packed512,
         }
     }
 }
@@ -419,49 +424,22 @@ fn simulate_word(
     lanes: &[LaneRequest],
 ) -> Result<Vec<Option<(f64, u64)>>, NetlistError> {
     let w = circuit.netlist.input_count();
-    let stream_fn = |rng: Rng| streams::random_rng(rng, w);
-    let (nl, model, kernel) = (&circuit.netlist, &circuit.model, Some(&circuit.kernel));
-    match (mode, width) {
-        (Mode::ZeroDelay, PackWidth::W64) => {
-            simulate_packed_lanes::<u64, _, _>(nl, model, kernel, &stream_fn, lanes)
-        }
-        (Mode::ZeroDelay, PackWidth::W256) => {
-            simulate_packed_lanes::<W256, _, _>(nl, model, kernel, &stream_fn, lanes)
-        }
-        (Mode::ZeroDelay, PackWidth::W512) => {
-            simulate_packed_lanes::<W512, _, _>(nl, model, kernel, &stream_fn, lanes)
-        }
-        (Mode::Glitch, PackWidth::W64) => simulate_packed_glitch_lanes::<u64, _, _>(
-            nl,
-            &circuit.lib,
-            model,
-            kernel,
-            &stream_fn,
-            lanes,
-        ),
-        (Mode::Glitch, PackWidth::W256) => simulate_packed_glitch_lanes::<W256, _, _>(
-            nl,
-            &circuit.lib,
-            model,
-            kernel,
-            &stream_fn,
-            lanes,
-        ),
-        (Mode::Glitch, PackWidth::W512) => simulate_packed_glitch_lanes::<W512, _, _>(
-            nl,
-            &circuit.lib,
-            model,
-            kernel,
-            &stream_fn,
-            lanes,
-        ),
-    }
+    let lib = (mode == Mode::Glitch).then_some(&circuit.lib);
+    simulate_lanes(
+        &circuit.netlist,
+        lib,
+        &circuit.model,
+        Some(&circuit.kernel),
+        width.kernel(),
+        &|rng: Rng| streams::random_rng(rng, w),
+        lanes,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hlpower_netlist::{monte_carlo_power_seeded_threads_kernel, McKernel};
+    use hlpower_netlist::monte_carlo_power_seeded_threads_kernel;
 
     fn gray_counter_src() -> String {
         std::fs::read_to_string(concat!(
@@ -580,7 +558,7 @@ mod tests {
             5,
             &opts,
             1,
-            hlpower_netlist::TimedKernel::Packed64,
+            McKernel::Packed64,
         )
         .unwrap();
         assert_eq!(gl.unwrap(), want_glitch);

@@ -13,8 +13,8 @@
 
 use hlpower::bdd::build_node_bdds;
 use hlpower::netlist::{
-    gen, monte_carlo_power_seeded, streams, Activity, Library, MonteCarloOptions, Netlist,
-    ProbabilityAnalysis, ZeroDelaySim,
+    gen, monte_carlo_power_seeded_threads_kernel, streams, Activity, Library, McKernel,
+    MonteCarloOptions, Netlist, ProbabilityAnalysis, ZeroDelaySim,
 };
 
 /// Synthetic cycle count for the exact-density activity record. Large so
@@ -66,9 +66,16 @@ fn monte_carlo_covers_exact_estimate_at_99_percent_of_seeds() {
         let nl = random_netlist(seed);
         let exact = exact_power_uw(&nl, &lib);
         let w = nl.input_count();
-        let mc =
-            monte_carlo_power_seeded(&nl, &lib, |rng| streams::random_rng(rng, w), seed, &opts)
-                .expect("acyclic, converges");
+        let mc = monte_carlo_power_seeded_threads_kernel(
+            &nl,
+            &lib,
+            |rng| streams::random_rng(rng, w),
+            seed,
+            &opts,
+            2,
+            McKernel::Auto,
+        )
+        .expect("acyclic, converges");
         if (mc.power_uw - exact).abs() > mc.half_width_uw {
             misses.push(format!(
                 "seed {seed}: mc {:.4} +/- {:.4} vs exact {:.4}",

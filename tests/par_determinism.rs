@@ -4,7 +4,8 @@
 //! and turning span tracing on must not change a single bit either.
 
 use hlpower::netlist::{
-    gen, monte_carlo_power_seeded_threads, streams, Library, MonteCarloOptions, Netlist,
+    gen, monte_carlo_power_seeded_threads_kernel, streams, Library, McKernel, MonteCarloOptions,
+    Netlist,
 };
 use hlpower::obs::trace;
 
@@ -32,13 +33,14 @@ fn monte_carlo_bit_identical_across_thread_counts() {
         z: 1.96,
     };
     let run = |threads: usize| {
-        monte_carlo_power_seeded_threads(
+        monte_carlo_power_seeded_threads_kernel(
             &nl,
             &lib,
             |rng| streams::random_rng(rng, w),
             0xC0FFEE,
             &opts,
             threads,
+            McKernel::Auto,
         )
         .expect("adder is acyclic and the stream is infinite")
     };
@@ -68,13 +70,14 @@ fn monte_carlo_bit_identical_with_tracing_enabled() {
         z: 1.96,
     };
     let run = |threads: usize| {
-        monte_carlo_power_seeded_threads(
+        monte_carlo_power_seeded_threads_kernel(
             &nl,
             &lib,
             |rng| streams::random_rng(rng, w),
             0xBEEF,
             &opts,
             threads,
+            McKernel::Auto,
         )
         .expect("adder is acyclic and the stream is infinite")
     };
@@ -108,13 +111,14 @@ fn stopping_rule_triggers_in_parallel_engine() {
     };
     let mut batch_counts = Vec::new();
     for threads in [1, 2, 8] {
-        let r = monte_carlo_power_seeded_threads(
+        let r = monte_carlo_power_seeded_threads_kernel(
             &nl,
             &lib,
             |rng| streams::random_rng(rng, w),
             7,
             &opts,
             threads,
+            McKernel::Auto,
         )
         .expect("acyclic");
         assert!(

@@ -6,8 +6,8 @@
 //! bits regardless of kernel choice or thread count.
 
 use hlpower::netlist::{
-    gen, monte_carlo_power_seeded_threads, monte_carlo_power_seeded_threads_kernel, streams,
-    Library, McKernel, MonteCarloOptions, Netlist, Sim64, ZeroDelaySim, LANES,
+    gen, monte_carlo_power_seeded_threads_kernel, streams, Library, McKernel, MonteCarloOptions,
+    Netlist, Sim64, ZeroDelaySim, LANES,
 };
 use hlpower_rng::Rng;
 
@@ -104,13 +104,14 @@ fn monte_carlo_is_bit_identical_across_kernels_and_thread_counts() {
                 assert_eq!(reference.batches, got.batches, "{name} ({kernel:?}, {threads})");
                 assert_eq!(reference.cycles, got.cycles, "{name} ({kernel:?}, {threads})");
             }
-            let public = monte_carlo_power_seeded_threads(
+            let public = monte_carlo_power_seeded_threads_kernel(
                 &nl,
                 &lib,
                 |rng| streams::random_rng(rng, w),
                 7,
                 &opts,
                 threads,
+                McKernel::Auto,
             )
             .expect("acyclic");
             assert_eq!(

@@ -7,8 +7,10 @@
 //! within the binary too.
 
 use hlpower::netlist::{
-    gen, monte_carlo_power_seeded, streams, Library, MonteCarloOptions, Netlist, NetlistError,
+    gen, monte_carlo_power_seeded_threads_kernel, streams, Library, McKernel, MonteCarloOptions,
+    Netlist, NetlistError,
 };
+use hlpower_rng::par;
 
 fn adder() -> Netlist {
     let mut nl = Netlist::new();
@@ -26,7 +28,19 @@ fn hlpower_threads_zero_is_an_error_not_a_clamp() {
     let lib = Library::default();
     let w = nl.input_count();
     let opts = MonteCarloOptions { batch_cycles: 50, max_batches: 8, ..Default::default() };
-    let run = || monte_carlo_power_seeded(&nl, &lib, |rng| streams::random_rng(rng, w), 3, &opts);
+    let run = || {
+        let threads = par::num_threads_checked()
+            .map_err(|e| NetlistError::InvalidThreadCount { reason: e.to_string() })?;
+        monte_carlo_power_seeded_threads_kernel(
+            &nl,
+            &lib,
+            |rng| streams::random_rng(rng, w),
+            3,
+            &opts,
+            threads,
+            McKernel::Auto,
+        )
+    };
 
     // SAFETY: this is the only test in this binary, so no other thread is
     // reading or writing the environment concurrently.

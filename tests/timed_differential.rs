@@ -9,7 +9,7 @@
 
 use hlpower::netlist::{
     gen, monte_carlo_glitch_power_seeded_threads_kernel, streams, timed_activity, EventDrivenSim,
-    Library, MonteCarloOptions, Netlist, TimedKernel, TimedSim64, LANES,
+    Library, McKernel, MonteCarloOptions, Netlist, TimedSim64, LANES,
 };
 use hlpower_rng::Rng;
 
@@ -76,8 +76,8 @@ fn timed_activity_is_kernel_invariant_on_every_generator() {
     let lib = Library::default();
     for (name, nl) in generators() {
         let stream: Vec<Vec<bool>> = streams::random(31, nl.input_count()).take(180).collect();
-        let scalar = timed_activity(&nl, &lib, &stream, TimedKernel::Scalar).expect("acyclic");
-        let packed = timed_activity(&nl, &lib, &stream, TimedKernel::Packed64).expect("acyclic");
+        let scalar = timed_activity(&nl, &lib, &stream, McKernel::Scalar).expect("acyclic");
+        let packed = timed_activity(&nl, &lib, &stream, McKernel::Packed64).expect("acyclic");
         assert_eq!(scalar, packed, "{name}: kernels diverged");
         assert_eq!(
             scalar.total_glitches().expect("consistent"),
@@ -100,7 +100,7 @@ fn glitch_monte_carlo_is_bit_identical_across_kernels_and_thread_counts() {
     };
     for (name, nl) in generators() {
         let w = nl.input_count();
-        let run = |threads: usize, kernel: TimedKernel| {
+        let run = |threads: usize, kernel: McKernel| {
             monte_carlo_glitch_power_seeded_threads_kernel(
                 &nl,
                 &lib,
@@ -112,9 +112,9 @@ fn glitch_monte_carlo_is_bit_identical_across_kernels_and_thread_counts() {
             )
             .expect("acyclic")
         };
-        let reference = run(1, TimedKernel::Scalar);
+        let reference = run(1, McKernel::Scalar);
         for threads in [1usize, 4] {
-            for kernel in [TimedKernel::Scalar, TimedKernel::Packed64] {
+            for kernel in [McKernel::Scalar, McKernel::Packed64] {
                 let got = run(threads, kernel);
                 assert_eq!(
                     reference.power_uw.to_bits(),
@@ -160,7 +160,7 @@ fn array_multiplier_outglitches_csd_shift_add_multiplier() {
     };
     let fraction = |nl: &Netlist| {
         let stream: Vec<Vec<bool>> = streams::random(5, nl.input_count()).take(400).collect();
-        timed_activity(nl, &lib, &stream, TimedKernel::Packed64)
+        timed_activity(nl, &lib, &stream, McKernel::Packed64)
             .expect("acyclic")
             .glitch_fraction()
             .expect("consistent")

@@ -10,8 +10,8 @@
 use hlpower::netlist::{
     gen, ingest_str, monte_carlo_glitch_power_seeded_threads_kernel,
     monte_carlo_power_seeded_threads_kernel, streams, EventDrivenSim, Library, McKernel,
-    MonteCarloOptions, Netlist, SourceFormat, TimedKernel, WideSim, WideTimedSim, Word,
-    ZeroDelaySim, W256, W512,
+    MonteCarloOptions, Netlist, SourceFormat, WideSim, WideTimedSim, Word, ZeroDelaySim, W256,
+    W512,
 };
 use hlpower_rng::Rng;
 
@@ -187,7 +187,7 @@ fn glitch_monte_carlo_is_bit_identical_across_kernel_widths() {
     };
     for (name, nl) in fixtures() {
         let w = nl.input_count();
-        let run = |threads: usize, kernel: TimedKernel| {
+        let run = |threads: usize, kernel: McKernel| {
             monte_carlo_glitch_power_seeded_threads_kernel(
                 &nl,
                 &lib,
@@ -199,14 +199,11 @@ fn glitch_monte_carlo_is_bit_identical_across_kernel_widths() {
             )
             .expect("acyclic")
         };
-        let reference = run(1, TimedKernel::Scalar);
+        let reference = run(1, McKernel::Scalar);
         for threads in [1usize, 4] {
-            for kernel in [
-                TimedKernel::Packed64,
-                TimedKernel::Packed256,
-                TimedKernel::Packed512,
-                TimedKernel::Auto,
-            ] {
+            for kernel in
+                [McKernel::Packed64, McKernel::Packed256, McKernel::Packed512, McKernel::Auto]
+            {
                 let got = run(threads, kernel);
                 assert_eq!(
                     reference.power_uw.to_bits(),
