@@ -8,6 +8,9 @@ cd "$(dirname "$0")"
 cargo build --release --offline
 cargo test -q --offline --no-fail-fast
 cargo fmt --check
+# Every lint clippy enables by default, on every target, is an error
+# (`rustup component add clippy` on a toolchain without it).
+cargo clippy --offline --workspace --all-targets -- -D warnings
 # API docs must build clean: every public item is documented
 # (#![warn(missing_docs)] everywhere) and -D warnings makes any rustdoc
 # regression (broken intra-doc link, missing doc) fatal.

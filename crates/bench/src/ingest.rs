@@ -420,7 +420,7 @@ mod tests {
     fn parse_failures_surface_in_the_outcome() {
         let outcome = ingest_source("bad.v", "module m (a;\nendmodule\n");
         assert!(!outcome.ok());
-        let err = outcome.netlist.as_ref().err().expect("parse error");
+        let err = outcome.netlist.as_ref().expect_err("parse error");
         assert!(err.contains("line 1"), "{err}");
     }
 }

@@ -256,11 +256,16 @@ fn main() {
         }
     }
     // Export the span trace last so every subsystem's spans are in it.
-    // A failed export, an invalid trace, or any ring-buffer drop fails
-    // the run: a silently truncated trace would masquerade as a quiet one.
+    // A failed export, an invalid trace, any ring-buffer drop, or an
+    // event neither exported nor counted dropped fails the run: a
+    // silently truncated trace would masquerade as a quiet one.
     if let Some(path) = trace_path {
         match trace::write_chrome_json(&path) {
             Ok(n) => {
+                if let Err(e) = trace::check_accounting(n) {
+                    eprintln!("error: {e}");
+                    failures += 1;
+                }
                 let text = std::fs::read_to_string(&path).unwrap_or_default();
                 match trace::parse_chrome_trace(&text) {
                     Ok(parsed) if parsed.len() == n => {

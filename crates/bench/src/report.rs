@@ -176,43 +176,36 @@ impl From<()> for Json {
 macro_rules! json {
     (null) => { $crate::report::Json::Null };
     ({}) => { $crate::report::Json::Object(Vec::new()) };
-    ({ $($body:tt)+ }) => {{
-        let mut pairs: Vec<(String, $crate::report::Json)> = Vec::new();
-        $crate::json_object_body!(pairs; $($body)+);
-        $crate::report::Json::Object(pairs)
-    }};
+    ({ $($body:tt)+ }) => {
+        $crate::report::Json::Object($crate::json_object_body!([]; $($body)+))
+    };
     ([ $($item:expr),* $(,)? ]) => {
         $crate::report::Json::Array(vec![ $( $crate::report::Json::from($item) ),* ])
     };
     ($other:expr) => { $crate::report::Json::from($other) };
 }
 
-/// Implementation detail of [`json!`]: munches `"key": value` pairs,
-/// recursing into `{...}` and `[...]` value literals.
+/// Implementation detail of [`json!`]: munches `"key": value` pairs into
+/// one `vec![(key, value), ...]`, recursing into `{...}` and `[...]`
+/// value literals.
 #[doc(hidden)]
 #[macro_export]
 macro_rules! json_object_body {
-    ($pairs:ident;) => {};
-    ($pairs:ident; $key:literal : { $($inner:tt)* } , $($rest:tt)*) => {
-        $pairs.push(($key.to_string(), $crate::json!({ $($inner)* })));
-        $crate::json_object_body!($pairs; $($rest)*);
+    ([$($pairs:expr),*];) => { vec![$($pairs),*] };
+    ([$($pairs:expr),*]; $key:literal : { $($inner:tt)* } $(, $($rest:tt)*)?) => {
+        $crate::json_object_body!(
+            [$($pairs,)* ($key.to_string(), $crate::json!({ $($inner)* }))]; $($($rest)*)?
+        )
     };
-    ($pairs:ident; $key:literal : { $($inner:tt)* } $(,)?) => {
-        $pairs.push(($key.to_string(), $crate::json!({ $($inner)* })));
+    ([$($pairs:expr),*]; $key:literal : [ $($inner:tt)* ] $(, $($rest:tt)*)?) => {
+        $crate::json_object_body!(
+            [$($pairs,)* ($key.to_string(), $crate::json!([ $($inner)* ]))]; $($($rest)*)?
+        )
     };
-    ($pairs:ident; $key:literal : [ $($inner:tt)* ] , $($rest:tt)*) => {
-        $pairs.push(($key.to_string(), $crate::json!([ $($inner)* ])));
-        $crate::json_object_body!($pairs; $($rest)*);
-    };
-    ($pairs:ident; $key:literal : [ $($inner:tt)* ] $(,)?) => {
-        $pairs.push(($key.to_string(), $crate::json!([ $($inner)* ])));
-    };
-    ($pairs:ident; $key:literal : $value:expr , $($rest:tt)*) => {
-        $pairs.push(($key.to_string(), $crate::report::Json::from($value)));
-        $crate::json_object_body!($pairs; $($rest)*);
-    };
-    ($pairs:ident; $key:literal : $value:expr) => {
-        $pairs.push(($key.to_string(), $crate::report::Json::from($value)));
+    ([$($pairs:expr),*]; $key:literal : $value:expr $(, $($rest:tt)*)?) => {
+        $crate::json_object_body!(
+            [$($pairs,)* ($key.to_string(), $crate::report::Json::from($value))]; $($($rest)*)?
+        )
     };
 }
 

@@ -17,7 +17,7 @@ use std::collections::BinaryHeap;
 use hlpower_obs::metrics as obs;
 
 use crate::error::NetlistError;
-use crate::library::Library;
+use crate::library::{GateKind, Library};
 use crate::netlist::{Netlist, NodeId, NodeKind};
 use crate::power::PowerReport;
 use crate::sim::Activity;
@@ -134,17 +134,19 @@ impl TimedActivity {
     }
 }
 
-/// Per-gate transport delays derived from a library.
+/// Transport delay of a `kind` gate with `fanins` input pins, rounded to
+/// whole picoseconds and at least 1 (an event never reschedules at its own
+/// timestamp).
+pub(crate) fn transport_delay_ps(lib: &Library, kind: GateKind, fanins: usize) -> u64 {
+    lib.gate_delay_ps(kind, fanins).round().max(1.0) as u64
+}
+
+/// Per-gate transport delays derived from a library (0 for non-gates).
 pub(crate) fn gate_delays_ps(netlist: &Netlist, lib: &Library) -> Vec<u64> {
     netlist
         .node_ids()
         .map(|id| match netlist.kind(id) {
-            NodeKind::Gate { kind, inputs } => {
-                let c = lib.cell(*kind);
-                (c.delay_ps + c.delay_per_fanin_ps * (inputs.len().saturating_sub(1)) as f64)
-                    .round()
-                    .max(1.0) as u64
-            }
+            NodeKind::Gate { kind, inputs } => transport_delay_ps(lib, *kind, inputs.len()),
             _ => 0,
         })
         .collect()
@@ -185,27 +187,15 @@ impl<'a> EventDrivenSim<'a> {
     /// network is cyclic.
     pub fn new(netlist: &'a Netlist, lib: &Library) -> Result<Self, NetlistError> {
         let order = netlist.topo_order()?;
-        let mut values = vec![false; netlist.node_count()];
-        let mut dff_next = Vec::with_capacity(netlist.dffs().len());
-        for &q in netlist.dffs() {
-            if let NodeKind::Dff { init, .. } = netlist.kind(q) {
-                values[q.index()] = *init;
-                dff_next.push(*init);
-            }
-        }
-        for id in netlist.node_ids() {
-            if let NodeKind::Const(v) = netlist.kind(id) {
-                values[id.index()] = *v;
-            }
-        }
+        let mut values = netlist.power_on_values();
+        let dff_next = netlist.dffs().iter().map(|q| values[q.index()]).collect();
         // Settle the combinational network so the initial state is
         // consistent (all-false inputs, flip-flops at their init values);
         // otherwise the first input changes would propagate through stale
         // gate values.
         for &id in &order {
             if let NodeKind::Gate { kind, inputs } = netlist.kind(id) {
-                let vals: Vec<bool> = inputs.iter().map(|f| values[f.index()]).collect();
-                values[id.index()] = kind.eval(&vals);
+                values[id.index()] = kind.eval_with(inputs, |f| values[f.index()]);
             }
         }
         Ok(EventDrivenSim {
@@ -224,12 +214,11 @@ impl<'a> EventDrivenSim<'a> {
         })
     }
 
+    /// A node's value re-evaluated from its fan-ins' current values (a
+    /// non-gate keeps its value).
     fn eval_gate(&self, id: NodeId) -> bool {
         match self.netlist.kind(id) {
-            NodeKind::Gate { kind, inputs } => {
-                let vals: Vec<bool> = inputs.iter().map(|f| self.values[f.index()]).collect();
-                kind.eval(&vals)
-            }
+            NodeKind::Gate { kind, inputs } => kind.eval_with(inputs, |f| self.values[f.index()]),
             _ => self.values[id.index()],
         }
     }
@@ -282,40 +271,33 @@ impl<'a> EventDrivenSim<'a> {
 
         let mut scheduled = 0u64;
         let mut heap: BinaryHeap<Reverse<(u64, NodeId)>> = BinaryHeap::new();
-        // Time-zero events: DFF outputs and primary inputs.
-        for (i, &q) in self.netlist.dffs().iter().enumerate() {
-            let new = self.dff_next[i];
-            if self.values[q.index()] != new {
-                self.values[q.index()] = new;
+        let nl = self.netlist;
+        // Flips `node` to `new` at time `t`: counts and traces the
+        // transition and schedules every gate reading `node` at `t` plus
+        // that gate's own delay.
+        macro_rules! flip {
+            ($node:expr, $new:expr, $t:expr) => {
+                let (node, t) = ($node, $t);
+                self.values[node.index()] = $new;
                 if count {
-                    self.toggles[q.index()] += 1;
+                    self.toggles[node.index()] += 1;
                 }
                 if let Some(tr) = trace.as_deref_mut() {
-                    tr.push((0, q.index() as u32));
+                    tr.push((t, node.index() as u32));
                 }
-                for &f in &self.fanouts[q.index()] {
-                    if matches!(self.netlist.kind(f), NodeKind::Gate { .. }) {
-                        heap.push(Reverse((self.delays[f.index()], f)));
+                for &f in &self.fanouts[node.index()] {
+                    if matches!(nl.kind(f), NodeKind::Gate { .. }) {
+                        heap.push(Reverse((t + self.delays[f.index()], f)));
                         scheduled += 1;
                     }
                 }
-            }
+            };
         }
-        for (i, &inp) in self.netlist.inputs().iter().enumerate() {
-            if self.values[inp.index()] != inputs[i] {
-                self.values[inp.index()] = inputs[i];
-                if count {
-                    self.toggles[inp.index()] += 1;
-                }
-                if let Some(tr) = trace.as_deref_mut() {
-                    tr.push((0, inp.index() as u32));
-                }
-                for &f in &self.fanouts[inp.index()] {
-                    if matches!(self.netlist.kind(f), NodeKind::Gate { .. }) {
-                        heap.push(Reverse((self.delays[f.index()], f)));
-                        scheduled += 1;
-                    }
-                }
+        // Time-zero events: DFF outputs, then primary inputs.
+        let time_zero = nl.dffs().iter().zip(&self.dff_next).chain(nl.inputs().iter().zip(inputs));
+        for (&node, &new) in time_zero {
+            if self.values[node.index()] != new {
+                flip!(node, new, 0);
             }
         }
         // Queue depth after the time-zero schedule: how bursty this cycle's
@@ -335,19 +317,7 @@ impl<'a> EventDrivenSim<'a> {
             events += 1;
             let new = self.eval_gate(id);
             if new != self.values[id.index()] {
-                self.values[id.index()] = new;
-                if count {
-                    self.toggles[id.index()] += 1;
-                }
-                if let Some(tr) = trace.as_deref_mut() {
-                    tr.push((t, id.index() as u32));
-                }
-                for &f in &self.fanouts[id.index()] {
-                    if matches!(self.netlist.kind(f), NodeKind::Gate { .. }) {
-                        heap.push(Reverse((t + self.delays[f.index()], f)));
-                        scheduled += 1;
-                    }
-                }
+                flip!(id, new, t);
             }
         }
         self.events_scheduled = scheduled;

@@ -12,6 +12,12 @@
 //! against the cached fan-in words — no instruction-stream recompile, no
 //! replay of untouched nodes.
 //!
+//! This is the zero-delay replay over the dirty-cone core it shares with
+//! [`crate::IncrementalTimedSim`]: one settled trajectory, one set of
+//! incremental-edit checks, one cone builder (fanout CSR, topological
+//! sort, forward closure), one row diff and one commit splice. Only the
+//! replay below is this simulator's own.
+//!
 //! Sequential circuits are supported through **per-cycle register-boundary
 //! snapshots**: the recording stores every flip-flop output's settled
 //! per-cycle trajectory alongside the combinational nodes, so a mutation
@@ -43,8 +49,7 @@
 //! attribution profiler consumes the delta activity through
 //! [`crate::attribute_delta`].
 
-use hlpower_obs::metrics as obs;
-
+use crate::cone::{refill, Recording, ResimScratch, Trajectory};
 use crate::error::NetlistError;
 use crate::library::GateKind;
 use crate::netlist::{Netlist, NodeId, NodeKind};
@@ -56,19 +61,9 @@ use crate::sim64::{broadcast, Program};
 /// the `incremental` module docs for the workflow.
 #[derive(Debug, Clone)]
 pub struct IncrementalSim {
-    /// The netlist the cached values correspond to (owned so mutated
-    /// variants can be derived from it freely).
-    base: Netlist,
-    /// Number of stimulus vectors recorded.
-    n_vectors: usize,
-    /// `u64` words per node (`n_vectors.div_ceil(64)`).
-    blocks: usize,
-    /// Valid-bit mask of the final block.
-    tail_mask: u64,
-    /// Cached packed values, `node * blocks + b`; bit `c` of block `b` is
-    /// the node's settled value on vector `b * 64 + c`. For flip-flops
-    /// this is the register-boundary snapshot: the Q trajectory.
-    values: Vec<u64>,
+    /// The settled trajectory (flip-flop rows are the register-boundary
+    /// snapshots) and the netlist it belongs to.
+    rec: Recording,
     /// Exact per-node toggle counts over the recorded stream.
     toggles: Vec<u64>,
 }
@@ -105,45 +100,10 @@ impl ConeResim {
     }
 }
 
-/// Reusable working memory for [`IncrementalSim::resim_into`]. One
-/// scratch serves any number of candidates (and any number of netlists);
-/// every internal buffer is cleared and refilled in place, so a candidate
-/// search allocates nothing once the buffers have grown to the netlist's
-/// size — rejected candidates leave no garbage behind.
-#[derive(Debug, Clone, Default)]
-pub struct ResimScratch {
-    /// Membership flags for the declared change set.
-    in_changed: Vec<bool>,
-    /// Membership flags for the dirty cone.
-    in_cone: Vec<bool>,
-    /// DFS stack for the forward closure (node indices).
-    stack: Vec<u32>,
-    /// Node index -> cone index, `usize::MAX` outside the cone.
-    update_of: Vec<usize>,
-    /// CSR fanout graph of the mutated netlist (all reader edges,
-    /// including flip-flop D pins).
-    fan_start: Vec<u32>,
-    fan: Vec<u32>,
-    /// Scatter cursor for the CSR build.
-    cursor: Vec<u32>,
-    /// Kahn worklist state for the scratch topological sort.
-    indeg: Vec<u32>,
-    topo_stack: Vec<u32>,
-    order: Vec<NodeId>,
-    /// Per-cycle replay state for cones that dirty a register boundary.
-    cur: Vec<bool>,
-    dff_next: Vec<bool>,
-}
-
-/// Clears `v` and refills it with `n` copies of `fill`, reusing capacity.
-pub(crate) fn refill<T: Clone>(v: &mut Vec<T>, n: usize, fill: T) {
-    v.clear();
-    v.resize(n, fill);
-}
-
-/// Evaluates one gate function over packed words.
+/// Evaluates one gate function over packed words: the word-parallel
+/// counterpart of [`GateKind::eval_with`], lane for lane.
 #[inline]
-fn eval_gate(kind: GateKind, inputs: &[NodeId], get: impl Fn(NodeId) -> u64) -> u64 {
+pub(crate) fn eval_gate(kind: GateKind, inputs: &[NodeId], get: impl Fn(NodeId) -> u64) -> u64 {
     let fold =
         |unit: u64, f: fn(u64, u64) -> u64| inputs.iter().fold(unit, |acc, &i| f(acc, get(i)));
     match kind {
@@ -158,35 +118,6 @@ fn eval_gate(kind: GateKind, inputs: &[NodeId], get: impl Fn(NodeId) -> u64) -> 
         GateKind::Mux => {
             let s = get(inputs[0]);
             (!s & get(inputs[1])) | (s & get(inputs[2]))
-        }
-    }
-}
-
-/// Scalar (single-cycle) twin of [`eval_gate`], for the register-dirty
-/// replay path. Same fold structure, so the two paths agree bit for bit.
-#[inline]
-pub(crate) fn eval_gate_bool(
-    kind: GateKind,
-    inputs: &[NodeId],
-    get: impl Fn(NodeId) -> bool,
-) -> bool {
-    let fold =
-        |unit: bool, f: fn(bool, bool) -> bool| inputs.iter().fold(unit, |acc, &i| f(acc, get(i)));
-    match kind {
-        GateKind::Buf => get(inputs[0]),
-        GateKind::Not => !get(inputs[0]),
-        GateKind::And => fold(true, |a, b| a & b),
-        GateKind::Or => fold(false, |a, b| a | b),
-        GateKind::Nand => !fold(true, |a, b| a & b),
-        GateKind::Nor => !fold(false, |a, b| a | b),
-        GateKind::Xor => fold(false, |a, b| a ^ b),
-        GateKind::Xnor => !fold(false, |a, b| a ^ b),
-        GateKind::Mux => {
-            if get(inputs[0]) {
-                get(inputs[2])
-            } else {
-                get(inputs[1])
-            }
         }
     }
 }
@@ -206,107 +137,11 @@ fn toggles_of(words: &[u64], n_vectors: usize) -> u64 {
     total
 }
 
-/// Builds the CSR fanout graph of `netlist` (gate input pins and
-/// flip-flop D pins) into the scratch buffers.
-pub(crate) fn build_fanout_csr(
-    netlist: &Netlist,
-    fan_start: &mut Vec<u32>,
-    fan: &mut Vec<u32>,
-    cursor: &mut Vec<u32>,
-) {
-    let n = netlist.node_count();
-    refill(fan_start, n + 1, 0u32);
-    // Count readers per node, prefix-sum, then scatter.
-    for id in netlist.node_ids() {
-        match netlist.kind(id) {
-            NodeKind::Gate { inputs, .. } => {
-                for f in inputs {
-                    fan_start[f.index() + 1] += 1;
-                }
-            }
-            NodeKind::Dff { d, .. } => fan_start[d.index() + 1] += 1,
-            _ => {}
-        }
+/// The error for a cone node no replay can evaluate (a primary input).
+fn not_combinational(id: NodeId, kind: &NodeKind) -> NetlistError {
+    NetlistError::IncrementalMismatch {
+        reason: format!("cone node {id} has non-combinational kind {kind:?}"),
     }
-    for i in 0..n {
-        fan_start[i + 1] += fan_start[i];
-    }
-    refill(fan, fan_start[n] as usize, 0u32);
-    cursor.clear();
-    cursor.extend_from_slice(&fan_start[..n]);
-    for id in netlist.node_ids() {
-        match netlist.kind(id) {
-            NodeKind::Gate { inputs, .. } => {
-                for f in inputs {
-                    let c = &mut cursor[f.index()];
-                    fan[*c as usize] = id.index() as u32;
-                    *c += 1;
-                }
-            }
-            NodeKind::Dff { d, .. } => {
-                let c = &mut cursor[d.index()];
-                fan[*c as usize] = id.index() as u32;
-                *c += 1;
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Scratch-buffer topological sort over the combinational part of
-/// `netlist`, mirroring [`Netlist::topo_order`] (non-gates first in index
-/// order, then gates; flip-flops legally break cycles).
-pub(crate) fn topo_into(
-    netlist: &Netlist,
-    fan_start: &[u32],
-    fan: &[u32],
-    indeg: &mut Vec<u32>,
-    stack: &mut Vec<u32>,
-    order: &mut Vec<NodeId>,
-) -> Result<(), NetlistError> {
-    let n = netlist.node_count();
-    refill(indeg, n, 0u32);
-    stack.clear();
-    order.clear();
-    let mut gate_total = 0usize;
-    for id in netlist.node_ids() {
-        match netlist.kind(id) {
-            NodeKind::Gate { inputs, .. } => {
-                gate_total += 1;
-                let deg = inputs
-                    .iter()
-                    .filter(|x| matches!(netlist.kind(**x), NodeKind::Gate { .. }))
-                    .count() as u32;
-                indeg[id.index()] = deg;
-                if deg == 0 {
-                    stack.push(id.index() as u32);
-                }
-            }
-            _ => order.push(id),
-        }
-    }
-    let mut emitted = 0usize;
-    while let Some(u) = stack.pop() {
-        order.push(NodeId(u));
-        emitted += 1;
-        for k in fan_start[u as usize] as usize..fan_start[u as usize + 1] as usize {
-            let f = fan[k] as usize;
-            if matches!(netlist.kind(NodeId(f as u32)), NodeKind::Gate { .. }) {
-                indeg[f] -= 1;
-                if indeg[f] == 0 {
-                    stack.push(f as u32);
-                }
-            }
-        }
-    }
-    if emitted != gate_total {
-        let node = netlist
-            .node_ids()
-            .find(|id| matches!(netlist.kind(*id), NodeKind::Gate { .. }) && indeg[id.index()] > 0)
-            .expect("a blocked gate must exist when the order is incomplete");
-        return Err(NetlistError::CombinationalCycle { node });
-    }
-    Ok(())
 }
 
 impl IncrementalSim {
@@ -334,26 +169,18 @@ impl IncrementalSim {
             }
         }
         let n = netlist.node_count();
-        let n_vectors = stream.len();
-        let blocks = n_vectors.div_ceil(64);
-        let tail_valid = n_vectors - (blocks - 1) * 64;
-        let tail_mask = if tail_valid == 64 { !0 } else { (1u64 << tail_valid) - 1 };
-        let mut values = vec![0u64; n * blocks];
+        let mut traj = Trajectory::zeroed(n, stream.len());
+        let blocks = traj.blocks;
         if netlist.dffs().is_empty() {
             let program = Program::compile(netlist)?;
-            // Pack the stimulus into the input nodes' words.
-            for (c, v) in stream.iter().enumerate() {
-                let (b, bit) = (c / 64, c % 64);
-                for (i, &inp) in netlist.inputs().iter().enumerate() {
-                    values[inp.index() * blocks + b] |= (v[i] as u64) << bit;
-                }
-            }
+            let values = &mut traj.values;
             // Evaluate block by block: gates only depend on same-cycle
             // values, so each 64-cycle block settles independently.
             let mut cur = program.init_words::<u64>();
-            for b in 0..blocks {
-                for &inp in netlist.inputs() {
-                    cur[inp.index()] = values[inp.index() * blocks + b];
+            for (b, vectors) in stream.chunks(64).enumerate() {
+                for (i, &inp) in netlist.inputs().iter().enumerate() {
+                    cur[inp.index()] =
+                        vectors.iter().enumerate().fold(0, |w, (c, v)| w | (v[i] as u64) << c);
                 }
                 for ins in &program.instrs {
                     cur[ins.out as usize] = program.eval(&cur, ins);
@@ -369,46 +196,40 @@ impl IncrementalSim {
             let mut sim = ZeroDelaySim::new(netlist)?;
             for (c, v) in stream.iter().enumerate() {
                 sim.step(v)?;
-                let (b, bit) = (c / 64, c % 64);
-                for (node, &val) in sim.values_raw().iter().enumerate() {
-                    values[node * blocks + b] |= (val as u64) << bit;
-                }
+                traj.pack(c, sim.values_raw());
             }
         }
-        let toggles = (0..n)
-            .map(|node| toggles_of(&values[node * blocks..(node + 1) * blocks], n_vectors))
-            .collect();
-        obs::SIM_INC_RECORDS.inc();
-        Ok(IncrementalSim { base: netlist.clone(), n_vectors, blocks, tail_mask, values, toggles })
+        let toggles = (0..n).map(|node| toggles_of(traj.row(node), stream.len())).collect();
+        Ok(IncrementalSim { rec: Recording::new(netlist, traj), toggles })
     }
 
     /// The netlist the cached recording corresponds to (updated by
     /// [`commit`](Self::commit)).
     pub fn base(&self) -> &Netlist {
-        &self.base
+        &self.rec.base
     }
 
     /// Number of stimulus vectors in the recorded stream.
     pub fn vectors(&self) -> usize {
-        self.n_vectors
+        self.rec.traj.n_vectors
     }
 
     /// The cached packed value words of a node (bit `c` of word `b` is
     /// the settled value on vector `b * 64 + c`; trailing bits of the
     /// final word are zero-padding).
     pub fn value_words(&self, node: NodeId) -> &[u64] {
-        &self.values[node.index() * self.blocks..(node.index() + 1) * self.blocks]
+        self.rec.traj.row(node.index())
     }
 
     /// A node's settled value on one recorded cycle.
     pub fn value_at(&self, node: NodeId, cycle: usize) -> bool {
-        (self.values[node.index() * self.blocks + cycle / 64] >> (cycle % 64)) & 1 != 0
+        self.rec.traj.bit(node.index(), cycle)
     }
 
     /// Activity of the base netlist over the recorded stream,
     /// bit-identical to a scalar [`crate::ZeroDelaySim`] run.
     pub fn activity(&self) -> Activity {
-        Activity { toggles: self.toggles.clone(), cycles: (self.n_vectors - 1) as u64 }
+        Activity { toggles: self.toggles.clone(), cycles: (self.vectors() - 1) as u64 }
     }
 
     /// Re-simulates a mutated variant of the base netlist over the
@@ -454,148 +275,66 @@ impl IncrementalSim {
         scratch: &mut ResimScratch,
         out: &mut ConeResim,
     ) -> Result<(), NetlistError> {
-        let n_base = self.base.node_count();
-        let n_new = mutated.node_count();
-        let mismatch = |reason: String| NetlistError::IncrementalMismatch { reason };
-        if n_new < n_base {
-            return Err(mismatch(format!(
-                "mutated netlist has {n_new} nodes, base has {n_base} (nodes were removed)"
-            )));
-        }
-        if mutated.inputs() != self.base.inputs() {
-            return Err(mismatch("primary inputs differ from the base netlist".into()));
-        }
-        let base_dffs = self.base.dffs().len();
-        if mutated.dffs().len() < base_dffs || mutated.dffs()[..base_dffs] != *self.base.dffs() {
-            return Err(mismatch("pre-existing flip-flops differ from the base netlist".into()));
-        }
-        refill(&mut scratch.in_changed, n_new, false);
-        for &c in changed {
-            if c.index() >= n_new {
-                return Err(mismatch(format!("changed node {c} is out of range")));
-            }
-            if !matches!(mutated.kind(c), NodeKind::Gate { .. }) {
-                return Err(mismatch(format!("changed node {c} is not a combinational gate")));
-            }
-            scratch.in_changed[c.index()] = true;
-        }
-        for id in self.base.node_ids() {
-            if !scratch.in_changed[id.index()] && self.base.kind(id) != mutated.kind(id) {
-                return Err(mismatch(format!(
-                    "node {id} differs from the base but is not in the change set"
-                )));
-            }
-        }
-        // Fanout CSR + topological order of the mutated netlist: rewiring
-        // can invalidate the base instruction order, and this is also
-        // where a freshly introduced combinational cycle surfaces.
-        build_fanout_csr(mutated, &mut scratch.fan_start, &mut scratch.fan, &mut scratch.cursor);
-        topo_into(
-            mutated,
-            &scratch.fan_start,
-            &scratch.fan,
-            &mut scratch.indeg,
-            &mut scratch.topo_stack,
-            &mut scratch.order,
-        )?;
-        // Dirty cone: changed gates and appended nodes, plus their forward
-        // closure through the fanout graph — crossing register boundaries:
-        // a dirty D input dirties the flip-flop's Q row and its readers.
-        refill(&mut scratch.in_cone, n_new, false);
-        scratch.stack.clear();
-        scratch.stack.extend(changed.iter().map(|c| c.index() as u32));
-        scratch.stack.extend(n_base as u32..n_new as u32);
-        while let Some(u) = scratch.stack.pop() {
-            let u = u as usize;
-            if scratch.in_cone[u] {
-                continue;
-            }
-            scratch.in_cone[u] = true;
-            for k in scratch.fan_start[u] as usize..scratch.fan_start[u + 1] as usize {
-                let f = scratch.fan[k] as usize;
-                if !scratch.in_cone[f] {
-                    scratch.stack.push(f as u32);
-                }
-            }
-        }
-        out.cone.clear();
-        out.cone.extend(scratch.order.iter().copied().filter(|id| scratch.in_cone[id.index()]));
-        let cone = &out.cone;
-        refill(&mut scratch.update_of, n_new, usize::MAX);
-        for (ci, &id) in cone.iter().enumerate() {
-            scratch.update_of[id.index()] = ci;
-        }
-        let blocks = self.blocks;
+        self.rec.cone_into(mutated, changed, scratch, &mut out.cone, &mut out.updates)?;
+        let (cone, n_vectors) = (&out.cone, self.vectors());
+        let blocks = self.rec.traj.blocks;
         out.blocks = blocks;
-        refill(&mut out.updates, cone.len() * blocks, 0u64);
-        let register_dirty =
-            cone.iter().any(|&id| matches!(mutated.kind(id), NodeKind::Dff { .. }));
-        if !register_dirty {
-            // Packed replay: the cone reads only cached words (including
-            // register-boundary snapshots) and same-cycle cone values.
-            let (updates, update_of) = (&mut out.updates, &scratch.update_of);
-            for b in 0..blocks {
-                for ci in 0..cone.len() {
-                    let id = cone[ci];
-                    let w = match mutated.kind(id) {
-                        NodeKind::Const(v) => broadcast(*v),
-                        NodeKind::Gate { kind, inputs } => eval_gate(*kind, inputs, |f| {
-                            let u = update_of[f.index()];
-                            if u != usize::MAX {
-                                // Cone fan-ins precede ci in topo order.
-                                updates[u * blocks + b]
-                            } else {
-                                self.values[f.index() * blocks + b]
-                            }
-                        }),
-                        // Inputs are never in the cone (they have no
-                        // declared change and cannot be appended), and a
-                        // register in the cone takes the sequential path.
-                        other => {
-                            return Err(mismatch(format!(
-                                "cone node {id} has non-combinational kind {other:?}"
-                            )))
-                        }
-                    };
-                    updates[ci * blocks + b] = w;
-                }
-            }
-        } else {
+        if cone.iter().any(|&id| matches!(mutated.kind(id), NodeKind::Dff { .. })) {
             // A register is dirty: its Q trajectory shifts cycle by cycle,
             // so the cone replays per cycle with the flip-flop feedback
             // threaded through `dff_next` — the cached rows of everything
             // outside the cone are still read verbatim (the snapshots make
             // any boundary value an O(1) bit extraction).
-            self.resim_sequential_cone(mutated, cone, scratch, &mut out.updates)?;
+            self.replay_per_cycle(mutated, cone, scratch, &mut out.updates)?;
+        } else {
+            self.replay_packed(mutated, cone, scratch, &mut out.updates)?;
         }
-        // Which cone nodes actually changed value on a valid cycle?
-        out.changed_values.clear();
-        for (ci, &id) in cone.iter().enumerate() {
-            let differs = if id.index() >= n_base {
-                true // newly appended: no prior value to agree with
-            } else {
-                let old = &self.values[id.index() * blocks..(id.index() + 1) * blocks];
-                (0..blocks).any(|b| {
-                    let mask = if b + 1 == blocks { self.tail_mask } else { !0 };
-                    (old[b] ^ out.updates[ci * blocks + b]) & mask != 0
-                })
-            };
-            if differs {
-                out.changed_values.push(id);
-            }
-        }
+        self.rec.finish(mutated, cone, &out.updates, &mut out.changed_values);
         // Delta activity: untouched nodes keep their recorded toggle
         // counts, cone nodes are re-counted from their new words.
-        refill(&mut out.activity.toggles, n_new, 0u64);
-        out.activity.toggles[..n_base].copy_from_slice(&self.toggles);
-        out.activity.cycles = (self.n_vectors - 1) as u64;
-        for (ci, &id) in cone.iter().enumerate() {
-            out.activity.toggles[id.index()] =
-                toggles_of(&out.updates[ci * blocks..(ci + 1) * blocks], self.n_vectors);
+        refill(&mut out.activity.toggles, mutated.node_count(), 0u64);
+        out.activity.toggles[..self.toggles.len()].copy_from_slice(&self.toggles);
+        out.activity.cycles = (n_vectors - 1) as u64;
+        for (&id, words) in cone.iter().zip(out.updates.chunks(blocks)) {
+            out.activity.toggles[id.index()] = toggles_of(words, n_vectors);
         }
-        obs::SIM_INC_RESIMS.inc();
-        obs::SIM_INC_CONE_NODES.add(cone.len() as u64);
-        obs::SIM_INC_REUSED_NODES.add((n_new - cone.len()) as u64);
+        Ok(())
+    }
+
+    /// Packed replay of a cone clear of the registers: it reads only
+    /// cached words (including register-boundary snapshots) and
+    /// same-cycle cone values, so it settles 64 cycles per gate
+    /// evaluation.
+    fn replay_packed(
+        &self,
+        mutated: &Netlist,
+        cone: &[NodeId],
+        scratch: &ResimScratch,
+        updates: &mut [u64],
+    ) -> Result<(), NetlistError> {
+        let (values, blocks, update_of) =
+            (&self.rec.traj.values, self.rec.traj.blocks, &scratch.update_of);
+        for b in 0..blocks {
+            for (ci, &id) in cone.iter().enumerate() {
+                let w = match mutated.kind(id) {
+                    NodeKind::Const(v) => broadcast(*v),
+                    NodeKind::Gate { kind, inputs } => eval_gate(*kind, inputs, |f| {
+                        let u = update_of[f.index()];
+                        if u != usize::MAX {
+                            // Cone fan-ins precede ci in topo order.
+                            updates[u * blocks + b]
+                        } else {
+                            values[f.index() * blocks + b]
+                        }
+                    }),
+                    // Inputs are never in the cone (they have no declared
+                    // change and cannot be appended), and a register in
+                    // the cone takes the per-cycle replay.
+                    other => return Err(not_combinational(id, other)),
+                };
+                updates[ci * blocks + b] = w;
+            }
+        }
         Ok(())
     }
 
@@ -604,15 +343,14 @@ impl IncrementalSim {
     /// cycle, gates settle in topological order, and D inputs sample at
     /// the bottom — exactly the scalar [`ZeroDelaySim`] schedule, but
     /// only over the cone.
-    fn resim_sequential_cone(
+    fn replay_per_cycle(
         &self,
         mutated: &Netlist,
         cone: &[NodeId],
         scratch: &mut ResimScratch,
         updates: &mut [u64],
     ) -> Result<(), NetlistError> {
-        let mismatch = |reason: String| NetlistError::IncrementalMismatch { reason };
-        let blocks = self.blocks;
+        let (traj, blocks) = (&self.rec.traj, self.rec.traj.blocks);
         refill(&mut scratch.cur, cone.len(), false);
         refill(&mut scratch.dff_next, cone.len(), false);
         // Power-on values for cone registers.
@@ -621,32 +359,29 @@ impl IncrementalSim {
                 scratch.dff_next[ci] = *init;
             }
         }
-        for c in 0..self.n_vectors {
+        // A fan-in's value this cycle: replayed in the cone, cached
+        // outside it.
+        let read = |cur: &[bool], update_of: &[usize], f: NodeId, c: usize| {
+            let u = update_of[f.index()];
+            if u != usize::MAX {
+                cur[u]
+            } else {
+                traj.bit(f.index(), c)
+            }
+        };
+        for c in 0..traj.n_vectors {
             let (b, bit) = (c / 64, c % 64);
             // Settle the cone for this cycle. `cone` is in topological
             // order with non-gates (registers, constants) first, matching
             // the scalar simulator's present-then-settle schedule.
-            for ci in 0..cone.len() {
-                let id = cone[ci];
+            for (ci, &id) in cone.iter().enumerate() {
                 let v = match mutated.kind(id) {
                     NodeKind::Dff { .. } => scratch.dff_next[ci],
                     NodeKind::Const(v) => *v,
                     NodeKind::Gate { kind, inputs } => {
-                        let (cur, update_of) = (&scratch.cur, &scratch.update_of);
-                        eval_gate_bool(*kind, inputs, |f| {
-                            let u = update_of[f.index()];
-                            if u != usize::MAX {
-                                cur[u]
-                            } else {
-                                (self.values[f.index() * blocks + b] >> bit) & 1 != 0
-                            }
-                        })
+                        kind.eval_with(inputs, |f| read(&scratch.cur, &scratch.update_of, f, c))
                     }
-                    other => {
-                        return Err(mismatch(format!(
-                            "cone node {id} has non-combinational kind {other:?}"
-                        )))
-                    }
+                    other => return Err(not_combinational(id, other)),
                 };
                 scratch.cur[ci] = v;
                 updates[ci * blocks + b] |= (v as u64) << bit;
@@ -654,12 +389,7 @@ impl IncrementalSim {
             // Sample D inputs for the next cycle.
             for (ci, &id) in cone.iter().enumerate() {
                 if let NodeKind::Dff { d, .. } = mutated.kind(id) {
-                    let u = scratch.update_of[d.index()];
-                    scratch.dff_next[ci] = if u != usize::MAX {
-                        scratch.cur[u]
-                    } else {
-                        (self.values[d.index() * blocks + b] >> bit) & 1 != 0
-                    };
+                    scratch.dff_next[ci] = read(&scratch.cur, &scratch.update_of, *d, c);
                 }
             }
         }
@@ -675,19 +405,14 @@ impl IncrementalSim {
     /// `resim` must be the result of [`Self::resim`] /
     /// [`Self::resim_into`] for exactly this `mutated` netlist.
     pub fn commit(&mut self, mutated: &Netlist, resim: &ConeResim) {
-        let n_new = mutated.node_count();
-        debug_assert_eq!(resim.activity.toggles.len(), n_new, "resim is for a different netlist");
-        let blocks = self.blocks;
-        let mut values = std::mem::take(&mut self.values);
-        values.resize(n_new * blocks, 0);
-        for (ci, &id) in resim.cone.iter().enumerate() {
-            values[id.index() * blocks..(id.index() + 1) * blocks]
-                .copy_from_slice(&resim.updates[ci * blocks..(ci + 1) * blocks]);
-        }
-        self.values = values;
+        debug_assert_eq!(
+            resim.activity.toggles.len(),
+            mutated.node_count(),
+            "resim is for a different netlist"
+        );
+        self.rec.commit(mutated, &resim.cone, &resim.updates);
         self.toggles.clear();
         self.toggles.extend_from_slice(&resim.activity.toggles);
-        self.base = mutated.clone();
     }
 }
 

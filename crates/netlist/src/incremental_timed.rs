@@ -25,21 +25,21 @@
 //! of the mutated netlist, glitch counts and all. The in-file tests and
 //! the optimize-crate differential suites lock this in.
 //!
-//! The workflow mirrors the untimed simulator: [`record`]
-//! (IncrementalTimedSim::record) once, [`resim_into`]
-//! (IncrementalTimedSim::resim_into) per candidate with a reusable
-//! [`TimedResimScratch`] + [`TimedConeResim`] pair (rejection is
+//! The settled trajectory, the incremental-edit checks, the cone builder,
+//! the row diff behind `changed_values` and the commit splice are the
+//! dirty-cone core this simulator shares with the untimed one; the event
+//! playback below is its own replay. The workflow is the same too:
+//! [`record`](IncrementalTimedSim::record) once,
+//! [`resim_into`](IncrementalTimedSim::resim_into) per candidate with a
+//! reusable [`ResimScratch`] + [`TimedConeResim`] pair (rejection is
 //! allocation-free once warm), [`commit`](IncrementalTimedSim::commit)
 //! on acceptance.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
-use hlpower_obs::metrics as obs;
-
+use crate::cone::{refill, Recording, ResimScratch, Trajectory};
 use crate::error::NetlistError;
-use crate::event::{EventDrivenSim, TimedActivity};
-use crate::incremental::{build_fanout_csr, eval_gate_bool, refill, topo_into};
+use crate::event::{transport_delay_ps, EventDrivenSim, TimedActivity};
 use crate::library::Library;
 use crate::netlist::{Netlist, NodeId, NodeKind};
 use crate::sim::Activity;
@@ -53,15 +53,11 @@ type Flip = (u32, u64);
 /// exact glitch deltas. See the module docs for the workflow.
 #[derive(Debug, Clone)]
 pub struct IncrementalTimedSim {
-    base: Netlist,
+    /// The settled trajectory and the netlist it belongs to.
+    rec: Recording,
     lib: Library,
-    n_vectors: usize,
-    blocks: usize,
-    tail_mask: u64,
     /// Power-on settle values (all-false inputs, registers at init).
     init_values: Vec<bool>,
-    /// Settled per-cycle trajectory, `node * blocks + b`.
-    values: Vec<u64>,
     /// Per-node event waveforms: every value flip of the recording, in
     /// chronological order. This is what boundary playback reads.
     events_of: Vec<Vec<Flip>>,
@@ -104,45 +100,6 @@ impl TimedConeResim {
     }
 }
 
-/// Reusable working memory for [`IncrementalTimedSim::resim_into`]; the
-/// timed twin of [`crate::ResimScratch`]. Every buffer is cleared and
-/// refilled in place, so candidate rejection allocates nothing once warm.
-#[derive(Debug, Clone, Default)]
-pub struct TimedResimScratch {
-    in_changed: Vec<bool>,
-    in_cone: Vec<bool>,
-    stack: Vec<u32>,
-    update_of: Vec<usize>,
-    fan_start: Vec<u32>,
-    fan: Vec<u32>,
-    cursor: Vec<u32>,
-    indeg: Vec<u32>,
-    topo_stack: Vec<u32>,
-    order: Vec<NodeId>,
-    /// Boundary playback state: the cone's direct out-of-cone fan-ins.
-    boundary: Vec<u32>,
-    /// Node index -> boundary index, `usize::MAX` elsewhere.
-    b_index: Vec<usize>,
-    /// Current boundary values during replay.
-    bvals: Vec<bool>,
-    /// Per-boundary-node cursor into its cached waveform.
-    cursors: Vec<usize>,
-    /// Cone replay state.
-    cur: Vec<bool>,
-    settled: Vec<bool>,
-    dff_next: Vec<bool>,
-    delays: Vec<u64>,
-    heap: BinaryHeap<Reverse<(u64, u32)>>,
-}
-
-/// Transport delay of one gate under `lib`, matching
-/// `event::gate_delays_ps` exactly.
-fn gate_delay_ps(lib: &Library, kind: crate::library::GateKind, n_inputs: usize) -> u64 {
-    let c = lib.cell(kind);
-    (c.delay_ps + c.delay_per_fanin_ps * (n_inputs.saturating_sub(1)) as f64).round().max(1.0)
-        as u64
-}
-
 impl IncrementalTimedSim {
     /// Records a full event-driven simulation of `netlist` over `stream`
     /// under `lib`'s delay model, caching settled trajectories and event
@@ -162,13 +119,9 @@ impl IncrementalTimedSim {
             return Err(NetlistError::EmptyStream);
         }
         let n = netlist.node_count();
-        let n_vectors = stream.len();
-        let blocks = n_vectors.div_ceil(64);
-        let tail_valid = n_vectors - (blocks - 1) * 64;
-        let tail_mask = if tail_valid == 64 { !0 } else { (1u64 << tail_valid) - 1 };
         let mut sim = EventDrivenSim::new(netlist, lib)?;
         let init_values = sim.values_raw().to_vec();
-        let mut values = vec![0u64; n * blocks];
+        let mut traj = Trajectory::zeroed(n, stream.len());
         let mut events_of: Vec<Vec<Flip>> = vec![Vec::new(); n];
         let mut trace: Vec<(u64, u32)> = Vec::new();
         for (c, v) in stream.iter().enumerate() {
@@ -177,21 +130,13 @@ impl IncrementalTimedSim {
             for &(t, node) in &trace {
                 events_of[node as usize].push((c as u32, t));
             }
-            let (b, bit) = (c / 64, c % 64);
-            for (node, &val) in sim.values_raw().iter().enumerate() {
-                values[node * blocks + b] |= (val as u64) << bit;
-            }
+            traj.pack(c, sim.values_raw());
         }
         let timed = sim.take_activity();
-        obs::SIM_INC_RECORDS.inc();
         Ok(IncrementalTimedSim {
-            base: netlist.clone(),
+            rec: Recording::new(netlist, traj),
             lib: lib.clone(),
-            n_vectors,
-            blocks,
-            tail_mask,
             init_values,
-            values,
             events_of,
             toggles: timed.activity.toggles,
             functional: timed.functional,
@@ -201,12 +146,12 @@ impl IncrementalTimedSim {
     /// The netlist the cached recording corresponds to (updated by
     /// [`commit`](Self::commit)).
     pub fn base(&self) -> &Netlist {
-        &self.base
+        &self.rec.base
     }
 
     /// Number of stimulus vectors in the recorded stream.
     pub fn vectors(&self) -> usize {
-        self.n_vectors
+        self.rec.traj.n_vectors
     }
 
     /// Timed activity of the base netlist over the recorded stream,
@@ -215,7 +160,7 @@ impl IncrementalTimedSim {
         TimedActivity {
             activity: Activity {
                 toggles: self.toggles.clone(),
-                cycles: (self.n_vectors - 1) as u64,
+                cycles: (self.vectors() - 1) as u64,
             },
             functional: self.functional.clone(),
         }
@@ -223,7 +168,7 @@ impl IncrementalTimedSim {
 
     /// The cached settled packed values of a node.
     pub fn value_words(&self, node: NodeId) -> &[u64] {
-        &self.values[node.index() * self.blocks..(node.index() + 1) * self.blocks]
+        self.rec.traj.row(node.index())
     }
 
     /// Re-simulates a mutated variant, allocating fresh buffers. Searches
@@ -237,7 +182,7 @@ impl IncrementalTimedSim {
         mutated: &Netlist,
         changed: &[NodeId],
     ) -> Result<TimedConeResim, NetlistError> {
-        let mut scratch = TimedResimScratch::default();
+        let mut scratch = ResimScratch::default();
         let mut out = TimedConeResim::default();
         self.resim_into(mutated, changed, &mut scratch, &mut out)?;
         Ok(out)
@@ -259,96 +204,13 @@ impl IncrementalTimedSim {
         &self,
         mutated: &Netlist,
         changed: &[NodeId],
-        scratch: &mut TimedResimScratch,
+        scratch: &mut ResimScratch,
         out: &mut TimedConeResim,
     ) -> Result<(), NetlistError> {
-        let n_base = self.base.node_count();
-        let n_new = mutated.node_count();
-        let mismatch = |reason: String| NetlistError::IncrementalMismatch { reason };
-        if n_new < n_base {
-            return Err(mismatch(format!(
-                "mutated netlist has {n_new} nodes, base has {n_base} (nodes were removed)"
-            )));
-        }
-        if mutated.inputs() != self.base.inputs() {
-            return Err(mismatch("primary inputs differ from the base netlist".into()));
-        }
-        let base_dffs = self.base.dffs().len();
-        if mutated.dffs().len() < base_dffs || mutated.dffs()[..base_dffs] != *self.base.dffs() {
-            return Err(mismatch("pre-existing flip-flops differ from the base netlist".into()));
-        }
-        refill(&mut scratch.in_changed, n_new, false);
-        for &c in changed {
-            if c.index() >= n_new {
-                return Err(mismatch(format!("changed node {c} is out of range")));
-            }
-            if !matches!(mutated.kind(c), NodeKind::Gate { .. }) {
-                return Err(mismatch(format!("changed node {c} is not a combinational gate")));
-            }
-            scratch.in_changed[c.index()] = true;
-        }
-        for id in self.base.node_ids() {
-            if !scratch.in_changed[id.index()] && self.base.kind(id) != mutated.kind(id) {
-                return Err(mismatch(format!(
-                    "node {id} differs from the base but is not in the change set"
-                )));
-            }
-        }
-        build_fanout_csr(mutated, &mut scratch.fan_start, &mut scratch.fan, &mut scratch.cursor);
-        topo_into(
-            mutated,
-            &scratch.fan_start,
-            &scratch.fan,
-            &mut scratch.indeg,
-            &mut scratch.topo_stack,
-            &mut scratch.order,
-        )?;
-        // Dirty cone: forward closure of changed ∪ appended through all
-        // reader edges (register boundaries included).
-        refill(&mut scratch.in_cone, n_new, false);
-        scratch.stack.clear();
-        scratch.stack.extend(changed.iter().map(|c| c.index() as u32));
-        scratch.stack.extend(n_base as u32..n_new as u32);
-        while let Some(u) = scratch.stack.pop() {
-            let u = u as usize;
-            if scratch.in_cone[u] {
-                continue;
-            }
-            scratch.in_cone[u] = true;
-            for k in scratch.fan_start[u] as usize..scratch.fan_start[u + 1] as usize {
-                let f = scratch.fan[k] as usize;
-                if !scratch.in_cone[f] {
-                    scratch.stack.push(f as u32);
-                }
-            }
-        }
-        out.cone.clear();
-        out.cone.extend(scratch.order.iter().copied().filter(|id| scratch.in_cone[id.index()]));
-        refill(&mut scratch.update_of, n_new, usize::MAX);
-        for (ci, &id) in out.cone.iter().enumerate() {
-            scratch.update_of[id.index()] = ci;
-        }
+        self.rec.cone_into(mutated, changed, scratch, &mut out.cone, &mut out.updates)?;
+        out.blocks = self.rec.traj.blocks;
         self.replay_cone(mutated, scratch, out)?;
-        // Settled-trajectory diff for `changed_values`.
-        let blocks = self.blocks;
-        out.changed_values.clear();
-        for (ci, &id) in out.cone.iter().enumerate() {
-            let differs = if id.index() >= n_base {
-                true
-            } else {
-                let old = &self.values[id.index() * blocks..(id.index() + 1) * blocks];
-                (0..blocks).any(|b| {
-                    let mask = if b + 1 == blocks { self.tail_mask } else { !0 };
-                    (old[b] ^ out.updates[ci * blocks + b]) & mask != 0
-                })
-            };
-            if differs {
-                out.changed_values.push(id);
-            }
-        }
-        obs::SIM_INC_RESIMS.inc();
-        obs::SIM_INC_CONE_NODES.add(out.cone.len() as u64);
-        obs::SIM_INC_REUSED_NODES.add((n_new - out.cone.len()) as u64);
+        self.rec.finish(mutated, &out.cone, &out.updates, &mut out.changed_values);
         Ok(())
     }
 
@@ -360,32 +222,22 @@ impl IncrementalTimedSim {
     fn replay_cone(
         &self,
         mutated: &Netlist,
-        scratch: &mut TimedResimScratch,
+        scratch: &mut ResimScratch,
         out: &mut TimedConeResim,
     ) -> Result<(), NetlistError> {
-        let mismatch = |reason: String| NetlistError::IncrementalMismatch { reason };
         let cone = &out.cone;
-        let blocks = self.blocks;
-        let n_base = self.base.node_count();
+        let blocks = self.rec.traj.blocks;
+        let n_base = self.rec.base.node_count();
         // Boundary set: direct out-of-cone fan-ins of cone nodes. Appended
         // nodes are always in the cone, so boundary indices are < n_base.
         refill(&mut scratch.b_index, n_base, usize::MAX);
         scratch.boundary.clear();
         for &id in cone.iter() {
-            let register = |f: NodeId, scratch: &mut TimedResimScratch| {
+            for &f in mutated.kind(id).fanins() {
                 if !scratch.in_cone[f.index()] && scratch.b_index[f.index()] == usize::MAX {
                     scratch.b_index[f.index()] = scratch.boundary.len();
                     scratch.boundary.push(f.index() as u32);
                 }
-            };
-            match mutated.kind(id) {
-                NodeKind::Gate { inputs, .. } => {
-                    for &f in inputs {
-                        register(f, scratch);
-                    }
-                }
-                NodeKind::Dff { d, .. } => register(*d, scratch),
-                _ => {}
             }
         }
         refill(&mut scratch.bvals, scratch.boundary.len(), false);
@@ -398,7 +250,7 @@ impl IncrementalTimedSim {
         refill(&mut scratch.delays, cone.len(), 0u64);
         for (ci, &id) in cone.iter().enumerate() {
             if let NodeKind::Gate { kind, inputs } = mutated.kind(id) {
-                scratch.delays[ci] = gate_delay_ps(&self.lib, *kind, inputs.len());
+                scratch.delays[ci] = transport_delay_ps(&self.lib, *kind, inputs.len());
             }
         }
         // Power-on settle of the cone (all-false inputs, registers at
@@ -410,9 +262,11 @@ impl IncrementalTimedSim {
                 NodeKind::Dff { init, .. } => *init,
                 NodeKind::Const(v) => *v,
                 NodeKind::Input => {
-                    return Err(mismatch(format!("primary input {id} cannot be in the cone")))
+                    return Err(NetlistError::IncrementalMismatch {
+                        reason: format!("primary input {id} cannot be in the cone"),
+                    })
                 }
-                NodeKind::Gate { kind, inputs } => eval_gate_bool(*kind, inputs, |f| {
+                NodeKind::Gate { kind, inputs } => kind.eval_with(inputs, |f| {
                     let u = scratch.update_of[f.index()];
                     if u != usize::MAX {
                         out.cone_init[u]
@@ -440,7 +294,7 @@ impl IncrementalTimedSim {
         out.activity.activity.toggles[..n_base].copy_from_slice(&self.toggles);
         refill(&mut out.activity.functional, n_new, 0u64);
         out.activity.functional[..n_base].copy_from_slice(&self.functional);
-        out.activity.activity.cycles = (self.n_vectors - 1) as u64;
+        out.activity.activity.cycles = (self.vectors() - 1) as u64;
         for &id in cone.iter() {
             out.activity.activity.toggles[id.index()] = 0;
             out.activity.functional[id.index()] = 0;
@@ -449,27 +303,21 @@ impl IncrementalTimedSim {
             v.clear();
         }
         out.cone_events.resize_with(cone.len(), Vec::new);
-        out.blocks = blocks;
-        refill(&mut out.updates, cone.len() * blocks, 0u64);
-
         // Schedules the in-cone gate readers of `u` at `base_time` plus
         // their own transport delay, mirroring the scalar engine.
         macro_rules! schedule_readers {
             ($u:expr, $base_time:expr) => {
-                let u = $u;
-                for k in scratch.fan_start[u] as usize..scratch.fan_start[u + 1] as usize {
-                    let f = scratch.fan[k] as usize;
-                    let fc = scratch.update_of[f];
-                    if fc != usize::MAX
-                        && matches!(mutated.kind(NodeId(f as u32)), NodeKind::Gate { .. })
+                for &f in scratch.topo.readers($u) {
+                    let fc = scratch.update_of[f as usize];
+                    if fc != usize::MAX && matches!(mutated.kind(NodeId(f)), NodeKind::Gate { .. })
                     {
-                        scratch.heap.push(Reverse(($base_time + scratch.delays[fc], f as u32)));
+                        scratch.heap.push(Reverse(($base_time + scratch.delays[fc], f)));
                     }
                 }
             };
         }
 
-        for s in 0..self.n_vectors {
+        for s in 0..self.vectors() {
             let count = s >= 1;
             scratch.heap.clear();
             // Time-zero flips of cone registers (their own Q updates).
@@ -514,7 +362,7 @@ impl IncrementalTimedSim {
                     // Only gates are ever scheduled.
                     unreachable!("non-gate {} popped from the event heap", cone[ci]);
                 };
-                let new = eval_gate_bool(*kind, inputs, |f| {
+                let new = kind.eval_with(inputs, |f| {
                     let fc = scratch.update_of[f.index()];
                     if fc != usize::MAX {
                         scratch.cur[fc]
@@ -566,14 +414,7 @@ impl IncrementalTimedSim {
             n_new,
             "resim is for a different netlist"
         );
-        let blocks = self.blocks;
-        let mut values = std::mem::take(&mut self.values);
-        values.resize(n_new * blocks, 0);
-        for (ci, &id) in resim.cone.iter().enumerate() {
-            values[id.index() * blocks..(id.index() + 1) * blocks]
-                .copy_from_slice(&resim.updates[ci * blocks..(ci + 1) * blocks]);
-        }
-        self.values = values;
+        self.rec.commit(mutated, &resim.cone, &resim.updates);
         self.events_of.resize_with(n_new, Vec::new);
         self.init_values.resize(n_new, false);
         for (ci, &id) in resim.cone.iter().enumerate() {
@@ -585,7 +426,6 @@ impl IncrementalTimedSim {
         self.toggles.extend_from_slice(&resim.activity.activity.toggles);
         self.functional.clear();
         self.functional.extend_from_slice(&resim.activity.functional);
-        self.base = mutated.clone();
     }
 }
 
@@ -744,7 +584,7 @@ mod tests {
         let lib = Library::default();
         let stream = stream_for(&nl, 13, 100);
         let inc = IncrementalTimedSim::record(&nl, &lib, &stream).unwrap();
-        let mut scratch = TimedResimScratch::default();
+        let mut scratch = ResimScratch::default();
         let mut out = TimedConeResim::default();
         let targets: Vec<NodeId> = nl
             .node_ids()

@@ -228,8 +228,7 @@ pub fn tokenize_verilog(src: &str) -> Result<Vec<Token>, NetlistError> {
         at: loc.src_loc(cur.src()),
         message,
     };
-    loop {
-        let Some(c) = cur.peek() else { break };
+    while let Some(c) = cur.peek() {
         let loc = cur.loc();
         if c.is_whitespace() {
             cur.bump();

@@ -38,6 +38,7 @@
 // loops; silence clippy's iterator-style suggestion for them.
 #![allow(clippy::needless_range_loop)]
 
+mod cone;
 mod editor;
 mod error;
 mod event;
@@ -58,11 +59,12 @@ mod simwide;
 pub mod streams;
 pub mod words;
 
+pub use cone::ResimScratch;
 pub use editor::NetlistEditor;
 pub use error::{NetlistError, SourceFormat, SrcLoc};
 pub use event::{EventDrivenSim, TimedActivity};
-pub use incremental::{ConeResim, IncrementalSim, ResimScratch};
-pub use incremental_timed::{IncrementalTimedSim, TimedConeResim, TimedResimScratch};
+pub use incremental::{ConeResim, IncrementalSim};
+pub use incremental_timed::{IncrementalTimedSim, TimedConeResim};
 pub use ingest::{
     emit_verilog, emitted_net_names, ingest_auto, ingest_str, parse_edif, parse_verilog,
     sniff_format, structurally_equivalent,

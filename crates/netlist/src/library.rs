@@ -71,20 +71,33 @@ impl GateKind {
     /// Panics if `inputs` violates the gate's arity; arity is validated at
     /// netlist construction time so simulators may rely on this.
     pub fn eval(self, inputs: &[bool]) -> bool {
+        self.eval_with(inputs, |b| b)
+    }
+
+    /// Evaluate the gate over its fan-ins, reading each fan-in's value
+    /// through `get` — the allocation-free form every scalar simulator
+    /// uses (`inputs` is typically a gate's fan-in node ids).
+    ///
+    /// # Panics
+    ///
+    /// As [`eval`](Self::eval).
+    #[inline]
+    pub fn eval_with<T: Copy>(self, inputs: &[T], get: impl Fn(T) -> bool) -> bool {
+        let parity = || inputs.iter().fold(false, |acc, &i| acc ^ get(i));
         match self {
-            GateKind::Buf => inputs[0],
-            GateKind::Not => !inputs[0],
-            GateKind::And => inputs.iter().all(|&b| b),
-            GateKind::Or => inputs.iter().any(|&b| b),
-            GateKind::Nand => !inputs.iter().all(|&b| b),
-            GateKind::Nor => !inputs.iter().any(|&b| b),
-            GateKind::Xor => inputs.iter().fold(false, |acc, &b| acc ^ b),
-            GateKind::Xnor => !inputs.iter().fold(false, |acc, &b| acc ^ b),
+            GateKind::Buf => get(inputs[0]),
+            GateKind::Not => !get(inputs[0]),
+            GateKind::And => inputs.iter().all(|&i| get(i)),
+            GateKind::Or => inputs.iter().any(|&i| get(i)),
+            GateKind::Nand => !inputs.iter().all(|&i| get(i)),
+            GateKind::Nor => !inputs.iter().any(|&i| get(i)),
+            GateKind::Xor => parity(),
+            GateKind::Xnor => !parity(),
             GateKind::Mux => {
-                if inputs[0] {
-                    inputs[2]
+                if get(inputs[0]) {
+                    get(inputs[2])
                 } else {
-                    inputs[1]
+                    get(inputs[1])
                 }
             }
         }
@@ -166,6 +179,14 @@ impl Library {
     /// derived libraries, e.g. voltage-scaled ones).
     pub fn cell_mut(&mut self, kind: GateKind) -> &mut CellParams {
         &mut self.params[kind as usize]
+    }
+
+    /// Propagation delay, in picoseconds, of a `kind` gate with `fanins`
+    /// input pins: the intrinsic delay plus the per-pin increment for
+    /// every pin beyond the first.
+    pub(crate) fn gate_delay_ps(&self, kind: GateKind, fanins: usize) -> f64 {
+        let c = self.cell(kind);
+        c.delay_ps + c.delay_per_fanin_ps * fanins.saturating_sub(1) as f64
     }
 
     /// Energy, in femtojoules, of charging/discharging `cap_ff` femtofarads
@@ -318,6 +339,57 @@ mod tests {
         assert!(GateKind::Mux.eval(&[false, true, false]));
         assert!(GateKind::Mux.eval(&[true, false, true]));
         assert!(!GateKind::Mux.eval(&[true, true, false]));
+    }
+
+    /// Every gate kind at every legal arity up to 5, every input
+    /// assignment: the scalar evaluator, the packed `u64` evaluator of the
+    /// incremental simulator and the compiled instruction stream agree
+    /// lane for lane with the gate's definition. Lane `l` of the packed
+    /// words carries assignment `l` (input `i` is bit `i` of `l`).
+    #[test]
+    fn gate_evaluators_agree_exhaustively() {
+        use crate::incremental::eval_gate;
+        use crate::netlist::{Netlist, NodeId};
+        use crate::sim64::Program;
+        for kind in GateKind::all() {
+            let max = if kind.is_variadic() { 5 } else { kind.min_arity() };
+            for arity in kind.min_arity()..=max {
+                let mut nl = Netlist::new();
+                let ins: Vec<NodeId> = (0..arity).map(|i| nl.input(format!("i{i}"))).collect();
+                assert!(ins.iter().enumerate().all(|(i, f)| f.index() == i));
+                let out = nl.gate(kind, ins.clone()).unwrap();
+                let lanes = 1usize << arity;
+                let values: Vec<u64> = (0..nl.node_count())
+                    .map(|i| (0..lanes).filter(|l| (l >> i) & 1 == 1).fold(0, |w, l| w | 1 << l))
+                    .collect();
+                let packed = eval_gate(kind, &ins, |f| values[f.index()]);
+                let program = Program::compile(&nl).unwrap();
+                let [ins_op] = program.instrs[..] else { panic!("one gate, one instruction") };
+                assert_eq!(ins_op.out as usize, out.index());
+                let compiled = program.eval(&values, &ins_op);
+                for l in 0..lanes {
+                    let bits: Vec<bool> = (0..arity).map(|i| (l >> i) & 1 == 1).collect();
+                    let ones = bits.iter().filter(|&&b| b).count();
+                    let expected = match kind {
+                        GateKind::Buf => bits[0],
+                        GateKind::Not => !bits[0],
+                        GateKind::And => ones == arity,
+                        GateKind::Or => ones > 0,
+                        GateKind::Nand => ones != arity,
+                        GateKind::Nor => ones == 0,
+                        GateKind::Xor => ones % 2 == 1,
+                        GateKind::Xnor => ones % 2 == 0,
+                        GateKind::Mux => bits[1 + bits[0] as usize],
+                    };
+                    let scalar = kind.eval_with(&ins, |f| bits[f.index()]);
+                    let case = format!("{} arity {arity} assignment {l:#b}", kind.name());
+                    assert_eq!(scalar, expected, "eval_with: {case}");
+                    assert_eq!(kind.eval(&bits), expected, "eval: {case}");
+                    assert_eq!((packed >> l) & 1 == 1, expected, "packed: {case}");
+                    assert_eq!((compiled >> l) & 1 == 1, expected, "compiled: {case}");
+                }
+            }
+        }
     }
 
     #[test]

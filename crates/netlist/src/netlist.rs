@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use crate::cone::refill;
 use crate::error::NetlistError;
 use crate::library::{GateKind, Library};
 
@@ -54,6 +55,39 @@ pub enum NodeKind {
         /// Power-on value.
         init: bool,
     },
+}
+
+impl NodeKind {
+    /// The nodes this one reads: a gate's input pins or a flip-flop's D
+    /// pin (empty for sources).
+    pub(crate) fn fanins(&self) -> &[NodeId] {
+        match self {
+            NodeKind::Gate { inputs, .. } => inputs,
+            NodeKind::Dff { d, .. } => std::slice::from_ref(d),
+            NodeKind::Const(_) | NodeKind::Input => &[],
+        }
+    }
+}
+
+/// Reusable working memory of [`Netlist::topo_into`]: the CSR fanout
+/// graph it builds (all reader edges, flip-flop D pins included) and the
+/// Kahn worklist. `order` holds the result.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TopoScratch {
+    fan_start: Vec<u32>,
+    fan: Vec<u32>,
+    /// Scatter cursor for the CSR build.
+    cursor: Vec<u32>,
+    indeg: Vec<u32>,
+    stack: Vec<u32>,
+    pub(crate) order: Vec<NodeId>,
+}
+
+impl TopoScratch {
+    /// The nodes reading node `u`, in node-index order.
+    pub(crate) fn readers(&self, u: usize) -> &[u32] {
+        &self.fan[self.fan_start[u] as usize..self.fan_start[u + 1] as usize]
+    }
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -470,32 +504,29 @@ impl Netlist {
     pub fn fanout_counts(&self) -> Vec<u32> {
         let mut counts = vec![0u32; self.nodes.len()];
         for n in &self.nodes {
-            match &n.kind {
-                NodeKind::Gate { inputs, .. } => {
-                    for i in inputs {
-                        counts[i.index()] += 1;
-                    }
-                }
-                NodeKind::Dff { d, .. } => counts[d.index()] += 1,
-                _ => {}
+            for i in n.kind.fanins() {
+                counts[i.index()] += 1;
             }
         }
         counts
+    }
+
+    /// Every node's power-on value before any settling: constants at
+    /// their value, flip-flops at their init value, everything else
+    /// false.
+    pub(crate) fn power_on_values(&self) -> Vec<bool> {
+        let on = |kind: &NodeKind| {
+            matches!(kind, NodeKind::Const(true) | NodeKind::Dff { init: true, .. })
+        };
+        self.nodes.iter().map(|n| on(&n.kind)).collect()
     }
 
     /// Fanout adjacency: for each node, the list of nodes that read it.
     pub fn fanouts(&self) -> Vec<Vec<NodeId>> {
         let mut f = vec![Vec::new(); self.nodes.len()];
         for (i, n) in self.nodes.iter().enumerate() {
-            let id = NodeId(i as u32);
-            match &n.kind {
-                NodeKind::Gate { inputs, .. } => {
-                    for inp in inputs {
-                        f[inp.index()].push(id);
-                    }
-                }
-                NodeKind::Dff { d, .. } => f[d.index()].push(id),
-                _ => {}
+            for inp in n.kind.fanins() {
+                f[inp.index()].push(NodeId(i as u32));
             }
         }
         f
@@ -544,56 +575,78 @@ impl Netlist {
     /// Returns [`NetlistError::CombinationalCycle`] if the gates form a
     /// cycle (flip-flops legally break cycles).
     pub fn topo_order(&self) -> Result<Vec<NodeId>, NetlistError> {
-        // Indegree counts only gate->gate edges; sources (inputs, constants,
-        // DFF outputs) start at zero.
-        let mut indegree = vec![0u32; self.nodes.len()];
-        let mut order = Vec::with_capacity(self.nodes.len());
-        let mut stack: Vec<NodeId> = Vec::new();
-        for (i, n) in self.nodes.iter().enumerate() {
-            match &n.kind {
-                NodeKind::Gate { inputs, .. } => {
-                    let deg = inputs
-                        .iter()
-                        .filter(|x| matches!(self.nodes[x.index()].kind, NodeKind::Gate { .. }))
-                        .count() as u32;
-                    indegree[i] = deg;
-                    if deg == 0 {
-                        stack.push(NodeId(i as u32));
-                    }
-                }
-                _ => {
-                    order.push(NodeId(i as u32));
-                }
+        let mut scratch = TopoScratch::default();
+        self.topo_into(&mut scratch)?;
+        Ok(scratch.order)
+    }
+
+    /// The topological sort behind [`topo_order`](Self::topo_order), into
+    /// reusable buffers: builds the CSR fanout graph, then runs Kahn's
+    /// algorithm — non-gates first in index order, then gates as they
+    /// become ready (indegree counts gate->gate edges only).
+    pub(crate) fn topo_into(&self, s: &mut TopoScratch) -> Result<(), NetlistError> {
+        let n = self.nodes.len();
+        let is_gate = |i: usize| matches!(self.nodes[i].kind, NodeKind::Gate { .. });
+        // CSR fanout graph: count readers per node, prefix-sum, scatter.
+        refill(&mut s.fan_start, n + 1, 0u32);
+        for node in &self.nodes {
+            for f in node.kind.fanins() {
+                s.fan_start[f.index() + 1] += 1;
             }
         }
-        let fanouts = self.fanouts();
+        for i in 0..n {
+            s.fan_start[i + 1] += s.fan_start[i];
+        }
+        refill(&mut s.fan, s.fan_start[n] as usize, 0u32);
+        s.cursor.clear();
+        s.cursor.extend_from_slice(&s.fan_start[..n]);
+        for (i, node) in self.nodes.iter().enumerate() {
+            for f in node.kind.fanins() {
+                s.fan[s.cursor[f.index()] as usize] = i as u32;
+                s.cursor[f.index()] += 1;
+            }
+        }
+        // Kahn's algorithm.
+        refill(&mut s.indeg, n, 0u32);
+        s.stack.clear();
+        s.order.clear();
+        s.order.reserve(n);
+        let mut gate_total = 0usize;
+        for (i, node) in self.nodes.iter().enumerate() {
+            match &node.kind {
+                NodeKind::Gate { inputs, .. } => {
+                    gate_total += 1;
+                    s.indeg[i] = inputs.iter().filter(|x| is_gate(x.index())).count() as u32;
+                    if s.indeg[i] == 0 {
+                        s.stack.push(i as u32);
+                    }
+                }
+                _ => s.order.push(NodeId(i as u32)),
+            }
+        }
         let mut emitted = 0usize;
-        let gate_total =
-            self.nodes.iter().filter(|n| matches!(n.kind, NodeKind::Gate { .. })).count();
-        while let Some(id) = stack.pop() {
-            order.push(id);
+        while let Some(u) = s.stack.pop() {
+            s.order.push(NodeId(u));
             emitted += 1;
-            for &f in &fanouts[id.index()] {
-                if let NodeKind::Gate { .. } = self.nodes[f.index()].kind {
-                    indegree[f.index()] -= 1;
-                    if indegree[f.index()] == 0 {
-                        stack.push(f);
+            for k in s.fan_start[u as usize] as usize..s.fan_start[u as usize + 1] as usize {
+                let f = s.fan[k] as usize;
+                if is_gate(f) {
+                    s.indeg[f] -= 1;
+                    if s.indeg[f] == 0 {
+                        s.stack.push(f as u32);
                     }
                 }
             }
         }
         if emitted != gate_total {
-            // Find some gate still blocked to report.
-            let node = (0..self.nodes.len())
+            // Report some gate that is still blocked.
+            let node = (0..n)
+                .find(|&i| is_gate(i) && s.indeg[i] > 0)
                 .map(|i| NodeId(i as u32))
-                .find(|id| {
-                    matches!(self.nodes[id.index()].kind, NodeKind::Gate { .. })
-                        && indegree[id.index()] > 0
-                })
                 .expect("a blocked gate must exist when the order is incomplete");
             return Err(NetlistError::CombinationalCycle { node });
         }
-        Ok(order)
+        Ok(())
     }
 
     /// Logic depth (number of gates on the longest combinational path).
@@ -626,11 +679,8 @@ impl Netlist {
         let mut at = vec![0.0f64; self.nodes.len()];
         for id in order {
             if let NodeKind::Gate { kind, inputs } = &self.nodes[id.index()].kind {
-                let cell = lib.cell(*kind);
-                let gd = cell.delay_ps
-                    + cell.delay_per_fanin_ps * (inputs.len().saturating_sub(1)) as f64;
                 let worst = inputs.iter().map(|i| at[i.index()]).fold(0.0, f64::max);
-                at[id.index()] = worst + gd;
+                at[id.index()] = worst + lib.gate_delay_ps(*kind, inputs.len());
             }
         }
         Ok(at)

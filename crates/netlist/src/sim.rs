@@ -89,9 +89,6 @@ pub struct ZeroDelaySim<'a> {
     initialized: bool,
     /// Gate count, cached so `step` can bump the evaluation metric once.
     gates_per_step: u64,
-    /// Reusable fan-in gather buffer (sized to the widest gate) so the
-    /// inner loop never allocates.
-    scratch: Vec<bool>,
 }
 
 impl<'a> ZeroDelaySim<'a> {
@@ -103,30 +100,9 @@ impl<'a> ZeroDelaySim<'a> {
     /// part of the netlist is cyclic.
     pub fn new(netlist: &'a Netlist) -> Result<Self, NetlistError> {
         let order = netlist.topo_order()?;
-        let mut values = vec![false; netlist.node_count()];
-        let mut dff_next = Vec::with_capacity(netlist.dffs().len());
-        for &d in netlist.dffs() {
-            if let NodeKind::Dff { init, .. } = netlist.kind(d) {
-                values[d.index()] = *init;
-                dff_next.push(*init);
-            }
-        }
-        for id in netlist.node_ids() {
-            if let NodeKind::Const(v) = netlist.kind(id) {
-                values[id.index()] = *v;
-            }
-        }
-        let gates_per_step =
-            order.iter().filter(|&&id| matches!(netlist.kind(id), NodeKind::Gate { .. })).count()
-                as u64;
-        let max_fanin = netlist
-            .node_ids()
-            .map(|id| match netlist.kind(id) {
-                NodeKind::Gate { inputs, .. } => inputs.len(),
-                _ => 0,
-            })
-            .max()
-            .unwrap_or(0);
+        let values = netlist.power_on_values();
+        let dff_next = netlist.dffs().iter().map(|q| values[q.index()]).collect();
+        let gates_per_step = netlist.gate_count() as u64;
         Ok(ZeroDelaySim {
             netlist,
             order,
@@ -135,7 +111,6 @@ impl<'a> ZeroDelaySim<'a> {
             activity: Activity::zero(netlist),
             initialized: false,
             gates_per_step,
-            scratch: Vec::with_capacity(max_fanin),
         })
     }
 
@@ -180,30 +155,20 @@ impl<'a> ZeroDelaySim<'a> {
         obs::SIM_ZD_STEPS.inc();
         obs::SIM_ZD_GATE_EVALS.add(self.gates_per_step);
         let count = self.initialized;
-        // Present DFF outputs (sampled at the previous edge).
-        for (i, &q) in self.netlist.dffs().iter().enumerate() {
-            let new = self.dff_next[i];
-            if count && self.values[q.index()] != new {
-                self.activity.toggles[q.index()] += 1;
+        // Present DFF outputs (sampled at the previous edge), then apply
+        // primary inputs.
+        let nl = self.netlist;
+        let sources = nl.dffs().iter().zip(&self.dff_next).chain(nl.inputs().iter().zip(inputs));
+        for (&node, &new) in sources {
+            if count && self.values[node.index()] != new {
+                self.activity.toggles[node.index()] += 1;
             }
-            self.values[q.index()] = new;
+            self.values[node.index()] = new;
         }
-        // Apply primary inputs.
-        for (i, &inp) in self.netlist.inputs().iter().enumerate() {
-            if count && self.values[inp.index()] != inputs[i] {
-                self.activity.toggles[inp.index()] += 1;
-            }
-            self.values[inp.index()] = inputs[i];
-        }
-        // Settle combinational logic in topological order, gathering fan-in
-        // values into the one preallocated scratch buffer.
+        // Settle combinational logic in topological order.
         for &id in &self.order {
-            if let NodeKind::Gate { kind, inputs: fanin } = self.netlist.kind(id) {
-                self.scratch.clear();
-                for f in fanin {
-                    self.scratch.push(self.values[f.index()]);
-                }
-                let new = kind.eval(&self.scratch);
+            if let NodeKind::Gate { kind, inputs } = self.netlist.kind(id) {
+                let new = kind.eval_with(inputs, |f| self.values[f.index()]);
                 if count && self.values[id.index()] != new {
                     self.activity.toggles[id.index()] += 1;
                 }
@@ -270,12 +235,8 @@ impl<'a> ZeroDelaySim<'a> {
             self.values[inp.index()] = inputs[i];
         }
         for &id in &self.order {
-            if let NodeKind::Gate { kind, inputs: fanin } = self.netlist.kind(id) {
-                self.scratch.clear();
-                for f in fanin {
-                    self.scratch.push(self.values[f.index()]);
-                }
-                self.values[id.index()] = kind.eval(&self.scratch);
+            if let NodeKind::Gate { kind, inputs } = self.netlist.kind(id) {
+                self.values[id.index()] = kind.eval_with(inputs, |f| self.values[f.index()]);
             }
         }
         Ok(self.output_values())

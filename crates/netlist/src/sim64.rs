@@ -123,15 +123,7 @@ impl Program {
             };
             instrs.push(Instr { out: id.index() as u32, op });
         }
-        let mut init_bits = vec![false; netlist.node_count()];
-        for id in netlist.node_ids() {
-            match netlist.kind(id) {
-                NodeKind::Const(v) => init_bits[id.index()] = *v,
-                NodeKind::Dff { init: v, .. } => init_bits[id.index()] = *v,
-                _ => {}
-            }
-        }
-        Ok(Program { instrs, pool, init_bits })
+        Ok(Program { instrs, pool, init_bits: netlist.power_on_values() })
     }
 
     /// Initial packed value per node, broadcast across all lanes of `W`.

@@ -33,13 +33,16 @@
 //!
 //! [`timed_activity`] profiles one stream on the chosen kernel. The packed
 //! path exploits that the event-driven simulator always settles to the
-//! zero-delay stable state: a cheap [`ZeroDelaySim`] pass computes the
-//! stable-state trajectory, and the `N - 1` stream transitions are then
-//! replayed [`Word::LANES`] per word through
+//! zero-delay stable state: a cheap [`ZeroDelaySim`] pass packs the
+//! stable-state trajectory (the bit-packed settled trajectory of the
+//! dirty-cone core that [`crate::IncrementalSim`] and
+//! [`crate::IncrementalTimedSim`] share), and the `N - 1` stream
+//! transitions are then replayed [`Word::LANES`] per word through
 //! [`WideTimedSim::eval_transition_block`]. Because per-transition toggle
 //! counts are order-independent integers, the merged [`TimedActivity`]
 //! equals the scalar run's exactly.
 
+use crate::cone::Trajectory;
 use crate::error::NetlistError;
 use crate::event::{EventDrivenSim, TimedActivity};
 use crate::library::Library;
@@ -100,19 +103,13 @@ fn timed_activity_packed<W: Word>(
     if stream.is_empty() {
         return Ok(TimedActivity::zero(netlist));
     }
-    // Settled-state trajectory, bit-packed per node: bit `c` of
-    // `traj[node * blocks + c / 64]` is the node's stable value after
-    // vector `c`. The event-driven simulator always settles to exactly
-    // this state, so it is both the per-transition start state and the
-    // functional reference.
-    let blocks = stream.len().div_ceil(64);
-    let mut traj = vec![0u64; n * blocks];
+    // Settled-state trajectory: the event-driven simulator always
+    // settles to exactly this state, so it is both the per-transition
+    // start state and the functional reference.
+    let mut traj = Trajectory::zeroed(n, stream.len());
     for (c, v) in stream.iter().enumerate() {
         zd.step(v)?;
-        let (w, b) = (c / 64, c % 64);
-        for (node, &val) in zd.values_raw().iter().enumerate() {
-            traj[node * blocks + w] |= (val as u64) << b;
-        }
+        traj.pack(c, zd.values_raw());
     }
     // Consume the zero-delay activity so the trajectory pass does not
     // leak into the caller-visible zero-delay metrics totals twice.
@@ -127,7 +124,7 @@ fn timed_activity_packed<W: Word>(
         let lanes = (transitions - t0 + 1).min(W::LANES);
         let mask = W::low_mask(lanes);
         for node in 0..n {
-            let w = &traj[node * blocks..(node + 1) * blocks];
+            let w = traj.row(node);
             for c in 0..W::CHUNKS {
                 from[node].chunks_mut()[c] = window(w, t0 - 1 + 64 * c);
                 to[node].chunks_mut()[c] = window(w, t0 + 64 * c);

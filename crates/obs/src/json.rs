@@ -560,7 +560,7 @@ mod tests {
         assert_eq!(items[2].as_u64(), None, "negative is not u64");
         assert_eq!(items[3], Value::Int(12));
         // Emit → parse is bit-identical for f64 payloads.
-        let x = 123.456789012345678_f64;
+        let x = 123.45678901234568_f64;
         let emitted = Value::Num(x).pretty();
         assert_eq!(parse(&emitted).expect("parses").as_f64(), Some(x));
     }

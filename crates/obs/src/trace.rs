@@ -77,6 +77,7 @@ pub struct TraceEvent {
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
+static RECORDED: Counter = Counter::new();
 static RING_DROPPED: Counter = Counter::new();
 static SINK_DROPPED: Counter = Counter::new();
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
@@ -148,6 +149,33 @@ pub fn env_path() -> Option<String> {
     }
 }
 
+/// Events recorded so far: every completed span's push attempt, kept or
+/// dropped. Once every recording thread is done, an export that drains
+/// the trace satisfies `recorded() == exported + ring_dropped() +
+/// sink_dropped()` — see [`check_accounting`].
+pub fn recorded() -> u64 {
+    RECORDED.get()
+}
+
+/// Checks that every recorded event was either exported (`exported`
+/// events drained since the last [`reset`]) or counted as dropped.
+///
+/// # Errors
+///
+/// Describes the imbalance: events lost without being counted, or
+/// drops beyond what was recorded.
+pub fn check_accounting(exported: usize) -> Result<(), String> {
+    let (recorded, ring, sink) = (recorded(), ring_dropped(), sink_dropped());
+    if recorded == exported as u64 + ring + sink {
+        Ok(())
+    } else {
+        Err(format!(
+            "trace accounting: recorded {recorded} != exported {exported} + ring_dropped {ring} \
+             + sink_dropped {sink}"
+        ))
+    }
+}
+
 /// Total events dropped so far (full per-thread ring plus full sink).
 pub fn dropped() -> u64 {
     RING_DROPPED.get() + SINK_DROPPED.get()
@@ -164,6 +192,7 @@ pub fn sink_dropped() -> u64 {
 }
 
 fn push(event: TraceEvent) {
+    RECORDED.inc();
     RING.with(|ring| {
         let mut ring = ring.borrow_mut();
         let shared = ring.events.get_or_insert_with(|| {
@@ -236,7 +265,7 @@ pub fn take_events() -> Vec<TraceEvent> {
         events.append(&mut lock(ring));
     }
     drop(live);
-    events.sort_by(|a, b| (a.ts_ns, a.tid).cmp(&(b.ts_ns, b.tid)));
+    events.sort_by_key(|e| (e.ts_ns, e.tid));
     events
 }
 
@@ -255,14 +284,15 @@ pub fn events_for_request(id: u64) -> Vec<TraceEvent> {
         events.extend(lock(ring).iter().filter(mine).cloned());
     }
     drop(live);
-    events.sort_by(|a, b| (a.ts_ns, a.tid).cmp(&(b.ts_ns, b.tid)));
+    events.sort_by_key(|e| (e.ts_ns, e.tid));
     events
 }
 
-/// Clears all recorded events and the drop counters (tests and explicit
-/// baseline resets).
+/// Clears all recorded events and the accounting counters (tests and
+/// explicit baseline resets).
 pub fn reset() {
     let _ = take_events();
+    RECORDED.reset();
     RING_DROPPED.reset();
     SINK_DROPPED.reset();
 }
@@ -464,6 +494,47 @@ mod tests {
         assert!(events.len() >= RING_CAP);
         reset();
         assert_eq!(dropped(), 0);
+    }
+
+    #[test]
+    fn every_recorded_event_is_exported_or_counted_dropped() {
+        let _guard = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        set_enabled(true);
+        reset();
+        let event = || TraceEvent {
+            name: Cow::Borrowed("x"),
+            cat: "test",
+            tid: 0,
+            ts_ns: 0,
+            dur_ns: 0,
+            request_id: None,
+        };
+        // Overflow one thread's ring (it exits, draining into the sink)
+        // and this thread's ring, around a handful of real spans.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for _ in 0..(RING_CAP + 7) {
+                    push(event());
+                }
+            });
+        });
+        for _ in 0..(RING_CAP + 3) {
+            push(event());
+        }
+        for _ in 0..5 {
+            let _s = span("test", "late");
+        }
+        set_enabled(false);
+        assert_eq!(recorded(), 2 * RING_CAP as u64 + 15);
+        assert_eq!(ring_dropped(), 10 + 5, "both overflowing rings, then the spans");
+        let exported = take_events().len();
+        assert_eq!(exported, 2 * RING_CAP);
+        assert_eq!(check_accounting(exported), Ok(()));
+        let err = check_accounting(exported - 1).unwrap_err();
+        assert!(err.contains("recorded"), "{err}");
+        reset();
+        assert_eq!(recorded(), 0);
+        assert_eq!(check_accounting(0), Ok(()));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::collections::{HashMap, HashSet};
 
 use hlpower_bdd::{BddManager, BddRef};
 use hlpower_netlist::{
-    GateKind, IncrementalSim, Library, Netlist, NetlistError, NodeId, NodeKind, ZeroDelaySim,
+    IncrementalSim, Library, Netlist, NetlistError, NodeId, NodeKind, ZeroDelaySim,
 };
 use hlpower_obs::metrics as obs;
 
@@ -250,29 +250,6 @@ fn toggle_energy_fj(toggles: &[u64], energy_of: &[f64]) -> f64 {
     toggles.iter().zip(energy_of).map(|(&t, &e)| t as f64 * e).sum()
 }
 
-/// Allocation-free gate evaluation over a fanin-value lookup, matching
-/// [`GateKind::eval`] bit for bit.
-fn eval_gate_with(kind: GateKind, inputs: &[NodeId], get: impl Fn(NodeId) -> bool) -> bool {
-    use GateKind::*;
-    match kind {
-        Buf => get(inputs[0]),
-        Not => !get(inputs[0]),
-        And => inputs.iter().all(|&f| get(f)),
-        Or => inputs.iter().any(|&f| get(f)),
-        Nand => !inputs.iter().all(|&f| get(f)),
-        Nor => !inputs.iter().any(|&f| get(f)),
-        Xor => inputs.iter().fold(false, |acc, &f| acc ^ get(f)),
-        Xnor => !inputs.iter().fold(false, |acc, &f| acc ^ get(f)),
-        Mux => {
-            if get(inputs[0]) {
-                get(inputs[2])
-            } else {
-                get(inputs[1])
-            }
-        }
-    }
-}
-
 /// Simulates the circuit with guarded evaluation applied to one
 /// candidate: on cycles where the guard (computed from current inputs)
 /// asserts, the cone's nodes hold their previous values (the transparent
@@ -335,32 +312,26 @@ pub fn evaluate(
             }
             values[inp.index()] = v[i];
         }
-        for &id in &order {
-            if !guard_cone.contains(&id) {
-                continue;
+        let mut guard_asserted = false;
+        for guard_pass in [true, false] {
+            if !guard_pass {
+                guard_asserted = values[candidate.guard.index()];
             }
-            if let NodeKind::Gate { kind, inputs } = netlist.kind(id) {
-                let new = eval_gate_with(*kind, inputs, |f| values[f.index()]);
-                if !first && new != values[id.index()] {
-                    toggles[id.index()] += 1;
+            for &id in &order {
+                // Latched target-cone nodes hold their previous value and
+                // dissipate nothing.
+                if guard_cone.contains(&id) != guard_pass
+                    || (guard_asserted && cone_set.contains(&id))
+                {
+                    continue;
                 }
-                values[id.index()] = new;
-            }
-        }
-        let guard_asserted = values[candidate.guard.index()];
-        for &id in &order {
-            if guard_cone.contains(&id) {
-                continue;
-            }
-            if guard_asserted && cone_set.contains(&id) {
-                continue; // latched: holds its previous value, no energy
-            }
-            if let NodeKind::Gate { kind, inputs } = netlist.kind(id) {
-                let new = eval_gate_with(*kind, inputs, |f| values[f.index()]);
-                if !first && new != values[id.index()] {
-                    toggles[id.index()] += 1;
+                if let NodeKind::Gate { kind, inputs } = netlist.kind(id) {
+                    let new = kind.eval_with(inputs, |f| values[f.index()]);
+                    if !first && new != values[id.index()] {
+                        toggles[id.index()] += 1;
+                    }
+                    values[id.index()] = new;
                 }
-                values[id.index()] = new;
             }
         }
         // Compare outputs.
@@ -546,7 +517,7 @@ impl GuardScorer {
                 let NodeKind::Gate { kind, inputs } = nl.kind(id) else {
                     unreachable!("dirty region contains gates only")
                 };
-                let new = eval_gate_with(*kind, inputs, |f| {
+                let new = kind.eval_with(inputs, |f| {
                     let u = dirty_idx[f.index()];
                     if u != u32::MAX {
                         dirty_values[u as usize]

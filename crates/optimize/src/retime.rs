@@ -13,7 +13,7 @@ use std::collections::HashMap;
 
 use hlpower_netlist::{
     timed_activity, IncrementalTimedSim, Library, McKernel, Netlist, NetlistEditor, NetlistError,
-    NodeId, NodeKind, TimedConeResim, TimedResimScratch,
+    NodeId, NodeKind, ResimScratch, TimedConeResim,
 };
 use hlpower_obs::metrics as obs;
 
@@ -199,10 +199,10 @@ pub fn low_power_retime(
     let inc = IncrementalTimedSim::record(netlist, lib, stream)?;
     let baseline_glitch_fraction = inc.activity().glitch_fraction()?;
 
-    let mut scratch = TimedResimScratch::default();
+    let mut scratch = ResimScratch::default();
     let mut resim = TimedConeResim::default();
     let score = |threshold: f64,
-                 scratch: &mut TimedResimScratch,
+                 scratch: &mut ResimScratch,
                  resim: &mut TimedConeResim|
      -> Result<f64, NetlistError> {
         let mut cut = netlist.clone();

@@ -102,12 +102,13 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     server.join();
     println!("hlpower-serve stopped");
     // Export the span trace after the drain so every connection's and
-    // worker's spans are in it; validate the round-trip and fail loudly
-    // on any drop — a silently truncated trace would masquerade as a
-    // quiet run.
+    // worker's spans are in it; validate the round-trip and the event
+    // accounting, and fail loudly on any drop — a silently truncated
+    // trace would masquerade as a quiet run.
     if let Some(path) = trace_path {
         let n = trace::write_chrome_json(&path)
             .map_err(|e| format!("could not write trace to {path}: {e}"))?;
+        trace::check_accounting(n)?;
         let text = std::fs::read_to_string(&path).unwrap_or_default();
         let parsed = trace::parse_chrome_trace(&text)
             .map_err(|e| format!("exported trace is not valid Chrome JSON: {e}"))?;

@@ -288,7 +288,7 @@ fn access_log_lines_round_trip_with_correlated_ids_and_stage_times() {
     assert_eq!(estimates.len(), 2);
     for line in &estimates {
         assert_eq!(line.get("status").and_then(Value::as_u64), Some(200));
-        assert_eq!(line.get("cache").and_then(Value::as_str).is_some(), true);
+        assert!(line.get("cache").and_then(Value::as_str).is_some());
         assert!(line.get("netlist_hash").and_then(Value::as_str).is_some());
         assert_eq!(line.get("width").and_then(Value::as_u64), Some(64));
         assert!(line.get("lanes").and_then(Value::as_u64).unwrap() >= 1);
