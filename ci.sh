@@ -15,7 +15,10 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 # (#![warn(missing_docs)] everywhere) and -D warnings makes any rustdoc
 # regression (broken intra-doc link, missing doc) fatal.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline
-cargo run --release --offline -p hlpower-bench --bin repro -- --table1
+# Every experiment (Table I included) rewrites its results/*.json dump;
+# the committed dumps must reproduce byte for byte.
+cargo run --release --offline -p hlpower-bench --bin repro -- --all
+git diff --exit-code -- results/[FST]*.json
 # Instrumentation smoke: exits non-zero if any instrumented counter is
 # still zero after the pass; dumps results/metrics.json.
 cargo run --release --offline -p hlpower-bench --bin repro -- --metrics

@@ -36,16 +36,13 @@ use std::time::Instant;
 
 use hlpower::netlist::{streams, Library};
 use hlpower::optimize::{guard, rewrite};
-use hlpower_bench::json;
+use hlpower_bench::timing::full_mode;
+use hlpower_obs::json;
 
 /// Where the dump lands: the workspace-root `results/` directory
 /// (benches run with the package directory as cwd, so a relative
 /// `results/` would end up inside `crates/bench/`).
 const OUT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_opt.json");
-
-fn full_mode() -> bool {
-    cfg!(feature = "criterion") || std::env::var_os("HLPOWER_BENCH_FULL").is_some()
-}
 
 /// Minimum wall time over `reps` runs of `f`.
 fn min_seconds(reps: usize, mut f: impl FnMut()) -> f64 {

@@ -22,28 +22,16 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use hlpower::netlist::{
-    gen, monte_carlo_power_seeded_threads_kernel, simd_level, streams, Library, McKernel,
+    monte_carlo_power_seeded_threads_kernel, simd_level, streams, Library, McKernel,
     MonteCarloOptions, MonteCarloResult, Netlist,
 };
-use hlpower_bench::json;
+use hlpower_bench::timing::{full_mode, mult16};
+use hlpower_obs::json;
 
 /// Where the dump lands: the workspace-root `results/` directory
 /// (benches run with the package directory as cwd, so a relative
 /// `results/` would end up inside `crates/bench/`).
 const OUT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_wide.json");
-
-fn full_mode() -> bool {
-    cfg!(feature = "criterion") || std::env::var_os("HLPOWER_BENCH_FULL").is_some()
-}
-
-fn mult16() -> Netlist {
-    let mut nl = Netlist::new();
-    let a = nl.input_bus("a", 16);
-    let b = nl.input_bus("b", 16);
-    let p = gen::array_multiplier(&mut nl, &a, &b);
-    nl.output_bus("p", &p);
-    nl
-}
 
 /// Runs the fixed Monte-Carlo workload once with `kernel` and returns
 /// `(result, seconds)`. `target_relative_error: 0.0` disables the

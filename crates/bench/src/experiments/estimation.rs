@@ -2,7 +2,6 @@
 //! complexity models, the macro-model accuracy ladder, and sampling-based
 //! co-simulation.
 
-use crate::json;
 use hlpower::estimate::complexity::{
     area_complexity, optimized_area, random_function, AreaRegression,
 };
@@ -11,6 +10,7 @@ use hlpower::estimate::sampling::{cosimulate, CosimStrategy};
 use hlpower::estimate::{MacroModelKind, ModuleHarness, TrainedMacroModel};
 use hlpower::fsm::{generators, tyagi_bound, Encoding, EncodingStrategy, MarkovAnalysis};
 use hlpower::netlist::{gen, streams, Library, Netlist, ZeroDelaySim};
+use hlpower_obs::json;
 
 use crate::report::ExperimentResult;
 

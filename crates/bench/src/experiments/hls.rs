@@ -4,8 +4,8 @@
 
 use std::collections::HashMap;
 
-use crate::json;
 use hlpower::cdfg::{allocate, multivolt, profile, rtl, schedule, transform, Cdfg, Delays};
+use hlpower_obs::json;
 
 use crate::report::ExperimentResult;
 

@@ -1,11 +1,11 @@
 //! Logic-level experiments: precomputation, gated clocks, guarded
 //! evaluation, low-power retiming, and FSM state encoding.
 
-use crate::json;
 use hlpower::fsm::decompose::decompose;
 use hlpower::fsm::{generators, Encoding, EncodingStrategy, MarkovAnalysis, Stg};
 use hlpower::netlist::{gen, streams, Library, McKernel, Netlist};
 use hlpower::optimize::{balance, clockgate, guard, precompute, retime};
+use hlpower_obs::json;
 
 use crate::report::ExperimentResult;
 

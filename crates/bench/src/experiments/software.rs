@@ -1,11 +1,11 @@
 //! Software-level experiments: Tiwari model accuracy, profile-driven
 //! program synthesis, cold scheduling, and the Fig. 2 memory optimization.
 
-use crate::json;
 use hlpower::estimate::memory::MemoryModel;
 use hlpower::sw::{
     coldsched, memopt, synthesis, tiwari, workloads, CacheConfig, Machine, MachineConfig,
 };
+use hlpower_obs::json;
 
 use crate::report::ExperimentResult;
 

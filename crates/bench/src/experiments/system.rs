@@ -1,13 +1,13 @@
 //! System-level experiments: predictive shutdown (Fig. 3 / §III-B) and
 //! bus encoding (§III-G).
 
-use crate::json;
 use hlpower::optimize::buscode::{
     self, traces, BeachCode, BusCodec, BusInvert, GrayCode, T0BusInvert, T0Code, Unencoded,
     WorkingZone,
 };
 use hlpower::optimize::shutdown::{self, policies::*};
 use hlpower::sw::{workloads, Machine, MachineConfig};
+use hlpower_obs::json;
 
 use crate::report::ExperimentResult;
 
@@ -101,7 +101,7 @@ pub fn bus_encoding() -> ExperimentResult {
             "{name:<20} {:>10.3} {:>10.3} {:>7.3} {:>7.3} {:>7.3} {:>12.3} {:>7.3}",
             cells[0], cells[1], cells[2], cells[3], cells[4], cells[5], cells[6]
         ));
-        rows.push(json!({"stream": name, "unencoded": cells[0], "bus_invert": cells[1],
+        rows.push(json!({"stream": *name, "unencoded": cells[0], "bus_invert": cells[1],
                           "gray": cells[2], "t0": cells[3], "t0_bus_invert": cells[4],
                           "working_zone": cells[5], "beach": cells[6]}));
     }

@@ -31,11 +31,10 @@ use hlpower::netlist::{
     sniff_format, streams, structurally_equivalent, Activity, Library, McKernel, MonteCarloOptions,
     Netlist, Sim64, SourceFormat, ZeroDelaySim, LANES,
 };
+use hlpower_obs::{json, json::Value};
 use hlpower_rng::Rng;
 
-use crate::json;
 use crate::profile::packed_activity;
-use crate::report::Json;
 
 /// Cycles per lane for the functional differential check.
 const DIFF_CYCLES: usize = 64;
@@ -93,8 +92,8 @@ impl IngestOutcome {
     }
 
     /// The machine-readable report.
-    pub fn to_json(&self) -> Json {
-        let checks = Json::Object(
+    pub fn to_json(&self) -> Value {
+        let checks = Value::Obj(
             self.checks
                 .iter()
                 .map(|c| {
@@ -102,8 +101,8 @@ impl IngestOutcome {
                         c.name.to_string(),
                         json!({
                             "ok": c.result.is_ok(),
-                            "skipped": c.skipped.clone().map(Json::from).unwrap_or(Json::Null),
-                            "error": c.result.clone().err().map(Json::from).unwrap_or(Json::Null),
+                            "skipped": c.skipped.as_deref(),
+                            "error": c.result.as_ref().err(),
                         }),
                     )
                 })
@@ -118,16 +117,16 @@ impl IngestOutcome {
                 "dffs": nl.dffs().len(),
                 "logic_depth": nl.logic_depth().unwrap_or(0),
             }),
-            Err(_) => Json::Null,
+            Err(_) => Value::Null,
         };
         json!({
             "file": &self.path,
-            "format": self.format.map(|f| Json::from(f.name())).unwrap_or(Json::Null),
+            "format": self.format.map(|f| f.name()),
             "parsed": self.netlist.is_ok(),
-            "parse_error": self.netlist.as_ref().err().map(Json::from).unwrap_or(Json::Null),
+            "parse_error": self.netlist.as_ref().err(),
             "ok": self.ok(),
             "stats": stats,
-            "power_uw": self.power_uw.map(Json::from).unwrap_or(Json::Null),
+            "power_uw": self.power_uw,
             "checks": checks,
         })
     }

@@ -29,7 +29,7 @@ use hlpower::netlist::{
     McKernel, MonteCarloOptions, Netlist, ZeroDelaySim,
 };
 use hlpower::optimize::rewrite::{demorgan_example, rewrite_gates, RewriteOptions};
-use hlpower_obs::json::escaped;
+use hlpower_obs::json;
 use hlpower_obs::metrics;
 use hlpower_obs::report::{Snapshot, Value};
 use hlpower_serve::{client, Server, ServerConfig};
@@ -63,12 +63,18 @@ fn adder(bits: usize) -> Netlist {
 }
 
 fn estimate_body(src: &str, stream: bool) -> String {
-    format!(
-        "{{\"netlist\": {}, \"seed\": 7, \"stream\": {stream}, \"options\": \
-         {{\"batch_cycles\": 15, \"max_batches\": 100, \"target_relative_error\": 0.0, \
-         \"z\": 1.96}}}}",
-        escaped(src)
-    )
+    json!({
+        "netlist": src,
+        "seed": 7,
+        "stream": stream,
+        "options": {
+            "batch_cycles": 15,
+            "max_batches": 100,
+            "target_relative_error": 0.0,
+            "z": 1.96,
+        },
+    })
+    .compact()
 }
 
 /// Drives the estimation server end to end: blocking and streamed

@@ -16,10 +16,8 @@ use hlpower::netlist::{
     attribute, gen, streams, Activity, AttributionReport, Library, Netlist, PowerReport, Sim64,
     LANES,
 };
+use hlpower_obs::{json, json::Value};
 use hlpower_rng::Rng;
-
-use crate::json;
-use crate::report::Json;
 
 /// Cycles simulated per lane (so each circuit sees `64 × PROFILE_CYCLES`
 /// stimulus vectors in total).
@@ -87,8 +85,8 @@ pub fn run_profile() -> Vec<ProfileOutcome> {
 
 fn rollup_json(
     rollups: &std::collections::BTreeMap<String, hlpower::netlist::RollupEntry>,
-) -> Json {
-    Json::Object(
+) -> Value {
+    Value::Obj(
         rollups
             .iter()
             .map(|(name, r)| {
@@ -108,8 +106,8 @@ fn rollup_json(
 
 impl ProfileOutcome {
     /// The machine-readable hotspot report.
-    pub fn to_json(&self) -> Json {
-        let top = Json::Array(
+    pub fn to_json(&self) -> Value {
+        let top = Value::Arr(
             self.report
                 .top_n(TOP_N)
                 .iter()
@@ -117,7 +115,7 @@ impl ProfileOutcome {
                     json!({
                         "label": &n.label,
                         "group": &n.group,
-                        "bus": n.bus.clone().map(Json::from).unwrap_or(Json::Null),
+                        "bus": n.bus.as_deref(),
                         "toggles": n.toggles,
                         "switched_cap_ff": n.switched_cap_ff,
                         "energy_fj": n.energy_fj,
@@ -129,7 +127,7 @@ impl ProfileOutcome {
             "circuit": self.name,
             "cycles": self.report.cycles,
             "reconciled": self.reconcile.is_ok(),
-            "reconcile_error": self.reconcile.clone().err().map(Json::from).unwrap_or(Json::Null),
+            "reconcile_error": self.reconcile.as_ref().err(),
             "totals": {
                 "switched_cap_pf": self.report.total_switched_cap_pf(),
                 "energy_fj": self.report.total_energy_fj,

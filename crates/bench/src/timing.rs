@@ -26,11 +26,25 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
+use hlpower::netlist::{gen, Netlist};
 use hlpower_obs::metrics;
 use hlpower_obs::report::Value;
 
-fn full_mode() -> bool {
+/// Whether benches run their full measurement (`--features criterion` or
+/// `HLPOWER_BENCH_FULL` set) rather than the quick smoke workload.
+pub fn full_mode() -> bool {
     cfg!(feature = "criterion") || std::env::var_os("HLPOWER_BENCH_FULL").is_some()
+}
+
+/// The 16-bit array multiplier (inputs `a`, `b`; output `p`) that the
+/// kernel throughput benches time.
+pub fn mult16() -> Netlist {
+    let mut nl = Netlist::new();
+    let a = nl.input_bus("a", 16);
+    let b = nl.input_bus("b", 16);
+    let p = gen::array_multiplier(&mut nl, &a, &b);
+    nl.output_bus("p", &p);
+    nl
 }
 
 fn metrics_mode() -> bool {

@@ -144,6 +144,21 @@ fn random_mutation(rng: &mut Rng, current: &Netlist) -> (Netlist, Vec<NodeId>) {
     let mut mutated = current.clone();
     let target = gates[rng.gen_range(0..gates.len())];
     let NodeKind::Gate { kind, inputs } = current.kind(target).clone() else { unreachable!() };
+    // New fanins come from earlier nodes that do not read `target`: an
+    // appended gate sits at a high index, so a lower index can be one of
+    // its readers, and wiring that in would close a real cycle.
+    let fanouts = current.fanouts();
+    let mut reads_target = vec![false; ids.len()];
+    let mut stack = vec![target];
+    while let Some(n) = stack.pop() {
+        for &r in &fanouts[n.index()] {
+            if !std::mem::replace(&mut reads_target[r.index()], true) {
+                stack.push(r);
+            }
+        }
+    }
+    let earlier: Vec<NodeId> =
+        ids[..target.index()].iter().copied().filter(|id| !reads_target[id.index()]).collect();
     match rng.gen_range(0u32..3) {
         // Function flip: new gate kind over the same fanins.
         0 => {
@@ -154,14 +169,14 @@ fn random_mutation(rng: &mut Rng, current: &Netlist) -> (Netlist, Vec<NodeId>) {
         1 => {
             let mut ins = inputs;
             let pin = rng.gen_range(0..ins.len());
-            ins[pin] = ids[rng.gen_range(0..target.index())];
+            ins[pin] = earlier[rng.gen_range(0..earlier.len())];
             mutated.replace_gate(target, kind, ins).expect("arity holds");
         }
         // Append: fresh logic over earlier nodes, spliced into a fanin.
         _ => {
             let new_kind = variadic[rng.gen_range(0..variadic.len())];
-            let a = ids[rng.gen_range(0..target.index())];
-            let b = ids[rng.gen_range(0..target.index())];
+            let a = earlier[rng.gen_range(0..earlier.len())];
+            let b = earlier[rng.gen_range(0..earlier.len())];
             let fresh = mutated.gate(new_kind, [a, b]).expect("arity holds");
             let mut ins = inputs;
             let pin = rng.gen_range(0..ins.len());

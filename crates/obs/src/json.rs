@@ -1,11 +1,14 @@
-//! The workspace's shared JSON layer: one escape routine, one non-finite
-//! float guard, one parser — used by every in-tree emitter and reader.
+//! The workspace's one JSON layer: one value type ([`Value`]), one
+//! builder ([`json!`](crate::json!)), one escape routine, one non-finite
+//! float guard and one parser — used by every in-tree emitter and reader
+//! (experiment dumps, ingest and profile reports, bench summaries, server
+//! responses, access logs).
 //!
-//! Before this module existed the escape table was replicated in three
-//! places (`obs::report`, `obs::trace`, `bench::report`) and the trace
-//! parser silently mangled surrogate-pair `\u` escapes. Centralizing the
-//! logic means:
-//!
+//! * **Building** goes through the [`json!`](crate::json!) macro, which
+//!   keeps `serde_json::json!` call-site syntax: `json!({"k": v, ...})`,
+//!   `json!([a, b])` and `json!(expr)`. Values convert through `From`:
+//!   integers stay exact ([`Value::Int`]), floats become [`Value::Num`],
+//!   `Vec<T>` an array and `Option<T>` the value or `null`.
 //! * **Escaping** ([`escape_into`]) handles `"`, `\`, and all control
 //!   characters, so netlist names from escaped Verilog identifiers
 //!   (which may legally contain quotes and backslashes) can flow through
@@ -17,12 +20,10 @@
 //!   **located** error (byte offset plus 1-based line and column) instead
 //!   of replacing them with U+FFFD.
 //!
-//! [`Value`] doubles as the build-side representation for the serve
-//! crate's HTTP responses: finite floats print via `{:?}` (the shortest
-//! decimal that round-trips), and the parser reads them back with
-//! `str::parse::<f64>`, so a power estimate survives an emit→parse trip
-//! **bit-identically** — the property the server's determinism contract
-//! is tested against.
+//! Finite floats print via `{:?}` (the shortest decimal that round-trips),
+//! and the parser reads them back with `str::parse::<f64>`, so a power
+//! estimate survives an emit→parse trip **bit-identically** — the
+//! property the server's determinism contract is tested against.
 
 use std::fmt::Write as _;
 
@@ -212,6 +213,113 @@ impl Value {
             }
         }
     }
+}
+
+macro_rules! impl_from_int {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Value {
+            fn from(v: $t) -> Value {
+                Value::Int(v as i128)
+            }
+        }
+    )*};
+}
+
+impl_from_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+
+impl From<f64> for Value {
+    fn from(v: f64) -> Value {
+        Value::Num(v)
+    }
+}
+
+impl From<bool> for Value {
+    fn from(v: bool) -> Value {
+        Value::Bool(v)
+    }
+}
+
+impl From<String> for Value {
+    fn from(v: String) -> Value {
+        Value::Str(v)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(v: &str) -> Value {
+        Value::Str(v.to_string())
+    }
+}
+
+impl From<&String> for Value {
+    fn from(v: &String) -> Value {
+        Value::Str(v.clone())
+    }
+}
+
+impl<T: Into<Value>> From<Vec<T>> for Value {
+    fn from(v: Vec<T>) -> Value {
+        Value::Arr(v.into_iter().map(Into::into).collect())
+    }
+}
+
+/// `Some(v)` converts as `v`; `None` is `null`.
+impl<T: Into<Value>> From<Option<T>> for Value {
+    fn from(v: Option<T>) -> Value {
+        v.map_or(Value::Null, Into::into)
+    }
+}
+
+/// Builds a [`json::Value`](crate::json::Value) with
+/// `serde_json::json!`-style syntax.
+///
+/// Supported shapes: `json!(null)`, `json!(expr)`,
+/// `json!({ "key": value, ... })` with nested object/array literals or
+/// arbitrary expressions as values, and `json!([ item, ... ])` with
+/// expression items. Every value converts through `From`, so objects
+/// keep insertion order and integers stay exact.
+///
+/// ```
+/// use hlpower_obs::json;
+///
+/// let v = json!({"ok": true, "lanes": [64u64, 256], "cache": None::<&str>});
+/// assert_eq!(v.compact(), r#"{"ok":true,"lanes":[64,256],"cache":null}"#);
+/// ```
+#[macro_export]
+macro_rules! json {
+    (null) => { $crate::json::Value::Null };
+    ({}) => { $crate::json::Value::Obj(Vec::new()) };
+    ({ $($body:tt)+ }) => {
+        $crate::json::Value::Obj($crate::json_object_body!([]; $($body)+))
+    };
+    ([ $($item:expr),* $(,)? ]) => {
+        $crate::json::Value::Arr(vec![ $( $crate::json::Value::from($item) ),* ])
+    };
+    ($other:expr) => { $crate::json::Value::from($other) };
+}
+
+/// Implementation detail of [`json!`](crate::json!): munches
+/// `"key": value` pairs into one `vec![(key, value), ...]`, recursing
+/// into `{...}` and `[...]` value literals.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! json_object_body {
+    ([$($pairs:expr),*];) => { vec![$($pairs),*] };
+    ([$($pairs:expr),*]; $key:literal : { $($inner:tt)* } $(, $($rest:tt)*)?) => {
+        $crate::json_object_body!(
+            [$($pairs,)* ($key.to_string(), $crate::json!({ $($inner)* }))]; $($($rest)*)?
+        )
+    };
+    ([$($pairs:expr),*]; $key:literal : [ $($inner:tt)* ] $(, $($rest:tt)*)?) => {
+        $crate::json_object_body!(
+            [$($pairs,)* ($key.to_string(), $crate::json!([ $($inner)* ]))]; $($($rest)*)?
+        )
+    };
+    ([$($pairs:expr),*]; $key:literal : $value:expr $(, $($rest:tt)*)?) => {
+        $crate::json_object_body!(
+            [$($pairs,)* ($key.to_string(), $crate::json::Value::from($value))]; $($($rest)*)?
+        )
+    };
 }
 
 fn item_break(out: &mut String, indent: Option<usize>, extra: usize) {
@@ -607,5 +715,76 @@ mod tests {
         assert_eq!(v.get("n").and_then(Value::as_u64), Some(7));
         assert_eq!(v.get("s").and_then(Value::as_str), Some("hi"));
         assert!(v.get("missing").is_none());
+    }
+
+    #[test]
+    fn macro_builds_nested_structures() {
+        let rows = vec![json!({"a": 1u64}), json!({"a": 2u64})];
+        let v = json!({
+            "name": "adder",
+            "ratio": 4.0 / 2.0,
+            "nested": {"x": 1u64, "y": [1u64, 2, 3]},
+            "rows": rows,
+        });
+        let text = v.pretty();
+        assert!(text.contains("\"name\": \"adder\""));
+        assert!(text.contains("\"ratio\": 2.0"));
+        assert!(text.contains("\"x\": 1"));
+        // Structure, not text, is the contract.
+        if let Value::Obj(pairs) = v {
+            assert_eq!(pairs.len(), 4);
+            assert_eq!(pairs[0].0, "name");
+            assert!(matches!(pairs[3].1, Value::Arr(ref a) if a.len() == 2));
+        } else {
+            panic!("expected object");
+        }
+    }
+
+    #[test]
+    fn empty_containers_and_arrays() {
+        assert_eq!(json!({}).pretty(), "{}");
+        assert_eq!(Value::Arr(Vec::new()).pretty(), "[]");
+        let arr = json!([1u64, 2, 3]);
+        assert_eq!(arr.pretty(), "[\n  1,\n  2,\n  3\n]");
+    }
+
+    #[test]
+    fn non_finite_floats_nest_as_null_and_stay_parseable() {
+        let v = json!({
+            "ratio": f64::NAN,
+            "bound": f64::INFINITY,
+            "series": vec![1.0, f64::NEG_INFINITY],
+        });
+        let text = v.pretty();
+        assert!(text.contains("\"ratio\": null"), "{text}");
+        assert!(text.contains("\"bound\": null"), "{text}");
+        parse(&text).expect("emitted JSON is valid");
+    }
+
+    #[test]
+    fn escaped_identifier_names_survive_emission() {
+        // Verilog escaped identifiers may contain quotes and backslashes;
+        // such names must not corrupt the JSON dump.
+        let name = "\\gate\"0\\ ";
+        let text = json!({ "node": name }).pretty();
+        let back = parse(&text).expect("valid JSON");
+        assert_eq!(back.get("node").and_then(Value::as_str), Some(name));
+    }
+
+    #[test]
+    fn options_convert_to_the_value_or_null() {
+        let v = json!({
+            "hash": Some("00ab"),
+            "cache": None::<&str>,
+            "width": Some(64u64),
+            "power_uw": None::<f64>,
+            "bus": Some(String::from("q")),
+        });
+        assert_eq!(
+            v.compact(),
+            "{\"hash\":\"00ab\",\"cache\":null,\"width\":64,\"power_uw\":null,\"bus\":\"q\"}"
+        );
+        assert_eq!(json!(None::<u64>), Value::Null);
+        assert_eq!(json!(Some(Some(1.5))), Value::Num(1.5));
     }
 }

@@ -1,8 +1,11 @@
 //! # hlpower-obs — zero-dependency observability for the estimation engine
 //!
 //! Cheap, always-on instrumentation primitives plus a central metric
-//! registry ([`metrics`]) and a reporter ([`report`]) that renders both
-//! human-readable summaries and the bench crate's hand-rolled JSON format.
+//! registry ([`metrics`]), a reporter ([`report`]) that renders
+//! human-readable summaries, JSON dumps and Prometheus exposition, and
+//! the workspace's one JSON layer ([`mod@json`]: the [`json::Value`] type,
+//! the [`json!`] builder and the parser) that every emitter and reader in
+//! the workspace shares.
 //!
 //! ## Design constraints
 //!

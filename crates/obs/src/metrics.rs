@@ -1,9 +1,11 @@
 //! The workspace metric registry: one static per instrumented quantity,
-//! grouped by subsystem, plus [`snapshot`] / [`reset_all`].
+//! grouped by subsystem, and one table of `(section, key, metric)` rows
+//! that both [`snapshot`] and [`reset_all`] walk.
 //!
 //! Statics live here (rather than in the instrumented crates) so the
 //! reporter can enumerate every metric without a registration step and
 //! so crates need only a one-line `add` at each instrumentation point.
+//! Adding a metric means writing its `static` and one table row.
 //!
 //! All counters are additive-commutative: after any deterministic
 //! computation their totals are independent of the thread count that
@@ -253,164 +255,162 @@ pub static SERVE_IN_FLIGHT: Gauge = Gauge::new();
 /// rounds).
 pub static SERVE_LANES_BUSY: Gauge = Gauge::new();
 
+/// One registered metric and how its snapshot entry renders.
+#[derive(Clone, Copy)]
+enum Metric {
+    /// A [`Counter`] rendered as [`Value::Count`].
+    Count(&'static Counter),
+    /// A [`ShardedCounter`] rendered as [`Value::Count`].
+    Sharded(&'static ShardedCounter),
+    /// A [`MaxGauge`] peak rendered as [`Value::Count`].
+    Peak(&'static MaxGauge),
+    /// A [`Counter`] of nanoseconds rendered as [`Value::Nanos`].
+    Nanos(&'static Counter),
+    /// A [`TimerNs`] total rendered as [`Value::Nanos`].
+    Timer(&'static TimerNs),
+    /// A live [`Gauge`] rendered as [`Value::Gauge`].
+    Level(&'static Gauge),
+    /// A [`Series`] rendered as [`Value::Series`].
+    Series(&'static Series),
+    /// A [`Hist`] summary rendered as [`Value::Hist`].
+    Hist(&'static Hist),
+    /// A count read from elsewhere, rendered as [`Value::Count`];
+    /// [`reset_all`] leaves it alone (derived values and the trace sink's
+    /// counters, which reset with `trace::reset()`).
+    Derived(fn() -> u64),
+}
+
+impl Metric {
+    fn read(self) -> Value {
+        match self {
+            Metric::Count(c) => Value::Count(c.get()),
+            Metric::Sharded(c) => Value::Count(c.get()),
+            Metric::Peak(g) => Value::Count(g.get()),
+            Metric::Nanos(c) => Value::Nanos(c.get()),
+            Metric::Timer(t) => Value::Nanos(t.total_ns()),
+            Metric::Level(g) => Value::Gauge(g.get()),
+            Metric::Series(s) => Value::Series(s.snapshot()),
+            Metric::Hist(h) => Value::Hist(h.summary()),
+            Metric::Derived(f) => Value::Count(f()),
+        }
+    }
+
+    fn reset(self) {
+        match self {
+            Metric::Count(c) | Metric::Nanos(c) => c.reset(),
+            Metric::Sharded(c) => c.reset(),
+            Metric::Peak(g) => g.reset(),
+            Metric::Timer(t) => t.reset(),
+            Metric::Level(g) => g.reset(),
+            Metric::Series(s) => s.reset(),
+            Metric::Hist(h) => h.reset(),
+            Metric::Derived(_) => {}
+        }
+    }
+}
+
+fn ite_cache_misses() -> u64 {
+    BDD_ITE_CALLS.get().saturating_sub(BDD_ITE_CACHE_HITS.get())
+}
+
+/// The registry: `(section, key, metric)` rows in rendering order. A
+/// section is the run of consecutive rows that share its name.
+static REGISTRY: &[(&str, &str, Metric)] = &[
+    ("sim_zero_delay", "steps", Metric::Sharded(&SIM_ZD_STEPS)),
+    ("sim_zero_delay", "gate_evals", Metric::Sharded(&SIM_ZD_GATE_EVALS)),
+    ("sim_zero_delay", "cycles", Metric::Sharded(&SIM_ZD_CYCLES)),
+    ("sim_zero_delay", "toggles", Metric::Sharded(&SIM_ZD_TOGGLES)),
+    ("sim_packed", "steps", Metric::Sharded(&SIM64_STEPS)),
+    ("sim_packed", "gate_evals", Metric::Sharded(&SIM64_GATE_EVALS)),
+    ("sim_packed", "lane_cycles", Metric::Sharded(&SIM64_LANE_CYCLES)),
+    ("sim_packed", "toggles", Metric::Sharded(&SIM64_TOGGLES)),
+    ("sim_packed", "blocks", Metric::Sharded(&SIM64_BLOCKS)),
+    ("sim_event", "steps", Metric::Sharded(&SIM_EV_STEPS)),
+    ("sim_event", "events", Metric::Sharded(&SIM_EV_EVENTS)),
+    ("sim_event", "transitions", Metric::Sharded(&SIM_EV_TRANSITIONS)),
+    ("sim_event", "glitches", Metric::Sharded(&SIM_EV_GLITCHES)),
+    ("sim_event", "cycles", Metric::Sharded(&SIM_EV_CYCLES)),
+    ("sim_event", "queue_depth", Metric::Hist(&SIM_EV_QUEUE_DEPTH)),
+    ("sim_ev_packed", "steps", Metric::Sharded(&SIM_EVP_STEPS)),
+    ("sim_ev_packed", "events", Metric::Sharded(&SIM_EVP_EVENTS)),
+    ("sim_ev_packed", "lane_cycles", Metric::Sharded(&SIM_EVP_LANE_CYCLES)),
+    ("sim_ev_packed", "transitions", Metric::Sharded(&SIM_EVP_TRANSITIONS)),
+    ("sim_ev_packed", "glitches", Metric::Sharded(&SIM_EVP_GLITCHES)),
+    ("sim_incremental", "records", Metric::Count(&SIM_INC_RECORDS)),
+    ("sim_incremental", "resims", Metric::Count(&SIM_INC_RESIMS)),
+    ("sim_incremental", "cone_nodes", Metric::Count(&SIM_INC_CONE_NODES)),
+    ("sim_incremental", "reused_nodes", Metric::Count(&SIM_INC_REUSED_NODES)),
+    ("opt_search", "candidates_evaluated", Metric::Count(&OPT_CANDIDATES_EVALUATED)),
+    ("opt_search", "candidates_accepted", Metric::Count(&OPT_CANDIDATES_ACCEPTED)),
+    ("opt_search", "cone_size", Metric::Hist(&OPT_CONE_SIZE)),
+    ("opt_search", "resim_words", Metric::Count(&OPT_RESIM_WORDS)),
+    ("bdd", "ite_calls", Metric::Sharded(&BDD_ITE_CALLS)),
+    ("bdd", "ite_cache_hits", Metric::Sharded(&BDD_ITE_CACHE_HITS)),
+    ("bdd", "ite_cache_misses", Metric::Derived(ite_cache_misses)),
+    ("bdd", "nodes_created", Metric::Sharded(&BDD_NODES_CREATED)),
+    ("bdd", "unique_table_peak", Metric::Peak(&BDD_UNIQUE_TABLE_PEAK)),
+    ("bdd", "sift_rounds", Metric::Count(&BDD_SIFT_ROUNDS)),
+    ("bdd", "sift_candidate_orders", Metric::Count(&BDD_SIFT_CANDIDATE_ORDERS)),
+    ("bdd", "sift_moves", Metric::Count(&BDD_SIFT_MOVES)),
+    ("bdd", "sift_time_ns", Metric::Timer(&BDD_SIFT_TIME)),
+    ("bdd", "unique_chain_len", Metric::Hist(&BDD_UNIQUE_CHAIN_LEN)),
+    ("monte_carlo", "runs", Metric::Count(&MC_RUNS)),
+    ("monte_carlo", "batches", Metric::Count(&MC_BATCHES)),
+    ("monte_carlo", "cycles", Metric::Count(&MC_CYCLES)),
+    ("monte_carlo", "waves", Metric::Count(&MC_WAVES)),
+    ("monte_carlo", "discarded_batches", Metric::Count(&MC_DISCARDED_BATCHES)),
+    ("monte_carlo", "time_ns", Metric::Timer(&MC_TIME)),
+    ("monte_carlo", "ci_half_width_uw", Metric::Series(&MC_CI_HALF_WIDTH_UW)),
+    ("monte_carlo", "batch_ns", Metric::Hist(&MC_BATCH_NS)),
+    ("monte_carlo", "ci_half_width_nw", Metric::Hist(&MC_CI_HALF_WIDTH_NW)),
+    ("pool", "jobs", Metric::Count(&POOL_JOBS)),
+    ("pool", "tasks", Metric::Sharded(&POOL_TASKS)),
+    ("pool", "workers_spawned", Metric::Count(&POOL_WORKERS_SPAWNED)),
+    ("pool", "busy_ns", Metric::Nanos(&POOL_BUSY_NS)),
+    ("pool", "idle_ns", Metric::Nanos(&POOL_IDLE_NS)),
+    ("pool", "wall_ns", Metric::Timer(&POOL_WALL)),
+    ("estimate", "cosim_runs", Metric::Count(&EST_COSIM_RUNS)),
+    ("estimate", "sampler_groups", Metric::Count(&EST_SAMPLER_GROUPS)),
+    ("estimate", "macro_predictions", Metric::Sharded(&EST_MACRO_PREDICTIONS)),
+    ("estimate", "macro_fits", Metric::Count(&EST_MACRO_FITS)),
+    ("serve", "requests", Metric::Count(&SERVE_REQUESTS)),
+    ("serve", "requests_ok", Metric::Count(&SERVE_REQUESTS_OK)),
+    ("serve", "requests_err", Metric::Count(&SERVE_REQUESTS_ERR)),
+    ("serve", "cache_hits", Metric::Count(&SERVE_CACHE_HITS)),
+    ("serve", "cache_misses", Metric::Count(&SERVE_CACHE_MISSES)),
+    ("serve", "cache_evictions", Metric::Count(&SERVE_CACHE_EVICTIONS)),
+    ("serve", "jobs", Metric::Count(&SERVE_JOBS)),
+    ("serve", "packed_words", Metric::Count(&SERVE_PACKED_WORDS)),
+    ("serve", "packed_lanes", Metric::Count(&SERVE_PACKED_LANES)),
+    ("serve", "lane_occupancy", Metric::Hist(&SERVE_LANE_OCCUPANCY)),
+    ("serve", "request_ns", Metric::Hist(&SERVE_REQUEST_NS)),
+    ("serve", "streamed_updates", Metric::Count(&SERVE_STREAMED_UPDATES)),
+    ("serve", "connections", Metric::Count(&SERVE_CONNECTIONS)),
+    ("serve", "connections_reused", Metric::Count(&SERVE_CONNECTIONS_REUSED)),
+    ("serve_stage", "parse_ns", Metric::Hist(&SERVE_STAGE_PARSE_NS)),
+    ("serve_stage", "cache_ns", Metric::Hist(&SERVE_STAGE_CACHE_NS)),
+    ("serve_stage", "queue_ns", Metric::Hist(&SERVE_STAGE_QUEUE_NS)),
+    ("serve_stage", "pack_ns", Metric::Hist(&SERVE_STAGE_PACK_NS)),
+    ("serve_stage", "sim_ns", Metric::Hist(&SERVE_STAGE_SIM_NS)),
+    ("serve_stage", "finalize_ns", Metric::Hist(&SERVE_STAGE_FINALIZE_NS)),
+    ("serve_stage", "queue_depth", Metric::Level(&SERVE_QUEUE_DEPTH)),
+    ("serve_stage", "in_flight", Metric::Level(&SERVE_IN_FLIGHT)),
+    ("serve_stage", "lanes_busy", Metric::Level(&SERVE_LANES_BUSY)),
+    ("trace", "dropped", Metric::Derived(trace::dropped)),
+    ("trace", "ring_dropped", Metric::Derived(trace::ring_dropped)),
+    ("trace", "sink_dropped", Metric::Derived(trace::sink_dropped)),
+];
+
 /// Captures every registered metric into a [`Snapshot`].
 pub fn snapshot() -> Snapshot {
-    let ite_calls = BDD_ITE_CALLS.get();
-    let ite_hits = BDD_ITE_CACHE_HITS.get();
-    Snapshot {
-        schema: SCHEMA,
-        schema_version: SCHEMA_VERSION,
-        sections: vec![
-            Section {
-                name: "sim_zero_delay",
-                entries: vec![
-                    ("steps", Value::Count(SIM_ZD_STEPS.get())),
-                    ("gate_evals", Value::Count(SIM_ZD_GATE_EVALS.get())),
-                    ("cycles", Value::Count(SIM_ZD_CYCLES.get())),
-                    ("toggles", Value::Count(SIM_ZD_TOGGLES.get())),
-                ],
-            },
-            Section {
-                name: "sim_packed",
-                entries: vec![
-                    ("steps", Value::Count(SIM64_STEPS.get())),
-                    ("gate_evals", Value::Count(SIM64_GATE_EVALS.get())),
-                    ("lane_cycles", Value::Count(SIM64_LANE_CYCLES.get())),
-                    ("toggles", Value::Count(SIM64_TOGGLES.get())),
-                    ("blocks", Value::Count(SIM64_BLOCKS.get())),
-                ],
-            },
-            Section {
-                name: "sim_event",
-                entries: vec![
-                    ("steps", Value::Count(SIM_EV_STEPS.get())),
-                    ("events", Value::Count(SIM_EV_EVENTS.get())),
-                    ("transitions", Value::Count(SIM_EV_TRANSITIONS.get())),
-                    ("glitches", Value::Count(SIM_EV_GLITCHES.get())),
-                    ("cycles", Value::Count(SIM_EV_CYCLES.get())),
-                    ("queue_depth", Value::Hist(SIM_EV_QUEUE_DEPTH.summary())),
-                ],
-            },
-            Section {
-                name: "sim_ev_packed",
-                entries: vec![
-                    ("steps", Value::Count(SIM_EVP_STEPS.get())),
-                    ("events", Value::Count(SIM_EVP_EVENTS.get())),
-                    ("lane_cycles", Value::Count(SIM_EVP_LANE_CYCLES.get())),
-                    ("transitions", Value::Count(SIM_EVP_TRANSITIONS.get())),
-                    ("glitches", Value::Count(SIM_EVP_GLITCHES.get())),
-                ],
-            },
-            Section {
-                name: "sim_incremental",
-                entries: vec![
-                    ("records", Value::Count(SIM_INC_RECORDS.get())),
-                    ("resims", Value::Count(SIM_INC_RESIMS.get())),
-                    ("cone_nodes", Value::Count(SIM_INC_CONE_NODES.get())),
-                    ("reused_nodes", Value::Count(SIM_INC_REUSED_NODES.get())),
-                ],
-            },
-            Section {
-                name: "opt_search",
-                entries: vec![
-                    ("candidates_evaluated", Value::Count(OPT_CANDIDATES_EVALUATED.get())),
-                    ("candidates_accepted", Value::Count(OPT_CANDIDATES_ACCEPTED.get())),
-                    ("cone_size", Value::Hist(OPT_CONE_SIZE.summary())),
-                    ("resim_words", Value::Count(OPT_RESIM_WORDS.get())),
-                ],
-            },
-            Section {
-                name: "bdd",
-                entries: vec![
-                    ("ite_calls", Value::Count(ite_calls)),
-                    ("ite_cache_hits", Value::Count(ite_hits)),
-                    ("ite_cache_misses", Value::Count(ite_calls.saturating_sub(ite_hits))),
-                    ("nodes_created", Value::Count(BDD_NODES_CREATED.get())),
-                    ("unique_table_peak", Value::Count(BDD_UNIQUE_TABLE_PEAK.get())),
-                    ("sift_rounds", Value::Count(BDD_SIFT_ROUNDS.get())),
-                    ("sift_candidate_orders", Value::Count(BDD_SIFT_CANDIDATE_ORDERS.get())),
-                    ("sift_moves", Value::Count(BDD_SIFT_MOVES.get())),
-                    ("sift_time_ns", Value::Nanos(BDD_SIFT_TIME.total_ns())),
-                    ("unique_chain_len", Value::Hist(BDD_UNIQUE_CHAIN_LEN.summary())),
-                ],
-            },
-            Section {
-                name: "monte_carlo",
-                entries: vec![
-                    ("runs", Value::Count(MC_RUNS.get())),
-                    ("batches", Value::Count(MC_BATCHES.get())),
-                    ("cycles", Value::Count(MC_CYCLES.get())),
-                    ("waves", Value::Count(MC_WAVES.get())),
-                    ("discarded_batches", Value::Count(MC_DISCARDED_BATCHES.get())),
-                    ("time_ns", Value::Nanos(MC_TIME.total_ns())),
-                    ("ci_half_width_uw", Value::Series(MC_CI_HALF_WIDTH_UW.snapshot())),
-                    ("batch_ns", Value::Hist(MC_BATCH_NS.summary())),
-                    ("ci_half_width_nw", Value::Hist(MC_CI_HALF_WIDTH_NW.summary())),
-                ],
-            },
-            Section {
-                name: "pool",
-                entries: vec![
-                    ("jobs", Value::Count(POOL_JOBS.get())),
-                    ("tasks", Value::Count(POOL_TASKS.get())),
-                    ("workers_spawned", Value::Count(POOL_WORKERS_SPAWNED.get())),
-                    ("busy_ns", Value::Nanos(POOL_BUSY_NS.get())),
-                    ("idle_ns", Value::Nanos(POOL_IDLE_NS.get())),
-                    ("wall_ns", Value::Nanos(POOL_WALL.total_ns())),
-                ],
-            },
-            Section {
-                name: "estimate",
-                entries: vec![
-                    ("cosim_runs", Value::Count(EST_COSIM_RUNS.get())),
-                    ("sampler_groups", Value::Count(EST_SAMPLER_GROUPS.get())),
-                    ("macro_predictions", Value::Count(EST_MACRO_PREDICTIONS.get())),
-                    ("macro_fits", Value::Count(EST_MACRO_FITS.get())),
-                ],
-            },
-            Section {
-                name: "serve",
-                entries: vec![
-                    ("requests", Value::Count(SERVE_REQUESTS.get())),
-                    ("requests_ok", Value::Count(SERVE_REQUESTS_OK.get())),
-                    ("requests_err", Value::Count(SERVE_REQUESTS_ERR.get())),
-                    ("cache_hits", Value::Count(SERVE_CACHE_HITS.get())),
-                    ("cache_misses", Value::Count(SERVE_CACHE_MISSES.get())),
-                    ("cache_evictions", Value::Count(SERVE_CACHE_EVICTIONS.get())),
-                    ("jobs", Value::Count(SERVE_JOBS.get())),
-                    ("packed_words", Value::Count(SERVE_PACKED_WORDS.get())),
-                    ("packed_lanes", Value::Count(SERVE_PACKED_LANES.get())),
-                    ("lane_occupancy", Value::Hist(SERVE_LANE_OCCUPANCY.summary())),
-                    ("request_ns", Value::Hist(SERVE_REQUEST_NS.summary())),
-                    ("streamed_updates", Value::Count(SERVE_STREAMED_UPDATES.get())),
-                    ("connections", Value::Count(SERVE_CONNECTIONS.get())),
-                    ("connections_reused", Value::Count(SERVE_CONNECTIONS_REUSED.get())),
-                ],
-            },
-            Section {
-                name: "serve_stage",
-                entries: vec![
-                    ("parse_ns", Value::Hist(SERVE_STAGE_PARSE_NS.summary())),
-                    ("cache_ns", Value::Hist(SERVE_STAGE_CACHE_NS.summary())),
-                    ("queue_ns", Value::Hist(SERVE_STAGE_QUEUE_NS.summary())),
-                    ("pack_ns", Value::Hist(SERVE_STAGE_PACK_NS.summary())),
-                    ("sim_ns", Value::Hist(SERVE_STAGE_SIM_NS.summary())),
-                    ("finalize_ns", Value::Hist(SERVE_STAGE_FINALIZE_NS.summary())),
-                    ("queue_depth", Value::Gauge(SERVE_QUEUE_DEPTH.get())),
-                    ("in_flight", Value::Gauge(SERVE_IN_FLIGHT.get())),
-                    ("lanes_busy", Value::Gauge(SERVE_LANES_BUSY.get())),
-                ],
-            },
-            Section {
-                name: "trace",
-                entries: vec![
-                    ("dropped", Value::Count(trace::dropped())),
-                    ("ring_dropped", Value::Count(trace::ring_dropped())),
-                    ("sink_dropped", Value::Count(trace::sink_dropped())),
-                ],
-            },
-        ],
+    let mut sections: Vec<Section> = Vec::new();
+    for &(name, key, metric) in REGISTRY {
+        match sections.last_mut() {
+            Some(section) if section.name == name => section.entries.push((key, metric.read())),
+            _ => sections.push(Section { name, entries: vec![(key, metric.read())] }),
+        }
     }
+    Snapshot { schema: SCHEMA, schema_version: SCHEMA_VERSION, sections }
 }
 
 /// The histogram backing each [`crate::ctx::Stage`]'s latency
@@ -432,89 +432,13 @@ pub fn stage_hist(stage: crate::ctx::Stage) -> &'static Hist {
 /// Intended for process-local baselines (e.g. before a metrics smoke run)
 /// and tests; concurrent instrumented work will interleave with the
 /// reset, so callers wanting exact attribution should quiesce first or
-/// use [`Snapshot::delta`] instead.
+/// use [`Snapshot::delta`] instead. The trace section's drop counters
+/// reset with `trace::reset()` (they belong to the trace sink, not this
+/// registry).
 pub fn reset_all() {
-    SIM_ZD_STEPS.reset();
-    SIM_ZD_GATE_EVALS.reset();
-    SIM_ZD_CYCLES.reset();
-    SIM_ZD_TOGGLES.reset();
-    SIM64_STEPS.reset();
-    SIM64_GATE_EVALS.reset();
-    SIM64_LANE_CYCLES.reset();
-    SIM64_TOGGLES.reset();
-    SIM64_BLOCKS.reset();
-    SIM_EV_STEPS.reset();
-    SIM_EV_EVENTS.reset();
-    SIM_EV_QUEUE_DEPTH.reset();
-    SIM_EV_TRANSITIONS.reset();
-    SIM_EV_GLITCHES.reset();
-    SIM_EV_CYCLES.reset();
-    SIM_EVP_STEPS.reset();
-    SIM_EVP_EVENTS.reset();
-    SIM_EVP_LANE_CYCLES.reset();
-    SIM_EVP_TRANSITIONS.reset();
-    SIM_EVP_GLITCHES.reset();
-    SIM_INC_RECORDS.reset();
-    SIM_INC_RESIMS.reset();
-    SIM_INC_CONE_NODES.reset();
-    SIM_INC_REUSED_NODES.reset();
-    OPT_CANDIDATES_EVALUATED.reset();
-    OPT_CANDIDATES_ACCEPTED.reset();
-    OPT_CONE_SIZE.reset();
-    OPT_RESIM_WORDS.reset();
-    BDD_ITE_CALLS.reset();
-    BDD_ITE_CACHE_HITS.reset();
-    BDD_NODES_CREATED.reset();
-    BDD_UNIQUE_TABLE_PEAK.reset();
-    BDD_SIFT_ROUNDS.reset();
-    BDD_SIFT_CANDIDATE_ORDERS.reset();
-    BDD_SIFT_MOVES.reset();
-    BDD_SIFT_TIME.reset();
-    BDD_UNIQUE_CHAIN_LEN.reset();
-    MC_RUNS.reset();
-    MC_BATCHES.reset();
-    MC_CYCLES.reset();
-    MC_WAVES.reset();
-    MC_DISCARDED_BATCHES.reset();
-    MC_TIME.reset();
-    MC_CI_HALF_WIDTH_UW.reset();
-    MC_BATCH_NS.reset();
-    MC_CI_HALF_WIDTH_NW.reset();
-    POOL_JOBS.reset();
-    POOL_TASKS.reset();
-    POOL_WORKERS_SPAWNED.reset();
-    POOL_BUSY_NS.reset();
-    POOL_IDLE_NS.reset();
-    POOL_WALL.reset();
-    EST_COSIM_RUNS.reset();
-    EST_SAMPLER_GROUPS.reset();
-    EST_MACRO_PREDICTIONS.reset();
-    EST_MACRO_FITS.reset();
-    SERVE_REQUESTS.reset();
-    SERVE_REQUESTS_OK.reset();
-    SERVE_REQUESTS_ERR.reset();
-    SERVE_CACHE_HITS.reset();
-    SERVE_CACHE_MISSES.reset();
-    SERVE_CACHE_EVICTIONS.reset();
-    SERVE_JOBS.reset();
-    SERVE_PACKED_WORDS.reset();
-    SERVE_PACKED_LANES.reset();
-    SERVE_LANE_OCCUPANCY.reset();
-    SERVE_REQUEST_NS.reset();
-    SERVE_STREAMED_UPDATES.reset();
-    SERVE_CONNECTIONS.reset();
-    SERVE_CONNECTIONS_REUSED.reset();
-    SERVE_STAGE_PARSE_NS.reset();
-    SERVE_STAGE_CACHE_NS.reset();
-    SERVE_STAGE_QUEUE_NS.reset();
-    SERVE_STAGE_PACK_NS.reset();
-    SERVE_STAGE_SIM_NS.reset();
-    SERVE_STAGE_FINALIZE_NS.reset();
-    SERVE_QUEUE_DEPTH.reset();
-    SERVE_IN_FLIGHT.reset();
-    SERVE_LANES_BUSY.reset();
-    // The trace section's drop counters reset with `trace::reset()`
-    // (they belong to the trace sink, not this registry).
+    for &(_, _, metric) in REGISTRY {
+        metric.reset();
+    }
 }
 
 #[cfg(test)]
@@ -550,6 +474,21 @@ mod tests {
             assert!(text.contains(&format!("[{n}]")));
             assert!(json.contains(&format!("\"{n}\"")));
         }
+    }
+
+    #[test]
+    fn registry_sections_are_contiguous_and_keys_unique() {
+        let s = snapshot();
+        let mut sections = std::collections::HashSet::new();
+        for section in &s.sections {
+            assert!(sections.insert(section.name), "section {} is split", section.name);
+            let mut keys = std::collections::HashSet::new();
+            for (key, _) in &section.entries {
+                assert!(keys.insert(*key), "{}.{key} is registered twice", section.name);
+            }
+        }
+        let rows: usize = s.sections.iter().map(|x| x.entries.len()).sum();
+        assert_eq!(rows, REGISTRY.len());
     }
 
     #[test]

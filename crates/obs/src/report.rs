@@ -1,11 +1,11 @@
 //! Metric snapshots: structured values plus human-readable and JSON
 //! rendering.
 //!
-//! The JSON emitter reproduces the bench crate's hand-rolled format
+//! The JSON emitter reproduces the house style of [`crate::json::Value`]
 //! (two-space indents, exact integers, `{:?}`-printed floats) so metric
 //! dumps sit next to `results/*.json` and diff the same way. String
 //! escaping and the non-finite float guard are shared with every other
-//! emitter via [`crate::json`].
+//! emitter via [`mod@crate::json`].
 
 use std::fmt::Write as _;
 

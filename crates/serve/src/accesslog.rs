@@ -12,7 +12,7 @@
 //!
 //! The format is line-delimited JSON on purpose: it appends atomically
 //! under one mutex, tails cleanly, and round-trips through the
-//! workspace's own [`hlpower_obs::json`] parser (`hlpower-serve audit`
+//! workspace's own [`mod@hlpower_obs::json`] parser (`hlpower-serve audit`
 //! does exactly that).
 
 use std::fs::{File, OpenOptions};
@@ -20,8 +20,8 @@ use std::io::{self, Write};
 use std::sync::Mutex;
 
 use hlpower_obs::ctx::{RequestCtx, Stage};
-use hlpower_obs::json::Value;
 use hlpower_obs::trace;
+use hlpower_obs::{json, json::Value};
 
 /// A JSONL access-log sink shared by all connection threads.
 pub struct AccessLog {
@@ -84,72 +84,57 @@ impl AccessLog {
     }
 }
 
-fn opt_str(v: Option<&str>) -> Value {
-    v.map(|s| Value::Str(s.to_string())).unwrap_or(Value::Null)
-}
-
-fn opt_int(v: Option<u64>) -> Value {
-    v.map(|n| Value::Int(i128::from(n))).unwrap_or(Value::Null)
-}
-
 fn line_value(rec: &AccessRecord<'_>) -> Value {
     let ctx = rec.ctx;
     let stages = Value::Obj(
-        Stage::ALL
-            .iter()
-            .map(|&s| (format!("{}_ns", s.name()), Value::Int(i128::from(ctx.stage_ns(s)))))
-            .collect(),
+        Stage::ALL.iter().map(|&s| (format!("{}_ns", s.name()), json!(ctx.stage_ns(s)))).collect(),
     );
-    Value::Obj(vec![
-        ("id".to_string(), Value::Int(i128::from(ctx.id()))),
-        ("client_id".to_string(), opt_str(ctx.client_id())),
-        ("peer".to_string(), Value::Str(rec.peer.to_string())),
-        ("method".to_string(), Value::Str(rec.method.to_string())),
-        ("route".to_string(), Value::Str(rec.route.to_string())),
-        ("status".to_string(), Value::Int(i128::from(rec.status))),
-        ("bytes_in".to_string(), Value::Int(i128::from(ctx.bytes_in()))),
-        ("bytes_out".to_string(), Value::Int(i128::from(ctx.bytes_out()))),
-        (
-            "netlist_hash".to_string(),
-            rec.netlist_hash.map(|h| Value::Str(format!("{h:016x}"))).unwrap_or(Value::Null),
-        ),
-        ("cache".to_string(), opt_str(rec.cache)),
-        ("width".to_string(), opt_int(rec.width)),
-        ("lanes".to_string(), Value::Int(i128::from(ctx.lanes()))),
-        ("lanes_shared".to_string(), Value::Int(i128::from(ctx.lanes_shared()))),
-        ("cycles".to_string(), Value::Int(i128::from(ctx.cycles()))),
-        ("stages".to_string(), stages),
-        ("wall_ns".to_string(), Value::Int(i128::from(rec.wall_ns))),
-    ])
+    json!({
+        "id": ctx.id(),
+        "client_id": ctx.client_id(),
+        "peer": rec.peer,
+        "method": rec.method,
+        "route": rec.route,
+        "status": rec.status,
+        "bytes_in": ctx.bytes_in(),
+        "bytes_out": ctx.bytes_out(),
+        "netlist_hash": rec.netlist_hash.map(|h| format!("{h:016x}")),
+        "cache": rec.cache,
+        "width": rec.width,
+        "lanes": ctx.lanes(),
+        "lanes_shared": ctx.lanes_shared(),
+        "cycles": ctx.cycles(),
+        "stages": stages,
+        "wall_ns": rec.wall_ns,
+    })
 }
 
 /// The slow-request companion line: the spans recorded for this request
 /// (empty when tracing is disabled — the line still marks the outlier).
 fn slow_value(rec: &AccessRecord<'_>) -> Value {
-    let spans = trace::events_for_request(rec.ctx.id())
+    let spans: Vec<Value> = trace::events_for_request(rec.ctx.id())
         .into_iter()
         .map(|e| {
-            Value::Obj(vec![
-                ("cat".to_string(), Value::Str(e.cat.to_string())),
-                ("name".to_string(), Value::Str(e.name.into_owned())),
-                ("ts_ns".to_string(), Value::Int(i128::from(e.ts_ns))),
-                ("dur_ns".to_string(), Value::Int(i128::from(e.dur_ns))),
-                ("tid".to_string(), Value::Int(i128::from(e.tid))),
-            ])
+            json!({
+                "cat": e.cat,
+                "name": e.name.into_owned(),
+                "ts_ns": e.ts_ns,
+                "dur_ns": e.dur_ns,
+                "tid": e.tid,
+            })
         })
         .collect();
-    Value::Obj(vec![
-        ("slow".to_string(), Value::Bool(true)),
-        ("id".to_string(), Value::Int(i128::from(rec.ctx.id()))),
-        ("wall_ns".to_string(), Value::Int(i128::from(rec.wall_ns))),
-        ("spans".to_string(), Value::Arr(spans)),
-    ])
+    json!({
+        "slow": true,
+        "id": rec.ctx.id(),
+        "wall_ns": rec.wall_ns,
+        "spans": spans,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hlpower_obs::json;
 
     #[test]
     fn lines_are_parseable_json_with_every_field() {

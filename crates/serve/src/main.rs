@@ -30,7 +30,7 @@
 
 use std::process::ExitCode;
 
-use hlpower_obs::json::{self, escaped, Value};
+use hlpower_obs::{json, json::Value};
 use hlpower_obs::{report, trace};
 use hlpower_serve::{client, Server, ServerConfig};
 
@@ -124,6 +124,21 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Drops the `null` members that unset flags leave, so the server
+/// applies its defaults for them.
+fn without_nulls(v: Value) -> Value {
+    match v {
+        Value::Obj(pairs) => Value::Obj(
+            pairs
+                .into_iter()
+                .filter(|(_, v)| *v != Value::Null)
+                .map(|(k, v)| (k, without_nulls(v)))
+                .collect(),
+        ),
+        v => v,
+    }
+}
+
 fn cmd_post(args: &[String]) -> Result<(), String> {
     let (addr, file) = match (args.first(), args.get(1)) {
         (Some(a), Some(f)) if !a.starts_with("--") && !f.starts_with("--") => (a, f),
@@ -131,36 +146,20 @@ fn cmd_post(args: &[String]) -> Result<(), String> {
     };
     let source =
         std::fs::read_to_string(file).map_err(|e| format!("could not read {file}: {e}"))?;
-    let mut body = format!("{{\"netlist\": {}", escaped(&source));
-    if let Some(seed) = parse_flag::<u64>(args, "--seed")? {
-        body.push_str(&format!(", \"seed\": {seed}"));
-    }
-    let mut opts = Vec::new();
-    if let Some(v) = parse_flag::<u64>(args, "--batch-cycles")? {
-        opts.push(format!("\"batch_cycles\": {v}"));
-    }
-    if let Some(v) = parse_flag::<u64>(args, "--max-batches")? {
-        opts.push(format!("\"max_batches\": {v}"));
-    }
-    if let Some(v) = parse_flag::<f64>(args, "--tre")? {
-        opts.push(format!("\"target_relative_error\": {v}"));
-    }
-    if let Some(v) = parse_flag::<f64>(args, "--z")? {
-        opts.push(format!("\"z\": {v}"));
-    }
-    if !opts.is_empty() {
-        body.push_str(&format!(", \"options\": {{{}}}", opts.join(", ")));
-    }
-    if let Some(mode) = flag_value(args, "--mode") {
-        body.push_str(&format!(", \"mode\": {}", escaped(mode)));
-    }
-    if let Some(width) = parse_flag::<u64>(args, "--width")? {
-        body.push_str(&format!(", \"width\": {width}"));
-    }
-    if args.iter().any(|a| a == "--stream") {
-        body.push_str(", \"stream\": true");
-    }
-    body.push('}');
+    let body = without_nulls(json!({
+        "netlist": source,
+        "seed": parse_flag::<u64>(args, "--seed")?,
+        "options": {
+            "batch_cycles": parse_flag::<u64>(args, "--batch-cycles")?,
+            "max_batches": parse_flag::<u64>(args, "--max-batches")?,
+            "target_relative_error": parse_flag::<f64>(args, "--tre")?,
+            "z": parse_flag::<f64>(args, "--z")?,
+        },
+        "mode": flag_value(args, "--mode"),
+        "width": parse_flag::<u64>(args, "--width")?,
+        "stream": args.iter().any(|a| a == "--stream"),
+    }))
+    .compact();
     let extra: Vec<(&str, &str)> = match flag_value(args, "--request-id") {
         Some(id) => vec![("X-Request-Id", id)],
         None => Vec::new(),

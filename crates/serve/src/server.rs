@@ -45,9 +45,9 @@ use std::time::{Duration, Instant};
 
 use hlpower_netlist::{MonteCarloOptions, NetlistError};
 use hlpower_obs::ctx::{self, RequestCtx, Stage};
-use hlpower_obs::json::{self, Value};
 use hlpower_obs::metrics as obs;
 use hlpower_obs::trace;
+use hlpower_obs::{json, json::Value};
 
 use crate::accesslog::{AccessLog, AccessRecord};
 use crate::cache::{hash_source, CachedCircuit, KernelCache};
@@ -252,7 +252,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
                 obs::SERVE_REQUESTS.inc();
                 obs::SERVE_REQUESTS_ERR.inc();
                 let status = if is_timeout(&e) { 408 } else { e.status() };
-                let body = error_body("http", &e.to_string(), Vec::new(), None);
+                let body = error_body("http", &e.to_string(), Value::Null, None);
                 let _ = http::write_response(
                     &mut writer,
                     status,
@@ -332,7 +332,7 @@ fn handle_request<W: Write>(
         Err(_) => {
             obs::SERVE_REQUESTS_ERR.inc();
             let body =
-                error_body("internal", "request handler panicked", Vec::new(), Some(&req_ctx));
+                error_body("internal", "request handler panicked", Value::Null, Some(&req_ctx));
             let echo = req_ctx.echo();
             let _ = http::write_response(
                 w,
@@ -413,7 +413,7 @@ fn route<W: Write>(
             let body = error_body(
                 "not_found",
                 &format!("no such endpoint: {}", req.target),
-                vec![],
+                Value::Null,
                 Some(ctx),
             );
             (respond(w, 404, body.as_bytes(), keep, ctx), RouteMeta::default())
@@ -422,7 +422,7 @@ fn route<W: Write>(
             let body = error_body(
                 "method_not_allowed",
                 &format!("method {m} not supported"),
-                vec![],
+                Value::Null,
                 Some(ctx),
             );
             (respond(w, 405, body.as_bytes(), keep, ctx), RouteMeta::default())
@@ -449,28 +449,22 @@ fn respond_with_type<W: Write>(
 }
 
 /// Builds `{"ok": false, "error": {"kind": ..., "message": ..., ...}}`,
-/// tagged with the request id when a context exists.
-fn error_body(
-    kind: &str,
-    message: &str,
-    extra: Vec<(String, Value)>,
-    ctx: Option<&RequestCtx>,
-) -> String {
-    let mut error = vec![
-        ("kind".to_string(), Value::Str(kind.to_string())),
-        ("message".to_string(), Value::Str(message.to_string())),
-    ];
-    error.extend(extra);
-    let mut fields =
-        vec![("ok".to_string(), Value::Bool(false)), ("error".to_string(), Value::Obj(error))];
-    if let Some(ctx) = ctx {
-        fields.push(("request_id".to_string(), Value::Str(ctx.echo())));
+/// tagged with the request id when a context exists. The members of an
+/// `extra` object follow `message`; `Value::Null` adds none.
+fn error_body(kind: &str, message: &str, extra: Value, ctx: Option<&RequestCtx>) -> String {
+    let mut error = json!({"kind": kind, "message": message});
+    if let (Value::Obj(fields), Value::Obj(extra)) = (&mut error, extra) {
+        fields.extend(extra);
     }
-    Value::Obj(fields).pretty()
+    match ctx {
+        Some(ctx) => json!({"ok": false, "error": error, "request_id": ctx.echo()}),
+        None => json!({"ok": false, "error": error}),
+    }
+    .pretty()
 }
 
 /// The located payload for a netlist front-end rejection.
-fn netlist_error_extra(e: &NetlistError) -> Vec<(String, Value)> {
+fn netlist_error_extra(e: &NetlistError) -> Value {
     let (format, at) = match e {
         NetlistError::ParseSyntax { format, at, .. }
         | NetlistError::ParseUnknownName { format, at, .. }
@@ -478,14 +472,9 @@ fn netlist_error_extra(e: &NetlistError) -> Vec<(String, Value)> {
         | NetlistError::ParseUnsupported { format, at, .. }
         | NetlistError::ParseMultipleDrivers { format, at, .. }
         | NetlistError::ParseUndriven { format, at, .. } => (format, at),
-        _ => return Vec::new(),
+        _ => return Value::Null,
     };
-    vec![
-        ("format".to_string(), Value::Str(format.name().to_string())),
-        ("line".to_string(), Value::Int(at.line as i128)),
-        ("col".to_string(), Value::Int(at.col as i128)),
-        ("snippet".to_string(), Value::Str(at.snippet.clone())),
-    ]
+    json!({"format": format.name(), "line": at.line, "col": at.col, "snippet": &at.snippet})
 }
 
 fn netlist_error_kind(e: &NetlistError) -> &'static str {
@@ -510,20 +499,11 @@ struct EstimateRequest {
 /// 400 body.
 fn parse_estimate(body: &[u8], ctx: &RequestCtx) -> Result<EstimateRequest, String> {
     let text = std::str::from_utf8(body)
-        .map_err(|_| error_body("json", "request body is not UTF-8", vec![], Some(ctx)))?;
+        .map_err(|_| error_body("json", "request body is not UTF-8", Value::Null, Some(ctx)))?;
     let root = json::parse(text).map_err(|e| {
-        error_body(
-            "json",
-            &e.msg,
-            vec![
-                ("line".to_string(), Value::Int(e.line as i128)),
-                ("col".to_string(), Value::Int(e.col as i128)),
-                ("pos".to_string(), Value::Int(e.pos as i128)),
-            ],
-            Some(ctx),
-        )
+        error_body("json", &e.msg, json!({"line": e.line, "col": e.col, "pos": e.pos}), Some(ctx))
     })?;
-    let field_err = |msg: &str| error_body("request", msg, vec![], Some(ctx));
+    let field_err = |msg: &str| error_body("request", msg, Value::Null, Some(ctx));
     let source = root
         .get("netlist")
         .and_then(Value::as_str)
@@ -660,17 +640,14 @@ fn estimate<W: Write>(
         loop {
             match rx.recv() {
                 Ok(JobUpdate::Interim { mean_uw, half_width_uw, batches }) => {
-                    let line = Value::Obj(vec![
-                        (
-                            "interim".to_string(),
-                            Value::Obj(vec![
-                                ("mean_uw".to_string(), Value::Num(mean_uw)),
-                                ("half_width_uw".to_string(), Value::Num(half_width_uw)),
-                                ("batches".to_string(), Value::Int(batches as i128)),
-                            ]),
-                        ),
-                        ("request_id".to_string(), Value::Str(echo.clone())),
-                    ]);
+                    let line = json!({
+                        "interim": {
+                            "mean_uw": mean_uw,
+                            "half_width_uw": half_width_uw,
+                            "batches": batches,
+                        },
+                        "request_id": &echo,
+                    });
                     let payload = format!("{}\n", line.compact());
                     ctx.add_bytes_out(payload.len() as u64);
                     if cw.chunk(payload.as_bytes()).is_err() {
@@ -681,9 +658,12 @@ fn estimate<W: Write>(
                     let _t = ctx.time_stage(Stage::Finalize);
                     let line = match result {
                         Ok(r) => result_value(&r, &circuit, &spec, cache_state, &echo).compact(),
-                        Err(e) => {
-                            error_body(netlist_error_kind(&e), &e.to_string(), vec![], Some(ctx))
-                        }
+                        Err(e) => error_body(
+                            netlist_error_kind(&e),
+                            &e.to_string(),
+                            Value::Null,
+                            Some(ctx),
+                        ),
                     };
                     let payload = format!("{line}\n");
                     ctx.add_bytes_out(payload.len() as u64);
@@ -716,7 +696,7 @@ fn estimate<W: Write>(
                 return (respond(w, 400, body.as_bytes(), keep, ctx), meta);
             }
             Err(_) => {
-                let body = error_body("internal", "engine dropped the job", vec![], Some(ctx));
+                let body = error_body("internal", "engine dropped the job", Value::Null, Some(ctx));
                 return (respond(w, 500, body.as_bytes(), keep, ctx), meta);
             }
         }
@@ -730,29 +710,23 @@ fn result_value(
     cache_state: &str,
     request_id: &str,
 ) -> Value {
-    Value::Obj(vec![
-        ("ok".to_string(), Value::Bool(true)),
-        ("power_uw".to_string(), Value::Num(r.power_uw)),
-        ("half_width_uw".to_string(), Value::Num(r.half_width_uw)),
-        ("relative_error".to_string(), Value::Num(r.relative_error())),
-        ("batches".to_string(), Value::Int(r.batches as i128)),
-        ("cycles".to_string(), Value::Int(i128::from(r.cycles))),
-        ("seed".to_string(), Value::Int(i128::from(spec.seed))),
-        (
-            "mode".to_string(),
-            Value::Str(
-                match spec.mode {
-                    Mode::ZeroDelay => "zero_delay",
-                    Mode::Glitch => "glitch",
-                }
-                .to_string(),
-            ),
-        ),
-        ("width".to_string(), Value::Int(spec.width.lanes() as i128)),
-        ("format".to_string(), Value::Str(circuit.format.name().to_string())),
-        ("nodes".to_string(), Value::Int(circuit.netlist.node_count() as i128)),
-        ("inputs".to_string(), Value::Int(circuit.netlist.input_count() as i128)),
-        ("cache".to_string(), Value::Str(cache_state.to_string())),
-        ("request_id".to_string(), Value::Str(request_id.to_string())),
-    ])
+    json!({
+        "ok": true,
+        "power_uw": r.power_uw,
+        "half_width_uw": r.half_width_uw,
+        "relative_error": r.relative_error(),
+        "batches": r.batches,
+        "cycles": r.cycles,
+        "seed": spec.seed,
+        "mode": match spec.mode {
+            Mode::ZeroDelay => "zero_delay",
+            Mode::Glitch => "glitch",
+        },
+        "width": spec.width.lanes(),
+        "format": circuit.format.name(),
+        "nodes": circuit.netlist.node_count(),
+        "inputs": circuit.netlist.input_count(),
+        "cache": cache_state,
+        "request_id": request_id,
+    })
 }

@@ -123,9 +123,15 @@ pub fn characterize(config: &MachineConfig) -> TiwariModel {
             state.insert((a, b), overhead.max(0.0));
         }
     }
-    // Fill jump pairs with the mean measured overhead.
+    // Fill jump pairs with the mean measured overhead, summed in class
+    // order (not map order) so the model is the same on every run.
     let mean: f64 = {
-        let vals: Vec<f64> = state.iter().filter(|(&(a, b), _)| a != b).map(|(_, &v)| v).collect();
+        let vals: Vec<f64> = classes
+            .iter()
+            .flat_map(|&a| classes.iter().map(move |&b| (a, b)))
+            .filter(|&(a, b)| a != b)
+            .filter_map(|pair| state.get(&pair).copied())
+            .collect();
         if vals.is_empty() {
             0.0
         } else {
@@ -156,8 +162,14 @@ impl TiwariModel {
         for (i, &n) in stats.class_counts.iter().enumerate() {
             e += self.base_cost_pj[i] * n as f64;
         }
-        for (&pair, &n) in &stats.pair_counts {
-            e += self.state_cost_pj.get(&pair).copied().unwrap_or(0.0) * n as f64;
+        // Class order, not map order: float sums depend on the order.
+        let classes = OpClass::all();
+        for &a in &classes {
+            for &b in &classes {
+                if let Some(&n) = stats.pair_counts.get(&(a, b)) {
+                    e += self.state_cost_pj.get(&(a, b)).copied().unwrap_or(0.0) * n as f64;
+                }
+            }
         }
         e += self.imiss_pj * stats.imisses as f64;
         e += self.dmiss_pj * stats.dmisses as f64;
@@ -227,6 +239,37 @@ mod tests {
                 rel < 0.10,
                 "{name}: reference {reference:.0} pJ, predicted {predicted:.0} pJ, rel {rel:.3}"
             );
+        }
+    }
+
+    #[test]
+    fn prediction_is_independent_of_map_iteration_order() {
+        let config = MachineConfig::default();
+        let model = characterize(&config);
+        let mut machine = Machine::new(config);
+        machine.set_trace_limit(0);
+        let stats = machine.run(&workloads::stream_sum(128), 10_000_000).unwrap();
+        let expected = model.predict_pj(&stats).to_bits();
+        for _ in 0..64 {
+            // A freshly built map gets fresh hash keys, so it iterates its
+            // pairs in a different order.
+            let rebuilt = RunStats {
+                pair_counts: stats.pair_counts.iter().map(|(&k, &v)| (k, v)).collect(),
+                ..stats.clone()
+            };
+            assert_eq!(model.predict_pj(&rebuilt).to_bits(), expected);
+        }
+    }
+
+    #[test]
+    fn characterization_is_reproducible() {
+        let config = MachineConfig::default();
+        let first = characterize(&config);
+        for _ in 0..4 {
+            let again = characterize(&config);
+            for (pair, v) in &first.state_cost_pj {
+                assert_eq!(again.state_cost_pj[pair].to_bits(), v.to_bits(), "SC{pair:?}");
+            }
         }
     }
 }

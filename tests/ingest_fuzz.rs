@@ -70,7 +70,10 @@ fn corrupt_bytes(rng: &mut Rng, src: &str) -> String {
     let chars: Vec<char> = src.chars().collect();
     let mut out = chars.clone();
     let printable: Vec<char> = (' '..='~').chain(['\n', '\t', '\u{fffd}', 'é']).collect();
-    match rng.gen_range(0u32..5) {
+    // An earlier stacked corruption may have emptied the text; then only
+    // an insert applies.
+    let edit = if out.is_empty() { 1 } else { rng.gen_range(0u32..5) };
+    match edit {
         // Replace one character.
         0 => {
             let i = rng.gen_range(0..out.len());
