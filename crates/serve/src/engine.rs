@@ -17,10 +17,14 @@
 //! [`hlpower_netlist::monte_carlo_power_seeded_threads_kernel`] run
 //! offline with the same seed and options — regardless of which tenants
 //! shared its words, the word width, or the thread count.
+//!
+//! **Rounds.** The batcher starts a round as soon as a job is queued; jobs
+//! queued while a round runs join the next one. Under concurrent load,
+//! requests therefore share words, and no request ever waits on a timer.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -119,6 +123,28 @@ struct Job {
 }
 
 impl Job {
+    /// A fresh job and the channel its updates arrive on.
+    fn new(
+        circuit: Arc<CachedCircuit>,
+        spec: JobSpec,
+        ctx: Option<Arc<RequestCtx>>,
+    ) -> (Job, Receiver<JobUpdate>) {
+        let (tx, rx) = channel();
+        let job = Job {
+            circuit,
+            spec,
+            replay: StoppingReplay::new(&spec.opts),
+            next_batch: 0,
+            exhausted: false,
+            tx,
+            ctx,
+            submitted: Instant::now(),
+            queue_recorded: false,
+        };
+        obs::SERVE_QUEUE_DEPTH.inc();
+        (job, rx)
+    }
+
     /// Group key: jobs pack together only when they share the circuit,
     /// the simulation semantics, and the word width.
     fn group(&self) -> (usize, Mode, PackWidth) {
@@ -129,9 +155,19 @@ impl Job {
 struct Shared {
     incoming: Mutex<Vec<Job>>,
     cv: Condvar,
+    /// Set under the `incoming` lock, so the batcher cannot miss it
+    /// between its check and its wait.
     shutdown: AtomicBool,
     threads: usize,
-    gather: Duration,
+}
+
+impl Shared {
+    /// The queue lock. Nothing panics while holding it, and the engine's
+    /// drop may run during unwinding and must not panic again, so poison
+    /// is ignored.
+    fn lock(&self) -> MutexGuard<'_, Vec<Job>> {
+        self.incoming.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// The engine handle: submit jobs, then [`Engine::shutdown`] to drain.
@@ -142,15 +178,15 @@ pub struct Engine {
 
 impl Engine {
     /// Starts the batcher thread. `threads` shards packed words across
-    /// the worker pool; `gather` is the window the batcher waits after
-    /// the first submission of a round so concurrent requests co-pack.
-    pub fn start(threads: usize, gather: Duration) -> Self {
+    /// the worker pool. `gather` is ignored and kept only so existing
+    /// callers compile: rounds start as soon as a job is queued (see the
+    /// module docs).
+    pub fn start(threads: usize, _gather: Duration) -> Self {
         let shared = Arc::new(Shared {
             incoming: Mutex::new(Vec::new()),
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             threads: threads.max(1),
-            gather,
         });
         let worker = Arc::clone(&shared);
         let batcher = std::thread::Builder::new()
@@ -174,37 +210,24 @@ impl Engine {
         spec: JobSpec,
         ctx: Option<Arc<RequestCtx>>,
     ) -> Receiver<JobUpdate> {
-        let (tx, rx) = channel();
-        let job = Job {
-            circuit,
-            spec,
-            replay: StoppingReplay::new(&spec.opts),
-            next_batch: 0,
-            exhausted: false,
-            tx,
-            ctx,
-            submitted: Instant::now(),
-            queue_recorded: false,
-        };
-        obs::SERVE_QUEUE_DEPTH.inc();
-        self.shared.incoming.lock().expect("engine queue poisoned").push(job);
+        let (job, rx) = Job::new(circuit, spec, ctx);
+        self.shared.lock().push(job);
         self.shared.cv.notify_one();
         rx
     }
 
     /// Signals shutdown and blocks until in-flight jobs drain.
-    pub fn shutdown(mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.cv.notify_all();
-        if let Some(h) = self.batcher.take() {
-            let _ = h.join();
-        }
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for Engine {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        {
+            let _q = self.shared.lock();
+            self.shared.shutdown.store(true, Ordering::SeqCst);
+        }
         self.shared.cv.notify_all();
         if let Some(h) = self.batcher.take() {
             let _ = h.join();
@@ -215,29 +238,17 @@ impl Drop for Engine {
 fn batcher_loop(shared: &Shared) {
     let mut active: Vec<Job> = Vec::new();
     loop {
-        let was_idle = active.is_empty();
         {
-            let mut q = shared.incoming.lock().expect("engine queue poisoned");
-            if active.is_empty() {
-                while q.is_empty() && !shared.shutdown.load(Ordering::SeqCst) {
-                    let (guard, _) =
-                        shared.cv.wait_timeout(q, Duration::from_millis(50)).expect("wait");
-                    q = guard;
-                }
+            let mut q = shared.lock();
+            while active.is_empty() && q.is_empty() && !shared.shutdown.load(Ordering::SeqCst) {
+                q = shared.cv.wait(q).unwrap_or_else(PoisonError::into_inner);
             }
+            // Everything queued while the last round ran joins this one.
             active.append(&mut q);
         }
         if active.is_empty() {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            continue;
-        }
-        // Gather window: let requests that arrived "together" share words.
-        if was_idle && !shared.gather.is_zero() && !shared.shutdown.load(Ordering::SeqCst) {
-            std::thread::sleep(shared.gather);
-            let mut q = shared.incoming.lock().expect("engine queue poisoned");
-            active.append(&mut q);
+            // Idle, nothing queued: only shutdown gets here.
+            return;
         }
         round(&mut active, shared.threads);
     }
@@ -472,27 +483,62 @@ mod tests {
             target_relative_error: 0.01,
             z: 1.96,
         };
-        let engine = Engine::start(2, Duration::from_millis(1));
-        // Three concurrent tenants with different seeds share words.
-        let specs: Vec<JobSpec> = [0x1997u64, 7, 99]
+        // Three tenants with different seeds in one round: their 3 x 60
+        // lanes pack into three 64-lane words, so every tenant shares a
+        // word with another. Driving the rounds directly makes the
+        // sharing certain rather than a matter of submission timing.
+        let mut active = Vec::new();
+        let tenants: Vec<_> = [0x1997u64, 7, 99]
             .iter()
-            .map(|&seed| JobSpec {
-                seed,
-                opts,
-                mode: Mode::ZeroDelay,
-                width: PackWidth::W64,
-                stream: false,
+            .map(|&seed| {
+                let spec = JobSpec {
+                    seed,
+                    opts,
+                    mode: Mode::ZeroDelay,
+                    width: PackWidth::W64,
+                    stream: false,
+                };
+                let ctx = Arc::new(RequestCtx::new(None));
+                let (job, rx) = Job::new(Arc::clone(&circuit), spec, Some(Arc::clone(&ctx)));
+                active.push(job);
+                (seed, ctx, rx)
             })
             .collect();
-        let rxs: Vec<_> = specs.iter().map(|s| engine.submit(Arc::clone(&circuit), *s)).collect();
-        for (spec, rx) in specs.iter().zip(rxs) {
-            let done = rx.recv().expect("job completes");
-            let JobUpdate::Done(result) = done else { panic!("expected Done, got {done:?}") };
-            let got = result.unwrap();
-            let want = offline(&circuit, spec.seed, &opts);
-            assert_eq!(got, want, "seed {}", spec.seed);
-            assert_eq!(got.power_uw.to_bits(), want.power_uw.to_bits());
+        while !active.is_empty() {
+            round(&mut active, 2);
         }
+        for (seed, ctx, rx) in tenants {
+            let got = recv_done(&rx);
+            let want = offline(&circuit, seed, &opts);
+            assert_eq!(got, want, "seed {seed}");
+            assert_eq!(got.power_uw.to_bits(), want.power_uw.to_bits());
+            assert_eq!(got.half_width_uw.to_bits(), want.half_width_uw.to_bits(), "seed {seed}");
+            assert!(ctx.lanes_shared() > 0, "seed {seed} rode alone");
+        }
+    }
+
+    fn recv_done(rx: &Receiver<JobUpdate>) -> MonteCarloResult {
+        loop {
+            match rx.recv().expect("update") {
+                JobUpdate::Interim { .. } => continue,
+                JobUpdate::Done(result) => return result.unwrap(),
+            }
+        }
+    }
+
+    #[test]
+    fn a_long_gather_setting_never_delays_a_job() {
+        let circuit = Arc::new(CachedCircuit::build(&gray_counter_src()).unwrap());
+        let opts = MonteCarloOptions::default();
+        let engine = Engine::start(1, Duration::from_secs(5));
+        let spec =
+            JobSpec { seed: 3, opts, mode: Mode::ZeroDelay, width: PackWidth::W64, stream: false };
+        let started = Instant::now();
+        let ctx = Arc::new(RequestCtx::new(None));
+        let got = recv_done(&engine.submit_ctx(Arc::clone(&circuit), spec, Some(ctx)));
+        let elapsed = started.elapsed();
+        assert!(elapsed < Duration::from_secs(1), "solo job took {elapsed:?}");
+        assert_eq!(got, offline(&circuit, 3, &opts));
         engine.shutdown();
     }
 

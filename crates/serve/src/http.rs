@@ -6,7 +6,8 @@
 //! for fixed and chunked payloads. Every limit violation and every
 //! malformed byte is a typed [`HttpError`] — the connection handler maps
 //! them to structured 4xx responses; nothing in this module panics on
-//! wire input.
+//! wire input (the seeded corruption battery in `tests/http_fuzz.rs`
+//! checks both).
 
 use std::io::{self, BufRead, Read, Write};
 
@@ -246,7 +247,8 @@ fn read_chunked<R: BufRead>(r: &mut R, limits: &Limits) -> Result<Vec<u8>, HttpE
             }
             return Ok(body);
         }
-        if body.len() + size > limits.body_bytes {
+        // `size` is peer-controlled (up to `usize::MAX`): saturate.
+        if body.len().saturating_add(size) > limits.body_bytes {
             return Err(HttpError::TooLarge { what: "body", limit: limits.body_bytes });
         }
         let start = body.len();
@@ -449,6 +451,9 @@ mod tests {
         ));
         let big_body = b"POST / HTTP/1.1\r\ncontent-length: 99999999999\r\n\r\n";
         assert!(matches!(parse(big_body), Err(HttpError::TooLarge { what: "body", .. })));
+        let huge_chunk =
+            b"POST / HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n1\r\na\r\nffffffffffffffff\r\n";
+        assert!(matches!(parse(huge_chunk), Err(HttpError::TooLarge { what: "body", .. })));
     }
 
     #[test]

@@ -73,7 +73,9 @@ pub struct ServerConfig {
     /// Per-read socket timeout while parsing a request (doubles as the
     /// keep-alive idle timeout between requests).
     pub read_timeout: Duration,
-    /// Batcher gather window (lets near-simultaneous requests co-pack).
+    /// Ignored; kept so existing configurations compile. The batcher
+    /// starts a round as soon as a job is queued, and requests queued
+    /// while a round runs share the next one's words.
     pub gather: Duration,
     /// HTTP parsing limits.
     pub limits: Limits,

@@ -70,7 +70,9 @@ fn concurrent_clients_get_offline_identical_answers() {
     let addr = server.addr().to_string();
 
     // Several clients per netlist, all in flight at once, so the batcher
-    // actually packs tenants from different requests into shared words.
+    // can pack tenants from different requests into shared words. Whether
+    // it does depends on timing; the engine's
+    // `packed_tenants_match_offline_results_exactly` makes sharing certain.
     let mut handles = Vec::new();
     for i in 0..6 {
         let addr = addr.clone();
@@ -186,7 +188,8 @@ fn parse_errors_come_back_located_and_structured() {
 #[test]
 fn lane_packed_results_equal_unpacked_results() {
     // The same job answered solo (no co-tenants possible) and answered
-    // while five other tenants share its words must be byte-identical.
+    // while five other tenants are in flight, and usually share its
+    // words, must be byte-identical.
     let verilog = example("gray_counter4.v");
     let solo_server = Server::start(ServerConfig::default()).expect("start server");
     let solo_addr = solo_server.addr().to_string();
