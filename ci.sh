@@ -87,6 +87,19 @@ target/release/hlpower-serve post "$SERVE_ADDR" examples/majority.edf \
   >results/serve/majority.json
 target/release/hlpower-serve post "$SERVE_ADDR" examples/gray_counter4.v \
   --stream --mode glitch --width 256 >results/serve/gray_stream.jsonl
+# Source locations are built only when a parse fails; a malformed
+# netlist must still come back as a 400 whose snippet is the
+# offending source line.
+printf 'module m (a, y);\n  input a;\n  output y;\n  frobnicate f (y, a);\nendmodule\n' \
+  >results/serve/malformed.v
+if target/release/hlpower-serve post "$SERVE_ADDR" results/serve/malformed.v \
+    --request-id ci-malformed-1 >results/serve/malformed.json 2>results/serve/malformed.err; then
+  echo "malformed netlist was accepted"; exit 1
+fi
+grep -q 'server answered 400' results/serve/malformed.err \
+  || { cat results/serve/malformed.err; exit 1; }
+grep -qF '"snippet": "  frobnicate f (y, a);"' results/serve/malformed.json \
+  || { cat results/serve/malformed.json; exit 1; }
 SERVE_LIVE=0
 for _ in $(seq 1 50); do
   target/release/hlpower-serve metrics "$SERVE_ADDR" >results/serve/metrics.json
@@ -105,7 +118,7 @@ wait "$SERVE_PID"
 # Blocking bodies are pretty-printed; flatten each to one line so the
 # audit can parse the responses file as JSONL, then append the already
 # line-oriented streamed updates.
-for f in gray_counter4.json majority.json; do
+for f in gray_counter4.json majority.json malformed.json; do
   tr -d '\n' <"results/serve/$f" >>results/serve/responses.jsonl
   printf '\n' >>results/serve/responses.jsonl
 done

@@ -10,12 +10,13 @@
 //! opaque. Hierarchical designs (an instance of another cell that has
 //! `contents`) are rejected with [`NetlistError::ParseUnsupported`].
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
-use crate::error::{NetlistError, SourceFormat, SrcLoc};
+use crate::error::{NetlistError, SourceFormat};
 use crate::ingest::build::{self, BuildInput, BuildItem, SlotRef};
 use crate::ingest::cells::{cell_func, port_role, CellFunc, PortRole};
-use crate::ingest::lex::Loc;
+use crate::ingest::lex::{Loc, Source};
 use crate::ingest::sexpr::{parse_sexpr, Sexpr};
 use crate::netlist::Netlist;
 
@@ -29,26 +30,32 @@ const FORMAT: SourceFormat = SourceFormat::Edif;
 /// line/column and a source snippet; `docs/FORMATS.md` specifies which
 /// violation raises which variant.
 pub fn parse_edif(src: &str) -> Result<Netlist, NetlistError> {
+    let src = Source::new(src);
+    build::build(FORMAT, &src, build_input(&src)?)
+}
+
+/// Parses `src` into the intermediate form [`build::build`] lowers.
+pub(crate) fn build_input<'a>(src: &Source<'a>) -> Result<BuildInput<'a>, NetlistError> {
     let root = parse_sexpr(src)?;
     Interp { src }.run(&root)
 }
 
-struct Interp<'a> {
-    src: &'a str,
+struct Interp<'s, 'a> {
+    src: &'s Source<'a>,
 }
 
 /// One parsed `(port ...)` of the top cell's interface.
-struct Port {
-    name: String,
+struct Port<'a> {
+    name: &'a str,
     is_input: bool,
     loc: Loc,
 }
 
 /// One parsed `(instance ...)` of the top cell's contents.
-struct Instance {
-    name: String,
+struct Instance<'a> {
+    name: &'a str,
     func: CellFunc,
-    group: Option<String>,
+    group: Option<&'a str>,
     init: bool,
     loc: Loc,
     /// Fanin pins by index, filled in while walking nets.
@@ -59,60 +66,55 @@ struct Instance {
     out: Option<(usize, Loc)>,
 }
 
-impl<'a> Interp<'a> {
-    fn src_loc(&self, loc: Loc) -> SrcLoc {
-        loc.src_loc(self.src)
-    }
-
+impl<'a> Interp<'_, 'a> {
     fn syntax(&self, loc: Loc, message: String) -> NetlistError {
-        NetlistError::ParseSyntax { format: FORMAT, at: self.src_loc(loc), message }
+        NetlistError::ParseSyntax { format: FORMAT, at: self.src.locate(loc), message }
     }
 
     fn unsupported(&self, loc: Loc, construct: String) -> NetlistError {
-        NetlistError::ParseUnsupported { format: FORMAT, at: self.src_loc(loc), construct }
+        NetlistError::ParseUnsupported { format: FORMAT, at: self.src.locate(loc), construct }
     }
 
     /// Resolves an EDIF name position: a bare atom, or a
     /// `(rename ident "original")` form (the string wins, so round-trips
     /// preserve names like `n[3]` that EDIF identifiers cannot spell).
-    fn name_of(&self, s: &Sexpr) -> Result<(String, Loc), NetlistError> {
+    fn name_of(&self, s: &Sexpr<'a>) -> Result<(&'a str, Loc), NetlistError> {
         if let Some(a) = s.atom() {
-            return Ok((a.to_string(), s.loc()));
+            return Ok((a, s.loc()));
         }
-        if let Some(("rename", rest)) = s.form().as_ref().map(|(h, r)| (h.as_str(), *r)) {
+        if let Some(rest) = s.form_named("rename") {
             if let Some(Sexpr::Str { text, .. }) = rest.get(1) {
-                return Ok((text.clone(), s.loc()));
+                return Ok((text, s.loc()));
             }
             if let Some(a) = rest.first().and_then(Sexpr::atom) {
-                return Ok((a.to_string(), s.loc()));
+                return Ok((a, s.loc()));
             }
         }
-        if let Some(("array", _)) = s.form().as_ref().map(|(h, r)| (h.as_str(), *r)) {
+        if s.form_named("array").is_some() {
             return Err(self.unsupported(s.loc(), "port/net arrays (bit-blast the design)".into()));
         }
         Err(self.syntax(s.loc(), format!("expected a name, found {}", s.describe())))
     }
 
-    fn run(&self, root: &Sexpr) -> Result<Netlist, NetlistError> {
+    fn run(&self, root: &Sexpr<'a>) -> Result<BuildInput<'a>, NetlistError> {
         let (head, rest) = root
             .form()
             .ok_or_else(|| self.syntax(root.loc(), "expected an (edif ...) form".to_string()))?;
+        let head = head.to_ascii_lowercase();
         if head != "edif" {
             return Err(self.syntax(root.loc(), format!("expected (edif ...), found ({head} ...)")));
         }
 
         // Collect every (cell ...) that has a (contents ...) — candidate
         // top cells — plus the (design ...) form, if any.
-        let mut cells: Vec<(String, &Sexpr)> = Vec::new();
-        let mut design: Option<(String, Loc)> = None;
+        let mut cells: Vec<(&str, &Sexpr)> = Vec::new();
+        let mut design: Option<(&str, Loc)> = None;
         for item in rest {
             let Some((h, r)) = item.form() else { continue };
-            match h.as_str() {
+            match h.to_ascii_lowercase().as_str() {
                 "library" | "external" => {
                     for cell in r.iter().skip(1) {
-                        let Some(("cell", cr)) =
-                            cell.form().as_ref().map(|(h, r)| (h.as_str(), *r))
-                        else {
+                        let Some(cr) = cell.form_named("cell") else {
                             continue;
                         };
                         let Some(name_pos) = cr.first() else { continue };
@@ -124,10 +126,7 @@ impl<'a> Interp<'a> {
                 }
                 "design" => {
                     // (design d (cellRef top (libraryRef work)))
-                    let cell_ref = r.iter().find_map(|s| match s.form() {
-                        Some((h, cr)) if h == "cellref" => Some((s.loc(), cr)),
-                        _ => None,
-                    });
+                    let cell_ref = r.iter().find_map(|s| Some((s.loc(), s.form_named("cellref")?)));
                     let Some((loc, cr)) = cell_ref else {
                         return Err(self.syntax(
                             item.loc(),
@@ -137,7 +136,7 @@ impl<'a> Interp<'a> {
                     let name = cr.first().and_then(Sexpr::atom).ok_or_else(|| {
                         self.syntax(loc, "(cellRef ...) is missing its name".into())
                     })?;
-                    design = Some((name.to_string(), loc));
+                    design = Some((name, loc));
                 }
                 _ => {} // edifVersion, edifLevel, keywordMap, status, comment, ...
             }
@@ -146,12 +145,12 @@ impl<'a> Interp<'a> {
         let top = match design {
             Some((name, loc)) => cells
                 .iter()
-                .find(|(n, _)| n.eq_ignore_ascii_case(&name))
+                .find(|(n, _)| n.eq_ignore_ascii_case(name))
                 .map(|(_, c)| *c)
                 .ok_or_else(|| NetlistError::ParseUnknownName {
                     format: FORMAT,
-                    at: self.src_loc(loc),
-                    name,
+                    at: self.src.locate(loc),
+                    name: name.to_string(),
                 })?,
             None => match cells.len() {
                 1 => cells[0].1,
@@ -179,23 +178,18 @@ impl<'a> Interp<'a> {
 
         // Interface: scalar ports with directions.
         let mut ports: Vec<Port> = Vec::new();
-        if let Some((_, iface)) =
-            view_items.iter().find_map(|s| s.form().filter(|(h, _)| h == "interface"))
-        {
+        if let Some(iface) = view_items.iter().find_map(|s| s.form_named("interface")) {
             for p in iface {
-                let Some(("port", pr)) = p.form().as_ref().map(|(h, r)| (h.as_str(), *r)) else {
+                let Some(pr) = p.form_named("port") else {
                     continue;
                 };
                 let name_pos = pr
                     .first()
                     .ok_or_else(|| self.syntax(p.loc(), "(port ...) is missing its name".into()))?;
                 let (name, nloc) = self.name_of(name_pos)?;
-                let dir = pr.iter().find_map(|s| match s.form() {
-                    Some((h, dr)) if h == "direction" => Some((
-                        s.loc(),
-                        dr.first().and_then(Sexpr::atom).map(str::to_ascii_uppercase),
-                    )),
-                    _ => None,
+                let dir = pr.iter().find_map(|s| {
+                    let dr = s.form_named("direction")?;
+                    Some((s.loc(), dr.first().and_then(Sexpr::atom).map(str::to_ascii_uppercase)))
                 });
                 let is_input = match dir {
                     Some((_, Some(d))) if d == "INPUT" => true,
@@ -216,16 +210,16 @@ impl<'a> Interp<'a> {
             }
         }
 
-        let (_, contents) = view_items
+        let contents = view_items
             .iter()
-            .find_map(|s| s.form().filter(|(h, _)| h == "contents"))
+            .find_map(|s| s.form_named("contents"))
             .expect("find_view_with_contents checked this");
 
         // Slots: one per interface port, then one per net.
         let mut input = BuildInput::default();
         let mut port_slot: HashMap<String, usize> = HashMap::new();
         for p in &ports {
-            input.slot_names.push(p.name.clone());
+            input.slot_names.push(Cow::Borrowed(p.name));
             port_slot.insert(p.name.to_ascii_uppercase(), input.slot_names.len() - 1);
         }
         for p in &ports {
@@ -238,7 +232,7 @@ impl<'a> Interp<'a> {
         let mut instances: Vec<Instance> = Vec::new();
         let mut inst_index: HashMap<String, usize> = HashMap::new();
         for item in contents {
-            let Some(("instance", ir)) = item.form().as_ref().map(|(h, r)| (h.as_str(), *r)) else {
+            let Some(ir) = item.form_named("instance") else {
                 continue;
             };
             let name_pos = item.list().and_then(|l| l.get(1)).ok_or_else(|| {
@@ -246,7 +240,7 @@ impl<'a> Interp<'a> {
             })?;
             let (name, nloc) = self.name_of(name_pos)?;
             let cell = self.instance_cell(item, ir)?;
-            let func = cell_func(&cell.0).ok_or_else(|| {
+            let func = cell_func(cell.0).ok_or_else(|| {
                 if hierarchical.contains(&cell.0.to_ascii_uppercase()) {
                     self.unsupported(
                         cell.1,
@@ -255,8 +249,8 @@ impl<'a> Interp<'a> {
                 } else {
                     NetlistError::ParseUnknownCell {
                         format: FORMAT,
-                        at: self.src_loc(cell.1),
-                        cell: cell.0.clone(),
+                        at: self.src.locate(cell.1),
+                        cell: cell.0.to_string(),
                     }
                 }
             })?;
@@ -287,26 +281,24 @@ impl<'a> Interp<'a> {
         // Output ports resolve to the slot of the net that feeds them.
         let mut port_feed: HashMap<String, (usize, Loc)> = HashMap::new();
         for item in contents {
-            let Some(("net", nr)) = item.form().as_ref().map(|(h, r)| (h.as_str(), *r)) else {
+            let Some(nr) = item.form_named("net") else {
                 continue;
             };
             let name_pos = nr
                 .first()
                 .ok_or_else(|| self.syntax(item.loc(), "(net ...) is missing its name".into()))?;
             let (net_name, net_loc) = self.name_of(name_pos)?;
-            input.slot_names.push(net_name.clone());
+            input.slot_names.push(Cow::Borrowed(net_name));
             driver.push(None);
             let slot = input.slot_names.len() - 1;
 
-            let Some((_, joined)) = nr.iter().find_map(|s| s.form().filter(|(h, _)| h == "joined"))
-            else {
+            let Some(joined) = nr.iter().find_map(|s| s.form_named("joined")) else {
                 return Err(
                     self.syntax(net_loc, format!("net '{net_name}' has no (joined ...) form"))
                 );
             };
             for pr in joined {
-                let Some(("portref", prr)) = pr.form().as_ref().map(|(h, r)| (h.as_str(), *r))
-                else {
+                let Some(prr) = pr.form_named("portref") else {
                     return Err(self.syntax(
                         pr.loc(),
                         format!("expected a (portRef ...), found {}", pr.describe()),
@@ -315,23 +307,21 @@ impl<'a> Interp<'a> {
                 let (port, ploc) = self.name_of(prr.first().ok_or_else(|| {
                     self.syntax(pr.loc(), "(portRef ...) is missing its port name".into())
                 })?)?;
-                let inst_ref = prr.iter().find_map(|s| match s.form() {
-                    Some((h, ir)) if h == "instanceref" => Some((s.loc(), ir)),
-                    _ => None,
-                });
+                let inst_ref =
+                    prr.iter().find_map(|s| Some((s.loc(), s.form_named("instanceref")?)));
                 match inst_ref {
                     None => {
                         // A connection to one of the cell's own ports.
                         let Some(&pslot) = port_slot.get(&port.to_ascii_uppercase()) else {
                             return Err(NetlistError::ParseUnknownName {
                                 format: FORMAT,
-                                at: self.src_loc(ploc),
-                                name: port,
+                                at: self.src.locate(ploc),
+                                name: port.to_string(),
                             });
                         };
                         let is_input = ports
                             .iter()
-                            .find(|p| p.name.eq_ignore_ascii_case(&port))
+                            .find(|p| p.name.eq_ignore_ascii_case(port))
                             .map(|p| p.is_input)
                             .expect("port_slot and ports share keys");
                         if is_input {
@@ -339,7 +329,7 @@ impl<'a> Interp<'a> {
                             self.claim(&mut driver, &input.slot_names, slot, ploc)?;
                             input.items.push(BuildItem::Alias {
                                 slot,
-                                src: SlotRef { slot: pslot, at: self.src_loc(ploc) },
+                                src: SlotRef { slot: pslot, at: ploc },
                             });
                         } else {
                             port_feed.insert(port.to_ascii_uppercase(), (slot, ploc));
@@ -352,12 +342,12 @@ impl<'a> Interp<'a> {
                         let Some(&idx) = inst_index.get(&iname.to_ascii_uppercase()) else {
                             return Err(NetlistError::ParseUnknownName {
                                 format: FORMAT,
-                                at: self.src_loc(irloc),
+                                at: self.src.locate(irloc),
                                 name: iname.to_string(),
                             });
                         };
                         let inst = &mut instances[idx];
-                        let role = port_role(inst.func, &port).ok_or_else(|| {
+                        let role = port_role(inst.func, port).ok_or_else(|| {
                             self.syntax(
                                 ploc,
                                 format!("instance '{}' has no port named `{port}`", inst.name),
@@ -378,12 +368,12 @@ impl<'a> Interp<'a> {
                                 inst.out = Some((slot, ploc));
                             }
                             PortRole::DffD => set_pin(&mut inst.ins, 0, slot, ploc)
-                                .map_err(|()| self.pin_twice(ploc, &inst.name, &port))?,
+                                .map_err(|()| self.pin_twice(ploc, inst.name, port))?,
                             PortRole::Input(i) => set_pin(&mut inst.ins, i, slot, ploc)
-                                .map_err(|()| self.pin_twice(ploc, &inst.name, &port))?,
+                                .map_err(|()| self.pin_twice(ploc, inst.name, port))?,
                             PortRole::Select => {
                                 if inst.sel.is_some() {
-                                    return Err(self.pin_twice(ploc, &inst.name, &port));
+                                    return Err(self.pin_twice(ploc, inst.name, port));
                                 }
                                 inst.sel = Some((slot, ploc));
                             }
@@ -410,7 +400,7 @@ impl<'a> Interp<'a> {
                         format!("mux instance '{}' never joins its select pin", inst.name),
                     )
                 })?;
-                ins.push(SlotRef { slot: s, at: self.src_loc(l) });
+                ins.push(SlotRef { slot: s, at: l });
             } else if let Some((_, l)) = inst.sel {
                 return Err(self.syntax(l, format!("instance '{}' has no select pin", inst.name)));
             }
@@ -421,15 +411,15 @@ impl<'a> Interp<'a> {
                         format!("instance '{}' is missing input pin {i}", inst.name),
                     ));
                 };
-                ins.push(SlotRef { slot: *s, at: self.src_loc(*l) });
+                ins.push(SlotRef { slot: *s, at: *l });
             }
             match inst.func {
                 CellFunc::Gate(kind) => input.items.push(BuildItem::Gate {
                     slot: out,
                     kind,
                     ins,
-                    group: inst.group.clone(),
-                    at: self.src_loc(inst.loc),
+                    group: inst.group,
+                    at: inst.loc,
                 }),
                 CellFunc::Dff => {
                     let d = ins.into_iter().next().ok_or_else(|| {
@@ -442,14 +432,12 @@ impl<'a> Interp<'a> {
                         slot: out,
                         d,
                         init: inst.init,
-                        group: inst.group.clone(),
+                        group: inst.group,
                     });
                 }
-                CellFunc::Const(v) => input.items.push(BuildItem::Const {
-                    slot: out,
-                    value: v,
-                    group: inst.group.clone(),
-                }),
+                CellFunc::Const(v) => {
+                    input.items.push(BuildItem::Const { slot: out, value: v, group: inst.group })
+                }
             }
         }
 
@@ -461,28 +449,28 @@ impl<'a> Interp<'a> {
             let Some(&(slot, loc)) = port_feed.get(&p.name.to_ascii_uppercase()) else {
                 return Err(NetlistError::ParseUndriven {
                     format: FORMAT,
-                    at: self.src_loc(p.loc),
-                    name: p.name.clone(),
+                    at: self.src.locate(p.loc),
+                    name: p.name.to_string(),
                 });
             };
-            input.outputs.push((p.name.clone(), SlotRef { slot, at: self.src_loc(loc) }));
+            input.outputs.push((Cow::Borrowed(p.name), SlotRef { slot, at: loc }));
         }
 
-        build::build(FORMAT, input)
+        Ok(input)
     }
 
     fn claim(
         &self,
         driver: &mut [Option<Loc>],
-        slot_names: &[String],
+        slot_names: &[Cow<str>],
         slot: usize,
         loc: Loc,
     ) -> Result<(), NetlistError> {
         if driver[slot].is_some() {
             return Err(NetlistError::ParseMultipleDrivers {
                 format: FORMAT,
-                at: self.src_loc(loc),
-                name: slot_names[slot].clone(),
+                at: self.src.locate(loc),
+                name: slot_names[slot].to_string(),
             });
         }
         driver[slot] = Some(loc);
@@ -495,22 +483,20 @@ impl<'a> Interp<'a> {
 
     /// The cell name an instance references, from its `(viewRef ...
     /// (cellRef C ...))` or direct `(cellRef C ...)` form.
-    fn instance_cell(&self, inst: &Sexpr, items: &[Sexpr]) -> Result<(String, Loc), NetlistError> {
-        fn find_cellref(items: &[Sexpr]) -> Option<(Loc, String)> {
+    fn instance_cell(
+        &self,
+        inst: &Sexpr<'a>,
+        items: &[Sexpr<'a>],
+    ) -> Result<(&'a str, Loc), NetlistError> {
+        fn find_cellref<'a>(items: &[Sexpr<'a>]) -> Option<(Loc, &'a str)> {
             for s in items {
-                if let Some((h, r)) = s.form() {
-                    match h.as_str() {
-                        "cellref" => {
-                            if let Some(name) = r.first().and_then(Sexpr::atom) {
-                                return Some((s.loc(), name.to_string()));
-                            }
-                        }
-                        "viewref" => {
-                            if let Some(found) = find_cellref(r) {
-                                return Some(found);
-                            }
-                        }
-                        _ => {}
+                if let Some(r) = s.form_named("cellref") {
+                    if let Some(name) = r.first().and_then(Sexpr::atom) {
+                        return Some((s.loc(), name));
+                    }
+                } else if let Some(r) = s.form_named("viewref") {
+                    if let Some(found) = find_cellref(r) {
+                        return Some(found);
                     }
                 }
             }
@@ -528,21 +514,21 @@ impl<'a> Interp<'a> {
     /// Recognized instance properties: `(property group (string "..."))`
     /// and `(property init (integer 0|1))`. Unknown properties are
     /// accepted and ignored.
-    fn instance_properties(&self, items: &[Sexpr]) -> Result<(Option<String>, bool), NetlistError> {
+    fn instance_properties(
+        &self,
+        items: &[Sexpr<'a>],
+    ) -> Result<(Option<&'a str>, bool), NetlistError> {
         let mut group = None;
         let mut init = false;
         for s in items {
-            let Some(("property", pr)) = s.form().as_ref().map(|(h, r)| (h.as_str(), *r)) else {
+            let Some(pr) = s.form_named("property") else {
                 continue;
             };
             let Some(name) = pr.first().and_then(Sexpr::atom) else { continue };
             match name.to_ascii_lowercase().as_str() {
                 "group" => {
-                    let value = pr.get(1).and_then(|v| match v.form() {
-                        Some((h, vr)) if h == "string" => match vr.first() {
-                            Some(Sexpr::Str { text, .. }) => Some(text.clone()),
-                            _ => None,
-                        },
+                    let value = pr.get(1).and_then(|v| match v.form_named("string")?.first() {
+                        Some(Sexpr::Str { text, .. }) => Some(*text),
                         _ => None,
                     });
                     group = Some(value.ok_or_else(|| {
@@ -550,11 +536,8 @@ impl<'a> Interp<'a> {
                     })?);
                 }
                 "init" => {
-                    let value = pr.get(1).and_then(|v| match v.form() {
-                        Some((h, vr)) if h == "integer" => {
-                            vr.first().and_then(Sexpr::atom).and_then(|a| a.parse::<u64>().ok())
-                        }
-                        _ => None,
+                    let value = pr.get(1).and_then(|v| {
+                        v.form_named("integer")?.first()?.atom()?.parse::<u64>().ok()
                     });
                     init = match value {
                         Some(0) => false,
@@ -591,13 +574,11 @@ fn set_pin(
 }
 
 /// The first `(view ...)` of a cell that has a `(contents ...)` child.
-fn find_view_with_contents(cell: &Sexpr) -> Option<&Sexpr> {
+fn find_view_with_contents<'s, 'a>(cell: &'s Sexpr<'a>) -> Option<&'s Sexpr<'a>> {
     let (_, items) = cell.form()?;
-    items.iter().find(|s| match s.form() {
-        Some((h, vr)) if h == "view" => {
-            vr.iter().any(|c| matches!(c.form(), Some((ch, _)) if ch == "contents"))
-        }
-        _ => false,
+    items.iter().find(|s| match s.form_named("view") {
+        Some(vr) => vr.iter().any(|c| c.form_named("contents").is_some()),
+        None => false,
     })
 }
 

@@ -2,9 +2,13 @@
 //!
 //! All three parsers — native `.nl` ([`crate::io`]), structural Verilog
 //! ([`super::verilog`]), and the EDIF s-expression reader
-//! ([`super::sexpr`]) — lex through the [`Cursor`] defined here, so every
-//! parse error in the workspace carries the same 1-based line/column
-//! position and source-line snippet (see [`SrcLoc`]).
+//! ([`super::sexpr`]) — lex through the [`Cursor`] defined here and
+//! resolve error positions through [`Source`], so every parse error in
+//! the workspace carries the same 1-based line/column position and
+//! source-line snippet (see [`SrcLoc`]). Lexed text is borrowed from the
+//! source, never copied.
+
+use std::cell::OnceCell;
 
 use crate::error::{NetlistError, SourceFormat, SrcLoc};
 
@@ -22,32 +26,86 @@ impl Loc {
     pub fn start() -> Loc {
         Loc { line: 1, col: 1 }
     }
+}
 
-    /// Materializes this position into a [`SrcLoc`] carrying the source
-    /// line it points into.
-    pub fn src_loc(self, src: &str) -> SrcLoc {
-        SrcLoc { line: self.line, col: self.col, snippet: snippet(src, self.line) }
+/// Source text plus the line-start index its error positions resolve
+/// through.
+///
+/// Parsers carry positions as the two-word [`Loc`] and turn one into a
+/// [`SrcLoc`] (which owns a copy of the source line) only when they
+/// construct an error, through [`Source::locate`]. The index of line
+/// starts is built on the first such call, so a parse that succeeds
+/// never scans the text for line boundaries and never allocates a
+/// snippet.
+#[derive(Debug)]
+pub struct Source<'a> {
+    text: &'a str,
+    /// Byte offset of the first character of each line; entry `i` is
+    /// line `i + 1`.
+    line_starts: OnceCell<Vec<usize>>,
+}
+
+impl<'a> Source<'a> {
+    /// Wraps `text`; nothing is indexed until the first error.
+    pub fn new(text: &'a str) -> Source<'a> {
+        Source { text, line_starts: OnceCell::new() }
+    }
+
+    /// The full source text.
+    pub fn text(&self) -> &'a str {
+        self.text
+    }
+
+    /// Materializes `loc` into a [`SrcLoc`] carrying the source line it
+    /// points into.
+    pub fn locate(&self, loc: Loc) -> SrcLoc {
+        #[cfg(test)]
+        LOCATED.with(|n| n.set(n.get() + 1));
+        SrcLoc { line: loc.line, col: loc.col, snippet: self.snippet(loc.line) }
+    }
+
+    /// The source line `line` (1-based), trimmed of trailing whitespace
+    /// and truncated to 120 characters for error snippets; empty past
+    /// the last line.
+    fn snippet(&self, line: usize) -> String {
+        let starts = self.line_starts.get_or_init(|| {
+            std::iter::once(0)
+                .chain(
+                    self.text.bytes().enumerate().filter(|&(_, b)| b == b'\n').map(|(i, _)| i + 1),
+                )
+                .collect()
+        });
+        let Some(&start) = line.checked_sub(1).and_then(|i| starts.get(i)) else {
+            return String::new();
+        };
+        let rest = &self.text[start..];
+        let trimmed = rest[..rest.find('\n').unwrap_or(rest.len())].trim_end();
+        if trimmed.chars().count() > 120 {
+            let cut: String = trimmed.chars().take(117).collect();
+            format!("{cut}...")
+        } else {
+            trimmed.to_string()
+        }
     }
 }
 
-/// The source line `line` (1-based) of `src`, trimmed of trailing
-/// whitespace and truncated to 120 characters for error snippets.
-pub fn snippet(src: &str, line: usize) -> String {
-    let raw = src.lines().nth(line.saturating_sub(1)).unwrap_or("");
-    let trimmed = raw.trim_end();
-    if trimmed.chars().count() > 120 {
-        let cut: String = trimmed.chars().take(117).collect();
-        format!("{cut}...")
-    } else {
-        trimmed.to_string()
-    }
+#[cfg(test)]
+thread_local! {
+    /// How many [`SrcLoc`]s [`Source::locate`] has built on this thread.
+    static LOCATED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// How many [`SrcLoc`]s this thread has materialized so far.
+#[cfg(test)]
+pub(crate) fn located_count() -> usize {
+    LOCATED.with(std::cell::Cell::get)
 }
 
 /// A character cursor over source text that tracks 1-based line/column
-/// positions. The building block all lexers in this module tree share.
+/// positions. The building block all lexers in this module tree share;
+/// the text it consumes comes back as slices of the source.
 #[derive(Debug, Clone)]
 pub struct Cursor<'a> {
-    src: &'a str,
     rest: std::str::Chars<'a>,
     line: usize,
     col: usize,
@@ -56,17 +114,23 @@ pub struct Cursor<'a> {
 impl<'a> Cursor<'a> {
     /// A cursor at the start of `src`.
     pub fn new(src: &'a str) -> Cursor<'a> {
-        Cursor { src, rest: src.chars(), line: 1, col: 1 }
-    }
-
-    /// The full source text this cursor walks.
-    pub fn src(&self) -> &'a str {
-        self.src
+        Cursor { rest: src.chars(), line: 1, col: 1 }
     }
 
     /// The position of the next unconsumed character.
     pub fn loc(&self) -> Loc {
         Loc { line: self.line, col: self.col }
+    }
+
+    /// The unconsumed remainder of the source.
+    pub fn rest(&self) -> &'a str {
+        self.rest.as_str()
+    }
+
+    /// The text consumed since the cursor's remainder was `mark` (an
+    /// earlier [`Cursor::rest`]).
+    pub fn since(&self, mark: &'a str) -> &'a str {
+        &mark[..mark.len() - self.rest.as_str().len()]
     }
 
     /// The next character without consuming it.
@@ -94,25 +158,24 @@ impl<'a> Cursor<'a> {
     }
 
     /// Consumes characters while `pred` holds, returning them.
-    pub fn take_while(&mut self, mut pred: impl FnMut(char) -> bool) -> String {
-        let mut out = String::new();
+    pub fn take_while(&mut self, mut pred: impl FnMut(char) -> bool) -> &'a str {
+        let mark = self.rest();
         while let Some(c) = self.peek() {
             if !pred(c) {
                 break;
             }
-            out.push(c);
             self.bump();
         }
-        out
+        self.since(mark)
     }
 }
 
 /// One whitespace-delimited word of a line-oriented format, with the
 /// position of its first character.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Word {
-    /// The word text.
-    pub text: String,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Word<'a> {
+    /// The word text, borrowed from the source.
+    pub text: &'a str,
     /// Position of the word's first character.
     pub loc: Loc,
 }
@@ -120,7 +183,7 @@ pub struct Word {
 /// Splits line-oriented source (the native `.nl` format) into lines of
 /// whitespace-delimited words, each word carrying its position. Blank
 /// lines and lines whose first word starts with `#` are skipped.
-pub fn lines_of_words(src: &str) -> Vec<(usize, Vec<Word>)> {
+pub fn lines_of_words(src: &str) -> Vec<(usize, Vec<Word<'_>>)> {
     let mut cur = Cursor::new(src);
     let mut out: Vec<(usize, Vec<Word>)> = Vec::new();
     let mut line: Vec<Word> = Vec::new();
@@ -157,17 +220,18 @@ pub fn lines_of_words(src: &str) -> Vec<(usize, Vec<Word>)> {
     out
 }
 
-/// A lexical token of the structural-Verilog subset.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Tok {
+/// A lexical token of the structural-Verilog subset. Text tokens borrow
+/// their text from the source.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tok<'a> {
     /// An identifier or keyword (`module`, `wire`, a net name, ...).
-    Ident(String),
+    Ident(&'a str),
     /// An unsigned decimal integer (`7` in `[7:0]`).
     Num(u64),
     /// A based literal such as `1'b0`, kept as written.
-    Based(String),
+    Based(&'a str),
     /// A double-quoted string (used in attribute values).
-    Str(String),
+    Str(&'a str),
     /// Single-character punctuation: `( ) [ ] , ; . : =`.
     Punct(char),
     /// The attribute opener `(*`.
@@ -178,7 +242,7 @@ pub enum Tok {
     Eof,
 }
 
-impl Tok {
+impl Tok<'_> {
     /// A short human-readable description for error messages.
     pub fn describe(&self) -> String {
         match self {
@@ -195,10 +259,10 @@ impl Tok {
 }
 
 /// A [`Tok`] with the position of its first character.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Token<'a> {
     /// The token.
-    pub tok: Tok,
+    pub tok: Tok<'a>,
     /// Position of the token's first character.
     pub loc: Loc,
 }
@@ -220,12 +284,12 @@ fn is_ident_char(c: char) -> bool {
 ///
 /// Returns [`NetlistError::ParseSyntax`] for unterminated strings or
 /// block comments and for characters outside the subset's alphabet.
-pub fn tokenize_verilog(src: &str) -> Result<Vec<Token>, NetlistError> {
-    let mut cur = Cursor::new(src);
+pub fn tokenize_verilog<'a>(src: &Source<'a>) -> Result<Vec<Token<'a>>, NetlistError> {
+    let mut cur = Cursor::new(src.text());
     let mut out = Vec::new();
-    let err = |cur: &Cursor, loc: Loc, message: String| NetlistError::ParseSyntax {
+    let err = |loc: Loc, message: String| NetlistError::ParseSyntax {
         format: SourceFormat::Verilog,
-        at: loc.src_loc(cur.src()),
+        at: src.locate(loc),
         message,
     };
     while let Some(c) = cur.peek() {
@@ -250,7 +314,7 @@ pub fn tokenize_verilog(src: &str) -> Result<Vec<Token>, NetlistError> {
                 }
             }
             if !closed {
-                return Err(err(&cur, loc, "unterminated block comment".to_string()));
+                return Err(err(loc, "unterminated block comment".to_string()));
             }
             continue;
         }
@@ -270,7 +334,7 @@ pub fn tokenize_verilog(src: &str) -> Result<Vec<Token>, NetlistError> {
             cur.bump();
             let text = cur.take_while(|c| c != '"' && c != '\n');
             if cur.peek() != Some('"') {
-                return Err(err(&cur, loc, "unterminated string literal".to_string()));
+                return Err(err(loc, "unterminated string literal".to_string()));
             }
             cur.bump();
             out.push(Token { tok: Tok::Str(text), loc });
@@ -281,7 +345,7 @@ pub fn tokenize_verilog(src: &str) -> Result<Vec<Token>, NetlistError> {
             cur.bump();
             let text = cur.take_while(|c| !c.is_whitespace());
             if text.is_empty() {
-                return Err(err(&cur, loc, "empty escaped identifier".to_string()));
+                return Err(err(loc, "empty escaped identifier".to_string()));
             }
             out.push(Token { tok: Tok::Ident(text), loc });
             continue;
@@ -292,20 +356,24 @@ pub fn tokenize_verilog(src: &str) -> Result<Vec<Token>, NetlistError> {
             continue;
         }
         if c.is_ascii_digit() {
+            let mark = cur.rest();
             let digits = cur.take_while(|c| c.is_ascii_digit() || c == '_');
             if cur.peek() == Some('\'') {
                 // Based literal: width ' base digits, e.g. 1'b0, 4'hF.
                 cur.bump();
                 let base = cur.take_while(|c| c.is_ascii_alphanumeric() || c == '_');
                 if base.is_empty() {
-                    return Err(err(&cur, loc, "based literal is missing its base".to_string()));
+                    return Err(err(loc, "based literal is missing its base".to_string()));
                 }
-                out.push(Token { tok: Tok::Based(format!("{digits}'{base}")), loc });
+                out.push(Token { tok: Tok::Based(cur.since(mark)), loc });
             } else {
-                let clean: String = digits.chars().filter(|&c| c != '_').collect();
-                let n: u64 = clean
-                    .parse()
-                    .map_err(|_| err(&cur, loc, format!("integer `{digits}` is out of range")))?;
+                let parsed = if digits.contains('_') {
+                    digits.chars().filter(|&c| c != '_').collect::<String>().parse()
+                } else {
+                    digits.parse()
+                };
+                let n: u64 =
+                    parsed.map_err(|_| err(loc, format!("integer `{digits}` is out of range")))?;
                 out.push(Token { tok: Tok::Num(n), loc });
             }
             continue;
@@ -315,7 +383,7 @@ pub fn tokenize_verilog(src: &str) -> Result<Vec<Token>, NetlistError> {
             out.push(Token { tok: Tok::Punct(c), loc });
             continue;
         }
-        return Err(err(&cur, loc, format!("unexpected character `{c}`")));
+        return Err(err(loc, format!("unexpected character `{c}`")));
     }
     out.push(Token { tok: Tok::Eof, loc: cur.loc() });
     Ok(out)
@@ -351,19 +419,19 @@ mod tests {
 
     #[test]
     fn verilog_tokens_and_attributes() {
-        let toks = tokenize_verilog("module m; (* group = \"x\" *) and g (y, a, 1'b0); // c\n")
-            .expect("lexes");
+        let src = Source::new("module m; (* group = \"x\" *) and g (y, a, 1'b0); // c\n");
+        let toks = tokenize_verilog(&src).expect("lexes");
         let kinds: Vec<&Tok> = toks.iter().map(|t| &t.tok).collect();
         assert!(kinds.contains(&&Tok::AttrOpen));
         assert!(kinds.contains(&&Tok::AttrClose));
-        assert!(kinds.contains(&&Tok::Based("1'b0".to_string())));
-        assert!(kinds.contains(&&Tok::Str("x".to_string())));
+        assert!(kinds.contains(&&Tok::Based("1'b0")));
+        assert!(kinds.contains(&&Tok::Str("x")));
         assert_eq!(kinds.last(), Some(&&Tok::Eof));
     }
 
     #[test]
     fn verilog_lex_errors_carry_location() {
-        let e = tokenize_verilog("wire w;\n\"open").unwrap_err();
+        let e = tokenize_verilog(&Source::new("wire w;\n\"open")).unwrap_err();
         match e {
             NetlistError::ParseSyntax { at, .. } => {
                 assert_eq!(at.line, 2);
@@ -377,8 +445,51 @@ mod tests {
     #[test]
     fn snippets_truncate_long_lines() {
         let long = "x".repeat(200);
-        let s = snippet(&long, 1);
+        let s = Source::new(&long).snippet(1);
         assert_eq!(s.chars().count(), 120);
         assert!(s.ends_with("..."));
+    }
+
+    /// The snippet rule the index replaces: a scan from the start of the
+    /// text with `str::lines`.
+    fn snippet_by_scan(src: &str, line: usize) -> String {
+        let raw = src.lines().nth(line.saturating_sub(1)).unwrap_or("");
+        let trimmed = raw.trim_end();
+        if trimmed.chars().count() > 120 {
+            let cut: String = trimmed.chars().take(117).collect();
+            format!("{cut}...")
+        } else {
+            trimmed.to_string()
+        }
+    }
+
+    #[test]
+    fn indexed_snippets_match_a_line_scan() {
+        let long_ascii = "y".repeat(150);
+        let long_wide = "é→".repeat(70);
+        let sources = [
+            String::new(),
+            "\n".to_string(),
+            "\n\n\n".to_string(),
+            "one line, no newline".to_string(),
+            "a\nb\n".to_string(),
+            "crlf\r\nline two\r\n\r\nafter a blank\r\n".to_string(),
+            "lone\rcarriage\nreturn \r\nend\r".to_string(),
+            "trailing spaces   \n\tindented\t\n  \nlast".to_string(),
+            "ünïcödé wire ∑;\n// 日本語 comment\n  and g (y, a, b); — dash\n".to_string(),
+            format!("{long_ascii}\n{long_wide}\r\nshort\n{long_wide}"),
+            format!("{}\n{}", "z".repeat(120), "w".repeat(121)),
+        ];
+        for src in &sources {
+            let source = Source::new(src);
+            let n = src.lines().count();
+            for line in 1..=n + 1 {
+                assert_eq!(
+                    source.snippet(line),
+                    snippet_by_scan(src, line),
+                    "line {line} of {src:?}"
+                );
+            }
+        }
     }
 }

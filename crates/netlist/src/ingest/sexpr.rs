@@ -6,35 +6,36 @@
 //! attach precise positions to semantic errors long after lexing.
 
 use crate::error::{NetlistError, SourceFormat};
-use crate::ingest::lex::{Cursor, Loc};
+use crate::ingest::lex::{Cursor, Loc, Source};
 
-/// One node of an s-expression tree.
+/// One node of an s-expression tree. Atoms and strings borrow their text
+/// from the source.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Sexpr {
+pub enum Sexpr<'a> {
     /// A bare atom: a keyword, identifier, or number, kept as written.
     Atom {
         /// The atom text, as written.
-        text: String,
+        text: &'a str,
         /// Position of the atom's first character.
         loc: Loc,
     },
     /// A double-quoted string, with the quotes removed.
     Str {
         /// The string contents.
-        text: String,
+        text: &'a str,
         /// Position of the opening quote.
         loc: Loc,
     },
     /// A parenthesized list.
     List {
         /// The list elements, in order.
-        items: Vec<Sexpr>,
+        items: Vec<Sexpr<'a>>,
         /// Position of the opening parenthesis.
         loc: Loc,
     },
 }
 
-impl Sexpr {
+impl<'a> Sexpr<'a> {
     /// The source position of this node's first character.
     pub fn loc(&self) -> Loc {
         match self {
@@ -43,15 +44,15 @@ impl Sexpr {
     }
 
     /// The atom text if this node is an [`Sexpr::Atom`].
-    pub fn atom(&self) -> Option<&str> {
+    pub fn atom(&self) -> Option<&'a str> {
         match self {
-            Sexpr::Atom { text, .. } => Some(text),
+            Sexpr::Atom { text, .. } => Some(*text),
             _ => None,
         }
     }
 
     /// The list elements if this node is an [`Sexpr::List`].
-    pub fn list(&self) -> Option<&[Sexpr]> {
+    pub fn list(&self) -> Option<&[Sexpr<'a>]> {
         match self {
             Sexpr::List { items, .. } => Some(items),
             _ => None,
@@ -59,11 +60,19 @@ impl Sexpr {
     }
 
     /// For a list whose head is an atom (the usual EDIF `(keyword ...)`
-    /// shape), the lowercased head and the remaining elements.
-    pub fn form(&self) -> Option<(String, &[Sexpr])> {
+    /// shape), the head as written and the remaining elements. EDIF
+    /// keywords are case-insensitive: compare the head with
+    /// `eq_ignore_ascii_case`, or use [`Sexpr::form_named`].
+    pub fn form(&self) -> Option<(&'a str, &[Sexpr<'a>])> {
         let items = self.list()?;
         let head = items.first()?.atom()?;
-        Some((head.to_ascii_lowercase(), &items[1..]))
+        Some((head, &items[1..]))
+    }
+
+    /// The elements after the head of a `(keyword ...)` form whose head
+    /// is `keyword` in any letter case.
+    pub fn form_named(&self, keyword: &str) -> Option<&[Sexpr<'a>]> {
+        self.form().filter(|(h, _)| h.eq_ignore_ascii_case(keyword)).map(|(_, rest)| rest)
     }
 
     /// A short human-readable description for error messages.
@@ -91,11 +100,11 @@ fn is_atom_char(c: char) -> bool {
 ///
 /// Returns [`NetlistError::ParseSyntax`] (format [`SourceFormat::Edif`])
 /// for unbalanced parentheses, unterminated strings, or stray text.
-pub fn parse_sexpr(src: &str) -> Result<Sexpr, NetlistError> {
-    let mut cur = Cursor::new(src);
-    let err = |cur: &Cursor, loc: Loc, message: String| NetlistError::ParseSyntax {
+pub fn parse_sexpr<'a>(src: &Source<'a>) -> Result<Sexpr<'a>, NetlistError> {
+    let mut cur = Cursor::new(src.text());
+    let err = |loc: Loc, message: String| NetlistError::ParseSyntax {
         format: SourceFormat::Edif,
-        at: loc.src_loc(cur.src()),
+        at: src.locate(loc),
         message,
     };
 
@@ -109,10 +118,10 @@ pub fn parse_sexpr(src: &str) -> Result<Sexpr, NetlistError> {
         }
     }
 
-    fn node(cur: &mut Cursor, src: &str) -> Result<Sexpr, NetlistError> {
+    fn node<'a>(cur: &mut Cursor<'a>, src: &Source<'a>) -> Result<Sexpr<'a>, NetlistError> {
         let err = |loc: Loc, message: String| NetlistError::ParseSyntax {
             format: SourceFormat::Edif,
-            at: loc.src_loc(src),
+            at: src.locate(loc),
             message,
         };
         skip_ws(cur);
@@ -159,12 +168,12 @@ pub fn parse_sexpr(src: &str) -> Result<Sexpr, NetlistError> {
 
     skip_ws(&mut cur);
     if cur.peek().is_none() {
-        return Err(err(&cur, cur.loc(), "empty input: expected an (edif ...) form".to_string()));
+        return Err(err(cur.loc(), "empty input: expected an (edif ...) form".to_string()));
     }
     let root = node(&mut cur, src)?;
     skip_ws(&mut cur);
     if let Some(c) = cur.peek() {
-        return Err(err(&cur, cur.loc(), format!("trailing text after the toplevel form: `{c}`")));
+        return Err(err(cur.loc(), format!("trailing text after the toplevel form: `{c}`")));
     }
     Ok(root)
 }
@@ -175,7 +184,7 @@ mod tests {
 
     #[test]
     fn nested_lists_carry_positions() {
-        let s = parse_sexpr("(edif top\n  (net (joined)))").expect("parses");
+        let s = parse_sexpr(&Source::new("(edif top\n  (net (joined)))")).expect("parses");
         let (head, rest) = s.form().expect("form");
         assert_eq!(head, "edif");
         assert_eq!(rest[0].atom(), Some("top"));
@@ -188,11 +197,11 @@ mod tests {
 
     #[test]
     fn strings_and_errors() {
-        let s = parse_sexpr("(rename n_3 \"n[3]\")").expect("parses");
+        let s = parse_sexpr(&Source::new("(rename n_3 \"n[3]\")")).expect("parses");
         let (_, rest) = s.form().expect("form");
-        assert!(matches!(&rest[1], Sexpr::Str { text, .. } if text == "n[3]"));
+        assert!(matches!(&rest[1], Sexpr::Str { text, .. } if *text == "n[3]"));
 
-        match parse_sexpr("(edif (cell x)").unwrap_err() {
+        match parse_sexpr(&Source::new("(edif (cell x)")).unwrap_err() {
             NetlistError::ParseSyntax { at, message, .. } => {
                 assert_eq!((at.line, at.col), (1, 1));
                 assert!(message.contains("never closed"), "{message}");
@@ -200,7 +209,7 @@ mod tests {
             other => panic!("wrong variant: {other:?}"),
         }
 
-        match parse_sexpr("(a) (b)").unwrap_err() {
+        match parse_sexpr(&Source::new("(a) (b)")).unwrap_err() {
             NetlistError::ParseSyntax { at, .. } => assert_eq!((at.line, at.col), (1, 5)),
             other => panic!("wrong variant: {other:?}"),
         }

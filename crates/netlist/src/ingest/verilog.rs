@@ -9,12 +9,13 @@
 //! `(* init = 1'b1 *)` attributes. Everything else is rejected with a
 //! structured [`NetlistError`] carrying line, column, and a snippet.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
-use crate::error::{NetlistError, SourceFormat, SrcLoc};
+use crate::error::{NetlistError, SourceFormat};
 use crate::ingest::build::{self, BuildInput, BuildItem, SlotRef};
 use crate::ingest::cells::{cell_func, port_role, CellFunc, PortRole};
-use crate::ingest::lex::{tokenize_verilog, Loc, Tok, Token};
+use crate::ingest::lex::{tokenize_verilog, Loc, Source, Tok, Token};
 use crate::netlist::Netlist;
 
 const FORMAT: SourceFormat = SourceFormat::Verilog;
@@ -27,6 +28,12 @@ const FORMAT: SourceFormat = SourceFormat::Verilog;
 /// line/column and a source snippet; `docs/FORMATS.md` specifies which
 /// violation raises which variant.
 pub fn parse_verilog(src: &str) -> Result<Netlist, NetlistError> {
+    let src = Source::new(src);
+    build::build(FORMAT, &src, build_input(&src)?)
+}
+
+/// Parses `src` into the intermediate form [`build::build`] lowers.
+pub(crate) fn build_input<'a>(src: &Source<'a>) -> Result<BuildInput<'a>, NetlistError> {
     let toks = tokenize_verilog(src)?;
     let mut p = Parser { src, toks, pos: 0 };
     let ast = p.parse_module()?;
@@ -34,17 +41,17 @@ pub fn parse_verilog(src: &str) -> Result<Netlist, NetlistError> {
 }
 
 /// A net reference: a scalar name or one bit of a vector.
-#[derive(Debug, Clone)]
-struct NetRef {
-    base: String,
+#[derive(Debug, Clone, Copy)]
+struct NetRef<'a> {
+    base: &'a str,
     bit: Option<u64>,
     loc: Loc,
 }
 
 /// A pin/assign connection.
-#[derive(Debug, Clone)]
-enum Conn {
-    Net(NetRef),
+#[derive(Debug, Clone, Copy)]
+enum Conn<'a> {
+    Net(NetRef<'a>),
     Const(bool, Loc),
 }
 
@@ -56,56 +63,52 @@ enum Dir {
 }
 
 /// Attributes collected from `(* ... *)` before an item.
-#[derive(Debug, Clone, Default)]
-struct Attrs {
-    group: Option<String>,
+#[derive(Debug, Clone, Copy, Default)]
+struct Attrs<'a> {
+    group: Option<&'a str>,
     init: Option<bool>,
 }
 
 #[derive(Debug, Clone)]
-enum Item {
-    Decl { dir: Dir, range: Option<(u64, u64)>, names: Vec<(String, Loc)>, attrs: Attrs },
-    Assign { lhs: NetRef, rhs: Conn },
-    Inst { cell: String, cell_loc: Loc, conns: Conns, attrs: Attrs },
+enum Item<'a> {
+    Decl { dir: Dir, range: Option<(u64, u64)>, names: Vec<(&'a str, Loc)>, attrs: Attrs<'a> },
+    Assign { lhs: NetRef<'a>, rhs: Conn<'a> },
+    Inst { cell: &'a str, cell_loc: Loc, conns: Conns<'a>, attrs: Attrs<'a> },
 }
 
 #[derive(Debug, Clone)]
-enum Conns {
-    Positional(Vec<Conn>),
-    Named(Vec<(String, Loc, Conn)>),
+enum Conns<'a> {
+    Positional(Vec<Conn<'a>>),
+    Named(Vec<(&'a str, Loc, Conn<'a>)>),
 }
 
-struct Parser<'a> {
-    src: &'a str,
-    toks: Vec<Token>,
+struct Parser<'s, 'a> {
+    src: &'s Source<'a>,
+    toks: Vec<Token<'a>>,
     pos: usize,
 }
 
-impl<'a> Parser<'a> {
-    fn peek(&self) -> &Token {
-        &self.toks[self.pos.min(self.toks.len() - 1)]
+impl<'a> Parser<'_, 'a> {
+    fn peek(&self) -> Token<'a> {
+        self.toks[self.pos.min(self.toks.len() - 1)]
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.toks[self.pos.min(self.toks.len() - 1)].clone();
+    fn bump(&mut self) -> Token<'a> {
+        let t = self.peek();
         if self.pos < self.toks.len() - 1 {
             self.pos += 1;
         }
         t
     }
 
-    fn src_loc(&self, loc: Loc) -> SrcLoc {
-        loc.src_loc(self.src)
-    }
-
     fn syntax(&self, loc: Loc, message: String) -> NetlistError {
-        NetlistError::ParseSyntax { format: FORMAT, at: self.src_loc(loc), message }
+        syntax(self.src, loc, message)
     }
 
     fn unsupported(&self, loc: Loc, construct: &str) -> NetlistError {
         NetlistError::ParseUnsupported {
             format: FORMAT,
-            at: self.src_loc(loc),
+            at: self.src.locate(loc),
             construct: construct.to_string(),
         }
     }
@@ -119,7 +122,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect_ident(&mut self, what: &str) -> Result<(String, Loc), NetlistError> {
+    fn expect_ident(&mut self, what: &str) -> Result<(&'a str, Loc), NetlistError> {
         let t = self.bump();
         match t.tok {
             Tok::Ident(s) => Ok((s, t.loc)),
@@ -149,7 +152,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Parses `(* name = value, ... *)` groups into an [`Attrs`].
-    fn parse_attrs(&mut self) -> Result<Attrs, NetlistError> {
+    fn parse_attrs(&mut self) -> Result<Attrs<'a>, NetlistError> {
         let mut attrs = Attrs::default();
         while self.peek().tok == Tok::AttrOpen {
             self.bump();
@@ -160,7 +163,7 @@ impl<'a> Parser<'a> {
                     match t.tok {
                         Tok::Str(s) => AttrValue::Str(s),
                         Tok::Num(n) => AttrValue::Bit(n != 0),
-                        Tok::Based(b) => AttrValue::Bit(parse_based_bit(&b).ok_or_else(|| {
+                        Tok::Based(b) => AttrValue::Bit(parse_based_bit(b).ok_or_else(|| {
                             self.syntax(t.loc, format!("attribute literal `{b}` is not 1'b0/1'b1"))
                         })?),
                         other => {
@@ -173,7 +176,7 @@ impl<'a> Parser<'a> {
                 } else {
                     AttrValue::Bit(true)
                 };
-                match (name.as_str(), value) {
+                match (name, value) {
                     ("group", AttrValue::Str(s)) => attrs.group = Some(s),
                     ("group", AttrValue::Bit(_)) => {
                         return Err(self.syntax(
@@ -203,7 +206,7 @@ impl<'a> Parser<'a> {
         Ok(attrs)
     }
 
-    fn parse_net_ref(&mut self) -> Result<NetRef, NetlistError> {
+    fn parse_net_ref(&mut self) -> Result<NetRef<'a>, NetlistError> {
         let (base, loc) = self.expect_ident("a net name")?;
         let bit = if self.eat_punct('[') {
             let (n, _) = self.expect_num("a bit index")?;
@@ -215,10 +218,10 @@ impl<'a> Parser<'a> {
         Ok(NetRef { base, bit, loc })
     }
 
-    fn parse_conn(&mut self) -> Result<Conn, NetlistError> {
-        let t = self.peek().clone();
+    fn parse_conn(&mut self) -> Result<Conn<'a>, NetlistError> {
+        let t = self.peek();
         match t.tok {
-            Tok::Based(ref b) => {
+            Tok::Based(b) => {
                 let bit = parse_based_bit(b).ok_or_else(|| {
                     self.syntax(
                         t.loc,
@@ -229,14 +232,14 @@ impl<'a> Parser<'a> {
                 Ok(Conn::Const(bit, t.loc))
             }
             Tok::Ident(_) => Ok(Conn::Net(self.parse_net_ref()?)),
-            ref other => {
+            other => {
                 Err(self
                     .syntax(t.loc, format!("expected a connection, found {}", other.describe())))
             }
         }
     }
 
-    fn parse_module(&mut self) -> Result<Vec<Item>, NetlistError> {
+    fn parse_module(&mut self) -> Result<Vec<Item<'a>>, NetlistError> {
         // Attributes on the module itself are accepted and ignored.
         self.parse_attrs()?;
         let (kw, kloc) = self.expect_ident("`module`")?;
@@ -262,29 +265,29 @@ impl<'a> Parser<'a> {
         let mut items = Vec::new();
         loop {
             let attrs = self.parse_attrs()?;
-            let t = self.peek().clone();
+            let t = self.peek();
             let (word, loc) = match t.tok {
-                Tok::Ident(ref s) => (s.clone(), t.loc),
+                Tok::Ident(s) => (s, t.loc),
                 Tok::Eof => {
                     return Err(
                         self.syntax(t.loc, "expected `endmodule`, found end of input".into())
                     )
                 }
-                ref other => {
+                other => {
                     return Err(self.syntax(
                         t.loc,
                         format!("expected a statement, found {}", other.describe()),
                     ))
                 }
             };
-            match word.as_str() {
+            match word {
                 "endmodule" => {
                     self.bump();
                     break;
                 }
                 "input" | "output" | "wire" | "reg" => {
                     self.bump();
-                    let dir = match word.as_str() {
+                    let dir = match word {
                         "input" => Dir::Input,
                         "output" => Dir::Output,
                         _ => Dir::Wire,
@@ -317,7 +320,7 @@ impl<'a> Parser<'a> {
                     let rhs = self.parse_conn()?;
                     // Any operator after the rhs means an expression.
                     if self.peek().tok != Tok::Punct(';') {
-                        let t = self.peek().clone();
+                        let t = self.peek();
                         return Err(self.unsupported(
                             t.loc,
                             "expressions in assign (only aliases and 1'b0/1'b1 constants)",
@@ -342,7 +345,7 @@ impl<'a> Parser<'a> {
                     // A gate-primitive or library-cell instantiation.
                     self.bump();
                     if self.peek().tok == Tok::Punct('#') {
-                        let t = self.peek().clone();
+                        let t = self.peek();
                         return Err(self.unsupported(t.loc, "parameter/delay lists (`#`)"));
                     }
                     // Optional instance name (required in real netlists,
@@ -358,7 +361,7 @@ impl<'a> Parser<'a> {
                             let (port, ploc) = self.expect_ident("a port name")?;
                             self.expect_punct('(')?;
                             if self.peek().tok == Tok::Punct(')') {
-                                let t = self.peek().clone();
+                                let t = self.peek();
                                 return Err(self.unsupported(t.loc, "unconnected pins"));
                             }
                             let conn = self.parse_conn()?;
@@ -385,7 +388,7 @@ impl<'a> Parser<'a> {
                 }
             }
         }
-        let t = self.peek().clone();
+        let t = self.peek();
         if t.tok != Tok::Eof {
             return Err(self.unsupported(t.loc, "more than one module per file"));
         }
@@ -393,8 +396,8 @@ impl<'a> Parser<'a> {
     }
 }
 
-enum AttrValue {
-    Str(String),
+enum AttrValue<'a> {
+    Str(&'a str),
     Bit(bool),
 }
 
@@ -406,6 +409,10 @@ fn parse_based_bit(b: &str) -> Option<bool> {
     }
 }
 
+fn syntax(src: &Source, loc: Loc, message: String) -> NetlistError {
+    NetlistError::ParseSyntax { format: FORMAT, at: src.locate(loc), message }
+}
+
 /// A declared net in the symbol table.
 struct Decl {
     dir: Dir,
@@ -414,105 +421,104 @@ struct Decl {
     slots: Vec<usize>,
 }
 
-/// Semantic lowering: declarations + instances -> [`BuildInput`] -> netlist.
-fn lower(src: &str, items: Vec<Item>) -> Result<Netlist, NetlistError> {
-    let src_loc = |loc: Loc| loc.src_loc(src);
-    let syntax = |loc: Loc, message: String| NetlistError::ParseSyntax {
+/// Resolves a net reference to its slot.
+fn resolve(src: &Source, decls: &HashMap<&str, Decl>, r: &NetRef) -> Result<usize, NetlistError> {
+    let decl = decls.get(r.base).ok_or_else(|| NetlistError::ParseUnknownName {
         format: FORMAT,
-        at: src_loc(loc),
-        message,
-    };
+        at: src.locate(r.loc),
+        name: r.base.to_string(),
+    })?;
+    match (r.bit, decl.range) {
+        (None, None) => Ok(decl.slots[0]),
+        (Some(b), Some((lo, hi))) => {
+            if b < lo || b > hi {
+                Err(syntax(
+                    src,
+                    r.loc,
+                    format!("bit-select {}[{b}] is outside the declared range [{hi}:{lo}]", r.base),
+                ))
+            } else {
+                Ok(decl.slots[(b - lo) as usize])
+            }
+        }
+        (Some(b), None) => Err(syntax(
+            src,
+            r.loc,
+            format!("bit-select {}[{b}] on scalar net '{}'", r.base, r.base),
+        )),
+        (None, Some(_)) => Err(NetlistError::ParseUnsupported {
+            format: FORMAT,
+            at: src.locate(r.loc),
+            construct: format!("whole-vector reference to '{}' (connect individual bits)", r.base),
+        }),
+    }
+}
 
-    let mut slot_names: Vec<String> = Vec::new();
-    let mut decls: HashMap<String, Decl> = HashMap::new();
-    let mut decl_order: Vec<(String, Loc)> = Vec::new();
+/// Records `loc` as the driver of `slot`.
+///
+/// # Errors
+///
+/// [`NetlistError::ParseMultipleDrivers`] if the slot already has one.
+fn claim(
+    src: &Source,
+    driver: &mut [Option<Loc>],
+    slot_names: &[Cow<str>],
+    slot: usize,
+    loc: Loc,
+) -> Result<(), NetlistError> {
+    if driver[slot].is_some() {
+        return Err(NetlistError::ParseMultipleDrivers {
+            format: FORMAT,
+            at: src.locate(loc),
+            name: slot_names[slot].to_string(),
+        });
+    }
+    driver[slot] = Some(loc);
+    Ok(())
+}
+
+/// Semantic lowering: declarations + instances -> [`BuildInput`].
+fn lower<'a>(src: &Source<'a>, items: Vec<Item<'a>>) -> Result<BuildInput<'a>, NetlistError> {
+    let mut input = BuildInput::default();
+    let mut decls: HashMap<&'a str, Decl> = HashMap::new();
+    let mut decl_order: Vec<(&'a str, Loc)> = Vec::new();
 
     // Pass 1: register every declaration (declarations may legally follow
     // the instances that use them).
     for item in &items {
         let Item::Decl { dir, range, names, attrs: _ } = item else { continue };
-        for (name, nloc) in names {
+        for &(name, nloc) in names {
             if decls.contains_key(name) {
-                return Err(syntax(*nloc, format!("net '{name}' is declared twice")));
+                return Err(syntax(src, nloc, format!("net '{name}' is declared twice")));
             }
+            let slot_names = &mut input.slot_names;
             let slots: Vec<usize> = match range {
                 None => {
-                    slot_names.push(name.clone());
+                    slot_names.push(Cow::Borrowed(name));
                     vec![slot_names.len() - 1]
                 }
                 Some((lo, hi)) => (*lo..=*hi)
                     .map(|i| {
-                        slot_names.push(format!("{name}[{i}]"));
+                        slot_names.push(Cow::Owned(format!("{name}[{i}]")));
                         slot_names.len() - 1
                     })
                     .collect(),
             };
-            decls.insert(name.clone(), Decl { dir: *dir, range: *range, slots });
-            decl_order.push((name.clone(), *nloc));
+            decls.insert(name, Decl { dir: *dir, range: *range, slots });
+            decl_order.push((name, nloc));
         }
     }
 
-    // Resolves a net reference to its slot.
-    let resolve = |decls: &HashMap<String, Decl>, r: &NetRef| -> Result<usize, NetlistError> {
-        let decl = decls.get(&r.base).ok_or_else(|| NetlistError::ParseUnknownName {
-            format: FORMAT,
-            at: src_loc(r.loc),
-            name: r.base.clone(),
-        })?;
-        match (r.bit, decl.range) {
-            (None, None) => Ok(decl.slots[0]),
-            (Some(b), Some((lo, hi))) => {
-                if b < lo || b > hi {
-                    Err(syntax(
-                        r.loc,
-                        format!(
-                            "bit-select {}[{b}] is outside the declared range [{hi}:{lo}]",
-                            r.base
-                        ),
-                    ))
-                } else {
-                    Ok(decl.slots[(b - lo) as usize])
-                }
-            }
-            (Some(b), None) => {
-                Err(syntax(r.loc, format!("bit-select {}[{b}] on scalar net '{}'", r.base, r.base)))
-            }
-            (None, Some(_)) => Err(NetlistError::ParseUnsupported {
-                format: FORMAT,
-                at: src_loc(r.loc),
-                construct: format!(
-                    "whole-vector reference to '{}' (connect individual bits)",
-                    r.base
-                ),
-            }),
-        }
-    };
-
     // Driver bookkeeping for ParseMultipleDrivers.
-    let mut driver: Vec<Option<SrcLoc>> = vec![None; slot_names.len()];
-    let claim =
-        |driver: &mut Vec<Option<SrcLoc>>, slot: usize, loc: Loc| -> Result<(), NetlistError> {
-            if driver[slot].is_some() {
-                return Err(NetlistError::ParseMultipleDrivers {
-                    format: FORMAT,
-                    at: src_loc(loc),
-                    name: slot_names[slot].clone(),
-                });
-            }
-            driver[slot] = Some(src_loc(loc));
-            Ok(())
-        };
-
-    let mut input = BuildInput { slot_names: slot_names.clone(), ..BuildInput::default() };
+    let mut driver: Vec<Option<Loc>> = vec![None; input.slot_names.len()];
 
     // Inputs, in declaration order (this fixes the primary-input order).
     for item in &items {
         let Item::Decl { dir: Dir::Input, names, attrs, .. } = item else { continue };
         for (name, nloc) in names {
-            let decl = &decls[name];
-            for &slot in &decl.slots {
-                claim(&mut driver, slot, *nloc)?;
-                input.inputs.push((slot, attrs.group.clone()));
+            for &slot in &decls[name].slots {
+                claim(src, &mut driver, &input.slot_names, slot, *nloc)?;
+                input.inputs.push((slot, attrs.group));
             }
         }
     }
@@ -526,14 +532,14 @@ fn lower(src: &str, items: Vec<Item>) -> Result<Netlist, NetlistError> {
         match item {
             Item::Decl { .. } => {}
             Item::Assign { lhs, rhs } => {
-                let slot = resolve(&decls, lhs)?;
-                claim(&mut driver, slot, lhs.loc)?;
+                let slot = resolve(src, &decls, lhs)?;
+                claim(src, &mut driver, &input.slot_names, slot, lhs.loc)?;
                 match rhs {
                     Conn::Const(v, _) => {
                         input.items.push(BuildItem::Const { slot, value: *v, group: None })
                     }
                     Conn::Net(r) => {
-                        let sref = SlotRef { slot: resolve(&decls, r)?, at: src_loc(r.loc) };
+                        let sref = SlotRef { slot: resolve(src, &decls, r)?, at: r.loc };
                         input.items.push(BuildItem::Alias { slot, src: sref });
                     }
                 }
@@ -541,8 +547,8 @@ fn lower(src: &str, items: Vec<Item>) -> Result<Netlist, NetlistError> {
             Item::Inst { cell, cell_loc, conns, attrs } => {
                 let func = cell_func(cell).ok_or_else(|| NetlistError::ParseUnknownCell {
                     format: FORMAT,
-                    at: src_loc(*cell_loc),
-                    cell: cell.clone(),
+                    at: src.locate(*cell_loc),
+                    cell: cell.to_string(),
                 })?;
                 let pins = resolve_pins(src, func, cell, *cell_loc, conns)?;
                 // An inline-constant fanin materializes the hidden slot.
@@ -550,14 +556,14 @@ fn lower(src: &str, items: Vec<Item>) -> Result<Netlist, NetlistError> {
                 for conn in pins.ins {
                     match conn {
                         Conn::Net(r) => {
-                            ins.push(SlotRef { slot: resolve(&decls, &r)?, at: src_loc(r.loc) })
+                            ins.push(SlotRef { slot: resolve(src, &decls, &r)?, at: r.loc })
                         }
                         Conn::Const(v, loc) => {
                             let idx = v as usize;
                             let slot = match const_slots[idx] {
                                 Some(s) => s,
                                 None => {
-                                    input.slot_names.push(format!("1'b{}", idx));
+                                    input.slot_names.push(Cow::Owned(format!("1'b{}", idx)));
                                     let s = input.slot_names.len() - 1;
                                     const_slots[idx] = Some(s);
                                     input.items.push(BuildItem::Const {
@@ -568,30 +574,30 @@ fn lower(src: &str, items: Vec<Item>) -> Result<Netlist, NetlistError> {
                                     s
                                 }
                             };
-                            ins.push(SlotRef { slot, at: src_loc(loc) });
+                            ins.push(SlotRef { slot, at: loc });
                         }
                     }
                 }
-                let out = resolve(&decls, &pins.out)?;
-                claim(&mut driver, out, pins.out.loc)?;
+                let out = resolve(src, &decls, &pins.out)?;
+                claim(src, &mut driver, &input.slot_names, out, pins.out.loc)?;
                 match func {
                     CellFunc::Gate(kind) => input.items.push(BuildItem::Gate {
                         slot: out,
                         kind,
                         ins,
-                        group: attrs.group.clone(),
-                        at: src_loc(*cell_loc),
+                        group: attrs.group,
+                        at: *cell_loc,
                     }),
                     CellFunc::Dff => input.items.push(BuildItem::Dff {
                         slot: out,
                         d: ins.into_iter().next().expect("resolve_pins guarantees a D pin"),
                         init: attrs.init.unwrap_or(false),
-                        group: attrs.group.clone(),
+                        group: attrs.group,
                     }),
                     CellFunc::Const(v) => input.items.push(BuildItem::Const {
                         slot: out,
                         value: v,
-                        group: attrs.group.clone(),
+                        group: attrs.group,
                     }),
                 }
             }
@@ -599,51 +605,47 @@ fn lower(src: &str, items: Vec<Item>) -> Result<Netlist, NetlistError> {
     }
 
     // Outputs, in declaration order, vectors LSB-first.
-    for (name, nloc) in &decl_order {
+    for &(name, nloc) in &decl_order {
         let decl = &decls[name];
         if decl.dir != Dir::Output {
             continue;
         }
         match decl.range {
-            None => input
-                .outputs
-                .push((name.clone(), SlotRef { slot: decl.slots[0], at: src_loc(*nloc) })),
+            None => {
+                input.outputs.push((Cow::Borrowed(name), SlotRef { slot: decl.slots[0], at: nloc }))
+            }
             Some((lo, _)) => {
                 for (i, &slot) in decl.slots.iter().enumerate() {
                     let bit = lo + i as u64;
                     input
                         .outputs
-                        .push((format!("{name}[{bit}]"), SlotRef { slot, at: src_loc(*nloc) }));
+                        .push((Cow::Owned(format!("{name}[{bit}]")), SlotRef { slot, at: nloc }));
                 }
             }
         }
     }
 
-    build::build(FORMAT, input)
+    Ok(input)
 }
 
 /// The resolved pins of one instance: the output reference and the fanin
 /// connections in pin order (for flip-flops: `[D]`, clock dropped).
-struct Pins {
-    out: NetRef,
-    ins: Vec<Conn>,
+struct Pins<'a> {
+    out: NetRef<'a>,
+    ins: Vec<Conn<'a>>,
 }
 
-fn resolve_pins(
-    src: &str,
+fn resolve_pins<'a>(
+    src: &Source,
     func: CellFunc,
     cell: &str,
     cell_loc: Loc,
-    conns: &Conns,
-) -> Result<Pins, NetlistError> {
-    let syntax = |loc: Loc, message: String| NetlistError::ParseSyntax {
-        format: FORMAT,
-        at: loc.src_loc(src),
-        message,
-    };
-    let out_of = |conn: &Conn, loc: Loc| -> Result<NetRef, NetlistError> {
+    conns: &Conns<'a>,
+) -> Result<Pins<'a>, NetlistError> {
+    let syntax = |loc: Loc, message: String| self::syntax(src, loc, message);
+    let out_of = |conn: &Conn<'a>, loc: Loc| -> Result<NetRef<'a>, NetlistError> {
         match conn {
-            Conn::Net(r) => Ok(r.clone()),
+            Conn::Net(r) => Ok(*r),
             Conn::Const(..) => {
                 Err(syntax(loc, "an instance output must connect to a net".to_string()))
             }
@@ -694,19 +696,19 @@ fn resolve_pins(
                         if d.is_some() {
                             return Err(syntax(*ploc, "pin `D` connected twice".to_string()));
                         }
-                        d = Some(conn.clone());
+                        d = Some(*conn);
                     }
                     PortRole::Select => {
                         if sel.is_some() {
                             return Err(syntax(*ploc, "select pin connected twice".to_string()));
                         }
-                        sel = Some(conn.clone());
+                        sel = Some(*conn);
                     }
                     PortRole::Input(i) => {
                         if indexed.iter().any(|(j, _)| *j == i) {
                             return Err(syntax(*ploc, format!("pin `{port}` connected twice")));
                         }
-                        indexed.push((i, conn.clone()));
+                        indexed.push((i, *conn));
                     }
                     PortRole::Clock => {} // single implicit clock domain
                 }

@@ -21,7 +21,7 @@ use std::error::Error;
 use std::fmt;
 
 use crate::error::{NetlistError, SourceFormat, SrcLoc};
-use crate::ingest::lex::{self, Loc, Word};
+use crate::ingest::lex::{self, Loc, Source, Word};
 use crate::library::GateKind;
 use crate::netlist::{Netlist, NodeId, NodeKind};
 
@@ -151,36 +151,33 @@ pub fn write_netlist(nl: &Netlist) -> String {
 /// pointing at the offending token (line, column, and source line).
 pub fn parse_netlist(text: &str) -> Result<Netlist, ParseNetlistError> {
     let mut nl = Netlist::new();
-    let mut names: HashMap<String, NodeId> = HashMap::new();
-    let malformed = |loc: Loc, reason: String| ParseNetlistError::Malformed {
-        line: loc.line,
-        col: loc.col,
-        snippet: lex::snippet(text, loc.line),
-        reason,
+    let mut names: HashMap<&str, NodeId> = HashMap::new();
+    let src = Source::new(text);
+    let malformed = |loc: Loc, reason: String| {
+        let SrcLoc { line, col, snippet } = src.locate(loc);
+        ParseNetlistError::Malformed { line, col, snippet, reason }
     };
-    let unknown = |w: &Word| ParseNetlistError::UnknownName {
-        line: w.loc.line,
-        col: w.loc.col,
-        snippet: lex::snippet(text, w.loc.line),
-        name: w.text.clone(),
+    let unknown = |w: &Word| {
+        let SrcLoc { line, col, snippet } = src.locate(w.loc);
+        ParseNetlistError::UnknownName { line, col, snippet, name: w.text.to_string() }
     };
     // Flip-flops may reference nodes declared later: collect fixups.
     let mut dff_fixups: Vec<(Word, NodeId)> = Vec::new();
     for (_lineno, words) in lex::lines_of_words(text) {
         let head = &words[0];
-        match head.text.as_str() {
+        match head.text {
             "input" => {
                 let name = words
                     .get(1)
                     .ok_or_else(|| malformed(head.loc, "input needs a name".to_string()))?;
-                let id = nl.input(name.text.clone());
-                names.insert(name.text.clone(), id);
+                let id = nl.input(name.text);
+                names.insert(name.text, id);
             }
             "const" => {
                 if words.len() != 3 {
                     return Err(malformed(head.loc, "const needs a name and 0/1".to_string()));
                 }
-                let v = match words[2].text.as_str() {
+                let v = match words[2].text {
                     "0" => false,
                     "1" => true,
                     _ => {
@@ -191,22 +188,22 @@ pub fn parse_netlist(text: &str) -> Result<Netlist, ParseNetlistError> {
                     }
                 };
                 let id = nl.constant(v);
-                names.insert(words[1].text.clone(), id);
+                names.insert(words[1].text, id);
             }
             "gate" => {
                 if words.len() < 4 {
                     return Err(malformed(head.loc, "gate needs name, kind, inputs".to_string()));
                 }
-                let kind = gate_kind_by_name(&words[2].text).ok_or_else(|| {
+                let kind = gate_kind_by_name(words[2].text).ok_or_else(|| {
                     malformed(words[2].loc, format!("unknown gate kind '{}'", words[2].text))
                 })?;
                 let mut inputs = Vec::new();
                 for w in &words[3..] {
-                    inputs.push(*names.get(&w.text).ok_or_else(|| unknown(w))?);
+                    inputs.push(*names.get(w.text).ok_or_else(|| unknown(w))?);
                 }
                 let id = nl.gate(kind, inputs).map_err(|e| malformed(head.loc, e.to_string()))?;
-                nl.set_name(id, words[1].text.clone());
-                names.insert(words[1].text.clone(), id);
+                nl.set_name(id, words[1].text);
+                names.insert(words[1].text, id);
             }
             "dff" => {
                 if words.len() != 4 {
@@ -215,7 +212,7 @@ pub fn parse_netlist(text: &str) -> Result<Netlist, ParseNetlistError> {
                         "dff needs name, data input, init".to_string(),
                     ));
                 }
-                let init = match words[3].text.as_str() {
+                let init = match words[3].text {
                     "0" => false,
                     "1" => true,
                     _ => {
@@ -223,16 +220,16 @@ pub fn parse_netlist(text: &str) -> Result<Netlist, ParseNetlistError> {
                     }
                 };
                 let q = nl.dff_placeholder(init);
-                nl.set_name(q, words[1].text.clone());
-                names.insert(words[1].text.clone(), q);
-                dff_fixups.push((words[2].clone(), q));
+                nl.set_name(q, words[1].text);
+                names.insert(words[1].text, q);
+                dff_fixups.push((words[2], q));
             }
             "output" => {
                 if words.len() != 3 {
                     return Err(malformed(head.loc, "output needs a name and a node".to_string()));
                 }
-                let id = *names.get(&words[2].text).ok_or_else(|| unknown(&words[2]))?;
-                nl.set_output(words[1].text.clone(), id);
+                let id = *names.get(words[2].text).ok_or_else(|| unknown(&words[2]))?;
+                nl.set_output(words[1].text, id);
             }
             "group" => {
                 if words.len() != 3 {
@@ -241,15 +238,15 @@ pub fn parse_netlist(text: &str) -> Result<Netlist, ParseNetlistError> {
                         "group needs a node and a group name".to_string(),
                     ));
                 }
-                let id = *names.get(&words[1].text).ok_or_else(|| unknown(&words[1]))?;
-                let g = nl.group(words[2].text.clone());
+                let id = *names.get(words[1].text).ok_or_else(|| unknown(&words[1]))?;
+                let g = nl.group(words[2].text);
                 nl.set_node_group(id, g);
             }
             other => return Err(malformed(head.loc, format!("unknown declaration '{other}'"))),
         }
     }
     for (w, q) in dff_fixups {
-        let d = *names.get(&w.text).ok_or_else(|| unknown(&w))?;
+        let d = *names.get(w.text).ok_or_else(|| unknown(&w))?;
         nl.connect_dff_d(q, d);
     }
     Ok(nl)
