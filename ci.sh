@@ -37,27 +37,21 @@ HLPOWER_TRACE=results/trace.json \
 # dumps results/ingest/<stem>.json.
 cargo run --release --offline -p hlpower-bench --bin repro -- \
   --ingest examples/gray_counter4.v examples/majority.edf
-# Simulation throughput smoke: exits non-zero if the packed 64-lane
-# kernel is not faster than the scalar one (or if their Monte-Carlo
-# results are not bit-identical); dumps results/BENCH_sim.json.
-cargo bench --offline -p hlpower-bench --bench sim_throughput
-# Timed (glitch) simulation smoke: exits non-zero if the packed 64-lane
-# time-wheel kernel is not faster than the scalar event-driven simulator
-# (or if their glitch-power results are not bit-identical); dumps
-# results/BENCH_glitch.json.
-cargo bench --offline -p hlpower-bench --bench glitch_throughput
-# Wide-word kernel smoke: exits non-zero if the 256-lane Monte-Carlo
-# kernel is not faster than the 64-lane one (or if any width diverges
-# from packed64 by a single bit); dumps results/BENCH_wide.json. The
-# per-lane bit-identity battery itself runs in the test step above
+# Kernel throughput smoke: one bench, one dump (results/BENCH_kernels.json).
+# Exits non-zero if, on the 16-bit array multiplier, any kernel of a row
+# diverges from the row's first kernel by a single bit of power_uw or in
+# batch or cycle count (scalar vs packed64 in zero-delay and glitch mode;
+# packed64 vs 256 vs 512), or if a gate fails:
+#   - zero-delay: packed64 faster than scalar;
+#   - glitch: packed64 time-wheel kernel faster than scalar event sim;
+#   - zero-delay: packed256 faster than packed64;
+#   - optimize: incremental guard scoring (bit-identical per candidate to
+#     the from-scratch scorer) faster than from-scratch, and at least 10x
+#     in full mode; rewrite dirty-cone replay strictly less work than one
+#     full replay per candidate.
+# The per-lane bit-identity battery runs in the test step above
 # (tests/wide_differential.rs).
-cargo bench --offline -p hlpower-bench --bench wide_throughput
-# Optimize-pass scoring smoke: exits non-zero if incremental guard
-# candidate scoring is not faster than the from-scratch reference (the
-# two are first asserted bit-identical per candidate) or if the rewrite
-# search's dirty-cone replay did no less work than full replays per
-# candidate; dumps results/BENCH_opt.json.
-cargo bench --offline -p hlpower-bench --bench opt_throughput
+cargo bench --offline -p hlpower-bench --bench kernels
 # Estimation-server smoke: boot the daemon on an ephemeral port with
 # request-scoped telemetry fully on (JSONL access log + Chrome trace),
 # drive it with the in-tree client (no curl), require the `serve`

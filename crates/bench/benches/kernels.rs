@@ -1,0 +1,417 @@
+//! Kernel throughput gates: every simulation-kernel comparison and the
+//! optimize-pass scoring comparison, timed one way and dumped to one file.
+//!
+//! Each row of [`COMPARISONS`] runs one fixed seeded Monte-Carlo workload
+//! on the 16-bit array multiplier with each of its kernels, interleaved
+//! rep by rep, and keeps each kernel's fastest rep.
+//! `target_relative_error: 0.0` disables the stopping rule, so every
+//! kernel simulates exactly `max_batches * batch_cycles` lane-cycles. The
+//! row's kernels must agree on `power_uw` to the bit and on the batch and
+//! cycle counts; then its gate requires one kernel to beat another.
+//!
+//! The optimize section scores every guard-search candidate with the
+//! from-scratch [`guard::evaluate`] and with one [`guard::GuardScorer`]:
+//! bit-identical per candidate, then faster (at least 10x in full mode).
+//! It also runs [`rewrite::rewrite_gates`], gated on its replay-work
+//! ratio: one full replay per candidate must cost more nodes than the
+//! dirty cones it re-evaluated.
+//!
+//! Every timed leg records the nonzero `hlpower-obs` counter deltas of its
+//! last rep. The dump is `results/BENCH_kernels.json`; gate failures are
+//! reported after it is written, with every rep's seconds, and exit 1.
+//!
+//! Default is a quick smoke workload; `HLPOWER_BENCH_FULL=1` runs the
+//! longer measurement the committed dump records.
+
+use std::hint::black_box;
+use std::time::Instant;
+
+use hlpower::netlist::{
+    gen, monte_carlo_glitch_power_seeded_threads_kernel, monte_carlo_power_seeded_threads_kernel,
+    simd_level, streams, Library, McKernel, MonteCarloOptions, Netlist,
+};
+use hlpower::optimize::{guard, rewrite};
+use hlpower_bench::timing::full_mode;
+use hlpower_obs::json;
+use hlpower_obs::json::Value;
+use hlpower_obs::metrics;
+use hlpower_obs::report::{Snapshot, Value as Metric};
+use McKernel::{Packed256, Packed512, Packed64, Scalar};
+
+/// Where the dump lands: the workspace-root `results/` directory
+/// (benches run with the package directory as cwd, so a relative
+/// `results/` would end up inside `crates/bench/`).
+const OUT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_kernels.json");
+
+/// `(batch_cycles, max_batches, reps)` of one fixed Monte-Carlo workload.
+type Workload = (usize, usize, usize);
+
+/// One row of the comparison table: one seeded workload on every kernel
+/// in `kernels`.
+struct Comparison {
+    name: &'static str,
+    /// Transport-delay (glitch-aware) simulation instead of zero-delay.
+    glitch: bool,
+    seed: u64,
+    smoke: Workload,
+    full: Workload,
+    kernels: &'static [McKernel],
+    /// `(faster, than)`: the first kernel's best time must beat the
+    /// second's.
+    gate: (McKernel, McKernel),
+}
+
+const COMPARISONS: [Comparison; 3] = [
+    Comparison {
+        name: "zd_scalar_vs_packed64",
+        glitch: false,
+        seed: 2024,
+        smoke: (50, 128, 3),
+        full: (200, 256, 5),
+        kernels: &[Scalar, Packed64],
+        gate: (Packed64, Scalar),
+    },
+    Comparison {
+        name: "glitch_scalar_vs_packed64",
+        glitch: true,
+        seed: 2024,
+        smoke: (20, 64, 2),
+        full: (60, 256, 3),
+        kernels: &[Scalar, Packed64],
+        gate: (Packed64, Scalar),
+    },
+    Comparison {
+        name: "zd_widths",
+        glitch: false,
+        seed: 2026,
+        smoke: (40, 1024, 3),
+        full: (100, 2048, 5),
+        kernels: &[Packed64, Packed256, Packed512],
+        gate: (Packed256, Packed64),
+    },
+];
+
+/// The 16-bit array multiplier (inputs `a`, `b`; output `p`) every
+/// comparison row simulates.
+fn mult16() -> Netlist {
+    let mut nl = Netlist::new();
+    let a = nl.input_bus("a", 16);
+    let b = nl.input_bus("b", 16);
+    let p = gen::array_multiplier(&mut nl, &a, &b);
+    nl.output_bus("p", &p);
+    nl
+}
+
+/// Every rep's wall seconds of one timed leg, plus the nonzero counter
+/// deltas of its last rep.
+struct Leg {
+    name: String,
+    reps: Vec<f64>,
+    counters: Value,
+}
+
+impl Leg {
+    fn new(name: impl Into<String>) -> Self {
+        Leg { name: name.into(), reps: Vec::new(), counters: Value::Null }
+    }
+
+    /// Times one call of `f`, recording its seconds and counter deltas.
+    fn time<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        let before = metrics::snapshot();
+        let t = Instant::now();
+        let r = black_box(f());
+        self.reps.push(t.elapsed().as_secs_f64());
+        self.counters = nonzero_counts(&metrics::snapshot().delta(&before));
+        r
+    }
+
+    /// The fastest rep.
+    fn seconds(&self) -> f64 {
+        self.reps.iter().copied().fold(f64::INFINITY, f64::min)
+    }
+}
+
+/// Times `reps` calls of `f`: the leg and the last call's result.
+fn min_of_reps<R>(name: &str, reps: usize, mut f: impl FnMut() -> R) -> (Leg, R) {
+    let mut leg = Leg::new(name);
+    let mut last = None;
+    for _ in 0..reps {
+        last = Some(leg.time(&mut f));
+    }
+    (leg, last.expect("reps >= 1"))
+}
+
+/// The nonzero counters of a snapshot delta, keyed `section.name`.
+fn nonzero_counts(delta: &Snapshot) -> Value {
+    let mut pairs = Vec::new();
+    for section in &delta.sections {
+        for (name, value) in &section.entries {
+            if let Metric::Count(n @ 1..) = value {
+                pairs.push((format!("{}.{name}", section.name), Value::from(*n)));
+            }
+        }
+    }
+    Value::Obj(pairs)
+}
+
+/// Records a failed gate's report with every rep's seconds of `legs`.
+fn fail(failures: &mut Vec<String>, report: String, legs: &[Leg]) {
+    let reps: Vec<String> = legs.iter().map(|l| format!("{} {:?}", l.name, l.reps)).collect();
+    failures.push(format!("{report}; rep seconds: {}", reps.join(", ")));
+}
+
+/// Times one comparison row, asserts its kernels agree to the bit, and
+/// checks its gate: its JSON, with a failed gate's report pushed onto
+/// `failures`.
+fn compare(nl: &Netlist, row: &Comparison, full: bool, failures: &mut Vec<String>) -> Value {
+    let (batch_cycles, max_batches, reps) = if full { row.full } else { row.smoke };
+    let opts = MonteCarloOptions { batch_cycles, max_batches, target_relative_error: 0.0, z: 1.96 };
+    let (lib, w) = (Library::default(), nl.input_count());
+    let stream = |rng| streams::random_rng(rng, w);
+    let engine = if row.glitch {
+        monte_carlo_glitch_power_seeded_threads_kernel
+    } else {
+        monte_carlo_power_seeded_threads_kernel
+    };
+    let mut legs: Vec<Leg> = row.kernels.iter().map(|k| Leg::new(format!("{k:?}"))).collect();
+    let mut results = Vec::new();
+    for _ in 0..reps {
+        results.clear();
+        for (&kernel, leg) in row.kernels.iter().zip(&mut legs) {
+            let r = leg.time(|| engine(nl, &lib, stream, row.seed, &opts, 1, kernel));
+            results.push(r.expect("acyclic multiplier"));
+        }
+    }
+
+    // The determinism contract: every kernel is a reorganization of the
+    // same computation, so the estimates agree to the last bit.
+    let (first, k0) = (&results[0], row.kernels[0]);
+    for (r, k) in results.iter().zip(row.kernels).skip(1) {
+        assert_eq!(
+            (r.power_uw.to_bits(), r.batches, r.cycles),
+            (first.power_uw.to_bits(), first.batches, first.cycles),
+            "{}: {k:?} diverged from {k0:?}: {} vs {} uW",
+            row.name,
+            r.power_uw,
+            first.power_uw
+        );
+    }
+
+    let lane_cycles = (batch_cycles * max_batches) as f64;
+    let gate_evals = nl.gate_count() as f64 * lane_cycles;
+    for leg in &legs {
+        let s = leg.seconds();
+        let (name, ms, evals, lanes) = (row.name, s * 1e3, gate_evals / s, lane_cycles / s);
+        println!(
+            "  {name:<26} {:<10} {ms:>9.1} ms  {evals:>10.3e} gate-evals/s  {lanes:>10.3e} \
+             lane-cycles/s",
+            leg.name
+        );
+    }
+    let leg_of = |k| &legs[row.kernels.iter().position(|&x| x == k).expect("gate kernel in row")];
+    let (faster, than) = (leg_of(row.gate.0), leg_of(row.gate.1));
+    let speedup = than.seconds() / faster.seconds();
+    println!(
+        "  {:<26} {:?} {speedup:.2}x vs {:?}  (power {:.3} uW, bit-identical)",
+        row.name, row.gate.0, row.gate.1, first.power_uw
+    );
+
+    let json = json!({
+        "name": row.name,
+        "glitch": row.glitch,
+        "workload": {
+            "batch_cycles": batch_cycles,
+            "max_batches": max_batches,
+            "seed": row.seed,
+            "reps": reps,
+        },
+        "legs": legs.iter().map(|leg| json!({
+            "kernel": leg.name.as_str(),
+            "seconds": leg.seconds(),
+            "gate_evals_per_sec": gate_evals / leg.seconds(),
+            "lane_cycles_per_sec": lane_cycles / leg.seconds(),
+            "counters": leg.counters.clone(),
+        })).collect::<Vec<_>>(),
+        "power_uw": first.power_uw,
+        "gate": {
+            "faster": format!("{:?}", row.gate.0),
+            "than": format!("{:?}", row.gate.1),
+            "speedup": speedup,
+            "min": 1.0,
+        },
+    });
+    if speedup <= 1.0 {
+        let (f, t) = (faster.seconds(), than.seconds());
+        let report = format!(
+            "{}: {:?} ({f:.3}s) is not faster than {:?} ({t:.3}s)",
+            row.name, row.gate.0, row.gate.1
+        );
+        fail(failures, report, &legs);
+    }
+    json
+}
+
+/// The optimize-pass scoring section: guard from-scratch vs
+/// [`guard::GuardScorer`], and the rewrite search's replay-work ratio:
+/// its JSON, with failed gates' reports pushed onto `failures`.
+fn optimize(full: bool, failures: &mut Vec<String>) -> Value {
+    let lib = &Library::default();
+    let (width, cycles, max_targets, reps) = if full { (12, 4096, 24, 5) } else { (8, 512, 8, 3) };
+
+    // --- Guard search: score the same candidates both ways. ---
+    let nl = guard::guarded_mux_example(width);
+    let stream: Vec<Vec<bool>> = streams::random(2026, nl.input_count()).take(cycles).collect();
+    let candidates = guard::find_candidates(&nl, lib, max_targets).expect("acyclic example");
+    assert!(!candidates.is_empty(), "guard example produced no candidates");
+
+    // Correctness first: every candidate's (base, guarded, ok) triple must
+    // agree to the bit between the two scorers.
+    let scratch_scores: Vec<(f64, f64, bool)> = candidates
+        .iter()
+        .map(|c| guard::evaluate(&nl, lib, c, &stream).expect("acyclic example"))
+        .collect();
+    let mut scorer = guard::GuardScorer::new(&nl, lib, &stream).expect("acyclic example");
+    for (c, s) in candidates.iter().zip(&scratch_scores) {
+        let (base, guarded, ok) = scorer.score(c);
+        assert_eq!(base.to_bits(), s.0.to_bits(), "baseline energy diverged");
+        assert_eq!(guarded.to_bits(), s.1.to_bits(), "guarded energy diverged on {:?}", c.target);
+        assert_eq!(ok, s.2, "correctness bit diverged on target {:?}", c.target);
+    }
+
+    // From-scratch leg: one full scalar replay pair per candidate.
+    let (scratch, ()) = min_of_reps("from_scratch", reps, || {
+        for c in &candidates {
+            black_box(guard::evaluate(&nl, lib, c, &stream).expect("acyclic example"));
+        }
+    });
+    // Incremental leg: recording construction is part of the search cost,
+    // so it stays inside the timed region.
+    let (inc, ()) = min_of_reps("incremental", reps, || {
+        let mut scorer = guard::GuardScorer::new(&nl, lib, &stream).expect("acyclic example");
+        for c in &candidates {
+            black_box(scorer.score(c));
+        }
+    });
+    let (sec_scratch, sec_inc) = (scratch.seconds(), inc.seconds());
+    let n = candidates.len() as f64;
+    let guard_speedup = sec_scratch / sec_inc;
+    let guard_min = if full { 10.0 } else { 1.0 };
+    let (ms_scratch, ms_inc) = (sec_scratch * 1e3, sec_inc * 1e3);
+    println!(
+        "  opt.guard    {n} candidates: from-scratch {ms_scratch:.1} ms, incremental \
+         {ms_inc:.1} ms ({guard_speedup:.1}x)"
+    );
+
+    // --- Rewrite search: wall time is reported, but the gate is the
+    // deterministic replay-work ratio (dirty-cone nodes re-evaluated vs
+    // the full-replay-per-candidate equivalent the old scorer paid). ---
+    let rw_bits = if full { 10 } else { 6 };
+    let rw = rewrite::demorgan_example(rw_bits);
+    let rw_stream: Vec<Vec<bool>> = streams::random(97, rw.input_count()).take(cycles).collect();
+    let opts = rewrite::RewriteOptions::default();
+    let (rw_leg, outcome) = min_of_reps("rewrite", reps, || {
+        rewrite::rewrite_gates(&rw, lib, &rw_stream, &opts).expect("acyclic example")
+    });
+    let sec_rw = rw_leg.seconds();
+    let tried = outcome.candidates_tried.max(1) as f64;
+    let full_replay_nodes = outcome.candidates_tried * rw.node_count();
+    let work_ratio = full_replay_nodes as f64 / outcome.cone_nodes_resimmed.max(1) as f64;
+    let (cone, accepted, ms_rw) = (outcome.cone_nodes_resimmed, outcome.steps.len(), sec_rw * 1e3);
+    println!(
+        "  opt.rewrite  {} candidates ({accepted} accepted) in {ms_rw:.1} ms; replay work \
+         {cone} cone nodes vs {full_replay_nodes} full-replay ({work_ratio:.1}x less)",
+        outcome.candidates_tried
+    );
+
+    let json = json!({
+        "guard": {
+            "circuit": "guarded_mux_example",
+            "width": width,
+            "gates": nl.gate_count(),
+            "cycles": cycles,
+            "reps": reps,
+            "candidates": candidates.len(),
+            "from_scratch_seconds": sec_scratch,
+            "incremental_seconds": sec_inc,
+            "from_scratch_candidates_per_sec": n / sec_scratch,
+            "incremental_candidates_per_sec": n / sec_inc,
+            "from_scratch_counters": scratch.counters.clone(),
+            "incremental_counters": inc.counters.clone(),
+            "speedup": guard_speedup,
+            "min_speedup": guard_min,
+            "bit_identical": true,
+        },
+        "rewrite": {
+            "circuit": "demorgan_example",
+            "bits": rw_bits,
+            "gates": rw.gate_count(),
+            "cycles": cycles,
+            "reps": reps,
+            "candidates_tried": outcome.candidates_tried,
+            "accepted": accepted,
+            "cone_nodes_resimmed": cone,
+            "full_replay_equivalent_nodes": full_replay_nodes,
+            "replay_work_ratio": work_ratio,
+            "incremental_seconds": sec_rw,
+            "incremental_candidates_per_sec": tried / sec_rw,
+            "counters": rw_leg.counters.clone(),
+        },
+    });
+    // Smoke mode needs a strict win; full mode needs at least 10x.
+    if guard_speedup <= 1.0 || (full && guard_speedup < guard_min) {
+        let need = if full { ">=" } else { ">" };
+        let report =
+            format!("opt.guard: {guard_speedup:.2}x from-scratch, needs {need} {guard_min}x");
+        fail(failures, report, &[scratch, inc]);
+    }
+    if work_ratio <= 1.0 {
+        let report = format!("opt.rewrite: {cone} cone nodes vs {full_replay_nodes} full-replay");
+        fail(failures, report, &[rw_leg]);
+    }
+    json
+}
+
+fn main() {
+    let full = full_mode();
+    let mode = if full { "full" } else { "smoke" };
+    let nl = mult16();
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!(
+        "kernels: 16-bit array multiplier, {} gates ({mode} mode, simd level {:?}, {cpus} cpus, \
+         1 thread)",
+        nl.gate_count(),
+        simd_level()
+    );
+
+    let mut failures = Vec::new();
+    let comparisons: Vec<Value> =
+        COMPARISONS.iter().map(|row| compare(&nl, row, full, &mut failures)).collect();
+    let opt = optimize(full, &mut failures);
+
+    let report = json!({
+        "id": "BENCH_kernels",
+        "mode": mode,
+        "host": {
+            "simd_level": format!("{:?}", simd_level()),
+            "cpus": cpus,
+            "threads": 1,
+        },
+        "circuit": {
+            "name": "array_multiplier_16",
+            "gates": nl.gate_count(),
+            "inputs": nl.input_count(),
+        },
+        "comparisons": comparisons,
+        "opt": opt,
+    });
+    if let Err(e) = std::fs::write(OUT_PATH, report.pretty() + "\n") {
+        eprintln!("warning: could not write {OUT_PATH}: {e}");
+    } else {
+        println!("  dump written to results/BENCH_kernels.json");
+    }
+
+    for f in &failures {
+        eprintln!("gate failed: {f}");
+    }
+    std::process::exit(i32::from(!failures.is_empty()));
+}

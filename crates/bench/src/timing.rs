@@ -15,8 +15,8 @@
 //!
 //! * default — quick mode: short calibration, few samples; suitable as a
 //!   CI smoke test.
-//! * `--features criterion` or `HLPOWER_BENCH_FULL=1` — full mode: longer
-//!   measurements, more samples, tighter medians.
+//! * `HLPOWER_BENCH_FULL=1` — full mode: longer measurements, more
+//!   samples, tighter medians.
 //!
 //! Setting `HLPOWER_BENCH_METRICS=1` additionally prints, after each
 //! benchmark, the per-iteration deltas of every instrumented counter the
@@ -26,25 +26,13 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use hlpower::netlist::{gen, Netlist};
 use hlpower_obs::metrics;
 use hlpower_obs::report::Value;
 
-/// Whether benches run their full measurement (`--features criterion` or
-/// `HLPOWER_BENCH_FULL` set) rather than the quick smoke workload.
+/// Whether benches run their full measurement (`HLPOWER_BENCH_FULL` set)
+/// rather than the quick smoke workload.
 pub fn full_mode() -> bool {
-    cfg!(feature = "criterion") || std::env::var_os("HLPOWER_BENCH_FULL").is_some()
-}
-
-/// The 16-bit array multiplier (inputs `a`, `b`; output `p`) that the
-/// kernel throughput benches time.
-pub fn mult16() -> Netlist {
-    let mut nl = Netlist::new();
-    let a = nl.input_bus("a", 16);
-    let b = nl.input_bus("b", 16);
-    let p = gen::array_multiplier(&mut nl, &a, &b);
-    nl.output_bus("p", &p);
-    nl
+    std::env::var_os("HLPOWER_BENCH_FULL").is_some()
 }
 
 fn metrics_mode() -> bool {

@@ -249,56 +249,24 @@ pub fn monte_carlo_power(
     let _t = obs::MC_TIME.span();
     let mut sim = ZeroDelaySim::new(netlist)?;
     let mut it = stream.into_iter();
-    let mut samples: Vec<f64> = Vec::new();
-    let mut total_cycles = 0u64;
+    let mut replay = StoppingReplay::new(opts);
     for batch in 0..opts.max_batches {
         let _batch_t = obs::MC_BATCH_NS.time();
         let _span = trace::span_dyn("mc", || format!("mc.batch:{batch}"));
         let mut got = 0usize;
-        for _ in 0..opts.batch_cycles {
-            match it.next() {
-                Some(v) => {
-                    sim.step(&v)?;
-                    got += 1;
-                }
-                None => break,
-            }
+        for v in it.by_ref().take(opts.batch_cycles) {
+            sim.step(&v)?;
+            got += 1;
         }
         if got == 0 {
             break;
         }
         let act = sim.take_activity();
-        total_cycles += act.cycles;
-        samples.push(act.power(netlist, lib).total_power_uw());
-        obs::MC_BATCHES.inc();
-        obs::MC_CYCLES.add(act.cycles);
-        if samples.len() >= 2 {
-            let (_, hw) = mean_half_width(&samples, opts.z);
-            obs::MC_CI_HALF_WIDTH_UW.push(hw);
-            obs::MC_CI_HALF_WIDTH_NW.record((hw * 1000.0).round() as u64);
-        }
-        if samples.len() >= 5 {
-            let (mean, hw) = mean_half_width(&samples, opts.z);
-            if mean > 0.0 && hw / mean < opts.target_relative_error {
-                return Ok(MonteCarloResult {
-                    power_uw: mean,
-                    half_width_uw: hw,
-                    batches: samples.len(),
-                    cycles: total_cycles,
-                });
-            }
+        if replay.push(act.power(netlist, lib).total_power_uw(), act.cycles).is_some() {
+            break;
         }
     }
-    if samples.is_empty() {
-        return Err(NetlistError::EmptyStream);
-    }
-    let (mean, hw) = mean_half_width(&samples, opts.z);
-    Ok(MonteCarloResult {
-        power_uw: mean,
-        half_width_uw: hw,
-        batches: samples.len(),
-        cycles: total_cycles,
-    })
+    replay.finish()
 }
 
 /// Parallel Monte-Carlo power estimation with an explicit worker count and
