@@ -42,9 +42,10 @@ cargo run --release --offline -p hlpower-bench --bin repro -- \
 # diverges from the row's first kernel by a single bit of power_uw or in
 # batch or cycle count (scalar vs packed64 in zero-delay and glitch mode;
 # packed64 vs 256 vs 512), or if a gate fails:
-#   - zero-delay: packed64 faster than scalar;
-#   - glitch: packed64 time-wheel kernel faster than scalar event sim;
-#   - zero-delay: packed256 faster than packed64;
+#   - zero-delay: packed64 more than 30x faster than scalar;
+#   - glitch: packed64 time-wheel kernel more than 3x faster than the
+#     scalar event sim;
+#   - zero-delay: packed256 more than 1.15x faster than packed64;
 #   - optimize: incremental guard scoring (bit-identical per candidate to
 #     the from-scratch scorer) faster than from-scratch, and at least 10x
 #     in full mode; rewrite dirty-cone replay strictly less work than one

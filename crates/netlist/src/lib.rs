@@ -86,5 +86,5 @@ pub use prob::{ProbabilityAnalysis, SignalStats};
 pub use sim::{Activity, ZeroDelaySim};
 pub use sim64::{BlockSim64, CompiledKernel, Sim64, LANES};
 pub use sim64timed::{timed_activity, TimedSim64};
-pub use simwide::{simd_level, SimdLevel, WideSim, WideTimedSim};
+pub use simwide::{random_words, simd_level, SimdLevel, WideSim, WideTimedSim};
 pub use words::{Word, W256, W512};

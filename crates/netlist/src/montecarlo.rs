@@ -38,7 +38,9 @@
 
 use hlpower_obs::metrics as obs;
 use hlpower_obs::trace;
-use hlpower_rng::{par, Rng};
+use std::any::Any;
+
+use hlpower_rng::{par, LaneRng, Rng};
 
 use crate::error::NetlistError;
 use crate::event::EventDrivenSim;
@@ -47,7 +49,8 @@ use crate::netlist::Netlist;
 use crate::power::PowerModel;
 use crate::sim::ZeroDelaySim;
 use crate::sim64::CompiledKernel;
-use crate::simwide::{WideSim, WideTimedSim};
+use crate::simwide::{random_words, WideSim, WideTimedSim};
+use crate::streams::RandomVectors;
 use crate::words::{Word, W256, W512};
 
 /// Batches dispatched per scheduling wave of the scalar kernel.
@@ -324,6 +327,10 @@ pub fn monte_carlo_power(
 /// simply leaves the trailing lanes of the final word masked out — they
 /// are never simulated, not silently rounded up or down.
 ///
+/// The stream type must be `'static`, as in [`simulate_lanes`]: the
+/// packed kernels draw a word of [`random_rng`](crate::streams::random_rng)
+/// lanes at once.
+///
 /// # Errors
 ///
 /// As [`monte_carlo_power`], plus [`NetlistError::InvalidThreadCount`]
@@ -341,6 +348,7 @@ pub fn monte_carlo_power_seeded_threads_kernel<F, I>(
 where
     F: Fn(Rng) -> I + Sync,
     I: IntoIterator<Item = Vec<bool>>,
+    I::IntoIter: 'static,
 {
     seeded_engine(netlist, lib, stream_fn, seed, opts, threads, kernel, false)
 }
@@ -355,6 +363,8 @@ where
 /// samples include glitch transitions the zero-delay estimator cannot see
 /// (on arithmetic circuits these can dominate — the survey's motivation
 /// for real-delay estimation).
+///
+/// The stream type must be `'static`, as in [`simulate_lanes`].
 ///
 /// # Errors
 ///
@@ -372,6 +382,7 @@ pub fn monte_carlo_glitch_power_seeded_threads_kernel<F, I>(
 where
     F: Fn(Rng) -> I + Sync,
     I: IntoIterator<Item = Vec<bool>>,
+    I::IntoIter: 'static,
 {
     seeded_engine(netlist, lib, stream_fn, seed, opts, threads, kernel, true)
 }
@@ -401,6 +412,7 @@ fn seeded_engine<F, I>(
 where
     F: Fn(Rng) -> I + Sync,
     I: IntoIterator<Item = Vec<bool>>,
+    I::IntoIter: 'static,
 {
     // Surface cyclic-netlist errors once, up front, rather than from
     // whichever worker happens to hit them first.
@@ -629,6 +641,16 @@ pub struct LaneRequest {
 /// `compiled` supplies a pre-compiled instruction stream to the packed
 /// kernels (`None` compiles from scratch; the scalar kernel ignores it).
 ///
+/// # Stream type
+///
+/// `I::IntoIter` must be `'static`: the packed kernels check whether a
+/// word's lane streams are all [`RandomVectors`] (what
+/// [`streams::random_rng`](crate::streams::random_rng) returns) and, if
+/// so, draw every lane's bits at once, bit-identical to stepping them. A
+/// stream that borrows from its caller can be collected into a `Vec`
+/// first; any stream other than a bare `RandomVectors` is stepped one
+/// vector per lane per cycle.
+///
 /// # Errors
 ///
 /// As [`simulate_packed_lanes`].
@@ -648,6 +670,7 @@ pub fn simulate_lanes<F, I>(
 where
     F: Fn(Rng) -> I,
     I: IntoIterator<Item = Vec<bool>>,
+    I::IntoIter: 'static,
 {
     let (nl, k) = (netlist, compiled);
     match (kernel.resolve(lanes.len()), lib) {
@@ -761,6 +784,8 @@ where
 /// hit); `None` compiles from scratch. A lane whose stream yields no
 /// vectors reports `None`, mirroring the engine's empty-stream signal.
 ///
+/// The stream type must be `'static`, as in [`simulate_lanes`].
+///
 /// # Errors
 ///
 /// As [`monte_carlo_power_seeded_threads_kernel`], plus
@@ -780,6 +805,7 @@ pub fn simulate_packed_lanes<W: Word, F, I>(
 where
     F: Fn(Rng) -> I,
     I: IntoIterator<Item = Vec<bool>>,
+    I::IntoIter: 'static,
 {
     assert!(lanes.len() <= W::LANES, "{} requests exceed {} lanes", lanes.len(), W::LANES);
     let _batch_t = obs::MC_BATCH_NS.time();
@@ -797,6 +823,8 @@ where
 /// identical lane/stream mapping and masking on a [`WideTimedSim`], so
 /// each lane's glitch-aware power sample is bit-identical to its batch
 /// run alone under [`monte_carlo_glitch_power_seeded_threads_kernel`].
+///
+/// The stream type must be `'static`, as in [`simulate_lanes`].
 ///
 /// # Errors
 ///
@@ -816,6 +844,7 @@ pub fn simulate_packed_glitch_lanes<W: Word, F, I>(
 where
     F: Fn(Rng) -> I,
     I: IntoIterator<Item = Vec<bool>>,
+    I::IntoIter: 'static,
 {
     assert!(lanes.len() <= W::LANES, "{} requests exceed {} lanes", lanes.len(), W::LANES);
     let _batch_t = obs::MC_BATCH_NS.time();
@@ -835,6 +864,10 @@ where
 /// a ragged word start dead, so each simulated lane's activity is
 /// bit-identical to a scalar run of the same stream. Returns the vectors
 /// consumed per lane.
+///
+/// A word whose streams are all [`RandomVectors`] is drawn lane-parallel
+/// by [`run_random_lanes`]; any other stream is stepped one vector per
+/// lane per cycle.
 fn run_lanes<F, I, W, S>(
     netlist: &Netlist,
     lanes: &[LaneRequest],
@@ -844,11 +877,15 @@ fn run_lanes<F, I, W, S>(
 where
     F: Fn(Rng) -> I,
     I: IntoIterator<Item = Vec<bool>>,
+    I::IntoIter: 'static,
     W: Word,
     S: FnMut(&[W], W) -> Result<(), NetlistError>,
 {
     let width = netlist.input_count();
     let mut iters: Vec<I::IntoIter> = lanes.iter().map(|r| lane_stream(stream_fn, r)).collect();
+    if let Some(random) = (&mut iters as &mut dyn Any).downcast_mut::<Vec<RandomVectors>>() {
+        return run_random_lanes(width, lanes, random, step_masked);
+    }
     let mut got = vec![0usize; lanes.len()];
     let mut words = vec![W::zero(); width];
     let mut live = W::low_mask(lanes.len());
@@ -880,6 +917,43 @@ where
         live = active;
     }
     Ok(got)
+}
+
+/// [`run_lanes`] for a word of [`RandomVectors`] streams: every cycle,
+/// one [`LaneRng`] step per input draws all lanes' bits at once, straight
+/// into the packed words. Lane `l` draws exactly the values its iterator
+/// would, so the run is bit-identical to stepping the iterators, and a
+/// wrong-width stream fails with the same error at the same point: the
+/// first lane with a nonzero budget.
+fn run_random_lanes<W, S>(
+    width: usize,
+    lanes: &[LaneRequest],
+    streams: &[RandomVectors],
+    mut step_masked: S,
+) -> Result<Vec<usize>, NetlistError>
+where
+    W: Word,
+    S: FnMut(&[W], W) -> Result<(), NetlistError>,
+{
+    let mut pulled = streams.iter().zip(lanes).filter(|(_, r)| r.cycles > 0);
+    if let Some((s, _)) = pulled.find(|(s, _)| s.width != width) {
+        return Err(NetlistError::InputWidthMismatch { got: s.width, expected: width });
+    }
+    let mut rngs = LaneRng::new(streams.iter().map(|s| &s.rng));
+    let mut words = vec![W::zero(); width];
+    let max_cycles = lanes.iter().map(|r| r.cycles).max().unwrap_or(0);
+    for cycle in 0..max_cycles {
+        let mut active = W::zero();
+        for (l, r) in lanes.iter().enumerate() {
+            active.set_lane(l, r.cycles > cycle);
+        }
+        random_words(&mut rngs, W::flat_chunks_mut(&mut words), W::CHUNKS);
+        // Inactive lanes' bits are don't-cares; clear them as the
+        // per-vector path does.
+        words.iter_mut().for_each(|w| *w = w.and(active));
+        step_masked(&words, active)?;
+    }
+    Ok(lanes.iter().map(|r| r.cycles).collect())
 }
 
 /// Maps per-lane `(power, cycles)` simulator outputs back to requests,
@@ -930,6 +1004,7 @@ mod tests {
     where
         F: Fn(Rng) -> I + Sync,
         I: IntoIterator<Item = Vec<bool>>,
+        I::IntoIter: 'static,
     {
         if glitch {
             monte_carlo_glitch_power_seeded_threads_kernel(

@@ -176,7 +176,6 @@ impl PowerModel {
     /// record, in microwatts. Bit-identical to
     /// `act.power(netlist, lib).total_power_uw()`.
     pub fn total_power_uw(&self, act: &Activity) -> f64 {
-        let cycles = act.cycles.max(1) as f64;
         let mut net_fj = 0.0f64;
         let mut internal_fj = 0.0f64;
         for (i, &t) in act.toggles.iter().enumerate() {
@@ -187,47 +186,24 @@ impl PowerModel {
             net_fj += self.net_fj_per_toggle[i] * toggles;
             internal_fj += self.int_fj_per_toggle[i] * toggles;
         }
+        self.power_uw(net_fj, internal_fj, act.cycles)
+    }
+
+    /// The per-toggle `(net, internal)` energies of every node, in fJ:
+    /// finite and non-negative, so a zero count adds exactly `+0.0`.
+    pub(crate) fn toggle_energies_fj(&self) -> (&[f64], &[f64]) {
+        (&self.net_fj_per_toggle, &self.int_fj_per_toggle)
+    }
+
+    /// Total average power of a run over `cycles` cycles whose toggles
+    /// dissipated `net_fj` and `internal_fj`, in microwatts: the last step
+    /// of [`total_power_uw`](Self::total_power_uw), shared with the packed
+    /// simulators' per-lane finalize.
+    pub(crate) fn power_uw(&self, net_fj: f64, internal_fj: f64, cycles: u64) -> f64 {
+        let cycles = cycles.max(1) as f64;
         let clock_fj = self.clk_fj_per_cycle * cycles;
         let to_uw = |fj: f64| fj * 1e-15 / (cycles * self.period_s) * 1e6;
         to_uw(net_fj) + to_uw(internal_fj) + to_uw(clock_fj)
-    }
-
-    /// Per-lane total power over the packed simulators' strided per-lane
-    /// toggle totals (`node * lanes + lane`), walking the totals
-    /// node-major — one sequential pass, with per-lane accumulators that
-    /// stay cache-resident — instead of transposing per-lane [`Activity`]
-    /// records first (a `lanes`-stride gather that falls out of cache for
-    /// the wide words). Lane `l` of the result is bit-identical to
-    /// [`total_power_uw`](Self::total_power_uw) of lane `l`'s activity:
-    /// per lane, the same products accumulate in the same node order.
-    pub(crate) fn lane_powers_uw(
-        &self,
-        lane_toggles: &[u64],
-        lanes: usize,
-        lane_cycles: &[u64],
-    ) -> Vec<f64> {
-        let mut net_fj = vec![0.0f64; lanes];
-        let mut internal_fj = vec![0.0f64; lanes];
-        for (node, row) in lane_toggles.chunks_exact(lanes).enumerate() {
-            let c_net = self.net_fj_per_toggle[node];
-            let c_int = self.int_fj_per_toggle[node];
-            for (l, &t) in row.iter().enumerate() {
-                if t == 0 {
-                    continue;
-                }
-                let toggles = t as f64;
-                net_fj[l] += c_net * toggles;
-                internal_fj[l] += c_int * toggles;
-            }
-        }
-        (0..lanes)
-            .map(|l| {
-                let cycles = lane_cycles[l].max(1) as f64;
-                let clock_fj = self.clk_fj_per_cycle * cycles;
-                let to_uw = |fj: f64| fj * 1e-15 / (cycles * self.period_s) * 1e6;
-                to_uw(net_fj[l]) + to_uw(internal_fj[l]) + to_uw(clock_fj)
-            })
-            .collect()
     }
 }
 

@@ -18,10 +18,15 @@
 //! (and AVX-512F for [`W512`]) and dispatched at runtime via
 //! [`simd_level`], so wide words use full-width vector loads and logic
 //! ops on machines that have them while the portable per-chunk code
-//! remains the fallback everywhere else. The timed kernel's wheel drain
-//! is dominated by data-dependent scheduling rather than straight-line
-//! word ops, so it intentionally has no hand-dispatched variant: it
-//! relies on ordinary autovectorization of the generic chunk loops.
+//! remains the fallback everywhere else. The two per-word steps around
+//! it get the same wrappers, written once over `u64` chunk slices: the
+//! fused finalize of both kernels' `take_lane_powers` (count planes
+//! straight to per-lane power) and [`random_words`], the lane-parallel
+//! random stimulus of the Monte-Carlo kernels. The timed kernel's wheel
+//! drain is dominated by data-dependent scheduling rather than
+//! straight-line word ops, so it intentionally has no hand-dispatched
+//! variant: it relies on ordinary autovectorization of the generic chunk
+//! loops.
 //!
 //! # Determinism contract
 //!
@@ -35,6 +40,7 @@ use std::any::TypeId;
 use std::sync::OnceLock;
 
 use hlpower_obs::metrics as obs;
+use hlpower_rng::LaneRng;
 
 use crate::error::NetlistError;
 use crate::event::{gate_delays_ps, TimedActivity};
@@ -110,7 +116,7 @@ pub(crate) fn bump_planes<W: Word>(planes: &mut [W], base: usize, mut carry: W) 
 fn bump_planes_spill<W: Word>(
     planes: &mut [W],
     base: usize,
-    lane_totals: &mut [u64],
+    lane_totals: &mut Vec<u64>,
     lane_base: usize,
     mut carry: W,
 ) {
@@ -124,6 +130,7 @@ fn bump_planes_spill<W: Word>(
     }
     // Carry out of the top plane: the plane stack wrapped modulo
     // `2^PLANES` for these lanes, so credit the wrapped weight directly.
+    let lane_totals = spill_totals(lane_totals, planes.len() / PLANES * W::LANES);
     for (c, &chunk) in carry.chunks().iter().enumerate() {
         let mut m = chunk;
         while m != 0 {
@@ -156,6 +163,192 @@ fn flush_planes<W: Word>(planes: &mut [W], lane_totals: &mut [u64], nodes: usize
             }
         }
     }
+}
+
+/// The exact per-lane totals spilled out of a plane array (`node *
+/// W::LANES + lane`), allocated as `len` zeros on first use: most runs
+/// never spill, so most never pay for the `nodes x lanes` array.
+fn spill_totals(totals: &mut Vec<u64>, len: usize) -> &mut [u64] {
+    if totals.is_empty() {
+        totals.resize(len, 0);
+    }
+    totals
+}
+
+/// Zeroes a plane array and returns the toggle count it held: plane `p`
+/// weighs `2^p` per set lane.
+fn drain_planes<W: Word>(planes: &mut [W]) -> u64 {
+    let mut total = 0u64;
+    for node in planes.chunks_exact_mut(PLANES) {
+        for (p, w) in node.iter_mut().enumerate() {
+            total += u64::from(w.count_ones()) << p;
+            *w = W::zero();
+        }
+    }
+    total
+}
+
+/// Turns a run's count planes (zeroed on return) and spilled totals
+/// (empty if none spilled) into per-lane `(power µW, counted cycles)`
+/// samples in one pass, and returns them with the run's total count.
+///
+/// Lane `l`'s sample is bit-identical to `model.total_power_uw` of lane
+/// `l`'s activity record: its count at each node is the same integer, and
+/// the same products accumulate in the same node order. Nodes and 64-lane
+/// chunks whose count is zero add nothing, and where they do add, the
+/// product is `+0.0` onto a sum that started at `+0.0` (the coefficients
+/// are finite and non-negative), which changes no bit.
+fn lane_powers(
+    planes: &mut [u64],
+    spill: &[u64],
+    model: &PowerModel,
+    lane_cycles: &[u64],
+) -> (Vec<(f64, u64)>, u64) {
+    let mut net_fj = vec![0.0f64; lane_cycles.len()];
+    let mut int_fj = vec![0.0f64; lane_cycles.len()];
+    let (net, int) = model.toggle_energies_fj();
+    let total = lane_energy(planes, spill, (net, int, &mut net_fj, &mut int_fj));
+    let samples = (net_fj.iter().zip(&int_fj).zip(lane_cycles))
+        .map(|((&net, &int), &cycles)| (model.power_uw(net, int, cycles), cycles))
+        .collect();
+    (samples, total + spill.iter().sum::<u64>())
+}
+
+/// Runs `lane_energy_body` on the widest vector ISA this machine has.
+fn lane_energy(planes: &mut [u64], spill: &[u64], energy: Energy<'_>) -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    match simd_level() {
+        // SAFETY (both arms): the wrapper's feature was runtime-detected.
+        SimdLevel::Avx512 => return unsafe { lane_energy_avx512(planes, spill, energy) },
+        SimdLevel::Avx2 => return unsafe { lane_energy_avx2(planes, spill, energy) },
+        SimdLevel::Scalar => {}
+    }
+    lane_energy_body(planes, spill, energy)
+}
+
+/// Per-node `(net, internal)` fJ per toggle, and the per-lane `(net,
+/// internal)` fJ accumulators the finalize adds into.
+type Energy<'a> = (&'a [f64], &'a [f64], &'a mut [f64], &'a mut [f64]);
+
+/// The fused finalize over `u64` chunks: for each node and 64-lane chunk,
+/// rebuilds each lane's count from the nonzero planes (bit `p` from plane
+/// `p`) and adds `c * count` into the lane's energies, zeroing the planes.
+/// Returns the planes' total count. Kept `#[inline(always)]` so the
+/// `#[target_feature]` wrappers below re-compile it per ISA.
+#[inline(always)]
+fn lane_energy_body(planes: &mut [u64], spill: &[u64], energy: Energy<'_>) -> u64 {
+    let (net_per_toggle, int_per_toggle, net_fj, int_fj) = energy;
+    let lanes = net_fj.len();
+    let chunks = lanes / 64;
+    let mut total = 0u64;
+    for (node, node_planes) in planes.chunks_exact_mut(PLANES * chunks).enumerate() {
+        let (c_net, c_int) = (net_per_toggle[node], int_per_toggle[node]);
+        for c in 0..chunks {
+            let mut halves = [[0u32; 32]; 2];
+            let mut any = false;
+            for p in 0..PLANES {
+                let w = std::mem::take(&mut node_planes[p * chunks + c]);
+                if w == 0 {
+                    continue;
+                }
+                any = true;
+                total += u64::from(w.count_ones()) << p;
+                for (half, bits) in halves.iter_mut().zip([w as u32, (w >> 32) as u32]) {
+                    for (i, t) in half.iter_mut().enumerate() {
+                        *t |= ((bits >> i) & 1) << p;
+                    }
+                }
+            }
+            let counts = halves.as_flattened();
+            let net = &mut net_fj[64 * c..64 * c + 64];
+            let int = &mut int_fj[64 * c..64 * c + 64];
+            if spill.is_empty() {
+                if !any {
+                    continue;
+                }
+                for ((n, i), &t) in net.iter_mut().zip(int.iter_mut()).zip(counts) {
+                    let t = f64::from(t);
+                    *n += c_net * t;
+                    *i += c_int * t;
+                }
+            } else {
+                let spilled = &spill[node * lanes + 64 * c..node * lanes + 64 * c + 64];
+                for (((n, i), &t), &s) in
+                    net.iter_mut().zip(int.iter_mut()).zip(counts).zip(spilled)
+                {
+                    let t = (u64::from(t) + s) as f64;
+                    *n += c_net * t;
+                    *i += c_int * t;
+                }
+            }
+        }
+    }
+    total
+}
+
+/// `lane_energy_body` re-compiled with AVX2 codegen.
+///
+/// # Safety
+///
+/// The caller must have verified AVX2 support at runtime.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn lane_energy_avx2(planes: &mut [u64], spill: &[u64], energy: Energy<'_>) -> u64 {
+    lane_energy_body(planes, spill, energy)
+}
+
+/// `lane_energy_body` re-compiled with AVX-512F codegen.
+///
+/// # Safety
+///
+/// The caller must have verified AVX-512F support at runtime.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn lane_energy_avx512(planes: &mut [u64], spill: &[u64], energy: Energy<'_>) -> u64 {
+    lane_energy_body(planes, spill, energy)
+}
+
+/// Fills flat packed input words (`stride` chunks each, see
+/// [`Word::flat_chunks_mut`]) with one fair coin per lane of `lanes`:
+/// lane `l` of word `i` is the `i`-th `gen_bool(0.5)` draw of lane `l`'s
+/// stream this cycle (see [`LaneRng::fill_coins`]), on the widest vector
+/// ISA this machine has. This is how the packed Monte-Carlo kernels draw
+/// one cycle of a word of [`crate::streams::RandomVectors`] lanes.
+///
+/// # Panics
+///
+/// As [`LaneRng::fill_coins`].
+pub fn random_words(lanes: &mut LaneRng, out: &mut [u64], stride: usize) {
+    #[cfg(target_arch = "x86_64")]
+    match simd_level() {
+        // SAFETY (both arms): the wrapper's feature was runtime-detected.
+        SimdLevel::Avx512 => return unsafe { coins_avx512(lanes, out, stride) },
+        SimdLevel::Avx2 => return unsafe { coins_avx2(lanes, out, stride) },
+        SimdLevel::Scalar => {}
+    }
+    lanes.fill_coins(out, stride);
+}
+
+/// [`LaneRng::fill_coins`] re-compiled with AVX2 codegen.
+///
+/// # Safety
+///
+/// The caller must have verified AVX2 support at runtime.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn coins_avx2(lanes: &mut LaneRng, out: &mut [u64], stride: usize) {
+    lanes.fill_coins(out, stride);
+}
+
+/// [`LaneRng::fill_coins`] re-compiled with AVX-512F codegen.
+///
+/// # Safety
+///
+/// The caller must have verified AVX-512F support at runtime.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn coins_avx512(lanes: &mut LaneRng, out: &mut [u64], stride: usize) {
+    lanes.fill_coins(out, stride);
 }
 
 fn gcd(a: u64, b: u64) -> u64 {
@@ -292,7 +485,7 @@ pub struct WideSim<'a, W: Word> {
     /// Vertical carry-save toggle counters: `PLANES` words per node.
     planes: Vec<W>,
     /// Exact per-lane toggle counts flushed out of the planes
-    /// (`node * W::LANES + lane`).
+    /// (`node * W::LANES + lane`); empty until a flush needs it.
     lane_toggles: Vec<u64>,
     /// Counted cycles per lane (`W::LANES` entries).
     lane_cycles: Vec<u64>,
@@ -347,7 +540,7 @@ impl<'a, W: Word> WideSim<'a, W> {
             dff_next,
             dff_d,
             planes: vec![W::zero(); n * PLANES],
-            lane_toggles: vec![0; n * W::LANES],
+            lane_toggles: Vec::new(),
             lane_cycles: vec![0; W::LANES],
             pending: 0,
             initialized: false,
@@ -441,8 +634,7 @@ impl<'a, W: Word> WideSim<'a, W> {
             }
             self.pending += 1;
             if self.pending >= FLUSH_INTERVAL {
-                flush_planes(&mut self.planes, &mut self.lane_toggles, self.netlist.node_count());
-                self.pending = 0;
+                self.flush();
             }
         }
         self.initialized = true;
@@ -458,8 +650,7 @@ impl<'a, W: Word> WideSim<'a, W> {
     /// accumulated.
     pub fn take_lane_activities(&mut self) -> Vec<Activity> {
         let n = self.netlist.node_count();
-        flush_planes(&mut self.planes, &mut self.lane_toggles, n);
-        self.pending = 0;
+        self.flush();
         // Transpose node-major: one sequential pass over the strided
         // totals, scattering into at most `LANES` write streams (which
         // stay cache-resident), instead of `LANES` strided gathers that
@@ -479,8 +670,8 @@ impl<'a, W: Word> WideSim<'a, W> {
             }
         }
         obs::SIM64_TOGGLES.add(total_toggles);
-        self.lane_toggles.iter_mut().for_each(|t| *t = 0);
-        self.lane_cycles.iter_mut().for_each(|c| *c = 0);
+        self.lane_toggles.clear();
+        self.lane_cycles.fill(0);
         out
     }
 
@@ -489,22 +680,20 @@ impl<'a, W: Word> WideSim<'a, W> {
     /// resetting the counters exactly like
     /// [`take_lane_activities`](Self::take_lane_activities).
     ///
-    /// This is the Monte-Carlo fast path: the conversion runs node-major
-    /// over the strided totals without materializing `LANES` per-lane
-    /// toggle vectors, which otherwise costs more than the packed
-    /// simulation itself at 256/512 lanes. Lane `l`'s sample is
+    /// This is the Monte-Carlo fast path: one pass turns each node's
+    /// count planes into per-lane counts and adds their energy straight
+    /// into per-lane accumulators, with no `nodes x lanes` toggle array
+    /// unless the run spilled its planes mid-run. Lane `l`'s sample is
     /// bit-identical to `model.total_power_uw(&lane_activity)` of the
     /// record [`take_lane_activities`](Self::take_lane_activities) would
     /// have returned for that lane.
     pub fn take_lane_powers(&mut self, model: &PowerModel) -> Vec<(f64, u64)> {
-        let n = self.netlist.node_count();
-        flush_planes(&mut self.planes, &mut self.lane_toggles, n);
         self.pending = 0;
-        obs::SIM64_TOGGLES.add(self.lane_toggles.iter().sum());
-        let powers = model.lane_powers_uw(&self.lane_toggles, W::LANES, &self.lane_cycles);
-        let out = powers.into_iter().zip(self.lane_cycles.iter().copied()).collect();
-        self.lane_toggles.iter_mut().for_each(|t| *t = 0);
-        self.lane_cycles.iter_mut().for_each(|c| *c = 0);
+        let planes = W::flat_chunks_mut(&mut self.planes);
+        let (out, toggles) = lane_powers(planes, &self.lane_toggles, model, &self.lane_cycles);
+        obs::SIM64_TOGGLES.add(toggles);
+        self.lane_toggles.clear();
+        self.lane_cycles.fill(0);
         out
     }
 
@@ -512,17 +701,23 @@ impl<'a, W: Word> WideSim<'a, W> {
     /// summed per node, cycles summed) and resets the counters.
     pub fn take_activity(&mut self) -> Activity {
         let n = self.netlist.node_count();
-        flush_planes(&mut self.planes, &mut self.lane_toggles, n);
-        self.pending = 0;
+        self.flush();
         let mut toggles = vec![0u64; n];
         for (node, t) in toggles.iter_mut().enumerate() {
             *t = self.lane_toggles[node * W::LANES..(node + 1) * W::LANES].iter().sum();
         }
         obs::SIM64_TOGGLES.add(toggles.iter().sum::<u64>());
-        self.lane_toggles.iter_mut().for_each(|t| *t = 0);
+        self.lane_toggles.clear();
         let cycles = self.lane_cycles.iter().sum();
-        self.lane_cycles.iter_mut().for_each(|c| *c = 0);
+        self.lane_cycles.fill(0);
         Activity { toggles, cycles }
+    }
+
+    /// Drains the planes into the exact per-lane totals.
+    fn flush(&mut self) {
+        let n = self.netlist.node_count();
+        flush_planes(&mut self.planes, spill_totals(&mut self.lane_toggles, n * W::LANES), n);
+        self.pending = 0;
     }
 }
 
@@ -571,8 +766,8 @@ pub struct WideTimedSim<'a, W: Word> {
     toggle_planes: Vec<W>,
     /// Vertical counters for functional (settled-state) transitions.
     func_planes: Vec<W>,
-    /// Exact per-lane totals flushed out of the planes
-    /// (`node * W::LANES + lane`).
+    /// Exact per-lane totals spilled or flushed out of the planes
+    /// (`node * W::LANES + lane`); empty until a spill or flush needs them.
     lane_toggles: Vec<u64>,
     lane_functional: Vec<u64>,
     lane_cycles: Vec<u64>,
@@ -671,8 +866,8 @@ impl<'a, W: Word> WideTimedSim<'a, W> {
             slot_nodes: Vec::new(),
             toggle_planes: vec![W::zero(); n * PLANES],
             func_planes: vec![W::zero(); n * PLANES],
-            lane_toggles: vec![0; n * W::LANES],
-            lane_functional: vec![0; n * W::LANES],
+            lane_toggles: Vec::new(),
+            lane_functional: Vec::new(),
             lane_cycles: vec![0; W::LANES],
             initialized: false,
         })
@@ -923,8 +1118,9 @@ impl<'a, W: Word> WideTimedSim<'a, W> {
     /// accumulated.
     pub fn take_lane_activities(&mut self) -> Vec<TimedActivity> {
         let n = self.values.len();
-        flush_planes(&mut self.toggle_planes, &mut self.lane_toggles, n);
-        flush_planes(&mut self.func_planes, &mut self.lane_functional, n);
+        let len = n * W::LANES;
+        flush_planes(&mut self.toggle_planes, spill_totals(&mut self.lane_toggles, len), n);
+        flush_planes(&mut self.func_planes, spill_totals(&mut self.lane_functional, len), n);
         // Node-major transpose, for the same cache reasons as
         // `WideSim::take_lane_activities`.
         let mut out: Vec<TimedActivity> = self
@@ -951,9 +1147,7 @@ impl<'a, W: Word> WideTimedSim<'a, W> {
         }
         obs::SIM_EVP_TRANSITIONS.add(total_toggles);
         obs::SIM_EVP_GLITCHES.add(total_glitches);
-        self.lane_toggles.iter_mut().for_each(|t| *t = 0);
-        self.lane_functional.iter_mut().for_each(|t| *t = 0);
-        self.lane_cycles.iter_mut().for_each(|c| *c = 0);
+        self.reset_totals();
         out
     }
 
@@ -964,24 +1158,48 @@ impl<'a, W: Word> WideTimedSim<'a, W> {
     /// to `model.total_power_uw(&lane.activity)` of the record
     /// [`take_lane_activities`](Self::take_lane_activities) would have
     /// returned for that lane.
+    ///
+    /// The glitch counter is the difference of the run's transition and
+    /// functional totals, which equals the per-lane, per-node sum of
+    /// [`take_lane_activities`](Self::take_lane_activities) because a
+    /// settled change always takes at least one transition (checked in
+    /// debug builds).
     pub fn take_lane_powers(&mut self, model: &PowerModel) -> Vec<(f64, u64)> {
-        let n = self.values.len();
-        flush_planes(&mut self.toggle_planes, &mut self.lane_toggles, n);
-        flush_planes(&mut self.func_planes, &mut self.lane_functional, n);
-        let (mut total_toggles, mut total_glitches) = (0u64, 0u64);
-        for (&t, &f) in self.lane_toggles.iter().zip(&self.lane_functional) {
-            total_toggles += t;
-            total_glitches += t.saturating_sub(f);
-        }
-        obs::SIM_EVP_TRANSITIONS.add(total_toggles);
-        obs::SIM_EVP_GLITCHES.add(total_glitches);
-        let powers = model.lane_powers_uw(&self.lane_toggles, W::LANES, &self.lane_cycles);
-        let out = powers.into_iter().zip(self.lane_cycles.iter().copied()).collect();
-        self.lane_toggles.iter_mut().for_each(|t| *t = 0);
-        self.lane_functional.iter_mut().for_each(|t| *t = 0);
-        self.lane_cycles.iter_mut().for_each(|c| *c = 0);
+        debug_assert!(
+            functional_within_total(
+                (&self.toggle_planes, &self.lane_toggles),
+                (&self.func_planes, &self.lane_functional)
+            ),
+            "a lane counted more functional transitions than transitions"
+        );
+        let planes = W::flat_chunks_mut(&mut self.toggle_planes);
+        let (out, transitions) = lane_powers(planes, &self.lane_toggles, model, &self.lane_cycles);
+        let functional =
+            drain_planes(&mut self.func_planes) + self.lane_functional.iter().sum::<u64>();
+        obs::SIM_EVP_TRANSITIONS.add(transitions);
+        obs::SIM_EVP_GLITCHES.add(transitions - functional);
+        self.reset_totals();
         out
     }
+
+    /// Empties the spilled totals and zeroes the per-lane cycle counts.
+    fn reset_totals(&mut self) {
+        self.lane_toggles.clear();
+        self.lane_functional.clear();
+        self.lane_cycles.fill(0);
+    }
+}
+
+/// Whether every lane's functional count is at most its transition count
+/// at every node, each given as `(planes, spilled totals)`.
+fn functional_within_total<W: Word>(toggles: (&[W], &[u64]), functional: (&[W], &[u64])) -> bool {
+    let totals = |(planes, spill): (&[W], &[u64])| {
+        let n = planes.len() / PLANES;
+        let mut totals = spill.to_vec();
+        flush_planes(&mut planes.to_vec(), spill_totals(&mut totals, n * W::LANES), n);
+        totals
+    };
+    totals(toggles).iter().zip(&totals(functional)).all(|(t, f)| f <= t)
 }
 
 #[cfg(test)]

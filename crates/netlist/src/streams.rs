@@ -17,13 +17,39 @@ use hlpower_rng::Rng;
 use crate::words::to_bits;
 
 /// Uniform random vectors: every bit is an independent fair coin each cycle.
-pub fn random(seed: u64, width: usize) -> impl Iterator<Item = Vec<bool>> {
+pub fn random(seed: u64, width: usize) -> RandomVectors {
     random_rng(Rng::seed_from_u64(seed), width)
 }
 
 /// [`random`], drawing from an externally constructed (e.g. split) stream.
-pub fn random_rng(mut rng: Rng, width: usize) -> impl Iterator<Item = Vec<bool>> {
-    std::iter::from_fn(move || Some((0..width).map(|_| rng.gen_bool(0.5)).collect()))
+pub fn random_rng(rng: Rng, width: usize) -> RandomVectors {
+    RandomVectors { rng, width }
+}
+
+/// The endless stream of uniform random vectors that [`random`] and
+/// [`random_rng`] return: bit `i` of each vector is the `i`-th
+/// `gen_bool(0.5)` draw of the stream's [`Rng`] that cycle.
+///
+/// The packed Monte-Carlo kernels recognise a word whose lanes are all
+/// `RandomVectors` and draw every lane's bits at once, one xoshiro256++
+/// state per lane stepped together, straight into the packed input words.
+/// Each lane still sees exactly this iterator's vectors, so results are
+/// bit-identical to stepping it; any other stream (including an adaptor
+/// over this one, such as `.take(n)`) is stepped one vector at a time.
+#[derive(Debug, Clone)]
+pub struct RandomVectors {
+    /// The generator the next vector is drawn from.
+    pub(crate) rng: Rng,
+    /// Bits per vector.
+    pub(crate) width: usize,
+}
+
+impl Iterator for RandomVectors {
+    type Item = Vec<bool>;
+
+    fn next(&mut self) -> Option<Vec<bool>> {
+        Some((0..self.width).map(|_| self.rng.gen_bool(0.5)).collect())
+    }
 }
 
 /// Biased random vectors: each bit is 1 with probability `p`.

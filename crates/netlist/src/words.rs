@@ -52,6 +52,9 @@ pub trait Word: Copy + Send + Sync + std::fmt::Debug + PartialEq + 'static {
     fn chunks(&self) -> &[u64];
     /// Mutable access to the backing chunks.
     fn chunks_mut(&mut self) -> &mut [u64];
+    /// A slice of words as one flat slice of their chunks (word `w`'s
+    /// chunk `c` at `w * CHUNKS + c`).
+    fn flat_chunks_mut(words: &mut [Self]) -> &mut [u64];
 }
 
 impl Word for u64 {
@@ -122,6 +125,10 @@ impl Word for u64 {
     fn chunks_mut(&mut self) -> &mut [u64] {
         std::slice::from_mut(self)
     }
+    #[inline(always)]
+    fn flat_chunks_mut(words: &mut [Self]) -> &mut [u64] {
+        words
+    }
 }
 
 /// Declares a wide word type backed by a `u64` chunk array.
@@ -129,7 +136,7 @@ macro_rules! wide_word {
     ($(#[$doc:meta])* $name:ident, $chunks:expr, $align:expr) => {
         $(#[$doc])*
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-        #[repr(align($align))]
+        #[repr(C, align($align))]
         pub struct $name(pub [u64; $chunks]);
 
         impl Word for $name {
@@ -212,6 +219,19 @@ macro_rules! wide_word {
             #[inline(always)]
             fn chunks_mut(&mut self) -> &mut [u64] {
                 &mut self.0
+            }
+            #[inline(always)]
+            fn flat_chunks_mut(words: &mut [Self]) -> &mut [u64] {
+                // SAFETY: `repr(C)` makes the word exactly its chunk array
+                // (the alignment is a multiple of 8 and equals the size, so
+                // there is no padding), and the returned slice borrows
+                // `words` mutably for its whole lifetime.
+                unsafe {
+                    std::slice::from_raw_parts_mut(
+                        words.as_mut_ptr().cast::<u64>(),
+                        words.len() * $chunks,
+                    )
+                }
             }
         }
     };

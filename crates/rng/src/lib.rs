@@ -114,15 +114,7 @@ impl Rng {
 
     /// Returns the next 64-bit output (xoshiro256++ scrambler).
     pub fn next_u64(&mut self) -> u64 {
-        let result = self.s[0].wrapping_add(self.s[3]).rotate_left(23).wrapping_add(self.s[0]);
-        let t = self.s[1] << 17;
-        self.s[2] ^= self.s[0];
-        self.s[3] ^= self.s[1];
-        self.s[1] ^= self.s[2];
-        self.s[0] ^= self.s[3];
-        self.s[2] ^= t;
-        self.s[3] = self.s[3].rotate_left(45);
-        result
+        xoshiro_step(&mut self.s)
     }
 
     /// Returns a uniform `f64` in `[0, 1)` with 53 bits of precision.
@@ -152,6 +144,95 @@ impl Rng {
         debug_assert!(bound > 0);
         ((self.next_u64() as u128 * bound as u128) >> 64) as u64
     }
+}
+
+/// One xoshiro256++ step: advances `s` and returns the scrambled output.
+#[inline(always)]
+fn xoshiro_step(s: &mut [u64; 4]) -> u64 {
+    let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+    let t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = s[3].rotate_left(45);
+    result
+}
+
+/// Many [`Rng`] streams stepped together, 64 lanes per block.
+///
+/// Lane `l` draws exactly what its source stream's [`Rng::next_u64`]
+/// would, in the same order. The state is struct-of-arrays per block of
+/// 64 lanes, so one step of every lane is straight-line vector code; a
+/// partial last block is padded with lanes whose output is masked off.
+#[derive(Debug, Clone)]
+pub struct LaneRng {
+    /// `blocks[b][k][i]` is state word `k` of lane `64 * b + i`.
+    blocks: Vec<[[u64; 64]; 4]>,
+    lanes: usize,
+}
+
+impl LaneRng {
+    /// One lane per stream, continuing each stream from its current state.
+    pub fn new<'a>(streams: impl IntoIterator<Item = &'a Rng>) -> Self {
+        let mut blocks: Vec<[[u64; 64]; 4]> = Vec::new();
+        let mut lanes = 0;
+        for rng in streams {
+            let i = lanes % 64;
+            if i == 0 {
+                blocks.push([[0; 64]; 4]);
+            }
+            let block = blocks.last_mut().expect("pushed above");
+            for (state, &word) in block.iter_mut().zip(&rng.s) {
+                state[i] = word;
+            }
+            lanes += 1;
+        }
+        LaneRng { blocks, lanes }
+    }
+
+    /// Draws one fair coin per lane for each `stride`-word group of
+    /// `out`: bit `l % 64` of the group's word `l / 64` is set iff lane
+    /// `l`'s output is below 2^63, which is exactly [`Rng::gen_bool`]`(0.5)`
+    /// (`next_f64() < 0.5` holds iff the top bit is clear). Words past the
+    /// last lane's block are left untouched, and padding lanes read 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stride` is zero or smaller than the number of 64-lane
+    /// blocks.
+    #[inline(always)]
+    pub fn fill_coins(&mut self, out: &mut [u64], stride: usize) {
+        let last = self.lanes % 64;
+        let tail = if last == 0 { !0 } else { (1u64 << last) - 1 };
+        let n = self.blocks.len();
+        assert!(stride >= n, "{n} lane blocks do not fit a stride of {stride}");
+        for group in out.chunks_exact_mut(stride) {
+            for (b, (block, word)) in self.blocks.iter_mut().zip(group.iter_mut()).enumerate() {
+                let outs = step_block(block);
+                let mut bits = 0u64;
+                for (i, &x) in outs.iter().enumerate() {
+                    bits |= (!x >> 63) << i;
+                }
+                *word = if b + 1 == n { bits & tail } else { bits };
+            }
+        }
+    }
+}
+
+/// One xoshiro256++ step of all 64 lanes of a block.
+#[inline(always)]
+fn step_block(block: &mut [[u64; 64]; 4]) -> [u64; 64] {
+    let mut out = [0u64; 64];
+    for (i, o) in out.iter_mut().enumerate() {
+        let mut s = [block[0][i], block[1][i], block[2][i], block[3][i]];
+        *o = xoshiro_step(&mut s);
+        for (state, word) in block.iter_mut().zip(s) {
+            state[i] = word;
+        }
+    }
+    out
 }
 
 /// A range that [`Rng::gen_range`] can draw a uniform `T` from.
@@ -287,6 +368,28 @@ mod tests {
     #[should_panic(expected = "empty range")]
     fn empty_range_panics() {
         Rng::seed_from_u64(0).gen_range(5..5usize);
+    }
+
+    #[test]
+    fn lane_rng_matches_each_stream() {
+        // 130 lanes: two full blocks and a ragged third.
+        let root = Rng::seed_from_u64(2026);
+        let mut streams: Vec<Rng> = (0..130).map(|l| root.split(l)).collect();
+        let mut lanes = LaneRng::new(&streams);
+        assert_eq!(lanes.lanes, 130);
+        let mut coins = lanes.clone();
+        let mut words = [0u64; 3];
+        for _ in 0..10_000 {
+            let out: Vec<u64> = lanes.blocks.iter_mut().flat_map(step_block).collect();
+            coins.fill_coins(&mut words, 3);
+            for (l, rng) in streams.iter_mut().enumerate() {
+                let x = rng.clone().next_u64();
+                assert_eq!(out[l], x, "lane {l}");
+                let coin = (words[l / 64] >> (l % 64)) & 1 == 1;
+                assert_eq!(coin, rng.gen_bool(0.5), "lane {l} coin");
+            }
+            assert_eq!(words[2] >> 2, 0, "padding lanes read 0");
+        }
     }
 
     #[test]
