@@ -3,7 +3,7 @@
 
 use hlpower::fsm::decompose::decompose;
 use hlpower::fsm::{generators, Encoding, EncodingStrategy, MarkovAnalysis, Stg};
-use hlpower::netlist::{gen, streams, Library, McKernel, Netlist};
+use hlpower::netlist::{gen, streams, Library, Netlist};
 use hlpower::optimize::{balance, clockgate, guard, precompute, retime};
 use hlpower_obs::json;
 
@@ -117,7 +117,7 @@ pub fn retiming() -> ExperimentResult {
         let p = gen::array_multiplier(&mut nl, &a, &b);
         nl.output_bus("p", &p);
         let stream: Vec<Vec<bool>> = streams::random(3, 2 * width).take(300).collect();
-        let o = retime::low_power_retime(&nl, &lib, &stream, 4, McKernel::Auto).expect("acyclic");
+        let o = retime::low_power_retime(&nl, &lib, &stream, 4).expect("acyclic");
         lines.push(format!(
             "{width}x{width} multiplier (glitch fraction {:.0}%): output-registered {:.0} uW, best mid-cone cut {:.0} uW ({:.1}% saved at t={:.0} ps)",
             100.0 * o.baseline_glitch_fraction,
@@ -154,12 +154,7 @@ pub fn path_balancing() -> ExperimentResult {
         // Sweep selectivity: pad only the glitchiest gates, short chains.
         let mut best: Option<balance::BalanceOutcome> = None;
         for (min_glitches, max_chain) in [(2u64, 8usize), (20, 3), (60, 2), (120, 2)] {
-            let opts = balance::BalanceOptions {
-                tolerance_ps: 60.0,
-                min_glitches,
-                max_chain,
-                ..balance::BalanceOptions::default()
-            };
+            let opts = balance::BalanceOptions { tolerance_ps: 60.0, min_glitches, max_chain };
             let o = balance::balance_paths(&nl, &lib, &stream, &opts).expect("acyclic");
             if best.as_ref().is_none_or(|b| o.balanced_uw < b.balanced_uw) {
                 best = Some(o);

@@ -249,23 +249,30 @@ impl<'a> NetlistEditor<'a> {
 
     /// "Removes" a gate by tying it to a constant-false buffer: the id
     /// stays valid (downstream indices are untouched) but the gate stops
-    /// toggling and presents no function. Mirrors the rewrite pass's
-    /// dead-gate sweep.
+    /// toggling and presents no function. The rewrite pass's dead-gate
+    /// sweep ties off through this.
+    ///
+    /// Returns `false` and edits nothing if the gate is still observed
+    /// (it has a fanout or an output binding): removing a live gate would
+    /// silently change the circuit function.
     ///
     /// # Errors
     ///
     /// Returns [`NetlistError::IncrementalMismatch`] if `node` is not a
-    /// gate or still has fanouts / output bindings (removing a live gate
-    /// would silently change the circuit function).
-    pub fn remove_gate(&mut self, node: NodeId) -> Result<(), NetlistError> {
-        let fanout = self.netlist.fanout_counts();
-        if fanout[node.index()] != 0 || self.netlist.outputs().iter().any(|&(_, o)| o == node) {
+    /// gate.
+    pub fn remove_gate(&mut self, node: NodeId) -> Result<bool, NetlistError> {
+        if !matches!(self.netlist.kind(node), NodeKind::Gate { .. }) {
             return Err(NetlistError::IncrementalMismatch {
-                reason: format!("gate {node} is still observed and cannot be removed"),
+                reason: format!("node {node} is not a combinational gate"),
             });
         }
+        let fanout = self.netlist.fanout_counts();
+        if fanout[node.index()] != 0 || self.netlist.outputs().iter().any(|&(_, o)| o == node) {
+            return Ok(false);
+        }
         let tie = self.netlist.constant(false);
-        self.replace_gate(node, GateKind::Buf, [tie])
+        self.replace_gate(node, GateKind::Buf, [tie])?;
+        Ok(true)
     }
 
     /// Checks the structural invariants that are only decidable globally:
@@ -422,19 +429,39 @@ mod tests {
         let b = nl.input("b");
         let live = nl.and([a, b]);
         let dead = nl.xor([a, b]);
+        let dead2 = nl.or([a, b]);
         nl.set_output("y", live);
         let before = nl.clone();
         let mut ed = NetlistEditor::begin(&mut nl);
-        assert!(ed.remove_gate(live).is_err(), "output-bound gate must not be removable");
-        ed.remove_gate(dead).unwrap();
+        assert!(!ed.remove_gate(live).unwrap(), "output-bound gate must not be removable");
+        assert!(ed.is_clean(), "a refused removal edits nothing");
+        assert!(ed.remove_gate(dead).unwrap());
+        assert!(ed.remove_gate(dead2).unwrap());
+        // The netlist had no constant: the first tie-off appended one and
+        // the second reused it.
+        let tie = NodeId(before.node_count() as u32);
+        assert_eq!(ed.appended(), vec![tie]);
+        assert!(matches!(ed.netlist().kind(tie), NodeKind::Const(false)));
+        assert_eq!(ed.changed(), &[dead, dead2]);
         ed.rollback();
-        assert_eq!(nl, before);
+        assert_eq!(nl, before, "rollback restores both gates and drops the constant");
+
         let mut ed = NetlistEditor::begin(&mut nl);
-        ed.remove_gate(dead).unwrap();
+        assert!(ed.remove_gate(dead).unwrap());
         ed.finish();
         let NodeKind::Gate { kind: GateKind::Buf, inputs } = nl.kind(dead) else {
             panic!("tied-off gate must be a buffer")
         };
         assert!(matches!(nl.kind(inputs[0]), NodeKind::Const(false)));
+    }
+
+    #[test]
+    fn remove_gate_rejects_non_gates_without_residue() {
+        let mut nl = Netlist::new();
+        let unread = nl.input("a");
+        let mut ed = NetlistEditor::begin(&mut nl);
+        assert!(matches!(ed.remove_gate(unread), Err(NetlistError::IncrementalMismatch { .. })));
+        assert!(ed.is_clean(), "a failed removal appends no constant");
+        ed.finish();
     }
 }

@@ -45,9 +45,7 @@
 //! rewiring with an undo journal, node ids stable) or directly with
 //! [`crate::Netlist::replace_gate`] plus append-only construction;
 //! `optimize::rewrite` and the guard/precompute/clock-gating searches in
-//! the optimize crate are the canonical consumers, and the PR 5
-//! attribution profiler consumes the delta activity through
-//! [`crate::attribute_delta`].
+//! the optimize crate are the canonical consumers.
 
 use crate::cone::{refill, Recording, ResimScratch, Trajectory};
 use crate::error::NetlistError;

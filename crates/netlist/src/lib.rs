@@ -78,9 +78,7 @@ pub use montecarlo::{
     StoppingReplay, TimedKernel,
 };
 pub use netlist::{Bus, GroupId, Netlist, NodeId, NodeKind};
-pub use power::attribution::{
-    attribute, attribute_delta, AttributionReport, NodeAttribution, RollupEntry,
-};
+pub use power::attribution::{attribute, AttributionReport, NodeAttribution, RollupEntry};
 pub use power::{GroupPower, PowerModel, PowerReport};
 pub use prob::{ProbabilityAnalysis, SignalStats};
 pub use sim::{Activity, ZeroDelaySim};

@@ -174,9 +174,9 @@ fn output_label_map(netlist: &Netlist) -> std::collections::HashMap<usize, &str>
     out_names
 }
 
-/// The per-node attribution arithmetic shared by [`attribute`] and
-/// [`attribute_delta`]: load-capacitance switching energy plus the
-/// driving cell's internal energy, exactly as
+/// The per-node attribution arithmetic of [`attribute`]:
+/// load-capacitance switching energy plus the driving cell's internal
+/// energy, exactly as
 /// `PowerReport::from_activity` computes it. The caller has already
 /// filtered out zero-toggle nodes.
 fn attribute_node(
@@ -223,17 +223,26 @@ fn attribute_node(
     }
 }
 
-/// Aggregates finished per-node attributions (already in ascending node
-/// order) plus the clock-tree term into a report. Accumulation happens
-/// in node-index order — the same order `PowerReport::from_activity`
-/// uses — so the f64 totals are bit-identical however the per-node
-/// entries were produced.
-fn assemble_report(
-    netlist: &Netlist,
-    lib: &Library,
-    act: &Activity,
-    mut nodes: Vec<NodeAttribution>,
-) -> AttributionReport {
+/// Attributes an [`Activity`]'s energy to every node, group, and bus.
+///
+/// The per-node arithmetic — load-capacitance switching energy plus the
+/// driving cell's internal energy, and the flip-flop clock-tree term —
+/// is exactly `PowerReport::from_activity`'s, evaluated in the same
+/// node order, so [`AttributionReport::reconcile`] holds by construction.
+pub fn attribute(netlist: &Netlist, lib: &Library, act: &Activity) -> AttributionReport {
+    let caps = netlist.load_caps_ff(lib);
+    let out_names = output_label_map(netlist);
+    let mut nodes: Vec<NodeAttribution> = Vec::new();
+    for id in netlist.node_ids() {
+        let toggles_u = act.toggles[id.index()];
+        if toggles_u == 0 {
+            continue;
+        }
+        nodes.push(attribute_node(netlist, lib, &caps, &out_names, id, toggles_u));
+    }
+
+    // Rollups and totals accumulate in node-index order, the order
+    // `PowerReport::from_activity` uses.
     let cycles = act.cycles.max(1) as f64;
     let mut by_group: BTreeMap<String, RollupEntry> = BTreeMap::new();
     let mut by_bus: BTreeMap<String, RollupEntry> = BTreeMap::new();
@@ -285,93 +294,6 @@ fn assemble_report(
         total_switched_cap_ff,
         total_energy_fj,
     }
-}
-
-/// Attributes an [`Activity`]'s energy to every node, group, and bus.
-///
-/// The per-node arithmetic — load-capacitance switching energy plus the
-/// driving cell's internal energy, and the flip-flop clock-tree term —
-/// is exactly `PowerReport::from_activity`'s, evaluated in the same
-/// node order, so [`AttributionReport::reconcile`] holds by construction.
-pub fn attribute(netlist: &Netlist, lib: &Library, act: &Activity) -> AttributionReport {
-    let caps = netlist.load_caps_ff(lib);
-    let out_names = output_label_map(netlist);
-    let mut nodes: Vec<NodeAttribution> = Vec::new();
-    for id in netlist.node_ids() {
-        let toggles_u = act.toggles[id.index()];
-        if toggles_u == 0 {
-            continue;
-        }
-        nodes.push(attribute_node(netlist, lib, &caps, &out_names, id, toggles_u));
-    }
-    assemble_report(netlist, lib, act, nodes)
-}
-
-/// Re-attributes after an incremental netlist edit, recomputing only the
-/// `touched` nodes and carrying every other per-node entry over from
-/// `base` — the delta-re-attribution backend behind the dirty-cone
-/// optimizer loop (`IncrementalSim::resim` → score → commit).
-///
-/// `act` is the mutated netlist's full activity (e.g.
-/// [`crate::ConeResim::activity`]) and `touched` must contain every node
-/// whose attribution inputs could have changed:
-///
-/// * the resim **cone** (toggle counts may differ, and appended nodes
-///   have no base entry), and
-/// * the **fan-ins of every rewired gate (both old and new) and of every
-///   appended node** — load capacitance is derived from fanout pin
-///   counts, so repointing a gate input or hanging new logic off a net
-///   changes the caps of the nets involved even though their values (and
-///   toggles) are untouched.
-///
-/// Nodes may appear in `touched` more than once; extra never-changed
-/// nodes are harmless (they are simply recomputed). The result is
-/// **bit-identical** to a full [`attribute`] of the mutated netlist:
-/// untouched per-node values are reused verbatim and every rollup and
-/// total is re-accumulated in node-index order, so no f64 reassociation
-/// creeps in. Debug builds assert that carried-over entries really are
-/// unchanged, catching an under-declared `touched` set.
-pub fn attribute_delta(
-    netlist: &Netlist,
-    lib: &Library,
-    base: &AttributionReport,
-    act: &Activity,
-    touched: &[NodeId],
-) -> AttributionReport {
-    let caps = netlist.load_caps_ff(lib);
-    let out_names = output_label_map(netlist);
-    let mut is_touched = vec![false; netlist.node_count()];
-    for &t in touched {
-        is_touched[t.index()] = true;
-    }
-
-    let mut nodes: Vec<NodeAttribution> = Vec::with_capacity(base.nodes.len());
-    for n in &base.nodes {
-        if is_touched[n.index] {
-            continue;
-        }
-        debug_assert_eq!(
-            act.toggles[n.index], n.toggles,
-            "node {} toggled differently but is not in the touched set",
-            n.index
-        );
-        debug_assert_eq!(
-            (caps[n.index] * n.toggles as f64).to_bits(),
-            n.switched_cap_ff.to_bits(),
-            "node {} load changed but is not in the touched set",
-            n.index
-        );
-        nodes.push(n.clone());
-    }
-    for id in netlist.node_ids() {
-        let toggles_u = act.toggles[id.index()];
-        if !is_touched[id.index()] || toggles_u == 0 {
-            continue;
-        }
-        nodes.push(attribute_node(netlist, lib, &caps, &out_names, id, toggles_u));
-    }
-    nodes.sort_by_key(|n| n.index);
-    assemble_report(netlist, lib, act, nodes)
 }
 
 #[cfg(test)]
@@ -448,74 +370,6 @@ mod tests {
         assert!(attr.by_group["registers/clock"].energy_fj >= attr.clock_energy_fj);
         assert!(attr.collapsed_stacks().contains("clk_tree"));
         attr.reconcile(&act.power(&nl, &lib)).expect("idle circuit reconciles");
-    }
-
-    #[test]
-    fn delta_attribution_is_bit_identical_after_a_function_flip() {
-        use crate::incremental::IncrementalSim;
-        use crate::library::GateKind;
-
-        let (nl, lib, _) = adder_run(1);
-        let stream: Vec<Vec<bool>> = streams::random(17, nl.input_count()).take(180).collect();
-        let inc = IncrementalSim::record(&nl, &stream).unwrap();
-        let base_attr = attribute(&nl, &lib, &inc.activity());
-
-        // Flip an XOR to XNOR: same fan-ins, so the cone alone is the
-        // complete touched set.
-        let mut mutated = nl.clone();
-        let target = mutated
-            .node_ids()
-            .find(|&id| matches!(mutated.kind(id), NodeKind::Gate { kind: GateKind::Xor, .. }))
-            .unwrap();
-        let NodeKind::Gate { inputs, .. } = mutated.kind(target).clone() else { unreachable!() };
-        mutated.replace_gate(target, GateKind::Xnor, inputs).unwrap();
-        let resim = inc.resim(&mutated, &[target]).unwrap();
-
-        let delta = attribute_delta(&mutated, &lib, &base_attr, &resim.activity, &resim.cone);
-        let full = attribute(&mutated, &lib, &resim.activity);
-        assert_eq!(delta, full, "delta attribution must be bit-identical to a full recompute");
-        assert!(delta.reconcile(&resim.activity.power(&mutated, &lib)).is_ok());
-    }
-
-    #[test]
-    fn delta_attribution_tracks_load_changes_from_rewiring() {
-        use crate::incremental::IncrementalSim;
-        use crate::library::GateKind;
-
-        let (nl, lib, _) = adder_run(1);
-        let stream: Vec<Vec<bool>> = streams::random(29, nl.input_count()).take(100).collect();
-        let inc = IncrementalSim::record(&nl, &stream).unwrap();
-        let base_attr = attribute(&nl, &lib, &inc.activity());
-
-        // Repoint an OR input at a freshly appended inverter: the net the
-        // gate left loses a fanout pin and the inverter's input gains one,
-        // so the rewired gate's old and new fan-ins AND the appended
-        // node's fan-in must join the touched set even though their
-        // values never change.
-        let mut mutated = nl.clone();
-        let b1 = mutated.inputs()[1];
-        let inv = mutated.not(b1);
-        let target = mutated
-            .node_ids()
-            .find(|&id| {
-                matches!(mutated.kind(id),
-                    NodeKind::Gate { kind: GateKind::Or, inputs } if inputs.len() == 2)
-            })
-            .unwrap();
-        let NodeKind::Gate { inputs: old_inputs, .. } = mutated.kind(target).clone() else {
-            unreachable!()
-        };
-        let new_inputs = vec![old_inputs[0], inv];
-        mutated.replace_gate(target, GateKind::Or, new_inputs.clone()).unwrap();
-        let resim = inc.resim(&mutated, &[target]).unwrap();
-
-        let mut touched = resim.cone.clone();
-        touched.extend(old_inputs);
-        touched.extend(new_inputs);
-        touched.push(b1); // the appended inverter's fan-in
-        let delta = attribute_delta(&mutated, &lib, &base_attr, &resim.activity, &touched);
-        let full = attribute(&mutated, &lib, &resim.activity);
-        assert_eq!(delta, full, "delta attribution must track fan-in load changes");
     }
 
     #[test]

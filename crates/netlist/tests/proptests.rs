@@ -298,7 +298,7 @@ fn editor_rollback_restores_structural_equality() {
                     let d = ids[rng.gen_range(0..ids.len())];
                     ed.insert_dff(d, rng.gen_range(0u32..2) == 0).map(|_| ())
                 }
-                4 => ed.remove_gate(target),
+                4 => ed.remove_gate(target).map(|_| ()),
                 _ => {
                     let idx = rng.gen_range(0..n_outputs);
                     let node = ids[rng.gen_range(0..ids.len())];

@@ -9,8 +9,7 @@
 //! but without touching the clock discipline.
 
 use hlpower_netlist::{
-    GateKind, IncrementalTimedSim, Library, McKernel, Netlist, NetlistEditor, NetlistError,
-    NodeKind,
+    GateKind, IncrementalTimedSim, Library, Netlist, NetlistEditor, NetlistError, NodeKind,
 };
 use hlpower_obs::metrics as obs;
 
@@ -49,15 +48,11 @@ pub struct BalanceOptions {
     pub min_glitches: u64,
     /// Maximum padding buffers per fanin (caps the capacitance spent).
     pub max_chain: usize,
-    /// Retained for API compatibility: profiling now runs through the
-    /// event-driven [`IncrementalTimedSim`] recording, which is
-    /// bit-identical across kernels, so the choice no longer matters.
-    pub kernel: McKernel,
 }
 
 impl Default for BalanceOptions {
     fn default() -> Self {
-        BalanceOptions { tolerance_ps: 60.0, min_glitches: 2, max_chain: 8, kernel: McKernel::Auto }
+        BalanceOptions { tolerance_ps: 60.0, min_glitches: 2, max_chain: 8 }
     }
 }
 
@@ -81,7 +76,7 @@ pub fn balance_paths(
     stream: &[Vec<bool>],
     opts: &BalanceOptions,
 ) -> Result<BalanceOutcome, NetlistError> {
-    let BalanceOptions { tolerance_ps, min_glitches, max_chain, kernel: _ } = *opts;
+    let BalanceOptions { tolerance_ps, min_glitches, max_chain } = *opts;
     let arrivals = netlist.arrival_times_ps(lib)?;
     let buf_delay = lib.cell(GateKind::Buf).delay_ps;
 
@@ -231,24 +226,6 @@ mod tests {
         }
         let mean = savings.iter().sum::<f64>() / savings.len() as f64;
         assert!(mean > 0.01, "expected positive mean saving: {savings:?}");
-    }
-
-    #[test]
-    fn kernels_produce_identical_outcomes() {
-        let nl = multiplier(4);
-        let lib = Library::default();
-        let stream: Vec<Vec<bool>> = streams::random(6, 8).take(120).collect();
-        let run = |kernel| {
-            let opts = BalanceOptions { kernel, ..BalanceOptions::default() };
-            balance_paths(&nl, &lib, &stream, &opts).unwrap()
-        };
-        let s = run(McKernel::Scalar);
-        let p = run(McKernel::Packed64);
-        assert_eq!(s.buffers_added, p.buffers_added);
-        assert_eq!(s.baseline_uw.to_bits(), p.baseline_uw.to_bits());
-        assert_eq!(s.balanced_uw.to_bits(), p.balanced_uw.to_bits());
-        assert_eq!(s.glitch_fraction_before.to_bits(), p.glitch_fraction_before.to_bits());
-        assert_eq!(s.glitch_fraction_after.to_bits(), p.glitch_fraction_after.to_bits());
     }
 
     #[test]

@@ -7,10 +7,12 @@
 //! Every candidate is scored *exactly* (not with a heuristic cost
 //! function) by re-simulating the recorded profiling stream, which is
 //! affordable because [`IncrementalSim`] re-evaluates only the dirty cone
-//! of the touched gates against cached fan-in words. Accepted rewrites
-//! are folded back with [`IncrementalSim::commit`] and the attribution
-//! profile is kept current with [`attribute_delta`], so a full netlist
-//! replay never happens after the initial recording.
+//! of the touched gates against cached fan-in words. Each candidate is
+//! edited in place through a [`NetlistEditor`]: a rejected one is rolled
+//! back, an accepted one is folded into the cache with
+//! [`IncrementalSim::commit`], so a full netlist replay never happens
+//! after the initial recording. The attribution profile is computed once,
+//! for the final netlist.
 //!
 //! The power model sees two effects from these rules:
 //!
@@ -25,11 +27,9 @@
 //!   a greedy per-gate loop would reject the (power-neutral) first half
 //!   and never reach the second.
 
-use std::collections::BTreeSet;
-
 use hlpower_netlist::{
-    attribute, attribute_delta, AttributionReport, ConeResim, GateKind, IncrementalSim, Library,
-    Netlist, NetlistError, NodeId, NodeKind, ResimScratch,
+    attribute, AttributionReport, ConeResim, GateKind, IncrementalSim, Library, Netlist,
+    NetlistEditor, NetlistError, NodeId, NodeKind, ResimScratch,
 };
 use hlpower_obs::metrics as obs;
 
@@ -111,9 +111,8 @@ pub struct RewriteOutcome {
     pub baseline_uw: f64,
     /// Power of the rewritten netlist, in µW.
     pub optimized_uw: f64,
-    /// Per-node power attribution of the rewritten netlist, maintained
-    /// incrementally via [`attribute_delta`] — bit-identical to a
-    /// from-scratch [`attribute`] of the final netlist.
+    /// Per-node power attribution of the rewritten netlist: one
+    /// [`attribute`] of the final netlist over the profiling stream.
     pub attribution: AttributionReport,
     /// Candidates scored (accepted + rejected).
     pub candidates_tried: usize,
@@ -128,22 +127,6 @@ impl RewriteOutcome {
     pub fn saving(&self) -> f64 {
         1.0 - self.optimized_uw / self.baseline_uw.max(1e-12)
     }
-}
-
-/// A planned mutation: the mutated netlist plus the bookkeeping the
-/// incremental engine and the delta attributor need.
-struct Mutation {
-    mutated: Netlist,
-    /// Pre-existing gates whose function or fanins changed (the resim
-    /// change set).
-    changed: Vec<NodeId>,
-    /// Every node whose fanout pin count may have changed (old and new
-    /// fanins of all rewired gates, plus the constant tie-off driver) —
-    /// their load capacitance moved, so delta attribution must refresh
-    /// them even though their values did not change.
-    touched_extra: Vec<NodeId>,
-    /// Gates tied off by the fused cleanup sweep.
-    swept: Vec<NodeId>,
 }
 
 /// The complement of a gate function, for inverter folding. `None` for
@@ -226,75 +209,42 @@ fn find_candidates(netlist: &Netlist, opts: &RewriteOptions) -> Vec<(RewriteRule
     out
 }
 
-/// Rewires `node` in `mutated` and records the bookkeeping: the old and
-/// new fanins land in `touched_extra` (their fanout pin counts changed),
-/// the node itself in `changed`.
-fn rewire(
-    mutated: &mut Netlist,
-    node: NodeId,
-    kind: GateKind,
-    new_inputs: Vec<NodeId>,
-    changed: &mut Vec<NodeId>,
-    touched_extra: &mut Vec<NodeId>,
-) -> Result<(), NetlistError> {
-    let NodeKind::Gate { inputs, .. } = mutated.kind(node) else {
-        unreachable!("rewrite candidates are always gates");
-    };
-    touched_extra.extend(inputs.iter().copied());
-    touched_extra.extend(new_inputs.iter().copied());
-    mutated.replace_gate(node, kind, new_inputs)?;
-    changed.push(node);
-    Ok(())
-}
-
 /// Ties off every gate in `frontier` that lost its last fanout, cascading
-/// into the fanins of swept gates. Only gates orphaned by *this* mutation
+/// into the fanins of swept gates. Only gates orphaned by *this* candidate
 /// are considered — pre-existing dead logic gets its own standalone
-/// [`RewriteRule::SweepDead`] candidate.
+/// [`RewriteRule::SweepDead`] candidate. Gates already tied off are
+/// skipped: re-tying one would enter the editor's change set for nothing.
 fn sweep_orphans(
-    mutated: &mut Netlist,
+    ed: &mut NetlistEditor<'_>,
     mut frontier: Vec<NodeId>,
-    changed: &mut Vec<NodeId>,
-    touched_extra: &mut Vec<NodeId>,
     swept: &mut Vec<NodeId>,
 ) -> Result<(), NetlistError> {
-    let mut is_output = vec![false; mutated.node_count()];
-    for id in mutated.output_nodes() {
-        is_output[id.index()] = true;
-    }
     while let Some(id) = frontier.pop() {
-        let dead = mutated.fanout_counts()[id.index()] == 0
-            && !is_output[id.index()]
-            && matches!(mutated.kind(id), NodeKind::Gate { .. })
-            && !is_tied_off(mutated, id);
-        if !dead {
+        let NodeKind::Gate { inputs, .. } = ed.netlist().kind(id) else { continue };
+        if is_tied_off(ed.netlist(), id) {
             continue;
         }
-        let NodeKind::Gate { inputs, .. } = mutated.kind(id) else { unreachable!() };
-        frontier.extend(inputs.iter().copied());
-        let tie = mutated.constant(false);
-        touched_extra.push(tie);
-        rewire(mutated, id, GateKind::Buf, vec![tie], changed, touched_extra)?;
-        swept.push(id);
+        let inputs = inputs.clone();
+        if ed.remove_gate(id)? {
+            frontier.extend(inputs);
+            swept.push(id);
+        }
     }
     Ok(())
 }
 
-/// Plans one candidate against the *current* netlist, re-validating the
-/// pattern (an earlier acceptance may have invalidated it). Returns
-/// `None` when the pattern no longer matches.
+/// Applies one candidate through `ed`, re-validating the pattern against
+/// the editor's netlist (an earlier acceptance may have invalidated it).
+/// Returns the gates the fused cleanup swept, or `None` — with nothing
+/// edited — when the pattern no longer matches.
 fn plan(
     rule: RewriteRule,
     node: NodeId,
-    current: &Netlist,
+    ed: &mut NetlistEditor<'_>,
     opts: &RewriteOptions,
-) -> Result<Option<Mutation>, NetlistError> {
-    let mut mutated = current.clone();
-    let mut changed = Vec::new();
-    let mut touched_extra = Vec::new();
-    let mut swept = Vec::new();
-    let orphan_frontier: Vec<NodeId>;
-    match rule {
+) -> Result<Option<Vec<NodeId>>, NetlistError> {
+    let current = ed.netlist();
+    let orphan_frontier = match rule {
         RewriteRule::AndOfNotsToNor | RewriteRule::OrOfNotsToNand => {
             let want =
                 if rule == RewriteRule::AndOfNotsToNor { GateKind::And } else { GateKind::Or };
@@ -307,8 +257,9 @@ fn plan(
                 return Ok(None);
             };
             let merged = if want == GateKind::And { GateKind::Nor } else { GateKind::Nand };
-            orphan_frontier = inputs.clone();
-            rewire(&mut mutated, node, merged, vec![x, y], &mut changed, &mut touched_extra)?;
+            let frontier = inputs.clone();
+            ed.replace_gate(node, merged, [x, y])?;
+            frontier
         }
         RewriteRule::FoldInverter => {
             let Some(driver) = not_input(current, node) else { return Ok(None) };
@@ -319,35 +270,26 @@ fn plan(
             if is_tied_off(current, driver) {
                 return Ok(None);
             }
-            orphan_frontier = vec![driver];
             let ins = inner_ins.clone();
-            rewire(&mut mutated, node, folded, ins, &mut changed, &mut touched_extra)?;
+            ed.replace_gate(node, folded, ins)?;
+            vec![driver]
         }
-        RewriteRule::SweepDead => {
-            if !matches!(current.kind(node), NodeKind::Gate { .. })
-                || is_tied_off(current, node)
-                || current.fanout_counts()[node.index()] != 0
-                || current.output_nodes().contains(&node)
-            {
-                return Ok(None);
-            }
-            orphan_frontier = vec![node];
-        }
-    }
+        // The sweep re-checks that the gate is still dead.
+        RewriteRule::SweepDead => vec![node],
+    };
+    let mut swept = Vec::new();
     if opts.sweep_dead {
-        sweep_orphans(&mut mutated, orphan_frontier, &mut changed, &mut touched_extra, &mut swept)?;
+        sweep_orphans(ed, orphan_frontier, &mut swept)?;
     }
-    if changed.is_empty() {
-        // A sweep candidate whose gate regained a fanout in the meantime.
-        return Ok(None);
-    }
-    Ok(Some(Mutation { mutated, changed, touched_extra, swept }))
+    // Empty for a sweep candidate whose gate regained a fanout meanwhile.
+    Ok((!ed.changed().is_empty()).then_some(swept))
 }
 
 /// Greedily applies power-saving local rewrites to a combinational
 /// netlist, scoring every candidate exactly over the profiling `stream`
-/// via dirty-cone incremental re-simulation and keeping the power
-/// attribution current with delta re-attribution.
+/// via dirty-cone incremental re-simulation. Candidates are edited in
+/// place through a [`NetlistEditor`] and rolled back when rejected; the
+/// attribution is computed once, for the final netlist.
 ///
 /// Node ids are stable: bypassed gates are tied to constants rather than
 /// removed, so downstream tooling (attribution, diffing) can line the
@@ -372,9 +314,7 @@ pub fn rewrite_gates(
     }
     let mut inc = IncrementalSim::record(netlist, stream)?;
     let mut current = netlist.clone();
-    let base_act = inc.activity();
-    let baseline_uw = base_act.power(&current, lib).total_power_uw();
-    let mut attribution = attribute(&current, lib, &base_act);
+    let baseline_uw = inc.activity().power(&current, lib).total_power_uw();
     let mut current_uw = baseline_uw;
     let mut steps = Vec::new();
     let mut candidates_tried = 0usize;
@@ -385,35 +325,30 @@ pub fn rewrite_gates(
     for _pass in 0..opts.max_passes {
         let mut progressed = false;
         for (rule, node) in find_candidates(&current, opts) {
-            let Some(m) = plan(rule, node, &current, opts)? else { continue };
-            inc.resim_into(&m.mutated, &m.changed, &mut scratch, &mut resim)?;
+            let mut ed = NetlistEditor::begin(&mut current);
+            let Some(swept) = plan(rule, node, &mut ed, opts)? else { continue };
+            inc.resim_into(ed.netlist(), ed.changed(), &mut scratch, &mut resim)?;
             candidates_tried += 1;
             cone_nodes_resimmed += resim.cone.len();
             obs::OPT_CANDIDATES_EVALUATED.inc();
             obs::OPT_CONE_SIZE.record(resim.cone.len() as u64);
             obs::OPT_RESIM_WORDS.add(resim.words_replayed());
-            let after_uw = resim.activity.power(&m.mutated, lib).total_power_uw();
+            let after_uw = resim.activity.power(ed.netlist(), lib).total_power_uw();
             if current_uw - after_uw <= opts.min_saving_uw {
+                ed.rollback();
                 continue;
             }
-            // Accept: fold the mutation into the cache and refresh the
-            // attribution from the delta. The touched set is the resim
-            // cone plus every node whose fanout pin count moved.
+            ed.finish();
             obs::OPT_CANDIDATES_ACCEPTED.inc();
-            let touched: BTreeSet<NodeId> =
-                resim.cone.iter().copied().chain(m.touched_extra.iter().copied()).collect();
-            let touched: Vec<NodeId> = touched.into_iter().collect();
-            attribution = attribute_delta(&m.mutated, lib, &attribution, &resim.activity, &touched);
             steps.push(RewriteStep {
                 node,
                 rule,
-                swept: m.swept,
+                swept,
                 before_uw: current_uw,
                 after_uw,
                 cone_nodes: resim.cone.len(),
             });
-            inc.commit(&m.mutated, &resim);
-            current = m.mutated;
+            inc.commit(&current, &resim);
             current_uw = after_uw;
             progressed = true;
         }
@@ -421,6 +356,7 @@ pub fn rewrite_gates(
             break;
         }
     }
+    let attribution = attribute(&current, lib, &inc.activity());
     Ok(RewriteOutcome {
         netlist: current,
         steps,

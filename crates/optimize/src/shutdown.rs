@@ -104,14 +104,12 @@ pub fn simulate(
 ) -> PolicyResult {
     let mut energy = 0.0;
     let mut total_time = 0.0;
-    let mut total_active = 0.0;
     let mut added_latency = 0.0;
     let mut shutdowns = 0usize;
     for ep in workload {
         // Active period.
         energy += device.p_on * ep.active;
         total_time += ep.active;
-        total_active += ep.active;
         // Idle period: the policy picks a wait time before shutdown.
         let wait = policy.wait_before_shutdown(ep.active);
         if wait >= ep.idle {
@@ -146,7 +144,6 @@ pub fn simulate(
         total_time += ep.idle;
         policy.observe(ep.active, ep.idle);
     }
-    let _ = total_active;
     let average_power = energy / total_time.max(1e-12);
     PolicyResult {
         average_power,

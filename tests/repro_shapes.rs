@@ -2,7 +2,7 @@
 //! same shapes the bench harness regenerates, asserted as invariants so a
 //! regression in any crate trips CI before it corrupts EXPERIMENTS.md.
 
-use hlpower::netlist::{streams, Library, McKernel};
+use hlpower::netlist::{streams, Library};
 
 /// Table I: constant-multiplication conversion cuts execution-unit
 /// capacitance by several x and total capacitance by ~2-3x, while control
@@ -152,7 +152,7 @@ fn retime_shape() {
     nl.output_bus("p", &p);
     let lib = Library::default();
     let stream: Vec<Vec<bool>> = streams::random(4, 10).take(250).collect();
-    let outcome = retime::low_power_retime(&nl, &lib, &stream, 4, McKernel::Auto).expect("ok");
+    let outcome = retime::low_power_retime(&nl, &lib, &stream, 4).expect("ok");
     assert!(outcome.saving() > 0.0, "{outcome:?}");
 }
 
