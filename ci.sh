@@ -11,10 +11,6 @@ cargo fmt --check
 # Every lint clippy enables by default, on every target, is an error
 # (`rustup component add clippy` on a toolchain without it).
 cargo clippy --offline --workspace --all-targets -- -D warnings
-# API docs must build clean: every public item is documented
-# (#![warn(missing_docs)] everywhere) and -D warnings makes any rustdoc
-# regression (broken intra-doc link, missing doc) fatal.
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline
 # Every experiment (Table I included) rewrites its results/*.json dump;
 # the committed dumps must reproduce byte for byte.
 cargo run --release --offline -p hlpower-bench --bin repro -- --all
@@ -122,3 +118,8 @@ target/release/hlpower-serve audit --access results/serve/access.jsonl \
   --responses results/serve/responses.jsonl \
   --trace results/serve/trace.json \
   --prom results/serve/metrics.prom
+# API docs must build clean: every public item is documented
+# (#![warn(missing_docs)] everywhere) and -D warnings makes any rustdoc
+# regression (broken intra-doc link, missing doc) fatal. Last, so a
+# rustdoc failure cannot hide the result of any gate above.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline

@@ -7,7 +7,7 @@
 //! *differential* harnesses, so an ingested circuit gets the same
 //! cross-checking the in-tree circuits get:
 //!
-//! * packed 64-lane [`Sim64`] vs 64 independent scalar
+//! * packed 64-lane [`WideSim`] vs 64 independent scalar
 //!   [`ZeroDelaySim`] runs (bit-identical, lane by lane);
 //! * timed (glitch-capturing) [`timed_activity`] on the scalar vs the
 //!   packed kernel (bit-identical records);
@@ -29,7 +29,7 @@ use hlpower::netlist::timed_activity;
 use hlpower::netlist::{
     attribute, emit_verilog, ingest_str, monte_carlo_power_seeded_threads_kernel, parse_verilog,
     sniff_format, streams, structurally_equivalent, Activity, Library, McKernel, MonteCarloOptions,
-    Netlist, Sim64, SourceFormat, ZeroDelaySim, LANES,
+    Netlist, SourceFormat, WideSim, Word, ZeroDelaySim,
 };
 use hlpower_obs::{json, json::Value};
 use hlpower_rng::Rng;
@@ -160,7 +160,7 @@ impl IngestOutcome {
                 );
                 if let Some(p) = self.power_uw {
                     println!("  estimated power {p:.3} uW over {} packed cycles", {
-                        crate::profile::PROFILE_CYCLES * LANES
+                        crate::profile::PROFILE_CYCLES * u64::LANES
                     });
                 }
                 for c in &self.checks {
@@ -175,11 +175,11 @@ impl IngestOutcome {
     }
 }
 
-/// Packed [`Sim64`] vs 64 scalar [`ZeroDelaySim`] runs, lane by lane.
+/// Packed [`WideSim`] vs 64 scalar [`ZeroDelaySim`] runs, lane by lane.
 fn check_scalar_vs_packed(nl: &Netlist) -> Result<(), String> {
     let w = nl.input_count();
     let root = Rng::seed_from_u64(INGEST_SEED);
-    let scalar: Vec<Activity> = (0..LANES)
+    let scalar: Vec<Activity> = (0..u64::LANES)
         .map(|l| {
             let mut sim = ZeroDelaySim::new(nl).map_err(|e| e.to_string())?;
             for v in streams::random_rng(root.split(l as u64), w).take(DIFF_CYCLES) {
@@ -188,9 +188,9 @@ fn check_scalar_vs_packed(nl: &Netlist) -> Result<(), String> {
             Ok(sim.take_activity())
         })
         .collect::<Result<_, String>>()?;
-    let mut sim = Sim64::new(nl).map_err(|e| e.to_string())?;
+    let mut sim = WideSim::<u64>::new(nl).map_err(|e| e.to_string())?;
     let mut lanes: Vec<_> =
-        (0..LANES).map(|l| streams::random_rng(root.split(l as u64), w)).collect();
+        (0..u64::LANES).map(|l| streams::random_rng(root.split(l as u64), w)).collect();
     let mut words = vec![0u64; w];
     for _ in 0..DIFF_CYCLES {
         words.iter_mut().for_each(|word| *word = 0);

@@ -13,8 +13,8 @@
 //!   collapsed-stack format, ready for standard flamegraph tooling.
 
 use hlpower::netlist::{
-    attribute, gen, streams, Activity, AttributionReport, Library, Netlist, PowerReport, Sim64,
-    LANES,
+    attribute, gen, streams, Activity, AttributionReport, Library, Netlist, PowerReport, WideSim,
+    Word,
 };
 use hlpower_obs::{json, json::Value};
 use hlpower_rng::Rng;
@@ -48,10 +48,10 @@ pub struct ProfileOutcome {
 /// exactly the stimulus the generator suite sees.
 pub fn packed_activity(nl: &Netlist) -> Activity {
     let width = nl.input_count();
-    let mut sim = Sim64::new(nl).expect("benchmark circuits are acyclic");
+    let mut sim = WideSim::<u64>::new(nl).expect("benchmark circuits are acyclic");
     let root = Rng::seed_from_u64(PROFILE_SEED);
     let mut lanes: Vec<_> =
-        (0..LANES as u64).map(|l| streams::random_rng(root.split(l), width)).collect();
+        (0..u64::LANES as u64).map(|l| streams::random_rng(root.split(l), width)).collect();
     let mut words = vec![0u64; width];
     for _ in 0..PROFILE_CYCLES {
         words.iter_mut().for_each(|w| *w = 0);

@@ -20,7 +20,7 @@
 use std::error::Error;
 use std::fmt;
 
-use hlpower_netlist::{gen, BlockSim64, Library, Netlist, NetlistError, ZeroDelaySim, LANES};
+use hlpower_netlist::{gen, IncrementalSim, Library, Netlist, NetlistError};
 use hlpower_rng::par;
 
 use crate::stats::{least_squares, stepwise_select, StreamStats};
@@ -198,12 +198,11 @@ impl ModuleHarness {
     /// Simulates the module cycle by cycle, producing one record per
     /// cycle after the first.
     ///
-    /// Purely combinational modules (every module the built-in harnesses
-    /// construct) run on the time-packed [`BlockSim64`] kernel — one
-    /// network evaluation per 64 cycles — and sequential modules fall back
-    /// to the scalar simulator. Both paths produce bit-identical records:
-    /// packed toggles are exact, and per-cycle energies accumulate in the
-    /// same node-ascending f64 order as the scalar sum.
+    /// The stream is recorded once, time-packed 64 cycles per word
+    /// ([`IncrementalSim::record`]), for combinational and sequential
+    /// modules alike. The records are bit-identical to a scalar
+    /// simulator's: packed toggles are exact, and per-cycle energies
+    /// accumulate in the same node-ascending f64 order as the scalar sum.
     ///
     /// # Errors
     ///
@@ -212,19 +211,43 @@ impl ModuleHarness {
         &self,
         stream: impl IntoIterator<Item = Vec<bool>>,
     ) -> Result<Vec<CycleRecord>, MacroModelError> {
-        if self.netlist.dffs().is_empty() {
-            self.trace_packed(stream)
-        } else {
-            self.trace_scalar(stream)
+        let stream: Vec<Vec<bool>> = stream.into_iter().collect();
+        if stream.is_empty() {
+            return Ok(Vec::new());
         }
+        let inc = IncrementalSim::record(&self.netlist, &stream)?;
+        // Scatter per-cycle energies node-major: nodes ascend exactly like
+        // the scalar per-cycle sum, and skipped zero-toggle terms
+        // contribute `+ 0.0`, so each cycle's f64 total is bitwise
+        // identical to the scalar path.
+        let mut energies = vec![0.0f64; stream.len()];
+        for node in self.netlist.node_ids() {
+            for block in 0..stream.len().div_ceil(64) {
+                let mut d = inc.toggle_word(node, block);
+                while d != 0 {
+                    energies[block * 64 + d.trailing_zeros() as usize] +=
+                        self.energy_per_toggle[node.index()];
+                    d &= d - 1;
+                }
+            }
+        }
+        let outs: Vec<Vec<bool>> = (0..stream.len())
+            .map(|c| self.netlist.outputs().iter().map(|&(_, n)| inc.value_at(n, c)).collect())
+            .collect();
+        Ok((1..stream.len())
+            .map(|c| {
+                self.make_record(&stream[c], &stream[c - 1], &outs[c], &outs[c - 1], energies[c])
+            })
+            .collect())
     }
 
     /// Scalar reference implementation of [`trace`](Self::trace).
+    #[cfg(test)]
     fn trace_scalar(
         &self,
         stream: impl IntoIterator<Item = Vec<bool>>,
     ) -> Result<Vec<CycleRecord>, MacroModelError> {
-        let mut sim = ZeroDelaySim::new(&self.netlist)?;
+        let mut sim = hlpower_netlist::ZeroDelaySim::new(&self.netlist)?;
         let mut records = Vec::new();
         let mut prev_in: Option<Vec<bool>> = None;
         let mut prev_out: Option<Vec<bool>> = None;
@@ -243,76 +266,6 @@ impl ModuleHarness {
             }
             prev_in = Some(v);
             prev_out = Some(out);
-        }
-        Ok(records)
-    }
-
-    /// Time-packed implementation of [`trace`](Self::trace) for
-    /// combinational modules: 64 consecutive cycles per evaluated block.
-    fn trace_packed(
-        &self,
-        stream: impl IntoIterator<Item = Vec<bool>>,
-    ) -> Result<Vec<CycleRecord>, MacroModelError> {
-        let width = self.netlist.input_count();
-        let out_nodes: Vec<_> = self.netlist.outputs().iter().map(|&(_, n)| n).collect();
-        let mut bs = BlockSim64::new(&self.netlist)?;
-        let mut records = Vec::new();
-        let mut it = stream.into_iter();
-        let mut prev_in: Option<Vec<bool>> = None;
-        let mut prev_out: Option<Vec<bool>> = None;
-        loop {
-            let mut block: Vec<Vec<bool>> = Vec::with_capacity(LANES);
-            while block.len() < LANES {
-                match it.next() {
-                    Some(v) => {
-                        if v.len() != width {
-                            return Err(NetlistError::InputWidthMismatch {
-                                got: v.len(),
-                                expected: width,
-                            }
-                            .into());
-                        }
-                        block.push(v);
-                    }
-                    None => break,
-                }
-            }
-            if block.is_empty() {
-                break;
-            }
-            let valid = block.len();
-            let mut words = vec![0u64; width];
-            for (c, v) in block.iter().enumerate() {
-                for (i, &b) in v.iter().enumerate() {
-                    words[i] |= (b as u64) << c;
-                }
-            }
-            bs.eval_block(&words, valid)?;
-            // Scatter per-cycle energies node-major: nodes ascend exactly
-            // like the scalar per-cycle sum, and skipped zero-toggle terms
-            // contribute `+ 0.0`, so each cycle's f64 total is bitwise
-            // identical to the scalar path.
-            let mut energies = [0.0f64; LANES];
-            for idx in 0..self.netlist.node_count() {
-                let mut d = bs.diff_word_at(idx);
-                while d != 0 {
-                    let c = d.trailing_zeros() as usize;
-                    energies[c] += self.energy_per_toggle[idx];
-                    d &= d - 1;
-                }
-            }
-            let out_words: Vec<u64> = out_nodes.iter().map(|&n| bs.value_word(n)).collect();
-            for (c, v) in block.into_iter().enumerate() {
-                let out: Vec<bool> = out_words.iter().map(|w| (w >> c) & 1 == 1).collect();
-                if let (Some(pi), Some(po)) = (&prev_in, &prev_out) {
-                    records.push(self.make_record(&v, pi, &out, po, energies[c]));
-                }
-                prev_in = Some(v);
-                prev_out = Some(out);
-            }
-            if valid < LANES {
-                break;
-            }
         }
         Ok(records)
     }
@@ -608,13 +561,22 @@ mod tests {
 
     #[test]
     fn packed_trace_is_bit_identical_to_scalar_trace() {
-        // Combinational modules route through the time-packed kernel;
-        // every record field, including the f64 energies, must match the
-        // scalar reference bitwise. Use a stream length that exercises a
-        // partial final block (257 = 4 * 64 + 1).
+        // Combinational and registered modules both route through the
+        // time-packed recorder; every record field, including the f64
+        // energies, must match the scalar reference bitwise. Use a stream
+        // length that exercises a partial final block (257 = 4 * 64 + 1).
+        let fir = {
+            let mut nl = Netlist::new();
+            let x = nl.input_bus("x", 6);
+            let y = gen::fir_filter(&mut nl, &x, &[7, 13, 7], true);
+            nl.output_bus("y", &y);
+            assert!(!nl.dffs().is_empty(), "the FIR module is registered");
+            ModuleHarness::new(nl, Library::default(), vec![6]).unwrap()
+        };
         for h in [
             ModuleHarness::adder(8, Library::default()),
             ModuleHarness::multiplier(5, Library::default()),
+            fir,
         ] {
             let w = h.netlist().input_count();
             let vectors: Vec<Vec<bool>> = streams::random(31, w).take(257).collect();

@@ -10,10 +10,9 @@
 //! census-vs-adaptive bias numbers can be reproduced.
 //!
 //! The gate-level reference traces consumed here come from
-//! [`ModuleHarness::trace`], which runs combinational modules on the
-//! time-packed 64-cycle [`hlpower_netlist::BlockSim64`] kernel; the
-//! records (and thus every co-simulation result) are bit-identical to the
-//! scalar simulator's, just cheaper to produce.
+//! [`ModuleHarness::trace`], which records the stream time-packed, 64
+//! cycles per word; the records (and thus every co-simulation result) are
+//! bit-identical to the scalar simulator's, just cheaper to produce.
 
 use hlpower_obs::metrics as obs;
 use hlpower_rng::{par, Rng};

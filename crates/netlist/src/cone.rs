@@ -7,9 +7,12 @@
 //!
 //! * [`Trajectory`] — every node's settled per-cycle value, bit-packed 64
 //!   cycles per `u64` word (flip-flop rows are the register-boundary
-//!   snapshots), with the tail-masked row diff and the commit-time row
-//!   splice. The packed `timed_activity` driver reuses it as its
-//!   stable-state reference;
+//!   snapshots), with the tail-masked row diff, the toggle word and the
+//!   commit-time row splice. [`Trajectory::record`] is the one place a
+//!   stimulus stream is time-packed. [`crate::IncrementalSim::record`]
+//!   (and through it the estimate crate's macro-model harness) and the
+//!   packed [`crate::timed_activity`] driver (its stable-state
+//!   reference) call it;
 //! * [`Recording`] — a trajectory plus the netlist it was recorded from,
 //!   and the resim front end: the incremental-edit precondition checks,
 //!   the fanout CSR and topological order of the mutated netlist, the
@@ -24,6 +27,8 @@ use hlpower_obs::metrics as obs;
 
 use crate::error::NetlistError;
 use crate::netlist::{Netlist, NodeId, NodeKind, TopoScratch};
+use crate::sim::ZeroDelaySim;
+use crate::simwide::Program;
 
 /// Clears `v` and refills it with `n` copies of `fill`, reusing capacity.
 pub(crate) fn refill<T: Clone>(v: &mut Vec<T>, n: usize, fill: T) {
@@ -33,7 +38,8 @@ pub(crate) fn refill<T: Clone>(v: &mut Vec<T>, n: usize, fill: T) {
 
 /// Every node's settled value on every vector of a stream, bit-packed:
 /// bit `c % 64` of word `node * blocks + c / 64` is the node's value after
-/// vector `c`. Trailing bits of each row's final word are zero.
+/// vector `c`. Trailing bits of each row's final word are don't-cares
+/// (zero when packed cycle by cycle); every reader masks them.
 #[derive(Debug, Clone)]
 pub(crate) struct Trajectory {
     /// Number of vectors recorded (at least one).
@@ -56,6 +62,56 @@ impl Trajectory {
         Trajectory { n_vectors, blocks, tail_mask, values: vec![0; nodes * blocks] }
     }
 
+    /// Records `netlist`'s settled trajectory over `stream`, 64 cycles
+    /// per word. A combinational netlist evaluates the compiled
+    /// [`Program`] once per 64-cycle block: gates read only same-cycle
+    /// values, so each block settles on its own. A sequential netlist
+    /// steps a [`ZeroDelaySim`] and packs each cycle, so its flip-flop
+    /// rows are the register-boundary snapshots. Either way every valid
+    /// bit is the scalar simulator's settled value.
+    ///
+    /// # Errors
+    ///
+    /// [`NetlistError::EmptyStream`] for an empty stream,
+    /// [`NetlistError::InputWidthMismatch`] for a bad vector width, or
+    /// [`NetlistError::CombinationalCycle`] for a cyclic netlist.
+    pub(crate) fn record(netlist: &Netlist, stream: &[Vec<bool>]) -> Result<Self, NetlistError> {
+        if stream.is_empty() {
+            return Err(NetlistError::EmptyStream);
+        }
+        let width = netlist.input_count();
+        if let Some(v) = stream.iter().find(|v| v.len() != width) {
+            return Err(NetlistError::InputWidthMismatch { got: v.len(), expected: width });
+        }
+        let mut traj = Trajectory::zeroed(netlist.node_count(), stream.len());
+        if !netlist.dffs().is_empty() {
+            let mut sim = ZeroDelaySim::new(netlist)?;
+            for (c, v) in stream.iter().enumerate() {
+                sim.step(v)?;
+                traj.pack(c, sim.values_raw());
+            }
+            return Ok(traj);
+        }
+        let program = Program::compile(netlist)?;
+        let mut cur = program.init_words::<u64>();
+        for (b, vectors) in stream.chunks(64).enumerate() {
+            obs::SIM64_BLOCKS.inc();
+            obs::SIM64_GATE_EVALS.add(program.instrs.len() as u64);
+            obs::SIM64_LANE_CYCLES.add(vectors.len() as u64);
+            for (i, &inp) in netlist.inputs().iter().enumerate() {
+                cur[inp.index()] =
+                    vectors.iter().enumerate().fold(0, |w, (c, v)| w | (v[i] as u64) << c);
+            }
+            for ins in &program.instrs {
+                cur[ins.out as usize] = program.eval(&cur, ins);
+            }
+            for (node, &w) in cur.iter().enumerate() {
+                traj.values[node * traj.blocks + b] = w;
+            }
+        }
+        Ok(traj)
+    }
+
     /// Packs one cycle's settled node values (indexed by node) into bit
     /// `cycle` of every row.
     pub(crate) fn pack(&mut self, cycle: usize, values: &[bool]) {
@@ -76,13 +132,37 @@ impl Trajectory {
         (self.values[node * self.blocks + cycle / 64] >> (cycle % 64)) & 1 != 0
     }
 
+    /// Valid-bit mask of word `b` of a row.
+    fn valid_mask(&self, b: usize) -> u64 {
+        if b + 1 == self.blocks {
+            self.tail_mask
+        } else {
+            !0
+        }
+    }
+
+    /// Toggle word of block `b` of `row` (a trajectory row, or a replayed
+    /// row of the same shape): bit `c` is set when the value on vector
+    /// `64 * b + c` differs from the one on the vector before. Vector 0
+    /// never counts (the scalar "first vector initializes" rule), the
+    /// carry crosses block boundaries, and bits past the last vector are
+    /// clear.
+    #[inline]
+    pub(crate) fn toggle_word(&self, row: &[u64], b: usize) -> u64 {
+        let w = row[b];
+        let carry = if b == 0 { w & 1 } else { row[b - 1] >> 63 };
+        (w ^ ((w << 1) | carry)) & self.valid_mask(b)
+    }
+
+    /// Exact toggle count of `row` over the recorded vectors.
+    pub(crate) fn toggles(&self, row: &[u64]) -> u64 {
+        (0..self.blocks).map(|b| self.toggle_word(row, b).count_ones() as u64).sum()
+    }
+
     /// Whether `words` differs from the row of `node` on any valid cycle.
     fn differs(&self, node: usize, words: &[u64]) -> bool {
-        let (old, last) = (self.row(node), self.blocks - 1);
-        (0..self.blocks).any(|b| {
-            let mask = if b == last { self.tail_mask } else { !0 };
-            (old[b] ^ words[b]) & mask != 0
-        })
+        let old = self.row(node);
+        (0..self.blocks).any(|b| (old[b] ^ words[b]) & self.valid_mask(b) != 0)
     }
 }
 
@@ -266,5 +346,68 @@ impl Recording {
             values[id.index() * blocks..(id.index() + 1) * blocks].copy_from_slice(row);
         }
         self.base = mutated.clone();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{gen, streams};
+
+    fn adder(bits: usize) -> Netlist {
+        let mut nl = Netlist::new();
+        let a = nl.input_bus("a", bits);
+        let b = nl.input_bus("b", bits);
+        let c0 = nl.constant(false);
+        let s = gen::ripple_adder(&mut nl, &a, &b, c0);
+        nl.output_bus("s", &s);
+        nl
+    }
+
+    fn fir() -> Netlist {
+        let mut nl = Netlist::new();
+        let x = nl.input_bus("x", 6);
+        let y = gen::fir_filter(&mut nl, &x, &[7, 13, 7], true);
+        nl.output_bus("y", &y);
+        nl
+    }
+
+    /// The recorder against the scalar simulator, cycle by cycle, on a
+    /// combinational and a registered netlist over a ragged length
+    /// (257 = 4 * 64 + 1): every output bit, and every node's toggle bit.
+    #[test]
+    fn recorder_matches_scalar_per_cycle() {
+        for nl in [adder(8), fir()] {
+            let vectors: Vec<Vec<bool>> = streams::random(23, nl.input_count()).take(257).collect();
+            let traj = Trajectory::record(&nl, &vectors).unwrap();
+            assert_eq!(traj.blocks, 5);
+            let mut scalar = ZeroDelaySim::new(&nl).unwrap();
+            for (c, v) in vectors.iter().enumerate() {
+                scalar.step(v).unwrap();
+                let outs: Vec<bool> =
+                    nl.outputs().iter().map(|&(_, n)| traj.bit(n.index(), c)).collect();
+                assert_eq!(outs, scalar.output_values(), "cycle {c}");
+                let toggles = scalar.take_activity().toggles;
+                for id in nl.node_ids() {
+                    let word = traj.toggle_word(traj.row(id.index()), c / 64);
+                    assert_eq!((word >> (c % 64)) & 1, toggles[id.index()], "node {id}, cycle {c}");
+                }
+            }
+            for id in nl.node_ids() {
+                let tail = traj.toggle_word(traj.row(id.index()), 4);
+                assert_eq!(tail >> 1, 0, "node {id}: toggle bits past the last vector");
+            }
+        }
+    }
+
+    #[test]
+    fn recorder_validates_the_stream() {
+        let nl = adder(2);
+        assert!(matches!(Trajectory::record(&nl, &[]), Err(NetlistError::EmptyStream)));
+        let bad = vec![vec![false; 4], vec![true; 3]];
+        assert!(matches!(
+            Trajectory::record(&nl, &bad),
+            Err(NetlistError::InputWidthMismatch { got: 3, expected: 4 })
+        ));
     }
 }

@@ -266,8 +266,9 @@ impl<'a> NetlistEditor<'a> {
                 reason: format!("node {node} is not a combinational gate"),
             });
         }
-        let fanout = self.netlist.fanout_counts();
-        if fanout[node.index()] != 0 || self.netlist.outputs().iter().any(|&(_, o)| o == node) {
+        let nl = &*self.netlist;
+        let read = nl.node_ids().any(|id| nl.kind(id).fanins().contains(&node));
+        if read || nl.outputs().iter().any(|&(_, o)| o == node) {
             return Ok(false);
         }
         let tie = self.netlist.constant(false);

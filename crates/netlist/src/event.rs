@@ -7,9 +7,10 @@
 //! sections depend on them. This simulator propagates events under the
 //! library's transport-delay model, counting every transition.
 //!
-//! [`EventDrivenSim`] is the scalar reference engine; the compiled 64-lane
-//! [`TimedSim64`](crate::TimedSim64) in [`crate::sim64timed`] reproduces its
-//! per-lane results bit-for-bit at much higher throughput.
+//! [`EventDrivenSim`] is the scalar reference engine; the compiled
+//! [`WideTimedSim`](crate::WideTimedSim) reproduces its per-lane results
+//! bit-for-bit at 64, 256 or 512 lanes per word and much higher
+//! throughput.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

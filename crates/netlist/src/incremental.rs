@@ -5,12 +5,11 @@
 //! the **output cone** of the touched gates (their forward closure through
 //! the fanout graph) can change value, and every other node's packed
 //! stimulus response is already known. [`IncrementalSim`] records one
-//! full time-packed evaluation of a netlist over a stimulus stream
-//! (64 cycles per `u64` word, the [`crate::BlockSim64`] packing),
-//! caches every node's words, and then answers *"what does this mutated
-//! netlist do on the same stream?"* by re-evaluating just the dirty cone
-//! against the cached fan-in words — no instruction-stream recompile, no
-//! replay of untouched nodes.
+//! full time-packed evaluation of a netlist over a stimulus stream (64
+//! cycles per `u64` word), caches every node's words, and then answers
+//! *"what does this mutated netlist do on the same stream?"* by
+//! re-evaluating just the dirty cone against the cached fan-in words — no
+//! instruction-stream recompile, no replay of untouched nodes.
 //!
 //! This is the zero-delay replay over the dirty-cone core it shares with
 //! [`crate::IncrementalTimedSim`]: one settled trajectory, one set of
@@ -51,8 +50,8 @@ use crate::cone::{refill, Recording, ResimScratch, Trajectory};
 use crate::error::NetlistError;
 use crate::library::GateKind;
 use crate::netlist::{Netlist, NodeId, NodeKind};
-use crate::sim::{Activity, ZeroDelaySim};
-use crate::sim64::{broadcast, Program};
+use crate::sim::Activity;
+use crate::words::Word;
 
 /// A recorded time-packed simulation of a netlist over a fixed stimulus
 /// stream, supporting dirty-cone re-simulation of mutated variants. See
@@ -120,21 +119,6 @@ pub(crate) fn eval_gate(kind: GateKind, inputs: &[NodeId], get: impl Fn(NodeId) 
     }
 }
 
-/// Exact toggle count of one node's packed value words: transitions
-/// between consecutive valid cycles, with the scalar "first vector
-/// initializes" rule (cycle 0 toggles nothing) and cross-block carry.
-fn toggles_of(words: &[u64], n_vectors: usize) -> u64 {
-    let mut total = 0u64;
-    let mut carry = words[0] & 1;
-    for (b, &w) in words.iter().enumerate() {
-        let valid = (n_vectors - b * 64).min(64);
-        let mask = if valid == 64 { !0 } else { (1u64 << valid) - 1 };
-        total += ((w ^ ((w << 1) | carry)) & mask).count_ones() as u64;
-        carry = (w >> (valid - 1)) & 1;
-    }
-    total
-}
-
 /// The error for a cone node no replay can evaluate (a primary input).
 fn not_combinational(id: NodeId, kind: &NodeKind) -> NetlistError {
     NetlistError::IncrementalMismatch {
@@ -149,7 +133,7 @@ impl IncrementalSim {
     /// the compiled instruction stream; sequential netlists replay the
     /// scalar simulator once and pack the per-cycle register-boundary
     /// snapshots, so either way the cache is bit-identical to a scalar
-    /// [`ZeroDelaySim`] run.
+    /// [`crate::ZeroDelaySim`] run.
     ///
     /// # Errors
     ///
@@ -157,47 +141,8 @@ impl IncrementalSim {
     /// [`NetlistError::InputWidthMismatch`] for a bad vector width, or
     /// [`NetlistError::CombinationalCycle`] for cyclic netlists.
     pub fn record(netlist: &Netlist, stream: &[Vec<bool>]) -> Result<Self, NetlistError> {
-        if stream.is_empty() {
-            return Err(NetlistError::EmptyStream);
-        }
-        let width = netlist.input_count();
-        for v in stream {
-            if v.len() != width {
-                return Err(NetlistError::InputWidthMismatch { got: v.len(), expected: width });
-            }
-        }
-        let n = netlist.node_count();
-        let mut traj = Trajectory::zeroed(n, stream.len());
-        let blocks = traj.blocks;
-        if netlist.dffs().is_empty() {
-            let program = Program::compile(netlist)?;
-            let values = &mut traj.values;
-            // Evaluate block by block: gates only depend on same-cycle
-            // values, so each 64-cycle block settles independently.
-            let mut cur = program.init_words::<u64>();
-            for (b, vectors) in stream.chunks(64).enumerate() {
-                for (i, &inp) in netlist.inputs().iter().enumerate() {
-                    cur[inp.index()] =
-                        vectors.iter().enumerate().fold(0, |w, (c, v)| w | (v[i] as u64) << c);
-                }
-                for ins in &program.instrs {
-                    cur[ins.out as usize] = program.eval(&cur, ins);
-                }
-                for node in 0..n {
-                    values[node * blocks + b] = cur[node];
-                }
-            }
-        } else {
-            // Sequential: one scalar pass, packing every node's settled
-            // per-cycle value — the flip-flop rows are the register-
-            // boundary snapshots that later resims read across.
-            let mut sim = ZeroDelaySim::new(netlist)?;
-            for (c, v) in stream.iter().enumerate() {
-                sim.step(v)?;
-                traj.pack(c, sim.values_raw());
-            }
-        }
-        let toggles = (0..n).map(|node| toggles_of(traj.row(node), stream.len())).collect();
+        let traj = Trajectory::record(netlist, stream)?;
+        let toggles = (0..netlist.node_count()).map(|node| traj.toggles(traj.row(node))).collect();
         Ok(IncrementalSim { rec: Recording::new(netlist, traj), toggles })
     }
 
@@ -213,10 +158,20 @@ impl IncrementalSim {
     }
 
     /// The cached packed value words of a node (bit `c` of word `b` is
-    /// the settled value on vector `b * 64 + c`; trailing bits of the
-    /// final word are zero-padding).
+    /// the settled value on vector `b * 64 + c`; bits of the final word
+    /// past the last vector are unspecified, so mask them).
     pub fn value_words(&self, node: NodeId) -> &[u64] {
         self.rec.traj.row(node.index())
+    }
+
+    /// Toggle word of a node on one 64-vector block: bit `c` is set when
+    /// its settled value on vector `64 * block + c` differs from the one
+    /// on the vector before. Vector 0 never counts and bits past the last
+    /// vector are clear, so the popcounts over every block sum to the
+    /// node's entry in [`activity`](Self::activity).
+    pub fn toggle_word(&self, node: NodeId, block: usize) -> u64 {
+        let traj = &self.rec.traj;
+        traj.toggle_word(traj.row(node.index()), block)
     }
 
     /// A node's settled value on one recorded cycle.
@@ -274,8 +229,8 @@ impl IncrementalSim {
         out: &mut ConeResim,
     ) -> Result<(), NetlistError> {
         self.rec.cone_into(mutated, changed, scratch, &mut out.cone, &mut out.updates)?;
-        let (cone, n_vectors) = (&out.cone, self.vectors());
-        let blocks = self.rec.traj.blocks;
+        let (cone, traj) = (&out.cone, &self.rec.traj);
+        let blocks = traj.blocks;
         out.blocks = blocks;
         if cone.iter().any(|&id| matches!(mutated.kind(id), NodeKind::Dff { .. })) {
             // A register is dirty: its Q trajectory shifts cycle by cycle,
@@ -292,9 +247,9 @@ impl IncrementalSim {
         // counts, cone nodes are re-counted from their new words.
         refill(&mut out.activity.toggles, mutated.node_count(), 0u64);
         out.activity.toggles[..self.toggles.len()].copy_from_slice(&self.toggles);
-        out.activity.cycles = (n_vectors - 1) as u64;
+        out.activity.cycles = (traj.n_vectors - 1) as u64;
         for (&id, words) in cone.iter().zip(out.updates.chunks(blocks)) {
-            out.activity.toggles[id.index()] = toggles_of(words, n_vectors);
+            out.activity.toggles[id.index()] = traj.toggles(words);
         }
         Ok(())
     }
@@ -315,7 +270,7 @@ impl IncrementalSim {
         for b in 0..blocks {
             for (ci, &id) in cone.iter().enumerate() {
                 let w = match mutated.kind(id) {
-                    NodeKind::Const(v) => broadcast(*v),
+                    NodeKind::Const(v) => u64::splat(*v),
                     NodeKind::Gate { kind, inputs } => eval_gate(*kind, inputs, |f| {
                         let u = update_of[f.index()];
                         if u != usize::MAX {

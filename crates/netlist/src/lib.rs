@@ -53,8 +53,6 @@ mod netlist;
 pub mod power;
 mod prob;
 mod sim;
-mod sim64;
-mod sim64timed;
 mod simwide;
 pub mod streams;
 pub mod words;
@@ -82,7 +80,7 @@ pub use power::attribution::{attribute, AttributionReport, NodeAttribution, Roll
 pub use power::{GroupPower, PowerModel, PowerReport};
 pub use prob::{ProbabilityAnalysis, SignalStats};
 pub use sim::{Activity, ZeroDelaySim};
-pub use sim64::{BlockSim64, CompiledKernel, Sim64, LANES};
-pub use sim64timed::{timed_activity, TimedSim64};
-pub use simwide::{random_words, simd_level, SimdLevel, WideSim, WideTimedSim};
+pub use simwide::{
+    random_words, simd_level, timed_activity, CompiledKernel, SimdLevel, WideSim, WideTimedSim,
+};
 pub use words::{Word, W256, W512};

@@ -350,7 +350,7 @@ mod tests {
     fn gate_evaluators_agree_exhaustively() {
         use crate::incremental::eval_gate;
         use crate::netlist::{Netlist, NodeId};
-        use crate::sim64::Program;
+        use crate::simwide::Program;
         for kind in GateKind::all() {
             let max = if kind.is_variadic() { 5 } else { kind.min_arity() };
             for arity in kind.min_arity()..=max {

@@ -48,8 +48,7 @@ use crate::library::Library;
 use crate::netlist::Netlist;
 use crate::power::PowerModel;
 use crate::sim::ZeroDelaySim;
-use crate::sim64::CompiledKernel;
-use crate::simwide::{random_words, WideSim, WideTimedSim};
+use crate::simwide::{random_words, CompiledKernel, WideSim, WideTimedSim};
 use crate::streams::RandomVectors;
 use crate::words::{Word, W256, W512};
 
@@ -80,8 +79,7 @@ pub enum McKernel {
     /// One scalar simulator per batch — [`ZeroDelaySim`], or
     /// [`EventDrivenSim`] in glitch mode. The differential oracle.
     Scalar,
-    /// One bit-parallel 64-lane [`crate::Sim64`] / [`crate::TimedSim64`]
-    /// per 64 batches.
+    /// One 64-lane [`WideSim`]`<u64>` / [`WideTimedSim`] per 64 batches.
     Packed64,
     /// One 256-lane [`WideSim`]`<`[`W256`]`>` / [`WideTimedSim`] per 256
     /// batches.

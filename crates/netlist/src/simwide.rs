@@ -1,15 +1,17 @@
 //! Width-generic compiled packed simulation: 64/256/512 stimulus lanes
 //! from one instruction stream.
 //!
-//! This module generalizes the bit-parallel kernels of [`crate::sim64`]
-//! and [`crate::sim64timed`] over the [`Word`] abstraction: the same
-//! compiled opcode+slot instruction stream drives [`Word::LANES`]
-//! independent stimulus lanes per pass, with one word per node. `u64`
-//! reproduces the original 64-lane kernels ([`crate::Sim64`] and
-//! [`crate::TimedSim64`] are aliases of [`WideSim`]/[`WideTimedSim`] at
-//! `W = u64`); [`W256`]/[`W512`] quadruple/octuple the lanes per
-//! instruction decode, amortizing the per-instruction overhead (decode,
-//! bounds checks, toggle-counter carry chains) over 4x/8x the data.
+//! [`Program`] compiles the topological order **once** into a dense
+//! instruction stream (one opcode with pre-resolved input slot indices
+//! per gate, no per-gate allocation and no graph chasing), and
+//! [`CompiledKernel`] shares it across simulator instances. The
+//! zero-delay [`WideSim`] and the timed (glitch-capturing) [`WideTimedSim`]
+//! evaluate it over the [`Word`] abstraction: [`Word::LANES`] independent
+//! stimulus lanes per pass, with one word per node. `u64` is the 64-lane
+//! kernel; [`W256`]/[`W512`] quadruple/octuple the lanes per instruction
+//! decode, amortizing the per-instruction overhead (decode, bounds
+//! checks, toggle-counter carry chains) over 4x/8x the data.
+//! [`timed_activity`] profiles one stream on either kind of kernel.
 //!
 //! # Runtime SIMD fast path
 //!
@@ -42,14 +44,196 @@ use std::sync::OnceLock;
 use hlpower_obs::metrics as obs;
 use hlpower_rng::LaneRng;
 
+use crate::cone::Trajectory;
 use crate::error::NetlistError;
-use crate::event::{gate_delays_ps, TimedActivity};
-use crate::library::Library;
+use crate::event::{gate_delays_ps, EventDrivenSim, TimedActivity};
+use crate::library::{GateKind, Library};
+use crate::montecarlo::McKernel;
 use crate::netlist::{Netlist, NodeId, NodeKind};
 use crate::power::PowerModel;
 use crate::sim::Activity;
-use crate::sim64::{CompiledKernel, Program};
 use crate::words::{Word, W256, W512};
+
+/// One compiled gate operation. Fixed-arity gates carry their input slots
+/// inline; variadic gates index a `(start, len)` range of the shared fanin
+/// pool. Slots are plain indices into the packed value array.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Op {
+    Buf(u32),
+    Not(u32),
+    And2(u32, u32),
+    Or2(u32, u32),
+    Nand2(u32, u32),
+    Nor2(u32, u32),
+    Xor2(u32, u32),
+    Xnor2(u32, u32),
+    Mux(u32, u32, u32),
+    AndN(u32, u32),
+    OrN(u32, u32),
+    NandN(u32, u32),
+    NorN(u32, u32),
+    XorN(u32, u32),
+    XnorN(u32, u32),
+}
+
+/// One instruction: evaluate `op`, store into value slot `out`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Instr {
+    pub(crate) out: u32,
+    pub(crate) op: Op,
+}
+
+/// A netlist compiled to a flat instruction stream in topological order.
+#[derive(Debug, Clone)]
+pub(crate) struct Program {
+    pub(crate) instrs: Vec<Instr>,
+    /// Shared fanin-slot pool for variadic gates.
+    pub(crate) pool: Vec<u32>,
+    /// Initial scalar value per node (constants and DFF init values;
+    /// everything else false), broadcast across all lanes of any word
+    /// width by [`init_words`](Self::init_words).
+    pub(crate) init_bits: Vec<bool>,
+}
+
+impl Program {
+    /// Compiles the topological order into instructions.
+    pub(crate) fn compile(netlist: &Netlist) -> Result<Program, NetlistError> {
+        let _span = hlpower_obs::trace::span("sim64", "sim64.compile");
+        let order = netlist.topo_order()?;
+        let mut instrs = Vec::with_capacity(order.len());
+        let mut pool: Vec<u32> = Vec::new();
+        for &id in &order {
+            let NodeKind::Gate { kind, inputs } = netlist.kind(id) else { continue };
+            let s = |i: usize| inputs[i].index() as u32;
+            let op = match (*kind, inputs.len()) {
+                (GateKind::Buf, _) => Op::Buf(s(0)),
+                (GateKind::Not, _) => Op::Not(s(0)),
+                (GateKind::Mux, _) => Op::Mux(s(0), s(1), s(2)),
+                (GateKind::And, 2) => Op::And2(s(0), s(1)),
+                (GateKind::Or, 2) => Op::Or2(s(0), s(1)),
+                (GateKind::Nand, 2) => Op::Nand2(s(0), s(1)),
+                (GateKind::Nor, 2) => Op::Nor2(s(0), s(1)),
+                (GateKind::Xor, 2) => Op::Xor2(s(0), s(1)),
+                (GateKind::Xnor, 2) => Op::Xnor2(s(0), s(1)),
+                (wide, n) => {
+                    let start = pool.len() as u32;
+                    pool.extend(inputs.iter().map(|f| f.index() as u32));
+                    let range = (start, n as u32);
+                    match wide {
+                        GateKind::And => Op::AndN(range.0, range.1),
+                        GateKind::Or => Op::OrN(range.0, range.1),
+                        GateKind::Nand => Op::NandN(range.0, range.1),
+                        GateKind::Nor => Op::NorN(range.0, range.1),
+                        GateKind::Xor => Op::XorN(range.0, range.1),
+                        GateKind::Xnor => Op::XnorN(range.0, range.1),
+                        GateKind::Buf | GateKind::Not | GateKind::Mux => unreachable!(),
+                    }
+                }
+            };
+            instrs.push(Instr { out: id.index() as u32, op });
+        }
+        Ok(Program { instrs, pool, init_bits: netlist.power_on_values() })
+    }
+
+    /// Initial packed value per node, broadcast across all lanes of `W`.
+    pub(crate) fn init_words<W: Word>(&self) -> Vec<W> {
+        self.init_bits.iter().map(|&b| W::splat(b)).collect()
+    }
+
+    /// Evaluates one instruction against the packed value array, at any
+    /// word width.
+    #[inline(always)]
+    pub(crate) fn eval<W: Word>(&self, values: &[W], ins: &Instr) -> W {
+        let v = |slot: u32| values[slot as usize];
+        let fold = |start: u32, len: u32, unit: W, f: fn(W, W) -> W| {
+            self.pool[start as usize..(start + len) as usize]
+                .iter()
+                .fold(unit, |acc, &slot| f(acc, values[slot as usize]))
+        };
+        match ins.op {
+            Op::Buf(a) => v(a),
+            Op::Not(a) => v(a).not(),
+            Op::And2(a, b) => v(a).and(v(b)),
+            Op::Or2(a, b) => v(a).or(v(b)),
+            Op::Nand2(a, b) => v(a).and(v(b)).not(),
+            Op::Nor2(a, b) => v(a).or(v(b)).not(),
+            Op::Xor2(a, b) => v(a).xor(v(b)),
+            Op::Xnor2(a, b) => v(a).xor(v(b)).not(),
+            Op::Mux(sel, a, b) => {
+                let s = v(sel);
+                s.not().and(v(a)).or(s.and(v(b)))
+            }
+            Op::AndN(s, n) => fold(s, n, W::splat(true), W::and),
+            Op::OrN(s, n) => fold(s, n, W::zero(), W::or),
+            Op::NandN(s, n) => fold(s, n, W::splat(true), W::and).not(),
+            Op::NorN(s, n) => fold(s, n, W::zero(), W::or).not(),
+            Op::XorN(s, n) => fold(s, n, W::zero(), W::xor),
+            Op::XnorN(s, n) => fold(s, n, W::zero(), W::xor).not(),
+        }
+    }
+}
+
+/// An opaque, shareable compiled instruction stream, detached from any
+/// simulator instance.
+///
+/// The wrapped program is width-generic — one compiled stream drives 64-, 256-,
+/// and 512-lane simulators alike — so a long-running service can compile
+/// a circuit **once** and stamp out packed simulators per request via
+/// [`crate::WideSim::with_kernel`] / [`crate::WideTimedSim::with_kernel`]
+/// without paying the topological-sort + instruction-selection cost
+/// again. Cloning the wrapped instruction vectors is a flat memcpy.
+///
+/// The kernel remembers the node count of the netlist it was compiled
+/// from; pairing it with any other netlist is a
+/// [`NetlistError::KernelMismatch`].
+#[derive(Debug, Clone)]
+pub struct CompiledKernel {
+    pub(crate) program: Program,
+}
+
+impl CompiledKernel {
+    /// Compiles `netlist` into a reusable instruction stream.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
+    pub fn compile(netlist: &Netlist) -> Result<Self, NetlistError> {
+        Ok(CompiledKernel { program: Program::compile(netlist)? })
+    }
+
+    /// Node count of the netlist this kernel was compiled from.
+    pub fn node_count(&self) -> usize {
+        self.program.init_bits.len()
+    }
+
+    /// Number of gate-evaluation instructions in the stream.
+    pub fn instr_count(&self) -> usize {
+        self.program.instrs.len()
+    }
+
+    /// Approximate heap footprint in bytes (for cache byte budgets).
+    pub fn approx_bytes(&self) -> usize {
+        self.program.instrs.len() * std::mem::size_of::<Instr>()
+            + self.program.pool.len() * std::mem::size_of::<u32>()
+            + self.program.init_bits.len()
+    }
+
+    /// Checks that `netlist` is the netlist this kernel was compiled from
+    /// (by node count — the only property the instruction slots index).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::KernelMismatch`] on disagreement.
+    pub(crate) fn check_matches(&self, netlist: &Netlist) -> Result<(), NetlistError> {
+        if self.node_count() != netlist.node_count() {
+            return Err(NetlistError::KernelMismatch {
+                expected: netlist.node_count(),
+                got: self.node_count(),
+            });
+        }
+        Ok(())
+    }
+}
 
 /// Bit planes per node in the vertical carry-save toggle counters: a node
 /// can absorb `2^PLANES - 1` toggles per lane between flushes.
@@ -471,7 +655,7 @@ fn settle<W: Word>(program: &Program, values: &mut [W], planes: &mut [W], count_
 /// flip-flops present their previously-sampled values, primary inputs are
 /// applied, the combinational network settles in topological order,
 /// flip-flops sample their D inputs. The first step initializes values
-/// without counting toggles. [`crate::Sim64`] is this type at `W = u64`.
+/// without counting toggles.
 #[derive(Debug, Clone)]
 pub struct WideSim<'a, W: Word> {
     netlist: &'a Netlist,
@@ -732,7 +916,6 @@ impl<'a, W: Word> WideSim<'a, W> {
 /// under the library's transport delays, functional transitions are
 /// recovered from the settled-state diff, and flip-flops sample their D
 /// inputs. The first step initializes values without counting.
-/// [`crate::TimedSim64`] is this type at `W = u64`.
 #[derive(Debug, Clone)]
 pub struct WideTimedSim<'a, W: Word> {
     netlist: &'a Netlist,
@@ -1190,6 +1373,95 @@ impl<'a, W: Word> WideTimedSim<'a, W> {
     }
 }
 
+/// Profiles one input-vector stream with the chosen timed kernel and
+/// returns the glitch-decomposed activity.
+///
+/// All kernels return bit-identical records. The scalar kernel steps an
+/// [`EventDrivenSim`] over the stream; the packed kernels compute the
+/// zero-delay stable-state trajectory once, then replay the stream's
+/// `N - 1` transitions [`Word::LANES`] per word on a [`WideTimedSim`] and
+/// merge the lanes (exact integer sums, so the reorganization is
+/// invisible). [`McKernel::Auto`] resolves to the widest word the
+/// transition count can fill.
+///
+/// # Errors
+///
+/// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists or
+/// [`NetlistError::InputWidthMismatch`] for a bad vector width.
+pub fn timed_activity(
+    netlist: &Netlist,
+    lib: &Library,
+    stream: &[Vec<bool>],
+    kernel: McKernel,
+) -> Result<TimedActivity, NetlistError> {
+    match kernel.resolve(stream.len().saturating_sub(1)) {
+        McKernel::Scalar => {
+            let mut sim = EventDrivenSim::new(netlist, lib)?;
+            sim.run(stream.iter().cloned())
+        }
+        McKernel::Packed64 => timed_activity_packed::<u64>(netlist, lib, stream),
+        McKernel::Packed256 => timed_activity_packed::<W256>(netlist, lib, stream),
+        McKernel::Packed512 => timed_activity_packed::<W512>(netlist, lib, stream),
+        McKernel::Auto => unreachable!("resolve never returns Auto"),
+    }
+}
+
+/// The packed [`timed_activity`] driver: zero-delay trajectory +
+/// transition blocks, at any word width.
+fn timed_activity_packed<W: Word>(
+    netlist: &Netlist,
+    lib: &Library,
+    stream: &[Vec<bool>],
+) -> Result<TimedActivity, NetlistError> {
+    let n = netlist.node_count();
+    let mut sim = WideTimedSim::<W>::new(netlist, lib)?;
+    if stream.is_empty() {
+        return Ok(TimedActivity::zero(netlist));
+    }
+    // Settled-state trajectory: the event-driven simulator always
+    // settles to exactly this state, so it is both the per-transition
+    // start state and the functional reference.
+    let traj = Trajectory::record(netlist, stream)?;
+    let mut from = vec![W::zero(); n];
+    let mut to = vec![W::zero(); n];
+    let transitions = stream.len() - 1;
+    let mut t0 = 1usize;
+    while t0 <= transitions {
+        let lanes = (transitions - t0 + 1).min(W::LANES);
+        let mask = W::low_mask(lanes);
+        for node in 0..n {
+            let w = traj.row(node);
+            for c in 0..W::CHUNKS {
+                from[node].chunks_mut()[c] = window(w, t0 - 1 + 64 * c);
+                to[node].chunks_mut()[c] = window(w, t0 + 64 * c);
+            }
+        }
+        sim.eval_transition_block(&from, &to, mask)?;
+        t0 += lanes;
+    }
+    let mut out = TimedActivity::zero(netlist);
+    for lane in sim.take_lane_activities() {
+        out.merge(&lane)?;
+    }
+    Ok(out)
+}
+
+/// Extracts 64 bits starting at `start` from a bit-packed word slice
+/// (bits beyond the slice read as zero; callers mask off unused lanes).
+#[inline]
+fn window(words: &[u64], start: usize) -> u64 {
+    let w = start / 64;
+    let b = start % 64;
+    if w >= words.len() {
+        return 0;
+    }
+    let mut x = words[w] >> b;
+    if b != 0 && w + 1 < words.len() {
+        x |= words[w + 1] << (64 - b);
+    }
+    x
+}
+
 /// Whether every lane's functional count is at most its transition count
 /// at every node, each given as `(planes, spilled totals)`.
 fn functional_within_total<W: Word>(toggles: (&[W], &[u64]), functional: (&[W], &[u64])) -> bool {
@@ -1225,6 +1497,15 @@ mod tests {
         let x = nl.input_bus("x", 6);
         let y = gen::fir_filter(&mut nl, &x, &[7, 13, 7], true);
         nl.output_bus("y", &y);
+        nl
+    }
+
+    fn mult(width: usize) -> Netlist {
+        let mut nl = Netlist::new();
+        let a = nl.input_bus("a", width);
+        let b = nl.input_bus("b", width);
+        let p = gen::array_multiplier(&mut nl, &a, &b);
+        nl.output_bus("p", &p);
         nl
     }
 
@@ -1303,6 +1584,285 @@ mod tests {
     #[test]
     fn w512_timed_lanes_match_scalar_event_sim() {
         wide_timed_lanes_match_scalar::<W512>(&[0, 256, 511]);
+    }
+
+    #[test]
+    fn lanes_match_scalar_streams_on_sequential_circuit() {
+        let nl = fir();
+        let w = nl.input_count();
+        let root = Rng::seed_from_u64(42);
+        let cycles = 150;
+        let mut sim = WideSim::<u64>::new(&nl).unwrap();
+        let mut iters: Vec<_> =
+            (0..u64::LANES).map(|l| streams::random_rng(root.split(l as u64), w)).collect();
+        for _ in 0..cycles {
+            let vectors: Vec<Vec<bool>> = iters.iter_mut().map(|it| it.next().unwrap()).collect();
+            sim.step(&pack(&vectors)).unwrap();
+        }
+        let lanes = sim.take_lane_activities();
+        for l in [0usize, 1, 31, 63] {
+            let mut scalar = ZeroDelaySim::new(&nl).unwrap();
+            let act = scalar
+                .run(streams::random_rng(root.split(l as u64), w).take(cycles))
+                .expect("width matches");
+            assert_eq!(lanes[l], act, "lane {l} diverged from its scalar stream");
+        }
+    }
+
+    #[test]
+    fn collapsed_activity_is_lane_merge() {
+        let nl = adder(6);
+        let w = nl.input_count();
+        let root = Rng::seed_from_u64(9);
+        let run = |cycles: usize| {
+            let mut sim = WideSim::<u64>::new(&nl).unwrap();
+            let mut iters: Vec<_> =
+                (0..u64::LANES).map(|l| streams::random_rng(root.split(l as u64), w)).collect();
+            for _ in 0..cycles {
+                let vectors: Vec<Vec<bool>> =
+                    iters.iter_mut().map(|it| it.next().unwrap()).collect();
+                sim.step(&pack(&vectors)).unwrap();
+            }
+            sim
+        };
+        let lanes = run(80).take_lane_activities();
+        let collapsed = run(80).take_activity();
+        let mut merged = Activity::zero(&nl);
+        for lane in &lanes {
+            merged.merge(lane).unwrap();
+        }
+        assert_eq!(collapsed, merged);
+        assert_eq!(collapsed.cycles, 79 * u64::LANES as u64);
+    }
+
+    #[test]
+    fn masked_lanes_stop_where_scalar_streams_end() {
+        let nl = adder(4);
+        let w = nl.input_count();
+        let root = Rng::seed_from_u64(17);
+        // Lane l runs for 10 + l cycles.
+        let len = |l: usize| 10 + l;
+        let mut sim = WideSim::<u64>::new(&nl).unwrap();
+        let mut iters: Vec<_> = (0..u64::LANES)
+            .map(|l| streams::random_rng(root.split(l as u64), w).take(len(l)))
+            .collect();
+        loop {
+            let mut mask = 0u64;
+            let mut vectors = vec![vec![false; w]; u64::LANES];
+            for (l, it) in iters.iter_mut().enumerate() {
+                if let Some(v) = it.next() {
+                    vectors[l] = v;
+                    mask |= 1 << l;
+                }
+            }
+            if mask == 0 {
+                break;
+            }
+            sim.step_masked(&pack(&vectors), mask).unwrap();
+        }
+        let lanes = sim.take_lane_activities();
+        for l in [0usize, 5, 63] {
+            let mut scalar = ZeroDelaySim::new(&nl).unwrap();
+            let act = scalar
+                .run(streams::random_rng(root.split(l as u64), w).take(len(l)))
+                .expect("width matches");
+            assert_eq!(lanes[l], act, "masked lane {l} diverged");
+        }
+    }
+
+    #[test]
+    fn plane_flush_is_exact_across_many_cycles() {
+        // A 1-bit inverter chain driven by an alternating input toggles
+        // every node every cycle — the worst case for the plane counters.
+        let mut nl = Netlist::new();
+        let a = nl.input("a");
+        let mut x = a;
+        for _ in 0..3 {
+            x = nl.not(x);
+        }
+        nl.set_output("y", x);
+        let mut sim = WideSim::<u64>::new(&nl).unwrap();
+        let cycles = 300;
+        for c in 0..cycles {
+            sim.step(&[u64::splat(c % 2 == 0)]).unwrap();
+        }
+        let lanes = sim.take_lane_activities();
+        for lane in &lanes {
+            assert_eq!(lane.cycles, cycles - 1);
+            assert_eq!(lane.toggles[a.index()], cycles - 1);
+        }
+    }
+
+    #[test]
+    fn input_width_is_validated() {
+        let nl = adder(4);
+        let mut sim = WideSim::<u64>::new(&nl).unwrap();
+        assert!(matches!(
+            sim.step(&[0u64; 3]),
+            Err(NetlistError::InputWidthMismatch { got: 3, expected: 8 })
+        ));
+    }
+
+    #[test]
+    fn packed_power_matches_scalar_power() {
+        // End-to-end: per-lane activity -> PowerReport must go through the
+        // same f64 path as scalar, so powers agree bitwise.
+        let nl = adder(8);
+        let lib = Library::default();
+        let w = nl.input_count();
+        let root = Rng::seed_from_u64(1234);
+        let cycles = 100;
+        let mut sim = WideSim::<u64>::new(&nl).unwrap();
+        let mut iters: Vec<_> =
+            (0..u64::LANES).map(|l| streams::random_rng(root.split(l as u64), w)).collect();
+        for _ in 0..cycles {
+            let vectors: Vec<Vec<bool>> = iters.iter_mut().map(|it| it.next().unwrap()).collect();
+            sim.step(&pack(&vectors)).unwrap();
+        }
+        let lanes = sim.take_lane_activities();
+        for l in [0usize, 7, 63] {
+            let mut scalar = ZeroDelaySim::new(&nl).unwrap();
+            let act = scalar
+                .run(streams::random_rng(root.split(l as u64), w).take(cycles))
+                .expect("width matches");
+            let packed_uw = lanes[l].power(&nl, &lib).total_power_uw();
+            let scalar_uw = act.power(&nl, &lib).total_power_uw();
+            assert_eq!(packed_uw.to_bits(), scalar_uw.to_bits(), "lane {l}");
+        }
+    }
+
+    #[test]
+    fn lanes_match_scalar_event_sim_on_sequential_circuit() {
+        let nl = fir();
+        let lib = Library::default();
+        let w = nl.input_count();
+        let root = Rng::seed_from_u64(42);
+        let cycles = 80;
+        let mut sim = WideTimedSim::<u64>::new(&nl, &lib).unwrap();
+        let mut iters: Vec<_> =
+            (0..u64::LANES).map(|l| streams::random_rng(root.split(l as u64), w)).collect();
+        for _ in 0..cycles {
+            let vectors: Vec<Vec<bool>> = iters.iter_mut().map(|it| it.next().unwrap()).collect();
+            sim.step(&pack(&vectors)).unwrap();
+        }
+        let lanes = sim.take_lane_activities();
+        for l in [0usize, 1, 31, 63] {
+            let mut scalar = EventDrivenSim::new(&nl, &lib).unwrap();
+            let act =
+                scalar.run(streams::random_rng(root.split(l as u64), w).take(cycles)).unwrap();
+            assert_eq!(lanes[l], act, "lane {l} diverged from its scalar stream");
+        }
+    }
+
+    #[test]
+    fn timed_masked_lanes_stop_where_scalar_streams_end() {
+        let nl = mult(3);
+        let lib = Library::default();
+        let w = nl.input_count();
+        let root = Rng::seed_from_u64(17);
+        let len = |l: usize| 5 + l / 2;
+        let mut sim = WideTimedSim::<u64>::new(&nl, &lib).unwrap();
+        let mut iters: Vec<_> = (0..u64::LANES)
+            .map(|l| streams::random_rng(root.split(l as u64), w).take(len(l)))
+            .collect();
+        loop {
+            let mut mask = 0u64;
+            let mut vectors = vec![vec![false; w]; u64::LANES];
+            for (l, it) in iters.iter_mut().enumerate() {
+                if let Some(v) = it.next() {
+                    vectors[l] = v;
+                    mask |= 1 << l;
+                }
+            }
+            if mask == 0 {
+                break;
+            }
+            sim.step_masked(&pack(&vectors), mask).unwrap();
+        }
+        let lanes = sim.take_lane_activities();
+        for l in [0usize, 9, 63] {
+            let mut scalar = EventDrivenSim::new(&nl, &lib).unwrap();
+            let act =
+                scalar.run(streams::random_rng(root.split(l as u64), w).take(len(l))).unwrap();
+            assert_eq!(lanes[l], act, "masked lane {l} diverged");
+        }
+    }
+
+    #[test]
+    fn timed_activity_kernels_agree_on_combinational_circuit() {
+        let nl = mult(4);
+        let lib = Library::default();
+        let stream: Vec<Vec<bool>> = streams::random(3, nl.input_count()).take(150).collect();
+        let scalar = timed_activity(&nl, &lib, &stream, McKernel::Scalar).unwrap();
+        for kernel in [McKernel::Packed64, McKernel::Packed256, McKernel::Packed512, McKernel::Auto]
+        {
+            let packed = timed_activity(&nl, &lib, &stream, kernel).unwrap();
+            assert_eq!(scalar, packed, "{kernel:?}");
+        }
+        assert!(scalar.total_glitches().unwrap() > 0, "multiplier should glitch");
+    }
+
+    #[test]
+    fn timed_activity_kernels_agree_on_sequential_circuit() {
+        let nl = fir();
+        let lib = Library::default();
+        let stream: Vec<Vec<bool>> = streams::random(8, nl.input_count()).take(130).collect();
+        let scalar = timed_activity(&nl, &lib, &stream, McKernel::Scalar).unwrap();
+        for kernel in [McKernel::Packed64, McKernel::Packed256, McKernel::Packed512, McKernel::Auto]
+        {
+            let packed = timed_activity(&nl, &lib, &stream, kernel).unwrap();
+            assert_eq!(scalar, packed, "{kernel:?}");
+        }
+    }
+
+    #[test]
+    fn timed_activity_handles_degenerate_streams() {
+        let nl = mult(3);
+        let lib = Library::default();
+        for take in [0usize, 1, 2, 64, 65, 256, 257] {
+            let stream: Vec<Vec<bool>> = streams::random(5, nl.input_count()).take(take).collect();
+            let scalar = timed_activity(&nl, &lib, &stream, McKernel::Scalar).unwrap();
+            for kernel in [McKernel::Packed64, McKernel::Packed512, McKernel::Auto] {
+                let packed = timed_activity(&nl, &lib, &stream, kernel).unwrap();
+                assert_eq!(scalar, packed, "stream length {take}, {kernel:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn auto_kernel_scales_width_with_the_workload() {
+        assert_eq!(McKernel::Auto.resolve(0), McKernel::Packed64);
+        assert_eq!(McKernel::Auto.resolve(255), McKernel::Packed64);
+        assert_eq!(McKernel::Auto.resolve(256), McKernel::Packed256);
+        assert_eq!(McKernel::Auto.resolve(511), McKernel::Packed256);
+        assert_eq!(McKernel::Auto.resolve(512), McKernel::Packed512);
+        assert_eq!(McKernel::Scalar.resolve(10_000), McKernel::Scalar);
+        assert_eq!(McKernel::Packed64.lanes(), 64);
+        assert_eq!(McKernel::Packed512.lanes(), 512);
+    }
+
+    #[test]
+    fn timed_activity_propagates_width_mismatch() {
+        let nl = mult(3);
+        let lib = Library::default();
+        let stream = vec![vec![false; nl.input_count()], vec![true; 2]];
+        for kernel in [McKernel::Scalar, McKernel::Packed64, McKernel::Auto] {
+            assert!(matches!(
+                timed_activity(&nl, &lib, &stream, kernel),
+                Err(NetlistError::InputWidthMismatch { got: 2, .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn timed_input_width_is_validated() {
+        let nl = mult(3);
+        let lib = Library::default();
+        let mut sim = WideTimedSim::<u64>::new(&nl, &lib).unwrap();
+        assert!(matches!(
+            sim.step(&[0u64; 3]),
+            Err(NetlistError::InputWidthMismatch { got: 3, expected: 6 })
+        ));
     }
 
     #[test]

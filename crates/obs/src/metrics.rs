@@ -39,20 +39,21 @@ pub static SIM_ZD_CYCLES: ShardedCounter = ShardedCounter::new();
 /// Node transitions flushed through `take_activity`.
 pub static SIM_ZD_TOGGLES: ShardedCounter = ShardedCounter::new();
 
-// --- Packed 64-lane simulator ---------------------------------------------
+// --- Packed zero-delay simulation -----------------------------------------
 
 /// Word steps taken by the lane-parallel packed simulator (each advances
-/// up to 64 lanes one cycle).
+/// every lane of one word one cycle).
 pub static SIM64_STEPS: ShardedCounter = ShardedCounter::new();
-/// Word-wide gate evaluations by the packed engines (multiply by 64 for
-/// the scalar-equivalent gate-evaluation count).
+/// Word-wide gate evaluations: by the lane-parallel simulator per step,
+/// and by the time-packed recorder per recording block.
 pub static SIM64_GATE_EVALS: ShardedCounter = ShardedCounter::new();
 /// Counted lane-cycles: active lanes per counted step (lane-parallel) or
-/// valid cycles per block (time-parallel).
+/// valid cycles per time-packed recording block.
 pub static SIM64_LANE_CYCLES: ShardedCounter = ShardedCounter::new();
 /// Node transitions flushed out of the packed toggle planes.
 pub static SIM64_TOGGLES: ShardedCounter = ShardedCounter::new();
-/// Time-packed combinational blocks evaluated (up to 64 cycles each).
+/// Time-packed recording blocks evaluated: one compiled evaluation of a
+/// combinational netlist covers up to 64 consecutive cycles.
 pub static SIM64_BLOCKS: ShardedCounter = ShardedCounter::new();
 
 // --- Event-driven simulator -----------------------------------------------

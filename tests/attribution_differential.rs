@@ -1,14 +1,14 @@
 //! Cross-level differential tests for the power-attribution profiler:
 //! on every circuit generator, the per-node attribution must reconcile
 //! with the aggregate [`PowerReport`] under both Monte-Carlo kernels'
-//! simulators (scalar [`ZeroDelaySim`] and packed [`Sim64`]), the two
+//! simulators (scalar [`ZeroDelaySim`] and packed [`WideSim`]), the two
 //! kernels must attribute *identical* energy node-for-node (their
 //! activities are bit-identical by the sim64 differential contract),
 //! and the rollups must partition the totals exactly.
 
 use hlpower::netlist::{
-    attribute, gen, streams, Activity, AttributionReport, Library, McKernel, Netlist, Sim64,
-    WideSim, Word, ZeroDelaySim, LANES, W256, W512,
+    attribute, gen, streams, Activity, AttributionReport, Library, McKernel, Netlist, WideSim,
+    Word, ZeroDelaySim, W256, W512,
 };
 use hlpower_rng::Rng;
 
@@ -33,7 +33,7 @@ fn packed_activity<W: Word>(nl: &Netlist, repeat: bool) -> Activity {
     let mut sim = WideSim::<W>::new(nl).expect("acyclic");
     let mut lanes: Vec<_> = (0..W::LANES)
         .map(|l| {
-            let split = if repeat { (l % LANES) as u64 } else { l as u64 };
+            let split = if repeat { (l % u64::LANES) as u64 } else { l as u64 };
             streams::random_rng(root.split(split), w)
         })
         .collect();
@@ -72,7 +72,7 @@ fn kernel_activity(nl: &Netlist, kernel: McKernel) -> Activity {
     match kernel {
         McKernel::Scalar => {
             let mut total = Activity::zero(nl);
-            for l in 0..LANES {
+            for l in 0..u64::LANES {
                 let mut sim = ZeroDelaySim::new(nl).expect("acyclic");
                 for v in streams::random_rng(root.split(l as u64), w).take(CYCLES) {
                     sim.step(&v).expect("width");
@@ -156,9 +156,9 @@ fn lane_merge_order_does_not_change_attribution() {
     for (name, nl) in generators() {
         let w = nl.input_count();
         let root = Rng::seed_from_u64(SEED);
-        let mut sim = Sim64::new(&nl).expect("acyclic");
+        let mut sim = WideSim::<u64>::new(&nl).expect("acyclic");
         let mut lanes: Vec<_> =
-            (0..LANES).map(|l| streams::random_rng(root.split(l as u64), w)).collect();
+            (0..u64::LANES).map(|l| streams::random_rng(root.split(l as u64), w)).collect();
         let mut words = vec![0u64; w];
         for _ in 0..CYCLES {
             words.iter_mut().for_each(|word| *word = 0);

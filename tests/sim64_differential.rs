@@ -1,5 +1,5 @@
 //! Cross-level differential tests for the bit-parallel 64-lane compiled
-//! simulator: on every circuit generator, one packed [`Sim64`] run must
+//! simulator: on every circuit generator, one packed [`WideSim`] run must
 //! be bit-identical — per-node toggle counts and cycle counts, lane by
 //! lane — to 64 independent scalar [`ZeroDelaySim`] runs of the split
 //! seed streams, and the seeded Monte-Carlo engine must return the same
@@ -7,7 +7,7 @@
 
 use hlpower::netlist::{
     gen, monte_carlo_power_seeded_threads_kernel, streams, Library, McKernel, MonteCarloOptions,
-    Netlist, Sim64, ZeroDelaySim, LANES,
+    Netlist, WideSim, Word, ZeroDelaySim,
 };
 use hlpower_rng::Rng;
 
@@ -27,7 +27,7 @@ fn packed_lanes_match_64_scalar_runs_on_every_generator() {
         let root = Rng::seed_from_u64(99);
 
         // Reference: 64 independent scalar simulations.
-        let scalar: Vec<_> = (0..LANES)
+        let scalar: Vec<_> = (0..u64::LANES)
             .map(|l| {
                 let mut sim = ZeroDelaySim::new(&nl).expect("acyclic");
                 for v in streams::random_rng(root.split(l as u64), w).take(CYCLES) {
@@ -38,9 +38,9 @@ fn packed_lanes_match_64_scalar_runs_on_every_generator() {
             .collect();
 
         // One packed simulation of the same 64 streams.
-        let mut sim = Sim64::new(&nl).expect("acyclic");
+        let mut sim = WideSim::<u64>::new(&nl).expect("acyclic");
         let mut lanes: Vec<_> =
-            (0..LANES).map(|l| streams::random_rng(root.split(l as u64), w)).collect();
+            (0..u64::LANES).map(|l| streams::random_rng(root.split(l as u64), w)).collect();
         let mut words = vec![0u64; w];
         for _ in 0..CYCLES {
             words.iter_mut().for_each(|word| *word = 0);
@@ -54,7 +54,7 @@ fn packed_lanes_match_64_scalar_runs_on_every_generator() {
         }
         let packed = sim.take_lane_activities();
 
-        assert_eq!(packed.len(), LANES, "{name}");
+        assert_eq!(packed.len(), u64::LANES, "{name}");
         for (l, (s, p)) in scalar.iter().zip(&packed).enumerate() {
             assert_eq!(s, p, "{name}: lane {l} diverged from scalar stream {l}");
         }

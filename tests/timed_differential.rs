@@ -1,6 +1,6 @@
 //! Cross-level differential tests for the bit-parallel 64-lane compiled
 //! *timed* (glitch-capturing) simulator: on every circuit generator, one
-//! packed [`TimedSim64`] run must be bit-identical — per-node total
+//! packed [`WideTimedSim`] run must be bit-identical — per-node total
 //! transitions, functional transitions, and glitch counts, lane by lane —
 //! to 64 independent scalar [`EventDrivenSim`] runs of the split seed
 //! streams; the single-stream [`timed_activity`] profiler and the glitch
@@ -9,7 +9,7 @@
 
 use hlpower::netlist::{
     gen, monte_carlo_glitch_power_seeded_threads_kernel, streams, timed_activity, EventDrivenSim,
-    Library, McKernel, MonteCarloOptions, Netlist, TimedSim64, LANES,
+    Library, McKernel, MonteCarloOptions, Netlist, WideTimedSim, Word,
 };
 use hlpower_rng::Rng;
 
@@ -31,7 +31,7 @@ fn packed_timed_lanes_match_64_scalar_runs_on_every_generator() {
         let root = Rng::seed_from_u64(99);
 
         // Reference: 64 independent scalar event-driven simulations.
-        let scalar: Vec<_> = (0..LANES)
+        let scalar: Vec<_> = (0..u64::LANES)
             .map(|l| {
                 let mut sim = EventDrivenSim::new(&nl, &lib).expect("acyclic");
                 sim.run(streams::random_rng(root.split(l as u64), w).take(CYCLES))
@@ -40,9 +40,9 @@ fn packed_timed_lanes_match_64_scalar_runs_on_every_generator() {
             .collect();
 
         // One packed timed simulation of the same 64 streams.
-        let mut sim = TimedSim64::new(&nl, &lib).expect("acyclic");
+        let mut sim = WideTimedSim::<u64>::new(&nl, &lib).expect("acyclic");
         let mut lanes: Vec<_> =
-            (0..LANES).map(|l| streams::random_rng(root.split(l as u64), w)).collect();
+            (0..u64::LANES).map(|l| streams::random_rng(root.split(l as u64), w)).collect();
         let mut words = vec![0u64; w];
         for _ in 0..CYCLES {
             words.iter_mut().for_each(|word| *word = 0);
@@ -56,7 +56,7 @@ fn packed_timed_lanes_match_64_scalar_runs_on_every_generator() {
         }
         let packed = sim.take_lane_activities();
 
-        assert_eq!(packed.len(), LANES, "{name}");
+        assert_eq!(packed.len(), u64::LANES, "{name}");
         for (l, (s, p)) in scalar.iter().zip(&packed).enumerate() {
             assert_eq!(s, p, "{name}: lane {l} diverged from scalar stream {l}");
             assert_eq!(

@@ -13,7 +13,7 @@ use std::path::PathBuf;
 
 use hlpower::netlist::{
     emit_verilog, gen, parse_edif, parse_verilog, streams, structurally_equivalent, Activity,
-    Netlist, NetlistError, Sim64, SourceFormat, LANES,
+    Netlist, NetlistError, SourceFormat, WideSim, Word,
 };
 use hlpower_rng::Rng;
 
@@ -88,10 +88,10 @@ fn packed_activity(nl: &Netlist) -> Activity {
     const CYCLES: usize = 128;
     const SEED: u64 = 0x0DAC_1997;
     let width = nl.input_count();
-    let mut sim = Sim64::new(nl).expect("generator circuits are acyclic");
+    let mut sim = WideSim::<u64>::new(nl).expect("generator circuits are acyclic");
     let root = Rng::seed_from_u64(SEED);
     let mut lanes: Vec<_> =
-        (0..LANES as u64).map(|l| streams::random_rng(root.split(l), width)).collect();
+        (0..u64::LANES as u64).map(|l| streams::random_rng(root.split(l), width)).collect();
     let mut words = vec![0u64; width];
     for _ in 0..CYCLES {
         words.iter_mut().for_each(|w| *w = 0);
