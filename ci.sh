@@ -7,6 +7,9 @@ cd "$(dirname "$0")"
 
 cargo build --release --offline
 cargo test -q --offline --no-fail-fast
+# Thorough property checks (16x cases), as in the workflow: the property
+# batteries of the incremental simulators' edit sessions run here too.
+cargo test -q --offline --no-fail-fast --features proptest
 cargo fmt --check
 # Every lint clippy enables by default, on every target, is an error
 # (`rustup component add clippy` on a toolchain without it).

@@ -181,8 +181,9 @@ pub fn run_smoke() -> Snapshot {
         .expect("sampler cosim");
 
     // Dirty-cone incremental re-simulation, via the rewrite pass that is
-    // its canonical consumer (drives record + resim + commit, so all four
-    // `sim_incremental` counters move).
+    // its canonical consumer (records once, then resims and commits or
+    // rolls back edit sessions, so all four `sim_incremental` counters
+    // move).
     let rnl = demorgan_example(4);
     let rstream: Vec<Vec<bool>> = streams::random(23, rnl.input_count()).take(128).collect();
     let rewritten = rewrite_gates(&rnl, &lib, &rstream, &RewriteOptions::default())

@@ -7,26 +7,32 @@
 //!
 //! * [`Trajectory`] — every node's settled per-cycle value, bit-packed 64
 //!   cycles per `u64` word (flip-flop rows are the register-boundary
-//!   snapshots), with the tail-masked row diff, the toggle word and the
-//!   commit-time row splice. [`Trajectory::record`] is the one place a
-//!   stimulus stream is time-packed. [`crate::IncrementalSim::record`]
-//!   (and through it the estimate crate's macro-model harness) and the
-//!   packed [`crate::timed_activity`] driver (its stable-state
-//!   reference) call it;
-//! * [`Recording`] — a trajectory plus the netlist it was recorded from,
-//!   and the resim front end: the incremental-edit precondition checks,
-//!   the fanout CSR and topological order of the mutated netlist, the
-//!   forward closure that is the dirty cone, and the back end that diffs
-//!   the replayed rows and bumps the `sim_incremental` counters;
-//! * [`ResimScratch`] — the reusable working memory of both replays.
+//!   snapshots; bits past the last vector are zero), with the row diff,
+//!   the toggle word and the commit-time row splice.
+//!   [`Trajectory::record`] is the one place a stimulus stream is
+//!   time-packed. [`crate::IncrementalSim::record`] (and through it the
+//!   estimate crate's macro-model harness) and the packed
+//!   [`crate::timed_activity`] driver (its stable-state reference) call
+//!   it. The resim front end lives here too: the fanout CSR and
+//!   topological order of the edited netlist, the forward closure that is
+//!   the dirty cone, and the back end that diffs the replayed rows and
+//!   bumps the `sim_incremental` counters;
+//! * [`ResimScratch`] — the reusable working memory of both replays;
+//! * [`EditSession`] — the one way to edit a recorded netlist. Each
+//!   simulator owns the netlist it recorded and hands out sessions whose
+//!   [`NetlistEditor`] journal is the change set, so the cone builder
+//!   needs no preconditions: every edit it can see is declared.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::fmt::Debug;
+use std::ops::{Deref, DerefMut};
 
 use hlpower_obs::metrics as obs;
 
+use crate::editor::NetlistEditor;
 use crate::error::NetlistError;
-use crate::netlist::{Netlist, NodeId, NodeKind, TopoScratch};
+use crate::netlist::{Netlist, NodeId, TopoScratch};
 use crate::sim::ZeroDelaySim;
 use crate::simwide::Program;
 
@@ -38,8 +44,8 @@ pub(crate) fn refill<T: Clone>(v: &mut Vec<T>, n: usize, fill: T) {
 
 /// Every node's settled value on every vector of a stream, bit-packed:
 /// bit `c % 64` of word `node * blocks + c / 64` is the node's value after
-/// vector `c`. Trailing bits of each row's final word are don't-cares
-/// (zero when packed cycle by cycle); every reader masks them.
+/// vector `c`. Bits of each row's final word past the last vector are
+/// zero, so rows compare word for word.
 #[derive(Debug, Clone)]
 pub(crate) struct Trajectory {
     /// Number of vectors recorded (at least one).
@@ -68,7 +74,8 @@ impl Trajectory {
     /// values, so each block settles on its own. A sequential netlist
     /// steps a [`ZeroDelaySim`] and packs each cycle, so its flip-flop
     /// rows are the register-boundary snapshots. Either way every valid
-    /// bit is the scalar simulator's settled value.
+    /// bit is the scalar simulator's settled value and every bit past the
+    /// last vector is zero.
     ///
     /// # Errors
     ///
@@ -105,8 +112,9 @@ impl Trajectory {
             for ins in &program.instrs {
                 cur[ins.out as usize] = program.eval(&cur, ins);
             }
+            let valid = traj.valid_mask(b);
             for (node, &w) in cur.iter().enumerate() {
-                traj.values[node * traj.blocks + b] = w;
+                traj.values[node * traj.blocks + b] = w & valid;
             }
         }
         Ok(traj)
@@ -121,6 +129,11 @@ impl Trajectory {
         }
     }
 
+    /// Number of recorded rows (nodes).
+    pub(crate) fn nodes(&self) -> usize {
+        self.values.len() / self.blocks
+    }
+
     /// The packed row of `node`.
     pub(crate) fn row(&self, node: usize) -> &[u64] {
         &self.values[node * self.blocks..(node + 1) * self.blocks]
@@ -133,7 +146,7 @@ impl Trajectory {
     }
 
     /// Valid-bit mask of word `b` of a row.
-    fn valid_mask(&self, b: usize) -> u64 {
+    pub(crate) fn valid_mask(&self, b: usize) -> u64 {
         if b + 1 == self.blocks {
             self.tail_mask
         } else {
@@ -159,132 +172,35 @@ impl Trajectory {
         (0..self.blocks).map(|b| self.toggle_word(row, b).count_ones() as u64).sum()
     }
 
-    /// Whether `words` differs from the row of `node` on any valid cycle.
-    fn differs(&self, node: usize, words: &[u64]) -> bool {
-        let old = self.row(node);
-        (0..self.blocks).any(|b| (old[b] ^ words[b]) & self.valid_mask(b) != 0)
-    }
-}
-
-/// Reusable working memory for [`IncrementalSim::resim_into`] and
-/// [`IncrementalTimedSim::resim_into`]. One scratch serves any number of
-/// candidates (and any number of netlists, timed or not); every buffer is
-/// cleared and refilled in place, so a candidate search allocates nothing
-/// once the buffers have grown to the netlist's size — rejected candidates
-/// leave no garbage behind.
-///
-/// [`IncrementalSim::resim_into`]: crate::IncrementalSim::resim_into
-/// [`IncrementalTimedSim::resim_into`]: crate::IncrementalTimedSim::resim_into
-#[derive(Debug, Clone, Default)]
-pub struct ResimScratch {
-    /// Membership flags for the declared change set.
-    in_changed: Vec<bool>,
-    /// Membership flags for the dirty cone.
-    pub(crate) in_cone: Vec<bool>,
-    /// DFS stack for the forward closure (node indices).
-    stack: Vec<u32>,
-    /// Node index -> cone index, `usize::MAX` outside the cone.
-    pub(crate) update_of: Vec<usize>,
-    /// Fanout CSR and topological order of the mutated netlist.
-    pub(crate) topo: TopoScratch,
-    /// Per-cycle cone state of both replays: current values and the
-    /// values cone registers present at the next clock edge.
-    pub(crate) cur: Vec<bool>,
-    pub(crate) dff_next: Vec<bool>,
-    /// Timed replay only: the cone's direct out-of-cone fan-ins, whose
-    /// recorded waveforms are played back.
-    pub(crate) boundary: Vec<u32>,
-    /// Node index -> boundary index, `usize::MAX` elsewhere.
-    pub(crate) b_index: Vec<usize>,
-    /// Current boundary values during timed replay.
-    pub(crate) bvals: Vec<bool>,
-    /// Per-boundary-node cursor into its recorded waveform.
-    pub(crate) cursors: Vec<usize>,
-    /// Last settled cone values (functional-transition reference).
-    pub(crate) settled: Vec<bool>,
-    /// Transport delay of each cone gate.
-    pub(crate) delays: Vec<u64>,
-    /// `(time, node)` event queue of the timed replay.
-    pub(crate) heap: BinaryHeap<Reverse<(u64, u32)>>,
-}
-
-/// A settled trajectory together with the netlist it was recorded from:
-/// the state both incremental simulators share, and the front and back
-/// ends of their dirty-cone resims.
-#[derive(Debug, Clone)]
-pub(crate) struct Recording {
-    /// The netlist the trajectory corresponds to.
-    pub(crate) base: Netlist,
-    pub(crate) traj: Trajectory,
-}
-
-impl Recording {
-    /// Wraps a freshly recorded trajectory of `base`.
-    pub(crate) fn new(base: &Netlist, traj: Trajectory) -> Self {
-        obs::SIM_INC_RECORDS.inc();
-        Recording { base: base.clone(), traj }
-    }
-
-    /// Resim front end: checks that `mutated` is an incremental edit of
-    /// the base, computes its dirty cone (the forward closure of `changed`
-    /// and every appended node, through register boundaries) into `cone`
-    /// in topological order, maps node -> cone index in
-    /// `scratch.update_of`, and zero-fills `updates` with one row per cone
-    /// node for the replay to fill.
+    /// Resim front end: computes the dirty cone of an edit of the
+    /// recorded netlist — the forward closure of the `changed` gates and
+    /// every node appended past the recorded ones, through register
+    /// boundaries — into `cone` in topological order, maps node -> cone
+    /// index in `scratch.update_of`, and zero-fills `updates` with one
+    /// row per cone node for the replay to fill.
+    ///
+    /// `netlist` and `changed` come from the edit session's
+    /// [`crate::NetlistEditor`], whose journal holds every edit: only
+    /// gates are rewired, nodes are only appended, and inputs and
+    /// pre-existing flip-flops never change.
     ///
     /// # Errors
     ///
-    /// [`NetlistError::IncrementalMismatch`] if `mutated` removed nodes,
-    /// changed the primary inputs or a pre-existing flip-flop, or differs
-    /// from the base at a node missing from `changed` (out-of-cone nodes
-    /// are never re-checked, so an undeclared edit would silently
-    /// desynchronize the cache); [`NetlistError::CombinationalCycle`] if
-    /// the edit introduced a cycle.
+    /// [`NetlistError::CombinationalCycle`] if the edit introduced a
+    /// cycle.
     pub(crate) fn cone_into(
         &self,
-        mutated: &Netlist,
+        netlist: &Netlist,
         changed: &[NodeId],
         scratch: &mut ResimScratch,
         cone: &mut Vec<NodeId>,
         updates: &mut Vec<u64>,
     ) -> Result<(), NetlistError> {
-        let base = &self.base;
-        let n_base = base.node_count();
-        let n_new = mutated.node_count();
-        let mismatch = |reason: String| NetlistError::IncrementalMismatch { reason };
-        if n_new < n_base {
-            return Err(mismatch(format!(
-                "mutated netlist has {n_new} nodes, base has {n_base} (nodes were removed)"
-            )));
-        }
-        if mutated.inputs() != base.inputs() {
-            return Err(mismatch("primary inputs differ from the base netlist".into()));
-        }
-        let base_dffs = base.dffs().len();
-        if mutated.dffs().len() < base_dffs || mutated.dffs()[..base_dffs] != *base.dffs() {
-            return Err(mismatch("pre-existing flip-flops differ from the base netlist".into()));
-        }
-        refill(&mut scratch.in_changed, n_new, false);
-        for &c in changed {
-            if c.index() >= n_new {
-                return Err(mismatch(format!("changed node {c} is out of range")));
-            }
-            if !matches!(mutated.kind(c), NodeKind::Gate { .. }) {
-                return Err(mismatch(format!("changed node {c} is not a combinational gate")));
-            }
-            scratch.in_changed[c.index()] = true;
-        }
-        for id in base.node_ids() {
-            if !scratch.in_changed[id.index()] && base.kind(id) != mutated.kind(id) {
-                return Err(mismatch(format!(
-                    "node {id} differs from the base but is not in the change set"
-                )));
-            }
-        }
-        // Fanout CSR + topological order of the mutated netlist: rewiring
-        // can invalidate the base order, and this is also where a freshly
-        // introduced combinational cycle surfaces.
-        mutated.topo_into(&mut scratch.topo)?;
+        let (n_base, n_new) = (self.nodes(), netlist.node_count());
+        // Fanout CSR + topological order of the edited netlist: rewiring
+        // can invalidate the recorded order, and this is also where a
+        // freshly introduced combinational cycle surfaces.
+        netlist.topo_into(&mut scratch.topo)?;
         // Dirty cone: changed gates and appended nodes, plus their forward
         // closure through the fanout graph — crossing register boundaries:
         // a dirty D input dirties the flip-flop's Q row and its readers.
@@ -310,42 +226,162 @@ impl Recording {
         for (ci, &id) in cone.iter().enumerate() {
             scratch.update_of[id.index()] = ci;
         }
-        refill(updates, cone.len() * self.traj.blocks, 0u64);
+        refill(updates, cone.len() * self.blocks, 0u64);
         Ok(())
     }
 
     /// Resim back end, after the replay filled `updates`: collects the
-    /// cone nodes whose rows differ from the recording on a valid cycle
-    /// (appended nodes always count: they had no prior value) into
-    /// `changed_values`, and records the resim in the metrics registry.
+    /// cone nodes whose rows differ from the recording (appended nodes
+    /// always count: they had no prior value) into `changed_values`, and
+    /// records the resim in the metrics registry.
     pub(crate) fn finish(
         &self,
-        mutated: &Netlist,
+        netlist: &Netlist,
         cone: &[NodeId],
         updates: &[u64],
         changed_values: &mut Vec<NodeId>,
     ) {
-        let (n_base, blocks) = (self.base.node_count(), self.traj.blocks);
+        let n_base = self.nodes();
         changed_values.clear();
-        changed_values.extend(cone.iter().zip(updates.chunks(blocks)).filter_map(|(&id, new)| {
-            (id.index() >= n_base || self.traj.differs(id.index(), new)).then_some(id)
-        }));
+        changed_values.extend(cone.iter().zip(updates.chunks(self.blocks)).filter_map(
+            |(&id, new)| (id.index() >= n_base || self.row(id.index()) != new).then_some(id),
+        ));
         obs::SIM_INC_RESIMS.inc();
         obs::SIM_INC_CONE_NODES.add(cone.len() as u64);
-        obs::SIM_INC_REUSED_NODES.add((mutated.node_count() - cone.len()) as u64);
+        obs::SIM_INC_REUSED_NODES.add((netlist.node_count() - cone.len()) as u64);
     }
 
-    /// Folds an accepted mutation in: the replayed rows of the cone
-    /// replace the stale ones (appended nodes get new rows) and `mutated`
-    /// becomes the base.
-    pub(crate) fn commit(&mut self, mutated: &Netlist, cone: &[NodeId], updates: &[u64]) {
-        let blocks = self.traj.blocks;
-        let values = &mut self.traj.values;
-        values.resize(mutated.node_count() * blocks, 0);
+    /// Folds a committed edit of `nodes` nodes in: the replayed rows of
+    /// the cone replace the stale ones and appended nodes get new rows.
+    pub(crate) fn splice(&mut self, nodes: usize, cone: &[NodeId], updates: &[u64]) {
+        let blocks = self.blocks;
+        self.values.resize(nodes * blocks, 0);
         for (&id, row) in cone.iter().zip(updates.chunks(blocks)) {
-            values[id.index() * blocks..(id.index() + 1) * blocks].copy_from_slice(row);
+            self.values[id.index() * blocks..(id.index() + 1) * blocks].copy_from_slice(row);
         }
-        self.base = mutated.clone();
+    }
+}
+
+/// Reusable working memory for [`EditSession::resim_into`]. One scratch
+/// serves any number of candidates (and any number of netlists, timed or
+/// not); every buffer is cleared and refilled in place, so a candidate
+/// search allocates nothing once the buffers have grown to the netlist's
+/// size — rejected candidates leave no garbage behind.
+#[derive(Debug, Clone, Default)]
+pub struct ResimScratch {
+    /// Membership flags for the dirty cone.
+    pub(crate) in_cone: Vec<bool>,
+    /// DFS stack for the forward closure (node indices).
+    stack: Vec<u32>,
+    /// Node index -> cone index, `usize::MAX` outside the cone.
+    pub(crate) update_of: Vec<usize>,
+    /// Fanout CSR and topological order of the edited netlist.
+    pub(crate) topo: TopoScratch,
+    /// Per-cycle cone state of both replays: current values and the
+    /// values cone registers present at the next clock edge.
+    pub(crate) cur: Vec<bool>,
+    pub(crate) dff_next: Vec<bool>,
+    /// Timed replay only: the cone's direct out-of-cone fan-ins, whose
+    /// recorded waveforms are played back.
+    pub(crate) boundary: Vec<u32>,
+    /// Node index -> boundary index, `usize::MAX` elsewhere.
+    pub(crate) b_index: Vec<usize>,
+    /// Current boundary values during timed replay.
+    pub(crate) bvals: Vec<bool>,
+    /// Per-boundary-node cursor into its recorded waveform.
+    pub(crate) cursors: Vec<usize>,
+    /// Last settled cone values (functional-transition reference).
+    pub(crate) settled: Vec<bool>,
+    /// Transport delay of each cone gate.
+    pub(crate) delays: Vec<u64>,
+    /// `(time, node)` event queue of the timed replay.
+    pub(crate) heap: BinaryHeap<Reverse<(u64, u32)>>,
+}
+
+/// What an incremental simulator caches besides its netlist: the replay
+/// behind [`EditSession::resim_into`] and the splice behind
+/// [`EditSession::commit`], with `Out` the simulator's resim outcome.
+pub(crate) trait Replay: Debug {
+    type Out;
+
+    /// Replays the dirty cone of `netlist` — the recorded netlist with
+    /// the `changed` gates rewired and nodes appended — into `out`.
+    fn resim(
+        &self,
+        netlist: &Netlist,
+        changed: &[NodeId],
+        scratch: &mut ResimScratch,
+        out: &mut Self::Out,
+    ) -> Result<(), NetlistError>;
+
+    /// Folds `out`, a resim of `netlist`, into the cache.
+    fn commit(&mut self, netlist: &Netlist, out: &Self::Out);
+}
+
+/// An edit session on an incremental simulator's recorded netlist, from
+/// [`IncrementalSim::edit`](crate::IncrementalSim::edit) (`O` is
+/// [`ConeResim`](crate::ConeResim)) or
+/// [`IncrementalTimedSim::edit`](crate::IncrementalTimedSim::edit) (`O`
+/// is [`TimedConeResim`](crate::TimedConeResim)): a [`NetlistEditor`] on
+/// that netlist — every editor method is available through `Deref` —
+/// plus the recording it is scored against. End it with
+/// [`commit`](Self::commit) or [`rollback`](Self::rollback); dropping it
+/// rolls back.
+#[derive(Debug)]
+pub struct EditSession<'a, O> {
+    ed: NetlistEditor<'a>,
+    rec: &'a mut dyn Replay<Out = O>,
+}
+
+impl<'a, O> EditSession<'a, O> {
+    pub(crate) fn new(netlist: &'a mut Netlist, rec: &'a mut dyn Replay<Out = O>) -> Self {
+        EditSession { ed: NetlistEditor::begin(netlist), rec }
+    }
+
+    /// Re-simulates the session's edits over the recorded stream by
+    /// replaying only the dirty cone: the forward closure of the rewired
+    /// gates plus any appended nodes (through register boundaries — a
+    /// flip-flop whose D input is dirty dirties its own Q trajectory and
+    /// everything reading it). Untouched nodes reuse their cached rows
+    /// verbatim. Results land in `out`, working memory in `scratch`; both
+    /// are reused across calls, so a rejected candidate costs no
+    /// allocation once the buffers are warm.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::CombinationalCycle`] if the edits
+    /// introduced a cycle.
+    pub fn resim_into(&self, scratch: &mut ResimScratch, out: &mut O) -> Result<(), NetlistError> {
+        self.rec.resim(self.ed.netlist(), self.ed.changed(), scratch, out)
+    }
+
+    /// Keeps the session's edits and folds `out` into the recording —
+    /// the cone's rows are spliced in `O(cone)` and nothing is cloned —
+    /// so the next session builds on them. `out` must be this session's
+    /// latest [`resim_into`](Self::resim_into) result; it is borrowed, so
+    /// a search loop can keep reusing the same buffer.
+    pub fn commit(self, out: &O) {
+        self.rec.commit(self.ed.netlist(), out);
+        self.ed.finish();
+    }
+
+    /// Undoes the session's edits in place; the recording is untouched.
+    pub fn rollback(self) {
+        self.ed.rollback();
+    }
+}
+
+impl<'a, O> Deref for EditSession<'a, O> {
+    type Target = NetlistEditor<'a>;
+
+    fn deref(&self) -> &NetlistEditor<'a> {
+        &self.ed
+    }
+}
+
+impl<'a, O> DerefMut for EditSession<'a, O> {
+    fn deref_mut(&mut self) -> &mut NetlistEditor<'a> {
+        &mut self.ed
     }
 }
 

@@ -6,7 +6,9 @@
 //! edit *in place*, records exactly what it changed, and can
 //! [`rollback`](NetlistEditor::rollback) a rejected candidate in
 //! `O(edit)` — the mutation-safe core of the incremental optimization
-//! loop (see [`crate::IncrementalSim`] and the optimize crate's passes).
+//! loop. The incremental simulators hand one out per candidate
+//! ([`IncrementalSim::edit`], [`IncrementalTimedSim::edit`]) over the
+//! netlist they recorded, and read its journal as the change set.
 //!
 //! Invariants the editor enforces at each operation:
 //!
@@ -20,12 +22,12 @@
 //!   stays append-only and a rollback is a truncation.
 //!
 //! Combinational cycles are *not* checked per operation (a rewire's
-//! legality can depend on later edits of the same candidate); call
-//! [`validate`](NetlistEditor::validate) once per candidate, or rely on
-//! the next simulator construction / [`IncrementalSim::resim`] to surface
+//! legality can depend on later edits of the same candidate); the next
+//! simulator construction or session `resim_into` surfaces them as
 //! [`NetlistError::CombinationalCycle`].
 //!
-//! [`IncrementalSim::resim`]: crate::IncrementalSim::resim
+//! [`IncrementalSim::edit`]: crate::IncrementalSim::edit
+//! [`IncrementalTimedSim::edit`]: crate::IncrementalTimedSim::edit
 
 use crate::error::NetlistError;
 use crate::library::GateKind;
@@ -44,7 +46,8 @@ enum UndoOp {
 /// edits, read the change set for dirty-cone re-simulation, then either
 /// [`finish`](NetlistEditor::finish) (keep) or
 /// [`rollback`](NetlistEditor::rollback) (undo everything, restoring the
-/// netlist to structural equality with its pre-session state).
+/// netlist to structural equality with its pre-session state). Dropping
+/// an editor without finishing it rolls it back.
 ///
 /// # Example
 ///
@@ -70,17 +73,18 @@ pub struct NetlistEditor<'a> {
     journal: Vec<UndoOp>,
     /// Node count at `begin`; everything past it was appended here.
     base_nodes: usize,
+    /// Group count at `begin`; [`append`](Self::append) may add groups.
+    base_groups: usize,
     /// Pre-existing nodes whose function or fanins changed, deduplicated,
-    /// in first-edit order — exactly the `changed` set
-    /// [`crate::IncrementalSim::resim`] wants.
+    /// in first-edit order.
     changed: Vec<NodeId>,
 }
 
 impl<'a> NetlistEditor<'a> {
     /// Starts a mutation session on `netlist`.
     pub fn begin(netlist: &'a mut Netlist) -> Self {
-        let base_nodes = netlist.node_count();
-        NetlistEditor { netlist, journal: Vec::new(), base_nodes, changed: Vec::new() }
+        let (base_nodes, base_groups) = (netlist.node_count(), netlist.group_count());
+        NetlistEditor { netlist, journal: Vec::new(), base_nodes, base_groups, changed: Vec::new() }
     }
 
     /// The netlist in its current (edited) state.
@@ -89,21 +93,11 @@ impl<'a> NetlistEditor<'a> {
     }
 
     /// Pre-existing gates whose function or fanins changed so far,
-    /// deduplicated — feed this to [`crate::IncrementalSim::resim`].
-    /// Appended nodes are not listed (the incremental engine discovers
-    /// them from the node-count delta).
+    /// deduplicated — the change set an incremental simulator's edit
+    /// session resimulates from. Appended nodes are not listed (the
+    /// incremental engine discovers them from the node-count delta).
     pub fn changed(&self) -> &[NodeId] {
         &self.changed
-    }
-
-    /// Nodes appended during this session, in creation order.
-    pub fn appended(&self) -> Vec<NodeId> {
-        (self.base_nodes..self.netlist.node_count()).map(|i| NodeId(i as u32)).collect()
-    }
-
-    /// True if the session has made no edits.
-    pub fn is_clean(&self) -> bool {
-        self.journal.is_empty() && self.netlist.node_count() == self.base_nodes
     }
 
     fn check_fanins(&self, node: Option<NodeId>, inputs: &[NodeId]) -> Result<(), NetlistError> {
@@ -276,26 +270,44 @@ impl<'a> NetlistEditor<'a> {
         Ok(true)
     }
 
-    /// Checks the structural invariants that are only decidable globally:
-    /// the edited netlist must still be acyclic.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::CombinationalCycle`] if the edits
-    /// introduced a combinational cycle.
-    pub fn validate(&self) -> Result<(), NetlistError> {
-        self.netlist.topo_order().map(|_| ())
+    /// Runs `f` on the netlist to append nodes, for builders that take a
+    /// `&mut Netlist` (such as BDD-to-mux synthesis), and returns its
+    /// result. `f` may only append: nodes, flip-flops and accounting
+    /// groups. Everything it appends rolls back with the session, group
+    /// table included. Debug builds assert that `f` left everything that
+    /// existed before the call untouched.
+    pub fn append<T>(&mut self, f: impl FnOnce(&mut Netlist) -> T) -> T {
+        #[cfg(debug_assertions)]
+        let before = self.netlist.clone();
+        let out = f(self.netlist);
+        #[cfg(debug_assertions)]
+        {
+            let mut kept = self.netlist.clone();
+            kept.truncate_raw(before.node_count(), before.group_count());
+            assert!(kept == before, "append edited pre-existing state");
+        }
+        out
     }
 
     /// Keeps every edit and ends the session.
-    pub fn finish(self) {}
+    pub fn finish(mut self) {
+        // With nothing journaled and nothing past the base, the drop
+        // below undoes nothing.
+        self.journal.clear();
+        (self.base_nodes, self.base_groups) =
+            (self.netlist.node_count(), self.netlist.group_count());
+    }
 
     /// Undoes every edit of this session in reverse order: journaled
-    /// rewires are restored and appended nodes are truncated away,
-    /// leaving the netlist structurally equal (`==`) to its pre-session
-    /// state.
-    pub fn rollback(self) {
-        for op in self.journal.into_iter().rev() {
+    /// rewires are restored and appended nodes and groups are truncated
+    /// away, leaving the netlist structurally equal (`==`) to its
+    /// pre-session state. Dropping the editor does the same.
+    pub fn rollback(self) {}
+}
+
+impl Drop for NetlistEditor<'_> {
+    fn drop(&mut self) {
+        for op in self.journal.drain(..).rev() {
             match op {
                 UndoOp::Rewired { node, prev } => self.netlist.set_kind_raw(node, prev),
                 UndoOp::OutputRebound { index, prev } => {
@@ -303,7 +315,7 @@ impl<'a> NetlistEditor<'a> {
                 }
             }
         }
-        self.netlist.truncate_nodes_raw(self.base_nodes);
+        self.netlist.truncate_raw(self.base_nodes, self.base_groups);
     }
 }
 
@@ -329,11 +341,15 @@ mod tests {
         let inv = ed.insert_gate(GateKind::Not, [a]).unwrap();
         let q = ed.insert_dff(inv, false).unwrap();
         ed.rewire_input(y, 1, q).unwrap();
+        let grouped = ed.append(|nl| nl.with_group("fresh", |nl| nl.or([a, q])));
+        ed.rewire_input(y, 0, grouped).unwrap();
         assert_eq!(ed.changed(), &[y]);
-        assert_eq!(ed.appended(), vec![inv, q]);
+        assert_eq!((inv.index(), q.index()), (before.node_count(), before.node_count() + 1));
         ed.rollback();
+        assert_eq!(nl, before, "rollback restores nodes, registers and the group table");
+        // Dropping an unfinished editor rolls it back too.
+        NetlistEditor::begin(&mut nl).replace_gate(y, GateKind::Xor, [a, b]).unwrap();
         assert_eq!(nl, before);
-        assert_eq!(nl.dffs().len(), 0);
     }
 
     #[test]
@@ -361,6 +377,7 @@ mod tests {
     #[test]
     fn structural_validation_rejects_bad_edits() {
         let (mut nl, a, _b, y) = small();
+        let before = nl.clone();
         let mut ed = NetlistEditor::begin(&mut nl);
         // Out-of-range fanin.
         let ghost = NodeId(99);
@@ -383,23 +400,26 @@ mod tests {
             ed.replace_gate(y, GateKind::Mux, [a, a]),
             Err(NetlistError::ArityMismatch { .. })
         ));
-        // Failed edits journal nothing.
-        assert!(ed.is_clean());
+        // Failed edits edit and journal nothing.
+        assert!(ed.changed().is_empty());
+        assert_eq!(ed.netlist(), &before);
         ed.rollback();
     }
 
     #[test]
-    fn validate_surfaces_cycles() {
+    fn session_resim_surfaces_cycles() {
         let mut nl = Netlist::new();
         let a = nl.input("a");
         let g1 = nl.not(a);
         let g2 = nl.not(g1);
         nl.set_output("y", g2);
-        let mut ed = NetlistEditor::begin(&mut nl);
-        ed.rewire_input(g1, 0, g2).unwrap();
-        assert!(matches!(ed.validate(), Err(NetlistError::CombinationalCycle { .. })));
-        ed.rollback();
-        assert!(nl.topo_order().is_ok());
+        let mut inc = crate::IncrementalSim::record(&nl, &[vec![false], vec![true]]).unwrap();
+        let mut s = inc.edit();
+        s.rewire_input(g1, 0, g2).unwrap();
+        let r = s.resim_into(&mut Default::default(), &mut Default::default());
+        assert!(matches!(r, Err(NetlistError::CombinationalCycle { .. })));
+        s.rollback();
+        assert_eq!(inc.base(), &nl);
     }
 
     #[test]
@@ -435,13 +455,13 @@ mod tests {
         let before = nl.clone();
         let mut ed = NetlistEditor::begin(&mut nl);
         assert!(!ed.remove_gate(live).unwrap(), "output-bound gate must not be removable");
-        assert!(ed.is_clean(), "a refused removal edits nothing");
+        assert_eq!(ed.netlist(), &before, "a refused removal edits nothing");
         assert!(ed.remove_gate(dead).unwrap());
         assert!(ed.remove_gate(dead2).unwrap());
         // The netlist had no constant: the first tie-off appended one and
         // the second reused it.
         let tie = NodeId(before.node_count() as u32);
-        assert_eq!(ed.appended(), vec![tie]);
+        assert_eq!(ed.netlist().node_count(), before.node_count() + 1);
         assert!(matches!(ed.netlist().kind(tie), NodeKind::Const(false)));
         assert_eq!(ed.changed(), &[dead, dead2]);
         ed.rollback();
@@ -460,9 +480,10 @@ mod tests {
     fn remove_gate_rejects_non_gates_without_residue() {
         let mut nl = Netlist::new();
         let unread = nl.input("a");
+        let before = nl.clone();
         let mut ed = NetlistEditor::begin(&mut nl);
         assert!(matches!(ed.remove_gate(unread), Err(NetlistError::IncrementalMismatch { .. })));
-        assert!(ed.is_clean(), "a failed removal appends no constant");
+        assert_eq!(ed.netlist(), &before, "a failed removal appends no constant");
         ed.finish();
     }
 }

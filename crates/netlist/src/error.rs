@@ -187,10 +187,10 @@ pub enum NetlistError {
         /// The multiply-driven net name.
         name: String,
     },
-    /// A mutated netlist handed to [`crate::IncrementalSim::resim`] is not
-    /// an incremental edit of the recorded base netlist: its primary
-    /// inputs differ, it contains flip-flops, nodes were removed, or a
-    /// pre-existing node changed without being declared in the change set.
+    /// A [`crate::NetlistEditor`] operation would break an editor
+    /// invariant: a fanin out of range or equal to the gate itself, a
+    /// rewire or removal of a node that is not a combinational gate, or a
+    /// missing pin or output index.
     IncrementalMismatch {
         /// Human-readable description of the violated precondition.
         reason: String,

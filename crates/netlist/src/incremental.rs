@@ -7,46 +7,43 @@
 //! stimulus response is already known. [`IncrementalSim`] records one
 //! full time-packed evaluation of a netlist over a stimulus stream (64
 //! cycles per `u64` word), caches every node's words, and then answers
-//! *"what does this mutated netlist do on the same stream?"* by
+//! *"what does this edited netlist do on the same stream?"* by
 //! re-evaluating just the dirty cone against the cached fan-in words — no
 //! instruction-stream recompile, no replay of untouched nodes.
 //!
 //! This is the zero-delay replay over the dirty-cone core it shares with
-//! [`crate::IncrementalTimedSim`]: one settled trajectory, one set of
-//! incremental-edit checks, one cone builder (fanout CSR, topological
-//! sort, forward closure), one row diff and one commit splice. Only the
-//! replay below is this simulator's own.
+//! [`crate::IncrementalTimedSim`]: one settled trajectory, one cone
+//! builder (fanout CSR, topological sort, forward closure), one row diff
+//! and one commit splice. Only the replay below is this simulator's own.
 //!
 //! Sequential circuits are supported through **per-cycle register-boundary
 //! snapshots**: the recording stores every flip-flop output's settled
-//! per-cycle trajectory alongside the combinational nodes, so a mutation
+//! per-cycle trajectory alongside the combinational nodes, so an edit
 //! whose cone stays clear of the registers replays packed against the
-//! cached boundary words exactly like the combinational case, and a
-//! mutation that dirties a register (its D input changed, or a register
-//! was appended) falls back to a per-cycle replay of just the cone with
-//! the register feedback threaded cycle to cycle — still proportional to
-//! the edit, never to the circuit.
+//! cached boundary words exactly like the combinational case, and an
+//! edit that dirties a register (its D input changed, or a register was
+//! appended) falls back to a per-cycle replay of just the cone with the
+//! register feedback threaded cycle to cycle — still proportional to the
+//! edit, never to the circuit.
 //!
-//! The result of a [`resim`](IncrementalSim::resim) is a [`ConeResim`]:
+//! The simulator owns the netlist it recorded, and the only way to edit
+//! it is an [`EditSession`] from [`IncrementalSim::edit`]: a
+//! [`crate::NetlistEditor`] on that netlist whose journal is the change
+//! set. [`EditSession::resim_into`] fills a reusable [`ConeResim`] with
 //! the cone that was re-evaluated, the subset of nodes whose values
-//! actually changed, and a full [`Activity`] for the mutated netlist that
+//! actually changed, and a full [`Activity`] for the edited netlist that
 //! is **bit-identical** to a from-scratch recording (the in-tree property
 //! battery locks this in, together with the cone-superset invariant).
-//! Accepted candidates are folded back with
-//! [`commit`](IncrementalSim::commit), which updates the cache in
-//! `O(cone)` and re-arms the simulator for the next mutation. Candidate
-//! searches that score thousands of rejected mutations should use
-//! [`resim_into`](IncrementalSim::resim_into) with a reusable
-//! [`ResimScratch`] + [`ConeResim`] pair, which makes rejection
-//! allocation-free once the buffers have warmed up.
-//!
-//! Mutations are expressed with [`crate::NetlistEditor`] (in-place
-//! rewiring with an undo journal, node ids stable) or directly with
-//! [`crate::Netlist::replace_gate`] plus append-only construction;
-//! `optimize::rewrite` and the guard/precompute/clock-gating searches in
-//! the optimize crate are the canonical consumers.
+//! [`EditSession::commit`] keeps the edit and splices the cone rows in
+//! `O(cone)`; [`EditSession::rollback`] (or dropping the session) undoes
+//! it in place. With a reusable [`ResimScratch`] + [`ConeResim`] pair,
+//! rejecting a candidate allocates nothing once the buffers are warm.
+//! `optimize::rewrite` and the precompute search in the optimize crate
+//! are the canonical consumers.
 
-use crate::cone::{refill, Recording, ResimScratch, Trajectory};
+use hlpower_obs::metrics as obs;
+
+use crate::cone::{refill, EditSession, Replay, ResimScratch, Trajectory};
 use crate::error::NetlistError;
 use crate::library::GateKind;
 use crate::netlist::{Netlist, NodeId, NodeKind};
@@ -54,23 +51,32 @@ use crate::sim::Activity;
 use crate::words::Word;
 
 /// A recorded time-packed simulation of a netlist over a fixed stimulus
-/// stream, supporting dirty-cone re-simulation of mutated variants. See
-/// the `incremental` module docs for the workflow.
+/// stream, supporting dirty-cone re-simulation of edits made through
+/// [`edit`](Self::edit) sessions. See the `incremental` module docs for
+/// the workflow.
 #[derive(Debug, Clone)]
 pub struct IncrementalSim {
+    /// The recorded netlist, edited in place by sessions.
+    netlist: Netlist,
+    cache: Cache,
+}
+
+/// Everything the zero-delay recording caches besides the netlist.
+#[derive(Debug, Clone)]
+struct Cache {
     /// The settled trajectory (flip-flop rows are the register-boundary
-    /// snapshots) and the netlist it belongs to.
-    rec: Recording,
+    /// snapshots).
+    traj: Trajectory,
     /// Exact per-node toggle counts over the recorded stream.
     toggles: Vec<u64>,
 }
 
 /// The outcome of one dirty-cone re-simulation
-/// ([`IncrementalSim::resim`]): which nodes were re-evaluated, which
-/// actually changed, and the mutated netlist's full activity.
+/// ([`EditSession::resim_into`]): which nodes were re-evaluated, which
+/// actually changed, and the edited netlist's full activity.
 #[derive(Debug, Clone, Default)]
 pub struct ConeResim {
-    /// Every node that was re-evaluated (the mutation seeds, all appended
+    /// Every node that was re-evaluated (the rewired gates, all appended
     /// nodes, and their forward closure), in evaluation (topological)
     /// order. Guaranteed to be a superset of
     /// [`changed_values`](Self::changed_values).
@@ -78,22 +84,19 @@ pub struct ConeResim {
     /// The cone nodes whose packed values differ from the cached base
     /// recording (appended nodes always count: they had no prior value).
     pub changed_values: Vec<NodeId>,
-    /// Activity of the mutated netlist over the recorded stream,
-    /// bit-identical to a from-scratch [`IncrementalSim::record`] of the
-    /// mutated netlist.
+    /// Activity of the edited netlist over the recorded stream,
+    /// bit-identical to a from-scratch [`IncrementalSim::record`] of it.
     pub activity: Activity,
-    /// Re-evaluated packed values, cone-index-major (`blocks` words per
-    /// cone node).
+    /// Re-evaluated packed values, cone-index-major (one row per cone
+    /// node).
     updates: Vec<u64>,
-    /// Words per node, copied from the recording for indexing `updates`.
-    blocks: usize,
 }
 
 impl ConeResim {
     /// Packed `u64` words re-evaluated by this resim (`cone × blocks`) —
     /// the work metric the `opt_search` observability section reports.
     pub fn words_replayed(&self) -> u64 {
-        (self.cone.len() * self.blocks) as u64
+        self.updates.len() as u64
     }
 }
 
@@ -119,13 +122,6 @@ pub(crate) fn eval_gate(kind: GateKind, inputs: &[NodeId], get: impl Fn(NodeId) 
     }
 }
 
-/// The error for a cone node no replay can evaluate (a primary input).
-fn not_combinational(id: NodeId, kind: &NodeKind) -> NetlistError {
-    NetlistError::IncrementalMismatch {
-        reason: format!("cone node {id} has non-combinational kind {kind:?}"),
-    }
-}
-
 impl IncrementalSim {
     /// Records a full time-packed evaluation of `netlist` over `stream`,
     /// caching every node's packed values for later dirty-cone
@@ -143,25 +139,36 @@ impl IncrementalSim {
     pub fn record(netlist: &Netlist, stream: &[Vec<bool>]) -> Result<Self, NetlistError> {
         let traj = Trajectory::record(netlist, stream)?;
         let toggles = (0..netlist.node_count()).map(|node| traj.toggles(traj.row(node))).collect();
-        Ok(IncrementalSim { rec: Recording::new(netlist, traj), toggles })
+        obs::SIM_INC_RECORDS.inc();
+        Ok(IncrementalSim { netlist: netlist.clone(), cache: Cache { traj, toggles } })
+    }
+
+    /// Starts an edit session on the recorded netlist.
+    pub fn edit(&mut self) -> EditSession<'_, ConeResim> {
+        EditSession::new(&mut self.netlist, &mut self.cache)
     }
 
     /// The netlist the cached recording corresponds to (updated by
-    /// [`commit`](Self::commit)).
+    /// [`EditSession::commit`]).
     pub fn base(&self) -> &Netlist {
-        &self.rec.base
+        &self.netlist
+    }
+
+    /// The recorded netlist, with every committed edit, by value.
+    pub fn into_base(self) -> Netlist {
+        self.netlist
     }
 
     /// Number of stimulus vectors in the recorded stream.
     pub fn vectors(&self) -> usize {
-        self.rec.traj.n_vectors
+        self.cache.traj.n_vectors
     }
 
     /// The cached packed value words of a node (bit `c` of word `b` is
     /// the settled value on vector `b * 64 + c`; bits of the final word
-    /// past the last vector are unspecified, so mask them).
+    /// past the last vector are zero).
     pub fn value_words(&self, node: NodeId) -> &[u64] {
-        self.rec.traj.row(node.index())
+        self.cache.traj.row(node.index())
     }
 
     /// Toggle word of a node on one 64-vector block: bit `c` is set when
@@ -170,83 +177,53 @@ impl IncrementalSim {
     /// vector are clear, so the popcounts over every block sum to the
     /// node's entry in [`activity`](Self::activity).
     pub fn toggle_word(&self, node: NodeId, block: usize) -> u64 {
-        let traj = &self.rec.traj;
+        let traj = &self.cache.traj;
         traj.toggle_word(traj.row(node.index()), block)
     }
 
     /// A node's settled value on one recorded cycle.
     pub fn value_at(&self, node: NodeId, cycle: usize) -> bool {
-        self.rec.traj.bit(node.index(), cycle)
+        self.cache.traj.bit(node.index(), cycle)
     }
 
     /// Activity of the base netlist over the recorded stream,
     /// bit-identical to a scalar [`crate::ZeroDelaySim`] run.
     pub fn activity(&self) -> Activity {
-        Activity { toggles: self.toggles.clone(), cycles: (self.vectors() - 1) as u64 }
+        Activity { toggles: self.cache.toggles.clone(), cycles: (self.vectors() - 1) as u64 }
     }
+}
 
-    /// Re-simulates a mutated variant of the base netlist over the
-    /// recorded stream, allocating a fresh [`ConeResim`]. Candidate
-    /// searches should prefer [`resim_into`](Self::resim_into), which
-    /// reuses buffers across candidates.
-    ///
-    /// # Errors
-    ///
-    /// As [`resim_into`](Self::resim_into).
-    pub fn resim(&self, mutated: &Netlist, changed: &[NodeId]) -> Result<ConeResim, NetlistError> {
-        let mut scratch = ResimScratch::default();
-        let mut out = ConeResim::default();
-        self.resim_into(mutated, changed, &mut scratch, &mut out)?;
-        Ok(out)
-    }
+impl Replay for Cache {
+    type Out = ConeResim;
 
-    /// Re-simulates a mutated variant of the base netlist over the
-    /// recorded stream by evaluating only the dirty cone: the forward
-    /// closure of the `changed` gates plus any appended nodes (through
-    /// register boundaries — a flip-flop whose D input is dirty dirties
-    /// its own Q trajectory and everything reading it). Untouched nodes
-    /// reuse their cached words verbatim. Results land in `out`, working
-    /// memory in `scratch`; both are reused across calls, so a rejected
-    /// candidate costs no allocation once the buffers are warm.
-    ///
-    /// `mutated` must be an *incremental edit* of the base: same primary
-    /// inputs, same pre-existing flip-flops, no removed nodes, and every
-    /// pre-existing node that differs from the base declared in `changed`
-    /// (out-of-cone nodes are never re-checked — an undeclared edit would
-    /// silently desynchronize the cache, so it is rejected up front).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::IncrementalMismatch`] if `mutated` violates
-    /// the preconditions above, or
-    /// [`NetlistError::CombinationalCycle`] if the rewiring introduced a
-    /// cycle.
-    pub fn resim_into(
+    /// The zero-delay replay: packed for a cone clear of the registers,
+    /// per cycle otherwise, then the toggle re-count.
+    fn resim(
         &self,
-        mutated: &Netlist,
+        netlist: &Netlist,
         changed: &[NodeId],
         scratch: &mut ResimScratch,
         out: &mut ConeResim,
     ) -> Result<(), NetlistError> {
-        self.rec.cone_into(mutated, changed, scratch, &mut out.cone, &mut out.updates)?;
-        let (cone, traj) = (&out.cone, &self.rec.traj);
-        let blocks = traj.blocks;
-        out.blocks = blocks;
-        if cone.iter().any(|&id| matches!(mutated.kind(id), NodeKind::Dff { .. })) {
+        let traj = &self.traj;
+        traj.cone_into(netlist, changed, scratch, &mut out.cone, &mut out.updates)?;
+        let (cone, blocks) = (&out.cone, traj.blocks);
+        if cone.iter().any(|&id| matches!(netlist.kind(id), NodeKind::Dff { .. })) {
             // A register is dirty: its Q trajectory shifts cycle by cycle,
             // so the cone replays per cycle with the flip-flop feedback
             // threaded through `dff_next` — the cached rows of everything
             // outside the cone are still read verbatim (the snapshots make
             // any boundary value an O(1) bit extraction).
-            self.replay_per_cycle(mutated, cone, scratch, &mut out.updates)?;
+            replay_per_cycle(traj, netlist, cone, scratch, &mut out.updates);
         } else {
-            self.replay_packed(mutated, cone, scratch, &mut out.updates)?;
+            replay_packed(traj, netlist, cone, scratch, &mut out.updates);
         }
-        self.rec.finish(mutated, cone, &out.updates, &mut out.changed_values);
+        traj.finish(netlist, cone, &out.updates, &mut out.changed_values);
         // Delta activity: untouched nodes keep their recorded toggle
         // counts, cone nodes are re-counted from their new words.
-        refill(&mut out.activity.toggles, mutated.node_count(), 0u64);
-        out.activity.toggles[..self.toggles.len()].copy_from_slice(&self.toggles);
+        let toggles = &self.toggles;
+        refill(&mut out.activity.toggles, netlist.node_count(), 0u64);
+        out.activity.toggles[..toggles.len()].copy_from_slice(toggles);
         out.activity.cycles = (traj.n_vectors - 1) as u64;
         for (&id, words) in cone.iter().zip(out.updates.chunks(blocks)) {
             out.activity.toggles[id.index()] = traj.toggles(words);
@@ -254,118 +231,105 @@ impl IncrementalSim {
         Ok(())
     }
 
-    /// Packed replay of a cone clear of the registers: it reads only
-    /// cached words (including register-boundary snapshots) and
-    /// same-cycle cone values, so it settles 64 cycles per gate
-    /// evaluation.
-    fn replay_packed(
-        &self,
-        mutated: &Netlist,
-        cone: &[NodeId],
-        scratch: &ResimScratch,
-        updates: &mut [u64],
-    ) -> Result<(), NetlistError> {
-        let (values, blocks, update_of) =
-            (&self.rec.traj.values, self.rec.traj.blocks, &scratch.update_of);
-        for b in 0..blocks {
-            for (ci, &id) in cone.iter().enumerate() {
-                let w = match mutated.kind(id) {
-                    NodeKind::Const(v) => u64::splat(*v),
-                    NodeKind::Gate { kind, inputs } => eval_gate(*kind, inputs, |f| {
-                        let u = update_of[f.index()];
-                        if u != usize::MAX {
-                            // Cone fan-ins precede ci in topo order.
-                            updates[u * blocks + b]
-                        } else {
-                            values[f.index() * blocks + b]
-                        }
-                    }),
-                    // Inputs are never in the cone (they have no declared
-                    // change and cannot be appended), and a register in
-                    // the cone takes the per-cycle replay.
-                    other => return Err(not_combinational(id, other)),
-                };
-                updates[ci * blocks + b] = w;
-            }
-        }
-        Ok(())
+    /// The re-evaluated words replace the stale ones and the re-counted
+    /// toggles the recorded ones.
+    fn commit(&mut self, netlist: &Netlist, resim: &ConeResim) {
+        let nodes = netlist.node_count();
+        debug_assert_eq!(resim.activity.toggles.len(), nodes, "resim is stale");
+        self.traj.splice(nodes, &resim.cone, &resim.updates);
+        self.toggles.clone_from(&resim.activity.toggles);
     }
+}
 
-    /// Per-cycle replay of a register-dirty cone: flip-flop outputs in
-    /// the cone present their previously sampled value at the top of each
-    /// cycle, gates settle in topological order, and D inputs sample at
-    /// the bottom — exactly the scalar [`ZeroDelaySim`] schedule, but
-    /// only over the cone.
-    fn replay_per_cycle(
-        &self,
-        mutated: &Netlist,
-        cone: &[NodeId],
-        scratch: &mut ResimScratch,
-        updates: &mut [u64],
-    ) -> Result<(), NetlistError> {
-        let (traj, blocks) = (&self.rec.traj, self.rec.traj.blocks);
-        refill(&mut scratch.cur, cone.len(), false);
-        refill(&mut scratch.dff_next, cone.len(), false);
-        // Power-on values for cone registers.
+/// Packed replay of a cone clear of the registers: it reads only cached
+/// words (including register-boundary snapshots) and same-cycle cone
+/// values, so it settles 64 cycles per gate evaluation.
+fn replay_packed(
+    traj: &Trajectory,
+    netlist: &Netlist,
+    cone: &[NodeId],
+    scratch: &ResimScratch,
+    updates: &mut [u64],
+) {
+    let (values, blocks, update_of) = (&traj.values, traj.blocks, &scratch.update_of);
+    for b in 0..blocks {
+        let valid = traj.valid_mask(b);
         for (ci, &id) in cone.iter().enumerate() {
-            if let NodeKind::Dff { init, .. } = mutated.kind(id) {
-                scratch.dff_next[ci] = *init;
-            }
-        }
-        // A fan-in's value this cycle: replayed in the cone, cached
-        // outside it.
-        let read = |cur: &[bool], update_of: &[usize], f: NodeId, c: usize| {
-            let u = update_of[f.index()];
-            if u != usize::MAX {
-                cur[u]
-            } else {
-                traj.bit(f.index(), c)
-            }
-        };
-        for c in 0..traj.n_vectors {
-            let (b, bit) = (c / 64, c % 64);
-            // Settle the cone for this cycle. `cone` is in topological
-            // order with non-gates (registers, constants) first, matching
-            // the scalar simulator's present-then-settle schedule.
-            for (ci, &id) in cone.iter().enumerate() {
-                let v = match mutated.kind(id) {
-                    NodeKind::Dff { .. } => scratch.dff_next[ci],
-                    NodeKind::Const(v) => *v,
-                    NodeKind::Gate { kind, inputs } => {
-                        kind.eval_with(inputs, |f| read(&scratch.cur, &scratch.update_of, f, c))
+            let w = match netlist.kind(id) {
+                NodeKind::Const(v) => u64::splat(*v),
+                NodeKind::Gate { kind, inputs } => eval_gate(*kind, inputs, |f| {
+                    let u = update_of[f.index()];
+                    if u != usize::MAX {
+                        // Cone fan-ins precede ci in topo order.
+                        updates[u * blocks + b]
+                    } else {
+                        values[f.index() * blocks + b]
                     }
-                    other => return Err(not_combinational(id, other)),
-                };
-                scratch.cur[ci] = v;
-                updates[ci * blocks + b] |= (v as u64) << bit;
-            }
-            // Sample D inputs for the next cycle.
-            for (ci, &id) in cone.iter().enumerate() {
-                if let NodeKind::Dff { d, .. } = mutated.kind(id) {
-                    scratch.dff_next[ci] = read(&scratch.cur, &scratch.update_of, *d, c);
+                }),
+                // Inputs never enter the cone (sessions cannot rewire or
+                // append them), and a register in the cone takes the
+                // per-cycle replay.
+                NodeKind::Input | NodeKind::Dff { .. } => unreachable!("{id} in a packed cone"),
+            };
+            updates[ci * blocks + b] = w & valid;
+        }
+    }
+}
+
+/// Per-cycle replay of a register-dirty cone: flip-flop outputs in the
+/// cone present their previously sampled value at the top of each cycle,
+/// gates settle in topological order, and D inputs sample at the bottom —
+/// exactly the scalar [`crate::ZeroDelaySim`] schedule, but only over the
+/// cone.
+fn replay_per_cycle(
+    traj: &Trajectory,
+    netlist: &Netlist,
+    cone: &[NodeId],
+    scratch: &mut ResimScratch,
+    updates: &mut [u64],
+) {
+    let blocks = traj.blocks;
+    refill(&mut scratch.cur, cone.len(), false);
+    refill(&mut scratch.dff_next, cone.len(), false);
+    // Power-on values for cone registers.
+    for (ci, &id) in cone.iter().enumerate() {
+        if let NodeKind::Dff { init, .. } = netlist.kind(id) {
+            scratch.dff_next[ci] = *init;
+        }
+    }
+    // A fan-in's value this cycle: replayed in the cone, cached outside
+    // it.
+    let read = |cur: &[bool], update_of: &[usize], f: NodeId, c: usize| {
+        let u = update_of[f.index()];
+        if u != usize::MAX {
+            cur[u]
+        } else {
+            traj.bit(f.index(), c)
+        }
+    };
+    for c in 0..traj.n_vectors {
+        let (b, bit) = (c / 64, c % 64);
+        // Settle the cone for this cycle. `cone` is in topological order
+        // with non-gates (registers, constants) first, matching the
+        // scalar simulator's present-then-settle schedule.
+        for (ci, &id) in cone.iter().enumerate() {
+            let v = match netlist.kind(id) {
+                NodeKind::Dff { .. } => scratch.dff_next[ci],
+                NodeKind::Const(v) => *v,
+                NodeKind::Gate { kind, inputs } => {
+                    kind.eval_with(inputs, |f| read(&scratch.cur, &scratch.update_of, f, c))
                 }
+                NodeKind::Input => unreachable!("primary input {id} in the cone"),
+            };
+            scratch.cur[ci] = v;
+            updates[ci * blocks + b] |= (v as u64) << bit;
+        }
+        // Sample D inputs for the next cycle.
+        for (ci, &id) in cone.iter().enumerate() {
+            if let NodeKind::Dff { d, .. } = netlist.kind(id) {
+                scratch.dff_next[ci] = read(&scratch.cur, &scratch.update_of, *d, c);
             }
         }
-        Ok(())
-    }
-
-    /// Folds an accepted mutation back into the cache in `O(cone)`:
-    /// `mutated` becomes the new base and the re-evaluated words replace
-    /// the stale ones, so the next [`resim`](Self::resim) builds on it.
-    /// The [`ConeResim`] is borrowed, so a search loop can keep reusing
-    /// the same output buffer afterwards.
-    ///
-    /// `resim` must be the result of [`Self::resim`] /
-    /// [`Self::resim_into`] for exactly this `mutated` netlist.
-    pub fn commit(&mut self, mutated: &Netlist, resim: &ConeResim) {
-        debug_assert_eq!(
-            resim.activity.toggles.len(),
-            mutated.node_count(),
-            "resim is for a different netlist"
-        );
-        self.rec.commit(mutated, &resim.cone, &resim.updates);
-        self.toggles.clear();
-        self.toggles.extend_from_slice(&resim.activity.toggles);
     }
 }
 
@@ -405,6 +369,27 @@ mod tests {
         streams::random(seed, nl.input_count()).take(cycles).collect()
     }
 
+    /// The `nth` gate of `kind` with two inputs.
+    fn nth_gate(nl: &Netlist, kind: GateKind, nth: usize) -> NodeId {
+        nl.node_ids()
+            .filter(|&id| {
+                matches!(nl.kind(id), NodeKind::Gate { kind: k, inputs } if *k == kind && inputs.len() == 2)
+            })
+            .nth(nth)
+            .unwrap()
+    }
+
+    fn fanins(nl: &Netlist, id: NodeId) -> Vec<NodeId> {
+        nl.kind(id).fanins().to_vec()
+    }
+
+    /// Resims a session into fresh buffers.
+    fn resim(s: &EditSession<'_, ConeResim>) -> ConeResim {
+        let mut out = ConeResim::default();
+        s.resim_into(&mut ResimScratch::default(), &mut out).unwrap();
+        out
+    }
+
     #[test]
     fn recording_matches_the_scalar_oracle() {
         let nl = adder(6);
@@ -430,25 +415,48 @@ mod tests {
         }
     }
 
+    /// Rows are canonical: the bits past the last vector are zero whether
+    /// the row was recorded packed (combinational), recorded cycle by
+    /// cycle (sequential), or replayed packed and committed.
+    #[test]
+    fn trajectory_tails_are_zero_on_every_path() {
+        let stream: Vec<Vec<bool>> = (0..10).map(|c| vec![c % 2 == 0]).collect();
+        let mut comb = Netlist::new();
+        let a = comb.input("a");
+        let y = comb.not(a);
+        comb.set_output("y", y);
+        let mut seq = comb.clone();
+        let q = seq.dff(a, false);
+        seq.set_output("q", q);
+        let comb_inc = IncrementalSim::record(&comb, &stream).unwrap();
+        let seq_inc = IncrementalSim::record(&seq, &stream).unwrap();
+        assert_eq!(comb_inc.value_words(y), &[0x2aa]);
+        assert_eq!(comb_inc.value_words(y), seq_inc.value_words(y));
+        // The same row, replayed packed after a Buf -> Not edit.
+        let mut buf = Netlist::new();
+        let a = buf.input("a");
+        let y = buf.buf(a);
+        buf.set_output("y", y);
+        let mut inc = IncrementalSim::record(&buf, &stream).unwrap();
+        let mut s = inc.edit();
+        s.replace_gate(y, GateKind::Not, [a]).unwrap();
+        let out = resim(&s);
+        s.commit(&out);
+        assert_eq!(inc.value_words(y), seq_inc.value_words(y));
+    }
+
     #[test]
     fn resim_matches_full_rerecord_after_a_rewrite() {
         let nl = adder(5);
         let stream = stream_for(&nl, 3, 200);
-        let inc = IncrementalSim::record(&nl, &stream).unwrap();
+        let mut inc = IncrementalSim::record(&nl, &stream).unwrap();
         // Rewire the first 2-input XOR into an XNOR (a real functional
         // change) and check the dirty-cone result against a full rerecord.
-        let mut mutated = nl.clone();
-        let target = mutated
-            .node_ids()
-            .find(|&id| {
-                matches!(mutated.kind(id),
-                    NodeKind::Gate { kind: GateKind::Xor, inputs } if inputs.len() == 2)
-            })
-            .unwrap();
-        let NodeKind::Gate { inputs, .. } = mutated.kind(target).clone() else { unreachable!() };
-        mutated.replace_gate(target, GateKind::Xnor, inputs).unwrap();
-        let resim = inc.resim(&mutated, &[target]).unwrap();
-        let full = IncrementalSim::record(&mutated, &stream).unwrap();
+        let target = nth_gate(&nl, GateKind::Xor, 0);
+        let mut s = inc.edit();
+        s.replace_gate(target, GateKind::Xnor, fanins(&nl, target)).unwrap();
+        let resim = resim(&s);
+        let full = IncrementalSim::record(s.netlist(), &stream).unwrap();
         assert_eq!(resim.activity, full.activity());
         // Cone covers everything that changed.
         for &id in &resim.changed_values {
@@ -456,7 +464,7 @@ mod tests {
         }
         assert!(resim.changed_values.contains(&target));
         // Untouched siblings were not re-evaluated.
-        assert!(resim.cone.len() < mutated.node_count());
+        assert!(resim.cone.len() < nl.node_count());
     }
 
     #[test]
@@ -466,15 +474,14 @@ mod tests {
         // cached Q snapshots.
         let nl = registered_adder(4);
         let stream = stream_for(&nl, 23, 150);
-        let inc = IncrementalSim::record(&nl, &stream).unwrap();
-        let mut mutated = nl.clone();
-        let q0 = nl.dffs()[0];
-        let q1 = nl.dffs()[1];
-        let watch = mutated.xor([q0, q1]);
-        let _watch2 = mutated.not(watch);
-        let resim = inc.resim(&mutated, &[]).unwrap();
+        let mut inc = IncrementalSim::record(&nl, &stream).unwrap();
+        let (q0, q1) = (nl.dffs()[0], nl.dffs()[1]);
+        let mut s = inc.edit();
+        let watch = s.insert_gate(GateKind::Xor, [q0, q1]).unwrap();
+        s.insert_gate(GateKind::Not, [watch]).unwrap();
+        let resim = resim(&s);
         assert_eq!(resim.cone.len(), 2);
-        let full = IncrementalSim::record(&mutated, &stream).unwrap();
+        let full = IncrementalSim::record(s.netlist(), &stream).unwrap();
         assert_eq!(resim.activity, full.activity());
     }
 
@@ -484,28 +491,17 @@ mod tests {
         // trajectory shifts, which must propagate cycle by cycle.
         let nl = registered_adder(4);
         let stream = stream_for(&nl, 31, 190);
-        let inc = IncrementalSim::record(&nl, &stream).unwrap();
-        let mut mutated = nl.clone();
-        let target = mutated
-            .node_ids()
-            .find(|&id| {
-                matches!(mutated.kind(id),
-                    NodeKind::Gate { kind: GateKind::Xor, inputs } if inputs.len() == 2)
-            })
-            .unwrap();
-        let NodeKind::Gate { inputs, .. } = mutated.kind(target).clone() else { unreachable!() };
-        mutated.replace_gate(target, GateKind::Xnor, inputs).unwrap();
-        let resim = inc.resim(&mutated, &[target]).unwrap();
+        let mut inc = IncrementalSim::record(&nl, &stream).unwrap();
+        let target = nth_gate(&nl, GateKind::Xor, 0);
+        let mut s = inc.edit();
+        s.replace_gate(target, GateKind::Xnor, fanins(&nl, target)).unwrap();
+        let resim = resim(&s);
         // The cone crossed a register boundary.
-        assert!(resim.cone.iter().any(|&id| matches!(mutated.kind(id), NodeKind::Dff { .. })));
-        let full = IncrementalSim::record(&mutated, &stream).unwrap();
+        assert!(resim.cone.iter().any(|&id| matches!(nl.kind(id), NodeKind::Dff { .. })));
+        let full = IncrementalSim::record(s.netlist(), &stream).unwrap();
         assert_eq!(resim.activity, full.activity());
-        for (ci, &id) in resim.cone.iter().enumerate() {
-            assert_eq!(
-                &resim.updates[ci * resim.blocks..(ci + 1) * resim.blocks],
-                full.value_words(id),
-                "cone value words diverged at {id}"
-            );
+        for (&id, row) in resim.cone.iter().zip(resim.updates.chunks(stream.len().div_ceil(64))) {
+            assert_eq!(row, full.value_words(id), "cone value words diverged at {id}");
         }
     }
 
@@ -515,23 +511,14 @@ mod tests {
         // repoint a reader at it.
         let nl = adder(4);
         let stream = stream_for(&nl, 41, 140);
-        let inc = IncrementalSim::record(&nl, &stream).unwrap();
-        let mut mutated = nl.clone();
-        let target = mutated
-            .node_ids()
-            .find(|&id| {
-                matches!(mutated.kind(id),
-                    NodeKind::Gate { kind: GateKind::Or, inputs } if inputs.len() == 2)
-            })
-            .unwrap();
-        let NodeKind::Gate { kind, inputs } = mutated.kind(target).clone() else { unreachable!() };
-        let q = mutated.dff(inputs[0], false);
-        let mut ins = inputs;
-        ins[0] = q;
-        mutated.replace_gate(target, kind, ins).unwrap();
-        let resim = inc.resim(&mutated, &[target]).unwrap();
+        let mut inc = IncrementalSim::record(&nl, &stream).unwrap();
+        let target = nth_gate(&nl, GateKind::Or, 0);
+        let mut s = inc.edit();
+        let q = s.insert_dff(fanins(&nl, target)[0], false).unwrap();
+        s.rewire_input(target, 0, q).unwrap();
+        let resim = resim(&s);
         assert!(resim.cone.contains(&q));
-        let full = IncrementalSim::record(&mutated, &stream).unwrap();
+        let full = IncrementalSim::record(s.netlist(), &stream).unwrap();
         assert_eq!(resim.activity, full.activity());
     }
 
@@ -541,31 +528,20 @@ mod tests {
         let lib = Library::default();
         let stream = stream_for(&nl, 9, 150);
         let mut inc = IncrementalSim::record(&nl, &stream).unwrap();
-        let mut current = nl.clone();
         // Two successive mutations, committing each; the cache must track.
         for flip in 0..2usize {
-            let target = current
-                .node_ids()
-                .filter(|&id| {
-                    matches!(current.kind(id),
-                        NodeKind::Gate { kind: GateKind::And, inputs } if inputs.len() == 2)
-                })
-                .nth(flip)
-                .unwrap();
-            let NodeKind::Gate { inputs, .. } = current.kind(target).clone() else {
-                unreachable!()
-            };
-            let mut mutated = current.clone();
-            mutated.replace_gate(target, GateKind::Nand, inputs).unwrap();
-            let resim = inc.resim(&mutated, &[target]).unwrap();
-            inc.commit(&mutated, &resim);
-            current = mutated;
+            let target = nth_gate(inc.base(), GateKind::And, flip);
+            let ins = fanins(inc.base(), target);
+            let mut s = inc.edit();
+            s.replace_gate(target, GateKind::Nand, ins).unwrap();
+            let resim = resim(&s);
+            s.commit(&resim);
         }
-        let full = IncrementalSim::record(&current, &stream).unwrap();
+        let full = IncrementalSim::record(inc.base(), &stream).unwrap();
         assert_eq!(inc.activity(), full.activity());
         assert_eq!(
-            inc.activity().power(&current, &lib).total_power_uw().to_bits(),
-            full.activity().power(&current, &lib).total_power_uw().to_bits()
+            inc.activity().power(inc.base(), &lib).total_power_uw().to_bits(),
+            full.activity().power(inc.base(), &lib).total_power_uw().to_bits()
         );
     }
 
@@ -573,25 +549,18 @@ mod tests {
     fn resim_into_reuses_buffers_across_candidates() {
         let nl = adder(5);
         let stream = stream_for(&nl, 13, 120);
-        let inc = IncrementalSim::record(&nl, &stream).unwrap();
+        let mut inc = IncrementalSim::record(&nl, &stream).unwrap();
         let mut scratch = ResimScratch::default();
         let mut out = ConeResim::default();
-        let targets: Vec<NodeId> = nl
-            .node_ids()
-            .filter(|&id| {
-                matches!(nl.kind(id),
-                    NodeKind::Gate { kind: GateKind::And, inputs } if inputs.len() == 2)
-            })
-            .take(3)
-            .collect();
-        for &target in &targets {
-            let mut mutated = nl.clone();
-            let NodeKind::Gate { inputs, .. } = nl.kind(target).clone() else { unreachable!() };
-            mutated.replace_gate(target, GateKind::Nand, inputs).unwrap();
-            inc.resim_into(&mutated, &[target], &mut scratch, &mut out).unwrap();
-            let full = IncrementalSim::record(&mutated, &stream).unwrap();
+        for nth in 0..3 {
+            let target = nth_gate(&nl, GateKind::And, nth);
+            let mut s = inc.edit();
+            s.replace_gate(target, GateKind::Nand, fanins(&nl, target)).unwrap();
+            s.resim_into(&mut scratch, &mut out).unwrap();
+            let full = IncrementalSim::record(s.netlist(), &stream).unwrap();
             assert_eq!(out.activity, full.activity(), "buffer reuse corrupted {target}");
             assert!(out.words_replayed() > 0);
+            s.rollback();
         }
     }
 
@@ -599,74 +568,15 @@ mod tests {
     fn appended_logic_joins_the_cone() {
         let nl = adder(4);
         let stream = stream_for(&nl, 21, 90);
-        let inc = IncrementalSim::record(&nl, &stream).unwrap();
-        // Append an inverter chain and repoint an existing gate at it.
-        let mut mutated = nl.clone();
-        let a0 = mutated.inputs()[0];
-        let inv = mutated.not(a0);
-        let target = mutated
-            .node_ids()
-            .find(|&id| {
-                matches!(mutated.kind(id),
-                    NodeKind::Gate { kind: GateKind::Or, inputs } if inputs.len() == 2)
-            })
-            .unwrap();
-        let NodeKind::Gate { inputs, .. } = mutated.kind(target).clone() else { unreachable!() };
-        mutated.replace_gate(target, GateKind::Or, vec![inputs[0], inv]).unwrap();
-        let resim = inc.resim(&mutated, &[target]).unwrap();
+        let mut inc = IncrementalSim::record(&nl, &stream).unwrap();
+        // Append an inverter and repoint an existing gate at it.
+        let target = nth_gate(&nl, GateKind::Or, 0);
+        let mut s = inc.edit();
+        let inv = s.insert_gate(GateKind::Not, [nl.inputs()[0]]).unwrap();
+        s.rewire_input(target, 1, inv).unwrap();
+        let resim = resim(&s);
         assert!(resim.cone.contains(&inv));
-        let full = IncrementalSim::record(&mutated, &stream).unwrap();
+        let full = IncrementalSim::record(s.netlist(), &stream).unwrap();
         assert_eq!(resim.activity, full.activity());
-    }
-
-    #[test]
-    fn undeclared_edits_and_bad_bases_are_rejected() {
-        let nl = adder(4);
-        let stream = stream_for(&nl, 5, 70);
-        let inc = IncrementalSim::record(&nl, &stream).unwrap();
-        // Undeclared edit.
-        let mut sneaky = nl.clone();
-        let target = sneaky
-            .node_ids()
-            .find(|&id| {
-                matches!(sneaky.kind(id),
-                    NodeKind::Gate { kind: GateKind::And, inputs } if inputs.len() == 2)
-            })
-            .unwrap();
-        let NodeKind::Gate { inputs, .. } = sneaky.kind(target).clone() else { unreachable!() };
-        sneaky.replace_gate(target, GateKind::Nand, inputs).unwrap();
-        assert!(matches!(inc.resim(&sneaky, &[]), Err(NetlistError::IncrementalMismatch { .. })));
-        // Different inputs.
-        let mut extra_input = nl.clone();
-        extra_input.input("z");
-        assert!(matches!(
-            inc.resim(&extra_input, &[]),
-            Err(NetlistError::IncrementalMismatch { .. })
-        ));
-        // A rewiring that introduces a cycle surfaces as such.
-        let mut cyclic = nl.clone();
-        let NodeKind::Gate { inputs, kind } = cyclic.kind(target).clone() else { unreachable!() };
-        let downstream = NodeId(cyclic.node_count() as u32 - 1);
-        cyclic.replace_gate(target, kind, vec![inputs[0], downstream]).unwrap();
-        assert!(matches!(
-            inc.resim(&cyclic, &[target]),
-            Err(NetlistError::CombinationalCycle { .. })
-        ));
-        // A sequential base whose pre-existing register set is edited
-        // under the table is rejected.
-        let seq = registered_adder(3);
-        let seq_stream = stream_for(&seq, 7, 60);
-        let seq_inc = IncrementalSim::record(&seq, &seq_stream).unwrap();
-        let mut retuned = seq.clone();
-        let q = retuned.dffs()[0];
-        let NodeKind::Dff { d, .. } = *retuned.kind(q) else { unreachable!() };
-        retuned.connect_dff_d(q, d); // no-op rewire keeps structure equal
-        assert!(seq_inc.resim(&retuned, &[]).is_ok());
-        let other_d = retuned.inputs()[1];
-        retuned.connect_dff_d(q, other_d);
-        assert!(matches!(
-            seq_inc.resim(&retuned, &[]),
-            Err(NetlistError::IncrementalMismatch { .. })
-        ));
     }
 }

@@ -57,7 +57,7 @@ mod simwide;
 pub mod streams;
 pub mod words;
 
-pub use cone::ResimScratch;
+pub use cone::{EditSession, ResimScratch};
 pub use editor::NetlistEditor;
 pub use error::{NetlistError, SourceFormat, SrcLoc};
 pub use event::{EventDrivenSim, TimedActivity};

@@ -355,15 +355,17 @@ impl Netlist {
         self.nodes[node.index()].kind = kind;
     }
 
-    /// Drops every node appended after the first `keep` nodes — the
-    /// rollback primitive of [`crate::NetlistEditor`]. The caller
-    /// guarantees no surviving node, output, or input references a
-    /// truncated id (the editor only appends gates/flip-flops and never
-    /// declares new outputs, so undoing its journaled rewires and output
-    /// rebinds first restores that invariant).
-    pub(crate) fn truncate_nodes_raw(&mut self, keep: usize) {
-        self.nodes.truncate(keep);
-        self.dffs.retain(|q| q.index() < keep);
+    /// Drops every node appended after the first `nodes` nodes and every
+    /// group after the first `groups` — the rollback primitive of
+    /// [`crate::NetlistEditor`]. The caller guarantees no surviving node,
+    /// output, or input references a truncated id (the editor only
+    /// appends gates/flip-flops and never declares new outputs, so undoing
+    /// its journaled rewires and output rebinds first restores that
+    /// invariant).
+    pub(crate) fn truncate_raw(&mut self, nodes: usize, groups: usize) {
+        self.nodes.truncate(nodes);
+        self.dffs.retain(|q| q.index() < nodes);
+        self.groups.truncate(groups);
     }
 
     /// Repoints an existing primary-output binding — the output-rebind

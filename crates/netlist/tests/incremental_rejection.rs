@@ -1,11 +1,14 @@
-//! The incremental simulators' rejection battery: every edit the
-//! dirty-cone front end must refuse, run against both
-//! [`IncrementalSim`] and [`IncrementalTimedSim`] — they share one front
-//! end, so each case must fail the same way in both.
+//! The incremental simulators' edit-session battery, run against both
+//! [`IncrementalSim`] and [`IncrementalTimedSim`]: they share one cone
+//! builder and one editor, so each case must behave the same way in
+//! both. A session reaches the recorded netlist only through its
+//! editor's journal, so the bad edits left are those the editor refuses
+//! per operation and a combinational cycle, which surfaces at
+//! `resim_into`.
 
 use hlpower_netlist::{
-    gen, streams, GateKind, IncrementalSim, IncrementalTimedSim, Library, Netlist, NetlistError,
-    NodeId, NodeKind,
+    gen, streams, ConeResim, EditSession, GateKind, IncrementalSim, IncrementalTimedSim, Library,
+    Netlist, NetlistEditor, NetlistError, NodeId, NodeKind, ResimScratch, TimedConeResim,
 };
 
 fn adder(bits: usize, registered: bool) -> Netlist {
@@ -23,52 +26,100 @@ fn adder(bits: usize, registered: bool) -> Netlist {
     nl
 }
 
-/// Records `base` with both simulators and resims `mutated` on each.
-fn resims(base: &Netlist, mutated: &Netlist, changed: &[NodeId]) -> [Result<(), NetlistError>; 2] {
-    let stream: Vec<Vec<bool>> = streams::random(5, base.input_count()).take(70).collect();
-    let untimed = IncrementalSim::record(base, &stream).unwrap();
-    let timed = IncrementalTimedSim::record(base, &Library::default(), &stream).unwrap();
-    [untimed.resim(mutated, changed).map(drop), timed.resim(mutated, changed).map(drop)]
+/// Both recordings of `nl` over one random stream.
+fn record(nl: &Netlist) -> (IncrementalSim, IncrementalTimedSim) {
+    let stream: Vec<Vec<bool>> = streams::random(5, nl.input_count()).take(70).collect();
+    let timed = IncrementalTimedSim::record(nl, &Library::default(), &stream).unwrap();
+    (IncrementalSim::record(nl, &stream).unwrap(), timed)
 }
 
-fn all_mismatch(results: [Result<(), NetlistError>; 2]) -> bool {
-    results.iter().all(|r| matches!(r, Err(NetlistError::IncrementalMismatch { .. })))
+/// The first 2-input AND gate and its fanins.
+fn first_and(nl: &Netlist) -> (NodeId, Vec<NodeId>) {
+    nl.node_ids()
+        .find_map(|id| match nl.kind(id) {
+            NodeKind::Gate { kind: GateKind::And, inputs } if inputs.len() == 2 => {
+                Some((id, inputs.clone()))
+            }
+            _ => None,
+        })
+        .unwrap()
+}
+
+/// Resims a session into fresh buffers.
+fn resim<O: Default>(s: &EditSession<'_, O>) -> Result<O, NetlistError> {
+    let mut out = O::default();
+    s.resim_into(&mut ResimScratch::default(), &mut out).map(|()| out)
 }
 
 #[test]
 fn both_simulators_reject_every_bad_edit() {
-    let nl = adder(4, false);
-    let target = nl
-        .node_ids()
-        .find(|&id| {
-            matches!(nl.kind(id), NodeKind::Gate { kind: GateKind::And, inputs } if inputs.len() == 2)
-        })
-        .unwrap();
-    let NodeKind::Gate { inputs, kind } = nl.kind(target).clone() else { unreachable!() };
-    // Undeclared edit.
-    let mut sneaky = nl.clone();
-    sneaky.replace_gate(target, GateKind::Nand, inputs.clone()).unwrap();
-    assert!(all_mismatch(resims(&nl, &sneaky, &[])));
-    // Different inputs.
-    let mut extra_input = nl.clone();
-    extra_input.input("z");
-    assert!(all_mismatch(resims(&nl, &extra_input, &[])));
-    // A rewiring that introduces a cycle surfaces as such.
-    let mut cyclic = nl.clone();
-    let downstream = cyclic.node_ids().last().unwrap();
-    cyclic.replace_gate(target, kind, vec![inputs[0], downstream]).unwrap();
-    for r in resims(&nl, &cyclic, &[target]) {
-        assert!(matches!(r, Err(NetlistError::CombinationalCycle { .. })), "{r:?}");
+    let nl = adder(4, true);
+    let (target, ins) = first_and(&nl);
+    // The last gate sits in the top bit of the carry chain, downstream of
+    // `target`: wiring it into `target` closes a combinational loop.
+    let last_gate =
+        nl.node_ids().filter(|&id| matches!(nl.kind(id), NodeKind::Gate { .. })).last().unwrap();
+    let ghost = nl.clone().input("ghost");
+    let (input, q) = (nl.inputs()[0], nl.dffs()[0]);
+    let bad_edits = |ed: &mut NetlistEditor<'_>| {
+        for r in [
+            ed.replace_gate(target, GateKind::And, [input, ghost]),
+            ed.replace_gate(target, GateKind::And, [input, target]),
+            ed.replace_gate(input, GateKind::Not, [q]),
+            ed.rewire_input(q, 0, input),
+            ed.rebind_output(nl.outputs().len(), q),
+        ] {
+            assert!(matches!(r, Err(NetlistError::IncrementalMismatch { .. })), "{r:?}");
+        }
+        assert_eq!(ed.netlist(), &nl, "a refused edit changed the netlist");
+        ed.replace_gate(target, GateKind::And, [ins[0], last_gate]).unwrap();
+    };
+    let (mut untimed, mut timed) = record(&nl);
+    let mut s = untimed.edit();
+    bad_edits(&mut s);
+    let r = resim(&s).map(drop);
+    assert!(matches!(r, Err(NetlistError::CombinationalCycle { .. })), "{r:?}");
+    drop(s);
+    let mut s = timed.edit();
+    bad_edits(&mut s);
+    let r = resim(&s).map(drop);
+    assert!(matches!(r, Err(NetlistError::CombinationalCycle { .. })), "{r:?}");
+    drop(s);
+    assert_eq!((untimed.base(), timed.base()), (&nl, &nl), "dropped sessions roll back");
+}
+
+/// `edit → resim → rollback` leaves `base()`, `activity()` and every
+/// `value_words` row of both simulators exactly as recorded, on a
+/// combinational and a registered netlist.
+#[test]
+fn rollback_leaves_both_recordings_as_recorded() {
+    for registered in [false, true] {
+        let nl = adder(4, registered);
+        let (target, ins) = first_and(&nl);
+        // A function flip, a buffer on one pin and a register on the other.
+        let candidate = |ed: &mut NetlistEditor<'_>| {
+            ed.replace_gate(target, GateKind::Nand, ins.clone()).unwrap();
+            let buf = ed.insert_gate(GateKind::Buf, [ins[0]]).unwrap();
+            let q = ed.insert_dff(ins[1], true).unwrap();
+            ed.replace_gate(target, GateKind::Nand, [buf, q]).unwrap();
+        };
+        let rows =
+            |words: &dyn Fn(NodeId) -> Vec<u64>| nl.node_ids().map(words).collect::<Vec<_>>();
+        let (mut untimed, mut timed) = record(&nl);
+        let before = (untimed.activity(), rows(&|id| untimed.value_words(id).to_vec()));
+        let mut s = untimed.edit();
+        candidate(&mut s);
+        assert!(!resim::<ConeResim>(&s).unwrap().changed_values.is_empty());
+        s.rollback();
+        assert_eq!(untimed.base(), &nl);
+        assert_eq!((untimed.activity(), rows(&|id| untimed.value_words(id).to_vec())), before);
+
+        let before = (timed.activity(), rows(&|id| timed.value_words(id).to_vec()));
+        let mut s = timed.edit();
+        candidate(&mut s);
+        assert!(!resim::<TimedConeResim>(&s).unwrap().changed_values.is_empty());
+        s.rollback();
+        assert_eq!(timed.base(), &nl);
+        assert_eq!((timed.activity(), rows(&|id| timed.value_words(id).to_vec())), before);
     }
-    // A pre-existing register rewired under the table is rejected; a
-    // no-op rewire is not.
-    let seq = adder(3, true);
-    let mut retuned = seq.clone();
-    let q = retuned.dffs()[0];
-    let NodeKind::Dff { d, .. } = *retuned.kind(q) else { unreachable!() };
-    retuned.connect_dff_d(q, d);
-    assert!(resims(&seq, &retuned, &[]).iter().all(Result::is_ok));
-    let other_d = retuned.inputs()[1];
-    retuned.connect_dff_d(q, other_d);
-    assert!(all_mismatch(resims(&seq, &retuned, &[])));
 }

@@ -2,8 +2,8 @@
 //! in-tree [`hlpower_rng::check`] harness.
 
 use hlpower_netlist::{
-    gen, streams, words, GateKind, IncrementalSim, Library, Netlist, NetlistEditor, NodeId,
-    NodeKind, ZeroDelaySim,
+    gen, streams, words, ConeResim, GateKind, IncrementalSim, Library, Netlist, NetlistEditor,
+    NodeId, NodeKind, ResimScratch, ZeroDelaySim,
 };
 use hlpower_rng::check::Check;
 use hlpower_rng::Rng;
@@ -128,11 +128,10 @@ fn word_round_trip() {
     });
 }
 
-/// One random gate-level mutation of `current`, guaranteed acyclic (new
-/// fanins always have smaller node indices than the gate that reads
-/// them, and `random_logic` builds netlists in topological index order).
-/// Returns the mutated netlist and the declared change set.
-fn random_mutation(rng: &mut Rng, current: &Netlist) -> (Netlist, Vec<NodeId>) {
+/// One random gate-level mutation of the editor's netlist, guaranteed
+/// acyclic (new fanins never read the rewired gate).
+fn random_mutation(rng: &mut Rng, ed: &mut NetlistEditor<'_>) {
+    let current = ed.netlist();
     let ids: Vec<NodeId> = current.node_ids().collect();
     let gates: Vec<NodeId> = ids
         .iter()
@@ -141,7 +140,6 @@ fn random_mutation(rng: &mut Rng, current: &Netlist) -> (Netlist, Vec<NodeId>) {
         .collect();
     let variadic =
         [GateKind::And, GateKind::Or, GateKind::Nand, GateKind::Nor, GateKind::Xor, GateKind::Xnor];
-    let mut mutated = current.clone();
     let target = gates[rng.gen_range(0..gates.len())];
     let NodeKind::Gate { kind, inputs } = current.kind(target).clone() else { unreachable!() };
     // New fanins come from earlier nodes that do not read `target`: an
@@ -163,34 +161,32 @@ fn random_mutation(rng: &mut Rng, current: &Netlist) -> (Netlist, Vec<NodeId>) {
         // Function flip: new gate kind over the same fanins.
         0 => {
             let new_kind = variadic[rng.gen_range(0..variadic.len())];
-            mutated.replace_gate(target, new_kind, inputs).expect("arity holds");
+            ed.replace_gate(target, new_kind, inputs).expect("arity holds");
         }
         // Rewire: repoint one fanin at an arbitrary earlier node.
         1 => {
             let mut ins = inputs;
             let pin = rng.gen_range(0..ins.len());
             ins[pin] = earlier[rng.gen_range(0..earlier.len())];
-            mutated.replace_gate(target, kind, ins).expect("arity holds");
+            ed.replace_gate(target, kind, ins).expect("arity holds");
         }
         // Append: fresh logic over earlier nodes, spliced into a fanin.
         _ => {
             let new_kind = variadic[rng.gen_range(0..variadic.len())];
             let a = earlier[rng.gen_range(0..earlier.len())];
             let b = earlier[rng.gen_range(0..earlier.len())];
-            let fresh = mutated.gate(new_kind, [a, b]).expect("arity holds");
-            let mut ins = inputs;
-            let pin = rng.gen_range(0..ins.len());
-            ins[pin] = fresh;
-            mutated.replace_gate(target, kind, ins).expect("arity holds");
+            let fresh = ed.insert_gate(new_kind, [a, b]).expect("arity holds");
+            let pin = rng.gen_range(0..inputs.len());
+            ed.rewire_input(target, pin, fresh).expect("pin in range");
         }
     }
-    (mutated, vec![target])
 }
 
 /// Dirty-cone re-simulation equals a full recompile-and-replay —
 /// activity bit-for-bit and cached value words word-for-word — across a
-/// random sequence of committed mutations, and the cone is always a
-/// superset of the nodes whose values actually changed.
+/// random sequence of edit sessions, each committed or rolled back, and
+/// the cone is always a superset of the nodes whose values actually
+/// changed. A rolled-back session leaves every cached row as it was.
 #[test]
 fn dirty_cone_resim_matches_full_replay() {
     Check::new("dirty_cone_resim_matches_full_replay").cases(32).run(|rng| {
@@ -202,18 +198,23 @@ fn dirty_cone_resim_matches_full_replay() {
         let cycles = rng.gen_range(60usize..200);
         let stream: Vec<Vec<bool>> = streams::random(seed, n_inputs).take(cycles).collect();
         let mut inc = IncrementalSim::record(&nl, &stream).expect("combinational");
-        let mut current = nl;
-        for _ in 0..rng.gen_range(1usize..5) {
-            let (mutated, changed) = random_mutation(rng, &current);
-            let resim = inc.resim(&mutated, &changed).expect("incremental edit");
-            let full = IncrementalSim::record(&mutated, &stream).expect("combinational");
+        let (mut scratch, mut resim) = (ResimScratch::default(), ConeResim::default());
+        for _ in 0..rng.gen_range(1usize..7) {
+            // About one candidate in three is rejected and rolled back.
+            let keep = rng.gen_range(0u32..3) != 0;
+            let rows: Vec<Vec<u64>> =
+                inc.base().node_ids().map(|id| inc.value_words(id).to_vec()).collect();
+            let mut s = inc.edit();
+            random_mutation(rng, &mut s);
+            s.resim_into(&mut scratch, &mut resim).expect("incremental edit");
+            let full = IncrementalSim::record(s.netlist(), &stream).expect("combinational");
             // The cone is a superset of every node whose value changed...
-            let mut in_cone = vec![false; mutated.node_count()];
+            let mut in_cone = vec![false; s.netlist().node_count()];
             for &id in &resim.cone {
                 in_cone[id.index()] = true;
             }
-            for id in current.node_ids() {
-                if inc.value_words(id) != full.value_words(id) {
+            for (id, row) in s.netlist().node_ids().zip(&rows) {
+                if row.as_slice() != full.value_words(id) {
                     assert!(in_cone[id.index()], "node {id} changed outside the cone");
                 }
             }
@@ -223,16 +224,23 @@ fn dirty_cone_resim_matches_full_replay() {
             }
             // The delta activity is bit-identical to the full replay.
             assert_eq!(resim.activity, full.activity());
-            // Committing leaves the cache word-for-word equal to it too.
-            inc.commit(&mutated, &resim);
-            for id in mutated.node_ids() {
-                assert_eq!(
-                    inc.value_words(id),
-                    full.value_words(id),
-                    "committed cache diverged at node {id}"
-                );
+            if keep {
+                // Committing leaves the cache word-for-word equal to it.
+                s.commit(&resim);
+                for id in inc.base().node_ids() {
+                    assert_eq!(
+                        inc.value_words(id),
+                        full.value_words(id),
+                        "committed cache diverged at node {id}"
+                    );
+                }
+            } else {
+                s.rollback();
+                assert_eq!(inc.base().node_count(), rows.len());
+                for id in inc.base().node_ids() {
+                    assert_eq!(inc.value_words(id), rows[id.index()], "rollback changed {id}");
+                }
             }
-            current = mutated;
         }
     });
 }

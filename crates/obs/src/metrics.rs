@@ -90,10 +90,11 @@ pub static SIM_EVP_GLITCHES: ShardedCounter = ShardedCounter::new();
 
 // --- Incremental (dirty-cone) re-simulation --------------------------------
 
-/// Full time-packed recordings taken by `IncrementalSim::record`.
+/// Full recordings taken by `IncrementalSim::record` and
+/// `IncrementalTimedSim::record`.
 pub static SIM_INC_RECORDS: Counter = Counter::new();
-/// Dirty-cone re-simulations answered from the cache
-/// (`IncrementalSim::resim`).
+/// Dirty-cone re-simulations answered from the cache (an edit session's
+/// `resim_into`).
 pub static SIM_INC_RESIMS: Counter = Counter::new();
 /// Nodes re-evaluated across all dirty cones.
 pub static SIM_INC_CONE_NODES: Counter = Counter::new();

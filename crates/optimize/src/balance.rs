@@ -9,7 +9,8 @@
 //! but without touching the clock discipline.
 
 use hlpower_netlist::{
-    GateKind, IncrementalTimedSim, Library, Netlist, NetlistEditor, NetlistError, NodeKind,
+    GateKind, IncrementalTimedSim, Library, Netlist, NetlistError, NodeKind, ResimScratch,
+    TimedConeResim,
 };
 use hlpower_obs::metrics as obs;
 
@@ -56,16 +57,17 @@ impl Default for BalanceOptions {
     }
 }
 
-/// Pads early-arriving fanins of glitchy gates with buffer chains,
-/// in place via [`NetlistEditor`]: buffers are appended and the lagging
+/// Pads early-arriving fanins of glitchy gates with buffer chains, in
+/// place through an edit session on the baseline recording
+/// ([`IncrementalTimedSim::edit`]): buffers are appended and the lagging
 /// pins rewired, so node ids of the original survive into the result.
 /// Only gates whose output glitched at least `min_glitches` times in the
 /// profiling stream are touched, so quiet logic does not pay buffer
 /// overhead.
 ///
 /// The balanced variant is scored by a dirty-cone timed replay against
-/// the baseline recording ([`IncrementalTimedSim::resim`]), which is
-/// bit-identical to re-simulating the mutated netlist from scratch.
+/// the baseline recording, which is bit-identical to re-simulating the
+/// edited netlist from scratch, and then committed.
 ///
 /// # Errors
 ///
@@ -82,14 +84,13 @@ pub fn balance_paths(
 
     // Record the baseline once: power, glitch profile, and the cached
     // waveforms every candidate replay reads.
-    let inc = IncrementalTimedSim::record(netlist, lib, stream)?;
+    let mut inc = IncrementalTimedSim::record(netlist, lib, stream)?;
     let timed = inc.activity();
     let baseline_uw = timed.power(netlist, lib).total_power_uw();
     let glitch_fraction_before = timed.glitch_fraction()?;
 
     // Pad lagging fanins in place.
-    let mut out = netlist.clone();
-    let mut ed = NetlistEditor::begin(&mut out);
+    let mut ed = inc.edit();
     let mut buffers_added = 0usize;
     for id in netlist.node_ids() {
         let NodeKind::Gate { inputs, .. } = netlist.kind(id) else { continue };
@@ -113,23 +114,23 @@ pub fn balance_paths(
             }
         }
     }
-    let changed = ed.changed().to_vec();
-    ed.finish();
 
     // Score the candidate: replay only the forward cone of the rewired
     // gates and the appended buffers against the recorded waveforms.
-    let resim = inc.resim(&out, &changed)?;
+    let mut resim = TimedConeResim::default();
+    ed.resim_into(&mut ResimScratch::default(), &mut resim)?;
     obs::OPT_CANDIDATES_EVALUATED.inc();
     obs::OPT_CONE_SIZE.record(resim.cone.len() as u64);
     obs::OPT_RESIM_WORDS.add(resim.words_replayed());
-    let balanced_uw = resim.activity.power(&out, lib).total_power_uw();
+    let balanced_uw = resim.activity.power(ed.netlist(), lib).total_power_uw();
     if balanced_uw < baseline_uw {
         obs::OPT_CANDIDATES_ACCEPTED.inc();
     }
+    ed.commit(&resim);
     Ok(BalanceOutcome {
         balanced_uw,
         glitch_fraction_after: resim.activity.glitch_fraction()?,
-        netlist: out,
+        netlist: inc.into_base(),
         buffers_added,
         baseline_uw,
         glitch_fraction_before,

@@ -191,39 +191,40 @@ fn synth_architecture(
 }
 
 /// Expresses a candidate's architecture as an in-place edit of the
-/// template: the new predictor pair is appended over the raw inputs,
-/// `fire` and the g1 register feed are rewired onto it, and the
-/// template's old predictor gates are tied to a constant so they stop
-/// toggling (dead logic costs no dynamic power). Returns the
-/// changed-gate set for [`IncrementalSim::resim_into`].
+/// template through `ed` (an editor on the template): the new predictor
+/// pair is appended over the raw inputs, `fire` and the g1 register feed
+/// are rewired onto it, and the template's old predictor gates are tied
+/// to a constant so they stop toggling (dead logic costs no dynamic
+/// power).
 fn swap_predictor(
-    arch: &mut Netlist,
+    ed: &mut NetlistEditor<'_>,
     handles: &ArchHandles,
     m: &BddManager,
     g1: BddRef,
     g0: BddRef,
-) -> Result<Vec<NodeId>, NetlistError> {
-    // Appends are rollback-safe arena growth; they happen outside the
-    // editor session so the BDD synthesizer can borrow the netlist.
-    let g1_node = arch.with_group("predictor", |nl| bdd_to_mux_netlist(m, g1, &handles.raw, nl));
-    let g0_node = arch.with_group("predictor", |nl| bdd_to_mux_netlist(m, g0, &handles.raw, nl));
-    let tie = arch.constant(false);
+) -> Result<(), NetlistError> {
+    // The BDD synthesizer builds on a `&mut Netlist`, so the new
+    // predictor is appended through the editor's append-only entry point
+    // and rolls back with the session.
+    let (g1_node, g0_node, tie) = ed.append(|nl| {
+        let g1_node = nl.with_group("predictor", |nl| bdd_to_mux_netlist(m, g1, &handles.raw, nl));
+        let g0_node = nl.with_group("predictor", |nl| bdd_to_mux_netlist(m, g0, &handles.raw, nl));
+        (g1_node, g0_node, nl.constant(false))
+    });
     let (p_start, p_end) = handles.predictor;
+    let arch = ed.netlist();
     let old_gates: Vec<NodeId> = arch
         .node_ids()
         .skip(p_start)
         .take(p_end - p_start)
         .filter(|&id| matches!(arch.kind(id), NodeKind::Gate { .. }))
         .collect();
-    let mut ed = NetlistEditor::begin(arch);
     ed.replace_gate(handles.fire, GateKind::Or, [g1_node, g0_node])?;
     ed.replace_gate(handles.g1_buf, GateKind::Buf, [g1_node])?;
     for &id in &old_gates {
         ed.replace_gate(id, GateKind::Buf, [tie])?;
     }
-    let changed = ed.changed().to_vec();
-    ed.finish();
-    Ok(changed)
+    Ok(())
 }
 
 /// Measured outcome of a precomputation transform.
@@ -280,10 +281,10 @@ impl PrecomputeSearchOutcome {
 /// picks the cheapest — the Fig. 1 estimate/transform/re-estimate loop
 /// run incrementally. The baseline and the top candidate's architecture
 /// are each recorded once ([`IncrementalSim::record`]); every further
-/// candidate is an in-place predictor swap on the template
-/// (an editor-journaled predictor swap) scored by dirty-cone replay,
-/// bit-identical to
-/// recording its netlist from scratch.
+/// candidate is a predictor swap made in an edit session on the
+/// template's recording ([`IncrementalSim::edit`]), scored by dirty-cone
+/// replay — bit-identical to recording its netlist from scratch — and
+/// rolled back.
 ///
 /// # Errors
 ///
@@ -319,7 +320,7 @@ pub fn search(
     let f = roots[0];
     let (g1, g0) = predictors(&mut m, f, n, &ranked[0].subset);
     let (tpl, handles) = synth_architecture(block, &m, g1, g0);
-    let inc = IncrementalSim::record(&tpl, stream)?;
+    let mut inc = IncrementalSim::record(&tpl, stream)?;
     obs::OPT_CANDIDATES_EVALUATED.inc();
     let mut scored = Vec::with_capacity(take);
     scored.push(ScoredCandidate {
@@ -332,16 +333,17 @@ pub fn search(
     let mut resim = ConeResim::default();
     for cand in ranked.iter().take(take).skip(1) {
         let (g1, g0) = predictors(&mut m, f, n, &cand.subset);
-        let mut swapped = tpl.clone();
-        let changed = swap_predictor(&mut swapped, &handles, &m, g1, g0)?;
-        inc.resim_into(&swapped, &changed, &mut scratch, &mut resim)?;
+        let mut swapped = inc.edit();
+        swap_predictor(&mut swapped, &handles, &m, g1, g0)?;
+        swapped.resim_into(&mut scratch, &mut resim)?;
         obs::OPT_CANDIDATES_EVALUATED.inc();
         obs::OPT_CONE_SIZE.record(resim.cone.len() as u64);
         obs::OPT_RESIM_WORDS.add(resim.words_replayed());
         scored.push(ScoredCandidate {
             candidate: cand.clone(),
-            optimized_uw: resim.activity.power(&swapped, lib).total_power_uw(),
+            optimized_uw: resim.activity.power(swapped.netlist(), lib).total_power_uw(),
         });
+        swapped.rollback();
     }
     let best = scored
         .iter()
@@ -481,7 +483,9 @@ mod tests {
             } else {
                 let (g1, g0) = predictors(&mut m, f, n, &sc.candidate.subset);
                 let mut sw = tpl.clone();
-                swap_predictor(&mut sw, &handles, &m, g1, g0).unwrap();
+                let mut ed = NetlistEditor::begin(&mut sw);
+                swap_predictor(&mut ed, &handles, &m, g1, g0).unwrap();
+                ed.finish();
                 sw
             };
             let full = IncrementalSim::record(&nl, &stream).unwrap();
@@ -507,7 +511,9 @@ mod tests {
         let (tpl, handles) = synth_architecture(&block, &m, g1, g0);
         let (g1b, g0b) = predictors(&mut m, f, n, &ranked[1].subset);
         let mut sw = tpl.clone();
-        swap_predictor(&mut sw, &handles, &m, g1b, g0b).unwrap();
+        let mut ed = NetlistEditor::begin(&mut sw);
+        swap_predictor(&mut ed, &handles, &m, g1b, g0b).unwrap();
+        ed.finish();
 
         let stream: Vec<Vec<bool>> = streams::random(12, 6).take(200).collect();
         let mut ref_sim = ZeroDelaySim::new(&block).unwrap();

@@ -121,21 +121,19 @@ impl RetimeOutcome {
     }
 }
 
-/// Applies the threshold cut *in place* on `cut` (a clone of `base`):
-/// every gate edge crossing `threshold_ps` is rewired through a register
-/// and every output arriving below the threshold is rebound to a boundary
-/// register, one shared register per source node — the same discipline as
-/// [`pipeline_cut`], expressed as a [`NetlistEditor`] mutation so the
-/// original node ids survive and the candidate can be scored by
-/// dirty-cone timed replay. Returns the changed-gate set for
-/// [`IncrementalTimedSim::resim_into`].
+/// Applies the threshold cut of `base` *in place* through `ed` (an editor
+/// on a netlist equal to `base`): every gate edge crossing `threshold_ps`
+/// is rewired through a register and every output arriving below the
+/// threshold is rebound to a boundary register, one shared register per
+/// source node — the same discipline as [`pipeline_cut`], expressed as a
+/// [`NetlistEditor`] mutation so the original node ids survive and the
+/// candidate can be scored by dirty-cone timed replay.
 fn apply_cut_in_place(
     base: &Netlist,
     arrivals: &[f64],
     threshold_ps: f64,
-    cut: &mut Netlist,
-) -> Result<Vec<NodeId>, NetlistError> {
-    let mut ed = NetlistEditor::begin(cut);
+    ed: &mut NetlistEditor<'_>,
+) -> Result<(), NetlistError> {
     let mut registered: HashMap<NodeId, NodeId> = HashMap::new();
     let mut reg_of = |src: NodeId, ed: &mut NetlistEditor| -> Result<NodeId, NetlistError> {
         if let Some(&r) = registered.get(&src) {
@@ -150,20 +148,18 @@ fn apply_cut_in_place(
         let a_dst = arrivals[id.index()];
         for (pin, &src) in inputs.iter().enumerate() {
             if arrivals[src.index()] < threshold_ps && a_dst >= threshold_ps {
-                let r = reg_of(src, &mut ed)?;
+                let r = reg_of(src, ed)?;
                 ed.rewire_input(id, pin, r)?;
             }
         }
     }
     for (idx, (_, o)) in base.outputs().iter().enumerate() {
         if arrivals[o.index()] < threshold_ps {
-            let r = reg_of(*o, &mut ed)?;
+            let r = reg_of(*o, ed)?;
             ed.rebind_output(idx, r)?;
         }
     }
-    let changed = ed.changed().to_vec();
-    ed.finish();
-    Ok(changed)
+    Ok(())
 }
 
 /// Searches arrival-time thresholds for the minimum-power pipeline cut
@@ -175,10 +171,10 @@ fn apply_cut_in_place(
 /// registers sit — exactly Fig. 9's point.
 ///
 /// Each probed threshold is expressed as an in-place register-insertion
-/// edit of the profiled circuit, and only the forward cone of the rewired
-/// gates and appended registers is replayed — the baseline waveforms of
-/// everything upstream are reused from a single event-driven
-/// [`IncrementalTimedSim`] recording.
+/// edit session on the profiled circuit, and only the forward cone of the
+/// rewired gates and appended registers is replayed — the baseline
+/// waveforms of everything upstream are reused from a single event-driven
+/// [`IncrementalTimedSim`] recording — before the session rolls back.
 ///
 /// # Errors
 ///
@@ -193,34 +189,33 @@ pub fn low_power_retime(
     let arrivals = netlist.arrival_times_ps(lib)?;
     // Record the unregistered circuit once; every threshold candidate is
     // scored by replaying only its dirty cone against this recording.
-    let inc = IncrementalTimedSim::record(netlist, lib, stream)?;
+    let mut inc = IncrementalTimedSim::record(netlist, lib, stream)?;
     let baseline_glitch_fraction = inc.activity().glitch_fraction()?;
 
     let mut scratch = ResimScratch::default();
     let mut resim = TimedConeResim::default();
-    let score = |threshold: f64,
-                 scratch: &mut ResimScratch,
-                 resim: &mut TimedConeResim|
-     -> Result<f64, NetlistError> {
-        let mut cut = netlist.clone();
-        let changed = apply_cut_in_place(netlist, &arrivals, threshold, &mut cut)?;
-        inc.resim_into(&cut, &changed, scratch, resim)?;
+    let mut score = |threshold: f64| -> Result<f64, NetlistError> {
+        let mut cut = inc.edit();
+        apply_cut_in_place(netlist, &arrivals, threshold, &mut cut)?;
+        cut.resim_into(&mut scratch, &mut resim)?;
         obs::OPT_CANDIDATES_EVALUATED.inc();
         obs::OPT_CONE_SIZE.record(resim.cone.len() as u64);
         obs::OPT_RESIM_WORDS.add(resim.words_replayed());
-        Ok(resim.activity.power(&cut, lib).total_power_uw())
+        let uw = resim.activity.power(cut.netlist(), lib).total_power_uw();
+        cut.rollback();
+        Ok(uw)
     };
 
     // Baseline: the cut above the critical path registers nothing
     // mid-cone; outputs get registered by the boundary rule only if below
     // threshold — which they all are, so this is the output-registered
     // baseline.
-    let baseline_uw = score(max_arrival + 1.0, &mut scratch, &mut resim)?;
+    let baseline_uw = score(max_arrival + 1.0)?;
     let mut sweep = Vec::with_capacity(probes);
     let mut best = (max_arrival + 1.0, baseline_uw);
     for i in 1..=probes {
         let threshold = max_arrival * i as f64 / (probes + 1) as f64;
-        let uw = score(threshold, &mut scratch, &mut resim)?;
+        let uw = score(threshold)?;
         sweep.push((threshold, uw));
         if uw < best.1 {
             obs::OPT_CANDIDATES_ACCEPTED.inc();
@@ -325,7 +320,9 @@ mod tests {
             let t = max * frac;
             let rebuilt = pipeline_cut(&nl, &lib, t).unwrap();
             let mut inplace = nl.clone();
-            apply_cut_in_place(&nl, &arrivals, t, &mut inplace).unwrap();
+            let mut ed = NetlistEditor::begin(&mut inplace);
+            apply_cut_in_place(&nl, &arrivals, t, &mut ed).unwrap();
+            ed.finish();
             let mut s1 = ZeroDelaySim::new(&rebuilt).unwrap();
             let mut s2 = ZeroDelaySim::new(&inplace).unwrap();
             for v in streams::random(7, 8).take(50) {
@@ -347,7 +344,9 @@ mod tests {
         let arrivals = nl.arrival_times_ps(&lib).unwrap();
         let check = |threshold: f64, uw: f64| {
             let mut cut = nl.clone();
-            apply_cut_in_place(&nl, &arrivals, threshold, &mut cut).unwrap();
+            let mut ed = NetlistEditor::begin(&mut cut);
+            apply_cut_in_place(&nl, &arrivals, threshold, &mut ed).unwrap();
+            ed.finish();
             let full = IncrementalTimedSim::record(&cut, &lib, &stream).unwrap();
             assert_eq!(
                 uw.to_bits(),

@@ -8,11 +8,11 @@
 //! function) by re-simulating the recorded profiling stream, which is
 //! affordable because [`IncrementalSim`] re-evaluates only the dirty cone
 //! of the touched gates against cached fan-in words. Each candidate is
-//! edited in place through a [`NetlistEditor`]: a rejected one is rolled
-//! back, an accepted one is folded into the cache with
-//! [`IncrementalSim::commit`], so a full netlist replay never happens
-//! after the initial recording. The attribution profile is computed once,
-//! for the final netlist.
+//! edited in place on the simulator's own netlist through an edit
+//! session ([`IncrementalSim::edit`]): a rejected one is rolled back, an
+//! accepted one is committed into the cache, so neither a full netlist
+//! replay nor a netlist copy ever happens after the initial recording.
+//! The attribution profile is computed once, for the final netlist.
 //!
 //! The power model sees two effects from these rules:
 //!
@@ -288,8 +288,9 @@ fn plan(
 /// Greedily applies power-saving local rewrites to a combinational
 /// netlist, scoring every candidate exactly over the profiling `stream`
 /// via dirty-cone incremental re-simulation. Candidates are edited in
-/// place through a [`NetlistEditor`] and rolled back when rejected; the
-/// attribution is computed once, for the final netlist.
+/// place through an [`IncrementalSim::edit`] session on the recording's
+/// own netlist and rolled back when rejected; the attribution is computed
+/// once, for the final netlist.
 ///
 /// Node ids are stable: bypassed gates are tied to constants rather than
 /// removed, so downstream tooling (attribution, diffing) can line the
@@ -313,8 +314,7 @@ pub fn rewrite_gates(
         return Err(NetlistError::NotCombinational { dffs: netlist.dffs().len() });
     }
     let mut inc = IncrementalSim::record(netlist, stream)?;
-    let mut current = netlist.clone();
-    let baseline_uw = inc.activity().power(&current, lib).total_power_uw();
+    let baseline_uw = inc.activity().power(netlist, lib).total_power_uw();
     let mut current_uw = baseline_uw;
     let mut steps = Vec::new();
     let mut candidates_tried = 0usize;
@@ -324,10 +324,10 @@ pub fn rewrite_gates(
     let mut resim = ConeResim::default();
     for _pass in 0..opts.max_passes {
         let mut progressed = false;
-        for (rule, node) in find_candidates(&current, opts) {
-            let mut ed = NetlistEditor::begin(&mut current);
+        for (rule, node) in find_candidates(inc.base(), opts) {
+            let mut ed = inc.edit();
             let Some(swept) = plan(rule, node, &mut ed, opts)? else { continue };
-            inc.resim_into(ed.netlist(), ed.changed(), &mut scratch, &mut resim)?;
+            ed.resim_into(&mut scratch, &mut resim)?;
             candidates_tried += 1;
             cone_nodes_resimmed += resim.cone.len();
             obs::OPT_CANDIDATES_EVALUATED.inc();
@@ -338,7 +338,7 @@ pub fn rewrite_gates(
                 ed.rollback();
                 continue;
             }
-            ed.finish();
+            ed.commit(&resim);
             obs::OPT_CANDIDATES_ACCEPTED.inc();
             steps.push(RewriteStep {
                 node,
@@ -348,7 +348,6 @@ pub fn rewrite_gates(
                 after_uw,
                 cone_nodes: resim.cone.len(),
             });
-            inc.commit(&current, &resim);
             current_uw = after_uw;
             progressed = true;
         }
@@ -356,9 +355,9 @@ pub fn rewrite_gates(
             break;
         }
     }
-    let attribution = attribute(&current, lib, &inc.activity());
+    let attribution = attribute(inc.base(), lib, &inc.activity());
     Ok(RewriteOutcome {
-        netlist: current,
+        netlist: inc.into_base(),
         steps,
         baseline_uw,
         optimized_uw: current_uw,
