@@ -1,36 +1,20 @@
-//! The dirty-cone core shared by both incremental simulators.
-//!
-//! [`crate::IncrementalSim`] (zero-delay) and
-//! [`crate::IncrementalTimedSim`] (transport delay, glitches) differ only
-//! in how they *replay* a dirty cone. Everything around the replay lives
-//! here, once:
+//! The time-packed trajectory and the dirty-cone front end of
+//! [`crate::IncrementalSim`].
 //!
 //! * [`Trajectory`] — every node's settled per-cycle value, bit-packed 64
 //!   cycles per `u64` word (flip-flop rows are the register-boundary
-//!   snapshots; bits past the last vector are zero), with the row diff,
-//!   the toggle word and the commit-time row splice.
-//!   [`Trajectory::record`] is the one place a stimulus stream is
-//!   time-packed. [`crate::IncrementalSim::record`] (and through it the
-//!   estimate crate's macro-model harness) and the packed
-//!   [`crate::timed_activity`] driver (its stable-state reference) call
-//!   it. The resim front end lives here too: the fanout CSR and
-//!   topological order of the edited netlist, the forward closure that is
-//!   the dirty cone, and the back end that diffs the replayed rows and
-//!   bumps the `sim_incremental` counters;
-//! * [`ResimScratch`] — the reusable working memory of both replays;
-//! * [`EditSession`] — the one way to edit a recorded netlist. Each
-//!   simulator owns the netlist it recorded and hands out sessions whose
-//!   [`NetlistEditor`] journal is the change set, so the cone builder
-//!   needs no preconditions: every edit it can see is declared.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::fmt::Debug;
-use std::ops::{Deref, DerefMut};
+//!   snapshots; bits past the last vector are zero), with the toggle word
+//!   and the commit-time row splice. [`Trajectory::record`] is the one
+//!   place a stimulus stream is time-packed.
+//!   [`crate::IncrementalSim::record`] (and through it the estimate
+//!   crate's macro-model harness) and the packed [`crate::timed_activity`]
+//!   driver (its stable-state reference) call it. The resim front end
+//!   lives here too: the fanout CSR and topological order of the edited
+//!   netlist and the forward closure that is the dirty cone;
+//! * [`ResimScratch`] — the reusable working memory of a resim.
 
 use hlpower_obs::metrics as obs;
 
-use crate::editor::NetlistEditor;
 use crate::error::NetlistError;
 use crate::netlist::{Netlist, NodeId, TopoScratch};
 use crate::sim::ZeroDelaySim;
@@ -230,27 +214,6 @@ impl Trajectory {
         Ok(())
     }
 
-    /// Resim back end, after the replay filled `updates`: collects the
-    /// cone nodes whose rows differ from the recording (appended nodes
-    /// always count: they had no prior value) into `changed_values`, and
-    /// records the resim in the metrics registry.
-    pub(crate) fn finish(
-        &self,
-        netlist: &Netlist,
-        cone: &[NodeId],
-        updates: &[u64],
-        changed_values: &mut Vec<NodeId>,
-    ) {
-        let n_base = self.nodes();
-        changed_values.clear();
-        changed_values.extend(cone.iter().zip(updates.chunks(self.blocks)).filter_map(
-            |(&id, new)| (id.index() >= n_base || self.row(id.index()) != new).then_some(id),
-        ));
-        obs::SIM_INC_RESIMS.inc();
-        obs::SIM_INC_CONE_NODES.add(cone.len() as u64);
-        obs::SIM_INC_REUSED_NODES.add((netlist.node_count() - cone.len()) as u64);
-    }
-
     /// Folds a committed edit of `nodes` nodes in: the replayed rows of
     /// the cone replace the stale ones and appended nodes get new rows.
     pub(crate) fn splice(&mut self, nodes: usize, cone: &[NodeId], updates: &[u64]) {
@@ -262,127 +225,26 @@ impl Trajectory {
     }
 }
 
-/// Reusable working memory for [`EditSession::resim_into`]. One scratch
-/// serves any number of candidates (and any number of netlists, timed or
-/// not); every buffer is cleared and refilled in place, so a candidate
-/// search allocates nothing once the buffers have grown to the netlist's
-/// size — rejected candidates leave no garbage behind.
+/// Reusable working memory for
+/// [`EditSession::resim_into`](crate::EditSession::resim_into). One
+/// scratch serves any number of candidates (and any number of netlists);
+/// every buffer is cleared and refilled in place, so a candidate search
+/// allocates nothing once the buffers have grown to the netlist's size —
+/// rejected candidates leave no garbage behind.
 #[derive(Debug, Clone, Default)]
 pub struct ResimScratch {
     /// Membership flags for the dirty cone.
-    pub(crate) in_cone: Vec<bool>,
+    in_cone: Vec<bool>,
     /// DFS stack for the forward closure (node indices).
     stack: Vec<u32>,
     /// Node index -> cone index, `usize::MAX` outside the cone.
     pub(crate) update_of: Vec<usize>,
     /// Fanout CSR and topological order of the edited netlist.
-    pub(crate) topo: TopoScratch,
-    /// Per-cycle cone state of both replays: current values and the
-    /// values cone registers present at the next clock edge.
+    topo: TopoScratch,
+    /// Per-cycle cone state of the register-dirty replay: current values
+    /// and the values cone registers present at the next clock edge.
     pub(crate) cur: Vec<bool>,
     pub(crate) dff_next: Vec<bool>,
-    /// Timed replay only: the cone's direct out-of-cone fan-ins, whose
-    /// recorded waveforms are played back.
-    pub(crate) boundary: Vec<u32>,
-    /// Node index -> boundary index, `usize::MAX` elsewhere.
-    pub(crate) b_index: Vec<usize>,
-    /// Current boundary values during timed replay.
-    pub(crate) bvals: Vec<bool>,
-    /// Per-boundary-node cursor into its recorded waveform.
-    pub(crate) cursors: Vec<usize>,
-    /// Last settled cone values (functional-transition reference).
-    pub(crate) settled: Vec<bool>,
-    /// Transport delay of each cone gate.
-    pub(crate) delays: Vec<u64>,
-    /// `(time, node)` event queue of the timed replay.
-    pub(crate) heap: BinaryHeap<Reverse<(u64, u32)>>,
-}
-
-/// What an incremental simulator caches besides its netlist: the replay
-/// behind [`EditSession::resim_into`] and the splice behind
-/// [`EditSession::commit`], with `Out` the simulator's resim outcome.
-pub(crate) trait Replay: Debug {
-    type Out;
-
-    /// Replays the dirty cone of `netlist` — the recorded netlist with
-    /// the `changed` gates rewired and nodes appended — into `out`.
-    fn resim(
-        &self,
-        netlist: &Netlist,
-        changed: &[NodeId],
-        scratch: &mut ResimScratch,
-        out: &mut Self::Out,
-    ) -> Result<(), NetlistError>;
-
-    /// Folds `out`, a resim of `netlist`, into the cache.
-    fn commit(&mut self, netlist: &Netlist, out: &Self::Out);
-}
-
-/// An edit session on an incremental simulator's recorded netlist, from
-/// [`IncrementalSim::edit`](crate::IncrementalSim::edit) (`O` is
-/// [`ConeResim`](crate::ConeResim)) or
-/// [`IncrementalTimedSim::edit`](crate::IncrementalTimedSim::edit) (`O`
-/// is [`TimedConeResim`](crate::TimedConeResim)): a [`NetlistEditor`] on
-/// that netlist — every editor method is available through `Deref` —
-/// plus the recording it is scored against. End it with
-/// [`commit`](Self::commit) or [`rollback`](Self::rollback); dropping it
-/// rolls back.
-#[derive(Debug)]
-pub struct EditSession<'a, O> {
-    ed: NetlistEditor<'a>,
-    rec: &'a mut dyn Replay<Out = O>,
-}
-
-impl<'a, O> EditSession<'a, O> {
-    pub(crate) fn new(netlist: &'a mut Netlist, rec: &'a mut dyn Replay<Out = O>) -> Self {
-        EditSession { ed: NetlistEditor::begin(netlist), rec }
-    }
-
-    /// Re-simulates the session's edits over the recorded stream by
-    /// replaying only the dirty cone: the forward closure of the rewired
-    /// gates plus any appended nodes (through register boundaries — a
-    /// flip-flop whose D input is dirty dirties its own Q trajectory and
-    /// everything reading it). Untouched nodes reuse their cached rows
-    /// verbatim. Results land in `out`, working memory in `scratch`; both
-    /// are reused across calls, so a rejected candidate costs no
-    /// allocation once the buffers are warm.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::CombinationalCycle`] if the edits
-    /// introduced a cycle.
-    pub fn resim_into(&self, scratch: &mut ResimScratch, out: &mut O) -> Result<(), NetlistError> {
-        self.rec.resim(self.ed.netlist(), self.ed.changed(), scratch, out)
-    }
-
-    /// Keeps the session's edits and folds `out` into the recording —
-    /// the cone's rows are spliced in `O(cone)` and nothing is cloned —
-    /// so the next session builds on them. `out` must be this session's
-    /// latest [`resim_into`](Self::resim_into) result; it is borrowed, so
-    /// a search loop can keep reusing the same buffer.
-    pub fn commit(self, out: &O) {
-        self.rec.commit(self.ed.netlist(), out);
-        self.ed.finish();
-    }
-
-    /// Undoes the session's edits in place; the recording is untouched.
-    pub fn rollback(self) {
-        self.ed.rollback();
-    }
-}
-
-impl<'a, O> Deref for EditSession<'a, O> {
-    type Target = NetlistEditor<'a>;
-
-    fn deref(&self) -> &NetlistEditor<'a> {
-        &self.ed
-    }
-}
-
-impl<'a, O> DerefMut for EditSession<'a, O> {
-    fn deref_mut(&mut self) -> &mut NetlistEditor<'a> {
-        &mut self.ed
-    }
 }
 
 #[cfg(test)]

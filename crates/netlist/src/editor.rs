@@ -6,9 +6,10 @@
 //! edit *in place*, records exactly what it changed, and can
 //! [`rollback`](NetlistEditor::rollback) a rejected candidate in
 //! `O(edit)` — the mutation-safe core of the incremental optimization
-//! loop. The incremental simulators hand one out per candidate
-//! ([`IncrementalSim::edit`], [`IncrementalTimedSim::edit`]) over the
-//! netlist they recorded, and read its journal as the change set.
+//! loop. The incremental simulator hands one out per candidate
+//! ([`IncrementalSim::edit`]) over the netlist it recorded, and reads its
+//! journal as the change set; the glitch-aware passes edit a working copy
+//! through one directly and score it with [`crate::timed_activity`].
 //!
 //! Invariants the editor enforces at each operation:
 //!
@@ -27,7 +28,6 @@
 //! [`NetlistError::CombinationalCycle`].
 //!
 //! [`IncrementalSim::edit`]: crate::IncrementalSim::edit
-//! [`IncrementalTimedSim::edit`]: crate::IncrementalTimedSim::edit
 
 use crate::error::NetlistError;
 use crate::library::GateKind;

@@ -18,7 +18,7 @@ use std::collections::BinaryHeap;
 use hlpower_obs::metrics as obs;
 
 use crate::error::NetlistError;
-use crate::library::{GateKind, Library};
+use crate::library::Library;
 use crate::netlist::{Netlist, NodeId, NodeKind};
 use crate::power::PowerReport;
 use crate::sim::Activity;
@@ -135,19 +135,16 @@ impl TimedActivity {
     }
 }
 
-/// Transport delay of a `kind` gate with `fanins` input pins, rounded to
-/// whole picoseconds and at least 1 (an event never reschedules at its own
-/// timestamp).
-pub(crate) fn transport_delay_ps(lib: &Library, kind: GateKind, fanins: usize) -> u64 {
-    lib.gate_delay_ps(kind, fanins).round().max(1.0) as u64
-}
-
-/// Per-gate transport delays derived from a library (0 for non-gates).
+/// Per-gate transport delays derived from a library (0 for non-gates):
+/// each gate's delay rounded to whole picoseconds and at least 1 (an
+/// event never reschedules at its own timestamp).
 pub(crate) fn gate_delays_ps(netlist: &Netlist, lib: &Library) -> Vec<u64> {
     netlist
         .node_ids()
         .map(|id| match netlist.kind(id) {
-            NodeKind::Gate { kind, inputs } => transport_delay_ps(lib, *kind, inputs.len()),
+            NodeKind::Gate { kind, inputs } => {
+                lib.gate_delay_ps(*kind, inputs.len()).round().max(1.0) as u64
+            }
             _ => 0,
         })
         .collect()
@@ -231,34 +228,6 @@ impl<'a> EventDrivenSim<'a> {
     /// Returns [`NetlistError::InputWidthMismatch`] if `inputs` does not
     /// have one bit per primary input.
     pub fn step(&mut self, inputs: &[bool]) -> Result<(), NetlistError> {
-        self.step_inner(inputs, None)
-    }
-
-    /// [`step`](Self::step) plus an event trace: appends one `(time_ps,
-    /// node)` entry per actual value flip this cycle, in event order
-    /// (time-zero register/input flips first, then gate flips by
-    /// ascending timestamp). [`crate::IncrementalTimedSim`] records these
-    /// waveforms so dirty-cone replays can play back boundary events
-    /// without re-simulating the rest of the circuit.
-    pub(crate) fn step_traced(
-        &mut self,
-        inputs: &[bool],
-        trace: &mut Vec<(u64, u32)>,
-    ) -> Result<(), NetlistError> {
-        self.step_inner(inputs, Some(trace))
-    }
-
-    /// Settled node values after the last step (power-on settle before the
-    /// first), indexed by node.
-    pub(crate) fn values_raw(&self) -> &[bool] {
-        &self.values
-    }
-
-    fn step_inner(
-        &mut self,
-        inputs: &[bool],
-        mut trace: Option<&mut Vec<(u64, u32)>>,
-    ) -> Result<(), NetlistError> {
         if inputs.len() != self.netlist.input_count() {
             return Err(NetlistError::InputWidthMismatch {
                 got: inputs.len(),
@@ -273,18 +242,15 @@ impl<'a> EventDrivenSim<'a> {
         let mut scheduled = 0u64;
         let mut heap: BinaryHeap<Reverse<(u64, NodeId)>> = BinaryHeap::new();
         let nl = self.netlist;
-        // Flips `node` to `new` at time `t`: counts and traces the
-        // transition and schedules every gate reading `node` at `t` plus
-        // that gate's own delay.
+        // Flips `node` to `new` at time `t`: counts the transition and
+        // schedules every gate reading `node` at `t` plus that gate's own
+        // delay.
         macro_rules! flip {
             ($node:expr, $new:expr, $t:expr) => {
                 let (node, t) = ($node, $t);
                 self.values[node.index()] = $new;
                 if count {
                     self.toggles[node.index()] += 1;
-                }
-                if let Some(tr) = trace.as_deref_mut() {
-                    tr.push((t, node.index() as u32));
                 }
                 for &f in &self.fanouts[node.index()] {
                     if matches!(nl.kind(f), NodeKind::Gate { .. }) {

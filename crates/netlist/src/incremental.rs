@@ -11,10 +11,12 @@
 //! re-evaluating just the dirty cone against the cached fan-in words — no
 //! instruction-stream recompile, no replay of untouched nodes.
 //!
-//! This is the zero-delay replay over the dirty-cone core it shares with
-//! [`crate::IncrementalTimedSim`]: one settled trajectory, one cone
-//! builder (fanout CSR, topological sort, forward closure), one row diff
-//! and one commit splice. Only the replay below is this simulator's own.
+//! The settled trajectory and the cone builder (fanout CSR, topological
+//! sort, forward closure) live in the `cone` module. This is the one
+//! incremental simulator: the glitch-aware passes (`retime`, `balance`)
+//! score each candidate with one packed [`crate::timed_activity`] of the
+//! edited netlist, whose stable-state reference comes from the same
+//! trajectory recorder.
 //!
 //! Sequential circuits are supported through **per-cycle register-boundary
 //! snapshots**: the recording stores every flip-flop output's settled
@@ -30,10 +32,10 @@
 //! it is an [`EditSession`] from [`IncrementalSim::edit`]: a
 //! [`crate::NetlistEditor`] on that netlist whose journal is the change
 //! set. [`EditSession::resim_into`] fills a reusable [`ConeResim`] with
-//! the cone that was re-evaluated, the subset of nodes whose values
-//! actually changed, and a full [`Activity`] for the edited netlist that
-//! is **bit-identical** to a from-scratch recording (the in-tree property
-//! battery locks this in, together with the cone-superset invariant).
+//! the cone that was re-evaluated and a full [`Activity`] for the edited
+//! netlist that is **bit-identical** to a from-scratch recording (the
+//! in-tree property battery locks this in, together with the invariant
+//! that no node outside the cone changes value).
 //! [`EditSession::commit`] keeps the edit and splices the cone rows in
 //! `O(cone)`; [`EditSession::rollback`] (or dropping the session) undoes
 //! it in place. With a reusable [`ResimScratch`] + [`ConeResim`] pair,
@@ -41,9 +43,12 @@
 //! `optimize::rewrite` and the precompute search in the optimize crate
 //! are the canonical consumers.
 
+use std::ops::{Deref, DerefMut};
+
 use hlpower_obs::metrics as obs;
 
-use crate::cone::{refill, EditSession, Replay, ResimScratch, Trajectory};
+use crate::cone::{refill, ResimScratch, Trajectory};
+use crate::editor::NetlistEditor;
 use crate::error::NetlistError;
 use crate::library::GateKind;
 use crate::netlist::{Netlist, NodeId, NodeKind};
@@ -72,18 +77,14 @@ struct Cache {
 }
 
 /// The outcome of one dirty-cone re-simulation
-/// ([`EditSession::resim_into`]): which nodes were re-evaluated, which
-/// actually changed, and the edited netlist's full activity.
+/// ([`EditSession::resim_into`]): which nodes were re-evaluated and the
+/// edited netlist's full activity.
 #[derive(Debug, Clone, Default)]
 pub struct ConeResim {
     /// Every node that was re-evaluated (the rewired gates, all appended
     /// nodes, and their forward closure), in evaluation (topological)
-    /// order. Guaranteed to be a superset of
-    /// [`changed_values`](Self::changed_values).
+    /// order. No node outside it changes value.
     pub cone: Vec<NodeId>,
-    /// The cone nodes whose packed values differ from the cached base
-    /// recording (appended nodes always count: they had no prior value).
-    pub changed_values: Vec<NodeId>,
     /// Activity of the edited netlist over the recorded stream,
     /// bit-identical to a from-scratch [`IncrementalSim::record`] of it.
     pub activity: Activity,
@@ -144,8 +145,8 @@ impl IncrementalSim {
     }
 
     /// Starts an edit session on the recorded netlist.
-    pub fn edit(&mut self) -> EditSession<'_, ConeResim> {
-        EditSession::new(&mut self.netlist, &mut self.cache)
+    pub fn edit(&mut self) -> EditSession<'_> {
+        EditSession { ed: NetlistEditor::begin(&mut self.netlist), cache: &mut self.cache }
     }
 
     /// The netlist the cached recording corresponds to (updated by
@@ -193,20 +194,39 @@ impl IncrementalSim {
     }
 }
 
-impl Replay for Cache {
-    type Out = ConeResim;
+/// An edit session on an [`IncrementalSim`]'s recorded netlist, from
+/// [`IncrementalSim::edit`]: a [`NetlistEditor`] on that netlist — every
+/// editor method is available through `Deref` — plus the recording it is
+/// scored against. End it with [`commit`](Self::commit) or
+/// [`rollback`](Self::rollback); dropping it rolls back.
+#[derive(Debug)]
+pub struct EditSession<'a> {
+    ed: NetlistEditor<'a>,
+    cache: &'a mut Cache,
+}
 
-    /// The zero-delay replay: packed for a cone clear of the registers,
-    /// per cycle otherwise, then the toggle re-count.
-    fn resim(
+impl EditSession<'_> {
+    /// Re-simulates the session's edits over the recorded stream by
+    /// replaying only the dirty cone: the forward closure of the rewired
+    /// gates plus any appended nodes (through register boundaries — a
+    /// flip-flop whose D input is dirty dirties its own Q trajectory and
+    /// everything reading it). The cone replays packed when it is clear
+    /// of the registers and per cycle otherwise; untouched nodes reuse
+    /// their cached rows verbatim. Results land in `out`, working memory
+    /// in `scratch`; both are reused across calls, so a rejected
+    /// candidate costs no allocation once the buffers are warm.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::CombinationalCycle`] if the edits
+    /// introduced a cycle.
+    pub fn resim_into(
         &self,
-        netlist: &Netlist,
-        changed: &[NodeId],
         scratch: &mut ResimScratch,
         out: &mut ConeResim,
     ) -> Result<(), NetlistError> {
-        let traj = &self.traj;
-        traj.cone_into(netlist, changed, scratch, &mut out.cone, &mut out.updates)?;
+        let (netlist, traj) = (self.ed.netlist(), &self.cache.traj);
+        traj.cone_into(netlist, self.ed.changed(), scratch, &mut out.cone, &mut out.updates)?;
         let (cone, blocks) = (&out.cone, traj.blocks);
         if cone.iter().any(|&id| matches!(netlist.kind(id), NodeKind::Dff { .. })) {
             // A register is dirty: its Q trajectory shifts cycle by cycle,
@@ -218,10 +238,12 @@ impl Replay for Cache {
         } else {
             replay_packed(traj, netlist, cone, scratch, &mut out.updates);
         }
-        traj.finish(netlist, cone, &out.updates, &mut out.changed_values);
+        obs::SIM_INC_RESIMS.inc();
+        obs::SIM_INC_CONE_NODES.add(cone.len() as u64);
+        obs::SIM_INC_REUSED_NODES.add((netlist.node_count() - cone.len()) as u64);
         // Delta activity: untouched nodes keep their recorded toggle
         // counts, cone nodes are re-counted from their new words.
-        let toggles = &self.toggles;
+        let toggles = &self.cache.toggles;
         refill(&mut out.activity.toggles, netlist.node_count(), 0u64);
         out.activity.toggles[..toggles.len()].copy_from_slice(toggles);
         out.activity.cycles = (traj.n_vectors - 1) as u64;
@@ -231,13 +253,37 @@ impl Replay for Cache {
         Ok(())
     }
 
-    /// The re-evaluated words replace the stale ones and the re-counted
-    /// toggles the recorded ones.
-    fn commit(&mut self, netlist: &Netlist, resim: &ConeResim) {
-        let nodes = netlist.node_count();
-        debug_assert_eq!(resim.activity.toggles.len(), nodes, "resim is stale");
-        self.traj.splice(nodes, &resim.cone, &resim.updates);
-        self.toggles.clone_from(&resim.activity.toggles);
+    /// Keeps the session's edits and folds `out` into the recording —
+    /// the cone's re-evaluated rows replace the stale ones in `O(cone)`,
+    /// the re-counted toggles the recorded ones, and nothing is cloned —
+    /// so the next session builds on them. `out` must be this session's
+    /// latest [`resim_into`](Self::resim_into) result; it is borrowed, so
+    /// a search loop can keep reusing the same buffer.
+    pub fn commit(self, out: &ConeResim) {
+        let nodes = self.ed.netlist().node_count();
+        debug_assert_eq!(out.activity.toggles.len(), nodes, "resim is stale");
+        self.cache.traj.splice(nodes, &out.cone, &out.updates);
+        self.cache.toggles.clone_from(&out.activity.toggles);
+        self.ed.finish();
+    }
+
+    /// Undoes the session's edits in place; the recording is untouched.
+    pub fn rollback(self) {
+        self.ed.rollback();
+    }
+}
+
+impl<'a> Deref for EditSession<'a> {
+    type Target = NetlistEditor<'a>;
+
+    fn deref(&self) -> &NetlistEditor<'a> {
+        &self.ed
+    }
+}
+
+impl<'a> DerefMut for EditSession<'a> {
+    fn deref_mut(&mut self) -> &mut NetlistEditor<'a> {
+        &mut self.ed
     }
 }
 
@@ -384,7 +430,7 @@ mod tests {
     }
 
     /// Resims a session into fresh buffers.
-    fn resim(s: &EditSession<'_, ConeResim>) -> ConeResim {
+    fn resim(s: &EditSession<'_>) -> ConeResim {
         let mut out = ConeResim::default();
         s.resim_into(&mut ResimScratch::default(), &mut out).unwrap();
         out
@@ -450,6 +496,7 @@ mod tests {
         let nl = adder(5);
         let stream = stream_for(&nl, 3, 200);
         let mut inc = IncrementalSim::record(&nl, &stream).unwrap();
+        let rows: Vec<Vec<u64>> = nl.node_ids().map(|id| inc.value_words(id).to_vec()).collect();
         // Rewire the first 2-input XOR into an XNOR (a real functional
         // change) and check the dirty-cone result against a full rerecord.
         let target = nth_gate(&nl, GateKind::Xor, 0);
@@ -458,11 +505,14 @@ mod tests {
         let resim = resim(&s);
         let full = IncrementalSim::record(s.netlist(), &stream).unwrap();
         assert_eq!(resim.activity, full.activity());
-        // Cone covers everything that changed.
-        for &id in &resim.changed_values {
-            assert!(resim.cone.contains(&id));
+        // The target's row changed, and every row that changed is in the
+        // cone.
+        assert_ne!(full.value_words(target), rows[target.index()]);
+        for id in nl.node_ids() {
+            if full.value_words(id) != rows[id.index()] {
+                assert!(resim.cone.contains(&id), "{id} changed outside the cone");
+            }
         }
-        assert!(resim.changed_values.contains(&target));
         // Untouched siblings were not re-evaluated.
         assert!(resim.cone.len() < nl.node_count());
     }

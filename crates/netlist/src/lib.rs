@@ -44,7 +44,6 @@ mod error;
 mod event;
 pub mod gen;
 mod incremental;
-mod incremental_timed;
 pub mod ingest;
 pub mod io;
 mod library;
@@ -57,12 +56,11 @@ mod simwide;
 pub mod streams;
 pub mod words;
 
-pub use cone::{EditSession, ResimScratch};
+pub use cone::ResimScratch;
 pub use editor::NetlistEditor;
 pub use error::{NetlistError, SourceFormat, SrcLoc};
 pub use event::{EventDrivenSim, TimedActivity};
-pub use incremental::{ConeResim, IncrementalSim};
-pub use incremental_timed::{IncrementalTimedSim, TimedConeResim};
+pub use incremental::{ConeResim, EditSession, IncrementalSim};
 pub use ingest::{
     emit_verilog, emitted_net_names, ingest_auto, ingest_str, parse_edif, parse_verilog,
     sniff_format, structurally_equivalent,

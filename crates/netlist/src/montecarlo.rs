@@ -66,8 +66,9 @@ const WAVE: usize = 16;
 const WAVE_WORDS: usize = 4;
 
 /// The simulation kernel of every Monte-Carlo and glitch-aware consumer:
-/// the seeded engines, [`simulate_lanes`], [`crate::timed_activity`], and
-/// the `optimize` crate's `balance` and `retime` passes.
+/// the seeded engines, [`simulate_lanes`] and [`crate::timed_activity`]
+/// (through which the `optimize` crate's `balance` and `retime` passes
+/// score every candidate, at [`Auto`](Self::Auto)).
 ///
 /// Every kernel returns bit-identical results for the same inputs: batch
 /// `b` of a packed kernel is lane `b % lanes` of word `b / lanes`, fed by

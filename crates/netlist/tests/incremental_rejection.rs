@@ -1,14 +1,11 @@
-//! The incremental simulators' edit-session battery, run against both
-//! [`IncrementalSim`] and [`IncrementalTimedSim`]: they share one cone
-//! builder and one editor, so each case must behave the same way in
-//! both. A session reaches the recorded netlist only through its
-//! editor's journal, so the bad edits left are those the editor refuses
-//! per operation and a combinational cycle, which surfaces at
-//! `resim_into`.
+//! The incremental simulator's edit-session battery. A session reaches
+//! the recorded netlist only through its editor's journal, so the bad
+//! edits left are those the editor refuses per operation and a
+//! combinational cycle, which surfaces at `resim_into`.
 
 use hlpower_netlist::{
-    gen, streams, ConeResim, EditSession, GateKind, IncrementalSim, IncrementalTimedSim, Library,
-    Netlist, NetlistEditor, NetlistError, NodeId, NodeKind, ResimScratch, TimedConeResim,
+    gen, streams, ConeResim, EditSession, GateKind, IncrementalSim, Netlist, NetlistError, NodeId,
+    NodeKind, ResimScratch,
 };
 
 fn adder(bits: usize, registered: bool) -> Netlist {
@@ -26,11 +23,9 @@ fn adder(bits: usize, registered: bool) -> Netlist {
     nl
 }
 
-/// Both recordings of `nl` over one random stream.
-fn record(nl: &Netlist) -> (IncrementalSim, IncrementalTimedSim) {
-    let stream: Vec<Vec<bool>> = streams::random(5, nl.input_count()).take(70).collect();
-    let timed = IncrementalTimedSim::record(nl, &Library::default(), &stream).unwrap();
-    (IncrementalSim::record(nl, &stream).unwrap(), timed)
+/// The stream every case records over.
+fn stream(nl: &Netlist) -> Vec<Vec<bool>> {
+    streams::random(5, nl.input_count()).take(70).collect()
 }
 
 /// The first 2-input AND gate and its fanins.
@@ -46,13 +41,13 @@ fn first_and(nl: &Netlist) -> (NodeId, Vec<NodeId>) {
 }
 
 /// Resims a session into fresh buffers.
-fn resim<O: Default>(s: &EditSession<'_, O>) -> Result<O, NetlistError> {
-    let mut out = O::default();
+fn resim(s: &EditSession<'_>) -> Result<ConeResim, NetlistError> {
+    let mut out = ConeResim::default();
     s.resim_into(&mut ResimScratch::default(), &mut out).map(|()| out)
 }
 
 #[test]
-fn both_simulators_reject_every_bad_edit() {
+fn session_rejects_every_bad_edit() {
     let nl = adder(4, true);
     let (target, ins) = first_and(&nl);
     // The last gate sits in the top bit of the carry chain, downstream of
@@ -61,65 +56,52 @@ fn both_simulators_reject_every_bad_edit() {
         nl.node_ids().filter(|&id| matches!(nl.kind(id), NodeKind::Gate { .. })).last().unwrap();
     let ghost = nl.clone().input("ghost");
     let (input, q) = (nl.inputs()[0], nl.dffs()[0]);
-    let bad_edits = |ed: &mut NetlistEditor<'_>| {
-        for r in [
-            ed.replace_gate(target, GateKind::And, [input, ghost]),
-            ed.replace_gate(target, GateKind::And, [input, target]),
-            ed.replace_gate(input, GateKind::Not, [q]),
-            ed.rewire_input(q, 0, input),
-            ed.rebind_output(nl.outputs().len(), q),
-        ] {
-            assert!(matches!(r, Err(NetlistError::IncrementalMismatch { .. })), "{r:?}");
-        }
-        assert_eq!(ed.netlist(), &nl, "a refused edit changed the netlist");
-        ed.replace_gate(target, GateKind::And, [ins[0], last_gate]).unwrap();
-    };
-    let (mut untimed, mut timed) = record(&nl);
-    let mut s = untimed.edit();
-    bad_edits(&mut s);
+    let mut inc = IncrementalSim::record(&nl, &stream(&nl)).unwrap();
+    let mut s = inc.edit();
+    for r in [
+        s.replace_gate(target, GateKind::And, [input, ghost]),
+        s.replace_gate(target, GateKind::And, [input, target]),
+        s.replace_gate(input, GateKind::Not, [q]),
+        s.rewire_input(q, 0, input),
+        s.rebind_output(nl.outputs().len(), q),
+    ] {
+        assert!(matches!(r, Err(NetlistError::IncrementalMismatch { .. })), "{r:?}");
+    }
+    assert_eq!(s.netlist(), &nl, "a refused edit changed the netlist");
+    s.replace_gate(target, GateKind::And, [ins[0], last_gate]).unwrap();
     let r = resim(&s).map(drop);
     assert!(matches!(r, Err(NetlistError::CombinationalCycle { .. })), "{r:?}");
     drop(s);
-    let mut s = timed.edit();
-    bad_edits(&mut s);
-    let r = resim(&s).map(drop);
-    assert!(matches!(r, Err(NetlistError::CombinationalCycle { .. })), "{r:?}");
-    drop(s);
-    assert_eq!((untimed.base(), timed.base()), (&nl, &nl), "dropped sessions roll back");
+    assert_eq!(inc.base(), &nl, "a dropped session rolls back");
 }
 
 /// `edit → resim → rollback` leaves `base()`, `activity()` and every
-/// `value_words` row of both simulators exactly as recorded, on a
-/// combinational and a registered netlist.
+/// `value_words` row exactly as recorded, on a combinational and a
+/// registered netlist.
 #[test]
 fn rollback_leaves_both_recordings_as_recorded() {
     for registered in [false, true] {
         let nl = adder(4, registered);
+        let stream = stream(&nl);
         let (target, ins) = first_and(&nl);
-        // A function flip, a buffer on one pin and a register on the other.
-        let candidate = |ed: &mut NetlistEditor<'_>| {
-            ed.replace_gate(target, GateKind::Nand, ins.clone()).unwrap();
-            let buf = ed.insert_gate(GateKind::Buf, [ins[0]]).unwrap();
-            let q = ed.insert_dff(ins[1], true).unwrap();
-            ed.replace_gate(target, GateKind::Nand, [buf, q]).unwrap();
+        let rows = |inc: &IncrementalSim| {
+            nl.node_ids().map(|id| inc.value_words(id).to_vec()).collect::<Vec<_>>()
         };
-        let rows =
-            |words: &dyn Fn(NodeId) -> Vec<u64>| nl.node_ids().map(words).collect::<Vec<_>>();
-        let (mut untimed, mut timed) = record(&nl);
-        let before = (untimed.activity(), rows(&|id| untimed.value_words(id).to_vec()));
-        let mut s = untimed.edit();
-        candidate(&mut s);
-        assert!(!resim::<ConeResim>(&s).unwrap().changed_values.is_empty());
+        let mut inc = IncrementalSim::record(&nl, &stream).unwrap();
+        let before = (inc.activity(), rows(&inc));
+        let mut s = inc.edit();
+        // A function flip, a buffer on one pin and a register on the other.
+        s.replace_gate(target, GateKind::Nand, ins.clone()).unwrap();
+        let buf = s.insert_gate(GateKind::Buf, [ins[0]]).unwrap();
+        let q = s.insert_dff(ins[1], true).unwrap();
+        s.replace_gate(target, GateKind::Nand, [buf, q]).unwrap();
+        resim(&s).unwrap();
+        // The candidate is a real change: a full re-record of it differs
+        // from the recording on some row.
+        let full = IncrementalSim::record(s.netlist(), &stream).unwrap();
+        assert_ne!(rows(&full), before.1);
         s.rollback();
-        assert_eq!(untimed.base(), &nl);
-        assert_eq!((untimed.activity(), rows(&|id| untimed.value_words(id).to_vec())), before);
-
-        let before = (timed.activity(), rows(&|id| timed.value_words(id).to_vec()));
-        let mut s = timed.edit();
-        candidate(&mut s);
-        assert!(!resim::<TimedConeResim>(&s).unwrap().changed_values.is_empty());
-        s.rollback();
-        assert_eq!(timed.base(), &nl);
-        assert_eq!((timed.activity(), rows(&|id| timed.value_words(id).to_vec())), before);
+        assert_eq!(inc.base(), &nl);
+        assert_eq!((inc.activity(), rows(&inc)), before);
     }
 }

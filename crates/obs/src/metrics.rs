@@ -90,8 +90,7 @@ pub static SIM_EVP_GLITCHES: ShardedCounter = ShardedCounter::new();
 
 // --- Incremental (dirty-cone) re-simulation --------------------------------
 
-/// Full recordings taken by `IncrementalSim::record` and
-/// `IncrementalTimedSim::record`.
+/// Full recordings taken by `IncrementalSim::record`.
 pub static SIM_INC_RECORDS: Counter = Counter::new();
 /// Dirty-cone re-simulations answered from the cache (an edit session's
 /// `resim_into`).

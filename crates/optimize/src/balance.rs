@@ -9,8 +9,7 @@
 //! but without touching the clock discipline.
 
 use hlpower_netlist::{
-    GateKind, IncrementalTimedSim, Library, Netlist, NetlistError, NodeKind, ResimScratch,
-    TimedConeResim,
+    timed_activity, GateKind, Library, McKernel, Netlist, NetlistEditor, NetlistError, NodeKind,
 };
 use hlpower_obs::metrics as obs;
 
@@ -58,20 +57,20 @@ impl Default for BalanceOptions {
 }
 
 /// Pads early-arriving fanins of glitchy gates with buffer chains, in
-/// place through an edit session on the baseline recording
-/// ([`IncrementalTimedSim::edit`]): buffers are appended and the lagging
-/// pins rewired, so node ids of the original survive into the result.
-/// Only gates whose output glitched at least `min_glitches` times in the
-/// profiling stream are touched, so quiet logic does not pay buffer
-/// overhead.
+/// place through a [`NetlistEditor`] on a copy of `netlist`: buffers are
+/// appended and the lagging pins rewired, so node ids of the original
+/// survive into the result. Only gates whose output glitched at least
+/// `min_glitches` times in the profiling stream are touched, so quiet
+/// logic does not pay buffer overhead.
 ///
-/// The balanced variant is scored by a dirty-cone timed replay against
-/// the baseline recording, which is bit-identical to re-simulating the
-/// edited netlist from scratch, and then committed.
+/// The baseline and the balanced netlist are each scored by one packed
+/// [`timed_activity`], bit-identical to the scalar event-driven
+/// simulator.
 ///
 /// # Errors
 ///
-/// Returns a netlist error for cyclic circuits.
+/// Returns [`NetlistError::EmptyStream`] for an empty stream, or a
+/// netlist error for cyclic circuits or a bad vector width.
 pub fn balance_paths(
     netlist: &Netlist,
     lib: &Library,
@@ -81,16 +80,20 @@ pub fn balance_paths(
     let BalanceOptions { tolerance_ps, min_glitches, max_chain } = *opts;
     let arrivals = netlist.arrival_times_ps(lib)?;
     let buf_delay = lib.cell(GateKind::Buf).delay_ps;
+    // `timed_activity` answers an empty stream with an all-zero record,
+    // which would score every candidate as free.
+    if stream.is_empty() {
+        return Err(NetlistError::EmptyStream);
+    }
 
-    // Record the baseline once: power, glitch profile, and the cached
-    // waveforms every candidate replay reads.
-    let mut inc = IncrementalTimedSim::record(netlist, lib, stream)?;
-    let timed = inc.activity();
+    // Profile the baseline once: power and per-gate glitch counts.
+    let timed = timed_activity(netlist, lib, stream, McKernel::Auto)?;
     let baseline_uw = timed.power(netlist, lib).total_power_uw();
     let glitch_fraction_before = timed.glitch_fraction()?;
 
     // Pad lagging fanins in place.
-    let mut ed = inc.edit();
+    let mut balanced = netlist.clone();
+    let mut ed = NetlistEditor::begin(&mut balanced);
     let mut buffers_added = 0usize;
     for id in netlist.node_ids() {
         let NodeKind::Gate { inputs, .. } = netlist.kind(id) else { continue };
@@ -114,23 +117,18 @@ pub fn balance_paths(
             }
         }
     }
+    ed.finish();
 
-    // Score the candidate: replay only the forward cone of the rewired
-    // gates and the appended buffers against the recorded waveforms.
-    let mut resim = TimedConeResim::default();
-    ed.resim_into(&mut ResimScratch::default(), &mut resim)?;
+    let after = timed_activity(&balanced, lib, stream, McKernel::Auto)?;
     obs::OPT_CANDIDATES_EVALUATED.inc();
-    obs::OPT_CONE_SIZE.record(resim.cone.len() as u64);
-    obs::OPT_RESIM_WORDS.add(resim.words_replayed());
-    let balanced_uw = resim.activity.power(ed.netlist(), lib).total_power_uw();
+    let balanced_uw = after.power(&balanced, lib).total_power_uw();
     if balanced_uw < baseline_uw {
         obs::OPT_CANDIDATES_ACCEPTED.inc();
     }
-    ed.commit(&resim);
     Ok(BalanceOutcome {
         balanced_uw,
-        glitch_fraction_after: resim.activity.glitch_fraction()?,
-        netlist: inc.into_base(),
+        glitch_fraction_after: after.glitch_fraction()?,
+        netlist: balanced,
         buffers_added,
         baseline_uw,
         glitch_fraction_before,
@@ -230,22 +228,31 @@ mod tests {
     }
 
     #[test]
-    fn incremental_scoring_matches_a_from_scratch_rerecord() {
-        // The dirty-cone timed replay that scores the balanced netlist
-        // must agree bit for bit with recording the mutated netlist from
-        // scratch.
+    fn scoring_matches_a_from_scratch_rerecord() {
+        // The baseline and the balanced netlist's scores must agree bit
+        // for bit with simulating each from scratch on the scalar
+        // event-driven oracle.
         let nl = multiplier(4);
         let lib = Library::default();
         let stream: Vec<Vec<bool>> = streams::random(8, 8).take(150).collect();
         let out = balance_paths(&nl, &lib, &stream, &BalanceOptions::default()).unwrap();
         assert!(out.buffers_added > 0);
-        let full = IncrementalTimedSim::record(&out.netlist, &lib, &stream).unwrap();
-        let act = full.activity();
+        let base = timed_activity(&nl, &lib, &stream, McKernel::Scalar).unwrap();
+        assert_eq!(out.baseline_uw.to_bits(), base.power(&nl, &lib).total_power_uw().to_bits());
+        assert_eq!(out.glitch_fraction_before.to_bits(), base.glitch_fraction().unwrap().to_bits());
+        let act = timed_activity(&out.netlist, &lib, &stream, McKernel::Scalar).unwrap();
         assert_eq!(
             out.balanced_uw.to_bits(),
             act.power(&out.netlist, &lib).total_power_uw().to_bits()
         );
         assert_eq!(out.glitch_fraction_after.to_bits(), act.glitch_fraction().unwrap().to_bits());
+    }
+
+    #[test]
+    fn empty_stream_is_an_error() {
+        let nl = multiplier(3);
+        let r = balance_paths(&nl, &Library::default(), &[], &BalanceOptions::default());
+        assert!(matches!(r, Err(NetlistError::EmptyStream)), "{r:?}");
     }
 
     #[test]

@@ -6,14 +6,14 @@
 //! with high glitch activity whose glitching propagates far. This module
 //! implements a legal pipelining cut (every input→output path is
 //! registered exactly once) parameterized by an arrival-time threshold,
-//! profiles glitches with the event-driven simulator, and searches the
-//! threshold for minimum total power.
+//! and searches the threshold for minimum total power, glitches included
+//! (the packed [`timed_activity`], bit-identical to the event-driven
+//! simulator).
 
 use std::collections::HashMap;
 
 use hlpower_netlist::{
-    timed_activity, IncrementalTimedSim, Library, McKernel, Netlist, NetlistEditor, NetlistError,
-    NodeId, NodeKind, ResimScratch, TimedConeResim,
+    timed_activity, Library, McKernel, Netlist, NetlistEditor, NetlistError, NodeId, NodeKind,
 };
 use hlpower_obs::metrics as obs;
 
@@ -82,23 +82,6 @@ pub fn pipeline_cut(
     Ok(out)
 }
 
-/// Per-node glitch counts under a stream (the selection signal of the
-/// Monteiro heuristic), profiled on `kernel` (every kernel gives a
-/// bit-identical profile).
-///
-/// # Errors
-///
-/// Returns a netlist error for cyclic circuits.
-pub fn glitch_profile(
-    netlist: &Netlist,
-    lib: &Library,
-    stream: &[Vec<bool>],
-    kernel: McKernel,
-) -> Result<Vec<u64>, NetlistError> {
-    let timed = timed_activity(netlist, lib, stream, kernel)?;
-    netlist.node_ids().map(|id| timed.node_glitches(id)).collect()
-}
-
 /// Outcome of the retiming search.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetimeOutcome {
@@ -127,7 +110,7 @@ impl RetimeOutcome {
 /// threshold is rebound to a boundary register, one shared register per
 /// source node — the same discipline as [`pipeline_cut`], expressed as a
 /// [`NetlistEditor`] mutation so the original node ids survive and the
-/// candidate can be scored by dirty-cone timed replay.
+/// sweep can undo each candidate instead of rebuilding the netlist.
 fn apply_cut_in_place(
     base: &Netlist,
     arrivals: &[f64],
@@ -170,15 +153,15 @@ fn apply_cut_in_place(
 /// latency and register discipline; differences come from where the
 /// registers sit — exactly Fig. 9's point.
 ///
-/// Each probed threshold is expressed as an in-place register-insertion
-/// edit session on the profiled circuit, and only the forward cone of the
-/// rewired gates and appended registers is replayed — the baseline
-/// waveforms of everything upstream are reused from a single event-driven
-/// [`IncrementalTimedSim`] recording — before the session rolls back.
+/// Each probed threshold is cut into one working copy of the circuit as
+/// an in-place register-insertion edit, scored by the packed
+/// [`timed_activity`] of the edited netlist (bit-identical to the scalar
+/// event-driven simulator), and rolled back.
 ///
 /// # Errors
 ///
-/// Returns a netlist error for cyclic circuits.
+/// Returns [`NetlistError::EmptyStream`] for an empty stream, or a
+/// netlist error for cyclic circuits or a bad vector width.
 pub fn low_power_retime(
     netlist: &Netlist,
     lib: &Library,
@@ -187,21 +170,21 @@ pub fn low_power_retime(
 ) -> Result<RetimeOutcome, NetlistError> {
     let max_arrival = netlist.critical_path_ps(lib)?;
     let arrivals = netlist.arrival_times_ps(lib)?;
-    // Record the unregistered circuit once; every threshold candidate is
-    // scored by replaying only its dirty cone against this recording.
-    let mut inc = IncrementalTimedSim::record(netlist, lib, stream)?;
-    let baseline_glitch_fraction = inc.activity().glitch_fraction()?;
+    // `timed_activity` answers an empty stream with an all-zero record,
+    // which would score every candidate as free.
+    if stream.is_empty() {
+        return Err(NetlistError::EmptyStream);
+    }
+    let baseline_glitch_fraction =
+        timed_activity(netlist, lib, stream, McKernel::Auto)?.glitch_fraction()?;
 
-    let mut scratch = ResimScratch::default();
-    let mut resim = TimedConeResim::default();
+    let mut work = netlist.clone();
     let mut score = |threshold: f64| -> Result<f64, NetlistError> {
-        let mut cut = inc.edit();
+        let mut cut = NetlistEditor::begin(&mut work);
         apply_cut_in_place(netlist, &arrivals, threshold, &mut cut)?;
-        cut.resim_into(&mut scratch, &mut resim)?;
+        let timed = timed_activity(cut.netlist(), lib, stream, McKernel::Auto)?;
         obs::OPT_CANDIDATES_EVALUATED.inc();
-        obs::OPT_CONE_SIZE.record(resim.cone.len() as u64);
-        obs::OPT_RESIM_WORDS.add(resim.words_replayed());
-        let uw = resim.activity.power(cut.netlist(), lib).total_power_uw();
+        let uw = timed.power(cut.netlist(), lib).total_power_uw();
         cut.rollback();
         Ok(uw)
     };
@@ -299,13 +282,10 @@ mod tests {
     }
 
     #[test]
-    fn retime_kernels_produce_identical_outcomes() {
-        let nl = multiplier(4);
-        let lib = Library::default();
-        let stream: Vec<Vec<bool>> = streams::random(11, 8).take(120).collect();
-        let sp = glitch_profile(&nl, &lib, &stream, McKernel::Scalar).unwrap();
-        let pp = glitch_profile(&nl, &lib, &stream, McKernel::Packed64).unwrap();
-        assert_eq!(sp, pp);
+    fn empty_stream_is_an_error() {
+        let nl = multiplier(3);
+        let r = low_power_retime(&nl, &Library::default(), &[], 3);
+        assert!(matches!(r, Err(NetlistError::EmptyStream)), "{r:?}");
     }
 
     #[test]
@@ -334,9 +314,10 @@ mod tests {
     }
 
     #[test]
-    fn incremental_sweep_matches_from_scratch_recording() {
-        // Every µW the sweep reports must be bit-identical to recording
-        // the same cut netlist from scratch.
+    fn sweep_matches_from_scratch_recording() {
+        // Every µW the sweep reports must be bit-identical to simulating
+        // the same cut netlist from scratch on the scalar event-driven
+        // oracle.
         let nl = multiplier(4);
         let lib = Library::default();
         let stream: Vec<Vec<bool>> = streams::random(5, 8).take(150).collect();
@@ -347,10 +328,10 @@ mod tests {
             let mut ed = NetlistEditor::begin(&mut cut);
             apply_cut_in_place(&nl, &arrivals, threshold, &mut ed).unwrap();
             ed.finish();
-            let full = IncrementalTimedSim::record(&cut, &lib, &stream).unwrap();
+            let full = timed_activity(&cut, &lib, &stream, McKernel::Scalar).unwrap();
             assert_eq!(
                 uw.to_bits(),
-                full.activity().power(&cut, &lib).total_power_uw().to_bits(),
+                full.power(&cut, &lib).total_power_uw().to_bits(),
                 "threshold {threshold}"
             );
         };
@@ -358,6 +339,11 @@ mod tests {
         for &(threshold, uw) in &outcome.sweep {
             check(threshold, uw);
         }
+        let full = timed_activity(&nl, &lib, &stream, McKernel::Scalar).unwrap();
+        assert_eq!(
+            outcome.baseline_glitch_fraction.to_bits(),
+            full.glitch_fraction().unwrap().to_bits()
+        );
     }
 
     #[test]
@@ -378,7 +364,7 @@ mod tests {
         let nl = multiplier(4);
         let lib = Library::default();
         let stream: Vec<Vec<bool>> = streams::random(4, 8).take(150).collect();
-        let profile = glitch_profile(&nl, &lib, &stream, McKernel::Auto).unwrap();
-        assert!(profile.iter().any(|&g| g > 0));
+        let timed = timed_activity(&nl, &lib, &stream, McKernel::Auto).unwrap();
+        assert!(nl.node_ids().any(|id| timed.node_glitches(id).unwrap() > 0));
     }
 }

@@ -5,8 +5,8 @@
 //! netlists. Runs on the in-tree [`hlpower_rng::check`] harness.
 
 use hlpower_netlist::{
-    attribute, gen, parse_edif, parse_verilog, streams, IncrementalSim, IncrementalTimedSim,
-    Library, Netlist,
+    attribute, gen, parse_edif, parse_verilog, streams, timed_activity, IncrementalSim, Library,
+    McKernel, Netlist,
 };
 use hlpower_opt::{balance, guard, rewrite};
 use hlpower_rng::check::Check;
@@ -158,11 +158,10 @@ fn rewrite_incremental_caches_match_from_scratch_records() {
     });
 }
 
-/// Path balancing scores its one candidate through the timed dirty-cone
-/// replay; the outcome's power and glitch numbers must match a
-/// from-scratch timed recording of the balanced netlist — including on
-/// the sequential ingested example, which exercises the
-/// register-boundary replay path.
+/// Path balancing scores the baseline and its one candidate with the
+/// packed `timed_activity`; the outcome's power and glitch numbers must
+/// match the scalar event-driven simulator run from scratch on each —
+/// including on the sequential ingested example.
 #[test]
 fn balance_outcome_matches_from_scratch_timed_record() {
     Check::new("balance_matches_from_scratch").cases(8).run(|rng| {
@@ -180,14 +179,13 @@ fn balance_outcome_matches_from_scratch_timed_record() {
             streams::random(rng.next_u64(), nl.input_count()).take(cycles).collect();
         let out = balance::balance_paths(&nl, &lib, &stream, &balance::BalanceOptions::default())
             .expect("acyclic");
-        let base = IncrementalTimedSim::record(&nl, &lib, &stream).expect("acyclic");
+        let base = timed_activity(&nl, &lib, &stream, McKernel::Scalar).expect("acyclic");
         assert_eq!(
             out.baseline_uw.to_bits(),
-            base.activity().power(&nl, &lib).total_power_uw().to_bits(),
+            base.power(&nl, &lib).total_power_uw().to_bits(),
             "{name}: baseline diverged"
         );
-        let fresh = IncrementalTimedSim::record(&out.netlist, &lib, &stream).expect("acyclic");
-        let act = fresh.activity();
+        let act = timed_activity(&out.netlist, &lib, &stream, McKernel::Scalar).expect("acyclic");
         assert_eq!(
             out.balanced_uw.to_bits(),
             act.power(&out.netlist, &lib).total_power_uw().to_bits(),
