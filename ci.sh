@@ -49,6 +49,10 @@ cargo run --release --offline -p hlpower-bench --bin repro -- \
 #     the from-scratch scorer) faster than from-scratch, and at least 10x
 #     in full mode; rewrite dirty-cone replay strictly less work than one
 #     full replay per candidate.
+# It also exits non-zero if, in the `timed` section (timed_activity on the
+# 4- and 16-bit multipliers over 300 and 513 vectors), the 64-, 256- and
+# 512-lane kernels and Auto return different records; that section and
+# the `phases` split have no speed gate.
 # The per-lane bit-identity battery runs in the test step above
 # (tests/wide_differential.rs).
 cargo bench --offline -p hlpower-bench --bench kernels

@@ -32,5 +32,5 @@ pub mod zdd;
 
 pub use manager::{BddManager, BddRef};
 pub use netlist_bridge::{
-    bdd_to_mux_netlist, bdd_to_timed_shannon, build_node_bdds, build_output_bdds,
+    bdd_to_mux_netlist, bdd_to_timed_shannon, build_node_bdds, build_output_bdds, gate_bdd,
 };

@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use hlpower_netlist::{Netlist, NetlistError, NodeId, NodeKind};
+use hlpower_netlist::{GateKind, Netlist, NetlistError, NodeId, NodeKind};
 
 use crate::manager::{BddManager, BddRef};
 
@@ -44,32 +44,38 @@ pub fn build_node_bdds(
     }
     for &id in &order {
         if let NodeKind::Gate { kind, inputs } = netlist.kind(id) {
-            use hlpower_netlist::GateKind::*;
             let fanin: Vec<BddRef> = inputs.iter().map(|f| map[f]).collect();
-            let f = match kind {
-                Buf => fanin[0],
-                Not => m.not(fanin[0]),
-                And => m.and_many(fanin.iter().copied()),
-                Or => m.or_many(fanin.iter().copied()),
-                Nand => {
-                    let x = m.and_many(fanin.iter().copied());
-                    m.not(x)
-                }
-                Nor => {
-                    let x = m.or_many(fanin.iter().copied());
-                    m.not(x)
-                }
-                Xor => fanin[1..].iter().fold(fanin[0], |acc, &x| m.xor(acc, x)),
-                Xnor => {
-                    let x = fanin[1..].iter().fold(fanin[0], |acc, &x| m.xor(acc, x));
-                    m.not(x)
-                }
-                Mux => m.ite(fanin[0], fanin[2], fanin[1]),
-            };
+            let f = gate_bdd(&mut m, *kind, &fanin);
             map.insert(id, f);
         }
     }
     Ok((m, map))
+}
+
+/// The BDD of one gate of kind `kind` over its fan-in functions `fanin`,
+/// in the gate's input order (a [`GateKind::Mux`]'s `[sel, a, b]`).
+pub fn gate_bdd(m: &mut BddManager, kind: GateKind, fanin: &[BddRef]) -> BddRef {
+    use GateKind::*;
+    match kind {
+        Buf => fanin[0],
+        Not => m.not(fanin[0]),
+        And => m.and_many(fanin.iter().copied()),
+        Or => m.or_many(fanin.iter().copied()),
+        Nand => {
+            let x = m.and_many(fanin.iter().copied());
+            m.not(x)
+        }
+        Nor => {
+            let x = m.or_many(fanin.iter().copied());
+            m.not(x)
+        }
+        Xor => fanin[1..].iter().fold(fanin[0], |acc, &x| m.xor(acc, x)),
+        Xnor => {
+            let x = fanin[1..].iter().fold(fanin[0], |acc, &x| m.xor(acc, x));
+            m.not(x)
+        }
+        Mux => m.ite(fanin[0], fanin[2], fanin[1]),
+    }
 }
 
 /// Builds BDDs for the primary outputs only; returns `(manager, roots)`

@@ -25,6 +25,12 @@
 //! and `finalize` (`take_lane_powers`), next to the `total` of the same
 //! word through `simulate_packed_lanes`. It has no gate.
 //!
+//! The timed section profiles short streams (300 and 513 vectors) of the
+//! 4- and 16-bit multipliers with `timed_activity`, the glitch scorer of
+//! the retime and balance passes, at 64, 256 and 512 lanes and `Auto`.
+//! Its kernels must return the same record to the bit; it has no speed
+//! gate.
+//!
 //! Every timed leg records the nonzero `hlpower-obs` counter deltas of its
 //! last rep. The dump is `results/BENCH_kernels.json`; gate failures are
 //! reported after it is written, with every rep's seconds, and exit 1.
@@ -37,8 +43,9 @@ use std::time::Instant;
 
 use hlpower::netlist::{
     gen, monte_carlo_glitch_power_seeded_threads_kernel, monte_carlo_power_seeded_threads_kernel,
-    random_words, simd_level, simulate_packed_lanes, streams, CompiledKernel, LaneRequest, Library,
-    McKernel, MonteCarloOptions, Netlist, PowerModel, WideSim, Word, W256, W512,
+    random_words, simd_level, simulate_packed_lanes, streams, timed_activity, CompiledKernel,
+    LaneRequest, Library, McKernel, MonteCarloOptions, Netlist, PowerModel, WideSim, Word, W256,
+    W512,
 };
 use hlpower::optimize::{guard, rewrite};
 use hlpower_bench::timing::full_mode;
@@ -47,7 +54,7 @@ use hlpower_obs::json::Value;
 use hlpower_obs::metrics;
 use hlpower_obs::report::{Snapshot, Value as Metric};
 use hlpower_rng::{LaneRng, Rng};
-use McKernel::{Packed256, Packed512, Packed64, Scalar};
+use McKernel::{Auto, Packed256, Packed512, Packed64, Scalar};
 
 /// Where the dump lands: the workspace-root `results/` directory
 /// (benches run with the package directory as cwd, so a relative
@@ -110,12 +117,12 @@ const COMPARISONS: [Comparison; 3] = [
     },
 ];
 
-/// The 16-bit array multiplier (inputs `a`, `b`; output `p`) every
-/// comparison row simulates.
-fn mult16() -> Netlist {
+/// The `bits`-bit array multiplier (inputs `a`, `b`; output `p`); every
+/// comparison row simulates the 16-bit one.
+fn multiplier(bits: usize) -> Netlist {
     let mut nl = Netlist::new();
-    let a = nl.input_bus("a", 16);
-    let b = nl.input_bus("b", 16);
+    let a = nl.input_bus("a", bits);
+    let b = nl.input_bus("b", bits);
     let p = gen::array_multiplier(&mut nl, &a, &b);
     nl.output_bus("p", &p);
     nl
@@ -282,7 +289,7 @@ fn phase_shapes() -> Vec<(&'static str, Netlist)> {
     fir8.output_bus("y", &y);
     let mut rand2000 = Netlist::new();
     gen::random_logic(&mut rand2000, 2000, 32, 2000, 16);
-    vec![("mult16", mult16()), ("fir8", fir8), ("rand2000", rand2000)]
+    vec![("mult16", multiplier(16)), ("fir8", fir8), ("rand2000", rand2000)]
 }
 
 /// Splits one full `W` word of [`PHASE_CYCLES`] cycles on `nl` into
@@ -358,6 +365,56 @@ fn phases(full: bool) -> Value {
         rows.push(phase_row::<u64>(shape, &nl, reps));
         rows.push(phase_row::<W256>(shape, &nl, reps));
         rows.push(phase_row::<W512>(shape, &nl, reps));
+    }
+    Value::Arr(rows)
+}
+
+/// The timed section's kernels: every packed width, and `Auto`.
+const TIMED_KERNELS: [McKernel; 4] = [Packed64, Packed256, Packed512, Auto];
+
+/// The timed section: `timed_activity` on the 4- and 16-bit multipliers
+/// over 300 and 513 random vectors on each of [`TIMED_KERNELS`],
+/// interleaved rep by rep, each kernel's fastest rep in ms per call.
+/// Every kernel's record must equal the first's.
+fn timed(full: bool) -> Value {
+    let reps = if full { 15 } else { 3 };
+    let lib = Library::default();
+    let mut rows = Vec::new();
+    for bits in [4, 16] {
+        let nl = multiplier(bits);
+        for vectors in [300, 513] {
+            let stream: Vec<Vec<bool>> =
+                streams::random(2026, nl.input_count()).take(vectors).collect();
+            let mut legs: Vec<Leg> =
+                TIMED_KERNELS.iter().map(|k| Leg::new(format!("{k:?}"))).collect();
+            let mut records = Vec::new();
+            for _ in 0..reps {
+                records.clear();
+                for (&kernel, leg) in TIMED_KERNELS.iter().zip(&mut legs) {
+                    let r = leg.time(|| timed_activity(&nl, &lib, &stream, kernel));
+                    records.push(r.expect("acyclic multiplier"));
+                }
+            }
+            for (r, k) in records.iter().zip(TIMED_KERNELS).skip(1) {
+                assert!(*r == records[0], "timed mult{bits} x{vectors}: {k:?} diverged");
+            }
+            let ms: Vec<String> =
+                legs.iter().map(|l| format!("{} {:.3}", l.name, l.seconds() * 1e3)).collect();
+            println!("  timed mult{bits:<2} x{vectors}  {} ms", ms.join("  "));
+            rows.push(json!({
+                "shape": format!("mult{bits}"),
+                "gates": nl.gate_count(),
+                "vectors": vectors,
+                "reps": reps,
+                "auto": format!("{:?}", Auto.resolve(vectors - 1)),
+                "glitches": records[0].total_glitches().expect("one record shape"),
+                "legs": legs.iter().map(|leg| json!({
+                    "kernel": leg.name.as_str(),
+                    "ms": leg.seconds() * 1e3,
+                    "counters": leg.counters.clone(),
+                })).collect::<Vec<_>>(),
+            }));
+        }
     }
     Value::Arr(rows)
 }
@@ -497,7 +554,7 @@ fn optimize(full: bool, failures: &mut Vec<String>) -> Value {
 fn main() {
     let full = full_mode();
     let mode = if full { "full" } else { "smoke" };
-    let nl = mult16();
+    let nl = multiplier(16);
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "kernels: 16-bit array multiplier, {} gates ({mode} mode, simd level {:?}, {cpus} cpus, \
@@ -510,6 +567,7 @@ fn main() {
     let comparisons: Vec<Value> =
         COMPARISONS.iter().map(|row| compare(&nl, row, full, &mut failures)).collect();
     let phases = phases(full);
+    let timed = timed(full);
     let opt = optimize(full, &mut failures);
 
     let report = json!({
@@ -528,6 +586,7 @@ fn main() {
         },
         "comparisons": comparisons,
         "phases": phases,
+        "timed": timed,
         "opt": opt,
     });
     if let Err(e) = std::fs::write(OUT_PATH, report.pretty() + "\n") {

@@ -68,10 +68,9 @@ pub use ingest::{
 pub use io::{parse_netlist, write_netlist, ParseNetlistError};
 pub use library::{GateKind, Library};
 pub use montecarlo::{
-    monte_carlo_glitch_power_seeded_threads_kernel, monte_carlo_power,
-    monte_carlo_power_seeded_threads_kernel, simulate_lanes, simulate_packed_glitch_lanes,
-    simulate_packed_lanes, LaneRequest, McKernel, MonteCarloOptions, MonteCarloResult,
-    StoppingReplay, TimedKernel,
+    monte_carlo_glitch_power_seeded_threads_kernel, monte_carlo_power_seeded_threads_kernel,
+    simulate_lanes, simulate_packed_glitch_lanes, simulate_packed_lanes, LaneRequest, McKernel,
+    MonteCarloOptions, MonteCarloResult, StoppingReplay, TimedKernel,
 };
 pub use netlist::{Bus, GroupId, Netlist, NodeId, NodeKind};
 pub use power::attribution::{attribute, AttributionReport, NodeAttribution, RollupEntry};

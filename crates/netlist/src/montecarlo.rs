@@ -4,14 +4,12 @@
 //!
 //! Entry points:
 //!
-//! * [`monte_carlo_power`] — the classic serial form: one simulator
-//!   instance consumes an arbitrary input-vector iterator, one power
-//!   sample per batch, normal-approximation stopping rule.
 //! * [`monte_carlo_power_seeded_threads_kernel`] and its glitch-aware
 //!   sibling [`monte_carlo_glitch_power_seeded_threads_kernel`] — the
-//!   parallel form: every batch gets its own RNG stream, *split by batch
-//!   index* from a root seed ([`hlpower_rng::Rng::split`]). Batches are
-//!   sharded across a scoped worker pool in fixed-size waves, and the
+//!   estimators: every batch gets its own RNG stream, *split by batch
+//!   index* from a root seed ([`hlpower_rng::Rng::split`]), and yields
+//!   one power sample under a normal-approximation stopping rule. Batches
+//!   are sharded across a scoped worker pool in fixed-size waves, and the
 //!   stopping rule is applied in batch-index order, so the result is
 //!   **bit-identical for any thread count** — `threads = 1` and
 //!   `threads = 64` return the same `MonteCarloResult`, exactly.
@@ -29,12 +27,9 @@
 //! default, picks the width from the batch budget). Per-lane toggle counts
 //! are exact integers, so every kernel produces **bit-identical results**
 //! — the packed kernels are purely a wall-clock optimization and the
-//! scalar kernel remains available as the differential oracle.
-//!
-//! The serial and seeded forms are statistically equivalent but not
-//! bit-compatible with each other: the seeded engine restarts the
-//! simulator per batch (batches must be independent to parallelize), while
-//! the serial engine carries simulator state across batches.
+//! scalar kernel remains available as the differential oracle. Batches
+//! are independent (so they can run in parallel): each restarts the
+//! simulator from its initial state.
 
 use hlpower_obs::metrics as obs;
 use hlpower_obs::trace;
@@ -147,7 +142,7 @@ impl McKernel {
 ///
 /// ```
 /// use hlpower_netlist::{gen, streams, Library, Netlist};
-/// use hlpower_netlist::{monte_carlo_power, MonteCarloOptions};
+/// use hlpower_netlist::{monte_carlo_power_seeded_threads_kernel, McKernel, MonteCarloOptions};
 ///
 /// let mut nl = Netlist::new();
 /// let a = nl.input_bus("a", 8);
@@ -155,6 +150,7 @@ impl McKernel {
 /// let c0 = nl.constant(false);
 /// let s = gen::ripple_adder(&mut nl, &a, &b, c0);
 /// nl.output_bus("s", &s);
+/// let w = nl.input_count();
 ///
 /// let opts = MonteCarloOptions {
 ///     batch_cycles: 100,          // 100 cycles -> one power sample
@@ -162,21 +158,24 @@ impl McKernel {
 ///     target_relative_error: 0.05, // stop at +/-5% of the mean...
 ///     z: 1.96,                    // ...at 95% confidence
 /// };
-/// let r = monte_carlo_power(
+/// let r = monte_carlo_power_seeded_threads_kernel(
 ///     &nl,
 ///     &Library::default(),
-///     streams::random(7, nl.input_count()),
+///     |rng| streams::random_rng(rng, w),
+///     7,
 ///     &opts,
+///     1,
+///     McKernel::Auto,
 /// ).unwrap();
 ///
 /// // The stopping rule guarantees the advertised precision (or the
 /// // budget ran out — not the case for this easy circuit):
 /// assert!(r.batches >= 5 && r.batches <= 500);
 /// assert!(r.relative_error() <= 0.05);
-/// // Each batch consumed `batch_cycles` vectors; the very first vector
-/// // of the run only initializes the simulator (no transition to
-/// // measure), so one fewer cycle is counted than vectors consumed.
-/// assert_eq!(r.cycles, r.batches as u64 * 100 - 1);
+/// // Each batch consumed `batch_cycles` vectors; its first vector only
+/// // initializes the batch's simulator (no transition to measure), so
+/// // each batch counts one fewer cycle than it consumed vectors.
+/// assert_eq!(r.cycles, r.batches as u64 * 99);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonteCarloOptions {
@@ -226,53 +225,14 @@ impl MonteCarloResult {
     }
 }
 
-/// Estimates average power by batched Monte-Carlo simulation over a stream.
+/// Monte-Carlo power estimation with an explicit worker count and
+/// simulation kernel.
 ///
-/// The stream supplies input vectors; each batch of `opts.batch_cycles`
-/// cycles contributes one power sample, and sampling stops when the
+/// Simulation proceeds in batches of `opts.batch_cycles` cycles, each
+/// contributing one power sample, and sampling stops when the
 /// normal-approximation confidence interval is tighter than
 /// `opts.target_relative_error` (after at least 5 batches) or when
-/// `opts.max_batches` is exhausted.
-///
-/// For parallel estimation with a determinism guarantee, see
-/// [`monte_carlo_power_seeded_threads_kernel`].
-///
-/// # Errors
-///
-/// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists or
-/// [`NetlistError::EmptyStream`] if the stream ends before one full batch.
-pub fn monte_carlo_power(
-    netlist: &Netlist,
-    lib: &Library,
-    stream: impl IntoIterator<Item = Vec<bool>>,
-    opts: &MonteCarloOptions,
-) -> Result<MonteCarloResult, NetlistError> {
-    obs::MC_RUNS.inc();
-    let _t = obs::MC_TIME.span();
-    let mut sim = ZeroDelaySim::new(netlist)?;
-    let mut it = stream.into_iter();
-    let mut replay = StoppingReplay::new(opts);
-    for batch in 0..opts.max_batches {
-        let _batch_t = obs::MC_BATCH_NS.time();
-        let _span = trace::span_dyn("mc", || format!("mc.batch:{batch}"));
-        let mut got = 0usize;
-        for v in it.by_ref().take(opts.batch_cycles) {
-            sim.step(&v)?;
-            got += 1;
-        }
-        if got == 0 {
-            break;
-        }
-        let act = sim.take_activity();
-        if replay.push(act.power(netlist, lib).total_power_uw(), act.cycles).is_some() {
-            break;
-        }
-    }
-    replay.finish()
-}
-
-/// Parallel Monte-Carlo power estimation with an explicit worker count and
-/// simulation kernel.
+/// `opts.max_batches` is exhausted (see [`MonteCarloOptions`]).
 ///
 /// `stream_fn` is called once per batch with that batch's *split* RNG
 /// stream (`root.split(batch_index)`) and must return the batch's input
@@ -332,8 +292,9 @@ pub fn monte_carlo_power(
 ///
 /// # Errors
 ///
-/// As [`monte_carlo_power`], plus [`NetlistError::InvalidThreadCount`]
-/// when `threads` is 0.
+/// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists,
+/// [`NetlistError::EmptyStream`] if the first batch's stream is empty, or
+/// [`NetlistError::InvalidThreadCount`] when `threads` is 0.
 #[allow(clippy::too_many_arguments)]
 pub fn monte_carlo_power_seeded_threads_kernel<F, I>(
     netlist: &Netlist,
@@ -1018,13 +979,10 @@ mod tests {
     fn converges_on_random_stimulus() {
         let nl = adder();
         let lib = Library::default();
-        let r = monte_carlo_power(
-            &nl,
-            &lib,
-            streams::random(77, nl.input_count()),
-            &MonteCarloOptions::default(),
-        )
-        .unwrap();
+        let w = nl.input_count();
+        let opts = MonteCarloOptions::default();
+        let stream_fn = |rng| streams::random_rng(rng, w);
+        let r = seeded(&nl, &lib, false, stream_fn, 77, &opts, McKernel::Auto).unwrap();
         assert!(r.power_uw > 0.0);
         assert!(r.relative_error() <= 0.02 + 1e-9);
         assert!(r.batches >= 5);
@@ -1034,31 +992,19 @@ mod tests {
     fn matches_exhaustive_average() {
         let nl = adder();
         let lib = Library::default();
-        let mc = monte_carlo_power(
-            &nl,
-            &lib,
-            streams::random(5, nl.input_count()),
-            &MonteCarloOptions {
-                target_relative_error: 0.01,
-                max_batches: 400,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let w = nl.input_count();
+        let opts = MonteCarloOptions {
+            target_relative_error: 0.01,
+            max_batches: 400,
+            ..Default::default()
+        };
+        let stream_fn = |rng| streams::random_rng(rng, w);
+        let mc = seeded(&nl, &lib, false, stream_fn, 5, &opts, McKernel::Auto).unwrap();
         let mut sim = ZeroDelaySim::new(&nl).unwrap();
         let act = sim.run(streams::random(123, nl.input_count()).take(40_000)).unwrap();
         let full = act.power(&nl, &lib).total_power_uw();
         let rel = (mc.power_uw - full).abs() / full;
         assert!(rel < 0.03, "mc {:.2} vs full {:.2}", mc.power_uw, full);
-    }
-
-    #[test]
-    fn empty_stream_is_an_error() {
-        let nl = adder();
-        let lib = Library::default();
-        let err =
-            monte_carlo_power(&nl, &lib, Vec::<Vec<bool>>::new(), &MonteCarloOptions::default());
-        assert!(matches!(err, Err(NetlistError::EmptyStream)));
     }
 
     #[test]
@@ -1244,31 +1190,6 @@ mod tests {
     }
 
     #[test]
-    fn seeded_engine_agrees_with_serial_estimate() {
-        let nl = adder();
-        let lib = Library::default();
-        let w = nl.input_count();
-        let opts = MonteCarloOptions {
-            target_relative_error: 0.01,
-            max_batches: 400,
-            ..Default::default()
-        };
-        let par = monte_carlo_power_seeded_threads_kernel(
-            &nl,
-            &lib,
-            |rng| streams::random_rng(rng, w),
-            7,
-            &opts,
-            2,
-            McKernel::Auto,
-        )
-        .unwrap();
-        let ser = monte_carlo_power(&nl, &lib, streams::random(1234, w), &opts).unwrap();
-        let rel = (par.power_uw - ser.power_uw).abs() / ser.power_uw;
-        assert!(rel < 0.03, "par {:.2} vs serial {:.2}", par.power_uw, ser.power_uw);
-    }
-
-    #[test]
     fn seeded_engine_depends_on_seed() {
         let nl = adder();
         let lib = Library::default();
@@ -1374,7 +1295,7 @@ mod tests {
         let first_empty = (0..).find(|&b| stream_len(&mut root.split(b)) == 0).unwrap() as usize;
         assert!(first_empty > 0 && first_empty < opts.max_batches, "{first_empty}");
         for glitch in [false, true] {
-            // Empty per-batch streams -> EmptyStream, like the serial engine.
+            // Empty per-batch streams -> EmptyStream.
             let err =
                 seeded(&nl, &lib, glitch, |_| Vec::<Vec<bool>>::new(), 1, &opts, McKernel::Auto);
             assert!(matches!(err, Err(NetlistError::EmptyStream)), "glitch {glitch}: {err:?}");

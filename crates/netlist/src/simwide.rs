@@ -13,6 +13,17 @@
 //! checks, toggle-counter carry chains) over 4x/8x the data.
 //! [`timed_activity`] profiles one stream on either kind of kernel.
 //!
+//! # Counts and takes
+//!
+//! Both kernels count toggles in one crate-private type, `Counts`:
+//! vertical bit planes per node plus the exact per-lane totals spilled
+//! out of them ([`WideSim`] holds one, [`WideTimedSim`] one for all
+//! transitions and one for functional transitions). A run ends in one of
+//! three takes, each a read of those counts: `take_lane_powers` (per-lane
+//! power samples, the Monte-Carlo finalize), `take_activity` (per-node
+//! totals by plane popcount, lanes merged) and `take_lane_activities`
+//! (per-lane records, the oracle the other two are tested against).
+//!
 //! # Runtime SIMD fast path
 //!
 //! The zero-delay settle loop — the hot core of every packed step — is
@@ -22,7 +33,7 @@
 //! ops on machines that have them while the portable per-chunk code
 //! remains the fallback everywhere else. The two per-word steps around
 //! it get the same wrappers, written once over `u64` chunk slices: the
-//! fused finalize of both kernels' `take_lane_powers` (count planes
+//! fused finalize behind both kernels' `take_lane_powers` (count planes
 //! straight to per-lane power) and [`random_words`], the lane-parallel
 //! random stimulus of the Monte-Carlo kernels. The timed kernel's wheel
 //! drain is dominated by data-dependent scheduling rather than
@@ -292,110 +303,162 @@ pub(crate) fn bump_planes<W: Word>(planes: &mut [W], base: usize, mut carry: W) 
     }
 }
 
-/// Adds `carry` into a node's vertical bit-plane counter, spilling
-/// exactly into the 64-bit totals if the carry ripples out of the top
-/// plane (the timed kernel can toggle a node many times per step, so the
-/// flush-schedule trick of the zero-delay kernel does not apply).
-#[inline]
-fn bump_planes_spill<W: Word>(
-    planes: &mut [W],
-    base: usize,
-    lane_totals: &mut Vec<u64>,
-    lane_base: usize,
-    mut carry: W,
-) {
-    for p in 0..PLANES {
-        if carry.is_zero() {
-            return;
-        }
-        let t = planes[base + p];
-        planes[base + p] = t.xor(carry);
-        carry = carry.and(t);
-    }
-    // Carry out of the top plane: the plane stack wrapped modulo
-    // `2^PLANES` for these lanes, so credit the wrapped weight directly.
-    let lane_totals = spill_totals(lane_totals, planes.len() / PLANES * W::LANES);
-    for (c, &chunk) in carry.chunks().iter().enumerate() {
-        let mut m = chunk;
-        while m != 0 {
-            let l = c * 64 + m.trailing_zeros() as usize;
-            lane_totals[lane_base + l] += 1u64 << PLANES;
-            m &= m - 1;
-        }
-    }
+/// One run's toggle counts for every lane of every node: `PLANES`
+/// vertical bit planes per node (bit `l` of plane `p` is bit `p` of lane
+/// `l`'s count) plus the exact per-lane totals moved out of them.
+///
+/// Every count a packed kernel reports is read here, so each question a
+/// take asks is answered once: per-lane totals for the per-lane records,
+/// per-node totals (`Σ_p count_ones(plane_p) << p`, plus the spilled
+/// rows) for the lane-collapsed records, per-lane powers for the
+/// Monte-Carlo finalize, and the run's grand total for the counters.
+#[derive(Debug, Clone)]
+pub(crate) struct Counts<W: Word> {
+    /// `PLANES` words per node.
+    planes: Vec<W>,
+    /// Exact per-lane totals spilled or flushed out of the planes (`node *
+    /// W::LANES + lane`), empty until a spill or flush needs them: most
+    /// runs never spill, so most never pay for the `nodes x lanes` array.
+    spill: Vec<u64>,
 }
 
-/// Drains a bit-plane array into exact per-lane totals
-/// (`node * W::LANES + lane`).
-fn flush_planes<W: Word>(planes: &mut [W], lane_totals: &mut [u64], nodes: usize) {
-    for node in 0..nodes {
+impl<W: Word> Counts<W> {
+    /// All-zero counters for `nodes` nodes.
+    fn new(nodes: usize) -> Self {
+        Counts { planes: vec![W::zero(); nodes * PLANES], spill: Vec::new() }
+    }
+
+    fn nodes(&self) -> usize {
+        self.planes.len() / PLANES
+    }
+
+    /// Adds `carry` (a set of lanes that toggled) into `node`'s counter,
+    /// spilling exactly into the 64-bit totals if the carry ripples out of
+    /// the top plane (the timed kernel can toggle a node many times per
+    /// step, so the flush schedule of the zero-delay kernel does not
+    /// apply).
+    #[inline]
+    fn bump(&mut self, node: usize, mut carry: W) {
         let base = node * PLANES;
         for p in 0..PLANES {
-            let w = planes[base + p];
-            if w.is_zero() {
-                continue;
+            if carry.is_zero() {
+                return;
             }
-            planes[base + p] = W::zero();
-            let weight = 1u64 << p;
-            for (c, &chunk) in w.chunks().iter().enumerate() {
-                let mut m = chunk;
-                while m != 0 {
-                    let l = c * 64 + m.trailing_zeros() as usize;
-                    lane_totals[node * W::LANES + l] += weight;
-                    m &= m - 1;
-                }
+            let t = self.planes[base + p];
+            self.planes[base + p] = t.xor(carry);
+            carry = carry.and(t);
+        }
+        // Carry out of the top plane: the plane stack wrapped modulo
+        // `2^PLANES` for these lanes, so credit the wrapped weight directly.
+        if self.spill.is_empty() {
+            self.spill.resize(self.nodes() * W::LANES, 0);
+        }
+        Self::add_lanes(&mut self.spill[node * W::LANES..], carry, 1 << PLANES);
+    }
+
+    /// Adds `weight` to `row[l]` for every lane `l` set in `lanes`.
+    fn add_lanes(row: &mut [u64], lanes: W, weight: u64) {
+        for (c, &chunk) in lanes.chunks().iter().enumerate() {
+            let mut m = chunk;
+            while m != 0 {
+                row[c * 64 + m.trailing_zeros() as usize] += weight;
+                m &= m - 1;
             }
         }
     }
-}
 
-/// The exact per-lane totals spilled out of a plane array (`node *
-/// W::LANES + lane`), allocated as `len` zeros on first use: most runs
-/// never spill, so most never pay for the `nodes x lanes` array.
-fn spill_totals(totals: &mut Vec<u64>, len: usize) -> &mut [u64] {
-    if totals.is_empty() {
-        totals.resize(len, 0);
+    /// Moves the planes into the exact per-lane totals: the zero-delay
+    /// kernel's periodic flush, before its planes can overflow.
+    fn flush(&mut self) {
+        self.spill = self.lane_totals();
+        self.planes.fill(W::zero());
     }
-    totals
-}
 
-/// Zeroes a plane array and returns the toggle count it held: plane `p`
-/// weighs `2^p` per set lane.
-fn drain_planes<W: Word>(planes: &mut [W]) -> u64 {
-    let mut total = 0u64;
-    for node in planes.chunks_exact_mut(PLANES) {
-        for (p, w) in node.iter_mut().enumerate() {
-            total += u64::from(w.count_ones()) << p;
+    /// Exact per-lane totals (`node * W::LANES + lane`): each set bit of
+    /// plane `p` weighs `2^p` for its lane.
+    fn lane_totals(&self) -> Vec<u64> {
+        let mut totals = self.spill.clone();
+        totals.resize(self.nodes() * W::LANES, 0);
+        for (node, planes) in self.planes.chunks_exact(PLANES).enumerate() {
+            for (p, &w) in planes.iter().enumerate() {
+                Self::add_lanes(&mut totals[node * W::LANES..], w, 1 << p);
+            }
+        }
+        totals
+    }
+
+    /// Per-lane, per-node totals (one `Vec` per lane, indexed by node);
+    /// zeroes the counters.
+    fn take_lanes(&mut self) -> Vec<Vec<u64>> {
+        self.flush();
+        let totals = std::mem::take(&mut self.spill);
+        // Transpose node-major: one sequential pass over the totals,
+        // scattering into `LANES` write streams (which stay cache
+        // resident), instead of `LANES` strided gathers that each touch one
+        // cache line per node.
+        let mut lanes = vec![vec![0u64; self.nodes()]; W::LANES];
+        for (node, row) in totals.chunks_exact(W::LANES).enumerate() {
+            for (lane, &t) in lanes.iter_mut().zip(row) {
+                lane[node] = t;
+            }
+        }
+        lanes
+    }
+
+    /// Per-node totals summed over the lanes: `Σ_p count_ones(plane_p) <<
+    /// p` per node plus its spilled row. Zeroes the counters.
+    fn take_nodes(&mut self) -> Vec<u64> {
+        let mut totals: Vec<u64> = self.planes.chunks_exact_mut(PLANES).map(Self::drain).collect();
+        for (t, row) in totals.iter_mut().zip(self.spill.chunks_exact(W::LANES)) {
+            *t += row.iter().sum::<u64>();
+        }
+        self.spill.clear();
+        totals
+    }
+
+    /// The run's total count over every node and lane; zeroes the
+    /// counters.
+    fn take_total(&mut self) -> u64 {
+        Self::drain(&mut self.planes) + self.spill.drain(..).sum::<u64>()
+    }
+
+    /// Zeroes whole plane stacks and returns the count they held: plane
+    /// `p` of each stack weighs `2^p` per set lane.
+    fn drain(planes: &mut [W]) -> u64 {
+        let mut total = 0u64;
+        for (i, w) in planes.iter_mut().enumerate() {
+            total += u64::from(w.count_ones()) << (i % PLANES);
             *w = W::zero();
         }
+        total
     }
-    total
-}
 
-/// Turns a run's count planes (zeroed on return) and spilled totals
-/// (empty if none spilled) into per-lane `(power µW, counted cycles)`
-/// samples in one pass, and returns them with the run's total count.
-///
-/// Lane `l`'s sample is bit-identical to `model.total_power_uw` of lane
-/// `l`'s activity record: its count at each node is the same integer, and
-/// the same products accumulate in the same node order. Nodes and 64-lane
-/// chunks whose count is zero add nothing, and where they do add, the
-/// product is `+0.0` onto a sum that started at `+0.0` (the coefficients
-/// are finite and non-negative), which changes no bit.
-fn lane_powers(
-    planes: &mut [u64],
-    spill: &[u64],
-    model: &PowerModel,
-    lane_cycles: &[u64],
-) -> (Vec<(f64, u64)>, u64) {
-    let mut net_fj = vec![0.0f64; lane_cycles.len()];
-    let mut int_fj = vec![0.0f64; lane_cycles.len()];
-    let (net, int) = model.toggle_energies_fj();
-    let total = lane_energy(planes, spill, (net, int, &mut net_fj, &mut int_fj));
-    let samples = (net_fj.iter().zip(&int_fj).zip(lane_cycles))
-        .map(|((&net, &int), &cycles)| (model.power_uw(net, int, cycles), cycles))
-        .collect();
-    (samples, total + spill.iter().sum::<u64>())
+    /// Turns the counts into per-lane `(power µW, counted cycles)`
+    /// samples in one pass and returns them with the run's total count;
+    /// zeroes the counters.
+    ///
+    /// Lane `l`'s sample is bit-identical to `model.total_power_uw` of
+    /// lane `l`'s activity record: its count at each node is the same
+    /// integer, and the same products accumulate in the same node order.
+    /// Nodes and 64-lane chunks whose count is zero add nothing, and where
+    /// they do add, the product is `+0.0` onto a sum that started at `+0.0`
+    /// (the coefficients are finite and non-negative), which changes no
+    /// bit.
+    fn take_lane_powers(
+        &mut self,
+        model: &PowerModel,
+        lane_cycles: &[u64],
+    ) -> (Vec<(f64, u64)>, u64) {
+        let mut net_fj = vec![0.0f64; lane_cycles.len()];
+        let mut int_fj = vec![0.0f64; lane_cycles.len()];
+        let (net, int) = model.toggle_energies_fj();
+        let planes = W::flat_chunks_mut(&mut self.planes);
+        let total = lane_energy(planes, &self.spill, (net, int, &mut net_fj, &mut int_fj));
+        let samples = (net_fj.iter().zip(&int_fj).zip(lane_cycles))
+            .map(|((&net, &int), &cycles)| (model.power_uw(net, int, cycles), cycles))
+            .collect();
+        (samples, total + self.spill.drain(..).sum::<u64>())
+    }
 }
 
 /// Runs `lane_energy_body` on the widest vector ISA this machine has.
@@ -666,11 +729,8 @@ pub struct WideSim<'a, W: Word> {
     dff_next: Vec<W>,
     /// Per-DFF D-input slots, resolved once at construction.
     dff_d: Vec<u32>,
-    /// Vertical carry-save toggle counters: `PLANES` words per node.
-    planes: Vec<W>,
-    /// Exact per-lane toggle counts flushed out of the planes
-    /// (`node * W::LANES + lane`); empty until a flush needs it.
-    lane_toggles: Vec<u64>,
+    /// Toggle counts per node and lane.
+    toggles: Counts<W>,
     /// Counted cycles per lane (`W::LANES` entries).
     lane_cycles: Vec<u64>,
     /// Counted steps since the last plane flush.
@@ -716,15 +776,13 @@ impl<'a, W: Word> WideSim<'a, W> {
                 dff_d.push(d.index() as u32);
             }
         }
-        let n = netlist.node_count();
         Ok(WideSim {
             netlist,
             program,
             values,
             dff_next,
             dff_d,
-            planes: vec![W::zero(); n * PLANES],
-            lane_toggles: Vec::new(),
+            toggles: Counts::new(netlist.node_count()),
             lane_cycles: vec![0; W::LANES],
             pending: 0,
             initialized: false,
@@ -787,7 +845,7 @@ impl<'a, W: Word> WideSim<'a, W> {
             let slot = q.index();
             let new = self.dff_next[i];
             bump_planes(
-                &mut self.planes,
+                &mut self.toggles.planes,
                 slot * PLANES,
                 self.values[slot].xor(new).and(count_mask),
             );
@@ -798,7 +856,7 @@ impl<'a, W: Word> WideSim<'a, W> {
             let slot = inp.index();
             let new = inputs[i];
             bump_planes(
-                &mut self.planes,
+                &mut self.toggles.planes,
                 slot * PLANES,
                 self.values[slot].xor(new).and(count_mask),
             );
@@ -806,7 +864,7 @@ impl<'a, W: Word> WideSim<'a, W> {
         }
         // Settle combinational logic via the compiled instruction stream
         // (runtime-dispatched to the widest available vector path).
-        settle(&self.program, &mut self.values, &mut self.planes, count_mask);
+        settle(&self.program, &mut self.values, &mut self.toggles.planes, count_mask);
         // Sample D inputs for the next cycle.
         for (i, &d) in self.dff_d.iter().enumerate() {
             self.dff_next[i] = self.values[d as usize];
@@ -818,7 +876,8 @@ impl<'a, W: Word> WideSim<'a, W> {
             }
             self.pending += 1;
             if self.pending >= FLUSH_INTERVAL {
-                self.flush();
+                self.toggles.flush();
+                self.pending = 0;
             }
         }
         self.initialized = true;
@@ -833,29 +892,12 @@ impl<'a, W: Word> WideSim<'a, W> {
     /// [`crate::ZeroDelaySim`] run over lane `l`'s stream would have
     /// accumulated.
     pub fn take_lane_activities(&mut self) -> Vec<Activity> {
-        let n = self.netlist.node_count();
-        self.flush();
-        // Transpose node-major: one sequential pass over the strided
-        // totals, scattering into at most `LANES` write streams (which
-        // stay cache-resident), instead of `LANES` strided gathers that
-        // each touch one cache line per node.
-        let mut out: Vec<Activity> = self
-            .lane_cycles
-            .iter()
-            .map(|&cycles| Activity { toggles: vec![0u64; n], cycles })
+        let lanes = self.toggles.take_lanes();
+        obs::SIM64_TOGGLES.add(lanes.iter().flatten().sum());
+        let out = (lanes.into_iter().zip(&self.lane_cycles))
+            .map(|(toggles, &cycles)| Activity { toggles, cycles })
             .collect();
-        let mut total_toggles = 0u64;
-        for (node, row) in self.lane_toggles.chunks_exact(W::LANES).enumerate() {
-            for (l, &t) in row.iter().enumerate() {
-                if t != 0 {
-                    out[l].toggles[node] = t;
-                    total_toggles += t;
-                }
-            }
-        }
-        obs::SIM64_TOGGLES.add(total_toggles);
-        self.lane_toggles.clear();
-        self.lane_cycles.fill(0);
+        self.reset_cycles();
         out
     }
 
@@ -867,40 +909,33 @@ impl<'a, W: Word> WideSim<'a, W> {
     /// This is the Monte-Carlo fast path: one pass turns each node's
     /// count planes into per-lane counts and adds their energy straight
     /// into per-lane accumulators, with no `nodes x lanes` toggle array
-    /// unless the run spilled its planes mid-run. Lane `l`'s sample is
+    /// unless the run flushed its planes mid-run. Lane `l`'s sample is
     /// bit-identical to `model.total_power_uw(&lane_activity)` of the
     /// record [`take_lane_activities`](Self::take_lane_activities) would
     /// have returned for that lane.
     pub fn take_lane_powers(&mut self, model: &PowerModel) -> Vec<(f64, u64)> {
-        self.pending = 0;
-        let planes = W::flat_chunks_mut(&mut self.planes);
-        let (out, toggles) = lane_powers(planes, &self.lane_toggles, model, &self.lane_cycles);
+        let (out, toggles) = self.toggles.take_lane_powers(model, &self.lane_cycles);
         obs::SIM64_TOGGLES.add(toggles);
-        self.lane_toggles.clear();
-        self.lane_cycles.fill(0);
+        self.reset_cycles();
         out
     }
 
     /// Returns the lane-collapsed activity (all lanes merged: toggles
-    /// summed per node, cycles summed) and resets the counters.
+    /// summed per node, cycles summed) and resets the counters like
+    /// [`take_lane_activities`](Self::take_lane_activities). Each node's
+    /// count is its planes' popcounts, with no per-lane array.
     pub fn take_activity(&mut self) -> Activity {
-        let n = self.netlist.node_count();
-        self.flush();
-        let mut toggles = vec![0u64; n];
-        for (node, t) in toggles.iter_mut().enumerate() {
-            *t = self.lane_toggles[node * W::LANES..(node + 1) * W::LANES].iter().sum();
-        }
-        obs::SIM64_TOGGLES.add(toggles.iter().sum::<u64>());
-        self.lane_toggles.clear();
+        let toggles = self.toggles.take_nodes();
+        obs::SIM64_TOGGLES.add(toggles.iter().sum());
         let cycles = self.lane_cycles.iter().sum();
-        self.lane_cycles.fill(0);
+        self.reset_cycles();
         Activity { toggles, cycles }
     }
 
-    /// Drains the planes into the exact per-lane totals.
-    fn flush(&mut self) {
-        let n = self.netlist.node_count();
-        flush_planes(&mut self.planes, spill_totals(&mut self.lane_toggles, n * W::LANES), n);
+    /// Zeroes the per-lane cycle counts and restarts the flush schedule
+    /// (every take leaves the planes empty).
+    fn reset_cycles(&mut self) {
+        self.lane_cycles.fill(0);
         self.pending = 0;
     }
 }
@@ -945,14 +980,11 @@ pub struct WideTimedSim<'a, W: Word> {
     dff_d: Vec<u32>,
     /// Scratch buffer for one wheel slot's node list (sorted ascending).
     slot_nodes: Vec<u32>,
-    /// Vertical counters for all transitions (functional + glitch).
-    toggle_planes: Vec<W>,
-    /// Vertical counters for functional (settled-state) transitions.
-    func_planes: Vec<W>,
-    /// Exact per-lane totals spilled or flushed out of the planes
-    /// (`node * W::LANES + lane`); empty until a spill or flush needs them.
-    lane_toggles: Vec<u64>,
-    lane_functional: Vec<u64>,
+    /// Counts of all transitions (functional + glitch).
+    transitions: Counts<W>,
+    /// Counts of functional (settled-state) transitions.
+    functional: Counts<W>,
+    /// Counted cycles per lane (`W::LANES` entries).
     lane_cycles: Vec<u64>,
     initialized: bool,
 }
@@ -1047,10 +1079,8 @@ impl<'a, W: Word> WideTimedSim<'a, W> {
             dff_next,
             dff_d,
             slot_nodes: Vec::new(),
-            toggle_planes: vec![W::zero(); n * PLANES],
-            func_planes: vec![W::zero(); n * PLANES],
-            lane_toggles: Vec::new(),
-            lane_functional: Vec::new(),
+            transitions: Counts::new(n),
+            functional: Counts::new(n),
             lane_cycles: vec![0; W::LANES],
             initialized: false,
         })
@@ -1075,13 +1105,7 @@ impl<'a, W: Word> WideTimedSim<'a, W> {
             return;
         }
         self.values[node] = self.values[node].xor(changed);
-        bump_planes_spill(
-            &mut self.toggle_planes,
-            node * PLANES,
-            &mut self.lane_toggles,
-            node * W::LANES,
-            changed.and(count_mask),
-        );
+        self.transitions.bump(node, changed.and(count_mask));
         let n = self.instr_of.len();
         for k in self.fan_start[node] as usize..self.fan_start[node + 1] as usize {
             let (f, db) = self.fan[k];
@@ -1129,13 +1153,7 @@ impl<'a, W: Word> WideTimedSim<'a, W> {
                     continue;
                 }
                 self.values[node] = self.values[node].xor(changed);
-                bump_planes_spill(
-                    &mut self.toggle_planes,
-                    node * PLANES,
-                    &mut self.lane_toggles,
-                    node * W::LANES,
-                    changed.and(count_mask),
-                );
+                self.transitions.bump(node, changed.and(count_mask));
                 for k in self.fan_start[node] as usize..self.fan_start[node + 1] as usize {
                     let (f, db) = self.fan[k];
                     // Delays are in [1, wheel_len - 1], so the target slot
@@ -1205,13 +1223,7 @@ impl<'a, W: Word> WideTimedSim<'a, W> {
             for node in 0..self.values.len() {
                 let diff = self.step_start[node].xor(self.values[node]).and(count_mask);
                 if !diff.is_zero() {
-                    bump_planes_spill(
-                        &mut self.func_planes,
-                        node * PLANES,
-                        &mut self.lane_functional,
-                        node * W::LANES,
-                        diff,
-                    );
+                    self.functional.bump(node, diff);
                 }
             }
         }
@@ -1276,13 +1288,7 @@ impl<'a, W: Word> WideTimedSim<'a, W> {
             );
             let diff = from[node].xor(self.values[node]).and(mask);
             if !diff.is_zero() {
-                bump_planes_spill(
-                    &mut self.func_planes,
-                    node * PLANES,
-                    &mut self.lane_functional,
-                    node * W::LANES,
-                    diff,
-                );
+                self.functional.bump(node, diff);
             }
         }
         for l in 0..W::LANES {
@@ -1300,37 +1306,17 @@ impl<'a, W: Word> WideTimedSim<'a, W> {
     /// [`crate::EventDrivenSim`] run over lane `l`'s stream would have
     /// accumulated.
     pub fn take_lane_activities(&mut self) -> Vec<TimedActivity> {
-        let n = self.values.len();
-        let len = n * W::LANES;
-        flush_planes(&mut self.toggle_planes, spill_totals(&mut self.lane_toggles, len), n);
-        flush_planes(&mut self.func_planes, spill_totals(&mut self.lane_functional, len), n);
-        // Node-major transpose, for the same cache reasons as
-        // `WideSim::take_lane_activities`.
-        let mut out: Vec<TimedActivity> = self
-            .lane_cycles
-            .iter()
-            .map(|&cycles| TimedActivity {
-                activity: Activity { toggles: vec![0u64; n], cycles },
-                functional: vec![0u64; n],
+        self.check_functional();
+        let (toggles, functional) = (self.transitions.take_lanes(), self.functional.take_lanes());
+        let sum = |lanes: &[Vec<u64>]| lanes.iter().flatten().sum();
+        count_transitions(sum(&toggles), sum(&functional));
+        let out = (toggles.into_iter().zip(functional).zip(&self.lane_cycles))
+            .map(|((toggles, functional), &cycles)| TimedActivity {
+                activity: Activity { toggles, cycles },
+                functional,
             })
             .collect();
-        let mut total_toggles = 0u64;
-        let mut total_glitches = 0u64;
-        for node in 0..n {
-            let row = &self.lane_toggles[node * W::LANES..(node + 1) * W::LANES];
-            let func = &self.lane_functional[node * W::LANES..(node + 1) * W::LANES];
-            for (l, (&t, &f)) in row.iter().zip(func).enumerate() {
-                if t != 0 || f != 0 {
-                    out[l].activity.toggles[node] = t;
-                    out[l].functional[node] = f;
-                    total_toggles += t;
-                    total_glitches += t.saturating_sub(f);
-                }
-            }
-        }
-        obs::SIM_EVP_TRANSITIONS.add(total_toggles);
-        obs::SIM_EVP_GLITCHES.add(total_glitches);
-        self.reset_totals();
+        self.lane_cycles.fill(0);
         out
     }
 
@@ -1341,36 +1327,49 @@ impl<'a, W: Word> WideTimedSim<'a, W> {
     /// to `model.total_power_uw(&lane.activity)` of the record
     /// [`take_lane_activities`](Self::take_lane_activities) would have
     /// returned for that lane.
-    ///
-    /// The glitch counter is the difference of the run's transition and
-    /// functional totals, which equals the per-lane, per-node sum of
-    /// [`take_lane_activities`](Self::take_lane_activities) because a
-    /// settled change always takes at least one transition (checked in
-    /// debug builds).
     pub fn take_lane_powers(&mut self, model: &PowerModel) -> Vec<(f64, u64)> {
-        debug_assert!(
-            functional_within_total(
-                (&self.toggle_planes, &self.lane_toggles),
-                (&self.func_planes, &self.lane_functional)
-            ),
-            "a lane counted more functional transitions than transitions"
-        );
-        let planes = W::flat_chunks_mut(&mut self.toggle_planes);
-        let (out, transitions) = lane_powers(planes, &self.lane_toggles, model, &self.lane_cycles);
-        let functional =
-            drain_planes(&mut self.func_planes) + self.lane_functional.iter().sum::<u64>();
-        obs::SIM_EVP_TRANSITIONS.add(transitions);
-        obs::SIM_EVP_GLITCHES.add(transitions - functional);
-        self.reset_totals();
+        self.check_functional();
+        let (out, transitions) = self.transitions.take_lane_powers(model, &self.lane_cycles);
+        count_transitions(transitions, self.functional.take_total());
+        self.lane_cycles.fill(0);
         out
     }
 
-    /// Empties the spilled totals and zeroes the per-lane cycle counts.
-    fn reset_totals(&mut self) {
-        self.lane_toggles.clear();
-        self.lane_functional.clear();
+    /// Returns the lane-collapsed timed activity (all lanes merged:
+    /// transitions and functional transitions summed per node, cycles
+    /// summed) and resets the counters like
+    /// [`take_lane_activities`](Self::take_lane_activities). Each node's
+    /// counts are its planes' popcounts, with no per-lane array.
+    pub fn take_activity(&mut self) -> TimedActivity {
+        self.check_functional();
+        let (toggles, functional) = (self.transitions.take_nodes(), self.functional.take_nodes());
+        count_transitions(toggles.iter().sum(), functional.iter().sum());
+        let cycles = self.lane_cycles.iter().sum();
         self.lane_cycles.fill(0);
+        TimedActivity { activity: Activity { toggles, cycles }, functional }
     }
+
+    /// Checks, in debug builds, that no lane counted more functional
+    /// transitions than transitions at any node: a settled change always
+    /// takes at least one transition.
+    fn check_functional(&self) {
+        debug_assert!(
+            (self.transitions.lane_totals().iter())
+                .zip(&self.functional.lane_totals())
+                .all(|(t, f)| f <= t),
+            "a lane counted more functional transitions than transitions"
+        );
+    }
+}
+
+/// Adds one take's totals to the `sim_evp` counters. The glitch count is
+/// the difference of the transition and functional totals, which equals
+/// the per-lane, per-node sum of `transitions - functional` because no
+/// lane counts more functional transitions than transitions at a node
+/// (see `WideTimedSim::check_functional`).
+fn count_transitions(transitions: u64, functional: u64) {
+    obs::SIM_EVP_TRANSITIONS.add(transitions);
+    obs::SIM_EVP_GLITCHES.add(transitions - functional);
 }
 
 /// Profiles one input-vector stream with the chosen timed kernel and
@@ -1380,9 +1379,9 @@ impl<'a, W: Word> WideTimedSim<'a, W> {
 /// [`EventDrivenSim`] over the stream; the packed kernels compute the
 /// zero-delay stable-state trajectory once, then replay the stream's
 /// `N - 1` transitions [`Word::LANES`] per word on a [`WideTimedSim`] and
-/// merge the lanes (exact integer sums, so the reorganization is
-/// invisible). [`McKernel::Auto`] resolves to the widest word the
-/// transition count can fill.
+/// sum the lanes per node ([`WideTimedSim::take_activity`]; exact integer
+/// sums, so the reorganization is invisible). [`McKernel::Auto`] resolves
+/// to the widest word the transition count can fill.
 ///
 /// # Errors
 ///
@@ -1439,11 +1438,7 @@ fn timed_activity_packed<W: Word>(
         sim.eval_transition_block(&from, &to, mask)?;
         t0 += lanes;
     }
-    let mut out = TimedActivity::zero(netlist);
-    for lane in sim.take_lane_activities() {
-        out.merge(&lane)?;
-    }
-    Ok(out)
+    Ok(sim.take_activity())
 }
 
 /// Extracts 64 bits starting at `start` from a bit-packed word slice
@@ -1460,18 +1455,6 @@ fn window(words: &[u64], start: usize) -> u64 {
         x |= words[w + 1] << (64 - b);
     }
     x
-}
-
-/// Whether every lane's functional count is at most its transition count
-/// at every node, each given as `(planes, spilled totals)`.
-fn functional_within_total<W: Word>(toggles: (&[W], &[u64]), functional: (&[W], &[u64])) -> bool {
-    let totals = |(planes, spill): (&[W], &[u64])| {
-        let n = planes.len() / PLANES;
-        let mut totals = spill.to_vec();
-        flush_planes(&mut planes.to_vec(), spill_totals(&mut totals, n * W::LANES), n);
-        totals
-    };
-    totals(toggles).iter().zip(&totals(functional)).all(|(t, f)| f <= t)
 }
 
 #[cfg(test)]
@@ -1867,20 +1850,25 @@ mod tests {
 
     #[test]
     fn plane_spill_is_exact_past_the_top_plane() {
-        // Force the carry chain out of the 16-plane stack and check that
-        // the spilled weight lands exactly in the 64-bit totals, for every
-        // word width.
+        // Force the carry chain out of the 16-plane stack of node 1 and
+        // check that the spilled weight lands exactly in every count a
+        // take reads, for every word width.
         fn check<W: Word>() {
-            let mut planes = vec![W::zero(); PLANES];
-            let mut totals = vec![0u64; W::LANES];
+            let mut counts = Counts::<W>::new(3);
             let reps = (1u64 << PLANES) + 5;
             for _ in 0..reps {
-                bump_planes_spill(&mut planes, 0, &mut totals, 0, W::splat(true));
+                counts.bump(1, W::splat(true));
             }
-            flush_planes(&mut planes, &mut totals, 1);
-            for (l, &t) in totals.iter().enumerate() {
-                assert_eq!(t, reps, "lane {l}");
-            }
+            counts.bump(2, W::low_mask(3));
+            let lanes = W::LANES as u64;
+            let want: Vec<Vec<u64>> =
+                (0..W::LANES).map(|l| vec![0, reps, u64::from(l < 3)]).collect();
+            assert_eq!(counts.clone().take_lanes(), want);
+            assert_eq!(counts.clone().take_nodes(), vec![0, reps * lanes, 3]);
+            assert_eq!(counts.clone().take_total(), reps * lanes + 3);
+            counts.flush();
+            assert_eq!(counts.take_lanes(), want);
+            assert_eq!(counts.take_total(), 0, "a take zeroes the counters");
         }
         check::<u64>();
         check::<W256>();

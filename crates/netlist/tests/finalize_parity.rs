@@ -1,16 +1,20 @@
-//! The packed finalize against the per-lane records.
+//! The packed finalizes against the per-lane records.
 //!
 //! `take_lane_powers` turns the count planes straight into per-lane power
 //! and derives the `sim_packed.toggles` and
 //! `sim_ev_packed.{transitions,glitches}` counters from plane popcounts,
-//! while `take_lane_activities` returns per-lane records and sums them.
-//! After identical steps, each lane's power must equal
-//! `PowerModel::total_power_uw` of its record to the bit, and the two
+//! `take_activity` sums each node's planes by popcount into one
+//! lane-collapsed record, and `take_lane_activities` returns per-lane
+//! records and sums them. After identical steps, each lane's power must
+//! equal `PowerModel::total_power_uw` of its record to the bit, the
+//! collapsed record must equal the merged per-lane records, and all three
 //! must add the same counter amounts, including runs long enough to spill
 //! the count planes. One test in its own binary, so no other test moves
 //! the global counters in between.
 
-use hlpower_netlist::{gen, Library, Netlist, PowerModel, WideSim, WideTimedSim, Word, W256};
+use hlpower_netlist::{
+    gen, Activity, Library, Netlist, PowerModel, TimedActivity, WideSim, WideTimedSim, Word, W256,
+};
 use hlpower_obs::metrics as obs;
 use hlpower_rng::Rng;
 
@@ -54,6 +58,7 @@ fn zero_delay<W: Word>(nl: &Netlist, model: &PowerModel, cycles: usize) {
         sim.step_masked(&words, mask).unwrap();
     }
     let mut twin = sim.clone();
+    let mut collapsed = sim.clone();
     let before = obs::SIM64_TOGGLES.get();
     let powers = sim.take_lane_powers(model);
     let fused = obs::SIM64_TOGGLES.get() - before;
@@ -67,6 +72,15 @@ fn zero_delay<W: Word>(nl: &Netlist, model: &PowerModel, cycles: usize) {
     let summed: u64 = lanes.iter().flat_map(|a| &a.toggles).sum();
     assert!(summed > 0);
     assert_eq!((fused, records), (summed, summed), "{} lanes, {cycles} cycles", W::LANES);
+    let before = obs::SIM64_TOGGLES.get();
+    let collapsed = collapsed.take_activity();
+    let added = obs::SIM64_TOGGLES.get() - before;
+    let mut merged = Activity::zero(nl);
+    for lane in &lanes {
+        merged.merge(lane).unwrap();
+    }
+    assert_eq!(collapsed, merged, "{} lanes, {cycles} cycles", W::LANES);
+    assert_eq!(added, summed, "{} lanes, {cycles} cycles", W::LANES);
 }
 
 fn timed<W: Word>(nl: &Netlist, lib: &Library, model: &PowerModel, cycles: usize) {
@@ -75,6 +89,7 @@ fn timed<W: Word>(nl: &Netlist, lib: &Library, model: &PowerModel, cycles: usize
         sim.step_masked(&words, mask).unwrap();
     }
     let mut twin = sim.clone();
+    let mut collapsed = sim.clone();
     let counters = || (obs::SIM_EVP_TRANSITIONS.get(), obs::SIM_EVP_GLITCHES.get());
     let delta = |(t0, g0): (u64, u64), (t1, g1): (u64, u64)| (t1 - t0, g1 - g0);
     let before = counters();
@@ -96,6 +111,15 @@ fn timed<W: Word>(nl: &Netlist, lib: &Library, model: &PowerModel, cycles: usize
     assert!(glitches > 0, "the multiplier should glitch");
     let want = (transitions, glitches);
     assert_eq!((fused, records), (want, want), "{} lanes, {cycles} cycles", W::LANES);
+    let before = counters();
+    let collapsed = collapsed.take_activity();
+    let added = delta(before, counters());
+    let mut merged = TimedActivity::zero(nl);
+    for lane in &lanes {
+        merged.merge(lane).unwrap();
+    }
+    assert_eq!(collapsed, merged, "{} lanes, {cycles} cycles", W::LANES);
+    assert_eq!(added, want, "{} lanes, {cycles} cycles", W::LANES);
 }
 
 #[test]

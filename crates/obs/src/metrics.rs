@@ -50,7 +50,9 @@ pub static SIM64_GATE_EVALS: ShardedCounter = ShardedCounter::new();
 /// Counted lane-cycles: active lanes per counted step (lane-parallel) or
 /// valid cycles per time-packed recording block.
 pub static SIM64_LANE_CYCLES: ShardedCounter = ShardedCounter::new();
-/// Node transitions flushed out of the packed toggle planes.
+/// Node transitions read out of the zero-delay packed simulator's count
+/// planes by any of its takes (`take_lane_powers`, `take_activity`,
+/// `take_lane_activities`).
 pub static SIM64_TOGGLES: ShardedCounter = ShardedCounter::new();
 /// Time-packed recording blocks evaluated: one compiled evaluation of a
 /// combinational netlist covers up to 64 consecutive cycles.
@@ -82,10 +84,12 @@ pub static SIM_EVP_STEPS: ShardedCounter = ShardedCounter::new();
 pub static SIM_EVP_EVENTS: ShardedCounter = ShardedCounter::new();
 /// Counted lane-cycles: active lanes per counted step or transition block.
 pub static SIM_EVP_LANE_CYCLES: ShardedCounter = ShardedCounter::new();
-/// All transitions (functional + glitch) flushed through
-/// `take_lane_activities`.
+/// All transitions (functional + glitch) read out of the packed timed
+/// simulator's count planes by any of its takes (`take_lane_powers`,
+/// `take_activity`, `take_lane_activities`).
 pub static SIM_EVP_TRANSITIONS: ShardedCounter = ShardedCounter::new();
-/// Glitch transitions flushed through `take_lane_activities`.
+/// Glitch transitions (transitions minus functional transitions) read out
+/// by the same takes.
 pub static SIM_EVP_GLITCHES: ShardedCounter = ShardedCounter::new();
 
 // --- Incremental (dirty-cone) re-simulation --------------------------------
@@ -140,7 +144,7 @@ pub static BDD_UNIQUE_CHAIN_LEN: Hist = Hist::new();
 
 // --- Monte-Carlo engine ---------------------------------------------------
 
-/// Monte-Carlo estimation runs started (serial + seeded engines).
+/// Monte-Carlo estimation runs started (zero-delay and glitch engines).
 pub static MC_RUNS: Counter = Counter::new();
 /// Batches whose power sample was consumed by the stopping rule.
 pub static MC_BATCHES: Counter = Counter::new();

@@ -9,7 +9,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use hlpower_bdd::{BddManager, BddRef};
+use hlpower_bdd::{gate_bdd, BddManager, BddRef};
 use hlpower_netlist::{
     IncrementalSim, Library, Netlist, NetlistError, NodeId, NodeKind, ZeroDelaySim,
 };
@@ -65,28 +65,8 @@ fn odc_of(
             continue;
         }
         if let NodeKind::Gate { kind, inputs } = netlist.kind(id) {
-            use hlpower_netlist::GateKind::*;
             let fanin: Vec<BddRef> = inputs.iter().map(|f| map[f]).collect();
-            let f = match kind {
-                Buf => fanin[0],
-                Not => m.not(fanin[0]),
-                And => m.and_many(fanin.iter().copied()),
-                Or => m.or_many(fanin.iter().copied()),
-                Nand => {
-                    let x = m.and_many(fanin.iter().copied());
-                    m.not(x)
-                }
-                Nor => {
-                    let x = m.or_many(fanin.iter().copied());
-                    m.not(x)
-                }
-                Xor => fanin[1..].iter().fold(fanin[0], |acc, &x| m.xor(acc, x)),
-                Xnor => {
-                    let x = fanin[1..].iter().fold(fanin[0], |acc, &x| m.xor(acc, x));
-                    m.not(x)
-                }
-                Mux => m.ite(fanin[0], fanin[2], fanin[1]),
-            };
+            let f = gate_bdd(&mut m, *kind, &fanin);
             map.insert(id, f);
         }
     }

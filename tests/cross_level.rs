@@ -4,8 +4,8 @@
 
 use hlpower::estimate::entropy;
 use hlpower::netlist::{
-    gen, monte_carlo_power, streams, Library, MonteCarloOptions, Netlist, ProbabilityAnalysis,
-    ZeroDelaySim,
+    gen, monte_carlo_power_seeded_threads_kernel, streams, Library, McKernel, MonteCarloOptions,
+    Netlist, ProbabilityAnalysis, ZeroDelaySim,
 };
 
 fn adder(width: usize) -> Netlist {
@@ -26,11 +26,15 @@ fn three_estimators_agree_on_adder() {
     let lib = Library::default();
     let analytic =
         ProbabilityAnalysis::propagate_uniform(&nl).expect("acyclic").power_uw(&nl, &lib);
-    let mc = monte_carlo_power(
+    let w = nl.input_count();
+    let mc = monte_carlo_power_seeded_threads_kernel(
         &nl,
         &lib,
-        streams::random(7, nl.input_count()),
+        |rng| streams::random_rng(rng, w),
+        7,
         &MonteCarloOptions::default(),
+        1,
+        McKernel::Auto,
     )
     .expect("converges");
     let mut sim = ZeroDelaySim::new(&nl).expect("acyclic");
