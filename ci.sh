@@ -46,13 +46,17 @@ cargo run --release --offline -p hlpower-bench --bin repro -- \
 #     scalar event sim;
 #   - zero-delay: packed256 more than 1.15x faster than packed64;
 #   - optimize: incremental guard scoring (bit-identical per candidate to
-#     the from-scratch scorer) faster than from-scratch, and at least 10x
+#     the from-scratch scorer) faster than from-scratch, and at least 200x
 #     in full mode; rewrite dirty-cone replay strictly less work than one
-#     full replay per candidate.
+#     full replay per candidate;
+#   - record: in full mode, the packed recorder (IncrementalSim::record)
+#     at least 5x faster than a scalar ZeroDelaySim run on a pipeline cut.
 # It also exits non-zero if, in the `timed` section (timed_activity on the
 # 4- and 16-bit multipliers over 300 and 513 vectors), the 64-, 256- and
-# 512-lane kernels and Auto return different records; that section and
-# the `phases` split have no speed gate.
+# 512-lane kernels and Auto return different records, or if, in the
+# `record` section (a pipeline cut, a precomputed comparator and a
+# one-hot FSM), the recorder's activity differs from the scalar run's;
+# the `timed` section and the `phases` split have no speed gate.
 # The per-lane bit-identity battery runs in the test step above
 # (tests/wide_differential.rs).
 cargo bench --offline -p hlpower-bench --bench kernels

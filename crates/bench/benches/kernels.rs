@@ -12,7 +12,7 @@
 //!
 //! The optimize section scores every guard-search candidate with the
 //! from-scratch [`guard::evaluate`] and with one [`guard::GuardScorer`]:
-//! bit-identical per candidate, then faster (at least 10x in full mode).
+//! bit-identical per candidate, then faster (at least 200x in full mode).
 //! It also runs [`rewrite::rewrite_gates`], gated on its replay-work
 //! ratio: one full replay per candidate must cost more nodes than the
 //! dirty cones it re-evaluated.
@@ -31,6 +31,12 @@
 //! Its kernels must return the same record to the bit; it has no speed
 //! gate.
 //!
+//! The record section times the packed recorder, [`IncrementalSim::record`],
+//! against a scalar [`ZeroDelaySim::run`] on three sequential shapes (a
+//! pipeline-cut 6-bit multiplier, the precomputed 8-bit comparator, a
+//! one-hot FSM): equal activities, passes per 64-cycle block from its
+//! `sim_packed.gate_evals` delta, and at least 5x on the cut in full mode.
+//!
 //! Every timed leg records the nonzero `hlpower-obs` counter deltas of its
 //! last rep. The dump is `results/BENCH_kernels.json`; gate failures are
 //! reported after it is written, with every rep's seconds, and exit 1.
@@ -41,13 +47,14 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use hlpower::fsm::{generators, synthesize, Encoding};
 use hlpower::netlist::{
     gen, monte_carlo_glitch_power_seeded_threads_kernel, monte_carlo_power_seeded_threads_kernel,
     random_words, simd_level, simulate_packed_lanes, streams, timed_activity, CompiledKernel,
-    LaneRequest, Library, McKernel, MonteCarloOptions, Netlist, PowerModel, WideSim, Word, W256,
-    W512,
+    IncrementalSim, LaneRequest, Library, McKernel, MonteCarloOptions, Netlist, PowerModel,
+    WideSim, Word, ZeroDelaySim, W256, W512,
 };
-use hlpower::optimize::{guard, rewrite};
+use hlpower::optimize::{guard, precompute, retime, rewrite};
 use hlpower_bench::timing::full_mode;
 use hlpower_obs::json;
 use hlpower_obs::json::Value;
@@ -419,6 +426,75 @@ fn timed(full: bool) -> Value {
     Value::Arr(rows)
 }
 
+/// The record section's sequential shapes: a mid-cone pipeline cut of
+/// the 6-bit multiplier (one register layer, feed-forward), the
+/// precomputed 8-bit comparator and a one-hot random FSM (state feedback).
+fn record_shapes(lib: &Library) -> Vec<(&'static str, Netlist)> {
+    let mult6 = multiplier(6);
+    let arrivals = mult6.arrival_times_ps(lib).expect("acyclic multiplier");
+    let t_max = arrivals.iter().copied().fold(0.0, f64::max);
+    let cut = retime::pipeline_cut(&mult6, lib, t_max / 2.0).expect("acyclic multiplier");
+    let cmp8 = precompute::build_architecture(&precompute::comparator_block(8), 2)
+        .expect("acyclic comparator")
+        .netlist;
+    let stg = generators::random_stg(2, 16, 2, 5);
+    let fsm = synthesize(&stg, &Encoding::one_hot(&stg)).expect("one-hot covers every state");
+    vec![("mult6_cut", cut), ("precompute_cmp8", cmp8), ("fsm16_one_hot", fsm.netlist)]
+}
+
+/// The record section on each of [`record_shapes`], legs interleaved rep
+/// by rep: its JSON, with a failed gate's report pushed onto `failures`.
+fn record(full: bool, failures: &mut Vec<String>) -> Value {
+    let (vectors, reps) = if full { (4096, 15) } else { (512, 3) };
+    let lib = Library::default();
+    let mut rows = Vec::new();
+    for (shape, nl) in record_shapes(&lib) {
+        let stream: Vec<Vec<bool>> =
+            streams::random(2027, nl.input_count()).take(vectors).collect();
+        let (mut scalar, mut packed) = (Leg::new("scalar"), Leg::new("packed"));
+        for _ in 0..reps {
+            let by_step = scalar.time(|| {
+                let mut sim = ZeroDelaySim::new(&nl).expect("acyclic shape");
+                sim.run(stream.iter().cloned()).expect("width matches")
+            });
+            let recorded = packed
+                .time(|| IncrementalSim::record(&nl, &stream).expect("acyclic shape").activity());
+            assert_eq!(recorded, by_step, "record {shape}: activities diverged");
+        }
+        // One pass evaluates every gate once per 64-cycle block.
+        let gate_evals = packed.counters.get("sim_packed.gate_evals").and_then(Value::as_u64);
+        let blocks = vectors.div_ceil(64);
+        let passes = gate_evals.unwrap_or(0) as f64 / (blocks * nl.gate_count()) as f64;
+        let speedup = scalar.seconds() / packed.seconds();
+        let (us_scalar, us_packed) = (scalar.seconds() * 1e6, packed.seconds() * 1e6);
+        println!(
+            "  record {shape:<16} {} regs: scalar {us_scalar:.0} us, packed {us_packed:.0} us \
+             ({speedup:.1}x, {passes:.1} passes per block)",
+            nl.dffs().len()
+        );
+        let min_speedup = (full && shape == "mult6_cut").then_some(5.0);
+        rows.push(json!({
+            "shape": shape,
+            "gates": nl.gate_count(),
+            "dffs": nl.dffs().len(),
+            "vectors": vectors,
+            "reps": reps,
+            "scalar_us": us_scalar,
+            "packed_us": us_packed,
+            "speedup": speedup,
+            "min_speedup": min_speedup.map_or(Value::Null, Value::from),
+            "passes_per_block": passes,
+            "scalar_counters": scalar.counters.clone(),
+            "packed_counters": packed.counters.clone(),
+        }));
+        if let Some(floor) = min_speedup.filter(|&f| speedup < f) {
+            let report = format!("record {shape}: {speedup:.2}x scalar, needs >= {floor}x");
+            fail(failures, report, &[scalar, packed]);
+        }
+    }
+    Value::Arr(rows)
+}
+
 /// The checkout's `git describe --always --dirty`, or `"unknown"`.
 fn git_rev() -> String {
     std::process::Command::new("git")
@@ -475,7 +551,7 @@ fn optimize(full: bool, failures: &mut Vec<String>) -> Value {
     let (sec_scratch, sec_inc) = (scratch.seconds(), inc.seconds());
     let n = candidates.len() as f64;
     let guard_speedup = sec_scratch / sec_inc;
-    let guard_min = if full { 10.0 } else { 1.0 };
+    let guard_min = if full { 200.0 } else { 1.0 };
     let (ms_scratch, ms_inc) = (sec_scratch * 1e3, sec_inc * 1e3);
     println!(
         "  opt.guard    {n} candidates: from-scratch {ms_scratch:.1} ms, incremental \
@@ -537,7 +613,7 @@ fn optimize(full: bool, failures: &mut Vec<String>) -> Value {
             "counters": rw_leg.counters.clone(),
         },
     });
-    // Smoke mode needs a strict win; full mode needs at least 10x.
+    // Smoke mode needs a strict win; full mode needs at least 200x.
     if guard_speedup <= 1.0 || (full && guard_speedup < guard_min) {
         let need = if full { ">=" } else { ">" };
         let report =
@@ -568,6 +644,7 @@ fn main() {
         COMPARISONS.iter().map(|row| compare(&nl, row, full, &mut failures)).collect();
     let phases = phases(full);
     let timed = timed(full);
+    let record = record(full, &mut failures);
     let opt = optimize(full, &mut failures);
 
     let report = json!({
@@ -587,6 +664,7 @@ fn main() {
         "comparisons": comparisons,
         "phases": phases,
         "timed": timed,
+        "record": record,
         "opt": opt,
     });
     if let Err(e) = std::fs::write(OUT_PATH, report.pretty() + "\n") {

@@ -5,20 +5,24 @@
 //!   cycles per `u64` word (flip-flop rows are the register-boundary
 //!   snapshots; bits past the last vector are zero), with the toggle word
 //!   and the commit-time row splice. [`Trajectory::record`] is the one
-//!   place a stimulus stream is time-packed.
+//!   place a stimulus stream is time-packed, for every netlist: the
+//!   compiled program runs once per pass over a 64-cycle block, and
+//!   registers relax to a fixpoint per block.
 //!   [`crate::IncrementalSim::record`] (and through it the estimate
 //!   crate's macro-model harness) and the packed [`crate::timed_activity`]
 //!   driver (its stable-state reference) call it. The resim front end
 //!   lives here too: the fanout CSR and topological order of the edited
 //!   netlist and the forward closure that is the dirty cone;
+//! * [`hold_word`] — the latch word (a masked fill-forward), with which
+//!   a replay holds a frozen node while a guard is on;
 //! * [`ResimScratch`] — the reusable working memory of a resim.
 
 use hlpower_obs::metrics as obs;
 
 use crate::error::NetlistError;
-use crate::netlist::{Netlist, NodeId, TopoScratch};
-use crate::sim::ZeroDelaySim;
+use crate::netlist::{Netlist, NodeId, NodeKind, TopoScratch};
 use crate::simwide::Program;
+use crate::words::Word;
 
 /// Clears `v` and refills it with `n` copies of `fill`, reusing capacity.
 pub(crate) fn refill<T: Clone>(v: &mut Vec<T>, n: usize, fill: T) {
@@ -36,30 +40,16 @@ pub(crate) struct Trajectory {
     pub(crate) n_vectors: usize,
     /// `u64` words per node (`n_vectors.div_ceil(64)`).
     pub(crate) blocks: usize,
-    /// Valid-bit mask of each row's final word.
-    tail_mask: u64,
     /// The rows, node-major.
     pub(crate) values: Vec<u64>,
 }
 
 impl Trajectory {
-    /// An all-zero trajectory of `nodes` rows over `n_vectors >= 1`
-    /// vectors.
-    pub(crate) fn zeroed(nodes: usize, n_vectors: usize) -> Self {
-        let blocks = n_vectors.div_ceil(64);
-        let tail_valid = n_vectors - (blocks - 1) * 64;
-        let tail_mask = if tail_valid == 64 { !0 } else { (1u64 << tail_valid) - 1 };
-        Trajectory { n_vectors, blocks, tail_mask, values: vec![0; nodes * blocks] }
-    }
-
     /// Records `netlist`'s settled trajectory over `stream`, 64 cycles
-    /// per word. A combinational netlist evaluates the compiled
-    /// [`Program`] once per 64-cycle block: gates read only same-cycle
-    /// values, so each block settles on its own. A sequential netlist
-    /// steps a [`ZeroDelaySim`] and packs each cycle, so its flip-flop
-    /// rows are the register-boundary snapshots. Either way every valid
-    /// bit is the scalar simulator's settled value and every bit past the
-    /// last vector is zero.
+    /// per word, running the compiled [`Program`] in passes over each
+    /// block. Every valid bit is the scalar [`crate::ZeroDelaySim`]'s
+    /// settled value (flip-flop rows are the register-boundary
+    /// snapshots); bits past the last vector are zero.
     ///
     /// # Errors
     ///
@@ -74,27 +64,56 @@ impl Trajectory {
         if let Some(v) = stream.iter().find(|v| v.len() != width) {
             return Err(NetlistError::InputWidthMismatch { got: v.len(), expected: width });
         }
-        let mut traj = Trajectory::zeroed(netlist.node_count(), stream.len());
-        if !netlist.dffs().is_empty() {
-            let mut sim = ZeroDelaySim::new(netlist)?;
-            for (c, v) in stream.iter().enumerate() {
-                sim.step(v)?;
-                traj.pack(c, sim.values_raw());
-            }
-            return Ok(traj);
-        }
+        let (n_vectors, blocks) = (stream.len(), stream.len().div_ceil(64));
+        let values = vec![0; netlist.node_count() * blocks];
+        let mut traj = Trajectory { n_vectors, blocks, values };
         let program = Program::compile(netlist)?;
         let mut cur = program.init_words::<u64>();
+        // (Q, D, carry) per flip-flop; the carry starts at the power-on
+        // value, which `init_words` also broadcasts as block 0's guess.
+        let mut regs: Vec<(usize, usize, u64)> = netlist
+            .dffs()
+            .iter()
+            .map(|&q| match netlist.kind(q) {
+                NodeKind::Dff { d, init } => (q.index(), d.index(), *init as u64),
+                _ => unreachable!("dffs() lists flip-flops only"),
+            })
+            .collect();
         for (b, vectors) in stream.chunks(64).enumerate() {
             obs::SIM64_BLOCKS.inc();
-            obs::SIM64_GATE_EVALS.add(program.instrs.len() as u64);
             obs::SIM64_LANE_CYCLES.add(vectors.len() as u64);
             for (i, &inp) in netlist.inputs().iter().enumerate() {
                 cur[inp.index()] =
                     vectors.iter().enumerate().fold(0, |w, (c, v)| w | (v[i] as u64) << c);
             }
-            for ins in &program.instrs {
-                cur[ins.out as usize] = program.eval(&cur, ins);
+            // Relax the registers to a fixpoint. A flip-flop's word is its
+            // D word one cycle late, `(D << 1) | carry`, with `carry` its
+            // power-on value in block 0 and bit 63 of D's previous word
+            // after that. Each pass evaluates every gate, then recomputes
+            // every register word from that pass's D words, until none
+            // moves. Exact in at most 65 passes: bit 0 of a register word
+            // is its carry, and bit `k` depends only on bits below `k` of
+            // the previous pass, so bit `k` is final after pass `k + 1`
+            // and pass 65 moves nothing. A fixpoint is therefore the
+            // unique true trajectory, and a register-free block stops
+            // after one pass.
+            loop {
+                obs::SIM64_GATE_EVALS.add(program.instrs.len() as u64);
+                for ins in &program.instrs {
+                    cur[ins.out as usize] = program.eval(&cur, ins);
+                }
+                let mut moved = false;
+                for &(q, d, carry) in &regs {
+                    let w = (cur[d] << 1) | carry;
+                    moved |= w != cur[q];
+                    cur[q] = w;
+                }
+                if !moved {
+                    break;
+                }
+            }
+            for (_, d, carry) in &mut regs {
+                *carry = cur[*d] >> 63;
             }
             let valid = traj.valid_mask(b);
             for (node, &w) in cur.iter().enumerate() {
@@ -102,15 +121,6 @@ impl Trajectory {
             }
         }
         Ok(traj)
-    }
-
-    /// Packs one cycle's settled node values (indexed by node) into bit
-    /// `cycle` of every row.
-    pub(crate) fn pack(&mut self, cycle: usize, values: &[bool]) {
-        let (b, bit) = (cycle / 64, cycle % 64);
-        for (node, &val) in values.iter().enumerate() {
-            self.values[node * self.blocks + b] |= (val as u64) << bit;
-        }
     }
 
     /// Number of recorded rows (nodes).
@@ -123,16 +133,10 @@ impl Trajectory {
         &self.values[node * self.blocks..(node + 1) * self.blocks]
     }
 
-    /// The settled value of `node` after vector `cycle`.
-    #[inline]
-    pub(crate) fn bit(&self, node: usize, cycle: usize) -> bool {
-        (self.values[node * self.blocks + cycle / 64] >> (cycle % 64)) & 1 != 0
-    }
-
     /// Valid-bit mask of word `b` of a row.
     pub(crate) fn valid_mask(&self, b: usize) -> u64 {
         if b + 1 == self.blocks {
-            self.tail_mask
+            !0 >> (self.blocks * 64 - self.n_vectors)
         } else {
             !0
         }
@@ -225,6 +229,19 @@ impl Trajectory {
     }
 }
 
+/// The latch word: bit `c` is the result's bit `c - 1` where `hold` is
+/// set and `base`'s bit `c` elsewhere, with `carry` as bit `-1` (chain
+/// blocks with the previous result's bit 63). A log-step fill-forward:
+/// six doubling steps carry each `base` bit forward over held bits.
+pub fn hold_word(base: u64, hold: u64, carry: bool) -> u64 {
+    let (mut v, mut resolved) = (base & !hold, !hold);
+    for s in [1, 2, 4, 8, 16, 32] {
+        v |= (v << s) & !resolved;
+        resolved |= resolved << s;
+    }
+    v | (u64::splat(carry) & !resolved)
+}
+
 /// Reusable working memory for
 /// [`EditSession::resim_into`](crate::EditSession::resim_into). One
 /// scratch serves any number of candidates (and any number of netlists);
@@ -241,15 +258,12 @@ pub struct ResimScratch {
     pub(crate) update_of: Vec<usize>,
     /// Fanout CSR and topological order of the edited netlist.
     topo: TopoScratch,
-    /// Per-cycle cone state of the register-dirty replay: current values
-    /// and the values cone registers present at the next clock edge.
-    pub(crate) cur: Vec<bool>,
-    pub(crate) dff_next: Vec<bool>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::ZeroDelaySim;
     use crate::{gen, streams};
 
     fn adder(bits: usize) -> Netlist {
@@ -282,8 +296,11 @@ mod tests {
             let mut scalar = ZeroDelaySim::new(&nl).unwrap();
             for (c, v) in vectors.iter().enumerate() {
                 scalar.step(v).unwrap();
-                let outs: Vec<bool> =
-                    nl.outputs().iter().map(|&(_, n)| traj.bit(n.index(), c)).collect();
+                let outs: Vec<bool> = nl
+                    .outputs()
+                    .iter()
+                    .map(|&(_, n)| traj.row(n.index())[c / 64] >> (c % 64) & 1 != 0)
+                    .collect();
                 assert_eq!(outs, scalar.output_values(), "cycle {c}");
                 let toggles = scalar.take_activity().toggles;
                 for id in nl.node_ids() {
@@ -295,6 +312,33 @@ mod tests {
                 let tail = traj.toggle_word(traj.row(id.index()), 4);
                 assert_eq!(tail >> 1, 0, "node {id}: toggle bits past the last vector");
             }
+        }
+    }
+
+    /// The log-step latch word against a bit-serial latch, on hold words
+    /// from sparse to solid (runs longer than 32 cycles need every
+    /// doubling step) and both carries.
+    #[test]
+    fn hold_word_matches_a_serial_latch() {
+        let mut rng = hlpower_rng::Rng::seed_from_u64(5);
+        for case in 0..400 {
+            let base = rng.next_u64();
+            let hold = match case % 4 {
+                0 => rng.next_u64(),
+                1 => rng.next_u64() | rng.next_u64() | rng.next_u64(),
+                2 => !0 << rng.gen_range(0..64u32),
+                _ => !0,
+            };
+            let carry = case % 8 < 4;
+            let mut last = carry;
+            let mut want = 0u64;
+            for c in 0..64 {
+                if (hold >> c) & 1 == 0 {
+                    last = (base >> c) & 1 != 0;
+                }
+                want |= (last as u64) << c;
+            }
+            assert_eq!(hold_word(base, hold, carry), want, "base {base:#x} hold {hold:#x}");
         }
     }
 

@@ -18,14 +18,12 @@
 //! edited netlist, whose stable-state reference comes from the same
 //! trajectory recorder.
 //!
-//! Sequential circuits are supported through **per-cycle register-boundary
-//! snapshots**: the recording stores every flip-flop output's settled
-//! per-cycle trajectory alongside the combinational nodes, so an edit
-//! whose cone stays clear of the registers replays packed against the
-//! cached boundary words exactly like the combinational case, and an
-//! edit that dirties a register (its D input changed, or a register was
-//! appended) falls back to a per-cycle replay of just the cone with the
-//! register feedback threaded cycle to cycle — still proportional to the
+//! Sequential circuits replay the same way: the recording stores every
+//! flip-flop output's settled trajectory alongside the combinational
+//! nodes (the register-boundary snapshots), and a cone that takes in a
+//! register (its D input changed, or a register was appended) relaxes
+//! the cone's register words to a fixpoint per 64-cycle block, as the
+//! recorder does for the whole netlist — still proportional to the
 //! edit, never to the circuit.
 //!
 //! The simulator owns the netlist it recorded, and the only way to edit
@@ -50,7 +48,6 @@ use hlpower_obs::metrics as obs;
 use crate::cone::{refill, ResimScratch, Trajectory};
 use crate::editor::NetlistEditor;
 use crate::error::NetlistError;
-use crate::library::GateKind;
 use crate::netlist::{Netlist, NodeId, NodeKind};
 use crate::sim::Activity;
 use crate::words::Word;
@@ -101,36 +98,14 @@ impl ConeResim {
     }
 }
 
-/// Evaluates one gate function over packed words: the word-parallel
-/// counterpart of [`GateKind::eval_with`], lane for lane.
-#[inline]
-pub(crate) fn eval_gate(kind: GateKind, inputs: &[NodeId], get: impl Fn(NodeId) -> u64) -> u64 {
-    let fold =
-        |unit: u64, f: fn(u64, u64) -> u64| inputs.iter().fold(unit, |acc, &i| f(acc, get(i)));
-    match kind {
-        GateKind::Buf => get(inputs[0]),
-        GateKind::Not => !get(inputs[0]),
-        GateKind::And => fold(!0, |a, b| a & b),
-        GateKind::Or => fold(0, |a, b| a | b),
-        GateKind::Nand => !fold(!0, |a, b| a & b),
-        GateKind::Nor => !fold(0, |a, b| a | b),
-        GateKind::Xor => fold(0, |a, b| a ^ b),
-        GateKind::Xnor => !fold(0, |a, b| a ^ b),
-        GateKind::Mux => {
-            let s = get(inputs[0]);
-            (!s & get(inputs[1])) | (s & get(inputs[2]))
-        }
-    }
-}
-
 impl IncrementalSim {
     /// Records a full time-packed evaluation of `netlist` over `stream`,
     /// caching every node's packed values for later dirty-cone
-    /// re-simulation. Combinational netlists evaluate block-parallel on
-    /// the compiled instruction stream; sequential netlists replay the
-    /// scalar simulator once and pack the per-cycle register-boundary
-    /// snapshots, so either way the cache is bit-identical to a scalar
-    /// [`crate::ZeroDelaySim`] run.
+    /// re-simulation. Every netlist evaluates block-parallel on the
+    /// compiled instruction stream, its registers relaxed to a fixpoint
+    /// per 64-cycle block, so the cache (register-boundary snapshots
+    /// included) is bit-identical to a scalar [`crate::ZeroDelaySim`]
+    /// run.
     ///
     /// # Errors
     ///
@@ -182,9 +157,23 @@ impl IncrementalSim {
         traj.toggle_word(traj.row(node.index()), block)
     }
 
+    /// Valid-bit mask of one 64-vector block: all ones except in the
+    /// final block, whose bits past the last vector are clear (as they
+    /// are in every cached row).
+    pub fn block_mask(&self, block: usize) -> u64 {
+        self.cache.traj.valid_mask(block)
+    }
+
+    /// Exact toggle count of a packed row shaped like a cached one (one
+    /// word per block, such as a replayed row): the count
+    /// [`activity`](Self::activity) reports for a node with that row.
+    pub fn row_toggles(&self, row: &[u64]) -> u64 {
+        self.cache.traj.toggles(row)
+    }
+
     /// A node's settled value on one recorded cycle.
     pub fn value_at(&self, node: NodeId, cycle: usize) -> bool {
-        self.cache.traj.bit(node.index(), cycle)
+        self.value_words(node)[cycle / 64] >> (cycle % 64) & 1 != 0
     }
 
     /// Activity of the base netlist over the recorded stream,
@@ -210,11 +199,11 @@ impl EditSession<'_> {
     /// replaying only the dirty cone: the forward closure of the rewired
     /// gates plus any appended nodes (through register boundaries — a
     /// flip-flop whose D input is dirty dirties its own Q trajectory and
-    /// everything reading it). The cone replays packed when it is clear
-    /// of the registers and per cycle otherwise; untouched nodes reuse
-    /// their cached rows verbatim. Results land in `out`, working memory
-    /// in `scratch`; both are reused across calls, so a rejected
-    /// candidate costs no allocation once the buffers are warm.
+    /// everything reading it). The cone replays packed, 64 cycles per
+    /// word; untouched nodes reuse their cached rows verbatim. Results
+    /// land in `out`, working memory in `scratch`; both are reused across
+    /// calls, so a rejected candidate costs no allocation once the
+    /// buffers are warm.
     ///
     /// # Errors
     ///
@@ -228,16 +217,7 @@ impl EditSession<'_> {
         let (netlist, traj) = (self.ed.netlist(), &self.cache.traj);
         traj.cone_into(netlist, self.ed.changed(), scratch, &mut out.cone, &mut out.updates)?;
         let (cone, blocks) = (&out.cone, traj.blocks);
-        if cone.iter().any(|&id| matches!(netlist.kind(id), NodeKind::Dff { .. })) {
-            // A register is dirty: its Q trajectory shifts cycle by cycle,
-            // so the cone replays per cycle with the flip-flop feedback
-            // threaded through `dff_next` — the cached rows of everything
-            // outside the cone are still read verbatim (the snapshots make
-            // any boundary value an O(1) bit extraction).
-            replay_per_cycle(traj, netlist, cone, scratch, &mut out.updates);
-        } else {
-            replay_packed(traj, netlist, cone, scratch, &mut out.updates);
-        }
+        replay_packed(traj, netlist, cone, scratch, &mut out.updates);
         obs::SIM_INC_RESIMS.inc();
         obs::SIM_INC_CONE_NODES.add(cone.len() as u64);
         obs::SIM_INC_REUSED_NODES.add((netlist.node_count() - cone.len()) as u64);
@@ -287,9 +267,12 @@ impl<'a> DerefMut for EditSession<'a> {
     }
 }
 
-/// Packed replay of a cone clear of the registers: it reads only cached
-/// words (including register-boundary snapshots) and same-cycle cone
-/// values, so it settles 64 cycles per gate evaluation.
+/// Packed replay of the cone, 64 cycles per word: it reads cached words
+/// (including register-boundary snapshots) outside the cone and
+/// same-cycle cone values inside it. A cone register's word is its D
+/// word one cycle late, so a block with registers in the cone repeats
+/// until no register word moves, exact in at most 65 passes by the
+/// argument on [`Trajectory::record`]'s pass loop.
 fn replay_packed(
     traj: &Trajectory,
     netlist: &Netlist,
@@ -298,82 +281,45 @@ fn replay_packed(
     updates: &mut [u64],
 ) {
     let (values, blocks, update_of) = (&traj.values, traj.blocks, &scratch.update_of);
-    for b in 0..blocks {
-        let valid = traj.valid_mask(b);
-        for (ci, &id) in cone.iter().enumerate() {
-            let w = match netlist.kind(id) {
-                NodeKind::Const(v) => u64::splat(*v),
-                NodeKind::Gate { kind, inputs } => eval_gate(*kind, inputs, |f| {
-                    let u = update_of[f.index()];
-                    if u != usize::MAX {
-                        // Cone fan-ins precede ci in topo order.
-                        updates[u * blocks + b]
-                    } else {
-                        values[f.index() * blocks + b]
-                    }
-                }),
-                // Inputs never enter the cone (sessions cannot rewire or
-                // append them), and a register in the cone takes the
-                // per-cycle replay.
-                NodeKind::Input | NodeKind::Dff { .. } => unreachable!("{id} in a packed cone"),
-            };
-            updates[ci * blocks + b] = w & valid;
-        }
-    }
-}
-
-/// Per-cycle replay of a register-dirty cone: flip-flop outputs in the
-/// cone present their previously sampled value at the top of each cycle,
-/// gates settle in topological order, and D inputs sample at the bottom —
-/// exactly the scalar [`crate::ZeroDelaySim`] schedule, but only over the
-/// cone.
-fn replay_per_cycle(
-    traj: &Trajectory,
-    netlist: &Netlist,
-    cone: &[NodeId],
-    scratch: &mut ResimScratch,
-    updates: &mut [u64],
-) {
-    let blocks = traj.blocks;
-    refill(&mut scratch.cur, cone.len(), false);
-    refill(&mut scratch.dff_next, cone.len(), false);
-    // Power-on values for cone registers.
-    for (ci, &id) in cone.iter().enumerate() {
-        if let NodeKind::Dff { init, .. } = netlist.kind(id) {
-            scratch.dff_next[ci] = *init;
-        }
-    }
-    // A fan-in's value this cycle: replayed in the cone, cached outside
+    // A fan-in's word of block `b`: replayed in the cone, cached outside
     // it.
-    let read = |cur: &[bool], update_of: &[usize], f: NodeId, c: usize| {
+    let read = |updates: &[u64], f: NodeId, b: usize| {
         let u = update_of[f.index()];
         if u != usize::MAX {
-            cur[u]
+            updates[u * blocks + b]
         } else {
-            traj.bit(f.index(), c)
+            values[f.index() * blocks + b]
         }
     };
-    for c in 0..traj.n_vectors {
-        let (b, bit) = (c / 64, c % 64);
-        // Settle the cone for this cycle. `cone` is in topological order
-        // with non-gates (registers, constants) first, matching the
-        // scalar simulator's present-then-settle schedule.
-        for (ci, &id) in cone.iter().enumerate() {
-            let v = match netlist.kind(id) {
-                NodeKind::Dff { .. } => scratch.dff_next[ci],
-                NodeKind::Const(v) => *v,
-                NodeKind::Gate { kind, inputs } => {
-                    kind.eval_with(inputs, |f| read(&scratch.cur, &scratch.update_of, f, c))
-                }
-                NodeKind::Input => unreachable!("primary input {id} in the cone"),
-            };
-            scratch.cur[ci] = v;
-            updates[ci * blocks + b] |= (v as u64) << bit;
-        }
-        // Sample D inputs for the next cycle.
-        for (ci, &id) in cone.iter().enumerate() {
-            if let NodeKind::Dff { d, .. } = netlist.kind(id) {
-                scratch.dff_next[ci] = read(&scratch.cur, &scratch.update_of, *d, c);
+    for b in 0..blocks {
+        let valid = traj.valid_mask(b);
+        for pass in 0.. {
+            let mut moved = false;
+            for (ci, &id) in cone.iter().enumerate() {
+                let w = match netlist.kind(id) {
+                    NodeKind::Const(v) => u64::splat(*v),
+                    // Cone fan-ins precede ci in topo order.
+                    NodeKind::Gate { kind, inputs } => {
+                        kind.eval_word(inputs, |f| read(updates, f, b))
+                    }
+                    // Registers lead the topo order, so this reads the
+                    // previous pass's D word; the first pass always
+                    // counts as moved.
+                    NodeKind::Dff { d, init } => {
+                        let carry =
+                            if b == 0 { *init as u64 } else { read(updates, *d, b - 1) >> 63 };
+                        let w = ((read(updates, *d, b) << 1) | carry) & valid;
+                        moved |= pass == 0 || w != updates[ci * blocks + b];
+                        w
+                    }
+                    // Inputs never enter the cone (sessions cannot rewire
+                    // or append them).
+                    NodeKind::Input => unreachable!("primary input {id} in the cone"),
+                };
+                updates[ci * blocks + b] = w & valid;
+            }
+            if !moved {
+                break;
             }
         }
     }
@@ -382,7 +328,7 @@ fn replay_per_cycle(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::library::Library;
+    use crate::library::{GateKind, Library};
     use crate::sim::ZeroDelaySim;
     use crate::{gen, streams};
 
@@ -397,7 +343,8 @@ mod tests {
     }
 
     /// A registered adder: inputs land in flip-flops, the sum is computed
-    /// over the registered values, and an accumulator bit feeds back.
+    /// over the registered values and registered again. It is
+    /// feed-forward: no register reads its own output.
     fn registered_adder(bits: usize) -> Netlist {
         let mut nl = Netlist::new();
         let a = nl.input_bus("a", bits);
@@ -462,8 +409,8 @@ mod tests {
     }
 
     /// Rows are canonical: the bits past the last vector are zero whether
-    /// the row was recorded packed (combinational), recorded cycle by
-    /// cycle (sequential), or replayed packed and committed.
+    /// the row was recorded in a combinational or a sequential netlist,
+    /// or replayed and committed.
     #[test]
     fn trajectory_tails_are_zero_on_every_path() {
         let stream: Vec<Vec<bool>> = (0..10).map(|c| vec![c % 2 == 0]).collect();
@@ -538,7 +485,8 @@ mod tests {
     #[test]
     fn register_dirty_cone_matches_full_rerecord() {
         // Rewire a gate that feeds a flip-flop: the register's Q
-        // trajectory shifts, which must propagate cycle by cycle.
+        // trajectory shifts, which must propagate through the next
+        // register stage.
         let nl = registered_adder(4);
         let stream = stream_for(&nl, 31, 190);
         let mut inc = IncrementalSim::record(&nl, &stream).unwrap();

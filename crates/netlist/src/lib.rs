@@ -56,7 +56,7 @@ mod simwide;
 pub mod streams;
 pub mod words;
 
-pub use cone::ResimScratch;
+pub use cone::{hold_word, ResimScratch};
 pub use editor::NetlistEditor;
 pub use error::{NetlistError, SourceFormat, SrcLoc};
 pub use event::{EventDrivenSim, TimedActivity};

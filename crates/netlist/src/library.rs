@@ -76,29 +76,40 @@ impl GateKind {
 
     /// Evaluate the gate over its fan-ins, reading each fan-in's value
     /// through `get` — the allocation-free form every scalar simulator
-    /// uses (`inputs` is typically a gate's fan-in node ids).
+    /// uses (`inputs` is typically a gate's fan-in node ids). It is lane
+    /// 0 of [`eval_word`](Self::eval_word).
     ///
     /// # Panics
     ///
     /// As [`eval`](Self::eval).
     #[inline]
     pub fn eval_with<T: Copy>(self, inputs: &[T], get: impl Fn(T) -> bool) -> bool {
-        let parity = || inputs.iter().fold(false, |acc, &i| acc ^ get(i));
+        self.eval_word(inputs, |i| get(i) as u64) & 1 != 0
+    }
+
+    /// Evaluate the gate over packed words, 64 independent lanes at a
+    /// time (the incremental replays and the guarded-evaluation scorer
+    /// evaluate 64 recorded cycles per call).
+    ///
+    /// # Panics
+    ///
+    /// As [`eval`](Self::eval).
+    #[inline]
+    pub fn eval_word<T: Copy>(self, inputs: &[T], get: impl Fn(T) -> u64) -> u64 {
+        let fold =
+            |unit: u64, f: fn(u64, u64) -> u64| inputs.iter().fold(unit, |acc, &i| f(acc, get(i)));
         match self {
             GateKind::Buf => get(inputs[0]),
             GateKind::Not => !get(inputs[0]),
-            GateKind::And => inputs.iter().all(|&i| get(i)),
-            GateKind::Or => inputs.iter().any(|&i| get(i)),
-            GateKind::Nand => !inputs.iter().all(|&i| get(i)),
-            GateKind::Nor => !inputs.iter().any(|&i| get(i)),
-            GateKind::Xor => parity(),
-            GateKind::Xnor => !parity(),
+            GateKind::And => fold(!0, |a, b| a & b),
+            GateKind::Or => fold(0, |a, b| a | b),
+            GateKind::Nand => !fold(!0, |a, b| a & b),
+            GateKind::Nor => !fold(0, |a, b| a | b),
+            GateKind::Xor => fold(0, |a, b| a ^ b),
+            GateKind::Xnor => !fold(0, |a, b| a ^ b),
             GateKind::Mux => {
-                if get(inputs[0]) {
-                    get(inputs[2])
-                } else {
-                    get(inputs[1])
-                }
+                let s = get(inputs[0]);
+                (!s & get(inputs[1])) | (s & get(inputs[2]))
             }
         }
     }
@@ -342,13 +353,12 @@ mod tests {
     }
 
     /// Every gate kind at every legal arity up to 5, every input
-    /// assignment: the scalar evaluator, the packed `u64` evaluator of the
-    /// incremental simulator and the compiled instruction stream agree
+    /// assignment: the scalar evaluator, the packed `u64` evaluator
+    /// ([`GateKind::eval_word`]) and the compiled instruction stream agree
     /// lane for lane with the gate's definition. Lane `l` of the packed
     /// words carries assignment `l` (input `i` is bit `i` of `l`).
     #[test]
     fn gate_evaluators_agree_exhaustively() {
-        use crate::incremental::eval_gate;
         use crate::netlist::{Netlist, NodeId};
         use crate::simwide::Program;
         for kind in GateKind::all() {
@@ -362,7 +372,7 @@ mod tests {
                 let values: Vec<u64> = (0..nl.node_count())
                     .map(|i| (0..lanes).filter(|l| (l >> i) & 1 == 1).fold(0, |w, l| w | 1 << l))
                     .collect();
-                let packed = eval_gate(kind, &ins, |f| values[f.index()]);
+                let packed = kind.eval_word(&ins, |f| values[f.index()]);
                 let program = Program::compile(&nl).unwrap();
                 let [ins_op] = program.instrs[..] else { panic!("one gate, one instruction") };
                 assert_eq!(ins_op.out as usize, out.index());

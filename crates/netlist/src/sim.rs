@@ -124,12 +124,6 @@ impl<'a> ZeroDelaySim<'a> {
         self.values[node.index()]
     }
 
-    /// Raw per-node value slice (hot-path form of [`value`](Self::value)
-    /// used by the timed kernel's trajectory driver).
-    pub(crate) fn values_raw(&self) -> &[bool] {
-        &self.values
-    }
-
     /// Current values of the primary outputs, in declaration order.
     pub fn output_values(&self) -> Vec<bool> {
         self.netlist.outputs().iter().map(|&(_, n)| self.values[n.index()]).collect()

@@ -260,6 +260,165 @@ fn incremental_recording_matches_scalar_oracle() {
     });
 }
 
+/// Random logic with feedback registers: `random_logic`, then flip-flops
+/// made with `dff_placeholder`, gates mixing their outputs with the random
+/// gates, and D inputs that read a random gate (often one reading a
+/// register), the register itself (a hold) or its complement (a toggle,
+/// whose word changes in every bit and so needs the full 65 passes).
+fn feedback_logic(rng: &mut Rng) -> Netlist {
+    let mut nl = Netlist::new();
+    gen::random_logic(&mut nl, rng.next_u64(), rng.gen_range(2usize..6), rng.gen_range(5..30), 2);
+    let mut pool: Vec<NodeId> =
+        nl.node_ids().filter(|&id| matches!(nl.kind(id), NodeKind::Gate { .. })).collect();
+    let regs: Vec<NodeId> =
+        (0..rng.gen_range(1usize..6)).map(|_| nl.dff_placeholder(rng.gen_bool(0.5))).collect();
+    pool.extend(&regs);
+    let kinds = [GateKind::And, GateKind::Or, GateKind::Xor, GateKind::Nand, GateKind::Xnor];
+    for _ in 0..rng.gen_range(2usize..12) {
+        let kind = kinds[rng.gen_range(0..kinds.len())];
+        let (a, b) = (pool[rng.gen_range(0..pool.len())], pool[rng.gen_range(0..pool.len())]);
+        let g = nl.gate(kind, [a, b]).expect("arity holds");
+        pool.push(g);
+    }
+    for &q in &regs {
+        let d = match rng.gen_range(0u32..4) {
+            0 => q,
+            // Every gate keeps two fanins, as `random_mutation` expects.
+            1 => nl.gate(GateKind::Nand, [q, q]).expect("arity holds"),
+            _ => pool[rng.gen_range(0..pool.len())],
+        };
+        nl.connect_dff_d(q, d);
+    }
+    let last = *pool.last().expect("gates were added");
+    nl.set_output("z", last);
+    nl
+}
+
+/// One random edit of a sequential netlist: a gate mutation anywhere, a
+/// rewire inside a register's D cone, or a fresh flip-flop spliced into a
+/// gate's fanin (reading any node, the rewired gate included: a register
+/// breaks every combinational cycle).
+fn random_sequential_mutation(rng: &mut Rng, ed: &mut NetlistEditor<'_>) {
+    let current = ed.netlist();
+    let ids: Vec<NodeId> = current.node_ids().collect();
+    let gates: Vec<NodeId> = ids
+        .iter()
+        .copied()
+        .filter(|&id| matches!(current.kind(id), NodeKind::Gate { .. }))
+        .collect();
+    match rng.gen_range(0u32..3) {
+        0 => random_mutation(rng, ed),
+        1 => {
+            let target = gates[rng.gen_range(0..gates.len())];
+            let NodeKind::Gate { inputs, .. } = current.kind(target) else { unreachable!() };
+            let pin = rng.gen_range(0..inputs.len());
+            let d = ids[rng.gen_range(0..ids.len())];
+            let q = ed.insert_dff(d, rng.gen_bool(0.5)).expect("d exists");
+            ed.rewire_input(target, pin, q).expect("pin in range");
+        }
+        _ => {
+            // Walk from a register's D back through its gate fanins.
+            let dffs = current.dffs();
+            let NodeKind::Dff { d, .. } = current.kind(dffs[rng.gen_range(0..dffs.len())]) else {
+                unreachable!("dffs() lists flip-flops")
+            };
+            let mut target = *d;
+            for _ in 0..rng.gen_range(0usize..4) {
+                match current.kind(target) {
+                    NodeKind::Gate { inputs, .. } => {
+                        target = inputs[rng.gen_range(0..inputs.len())]
+                    }
+                    _ => break,
+                }
+            }
+            let NodeKind::Gate { kind, inputs } = current.kind(target).clone() else {
+                return random_mutation(rng, ed);
+            };
+            // The new fanin must not read `target` combinationally.
+            let fanouts = current.fanouts();
+            let mut reads_target = vec![false; ids.len()];
+            reads_target[target.index()] = true;
+            let mut stack = vec![target];
+            while let Some(n) = stack.pop() {
+                for &r in &fanouts[n.index()] {
+                    if matches!(current.kind(r), NodeKind::Gate { .. })
+                        && !std::mem::replace(&mut reads_target[r.index()], true)
+                    {
+                        stack.push(r);
+                    }
+                }
+            }
+            let sources: Vec<NodeId> =
+                ids.iter().copied().filter(|id| !reads_target[id.index()]).collect();
+            let mut ins = inputs;
+            let pin = rng.gen_range(0..ins.len());
+            ins[pin] = sources[rng.gen_range(0..sources.len())];
+            ed.replace_gate(target, kind, ins).expect("arity holds");
+        }
+    }
+}
+
+/// Registers with feedback: every recorded row bit equals the scalar
+/// simulator's value on every node and cycle (stream lengths at and
+/// around the 64-cycle block boundary, and random), and random edit
+/// sessions — register insertions and rewires inside register D cones
+/// among them — re-simulate exactly like a full re-record, committed or
+/// rolled back as in `dirty_cone_resim_matches_full_replay`.
+#[test]
+fn feedback_registers_record_and_resim_exactly() {
+    Check::new("feedback_registers_record_and_resim_exactly").cases(32).run(|rng| {
+        let nl = feedback_logic(rng);
+        let cycles = [1, 63, 64, 65, rng.gen_range(2usize..300)][rng.gen_range(0usize..5)];
+        let stream: Vec<Vec<bool>> =
+            streams::random(rng.next_u64(), nl.input_count()).take(cycles).collect();
+        let mut inc = IncrementalSim::record(&nl, &stream).expect("acyclic");
+        let mut scalar = ZeroDelaySim::new(&nl).expect("acyclic");
+        for (c, v) in stream.iter().enumerate() {
+            scalar.step(v).expect("width matches");
+            for id in nl.node_ids() {
+                assert_eq!(inc.value_at(id, c), scalar.value(id), "node {id}, cycle {c}");
+            }
+        }
+        assert_eq!(inc.activity(), scalar.take_activity());
+        let (mut scratch, mut resim) = (ResimScratch::default(), ConeResim::default());
+        for _ in 0..rng.gen_range(1usize..7) {
+            let keep = rng.gen_range(0u32..3) != 0;
+            let rows: Vec<Vec<u64>> =
+                inc.base().node_ids().map(|id| inc.value_words(id).to_vec()).collect();
+            let mut s = inc.edit();
+            random_sequential_mutation(rng, &mut s);
+            s.resim_into(&mut scratch, &mut resim).expect("acyclic edit");
+            let full = IncrementalSim::record(s.netlist(), &stream).expect("acyclic");
+            let mut in_cone = vec![false; s.netlist().node_count()];
+            for &id in &resim.cone {
+                in_cone[id.index()] = true;
+            }
+            for (id, row) in s.netlist().node_ids().zip(&rows) {
+                if row.as_slice() != full.value_words(id) {
+                    assert!(in_cone[id.index()], "node {id} changed outside the cone");
+                }
+            }
+            assert_eq!(resim.activity, full.activity());
+            if keep {
+                s.commit(&resim);
+                for id in inc.base().node_ids() {
+                    assert_eq!(
+                        inc.value_words(id),
+                        full.value_words(id),
+                        "committed cache diverged at node {id}"
+                    );
+                }
+            } else {
+                s.rollback();
+                assert_eq!(inc.base().node_count(), rows.len());
+                for id in inc.base().node_ids() {
+                    assert_eq!(inc.value_words(id), rows[id.index()], "rollback changed {id}");
+                }
+            }
+        }
+    });
+}
+
 /// Rolling back an editor session — any interleaving of gate
 /// replacements, rewires, insertions (gates and registers), removals,
 /// and output rebinds, including ops that were rejected mid-sequence —

@@ -11,7 +11,7 @@ use std::collections::{HashMap, HashSet};
 
 use hlpower_bdd::{gate_bdd, BddManager, BddRef};
 use hlpower_netlist::{
-    IncrementalSim, Library, Netlist, NetlistError, NodeId, NodeKind, ZeroDelaySim,
+    hold_word, IncrementalSim, Library, Netlist, NetlistError, NodeId, NodeKind, ZeroDelaySim,
 };
 use hlpower_obs::metrics as obs;
 
@@ -327,9 +327,9 @@ pub fn evaluate(
 /// Incremental candidate scorer: records the baseline once with
 /// [`IncrementalSim`] and scores each guard candidate by replaying only
 /// its *dirty region* — the forward closure of the frozen gates (the
-/// target cone minus the guard's own cone). Every node outside that
-/// region provably keeps its baseline values under the guarded
-/// interpretation, so its cached toggle counts are reused as-is.
+/// target cone minus the guard's own cone) — 64 cycles per word. Every
+/// node outside that region provably keeps its baseline values under the
+/// guarded interpretation, so its cached toggle counts are reused as-is.
 ///
 /// Scores are bit-identical to [`evaluate`] on the same candidate: both
 /// accumulate integer toggle counts and convert them to energy with the
@@ -341,19 +341,14 @@ pub struct GuardScorer {
     base_toggles: Vec<u64>,
     base_energy_fj: f64,
     order: Vec<NodeId>,
-    fanouts: Vec<Vec<NodeId>>,
-    blocks: usize,
     // Reusable per-candidate scratch: scoring a candidate allocates
     // nothing once these reach steady-state capacity.
     in_cone: Vec<bool>,
     in_guard_cone: Vec<bool>,
-    in_dirty: Vec<bool>,
     dirty_idx: Vec<u32>,
-    stack: Vec<NodeId>,
-    gc_nodes: Vec<NodeId>,
     dirty: Vec<NodeId>,
-    dirty_values: Vec<bool>,
-    dirty_toggles: Vec<u64>,
+    /// Replayed dirty rows, one word per 64-cycle block.
+    rows: Vec<u64>,
 }
 
 impl GuardScorer {
@@ -377,7 +372,6 @@ impl GuardScorer {
         let base_toggles = inc.activity().toggles;
         let base_energy_fj = toggle_energy_fj(&base_toggles, &energy_of);
         let order = netlist.topo_order()?;
-        let fanouts = netlist.fanouts();
         let n = netlist.node_count();
         Ok(GuardScorer {
             inc,
@@ -385,17 +379,11 @@ impl GuardScorer {
             base_toggles,
             base_energy_fj,
             order,
-            fanouts,
-            blocks: stream.len().div_ceil(64),
             in_cone: vec![false; n],
             in_guard_cone: vec![false; n],
-            in_dirty: vec![false; n],
             dirty_idx: vec![u32::MAX; n],
-            stack: Vec::new(),
-            gc_nodes: Vec::new(),
             dirty: Vec::new(),
-            dirty_values: Vec::new(),
-            dirty_toggles: Vec::new(),
+            rows: Vec::new(),
         })
     }
 
@@ -421,123 +409,92 @@ impl GuardScorer {
             base_toggles,
             base_energy_fj,
             order,
-            fanouts,
-            blocks,
             in_cone,
             in_guard_cone,
-            in_dirty,
             dirty_idx,
-            stack,
-            gc_nodes,
             dirty,
-            dirty_values,
-            dirty_toggles,
+            rows,
         } = self;
         let nl = inc.base();
         for &id in &candidate.cone {
             in_cone[id.index()] = true;
         }
-        // The guard's fan-in cone: always at baseline values (its gate
-        // fanins are transitively inside it, so no frozen gate can feed
-        // it).
-        gc_nodes.clear();
-        stack.clear();
-        stack.push(candidate.guard);
+        // The guard's fan-in cone, by one reverse topological sweep:
+        // always at baseline values (its gate fanins are transitively
+        // inside it, so no frozen gate can feed it).
         in_guard_cone[candidate.guard.index()] = true;
-        gc_nodes.push(candidate.guard);
-        while let Some(x) = stack.pop() {
-            if let NodeKind::Gate { inputs, .. } = nl.kind(x) {
-                for &f in inputs {
-                    if !in_guard_cone[f.index()] {
-                        in_guard_cone[f.index()] = true;
-                        gc_nodes.push(f);
-                        stack.push(f);
-                    }
-                }
+        for &id in order.iter().rev() {
+            let NodeKind::Gate { inputs, .. } = nl.kind(id) else { continue };
+            if in_guard_cone[id.index()] {
+                inputs.iter().for_each(|f| in_guard_cone[f.index()] = true);
             }
         }
-        // Dirty region: forward closure (through gates) of the frozen
-        // set, the target cone minus the guard cone.
+        // Dirty region, in topological order: the frozen gates (the
+        // target cone minus the guard cone) and every gate reading a
+        // dirty node.
         dirty.clear();
-        stack.clear();
-        for &id in &candidate.cone {
-            if !in_guard_cone[id.index()] && !in_dirty[id.index()] {
-                in_dirty[id.index()] = true;
-                stack.push(id);
-            }
-        }
-        while let Some(x) = stack.pop() {
-            for &r in &fanouts[x.index()] {
-                if !in_dirty[r.index()] && matches!(nl.kind(r), NodeKind::Gate { .. }) {
-                    in_dirty[r.index()] = true;
-                    stack.push(r);
-                }
-            }
-        }
         for &id in order.iter() {
-            if in_dirty[id.index()] {
+            let NodeKind::Gate { inputs, .. } = nl.kind(id) else { continue };
+            let frozen = in_cone[id.index()] && !in_guard_cone[id.index()];
+            if frozen || inputs.iter().any(|f| dirty_idx[f.index()] != u32::MAX) {
                 dirty_idx[id.index()] = dirty.len() as u32;
                 dirty.push(id);
             }
         }
-        // Per-cycle replay of the dirty region only. Fanins outside it
-        // are read from the recording; the guard itself is outside it, so
-        // its recorded value decides the freeze.
-        dirty_values.clear();
-        dirty_values.resize(dirty.len(), false);
-        dirty_toggles.clear();
-        dirty_toggles.resize(dirty.len(), 0);
-        let mut outputs_match = true;
-        for c in 0..inc.vectors() {
-            let guard_on = inc.value_at(candidate.guard, c);
+        // Packed replay of the dirty region only, 64 cycles per word,
+        // reading fanins outside it (the guard included) from the
+        // recording. A frozen node recomputes its baseline while the
+        // guard is off (its fanin cone is closed down to the inputs) and
+        // holds while it is on, from `false` as in `evaluate`.
+        let blocks = inc.vectors().div_ceil(64);
+        rows.clear();
+        rows.resize(dirty.len() * blocks, 0);
+        for b in 0..blocks {
+            let valid = inc.block_mask(b);
+            let guard_on = inc.value_words(candidate.guard)[b];
             for (k, &id) in dirty.iter().enumerate() {
-                if guard_on && in_cone[id.index()] {
-                    continue; // latched: holds its previous value
-                }
-                let NodeKind::Gate { kind, inputs } = nl.kind(id) else {
-                    unreachable!("dirty region contains gates only")
+                let w = if in_cone[id.index()] {
+                    let carry = b > 0 && rows[k * blocks + b - 1] >> 63 != 0;
+                    hold_word(inc.value_words(id)[b], guard_on, carry)
+                } else {
+                    let NodeKind::Gate { kind, inputs } = nl.kind(id) else {
+                        unreachable!("dirty region contains gates only")
+                    };
+                    kind.eval_word(inputs, |f| {
+                        let u = dirty_idx[f.index()];
+                        if u != u32::MAX {
+                            rows[u as usize * blocks + b]
+                        } else {
+                            inc.value_words(f)[b]
+                        }
+                    })
                 };
-                let new = kind.eval_with(inputs, |f| {
-                    let u = dirty_idx[f.index()];
-                    if u != u32::MAX {
-                        dirty_values[u as usize]
-                    } else {
-                        inc.value_at(f, c)
-                    }
-                });
-                if c > 0 && new != dirty_values[k] {
-                    dirty_toggles[k] += 1;
-                }
-                dirty_values[k] = new;
-            }
-            for &(_, o) in nl.outputs() {
-                let u = dirty_idx[o.index()];
-                if u != u32::MAX && dirty_values[u as usize] != inc.value_at(o, c) {
-                    outputs_match = false;
-                }
+                rows[k * blocks + b] = w & valid;
             }
         }
+        let row = |u: u32| &rows[u as usize * blocks..][..blocks];
+        let outputs_match = nl.outputs().iter().all(|&(_, o)| {
+            let u = dirty_idx[o.index()];
+            u == u32::MAX || row(u) == inc.value_words(o)
+        });
         // Energy: dirty counts substituted into the cached baseline
         // counts, one dot product in node-index order (the same order
         // `evaluate` uses).
         let mut guarded_energy = 0.0;
         for (i, &e) in energy_of.iter().enumerate() {
             let u = dirty_idx[i];
-            let t = if u != u32::MAX { dirty_toggles[u as usize] } else { base_toggles[i] };
+            let t = if u != u32::MAX { inc.row_toggles(row(u)) } else { base_toggles[i] };
             guarded_energy += t as f64 * e;
         }
         obs::OPT_CANDIDATES_EVALUATED.inc();
         obs::OPT_CONE_SIZE.record(dirty.len() as u64);
-        obs::OPT_RESIM_WORDS.add((dirty.len() * *blocks) as u64);
+        obs::OPT_RESIM_WORDS.add((dirty.len() * blocks) as u64);
         // Clear the per-candidate marks.
         for &id in candidate.cone.iter() {
             in_cone[id.index()] = false;
         }
-        for &id in gc_nodes.iter() {
-            in_guard_cone[id.index()] = false;
-        }
+        in_guard_cone.fill(false);
         for &id in dirty.iter() {
-            in_dirty[id.index()] = false;
             dirty_idx[id.index()] = u32::MAX;
         }
         (*base_energy_fj, guarded_energy, outputs_match)
@@ -676,14 +633,26 @@ mod tests {
         let lib = Library::default();
         let candidates = find_candidates(&nl, &lib, 8).unwrap();
         assert!(!candidates.is_empty());
-        let stream: Vec<Vec<bool>> = streams::random(9, nl.input_count()).take(300).collect();
-        let mut scorer = GuardScorer::new(&nl, &lib, &stream).unwrap();
-        for c in &candidates {
-            let (base_ref, guarded_ref, ok_ref) = evaluate(&nl, &lib, c, &stream).unwrap();
-            let (base, guarded, ok) = scorer.score(c);
-            assert_eq!(base.to_bits(), base_ref.to_bits(), "baseline diverged for {c:?}");
-            assert_eq!(guarded.to_bits(), guarded_ref.to_bits(), "guarded diverged for {c:?}");
-            assert_eq!(ok, ok_ref, "correctness verdict diverged for {c:?}");
+        // Each candidate again under a guard that does not imply its ODC
+        // (another primary input), so some verdicts are `false`.
+        let misguarded: Vec<GuardCandidate> = candidates
+            .iter()
+            .map(|c| {
+                let guard = *nl.inputs().iter().find(|&&i| i != c.guard).unwrap();
+                GuardCandidate { guard, ..c.clone() }
+            })
+            .collect();
+        // 300 vectors, plus the block boundaries of the packed replay.
+        for len in [300, 1, 63, 64, 65, 129] {
+            let stream: Vec<Vec<bool>> = streams::random(9, nl.input_count()).take(len).collect();
+            let mut scorer = GuardScorer::new(&nl, &lib, &stream).unwrap();
+            for c in candidates.iter().chain(&misguarded) {
+                let (base_ref, guarded_ref, ok_ref) = evaluate(&nl, &lib, c, &stream).unwrap();
+                let (base, guarded, ok) = scorer.score(c);
+                assert_eq!(base.to_bits(), base_ref.to_bits(), "baseline diverged for {c:?}");
+                assert_eq!(guarded.to_bits(), guarded_ref.to_bits(), "guarded diverged for {c:?}");
+                assert_eq!(ok, ok_ref, "correctness verdict diverged for {c:?}");
+            }
         }
     }
 
