@@ -8,9 +8,9 @@
 //! the synthesized `Fa` logic is a new cost — the classic gated-clock
 //! trade-off.
 
-use hlpower_bdd::bdd_to_mux_netlist;
-use hlpower_fsm::{synthesize, Encoding, FsmError, MarkovAnalysis, Stg};
-use hlpower_netlist::{words::to_bits, IncrementalSim, Library, Netlist, NodeId};
+use hlpower_bdd::{bdd_to_mux_netlist, build_node_bdds, BddRef};
+use hlpower_fsm::{synthesize, Encoding, FsmCircuit, FsmError, MarkovAnalysis, Stg};
+use hlpower_netlist::{IncrementalSim, Library, Netlist, NodeId, NodeKind};
 use hlpower_obs::metrics as obs;
 
 use hlpower_rng::Rng;
@@ -46,21 +46,22 @@ impl ClockGateOutcome {
 ///
 /// Returns [`FsmError`] variants for invalid machines/encodings.
 pub fn activation_function(stg: &Stg, encoding: &Encoding) -> Result<(Netlist, NodeId), FsmError> {
-    // Synthesize the machine once to reuse its BDD construction, then
-    // derive Fa = OR over state bits of (next_i XOR present_i).
-    let circuit = synthesize(stg, encoding)?;
-    // Build BDDs of the synthesized circuit's next-state functions: they
-    // are the D inputs of the state flip-flops.
+    activation_of(&synthesize(stg, encoding)?)
+}
+
+/// [`activation_function`] of an already synthesized machine: `Fa = OR`
+/// over state bits of `(next_i XOR present_i)`, from the BDDs of the
+/// circuit's next-state functions (the D inputs of its state flip-flops).
+fn activation_of(circuit: &FsmCircuit) -> Result<(Netlist, NodeId), FsmError> {
     let nl = &circuit.netlist;
-    let (mut m, map) = hlpower_bdd::build_node_bdds(nl).map_err(|_| FsmError::Empty)?;
-    let in_bits = stg.input_bits();
-    let mut fa = hlpower_bdd::BddRef::FALSE;
+    let (mut m, map) = build_node_bdds(nl).map_err(|_| FsmError::Empty)?;
+    let in_bits = circuit.inputs.len();
+    let mut fa = BddRef::FALSE;
     for (i, &q) in circuit.state.iter().enumerate() {
-        let d_node = match nl.kind(q) {
-            hlpower_netlist::NodeKind::Dff { d, .. } => *d,
-            _ => unreachable!("state lines are flip-flops"),
+        let NodeKind::Dff { d, .. } = nl.kind(q) else {
+            unreachable!("state lines are flip-flops")
         };
-        let next = map[&d_node];
+        let next = map[d];
         let present = m.var((in_bits + i) as u32);
         let x = m.xor(next, present);
         fa = m.or(fa, x);
@@ -96,7 +97,7 @@ pub fn evaluate(
     input_one_prob: f64,
 ) -> Result<ClockGateOutcome, FsmError> {
     let circuit = synthesize(stg, encoding)?;
-    let (fa_netlist, fa_node) = activation_function(stg, encoding)?;
+    let (fa_netlist, fa_node) = activation_of(&circuit)?;
     // Input-symbol distribution matching the biased per-bit stream.
     let symbols = stg.symbol_count();
     let dist: Vec<f64> = (0..symbols as u64)
@@ -108,53 +109,30 @@ pub fn evaluate(
         .collect();
     let markov = MarkovAnalysis::with_input_distribution(stg, &dist);
 
-    let mut rng = Rng::seed_from_u64(seed);
-    let words: Vec<u64> = (0..cycles)
-        .map(|_| {
-            (0..stg.input_bits() as u64).map(|b| (rng.gen_bool(input_one_prob) as u64) << b).sum()
-        })
-        .collect();
-
     // Baseline power: one sequential recording of the machine, with its
     // per-cycle register-boundary snapshots (bit-identical to a scalar
     // simulation).
-    let stream: Vec<Vec<bool>> = words.iter().map(|&w| to_bits(w, stg.input_bits())).collect();
+    let stream = input_stream(stg, cycles, seed, input_one_prob);
     let inc = IncrementalSim::record(&circuit.netlist, &stream).map_err(|_| FsmError::Empty)?;
     obs::OPT_CANDIDATES_EVALUATED.inc();
     let base_report = inc.activity().power(&circuit.netlist, lib);
     let baseline_uw = base_report.total_power_uw();
 
-    // Present state per cycle, read off the register snapshots: power-on
-    // values at cycle 0, then the settled Q of the previous cycle.
-    let init_of = |q: NodeId| match circuit.netlist.kind(q) {
-        hlpower_netlist::NodeKind::Dff { init, .. } => *init,
-        _ => unreachable!("state lines are flip-flops"),
-    };
-    let state_word_at = |c: usize| -> u64 {
-        circuit
-            .state
-            .iter()
-            .enumerate()
-            .map(|(i, &q)| {
-                let v = if c == 0 { init_of(q) } else { inc.value_at(q, c - 1) };
-                (v as u64) << i
-            })
-            .sum()
-    };
-
     // Activation logic power + gating decisions: one packed
-    // combinational recording over the (input, present-state) stream.
-    let fa_stream: Vec<Vec<bool>> = words
+    // combinational recording over the (input, present-state) stream. A
+    // flip-flop's recorded value on cycle `c` is the machine's present
+    // state during `c`.
+    let fa_stream: Vec<Vec<bool>> = stream
         .iter()
         .enumerate()
-        .map(|(i, &w)| {
-            let mut v = to_bits(w, stg.input_bits());
-            v.extend(to_bits(state_word_at(i), circuit.state.len()));
+        .map(|(c, v)| {
+            let mut v = v.clone();
+            v.extend(circuit.state.iter().map(|&q| inc.value_at(q, c)));
             v
         })
         .collect();
     let fa_inc = IncrementalSim::record(&fa_netlist, &fa_stream).map_err(|_| FsmError::Empty)?;
-    let gated_cycles = (0..words.len()).filter(|&i| !fa_inc.value_at(fa_node, i)).count() as u64;
+    let gated_cycles = (0..cycles).filter(|&c| !fa_inc.value_at(fa_node, c)).count() as u64;
     let fa_uw = fa_inc.activity().power(&fa_netlist, lib).total_power_uw();
 
     // Gated power: baseline minus the clock/register energy saved on
@@ -173,6 +151,15 @@ pub fn evaluate(
         gated_fraction: gate_fraction,
         self_loop_probability: markov.self_loop_probability(stg),
     })
+}
+
+/// The seeded input stream of [`evaluate`]: `cycles` words whose bits are
+/// each 1 with probability `input_one_prob`.
+fn input_stream(stg: &Stg, cycles: usize, seed: u64, input_one_prob: f64) -> Vec<Vec<bool>> {
+    let mut rng = Rng::seed_from_u64(seed);
+    (0..cycles)
+        .map(|_| (0..stg.input_bits()).map(|_| rng.gen_bool(input_one_prob)).collect())
+        .collect()
 }
 
 #[cfg(test)]
@@ -234,28 +221,24 @@ mod tests {
         let (cycles, seed, p) = (1500usize, 7u64, 0.1f64);
         let outcome = evaluate(&stg, &enc, &lib, cycles, seed, p).unwrap();
 
-        // Reference: the pre-incremental implementation, verbatim.
+        // Reference: two scalar simulators, the machine's present state
+        // read after each step.
         let circuit = synthesize(&stg, &enc).unwrap();
         let (fa_netlist, _) = activation_function(&stg, &enc).unwrap();
-        let mut rng = Rng::seed_from_u64(seed);
-        let words: Vec<u64> = (0..cycles)
-            .map(|_| (0..stg.input_bits() as u64).map(|b| (rng.gen_bool(p) as u64) << b).sum())
-            .collect();
+        let stream = input_stream(&stg, cycles, seed, p);
         let mut sim = ZeroDelaySim::new(&circuit.netlist).unwrap();
         let mut fa_sim = ZeroDelaySim::new(&fa_netlist).unwrap();
         let mut gated_cycles = 0u64;
-        let mut state_words: Vec<u64> = Vec::with_capacity(cycles);
-        for &w in &words {
-            let st: u64 =
-                circuit.state.iter().enumerate().map(|(i, &q)| (sim.value(q) as u64) << i).sum();
-            state_words.push(st);
-            sim.step(&to_bits(w, stg.input_bits())).unwrap();
+        let mut states: Vec<Vec<bool>> = Vec::with_capacity(cycles);
+        for v in &stream {
+            sim.step(v).unwrap();
+            states.push(circuit.state.iter().map(|&q| sim.value(q)).collect());
         }
         let base_report = sim.take_activity().power(&circuit.netlist, &lib);
         let baseline_uw = base_report.total_power_uw();
-        for (i, &w) in words.iter().enumerate() {
-            let mut v = to_bits(w, stg.input_bits());
-            v.extend(to_bits(state_words[i], circuit.state.len()));
+        for (v, st) in stream.iter().zip(&states) {
+            let mut v = v.clone();
+            v.extend(st);
             fa_sim.step(&v).unwrap();
             if !fa_sim.output_values()[0] {
                 gated_cycles += 1;
@@ -268,6 +251,39 @@ mod tests {
         assert_eq!(outcome.baseline_uw.to_bits(), baseline_uw.to_bits());
         assert_eq!(outcome.gated_uw.to_bits(), gated_uw.to_bits());
         assert_eq!(outcome.gated_fraction.to_bits(), gate_fraction.to_bits());
+    }
+
+    #[test]
+    fn activation_pairs_each_input_with_its_own_state() {
+        // `Fa(in_c, state_c)` asserts exactly when the step on `in_c`
+        // changes the state, and `evaluate` gates exactly the cycles
+        // where it does not.
+        let stg = generators::reactive_controller(8);
+        let lib = Library::default();
+        let (cycles, seed, p) = (4000usize, 5u64, 0.3f64);
+        for enc in [Encoding::one_hot(&stg), Encoding::binary(&stg)] {
+            let circuit = synthesize(&stg, &enc).unwrap();
+            let (fa_netlist, _) = activation_function(&stg, &enc).unwrap();
+            let mut sim = ZeroDelaySim::new(&circuit.netlist).unwrap();
+            let mut fa_sim = ZeroDelaySim::new(&fa_netlist).unwrap();
+            let mut prev: Option<(Vec<bool>, bool)> = None;
+            let mut gated_cycles = 0usize;
+            for (c, v) in input_stream(&stg, cycles, seed, p).iter().enumerate() {
+                sim.step(v).unwrap();
+                let state: Vec<bool> = circuit.state.iter().map(|&q| sim.value(q)).collect();
+                if let Some((before, fa)) = prev {
+                    assert_eq!(fa, state != before, "cycle {}", c - 1);
+                }
+                let mut fa_in = v.clone();
+                fa_in.extend(&state);
+                let fa = fa_sim.eval_combinational(&fa_in).unwrap()[0];
+                gated_cycles += usize::from(!fa);
+                prev = Some((state, fa));
+            }
+            let outcome = evaluate(&stg, &enc, &lib, cycles, seed, p).unwrap();
+            let expected = gated_cycles as f64 / cycles as f64;
+            assert_eq!(outcome.gated_fraction.to_bits(), expected.to_bits());
+        }
     }
 
     #[test]

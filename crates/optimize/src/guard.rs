@@ -9,7 +9,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use hlpower_bdd::{gate_bdd, BddManager, BddRef};
+use hlpower_bdd::{build_node_bdds, gate_bdd, BddRef};
 use hlpower_netlist::{
     hold_word, IncrementalSim, Library, Netlist, NetlistError, NodeId, NodeKind, ZeroDelaySim,
 };
@@ -31,54 +31,6 @@ pub struct GuardCandidate {
     /// Whether the timing condition `t_l(s) < t_e(Y)` holds under the
     /// library's delay model.
     pub timing_ok: bool,
-}
-
-/// Computes the observability don't-care set of `target` by re-extracting
-/// the output BDDs with `target` replaced by a fresh variable: `ODC =
-/// AND_out XNOR(out|z=0, out|z=1)`.
-fn odc_of(
-    netlist: &Netlist,
-    target: NodeId,
-) -> Result<(BddManager, BddRef, HashMap<NodeId, BddRef>), NetlistError> {
-    let order = netlist.topo_order()?;
-    let nvars = netlist.input_count() + netlist.dffs().len() + 1;
-    let zvar = (nvars - 1) as u32;
-    let mut m = BddManager::new(nvars);
-    let mut map: HashMap<NodeId, BddRef> = HashMap::new();
-    for (i, &inp) in netlist.inputs().iter().enumerate() {
-        let v = m.var(i as u32);
-        map.insert(inp, v);
-    }
-    for (i, &q) in netlist.dffs().iter().enumerate() {
-        let v = m.var((netlist.input_count() + i) as u32);
-        map.insert(q, v);
-    }
-    for id in netlist.node_ids() {
-        if let NodeKind::Const(c) = netlist.kind(id) {
-            map.insert(id, m.constant(*c));
-        }
-    }
-    for &id in &order {
-        if id == target {
-            let v = m.var(zvar);
-            map.insert(id, v);
-            continue;
-        }
-        if let NodeKind::Gate { kind, inputs } = netlist.kind(id) {
-            let fanin: Vec<BddRef> = inputs.iter().map(|f| map[f]).collect();
-            let f = gate_bdd(&mut m, *kind, &fanin);
-            map.insert(id, f);
-        }
-    }
-    let mut odc = BddRef::TRUE;
-    for &(_, o) in netlist.outputs() {
-        let f = map[&o];
-        let f0 = m.cofactor(f, zvar, false);
-        let f1 = m.cofactor(f, zvar, true);
-        let same = m.xnor(f0, f1);
-        odc = m.and(odc, same);
-    }
-    Ok((m, odc, map))
 }
 
 /// The transitive fan-in cone of a node (gates only, the node included).
@@ -103,6 +55,11 @@ fn cone_of(netlist: &Netlist, target: NodeId) -> Vec<NodeId> {
 /// check timing, and report the candidates ranked by expected saving
 /// (guard probability x cone size).
 ///
+/// The netlist's BDDs are built once. For each target, only its forward
+/// closure is re-derived, as the cofactor pair `(f|t=0, f|t=1)` of every
+/// closure node: `ODC = AND_out XNOR(out|t=0, out|t=1)` over the outputs
+/// in the closure. Signals outside the closure keep their shared BDDs.
+///
 /// # Errors
 ///
 /// Returns a netlist error for cyclic circuits.
@@ -112,6 +69,8 @@ pub fn find_candidates(
     max_targets: usize,
 ) -> Result<Vec<GuardCandidate>, NetlistError> {
     let arrivals = netlist.arrival_times_ps(lib)?;
+    let order = netlist.topo_order()?;
+    let (mut m, map) = build_node_bdds(netlist)?;
     let gates: Vec<NodeId> = netlist
         .node_ids()
         .filter(|&id| matches!(netlist.kind(id), NodeKind::Gate { .. }))
@@ -122,21 +81,41 @@ pub fn find_candidates(
     let guard_pool: Vec<NodeId> =
         gates.iter().copied().chain(netlist.inputs().iter().copied()).collect();
     let output_set: HashSet<NodeId> = netlist.outputs().iter().map(|&(_, n)| n).collect();
-    let fanouts = netlist.fanouts();
     let mut out = Vec::new();
     // Prefer targets with large cones. `sort_by_cached_key` computes each
     // cone once instead of once per comparison.
     let mut targets: Vec<NodeId> =
         gates.iter().copied().filter(|id| !output_set.contains(id)).collect();
     targets.sort_by_cached_key(|&t| std::cmp::Reverse(cone_of(netlist, t).len()));
-    // Forward-reachability marks from the current target: a signal reads
-    // the target iff it lies in the target's gate-level forward closure.
-    // One O(edges) sweep per target replaces a `cone_of` per guard.
-    let mut reads_target = vec![false; netlist.node_count()];
-    let mut marked: Vec<NodeId> = Vec::new();
-    let mut stack: Vec<NodeId> = Vec::new();
+    // The current target's forward closure (gates reading it, itself
+    // included), each node with its pair `(f|t=0, f|t=1)`.
+    let mut closure: HashMap<NodeId, (BddRef, BddRef)> = HashMap::new();
+    let (mut lo, mut hi) = (Vec::new(), Vec::new());
     for &target in targets.iter().take(max_targets) {
-        let (mut m, odc, map) = odc_of(netlist, target)?;
+        closure.clear();
+        closure.insert(target, (BddRef::FALSE, BddRef::TRUE));
+        for &id in order.iter().skip_while(|&&id| id != target) {
+            let NodeKind::Gate { kind, inputs } = netlist.kind(id) else { continue };
+            if !inputs.iter().any(|f| closure.contains_key(f)) {
+                continue;
+            }
+            lo.clear();
+            hi.clear();
+            for f in inputs {
+                let (f0, f1) = closure.get(f).copied().unwrap_or((map[f], map[f]));
+                lo.push(f0);
+                hi.push(f1);
+            }
+            let pair = (gate_bdd(&mut m, *kind, &lo), gate_bdd(&mut m, *kind, &hi));
+            closure.insert(id, pair);
+        }
+        let mut odc = BddRef::TRUE;
+        for (_, o) in netlist.outputs() {
+            if let Some(&(f0, f1)) = closure.get(o) {
+                let same = m.xnor(f0, f1);
+                odc = m.and(odc, same);
+            }
+        }
         if odc == BddRef::FALSE {
             continue;
         }
@@ -152,36 +131,15 @@ pub fn find_candidates(
             .filter(|x| !cone_set.contains(x))
             .map(|x| arrivals[x.index()])
             .fold(f64::INFINITY, f64::min);
-        for &id in &marked {
-            reads_target[id.index()] = false;
-        }
-        marked.clear();
-        stack.clear();
-        stack.push(target);
-        reads_target[target.index()] = true;
-        marked.push(target);
-        while let Some(x) = stack.pop() {
-            for &r in &fanouts[x.index()] {
-                if !reads_target[r.index()] && matches!(netlist.kind(r), NodeKind::Gate { .. }) {
-                    reads_target[r.index()] = true;
-                    marked.push(r);
-                    stack.push(r);
-                }
-            }
-        }
+        let nodc = m.not(odc);
         for &guard in &guard_pool {
-            if cone_set.contains(&guard) || guard == target {
-                continue;
-            }
-            // Guard must not depend on the target's cone output (it
-            // does not, structurally: it is outside the cone, but it may
-            // read the target; skip if target is in its fan-in).
-            if reads_target[guard.index()] {
+            // The guard must lie outside the target's cone and must not
+            // read the target (the closure holds the target itself).
+            if cone_set.contains(&guard) || closure.contains_key(&guard) {
                 continue;
             }
             let s = map[&guard];
             // s implies ODC: s & !ODC == false.
-            let nodc = m.not(odc);
             if m.and(s, nodc) != BddRef::FALSE {
                 continue;
             }

@@ -39,18 +39,27 @@ pub struct PrecomputeCandidate {
 ///
 /// Panics if the block does not have exactly one output.
 pub fn rank_subsets(block: &Netlist, k: usize) -> Result<Vec<PrecomputeCandidate>, NetlistError> {
+    let (mut m, f) = block_bdd(block)?;
+    Ok(rank(&mut m, f, block.input_count(), k))
+}
+
+/// The BDD of a single-output block's function, in a fresh manager over
+/// the block's inputs.
+///
+/// # Panics
+///
+/// Panics if the block does not have exactly one output.
+fn block_bdd(block: &Netlist) -> Result<(BddManager, BddRef), NetlistError> {
     assert_eq!(block.outputs().len(), 1, "precomputation predictor needs a single-output block");
-    let (mut m, roots) = build_output_bdds(block)?;
-    let f = roots[0];
-    let n = block.input_count();
+    let (m, roots) = build_output_bdds(block)?;
+    Ok((m, roots[0]))
+}
+
+/// [`rank_subsets`] over the block function `f` of `n` inputs in `m`.
+fn rank(m: &mut BddManager, f: BddRef, n: usize, k: usize) -> Vec<PrecomputeCandidate> {
     let mut out = Vec::new();
-    let mut others: Vec<u32> = Vec::with_capacity(n);
     for_each_subset(n, k, |subset| {
-        others.clear();
-        others.extend((0..n as u32).filter(|v| !subset.contains(&(*v as usize))));
-        let g1 = m.forall(f, &others);
-        let nf = m.not(f);
-        let g0 = m.forall(nf, &others);
+        let (g1, g0) = predictors(m, f, n, subset);
         let either = m.or(g1, g0);
         let p = m.sat_fraction(either);
         out.push(PrecomputeCandidate {
@@ -62,7 +71,7 @@ pub fn rank_subsets(block: &Netlist, k: usize) -> Result<Vec<PrecomputeCandidate
     out.sort_by(|a, b| {
         b.shutdown_probability.partial_cmp(&a.shutdown_probability).expect("finite probabilities")
     });
-    Ok(out)
+    out
 }
 
 /// Calls `visit` with every size-`k` subset of `0..n` in lexicographic
@@ -124,11 +133,11 @@ pub fn build_architecture(
     block: &Netlist,
     k: usize,
 ) -> Result<PrecomputeArchitecture, NetlistError> {
-    let candidates = rank_subsets(block, k)?;
-    let candidate = candidates.into_iter().next().expect("at least one subset");
-    let (mut m, roots) = build_output_bdds(block)?;
-    let (g1, g0) = predictors(&mut m, roots[0], block.input_count(), &candidate.subset);
-    let (netlist, _) = synth_architecture(block, &m, g1, g0);
+    let (mut m, f) = block_bdd(block)?;
+    let n = block.input_count();
+    let candidate = rank(&mut m, f, n, k).into_iter().next().expect("at least one subset");
+    let (g1, g0) = predictors(&mut m, f, n, &candidate.subset);
+    let (netlist, _) = synth_architecture(&m, f, n, g1, g0);
     Ok(PrecomputeArchitecture { netlist, candidate })
 }
 
@@ -144,15 +153,15 @@ struct ArchHandles {
 }
 
 /// Synthesizes the Fig. 6 architecture for one predictor pair: raw
-/// inputs, predictor logic, hold registers, the block over held inputs,
-/// and the output mux.
+/// inputs, predictor logic, hold registers, the block `f` (of `n` inputs,
+/// in `m`) over held inputs, and the output mux.
 fn synth_architecture(
-    block: &Netlist,
     m: &BddManager,
+    f: BddRef,
+    n: usize,
     g1: BddRef,
     g0: BddRef,
 ) -> (Netlist, ArchHandles) {
-    let n = block.input_count();
     // New netlist with fresh inputs; predictors over raw inputs;
     // registered inputs recirculate when the registered predictor fired.
     let mut nl = Netlist::new();
@@ -179,10 +188,7 @@ fn synth_architecture(
         }
     });
     // Rebuild the block over the held inputs.
-    let block_out = nl.with_group("block", |nl| {
-        let (bm, broots) = build_output_bdds(block).expect("validated above");
-        bdd_to_mux_netlist(&bm, broots[0], &held, nl)
-    });
+    let block_out = nl.with_group("block", |nl| bdd_to_mux_netlist(m, f, &held, nl));
     // Output: if the predictor fired last cycle, g1_q is the answer;
     // otherwise the block's output over the (freshly loaded) registers.
     let y = nl.mux(fire_q, block_out, g1_q);
@@ -300,26 +306,24 @@ pub fn search(
     stream: &[Vec<bool>],
     lib: &Library,
 ) -> Result<PrecomputeSearchOutcome, NetlistError> {
-    let ranked = rank_subsets(block, k)?;
+    let (mut m, f) = block_bdd(block)?;
+    let n = block.input_count();
+    let ranked = rank(&mut m, f, n, k);
     let take = top_r.clamp(1, ranked.len());
 
     // Baseline: inputs registered, block evaluated every cycle. Recorded
     // once, shared by every candidate comparison.
-    let n = block.input_count();
     let mut base = Netlist::new();
     let raw: Vec<NodeId> = (0..n).map(|i| base.input(format!("x[{i}]"))).collect();
     let regs = base.dff_bus(&raw);
-    let (bm, broots) = build_output_bdds(block)?;
-    let y = bdd_to_mux_netlist(&bm, broots[0], &regs, &mut base);
+    let y = bdd_to_mux_netlist(&m, f, &regs, &mut base);
     base.set_output("y", y);
     let base_rec = IncrementalSim::record(&base, stream)?;
     let baseline_uw = base_rec.activity().power(&base, lib).total_power_uw();
 
     // Template: the top-ranked candidate's architecture, recorded once.
-    let (mut m, roots) = build_output_bdds(block)?;
-    let f = roots[0];
     let (g1, g0) = predictors(&mut m, f, n, &ranked[0].subset);
-    let (tpl, handles) = synth_architecture(block, &m, g1, g0);
+    let (tpl, handles) = synth_architecture(&m, f, n, g1, g0);
     let mut inc = IncrementalSim::record(&tpl, stream)?;
     obs::OPT_CANDIDATES_EVALUATED.inc();
     let mut scored = Vec::with_capacity(take);
@@ -393,20 +397,15 @@ pub fn check_equivalence(
     let arch = build_architecture(block, k)?;
     let mut ref_sim = ZeroDelaySim::new(block)?;
     let mut arch_sim = ZeroDelaySim::new(&arch.netlist)?;
-    let mut expected: Vec<bool> = Vec::new();
-    for v in stream {
-        let r = ref_sim.eval_combinational(v)?;
-        arch_sim.step(v)?;
-        expected.push(r[0]);
-    }
-    // The architecture outputs, delayed by one cycle, must match.
-    let mut arch_sim2 = ZeroDelaySim::new(&arch.netlist)?;
+    let mut expected = Vec::new();
     let mut got = Vec::new();
     for v in stream {
-        arch_sim2.step(v)?;
-        got.push(arch_sim2.output_values()[0]);
+        expected.push(ref_sim.eval_combinational(v)?[0]);
+        arch_sim.step(v)?;
+        got.push(arch_sim.output_values()[0]);
     }
-    // got[t] corresponds to inputs at t-1.
+    // The architecture outputs, delayed by one cycle, must match: got[t]
+    // corresponds to inputs at t-1.
     Ok(got[1..] == expected[..expected.len() - 1])
 }
 
@@ -471,12 +470,11 @@ mod tests {
 
         // Replay the search's construction sequence on a fresh manager so
         // node ids line up, then record each netlist from scratch.
-        let ranked = rank_subsets(&block, 2).unwrap();
-        let (mut m, roots) = build_output_bdds(&block).unwrap();
-        let f = roots[0];
+        let (mut m, f) = block_bdd(&block).unwrap();
         let n = block.input_count();
+        let ranked = rank(&mut m, f, n, 2);
         let (g1, g0) = predictors(&mut m, f, n, &ranked[0].subset);
-        let (tpl, handles) = synth_architecture(&block, &m, g1, g0);
+        let (tpl, handles) = synth_architecture(&m, f, n, g1, g0);
         for (i, sc) in outcome.scored.iter().enumerate() {
             let nl = if i == 0 {
                 tpl.clone()
@@ -504,11 +502,10 @@ mod tests {
         // one-cycle-latency block: the old predictor is fully detached.
         let block = comparator_block(3);
         let ranked = rank_subsets(&block, 2).unwrap();
-        let (mut m, roots) = build_output_bdds(&block).unwrap();
-        let f = roots[0];
+        let (mut m, f) = block_bdd(&block).unwrap();
         let n = block.input_count();
         let (g1, g0) = predictors(&mut m, f, n, &ranked[0].subset);
-        let (tpl, handles) = synth_architecture(&block, &m, g1, g0);
+        let (tpl, handles) = synth_architecture(&m, f, n, g1, g0);
         let (g1b, g0b) = predictors(&mut m, f, n, &ranked[1].subset);
         let mut sw = tpl.clone();
         let mut ed = NetlistEditor::begin(&mut sw);
