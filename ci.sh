@@ -42,8 +42,8 @@ cargo run --release --offline -p hlpower-bench --bin repro -- \
 # batch or cycle count (scalar vs packed64 in zero-delay and glitch mode;
 # packed64 vs 256 vs 512), or if a gate fails:
 #   - zero-delay: packed64 more than 30x faster than scalar;
-#   - glitch: packed64 time-wheel kernel more than 3x faster than the
-#     scalar event sim;
+#   - glitch: packed64 levelized timed kernel more than 4.5x faster than
+#     the scalar event sim;
 #   - zero-delay: packed256 more than 1.15x faster than packed64;
 #   - optimize: incremental guard scoring (bit-identical per candidate to
 #     the from-scratch scorer) faster than from-scratch, and at least 200x
@@ -56,7 +56,8 @@ cargo run --release --offline -p hlpower-bench --bin repro -- \
 # 512-lane kernels and Auto return different records, or if, in the
 # `record` section (a pipeline cut, a precomputed comparator and a
 # one-hot FSM), the recorder's activity differs from the scalar run's;
-# the `timed` section and the `phases` split have no speed gate.
+# the `timed` section and the `phases` split (zero-delay layers and one
+# glitch-aware word per shape and width) have no speed gate.
 # The per-lane bit-identity battery runs in the test step above
 # (tests/wide_differential.rs).
 cargo bench --offline -p hlpower-bench --bench kernels

@@ -23,7 +23,9 @@
 //! `stimulus` (drawing and packing the word's random input bits,
 //! `random_words`), `settle` (a fresh simulator stepped over those words)
 //! and `finalize` (`take_lane_powers`), next to the `total` of the same
-//! word through `simulate_packed_lanes`. It has no gate.
+//! word through `simulate_packed_lanes`; beside them it times one full
+//! glitch-aware word of 16 cycles through `simulate_packed_glitch_lanes`.
+//! It has no gate.
 //!
 //! The timed section profiles short streams (300 and 513 vectors) of the
 //! 4- and 16-bit multipliers with `timed_activity`, the glitch scorer of
@@ -50,9 +52,9 @@ use std::time::Instant;
 use hlpower::fsm::{generators, synthesize, Encoding};
 use hlpower::netlist::{
     gen, monte_carlo_glitch_power_seeded_threads_kernel, monte_carlo_power_seeded_threads_kernel,
-    random_words, simd_level, simulate_packed_lanes, streams, timed_activity, CompiledKernel,
-    IncrementalSim, LaneRequest, Library, McKernel, MonteCarloOptions, Netlist, PowerModel,
-    WideSim, Word, ZeroDelaySim, W256, W512,
+    random_words, simd_level, simulate_packed_glitch_lanes, simulate_packed_lanes, streams,
+    timed_activity, CompiledKernel, IncrementalSim, LaneRequest, Library, McKernel,
+    MonteCarloOptions, Netlist, PowerModel, WideSim, Word, ZeroDelaySim, W256, W512,
 };
 use hlpower::optimize::{guard, precompute, retime, rewrite};
 use hlpower_bench::timing::full_mode;
@@ -91,6 +93,8 @@ struct Comparison {
 // Each gate floor is at most two thirds of the row's lowest smoke-mode
 // speedup over 20 runs on a 2-vCPU AVX-512 host (59.1x, 5.12x and 1.74x
 // with the lane-parallel stimulus and fused finalize), and never below 1.
+// The glitch floor was raised with the levelized timed kernel, whose row
+// read 7.62-8.38x over 3 smoke and 3 full-mode runs on that host.
 const COMPARISONS: [Comparison; 3] = [
     Comparison {
         name: "zd_scalar_vs_packed64",
@@ -110,7 +114,7 @@ const COMPARISONS: [Comparison; 3] = [
         full: (60, 256, 3),
         kernels: &[Scalar, Packed64],
         gate: (Packed64, Scalar),
-        floor: 3.0,
+        floor: 4.5,
     },
     Comparison {
         name: "zd_widths",
@@ -286,6 +290,9 @@ fn compare(nl: &Netlist, row: &Comparison, full: bool, failures: &mut Vec<String
 
 /// Cycles per lane of a phases word.
 const PHASE_CYCLES: usize = 100;
+/// Cycles per lane of a phases glitch word: a glitch-aware lane-cycle
+/// costs 30 to 130 zero-delay ones on these shapes.
+const GLITCH_CYCLES: usize = 16;
 
 /// The phases section's shapes: the multiplier, an 8-tap FIR with
 /// array-multiplier taps, and 2,000-gate random logic.
@@ -301,9 +308,11 @@ fn phase_shapes() -> Vec<(&'static str, Netlist)> {
 
 /// Splits one full `W` word of [`PHASE_CYCLES`] cycles on `nl` into
 /// stimulus, settle and finalize ns per lane-cycle, each the fastest of
-/// `reps`, and checks the split run's samples against the whole word's.
+/// `reps`, and checks the split run's samples against the whole word's;
+/// times one full glitch-aware word of [`GLITCH_CYCLES`] cycles beside it.
 fn phase_row<W: Word>(shape: &str, nl: &Netlist, reps: usize) -> Value {
-    let model = PowerModel::new(nl, &Library::default());
+    let lib = Library::default();
+    let model = PowerModel::new(nl, &lib);
     let compiled = CompiledKernel::compile(nl).expect("acyclic shape");
     let w = nl.input_count();
     let stream_fn = |rng: Rng| streams::random_rng(rng, w);
@@ -312,11 +321,14 @@ fn phase_row<W: Word>(shape: &str, nl: &Netlist, reps: usize) -> Value {
         .collect();
     let streams: Vec<Rng> =
         lanes.iter().map(|r| Rng::seed_from_u64(r.seed).split(r.batch)).collect();
+    let glitch_lanes: Vec<LaneRequest> =
+        lanes.iter().map(|r| LaneRequest { cycles: GLITCH_CYCLES, ..*r }).collect();
 
     let mut total = Leg::new("total");
     let mut stimulus = Leg::new("stimulus");
     let mut settle = Leg::new("settle");
     let mut finalize = Leg::new("finalize");
+    let mut glitch = Leg::new("glitch");
     let (mut whole, mut split) = (Vec::new(), Vec::new());
     let mut packed = vec![W::zero(); w * PHASE_CYCLES];
     for _ in 0..reps {
@@ -338,6 +350,17 @@ fn phase_row<W: Word>(shape: &str, nl: &Netlist, reps: usize) -> Value {
             sim
         });
         split = finalize.time(|| sim.take_lane_powers(&model));
+        glitch.time(|| {
+            simulate_packed_glitch_lanes::<W, _, _>(
+                nl,
+                &lib,
+                &model,
+                Some(&compiled),
+                &stream_fn,
+                &glitch_lanes,
+            )
+            .expect("matching kernel")
+        });
     }
     let bits = |s: Option<(f64, u64)>| s.map(|(p, c)| (p.to_bits(), c));
     assert!(
@@ -348,9 +371,10 @@ fn phase_row<W: Word>(shape: &str, nl: &Netlist, reps: usize) -> Value {
     let per_lane_cycle = 1e9 / (W::LANES * PHASE_CYCLES) as f64;
     let ns = |leg: &Leg| leg.seconds() * per_lane_cycle;
     let (t, sm, st, f) = (ns(&total), ns(&stimulus), ns(&settle), ns(&finalize));
+    let g = glitch.seconds() * 1e9 / (W::LANES * GLITCH_CYCLES) as f64;
     println!(
         "  phases {shape:<9} {:>3} lanes  total {t:>6.1}  stimulus {sm:>5.1}  settle {st:>6.1}  \
-         finalize {f:>5.1} ns/lane-cycle",
+         finalize {f:>5.1}  glitch {g:>7.1} ns/lane-cycle",
         W::LANES
     );
     json!({
@@ -361,6 +385,11 @@ fn phase_row<W: Word>(shape: &str, nl: &Netlist, reps: usize) -> Value {
         "reps": reps,
         "ns_per_lane_cycle": { "total": t, "stimulus": sm, "settle": st, "finalize": f },
         "counters": total.counters.clone(),
+        "glitch": {
+            "cycles": GLITCH_CYCLES,
+            "ns_per_lane_cycle": g,
+            "counters": glitch.counters.clone(),
+        },
     })
 }
 

@@ -136,7 +136,7 @@ pub fn run_smoke() -> Snapshot {
     let mut ev = EventDrivenSim::new(&nl, &lib).expect("acyclic adder");
     ev.run(streams::random(13, nl.input_count()).take(200)).expect("width matches");
 
-    // Packed timed kernel (the 64-lane time-wheel glitch simulator).
+    // Packed timed kernel (the 64-lane levelized glitch simulator).
     let stream: Vec<Vec<bool>> = streams::random(19, nl.input_count()).take(150).collect();
     timed_activity(&nl, &lib, &stream, McKernel::Packed64).expect("width matches");
 

@@ -35,11 +35,9 @@
 //! it get the same wrappers, written once over `u64` chunk slices: the
 //! fused finalize behind both kernels' `take_lane_powers` (count planes
 //! straight to per-lane power) and [`random_words`], the lane-parallel
-//! random stimulus of the Monte-Carlo kernels. The timed kernel's wheel
-//! drain is dominated by data-dependent scheduling rather than
-//! straight-line word ops, so it intentionally has no hand-dispatched
-//! variant: it relies on ordinary autovectorization of the generic chunk
-//! loops.
+//! random stimulus of the Monte-Carlo kernels. The timed kernel's
+//! waveform pass has no hand-dispatched variant: its word ops go through
+//! ordinary autovectorization of the generic chunk loops.
 //!
 //! # Determinism contract
 //!
@@ -70,15 +68,15 @@ use crate::words::{Word, W256, W512};
 /// pool. Slots are plain indices into the packed value array.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Op {
-    Buf(u32),
-    Not(u32),
-    And2(u32, u32),
-    Or2(u32, u32),
-    Nand2(u32, u32),
-    Nor2(u32, u32),
-    Xor2(u32, u32),
-    Xnor2(u32, u32),
-    Mux(u32, u32, u32),
+    Buf([u32; 1]),
+    Not([u32; 1]),
+    And2([u32; 2]),
+    Or2([u32; 2]),
+    Nand2([u32; 2]),
+    Nor2([u32; 2]),
+    Xor2([u32; 2]),
+    Xnor2([u32; 2]),
+    Mux([u32; 3]),
     AndN(u32, u32),
     OrN(u32, u32),
     NandN(u32, u32),
@@ -117,15 +115,15 @@ impl Program {
             let NodeKind::Gate { kind, inputs } = netlist.kind(id) else { continue };
             let s = |i: usize| inputs[i].index() as u32;
             let op = match (*kind, inputs.len()) {
-                (GateKind::Buf, _) => Op::Buf(s(0)),
-                (GateKind::Not, _) => Op::Not(s(0)),
-                (GateKind::Mux, _) => Op::Mux(s(0), s(1), s(2)),
-                (GateKind::And, 2) => Op::And2(s(0), s(1)),
-                (GateKind::Or, 2) => Op::Or2(s(0), s(1)),
-                (GateKind::Nand, 2) => Op::Nand2(s(0), s(1)),
-                (GateKind::Nor, 2) => Op::Nor2(s(0), s(1)),
-                (GateKind::Xor, 2) => Op::Xor2(s(0), s(1)),
-                (GateKind::Xnor, 2) => Op::Xnor2(s(0), s(1)),
+                (GateKind::Buf, _) => Op::Buf([s(0)]),
+                (GateKind::Not, _) => Op::Not([s(0)]),
+                (GateKind::Mux, _) => Op::Mux([s(0), s(1), s(2)]),
+                (GateKind::And, 2) => Op::And2([s(0), s(1)]),
+                (GateKind::Or, 2) => Op::Or2([s(0), s(1)]),
+                (GateKind::Nand, 2) => Op::Nand2([s(0), s(1)]),
+                (GateKind::Nor, 2) => Op::Nor2([s(0), s(1)]),
+                (GateKind::Xor, 2) => Op::Xor2([s(0), s(1)]),
+                (GateKind::Xnor, 2) => Op::Xnor2([s(0), s(1)]),
                 (wide, n) => {
                     let start = pool.len() as u32;
                     pool.extend(inputs.iter().map(|f| f.index() as u32));
@@ -162,15 +160,15 @@ impl Program {
                 .fold(unit, |acc, &slot| f(acc, values[slot as usize]))
         };
         match ins.op {
-            Op::Buf(a) => v(a),
-            Op::Not(a) => v(a).not(),
-            Op::And2(a, b) => v(a).and(v(b)),
-            Op::Or2(a, b) => v(a).or(v(b)),
-            Op::Nand2(a, b) => v(a).and(v(b)).not(),
-            Op::Nor2(a, b) => v(a).or(v(b)).not(),
-            Op::Xor2(a, b) => v(a).xor(v(b)),
-            Op::Xnor2(a, b) => v(a).xor(v(b)).not(),
-            Op::Mux(sel, a, b) => {
+            Op::Buf([a]) => v(a),
+            Op::Not([a]) => v(a).not(),
+            Op::And2([a, b]) => v(a).and(v(b)),
+            Op::Or2([a, b]) => v(a).or(v(b)),
+            Op::Nand2([a, b]) => v(a).and(v(b)).not(),
+            Op::Nor2([a, b]) => v(a).or(v(b)).not(),
+            Op::Xor2([a, b]) => v(a).xor(v(b)),
+            Op::Xnor2([a, b]) => v(a).xor(v(b)).not(),
+            Op::Mux([sel, a, b]) => {
                 let s = v(sel);
                 s.not().and(v(a)).or(s.and(v(b)))
             }
@@ -180,6 +178,20 @@ impl Program {
             Op::NorN(s, n) => fold(s, n, W::zero(), W::or).not(),
             Op::XorN(s, n) => fold(s, n, W::zero(), W::xor),
             Op::XnorN(s, n) => fold(s, n, W::zero(), W::xor).not(),
+        }
+    }
+
+    /// The value slots `ins` reads, in pin order (a repeated fanin is
+    /// listed once per pin).
+    #[inline(always)]
+    fn fanins<'p>(&'p self, ins: &'p Instr) -> &'p [u32] {
+        let pool = |s: &u32, n: &u32| &self.pool[*s as usize..(*s + *n) as usize];
+        match &ins.op {
+            Op::Buf(s) | Op::Not(s) => s,
+            Op::And2(s) | Op::Or2(s) | Op::Nand2(s) | Op::Nor2(s) | Op::Xor2(s) | Op::Xnor2(s) => s,
+            Op::Mux(s) => s,
+            Op::AndN(s, n) | Op::OrN(s, n) | Op::NandN(s, n) => pool(s, n),
+            Op::NorN(s, n) | Op::XorN(s, n) | Op::XnorN(s, n) => pool(s, n),
         }
     }
 }
@@ -332,15 +344,15 @@ impl<W: Word> Counts<W> {
         self.planes.len() / PLANES
     }
 
-    /// Adds `carry` (a set of lanes that toggled) into `node`'s counter,
+    /// Adds `2^plane` for every lane set in `carry` into `node`'s counter,
     /// spilling exactly into the 64-bit totals if the carry ripples out of
     /// the top plane (the timed kernel can toggle a node many times per
     /// step, so the flush schedule of the zero-delay kernel does not
     /// apply).
     #[inline]
-    fn bump(&mut self, node: usize, mut carry: W) {
+    fn bump_at(&mut self, node: usize, plane: usize, mut carry: W) {
         let base = node * PLANES;
-        for p in 0..PLANES {
+        for p in plane..PLANES {
             if carry.is_zero() {
                 return;
             }
@@ -354,6 +366,15 @@ impl<W: Word> Counts<W> {
             self.spill.resize(self.nodes() * W::LANES, 0);
         }
         Self::add_lanes(&mut self.spill[node * W::LANES..], carry, 1 << PLANES);
+    }
+
+    /// Adds carry-save planes (plane `p` weighs `2^p` per set lane) into
+    /// `node`'s counter and zeroes them.
+    #[inline]
+    fn fold(&mut self, node: usize, planes: &mut [W]) {
+        for (p, w) in planes.iter_mut().enumerate() {
+            self.bump_at(node, p, std::mem::replace(w, W::zero()));
+        }
     }
 
     /// Adds `weight` to `row[l]` for every lane `l` set in `lanes`.
@@ -596,14 +617,6 @@ unsafe fn coins_avx2(lanes: &mut LaneRng, out: &mut [u64], stride: usize) {
 #[target_feature(enable = "avx512f")]
 unsafe fn coins_avx512(lanes: &mut LaneRng, out: &mut [u64], stride: usize) {
     lanes.fill_coins(out, stride);
-}
-
-fn gcd(a: u64, b: u64) -> u64 {
-    if b == 0 {
-        a
-    } else {
-        gcd(b, a % b)
-    }
 }
 
 /// The zero-delay settle loop: evaluates the compiled instruction stream
@@ -946,40 +959,40 @@ impl<'a, W: Word> WideSim<'a, W> {
 /// counted.
 ///
 /// Sequencing per step matches [`crate::EventDrivenSim`] exactly:
-/// flip-flop outputs and primary inputs change at time zero, events
-/// propagate through a discretized time wheel in `(time, node)` order
-/// under the library's transport delays, functional transitions are
-/// recovered from the settled-state diff, and flip-flops sample their D
-/// inputs. The first step initializes values without counting.
+/// flip-flop outputs and primary inputs change at time zero, one pass in
+/// topological order computes each gate's whole in-cycle waveform under
+/// the library's transport delays, functional transitions are recovered
+/// from the settled-state diff, and flip-flops sample their D inputs. The
+/// first step initializes values without counting.
+///
+/// Each distinct fanin change time `s` schedules one evaluation at `s +
+/// delay` for the lanes that changed at `s`, reading each fanin as of that
+/// time; a fanin's change at exactly that time is seen if the fanin has the
+/// lower node id (the event simulator's `(time, ascending node id)` order).
 #[derive(Debug, Clone)]
 pub struct WideTimedSim<'a, W: Word> {
     netlist: &'a Netlist,
     program: Program,
-    /// Per-node index into `program.instrs`, `u32::MAX` for non-gates.
-    instr_of: Vec<u32>,
-    /// CSR fanout graph restricted to gate fanouts: entry `(gate, delay)`
-    /// where `delay` is the *bucketed* transport delay of the fanout gate.
-    fan_start: Vec<u32>,
-    fan: Vec<(u32, u32)>,
-    /// Time-wheel extent: max bucketed gate delay + 1 (all pending events
-    /// lie within one wheel revolution of the cursor).
-    wheel_len: usize,
-    /// Pending-evaluation lane masks, `wheel_len x node_count`.
-    wheel: Vec<W>,
-    /// Nodes with a nonzero mask per wheel slot.
-    touched: Vec<Vec<u32>>,
-    /// Total touched entries pending across all slots.
-    outstanding: usize,
+    /// Transport delay in ps per instruction (parallel to `program.instrs`).
+    delays: Vec<u64>,
+    /// This step's waveforms, the first `end` entries: one run of `(time,
+    /// changed lanes)` entries per changed node, in time order and ended
+    /// by a `u64::MAX` time.
+    times: Vec<u64>,
+    changes: Vec<W>,
+    end: usize,
+    /// Per-node start of its run; entry 0 is never a run, so 0 means the
+    /// node did not change.
+    run: Vec<u32>,
     /// Packed node values; lane `l` of a word is stimulus stream `l`.
     values: Vec<W>,
-    /// Settled values at the start of the current step (functional diff).
+    /// Settled values at the start of the current step: every waveform's
+    /// starting point, and the functional diff's.
     step_start: Vec<W>,
     /// Next-state words latched per DFF (parallel to `netlist.dffs()`).
     dff_next: Vec<W>,
     /// Per-DFF D-input slots.
     dff_d: Vec<u32>,
-    /// Scratch buffer for one wheel slot's node list (sorted ascending).
-    slot_nodes: Vec<u32>,
     /// Counts of all transitions (functional + glitch).
     transitions: Counts<W>,
     /// Counts of functional (settled-state) transitions.
@@ -987,6 +1000,26 @@ pub struct WideTimedSim<'a, W: Word> {
     /// Counted cycles per lane (`W::LANES` entries).
     lane_cycles: Vec<u64>,
     initialized: bool,
+}
+
+/// Grows the waveform arena to at least `need` entries.
+fn grow<W: Word>(times: &mut Vec<u64>, changes: &mut Vec<W>, need: usize) {
+    if times.len() < need {
+        let len = need.max(2 * times.len());
+        times.resize(len, u64::MAX);
+        changes.resize(len, W::zero());
+    }
+}
+
+/// One changed fanin of the gate [`WideTimedSim`] is visiting: cursors
+/// into its run (the next change to schedule an evaluation from, and the
+/// next to apply to `value`) and its value as of the last evaluation.
+#[derive(Debug, Clone, Copy)]
+struct Pin<W: Word> {
+    node: usize,
+    next: usize,
+    read: usize,
+    value: W,
 }
 
 impl<'a, W: Word> WideTimedSim<'a, W> {
@@ -1001,10 +1034,9 @@ impl<'a, W: Word> WideTimedSim<'a, W> {
     }
 
     /// Creates a simulator from a pre-compiled [`CompiledKernel`] without
-    /// recompiling the instruction stream. The delay wheel and fanout
-    /// graph are still derived per instance (they depend on `lib`), but
-    /// the dominant topological-sort + instruction-selection cost is
-    /// skipped.
+    /// recompiling the instruction stream. The gate delays are still
+    /// derived per instance (they depend on `lib`), but the dominant
+    /// topological-sort + instruction-selection cost is skipped.
     ///
     /// # Errors
     ///
@@ -1026,30 +1058,8 @@ impl<'a, W: Word> WideTimedSim<'a, W> {
     ) -> Result<Self, NetlistError> {
         let _span = hlpower_obs::trace::span("sim64timed", "sim64timed.compile");
         let n = netlist.node_count();
-        let mut instr_of = vec![u32::MAX; n];
-        for (i, ins) in program.instrs.iter().enumerate() {
-            instr_of[ins.out as usize] = i as u32;
-        }
-        // Bucket gate delays to the library's resolution: the GCD of all
-        // gate delays. (1 for the default library; coarser libraries get a
-        // proportionally shorter wheel.)
         let delays_ps = gate_delays_ps(netlist, lib);
-        let resolution =
-            delays_ps.iter().filter(|&&d| d > 0).fold(0u64, |acc, &d| gcd(d, acc)).max(1);
-        let buckets: Vec<u64> = delays_ps.iter().map(|&d| d / resolution).collect();
-        let wheel_len = buckets.iter().max().copied().unwrap_or(0) as usize + 1;
-        // Gate-only fanout CSR, annotated with the fanout's own delay.
-        let fanouts = netlist.fanouts();
-        let mut fan_start = vec![0u32; n + 1];
-        let mut fan = Vec::new();
-        for u in 0..n {
-            for &f in &fanouts[u] {
-                if matches!(netlist.kind(f), NodeKind::Gate { .. }) {
-                    fan.push((f.index() as u32, buckets[f.index()] as u32));
-                }
-            }
-            fan_start[u + 1] = fan.len() as u32;
-        }
+        let delays = program.instrs.iter().map(|ins| delays_ps[ins.out as usize]).collect();
         // Settle the combinational network from the broadcast initial
         // state, mirroring the scalar constructor.
         let mut values = program.init_words::<W>();
@@ -1067,18 +1077,18 @@ impl<'a, W: Word> WideTimedSim<'a, W> {
         Ok(WideTimedSim {
             netlist,
             program,
-            instr_of,
-            fan_start,
-            fan,
-            wheel_len,
-            wheel: vec![W::zero(); wheel_len * n],
-            touched: vec![Vec::new(); wheel_len],
-            outstanding: 0,
+            delays,
+            // Room for 64 entries per node: a step of the glitchiest measured
+            // shape, the 16-bit array multiplier (25 / 41 / 49 per node at
+            // 64 / 256 / 512 lanes), never reallocates the arena.
+            times: Vec::with_capacity(64 * n),
+            changes: Vec::with_capacity(64 * n),
+            end: 1,
+            run: vec![0; n],
             values,
             step_start: vec![W::zero(); n],
             dff_next,
             dff_d,
-            slot_nodes: Vec::new(),
             transitions: Counts::new(n),
             functional: Counts::new(n),
             lane_cycles: vec![0; W::LANES],
@@ -1096,80 +1106,122 @@ impl<'a, W: Word> WideTimedSim<'a, W> {
         self.values[node.index()]
     }
 
-    /// Applies a source-node change: updates lanes in `mask`, counts
-    /// toggles in `count_mask`, and schedules the gate fanouts of the
-    /// changed lanes at their transport delays (time zero of this step).
-    fn seed_source(&mut self, node: usize, new: W, mask: W, count_mask: W) {
-        let changed = self.values[node].xor(new).and(mask);
-        if changed.is_zero() {
-            return;
-        }
-        self.values[node] = self.values[node].xor(changed);
-        self.transitions.bump(node, changed.and(count_mask));
-        let n = self.instr_of.len();
-        for k in self.fan_start[node] as usize..self.fan_start[node + 1] as usize {
-            let (f, db) = self.fan[k];
-            // Gate delays are >= 1 bucket, so at time zero the target slot
-            // is the delay itself (no wrap).
-            let idx = db as usize * n + f as usize;
-            if self.wheel[idx].is_zero() {
-                self.touched[db as usize].push(f);
-                self.outstanding += 1;
-            }
-            self.wheel[idx] = self.wheel[idx].or(changed);
-        }
-    }
-
-    /// Processes the wheel until no events remain, counting toggles in
-    /// `count_mask`. Returns the number of word-wide evaluations (each
-    /// coalesces up to `W::LANES` scalar heap pops at one `(time, node)`
-    /// point).
-    fn drain(&mut self, count_mask: W) -> u64 {
-        let n = self.instr_of.len();
-        let mut events = 0u64;
-        let mut t = 0usize;
-        while self.outstanding > 0 {
-            t += 1;
-            let slot = t % self.wheel_len;
-            if self.touched[slot].is_empty() {
+    /// Starts a step from `step_start`: every source (flip-flop outputs,
+    /// then primary inputs; the `k`-th at `node` takes `new(self, k,
+    /// node)`) changes its lanes in `mask` at time zero, counting toggles
+    /// in `count_mask`, and the gates' waveforms follow.
+    fn propagate(&mut self, new: impl Fn(&Self, usize, usize) -> W, mask: W, count_mask: W) {
+        let nl = self.netlist;
+        for (k, q) in nl.dffs().iter().chain(nl.inputs()).enumerate() {
+            let node = q.index();
+            let changed = self.values[node].xor(new(self, k, node)).and(mask);
+            self.run[node] = 0;
+            if changed.is_zero() {
                 continue;
             }
-            let mut nodes = std::mem::take(&mut self.slot_nodes);
-            std::mem::swap(&mut nodes, &mut self.touched[slot]);
-            self.outstanding -= nodes.len();
-            // Scalar tie-break: equal-time events pop in ascending node-id
-            // order. A node appears at most once per slot (wheel dedup).
-            nodes.sort_unstable();
-            for &node in &nodes {
-                let idx = slot * n + node as usize;
-                let sched = self.wheel[idx];
-                self.wheel[idx] = W::zero();
-                events += 1;
-                let ins = self.program.instrs[self.instr_of[node as usize] as usize];
-                let new = self.program.eval(&self.values, &ins);
-                let node = node as usize;
-                let changed = self.values[node].xor(new).and(sched);
-                if changed.is_zero() {
-                    continue;
-                }
-                self.values[node] = self.values[node].xor(changed);
-                self.transitions.bump(node, changed.and(count_mask));
-                for k in self.fan_start[node] as usize..self.fan_start[node + 1] as usize {
-                    let (f, db) = self.fan[k];
-                    // Delays are in [1, wheel_len - 1], so the target slot
-                    // never collides with the slot being processed.
-                    let slot2 = (t + db as usize) % self.wheel_len;
-                    let idx2 = slot2 * n + f as usize;
-                    if self.wheel[idx2].is_zero() {
-                        self.touched[slot2].push(f);
-                        self.outstanding += 1;
-                    }
-                    self.wheel[idx2] = self.wheel[idx2].or(changed);
+            self.values[node] = self.values[node].xor(changed);
+            self.transitions.bump_at(node, 0, changed.and(count_mask));
+            grow(&mut self.times, &mut self.changes, self.end + 2);
+            self.run[node] = self.end as u32;
+            self.times[self.end..self.end + 2].copy_from_slice(&[0, u64::MAX]);
+            self.changes[self.end..self.end + 2].copy_from_slice(&[changed, W::zero()]);
+            self.end += 2;
+        }
+        let events = self.drain(count_mask);
+        obs::SIM_EVP_STEPS.inc();
+        obs::SIM_EVP_EVENTS.add(events);
+    }
+
+    /// Computes every gate's waveform in one topological pass, counting
+    /// toggles in `count_mask`, and clears the waveforms. Returns the
+    /// number of word-wide evaluations (each coalesces up to `W::LANES`
+    /// scalar heap pops at one `(time, node)` point).
+    fn drain(&mut self, count_mask: W) -> u64 {
+        let (mut events, mut pins) = (0, Vec::<Pin<W>>::new());
+        for i in 0..self.program.instrs.len() {
+            let ins = &self.program.instrs[i];
+            self.run[ins.out as usize] = 0;
+            pins.clear();
+            for &f in self.program.fanins(ins) {
+                let (f, at) = (f as usize, self.run[f as usize] as usize);
+                if at != 0 && pins.iter().all(|p| p.node != f) {
+                    pins.push(Pin { node: f, next: at, read: at, value: self.step_start[f] });
                 }
             }
-            nodes.clear();
-            self.slot_nodes = nodes;
+            // Few changed fanins: a fixed-size copy keeps their cursors in
+            // registers.
+            events += match pins[..] {
+                [] => 0,
+                [a] => self.visit(i, [a], count_mask),
+                [a, b] => self.visit(i, [a, b], count_mask),
+                [a, b, c] => self.visit(i, [a, b, c], count_mask),
+                _ => self.visit(i, &mut pins[..], count_mask),
+            };
         }
+        self.end = 1;
+        events
+    }
+
+    /// Computes instruction `i`'s gate waveform from its changed fanins'
+    /// `pins`; returns the evaluations made.
+    #[inline(always)]
+    fn visit(&mut self, i: usize, mut pins: impl AsMut<[Pin<W>]>, count_mask: W) -> u64 {
+        let WideTimedSim { program, delays, times, changes, end, run, values, transitions, .. } =
+            self;
+        let (pins, ins, delay) = (pins.as_mut(), &program.instrs[i], delays[i]);
+        let (g, first, mut events) = (ins.out as usize, *end, 0);
+        let mut value = values[g];
+        grow(times, changes, first + 16);
+        let (mut ts, mut cs, values) = (&mut times[..], &mut changes[..], &mut values[..]);
+        let mut at = first;
+        // Four carry-save planes count this gate's toggles; they fold
+        // into `transitions` every 15 changes, before they can overflow.
+        let (mut planes, mut held) = ([W::zero(); 4], 0);
+        loop {
+            let s = pins.iter().map(|p| ts[p.next]).min().expect("a changed fanin");
+            if s == u64::MAX {
+                break;
+            }
+            let t = s + delay;
+            let mut sched = W::zero();
+            for p in pins.iter_mut() {
+                let hit = ts[p.next] == s;
+                sched = sched.or(cs[p.next].and(W::splat(hit)));
+                p.next += usize::from(hit);
+                let seen = t + u64::from(p.node < g);
+                while ts[p.read] < seen {
+                    p.value = p.value.xor(cs[p.read]);
+                    p.read += 1;
+                }
+                values[p.node] = p.value;
+            }
+            events += 1;
+            let changed = value.xor(program.eval(values, ins)).and(sched);
+            value = value.xor(changed);
+            (ts[at], cs[at]) = (t, changed);
+            let moved = !changed.is_zero();
+            at += usize::from(moved);
+            let mut carry = changed.and(count_mask);
+            for p in &mut planes {
+                (*p, carry) = (p.xor(carry), p.and(carry));
+            }
+            debug_assert!(carry.is_zero(), "carry-save planes overflowed");
+            held += usize::from(moved);
+            if held == 15 {
+                transitions.fold(g, &mut planes);
+                held = 0;
+                grow(times, changes, at + 16);
+                (ts, cs) = (&mut times[..], &mut changes[..]);
+            }
+        }
+        transitions.fold(g, &mut planes);
+        values[g] = value;
+        if at > first {
+            run[g] = first as u32;
+            (ts[at], cs[at]) = (u64::MAX, W::zero());
+            at += 1;
+        }
+        *end = at;
         events
     }
 
@@ -1205,25 +1257,15 @@ impl<'a, W: Word> WideTimedSim<'a, W> {
         // The first step only establishes values; count nothing.
         let count_mask = if self.initialized { mask } else { W::zero() };
         self.step_start.copy_from_slice(&self.values);
-        // Time-zero events: DFF outputs and primary inputs.
-        for i in 0..self.dff_next.len() {
-            let q = self.netlist.dffs()[i].index();
-            let new = self.dff_next[i];
-            self.seed_source(q, new, mask, count_mask);
-        }
-        for (i, &new) in inputs.iter().enumerate() {
-            let inp = self.netlist.inputs()[i].index();
-            self.seed_source(inp, new, mask, count_mask);
-        }
-        let events = self.drain(count_mask);
-        obs::SIM_EVP_STEPS.inc();
-        obs::SIM_EVP_EVENTS.add(events);
+        let dffs = self.dff_next.len();
+        let new = |sim: &Self, k, _| if k < dffs { sim.dff_next[k] } else { inputs[k - dffs] };
+        self.propagate(new, mask, count_mask);
         // Functional transition accounting: settled-state diff.
         if !count_mask.is_zero() {
             for node in 0..self.values.len() {
                 let diff = self.step_start[node].xor(self.values[node]).and(count_mask);
                 if !diff.is_zero() {
-                    self.functional.bump(node, diff);
+                    self.functional.bump_at(node, 0, diff);
                 }
             }
         }
@@ -1268,18 +1310,8 @@ impl<'a, W: Word> WideTimedSim<'a, W> {
             });
         }
         self.values.copy_from_slice(from);
-        for i in 0..self.dff_next.len() {
-            let q = self.netlist.dffs()[i].index();
-            self.seed_source(q, to[q], mask, mask);
-        }
-        for i in 0..self.netlist.input_count() {
-            // Primary inputs change at time zero like DFF outputs.
-            let inp = self.netlist.inputs()[i].index();
-            self.seed_source(inp, to[inp], mask, mask);
-        }
-        let events = self.drain(mask);
-        obs::SIM_EVP_STEPS.inc();
-        obs::SIM_EVP_EVENTS.add(events);
+        self.step_start.copy_from_slice(from);
+        self.propagate(|_, _, node| to[node], mask, mask);
         obs::SIM_EVP_LANE_CYCLES.add(mask.count_ones() as u64);
         for node in 0..n {
             debug_assert!(
@@ -1288,7 +1320,7 @@ impl<'a, W: Word> WideTimedSim<'a, W> {
             );
             let diff = from[node].xor(self.values[node]).and(mask);
             if !diff.is_zero() {
-                self.functional.bump(node, diff);
+                self.functional.bump_at(node, 0, diff);
             }
         }
         for l in 0..W::LANES {
@@ -1857,9 +1889,9 @@ mod tests {
             let mut counts = Counts::<W>::new(3);
             let reps = (1u64 << PLANES) + 5;
             for _ in 0..reps {
-                counts.bump(1, W::splat(true));
+                counts.bump_at(1, 0, W::splat(true));
             }
-            counts.bump(2, W::low_mask(3));
+            counts.bump_at(2, 0, W::low_mask(3));
             let lanes = W::LANES as u64;
             let want: Vec<Vec<u64>> =
                 (0..W::LANES).map(|l| vec![0, reps, u64::from(l < 3)]).collect();

@@ -482,7 +482,17 @@ impl BeachCode {
             let mut fwd = vec![u64::MAX; size];
             let mut used = vec![false; size];
             let mut placed: Vec<(u64, u64)> = Vec::new(); // (value, code)
+            let mut neighbours: Vec<(u64, f64)> = Vec::new(); // (code, frequency)
             for &v in &values {
+                // The placed values `v` ever switches with, in placement
+                // order, looked up once rather than once per free code.
+                neighbours.clear();
+                for &(pv, pc) in &placed {
+                    let key = if pv < v { (pv, v) } else { (v, pv) };
+                    if let Some(&f) = freq.get(&key) {
+                        neighbours.push((pc, f as f64));
+                    }
+                }
                 let mut best_code = 0u64;
                 let mut best_cost = f64::INFINITY;
                 for code in 0..size as u64 {
@@ -490,11 +500,8 @@ impl BeachCode {
                         continue;
                     }
                     let mut cost = 0.0;
-                    for &(pv, pc) in &placed {
-                        let key = if pv < v { (pv, v) } else { (v, pv) };
-                        if let Some(&f) = freq.get(&key) {
-                            cost += f as f64 * (pc ^ code).count_ones() as f64;
-                        }
+                    for &(pc, f) in &neighbours {
+                        cost += f * (pc ^ code).count_ones() as f64;
                     }
                     if cost < best_cost {
                         best_cost = cost;
@@ -777,6 +784,21 @@ mod tests {
             transitions_per_word(Box::new(Unencoded::new(16)), Box::new(Unencoded::new(16)), &test);
         let t_beach = transitions_per_word(Box::new(beach.clone()), Box::new(beach), &test);
         assert!(t_beach < 0.9 * t_plain, "beach {t_beach} vs unencoded {t_plain}");
+    }
+
+    /// Pins one trained code: the greedy assignment's costs, and so its
+    /// tables, must not move when its scoring is reorganized.
+    #[test]
+    fn beach_training_is_pinned() {
+        let beach = BeachCode::train(8, &traces::random(7, 8, 300), 4);
+        assert_eq!(beach.clusters, [[0, 1, 4, 5], [2, 3, 6, 7]]);
+        assert_eq!(
+            beach.forward,
+            [
+                [2, 1, 9, 4, 11, 15, 13, 14, 7, 12, 6, 10, 3, 8, 0, 5],
+                [8, 6, 1, 0, 4, 2, 10, 14, 7, 13, 12, 5, 11, 15, 9, 3],
+            ]
+        );
     }
 
     #[test]

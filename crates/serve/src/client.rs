@@ -57,16 +57,19 @@ pub fn request_with(
     stream.set_read_timeout(Some(Duration::from_secs(120)))?;
     stream.set_nodelay(true)?;
     let body_bytes = body.unwrap_or("").as_bytes();
-    write!(
-        stream,
+    // The whole request goes out in one write (the socket has Nagle off,
+    // so every write would be its own segment).
+    let mut head = format!(
         "{method} {path} HTTP/1.1\r\nhost: {addr}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: close\r\n",
         body_bytes.len()
-    )?;
+    );
     for (name, value) in extra_headers {
-        write!(stream, "{name}: {value}\r\n")?;
+        head.push_str(&format!("{name}: {value}\r\n"));
     }
-    stream.write_all(b"\r\n")?;
-    stream.write_all(body_bytes)?;
+    head.push_str("\r\n");
+    let mut out = head.into_bytes();
+    out.extend_from_slice(body_bytes);
+    stream.write_all(&out)?;
     stream.flush()?;
     read_response(&mut BufReader::new(stream))
 }

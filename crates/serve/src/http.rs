@@ -288,17 +288,32 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-fn write_extra_headers<W: Write>(w: &mut W, extra_headers: &[(&str, &str)]) -> io::Result<()> {
+/// A response's status line and headers, through the blank line, as one
+/// buffer: `framing` is its `content-length` or `transfer-encoding`
+/// header, and `extra_headers` follow the standard ones.
+fn response_head(
+    status: u16,
+    content_type: &str,
+    framing: &str,
+    keep_alive: bool,
+    extra_headers: &[(&str, &str)],
+) -> Vec<u8> {
+    let connection = if keep_alive { "keep-alive" } else { "close" };
+    let mut head = format!(
+        "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\n{framing}\r\nconnection: {connection}\r\n",
+        reason(status),
+    );
     for (name, value) in extra_headers {
         // Strip CR/LF so a hostile echoed value (e.g. X-Request-Id)
         // cannot split the response into injected headers.
         let clean: String = value.chars().filter(|c| *c != '\r' && *c != '\n').collect();
-        write!(w, "{name}: {clean}\r\n")?;
+        head.push_str(&format!("{name}: {clean}\r\n"));
     }
-    Ok(())
+    head.push_str("\r\n");
+    head.into_bytes()
 }
 
-/// Writes a complete fixed-length response and flushes it.
+/// Writes a complete fixed-length response in one write and flushes it.
 ///
 /// `keep_alive` selects the `connection:` header; `extra_headers` are
 /// emitted verbatim after the standard ones (values are sanitized of
@@ -315,16 +330,10 @@ pub fn write_response<W: Write>(
     keep_alive: bool,
     extra_headers: &[(&str, &str)],
 ) -> io::Result<()> {
-    write!(
-        w,
-        "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\ncontent-length: {}\r\nconnection: {}\r\n",
-        reason(status),
-        body.len(),
-        if keep_alive { "keep-alive" } else { "close" },
-    )?;
-    write_extra_headers(w, extra_headers)?;
-    w.write_all(b"\r\n")?;
-    w.write_all(body)?;
+    let framing = format!("content-length: {}", body.len());
+    let mut out = response_head(status, content_type, &framing, keep_alive, extra_headers);
+    out.extend_from_slice(body);
+    w.write_all(&out)?;
     w.flush()
 }
 
@@ -336,8 +345,9 @@ pub struct ChunkedWriter<W: Write> {
 }
 
 impl<W: Write> ChunkedWriter<W> {
-    /// Writes the status line and headers and enters chunked mode.
-    /// `keep_alive` and `extra_headers` behave as in [`write_response`].
+    /// Writes the status line and headers in one write and enters chunked
+    /// mode. `keep_alive` and `extra_headers` behave as in
+    /// [`write_response`].
     ///
     /// # Errors
     ///
@@ -349,20 +359,15 @@ impl<W: Write> ChunkedWriter<W> {
         keep_alive: bool,
         extra_headers: &[(&str, &str)],
     ) -> io::Result<Self> {
-        write!(
-            w,
-            "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\ntransfer-encoding: chunked\r\nconnection: {}\r\n",
-            reason(status),
-            if keep_alive { "keep-alive" } else { "close" },
-        )?;
-        write_extra_headers(&mut w, extra_headers)?;
-        w.write_all(b"\r\n")?;
+        let framing = "transfer-encoding: chunked";
+        w.write_all(&response_head(status, content_type, framing, keep_alive, extra_headers))?;
         w.flush()?;
         Ok(ChunkedWriter { w })
     }
 
-    /// Writes one non-empty chunk and flushes (each update must reach the
-    /// client promptly, not sit in a buffer until the run ends).
+    /// Writes one non-empty chunk in one write and flushes (each update
+    /// must reach the client promptly, not sit in a buffer until the run
+    /// ends).
     ///
     /// # Errors
     ///
@@ -371,9 +376,10 @@ impl<W: Write> ChunkedWriter<W> {
         if data.is_empty() {
             return Ok(());
         }
-        write!(self.w, "{:x}\r\n", data.len())?;
-        self.w.write_all(data)?;
-        self.w.write_all(b"\r\n")?;
+        let mut out = format!("{:x}\r\n", data.len()).into_bytes();
+        out.extend_from_slice(data);
+        out.extend_from_slice(b"\r\n");
+        self.w.write_all(&out)?;
         self.w.flush()
     }
 
@@ -522,5 +528,41 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("connection: keep-alive\r\n"));
         assert!(text.contains("x-request-id: 7\r\n"));
+    }
+
+    /// A `Write` that records every `write` call it gets.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_response_and_chunk_is_one_write() {
+        let mut w = Writes::default();
+        write_response(&mut w, 200, "application/json", b"{}", true, &[("x-request-id", "7")])
+            .unwrap();
+        let fixed = "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 2\r\n\
+                     connection: keep-alive\r\nx-request-id: 7\r\n\r\n{}";
+        assert_eq!(w.0, [fixed.as_bytes()]);
+
+        let mut w = Writes::default();
+        let mut cw = ChunkedWriter::begin(&mut w, 404, "text/plain", false, &[]).unwrap();
+        cw.chunk(b"{\"a\":1}\n").unwrap();
+        cw.chunk(b"").unwrap();
+        cw.chunk(b"0123456789abcdef").unwrap();
+        cw.finish().unwrap();
+        let head = "HTTP/1.1 404 Not Found\r\ncontent-type: text/plain\r\n\
+                    transfer-encoding: chunked\r\nconnection: close\r\n\r\n";
+        let expected: [&[u8]; 4] =
+            [head.as_bytes(), b"8\r\n{\"a\":1}\n\r\n", b"10\r\n0123456789abcdef\r\n", b"0\r\n\r\n"];
+        assert_eq!(w.0, expected);
     }
 }

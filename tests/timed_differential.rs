@@ -9,7 +9,8 @@
 
 use hlpower::netlist::{
     gen, monte_carlo_glitch_power_seeded_threads_kernel, streams, timed_activity, EventDrivenSim,
-    Library, McKernel, MonteCarloOptions, Netlist, WideTimedSim, Word,
+    GateKind, Library, McKernel, MonteCarloOptions, Netlist, NetlistEditor, NodeKind, WideTimedSim,
+    Word,
 };
 use hlpower_rng::Rng;
 
@@ -84,6 +85,39 @@ fn timed_activity_is_kernel_invariant_on_every_generator() {
             packed.total_glitches().expect("consistent"),
             "{name}: glitch totals diverged"
         );
+    }
+}
+
+/// Equal-time ties follow the event simulator's `(time, ascending node id)`
+/// order: a gate sees a fanin's change at its own evaluation time only if
+/// the fanin has the lower id. Array multipliers with one pin of every
+/// third gate rewired through a freshly appended (so higher-id) `Buf`
+/// read higher-id fanins, as edited netlists do, and every packed width
+/// must still return the scalar kernel's record.
+#[test]
+fn packed_timed_kernels_keep_equal_time_order_on_higher_id_fanins() {
+    let lib = Library::default();
+    for bits in [4, 6, 8] {
+        let mut nl = Netlist::new();
+        let a = nl.input_bus("a", bits);
+        let b = nl.input_bus("b", bits);
+        let p = gen::array_multiplier(&mut nl, &a, &b);
+        nl.output_bus("p", &p);
+        let gates: Vec<_> =
+            nl.node_ids().filter(|&id| matches!(nl.kind(id), NodeKind::Gate { .. })).collect();
+        let mut ed = NetlistEditor::begin(&mut nl);
+        for &g in gates.iter().step_by(3) {
+            let NodeKind::Gate { inputs, .. } = ed.netlist().kind(g) else { unreachable!() };
+            let buf = ed.insert_gate(GateKind::Buf, [inputs[0]]).expect("fanin in range");
+            ed.rewire_input(g, 0, buf).expect("gate pin 0");
+        }
+        ed.finish();
+        let stream: Vec<Vec<bool>> = streams::random(17, nl.input_count()).take(300).collect();
+        let scalar = timed_activity(&nl, &lib, &stream, McKernel::Scalar).expect("acyclic");
+        for kernel in [McKernel::Packed64, McKernel::Packed256, McKernel::Packed512] {
+            let packed = timed_activity(&nl, &lib, &stream, kernel).expect("acyclic");
+            assert_eq!(scalar, packed, "mult{bits}: {kernel:?} diverged from the scalar kernel");
+        }
     }
 }
 
