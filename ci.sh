@@ -42,7 +42,7 @@ cargo run --release --offline -p hlpower-bench --bin repro -- \
 # batch or cycle count (scalar vs packed64 in zero-delay and glitch mode;
 # packed64 vs 256 vs 512), or if a gate fails:
 #   - zero-delay: packed64 more than 30x faster than scalar;
-#   - glitch: packed64 levelized timed kernel more than 4.5x faster than
+#   - glitch: packed64 time-packed glitch words more than 5.7x faster than
 #     the scalar event sim;
 #   - zero-delay: packed256 more than 1.15x faster than packed64;
 #   - optimize: incremental guard scoring (bit-identical per candidate to

@@ -25,7 +25,10 @@
 //! and `finalize` (`take_lane_powers`), next to the `total` of the same
 //! word through `simulate_packed_lanes`; beside them it times one full
 //! glitch-aware word of 16 cycles through `simulate_packed_glitch_lanes`.
-//! It has no gate.
+//! Its shape and width cells are timed in interleaved rounds: each round
+//! times one rep of every cell, and each cell keeps its fastest rep per
+//! leg, so a slow stretch of the host lands on every cell alike. It has
+//! no gate.
 //!
 //! The timed section profiles short streams (300 and 513 vectors) of the
 //! 4- and 16-bit multipliers with `timed_activity`, the glitch scorer of
@@ -93,8 +96,9 @@ struct Comparison {
 // Each gate floor is at most two thirds of the row's lowest smoke-mode
 // speedup over 20 runs on a 2-vCPU AVX-512 host (59.1x, 5.12x and 1.74x
 // with the lane-parallel stimulus and fused finalize), and never below 1.
-// The glitch floor was raised with the levelized timed kernel, whose row
-// read 7.62-8.38x over 3 smoke and 3 full-mode runs on that host.
+// The glitch floor was raised again with the time-packed glitch words,
+// whose row read 8.66-13.87x over 20 smoke runs (12.4-19.4x in full mode)
+// on that host.
 const COMPARISONS: [Comparison; 3] = [
     Comparison {
         name: "zd_scalar_vs_packed64",
@@ -114,7 +118,7 @@ const COMPARISONS: [Comparison; 3] = [
         full: (60, 256, 3),
         kernels: &[Scalar, Packed64],
         gate: (Packed64, Scalar),
-        floor: 4.5,
+        floor: 5.7,
     },
     Comparison {
         name: "zd_widths",
@@ -306,103 +310,150 @@ fn phase_shapes() -> Vec<(&'static str, Netlist)> {
     vec![("mult16", multiplier(16)), ("fir8", fir8), ("rand2000", rand2000)]
 }
 
-/// Splits one full `W` word of [`PHASE_CYCLES`] cycles on `nl` into
-/// stimulus, settle and finalize ns per lane-cycle, each the fastest of
-/// `reps`, and checks the split run's samples against the whole word's;
-/// times one full glitch-aware word of [`GLITCH_CYCLES`] cycles beside it.
-fn phase_row<W: Word>(shape: &str, nl: &Netlist, reps: usize) -> Value {
-    let lib = Library::default();
-    let model = PowerModel::new(nl, &lib);
-    let compiled = CompiledKernel::compile(nl).expect("acyclic shape");
-    let w = nl.input_count();
-    let stream_fn = |rng: Rng| streams::random_rng(rng, w);
-    let lanes: Vec<LaneRequest> = (0..W::LANES as u64)
-        .map(|batch| LaneRequest { seed: 2026, batch, cycles: PHASE_CYCLES })
-        .collect();
-    let streams: Vec<Rng> =
-        lanes.iter().map(|r| Rng::seed_from_u64(r.seed).split(r.batch)).collect();
-    let glitch_lanes: Vec<LaneRequest> =
-        lanes.iter().map(|r| LaneRequest { cycles: GLITCH_CYCLES, ..*r }).collect();
+/// One shape and width cell of the phases section: one full `W` word of
+/// [`PHASE_CYCLES`] cycles on `nl`, split into stimulus, settle and
+/// finalize, next to the whole word and one full glitch-aware word of
+/// [`GLITCH_CYCLES`] cycles.
+struct PhaseCell<'a, W: Word> {
+    shape: &'static str,
+    nl: &'a Netlist,
+    lib: Library,
+    model: PowerModel,
+    compiled: CompiledKernel,
+    lanes: Vec<LaneRequest>,
+    glitch_lanes: Vec<LaneRequest>,
+    streams: Vec<Rng>,
+    packed: Vec<W>,
+    /// `total`, `stimulus`, `settle`, `finalize` and `glitch`.
+    legs: [Leg; 5],
+    whole: Vec<Option<(f64, u64)>>,
+    split: Vec<(f64, u64)>,
+}
 
-    let mut total = Leg::new("total");
-    let mut stimulus = Leg::new("stimulus");
-    let mut settle = Leg::new("settle");
-    let mut finalize = Leg::new("finalize");
-    let mut glitch = Leg::new("glitch");
-    let (mut whole, mut split) = (Vec::new(), Vec::new());
-    let mut packed = vec![W::zero(); w * PHASE_CYCLES];
-    for _ in 0..reps {
-        whole = total.time(|| {
-            simulate_packed_lanes::<W, _, _>(nl, &model, Some(&compiled), &stream_fn, &lanes)
+/// A phases cell of any width, timed one rep per round.
+trait Phase {
+    /// Times one rep of every leg.
+    fn round(&mut self);
+    /// Checks the split run's samples against the whole word's, prints
+    /// the cell's fastest reps in ns per lane-cycle and returns its JSON.
+    fn report(&self) -> Value;
+}
+
+impl<'a, W: Word> PhaseCell<'a, W> {
+    fn new(shape: &'static str, nl: &'a Netlist) -> Self {
+        let lib = Library::default();
+        let lanes: Vec<LaneRequest> = (0..W::LANES as u64)
+            .map(|batch| LaneRequest { seed: 2026, batch, cycles: PHASE_CYCLES })
+            .collect();
+        PhaseCell {
+            shape,
+            nl,
+            model: PowerModel::new(nl, &lib),
+            lib,
+            compiled: CompiledKernel::compile(nl).expect("acyclic shape"),
+            glitch_lanes: lanes
+                .iter()
+                .map(|r| LaneRequest { cycles: GLITCH_CYCLES, ..*r })
+                .collect(),
+            streams: lanes.iter().map(|r| Rng::seed_from_u64(r.seed).split(r.batch)).collect(),
+            lanes,
+            packed: vec![W::zero(); nl.input_count() * PHASE_CYCLES],
+            legs: ["total", "stimulus", "settle", "finalize", "glitch"].map(Leg::new),
+            whole: Vec::new(),
+            split: Vec::new(),
+        }
+    }
+}
+
+impl<W: Word> Phase for PhaseCell<'_, W> {
+    fn round(&mut self) {
+        let PhaseCell { nl, lib, model, compiled, packed, .. } = self;
+        let (nl, w) = (*nl, nl.input_count());
+        let stream_fn = |rng: Rng| streams::random_rng(rng, w);
+        let [total, stimulus, settle, finalize, glitch] = &mut self.legs;
+        self.whole = total.time(|| {
+            simulate_packed_lanes::<W, _, _>(nl, model, Some(compiled), &stream_fn, &self.lanes)
                 .expect("matching kernel")
         });
         stimulus.time(|| {
-            let mut rngs = LaneRng::new(&streams);
+            let mut rngs = LaneRng::new(&self.streams);
             for words in packed.chunks_exact_mut(w) {
                 random_words(&mut rngs, W::flat_chunks_mut(words), W::CHUNKS);
             }
         });
         let mut sim = settle.time(|| {
-            let mut sim = WideSim::<W>::with_kernel(nl, &compiled).expect("matching kernel");
+            let mut sim = WideSim::<W>::with_kernel(nl, compiled).expect("matching kernel");
             for words in packed.chunks_exact(w) {
                 sim.step(words).expect("one word per input");
             }
             sim
         });
-        split = finalize.time(|| sim.take_lane_powers(&model));
+        self.split = finalize.time(|| sim.take_lane_powers(model));
         glitch.time(|| {
+            let lanes = &self.glitch_lanes;
             simulate_packed_glitch_lanes::<W, _, _>(
                 nl,
-                &lib,
-                &model,
-                Some(&compiled),
+                lib,
+                model,
+                Some(compiled),
                 &stream_fn,
-                &glitch_lanes,
+                lanes,
             )
             .expect("matching kernel")
         });
     }
-    let bits = |s: Option<(f64, u64)>| s.map(|(p, c)| (p.to_bits(), c));
-    assert!(
-        whole.iter().zip(&split).all(|(&a, &b)| bits(a) == bits(Some(b))),
-        "phases {shape} at {} lanes: the split run diverged from the whole word",
-        W::LANES
-    );
-    let per_lane_cycle = 1e9 / (W::LANES * PHASE_CYCLES) as f64;
-    let ns = |leg: &Leg| leg.seconds() * per_lane_cycle;
-    let (t, sm, st, f) = (ns(&total), ns(&stimulus), ns(&settle), ns(&finalize));
-    let g = glitch.seconds() * 1e9 / (W::LANES * GLITCH_CYCLES) as f64;
-    println!(
-        "  phases {shape:<9} {:>3} lanes  total {t:>6.1}  stimulus {sm:>5.1}  settle {st:>6.1}  \
-         finalize {f:>5.1}  glitch {g:>7.1} ns/lane-cycle",
-        W::LANES
-    );
-    json!({
-        "shape": shape,
-        "gates": nl.gate_count(),
-        "lanes": W::LANES,
-        "cycles": PHASE_CYCLES,
-        "reps": reps,
-        "ns_per_lane_cycle": { "total": t, "stimulus": sm, "settle": st, "finalize": f },
-        "counters": total.counters.clone(),
-        "glitch": {
-            "cycles": GLITCH_CYCLES,
-            "ns_per_lane_cycle": g,
-            "counters": glitch.counters.clone(),
-        },
-    })
+
+    fn report(&self) -> Value {
+        let (shape, [total, stimulus, settle, finalize, glitch]) = (self.shape, &self.legs);
+        let bits = |s: Option<(f64, u64)>| s.map(|(p, c)| (p.to_bits(), c));
+        assert!(
+            self.whole.iter().zip(&self.split).all(|(&a, &b)| bits(a) == bits(Some(b))),
+            "phases {shape} at {} lanes: the split run diverged from the whole word",
+            W::LANES
+        );
+        let per_lane_cycle = 1e9 / (W::LANES * PHASE_CYCLES) as f64;
+        let ns = |leg: &Leg| leg.seconds() * per_lane_cycle;
+        let (t, sm, st, f) = (ns(total), ns(stimulus), ns(settle), ns(finalize));
+        let g = glitch.seconds() * 1e9 / (W::LANES * GLITCH_CYCLES) as f64;
+        println!(
+            "  phases {shape:<9} {:>3} lanes  total {t:>6.1}  stimulus {sm:>5.1}  settle {st:>6.1}  \
+             finalize {f:>5.1}  glitch {g:>7.1} ns/lane-cycle",
+            W::LANES
+        );
+        json!({
+            "shape": shape,
+            "gates": self.nl.gate_count(),
+            "lanes": W::LANES,
+            "cycles": PHASE_CYCLES,
+            "reps": total.reps.len(),
+            "ns_per_lane_cycle": { "total": t, "stimulus": sm, "settle": st, "finalize": f },
+            "counters": total.counters.clone(),
+            "glitch": {
+                "cycles": GLITCH_CYCLES,
+                "ns_per_lane_cycle": g,
+                "counters": glitch.counters.clone(),
+            },
+        })
+    }
 }
 
-/// The phases section: every shape at 64, 256 and 512 lanes.
+/// The phases section: every shape at 64, 256 and 512 lanes, timed in
+/// interleaved rounds (each round times one rep of every cell, and each
+/// cell keeps its fastest rep per leg), so a slow stretch of the host
+/// lands on every cell alike rather than on one.
 fn phases(full: bool) -> Value {
-    let reps = if full { 15 } else { 3 };
-    let mut rows = Vec::new();
-    for (shape, nl) in phase_shapes() {
-        rows.push(phase_row::<u64>(shape, &nl, reps));
-        rows.push(phase_row::<W256>(shape, &nl, reps));
-        rows.push(phase_row::<W512>(shape, &nl, reps));
+    let rounds = if full { 15 } else { 3 };
+    let shapes = phase_shapes();
+    let mut cells: Vec<Box<dyn Phase + '_>> = Vec::new();
+    for (shape, nl) in &shapes {
+        cells.push(Box::new(PhaseCell::<u64>::new(shape, nl)));
+        cells.push(Box::new(PhaseCell::<W256>::new(shape, nl)));
+        cells.push(Box::new(PhaseCell::<W512>::new(shape, nl)));
     }
-    Value::Arr(rows)
+    for _ in 0..rounds {
+        cells.iter_mut().for_each(|cell| cell.round());
+    }
+    Value::Arr(cells.iter().map(|cell| cell.report()).collect())
 }
 
 /// The timed section's kernels: every packed width, and `Auto`.

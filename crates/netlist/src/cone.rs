@@ -99,9 +99,7 @@ impl Trajectory {
             // after one pass.
             loop {
                 obs::SIM64_GATE_EVALS.add(program.instrs.len() as u64);
-                for ins in &program.instrs {
-                    cur[ins.out as usize] = program.eval(&cur, ins);
-                }
+                program.run(&mut cur);
                 let mut moved = false;
                 for &(q, d, carry) in &regs {
                     let w = (cur[d] << 1) | carry;

@@ -24,7 +24,9 @@
 //! simulator per batch) or a bit-parallel [`WideSim`] / [`WideTimedSim`]
 //! at 64, 256, or 512 lanes, which packs that many batches into the bit
 //! lanes of one compiled simulator instance ([`McKernel::Auto`], the
-//! default, picks the width from the batch budget). Per-lane toggle counts
+//! default, picks the width from the batch budget; a glitch word's cycles
+//! are then replayed time-packed, on timed words up to 512 lanes wide,
+//! see [`simulate_packed_glitch_lanes`]). Per-lane toggle counts
 //! are exact integers, so every kernel produces **bit-identical results**
 //! — the packed kernels are purely a wall-clock optimization and the
 //! scalar kernel remains available as the differential oracle. Batches
@@ -43,7 +45,7 @@ use crate::library::Library;
 use crate::netlist::Netlist;
 use crate::power::PowerModel;
 use crate::sim::ZeroDelaySim;
-use crate::simwide::{random_words, CompiledKernel, WideSim, WideTimedSim};
+use crate::simwide::{random_words, CompiledKernel, TimePacked, WideSim, WideTimedSim};
 use crate::streams::RandomVectors;
 use crate::words::{Word, W256, W512};
 
@@ -75,13 +77,18 @@ pub enum McKernel {
     /// One scalar simulator per batch — [`ZeroDelaySim`], or
     /// [`EventDrivenSim`] in glitch mode. The differential oracle.
     Scalar,
-    /// One 64-lane [`WideSim`]`<u64>` / [`WideTimedSim`] per 64 batches.
+    /// 64 batches per word: one 64-lane [`WideSim`]`<u64>`, or in glitch
+    /// mode a word settled zero-delay at 64 lanes whose cycles replay
+    /// time-packed on the widest [`WideTimedSim`] they fill (see
+    /// [`simulate_packed_glitch_lanes`]).
     Packed64,
-    /// One 256-lane [`WideSim`]`<`[`W256`]`>` / [`WideTimedSim`] per 256
-    /// batches.
+    /// 256 batches per word: one [`WideSim`]`<`[`W256`]`>`, or in glitch
+    /// mode a 256-lane word replayed time-packed on 256- or 512-lane
+    /// [`WideTimedSim`] words.
     Packed256,
-    /// One 512-lane [`WideSim`]`<`[`W512`]`>` / [`WideTimedSim`] per 512
-    /// batches.
+    /// 512 batches per word: one [`WideSim`]`<`[`W512`]`>`, or in glitch
+    /// mode a 512-lane word replayed on 512-lane [`WideTimedSim`] words,
+    /// one cycle per word.
     Packed512,
     /// Picks the packed width from the workload at run time (the
     /// default): [`Packed512`](Self::Packed512) when it is at least 512,
@@ -780,9 +787,22 @@ where
 }
 
 /// The glitch-aware (real-delay) sibling of [`simulate_packed_lanes`]:
-/// identical lane/stream mapping and masking on a [`WideTimedSim`], so
-/// each lane's glitch-aware power sample is bit-identical to its batch
-/// run alone under [`monte_carlo_glitch_power_seeded_threads_kernel`].
+/// identical lane/stream mapping and masking, so each lane's glitch-aware
+/// power sample is bit-identical to its batch run alone under
+/// [`monte_carlo_glitch_power_seeded_threads_kernel`].
+///
+/// The word is time-packed. Its lanes are settled zero-delay at width
+/// `W`, counting nothing, and each clock cycle after the first is one
+/// independent transition per lane (the previous cycle's settled state to
+/// this cycle's source values). Consecutive cycles fill the cycle slots of
+/// a `T`-lane [`WideTimedSim`] word side by side, `T::LANES / W::LANES` of
+/// them, and each full word is replayed as one transition block. `T` is
+/// the width [`McKernel::Auto`] resolves for the word's transition lanes
+/// (`(cycles - 1) * W::LANES` for its longest budget), never narrower than
+/// `W`. The finalize sums each lane's integer counts and cycles over its
+/// slots before any multiply, so the samples equal those of stepping one
+/// `W`-lane timed simulator a cycle at a time ([`WideTimedSim::step_masked`]),
+/// bit for bit.
 ///
 /// The stream type must be `'static`, as in [`simulate_lanes`].
 ///
@@ -809,13 +829,38 @@ where
     assert!(lanes.len() <= W::LANES, "{} requests exceed {} lanes", lanes.len(), W::LANES);
     let _batch_t = obs::MC_BATCH_NS.time();
     let _span = trace::span_dyn("mc", || format!("mc.glitch_word:{}", lanes.len()));
-    let mut sim = match kernel {
-        Some(k) => WideTimedSim::<W>::with_kernel(netlist, lib, k)?,
-        None => WideTimedSim::<W>::new(netlist, lib)?,
+    let cycles = lanes.iter().map(|r| r.cycles).max().unwrap_or(0);
+    let replay = McKernel::Auto.resolve(cycles.saturating_sub(1) * W::LANES);
+    let (nl, k) = (netlist, kernel);
+    match replay.lanes().max(W::LANES) {
+        64 => time_packed_glitch_lanes::<W, u64, _, _>(nl, lib, model, k, stream_fn, lanes),
+        256 => time_packed_glitch_lanes::<W, W256, _, _>(nl, lib, model, k, stream_fn, lanes),
+        _ => time_packed_glitch_lanes::<W, W512, _, _>(nl, lib, model, k, stream_fn, lanes),
+    }
+}
+
+/// [`simulate_packed_glitch_lanes`] replaying on `T`-lane words.
+fn time_packed_glitch_lanes<W: Word, T: Word, F, I>(
+    netlist: &Netlist,
+    lib: &Library,
+    model: &PowerModel,
+    kernel: Option<&CompiledKernel>,
+    stream_fn: &F,
+    lanes: &[LaneRequest],
+) -> Result<Vec<Option<(f64, u64)>>, NetlistError>
+where
+    F: Fn(Rng) -> I,
+    I: IntoIterator<Item = Vec<bool>>,
+    I::IntoIter: 'static,
+{
+    let sim = match kernel {
+        Some(k) => WideTimedSim::<T>::with_kernel(netlist, lib, k)?,
+        None => WideTimedSim::<T>::new(netlist, lib)?,
     };
-    let got = run_lanes(netlist, lanes, stream_fn, |words, active| sim.step_masked(words, active))?;
-    let samples = sim.take_lane_powers(model);
-    Ok(collect_lane_samples(&got, samples))
+    let mut word = TimePacked::<W, T>::new(sim);
+    let got =
+        run_lanes(netlist, lanes, stream_fn, |words, active| word.step_masked(words, active))?;
+    Ok(collect_lane_samples(&got, word.take_lane_powers(model)?))
 }
 
 /// The shared stepping loop of the packed kernels: feeds each lane its

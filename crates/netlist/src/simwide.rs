@@ -24,6 +24,24 @@
 //! totals by plane popcount, lanes merged) and `take_lane_activities`
 //! (per-lane records, the oracle the other two are tested against).
 //!
+//! # Transition blocks
+//!
+//! Once a stream's zero-delay settled states are known, each of its clock
+//! cycles is an independent transition (the settled state of cycle `c -
+//! 1` to the source values of cycle `c`), so the timed kernel need not
+//! step the cycles in order. One crate-private type, `TransitionBlocks`,
+//! fills words with such transitions, a slot of whole 64-lane chunks at a
+//! time, and replays each full word with
+//! [`WideTimedSim::eval_transition_block`]. [`timed_activity`] puts 64
+//! consecutive transitions of its one stream in each chunk. The glitch
+//! Monte-Carlo word (`TimePacked`, behind
+//! [`crate::simulate_packed_glitch_lanes`]) puts one cycle of its lanes
+//! in each slot, so a 64-lane word of 16 cycles replays on 512-lane words;
+//! before its take, `Counts::fold_slots` sums every lane's counts over its
+//! slots, exactly, so the finalize multiplies once per lane as before.
+//! [`WideTimedSim::step_masked`] still steps one cycle at a time for
+//! callers that drive the kernel directly.
+//!
 //! # Runtime SIMD fast path
 //!
 //! The zero-delay settle loop — the hot core of every packed step — is
@@ -178,6 +196,14 @@ impl Program {
             Op::NorN(s, n) => fold(s, n, W::zero(), W::or).not(),
             Op::XorN(s, n) => fold(s, n, W::zero(), W::xor),
             Op::XnorN(s, n) => fold(s, n, W::zero(), W::xor).not(),
+        }
+    }
+
+    /// Evaluates every instruction once, in topological order: the
+    /// zero-delay settle, counting nothing.
+    pub(crate) fn run<W: Word>(&self, values: &mut [W]) {
+        for ins in &self.instrs {
+            values[ins.out as usize] = self.eval(values, ins);
         }
     }
 
@@ -454,6 +480,38 @@ impl<W: Word> Counts<W> {
         total
     }
 
+    /// Folds the counts onto `V` lanes (a word here holds whole `V` slots
+    /// side by side) and zeroes them: lane `l` of the result counts the sum
+    /// of every lane `j` with `j % V::LANES == l`, exactly. Each plane adds
+    /// its slots at its own weight, carrying and spilling as
+    /// [`bump_at`](Self::bump_at) does, and spilled totals add row by row.
+    fn fold_slots<V: Word>(&mut self) -> Counts<V> {
+        let nodes = self.nodes();
+        let mut out = Counts::<V>::new(nodes);
+        for (i, plane) in self.planes.iter_mut().enumerate() {
+            let word = std::mem::replace(plane, W::zero());
+            if word.is_zero() {
+                continue;
+            }
+            for slot in word.chunks().chunks_exact(V::CHUNKS) {
+                let mut v = V::zero();
+                v.chunks_mut().copy_from_slice(slot);
+                out.bump_at(i / PLANES, i % PLANES, v);
+            }
+        }
+        if !self.spill.is_empty() {
+            out.spill.resize(nodes * V::LANES, 0);
+            let rows = out.spill.chunks_exact_mut(V::LANES).zip(self.spill.chunks_exact(W::LANES));
+            for (to, from) in rows {
+                for slot in from.chunks_exact(V::LANES) {
+                    to.iter_mut().zip(slot).for_each(|(t, &s)| *t += s);
+                }
+            }
+            self.spill.clear();
+        }
+        out
+    }
+
     /// Turns the counts into per-lane `(power µW, counted cycles)`
     /// samples in one pass and returns them with the run's total count;
     /// zeroes the counters.
@@ -723,6 +781,17 @@ fn settle<W: Word>(program: &Program, values: &mut [W], planes: &mut [W], count_
     settle_body(program, values, planes, count_mask);
 }
 
+/// Each flip-flop's power-on next-state word and D-input slot, parallel
+/// to `netlist.dffs()`.
+fn registers<W: Word>(netlist: &Netlist) -> (Vec<W>, Vec<u32>) {
+    (netlist.dffs().iter())
+        .filter_map(|&q| match netlist.kind(q) {
+            NodeKind::Dff { d, init } => Some((W::splat(*init), d.index() as u32)),
+            _ => None,
+        })
+        .unzip()
+}
+
 /// The width-generic lane-parallel compiled simulator: [`Word::LANES`]
 /// independent stimulus lanes advance one clock cycle per
 /// [`step`](WideSim::step).
@@ -781,14 +850,7 @@ impl<'a, W: Word> WideSim<'a, W> {
 
     fn from_program(netlist: &'a Netlist, program: Program) -> Result<Self, NetlistError> {
         let values = program.init_words::<W>();
-        let mut dff_next = Vec::with_capacity(netlist.dffs().len());
-        let mut dff_d = Vec::with_capacity(netlist.dffs().len());
-        for &q in netlist.dffs() {
-            if let NodeKind::Dff { d, init } = netlist.kind(q) {
-                dff_next.push(W::splat(*init));
-                dff_d.push(d.index() as u32);
-            }
-        }
+        let (dff_next, dff_d) = registers(netlist);
         Ok(WideSim {
             netlist,
             program,
@@ -1002,10 +1064,13 @@ pub struct WideTimedSim<'a, W: Word> {
     initialized: bool,
 }
 
-/// Grows the waveform arena to at least `need` entries.
+/// Grows the waveform arena to at least `need` entries, a fixed 4,096
+/// past it: within the reserved capacity (and past it, where `Vec`
+/// doubles the allocation) a step touches at most that many entries more
+/// than its waveforms fill.
 fn grow<W: Word>(times: &mut Vec<u64>, changes: &mut Vec<W>, need: usize) {
     if times.len() < need {
-        let len = need.max(2 * times.len());
+        let len = need + 4096;
         times.resize(len, u64::MAX);
         changes.resize(len, W::zero());
     }
@@ -1063,17 +1128,8 @@ impl<'a, W: Word> WideTimedSim<'a, W> {
         // Settle the combinational network from the broadcast initial
         // state, mirroring the scalar constructor.
         let mut values = program.init_words::<W>();
-        for ins in &program.instrs {
-            values[ins.out as usize] = program.eval(&values, ins);
-        }
-        let mut dff_next = Vec::with_capacity(netlist.dffs().len());
-        let mut dff_d = Vec::with_capacity(netlist.dffs().len());
-        for &q in netlist.dffs() {
-            if let NodeKind::Dff { d, init } = netlist.kind(q) {
-                dff_next.push(W::splat(*init));
-                dff_d.push(d.index() as u32);
-            }
-        }
+        program.run(&mut values);
+        let (dff_next, dff_d) = registers(netlist);
         Ok(WideTimedSim {
             netlist,
             program,
@@ -1283,14 +1339,16 @@ impl<'a, W: Word> WideTimedSim<'a, W> {
         Ok(())
     }
 
-    /// Replays [`Word::LANES`] independent *transitions* of a single
-    /// stream: lane `l` starts from settled state `from` and receives the
-    /// source-node (primary input and flip-flop output) values of settled
-    /// state `to`, both packed per node with lane `l` = transition `l`.
-    /// Used by [`crate::timed_activity`]'s trajectory driver; every lane
-    /// counts (no initialization step), and flip-flop latching state is
-    /// bypassed, so do not mix transition blocks with
-    /// [`step`](Self::step) calls on one instance.
+    /// Replays [`Word::LANES`] independent *transitions*: lane `l` starts
+    /// from settled state `from` and receives the source-node (primary
+    /// input and flip-flop output) values of settled state `to`, both
+    /// packed per node with lane `l` = transition `l`. The lanes need not
+    /// share a stream or a cycle. Every lane in `mask` counts (no
+    /// initialization step) and adds one cycle, and flip-flop latching
+    /// state is bypassed, so do not mix transition blocks with
+    /// [`step`](Self::step) calls on one instance. The transition-block
+    /// packer behind [`crate::timed_activity`] and
+    /// [`crate::simulate_packed_glitch_lanes`] calls it once per word.
     ///
     /// # Errors
     ///
@@ -1438,14 +1496,14 @@ pub fn timed_activity(
 }
 
 /// The packed [`timed_activity`] driver: zero-delay trajectory +
-/// transition blocks, at any word width.
+/// transition blocks, at any word width. Chunk `k` of the blocks is the 64
+/// consecutive transitions `64k + 1 ..= 64k + 64` of the stream.
 fn timed_activity_packed<W: Word>(
     netlist: &Netlist,
     lib: &Library,
     stream: &[Vec<bool>],
 ) -> Result<TimedActivity, NetlistError> {
-    let n = netlist.node_count();
-    let mut sim = WideTimedSim::<W>::new(netlist, lib)?;
+    let mut blocks = TransitionBlocks::new(WideTimedSim::<W>::new(netlist, lib)?);
     if stream.is_empty() {
         return Ok(TimedActivity::zero(netlist));
     }
@@ -1453,24 +1511,175 @@ fn timed_activity_packed<W: Word>(
     // settles to exactly this state, so it is both the per-transition
     // start state and the functional reference.
     let traj = Trajectory::record(netlist, stream)?;
-    let mut from = vec![W::zero(); n];
-    let mut to = vec![W::zero(); n];
     let transitions = stream.len() - 1;
-    let mut t0 = 1usize;
-    while t0 <= transitions {
-        let lanes = (transitions - t0 + 1).min(W::LANES);
-        let mask = W::low_mask(lanes);
-        for node in 0..n {
+    for t0 in (1..=transitions).step_by(64) {
+        let mask = u64::low_mask((transitions - t0 + 1).min(64));
+        blocks.push(mask, |node| {
             let w = traj.row(node);
-            for c in 0..W::CHUNKS {
-                from[node].chunks_mut()[c] = window(w, t0 - 1 + 64 * c);
-                to[node].chunks_mut()[c] = window(w, t0 + 64 * c);
-            }
-        }
-        sim.eval_transition_block(&from, &to, mask)?;
-        t0 += lanes;
+            (window(w, t0 - 1), window(w, t0))
+        })?;
     }
-    Ok(sim.take_activity())
+    Ok(blocks.finish()?.take_activity())
+}
+
+/// The transition-block packer behind both packed glitch-aware paths:
+/// fills `T` words with independent transitions a slot of whole 64-lane
+/// chunks at a time and replays each full word as one
+/// [`WideTimedSim::eval_transition_block`]. [`timed_activity`] pushes 64
+/// consecutive transitions of one stream per slot; the Monte-Carlo
+/// glitch word ([`TimePacked`]) pushes one cycle of its lanes.
+#[derive(Debug)]
+struct TransitionBlocks<'a, T: Word> {
+    sim: WideTimedSim<'a, T>,
+    /// Per node: the settled value each lane starts from, and the one it
+    /// ends at (only source nodes' `to` values drive the replay).
+    from: Vec<T>,
+    to: Vec<T>,
+    /// The lanes of the filled slots that hold a transition.
+    mask: T,
+    /// Chunks filled so far.
+    filled: usize,
+}
+
+impl<'a, T: Word> TransitionBlocks<'a, T> {
+    fn new(sim: WideTimedSim<'a, T>) -> Self {
+        let n = sim.values.len();
+        TransitionBlocks {
+            sim,
+            from: vec![T::zero(); n],
+            to: vec![T::zero(); n],
+            mask: T::zero(),
+            filled: 0,
+        }
+    }
+
+    /// Fills the next `W::CHUNKS` chunks: lane `l` of the slot moves from
+    /// `transition(node).0` to `transition(node).1` at every node if `mask`
+    /// has it. Replays the block once it is full.
+    fn push<W: Word>(
+        &mut self,
+        mask: W,
+        transition: impl Fn(usize) -> (W, W),
+    ) -> Result<(), NetlistError> {
+        let slot = self.filled..self.filled + W::CHUNKS;
+        for (node, (from, to)) in self.from.iter_mut().zip(&mut self.to).enumerate() {
+            let (f, t) = transition(node);
+            from.chunks_mut()[slot.clone()].copy_from_slice(f.chunks());
+            to.chunks_mut()[slot.clone()].copy_from_slice(t.chunks());
+        }
+        self.mask.chunks_mut()[slot].copy_from_slice(mask.chunks());
+        self.filled += W::CHUNKS;
+        if self.filled == T::CHUNKS {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    /// Replays the filled slots, if any; the empty rest of the word is
+    /// masked out.
+    fn flush(&mut self) -> Result<(), NetlistError> {
+        if self.filled > 0 {
+            self.sim.eval_transition_block(&self.from, &self.to, self.mask)?;
+            (self.mask, self.filled) = (T::zero(), 0);
+        }
+        Ok(())
+    }
+
+    /// Replays what is left and hands back the simulator to take from.
+    fn finish(mut self) -> Result<WideTimedSim<'a, T>, NetlistError> {
+        self.flush()?;
+        Ok(self.sim)
+    }
+}
+
+/// One word of `W` glitch-aware Monte-Carlo lanes, replayed time-packed
+/// on a `T`-wide timed simulator (`T` at least as wide as `W`).
+///
+/// Each step settles the word zero-delay at width `W`, counting nothing;
+/// every step after the first then pushes its cycle's transitions
+/// (settled state of the previous cycle to this cycle's) as the next slot
+/// of a [`TransitionBlocks`] packer, whole 64-lane chunks with no bit
+/// shuffling, masked to the step's active lanes. So cycle `c >= 1` lands
+/// in slot `(c - 1) % (T::LANES / W::LANES)`, and lane `l` of the word in
+/// lane `l % W::LANES` of every slot; the take folds the slots back per
+/// lane before any multiply. The event-driven replay of a cycle settles to
+/// the zero-delay state, so every lane's counts are the integers its
+/// cycle-by-cycle [`WideTimedSim::step_masked`] run would have counted.
+#[derive(Debug)]
+pub(crate) struct TimePacked<'a, W: Word, T: Word> {
+    blocks: TransitionBlocks<'a, T>,
+    /// This cycle's settled values, and the previous cycle's.
+    values: Vec<W>,
+    prev: Vec<W>,
+    /// Next-state words latched per DFF (parallel to `netlist.dffs()`).
+    dff_next: Vec<W>,
+    /// Per-DFF D-input slots.
+    dff_d: Vec<u32>,
+    /// Whether a first step has set the values.
+    initialized: bool,
+}
+
+impl<'a, W: Word, T: Word> TimePacked<'a, W, T> {
+    /// A word at its power-on values, replaying on `sim`.
+    pub(crate) fn new(sim: WideTimedSim<'a, T>) -> Self {
+        assert!(T::CHUNKS % W::CHUNKS == 0, "{} lanes cannot pack {}", T::LANES, W::LANES);
+        let values = sim.program.init_words::<W>();
+        let (dff_next, dff_d) = registers(sim.netlist);
+        TimePacked {
+            prev: values.clone(),
+            values,
+            dff_next,
+            dff_d,
+            blocks: TransitionBlocks::new(sim),
+            initialized: false,
+        }
+    }
+
+    /// Advances every lane by one clock cycle, as
+    /// [`WideTimedSim::step_masked`]: the same prefix-closed active-set
+    /// contract, with `inputs` one word per primary input.
+    pub(crate) fn step_masked(&mut self, inputs: &[W], mask: W) -> Result<(), NetlistError> {
+        let TimePacked { blocks, values, prev, dff_next, dff_d, initialized } = self;
+        let nl = blocks.sim.netlist;
+        debug_assert_eq!(inputs.len(), nl.input_count(), "one word per primary input");
+        prev.copy_from_slice(values);
+        for (q, &next) in nl.dffs().iter().zip(dff_next.iter()) {
+            values[q.index()] = next;
+        }
+        for (i, &word) in nl.inputs().iter().zip(inputs) {
+            values[i.index()] = word;
+        }
+        // The dispatched settle loop, counting nothing: a zero count mask
+        // never touches the (empty) planes.
+        settle(&blocks.sim.program, values, &mut [], W::zero());
+        for (next, &d) in dff_next.iter_mut().zip(dff_d.iter()) {
+            *next = values[d as usize];
+        }
+        if std::mem::replace(initialized, true) {
+            blocks.push(mask, |node| (prev[node], values[node]))?;
+        }
+        Ok(())
+    }
+
+    /// Replays the remaining transitions and returns one `(power µW,
+    /// counted cycles)` sample per lane of `W`, each bit-identical to the
+    /// [`WideTimedSim::take_lane_powers`] sample of the cycle-by-cycle run:
+    /// every lane's integer counts and cycles are summed over its slots
+    /// (`Counts::fold_slots`) before the finalize multiplies.
+    pub(crate) fn take_lane_powers(
+        self,
+        model: &PowerModel,
+    ) -> Result<Vec<(f64, u64)>, NetlistError> {
+        let mut sim = self.blocks.finish()?;
+        sim.check_functional();
+        let mut cycles = vec![0u64; W::LANES];
+        for slot in sim.lane_cycles.chunks_exact(W::LANES) {
+            cycles.iter_mut().zip(slot).for_each(|(c, &s)| *c += s);
+        }
+        let (out, transitions) = sim.transitions.fold_slots::<W>().take_lane_powers(model, &cycles);
+        count_transitions(transitions, sim.functional.take_total());
+        Ok(out)
+    }
 }
 
 /// Extracts 64 bits starting at `start` from a bit-packed word slice
@@ -1905,6 +2114,52 @@ mod tests {
         check::<u64>();
         check::<W256>();
         check::<W512>();
+    }
+
+    #[test]
+    fn folded_lane_powers_stay_exact_past_a_plane_spill() {
+        // Node 1 of a 3-bit multiplier spills out of its plane stack on
+        // every lane before the fold, node 2's slots sum past the plane
+        // stack only in the fold, and node 3 gets a pattern that differs
+        // per slot. Each folded lane's power must be bit-identical to
+        // `total_power_uw` of its summed record.
+        fn check<T: Word, V: Word>(model: &PowerModel, n: usize) {
+            let at = format!("{} lanes folded to {}", T::LANES, V::LANES);
+            let mut counts = Counts::<T>::new(n);
+            let mut want = vec![vec![0u64; n]; V::LANES];
+            let slots = (T::LANES / V::LANES) as u64;
+            for (node, reps) in [(1, (1u64 << PLANES) + 5), (2, (1 << PLANES) / 2)] {
+                for _ in 0..reps {
+                    counts.bump_at(node, 0, T::splat(true));
+                }
+                want.iter_mut().for_each(|lane| lane[node] += reps * slots);
+            }
+            for k in 0..100 {
+                let mut set = T::zero();
+                for j in (0..T::LANES).filter(|j| (j + k) % 7 == 0) {
+                    set.set_lane(j, true);
+                    want[j % V::LANES][3] += 1;
+                }
+                counts.bump_at(3, 0, set);
+            }
+            let mut folded = counts.fold_slots::<V>();
+            assert_eq!(counts.take_total(), 0, "{at}: the fold zeroes the source");
+            let cycles: Vec<u64> = (0..V::LANES as u64).map(|l| l % 4 + 1).collect();
+            let (samples, total) = folded.take_lane_powers(model, &cycles);
+            assert_eq!(total, want.iter().flatten().sum::<u64>(), "{at}");
+            for (l, (toggles, &cycles)) in want.into_iter().zip(&cycles).enumerate() {
+                let uw = model.total_power_uw(&Activity { toggles, cycles });
+                assert_eq!(samples[l].0.to_bits(), uw.to_bits(), "{at}: lane {l}");
+                assert_eq!(samples[l].1, cycles, "{at}: lane {l}");
+            }
+        }
+        let nl = mult(3);
+        let model = PowerModel::new(&nl, &Library::default());
+        let n = nl.node_count();
+        check::<u64, u64>(&model, n);
+        check::<W256, u64>(&model, n);
+        check::<W512, u64>(&model, n);
+        check::<W512, W256>(&model, n);
     }
 
     #[test]

@@ -76,11 +76,14 @@ pub static SIM_EV_CYCLES: ShardedCounter = ShardedCounter::new();
 
 // --- Packed 64-lane timed simulator ---------------------------------------
 
-/// Word steps taken by the packed timed simulator (each advances up to 64
-/// lanes one cycle, or replays up to 64 stream transitions).
+/// Word passes of the packed timed simulator: one per `step_masked` (every
+/// lane one cycle, the uncounted first step included) and one per
+/// transition block (a word of independent transitions: 64 consecutive
+/// transitions of one stream per chunk in `timed_activity`, one cycle of a
+/// Monte-Carlo word per slot in `simulate_packed_glitch_lanes`).
 pub static SIM_EVP_STEPS: ShardedCounter = ShardedCounter::new();
-/// Word-wide timed events processed (one coalesces up to 64 scalar heap
-/// pops at a single `(time, node)` point).
+/// Word-wide timed events processed (one coalesces up to a word's lanes of
+/// scalar heap pops at a single `(time, node)` point).
 pub static SIM_EVP_EVENTS: ShardedCounter = ShardedCounter::new();
 /// Counted lane-cycles: active lanes per counted step or transition block.
 pub static SIM_EVP_LANE_CYCLES: ShardedCounter = ShardedCounter::new();

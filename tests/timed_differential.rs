@@ -8,9 +8,9 @@
 //! choice or thread count.
 
 use hlpower::netlist::{
-    gen, monte_carlo_glitch_power_seeded_threads_kernel, streams, timed_activity, EventDrivenSim,
-    GateKind, Library, McKernel, MonteCarloOptions, Netlist, NetlistEditor, NodeKind, WideTimedSim,
-    Word,
+    gen, monte_carlo_glitch_power_seeded_threads_kernel, simulate_lanes, streams, timed_activity,
+    CompiledKernel, EventDrivenSim, GateKind, LaneRequest, Library, McKernel, MonteCarloOptions,
+    Netlist, NetlistEditor, NodeKind, PowerModel, WideTimedSim, Word,
 };
 use hlpower_rng::Rng;
 
@@ -162,6 +162,69 @@ fn glitch_monte_carlo_is_bit_identical_across_kernels_and_thread_counts() {
                 );
                 assert_eq!(reference.batches, got.batches, "{name} ({kernel:?}, {threads})");
                 assert_eq!(reference.cycles, got.cycles, "{name} ({kernel:?}, {threads})");
+            }
+        }
+    }
+}
+
+/// The time-packed glitch word: `simulate_lanes` in glitch mode returns
+/// the scalar kernel's samples, bit for bit and cycle for cycle, at every
+/// packed width. Lane budgets of 0, 1, 2, 8, 9, 17 and 65 vectors share
+/// each word, so replay-word boundaries fall inside requests; words are
+/// full and ragged, on a multiplier and a registered FIR, with random
+/// streams (drawn lane-parallel) and `.fuse()`d ones (stepped one vector
+/// per lane). A word whose longest budget is 8 vectors ends in a
+/// part-filled replay block.
+#[test]
+fn time_packed_glitch_words_match_scalar_batches() {
+    const BUDGETS: [usize; 7] = [0, 1, 2, 8, 9, 17, 65];
+    let lib = Library::default();
+    let mut mult = Netlist::new();
+    let a = mult.input_bus("a", 4);
+    let b = mult.input_bus("b", 4);
+    let p = gen::array_multiplier(&mut mult, &a, &b);
+    mult.output_bus("p", &p);
+    let mut fir = Netlist::new();
+    let x = fir.input_bus("x", 4);
+    let y = gen::fir_filter(&mut fir, &x, &[7, 13, 7], true);
+    fir.output_bus("y", &y);
+    assert!(!fir.dffs().is_empty(), "the FIR must be registered");
+    for (name, nl) in [("mult4", &mult), ("fir3", &fir)] {
+        let (model, w) = (PowerModel::new(nl, &lib), nl.input_count());
+        let compiled = CompiledKernel::compile(nl).expect("acyclic");
+        // Lane `l`'s request depends on `l` alone, so every word is a
+        // prefix of one 512-lane request list.
+        let lanes: Vec<LaneRequest> = (0..512)
+            .map(|l| LaneRequest {
+                seed: 40 + (l % 3) as u64,
+                batch: l as u64,
+                cycles: BUDGETS[l % BUDGETS.len()],
+            })
+            .collect();
+        let run = |kernel, fused: bool, lanes: &[LaneRequest]| {
+            let (lib, k) = (Some(&lib), Some(&compiled));
+            let samples = if fused {
+                let stream_fn = |rng| streams::random_rng(rng, w).fuse();
+                simulate_lanes(nl, lib, &model, k, kernel, &stream_fn, lanes)
+            } else {
+                let stream_fn = |rng| streams::random_rng(rng, w);
+                simulate_lanes(nl, lib, &model, k, kernel, &stream_fn, lanes)
+            };
+            let samples = samples.expect("acyclic");
+            samples.into_iter().map(|s| s.map(|(p, c)| (p.to_bits(), c))).collect::<Vec<_>>()
+        };
+        for fused in [false, true] {
+            let scalar = run(McKernel::Scalar, fused, &lanes);
+            assert_eq!(scalar[0], None, "{name}: a zero budget yields no sample");
+            for kernel in [McKernel::Packed64, McKernel::Packed256, McKernel::Packed512] {
+                // Four lanes (budgets up to 8) end in a part-filled block.
+                for used in [kernel.lanes(), kernel.lanes() - 19, 7, 4] {
+                    assert_eq!(
+                        run(kernel, fused, &lanes[..used]),
+                        scalar[..used],
+                        "{name}: {kernel:?} with {used} lanes diverged (fused streams: {fused})"
+                    );
+                }
             }
         }
     }
