@@ -41,10 +41,13 @@ cargo run --release --offline -p hlpower-bench --bin repro -- \
 # diverges from the row's first kernel by a single bit of power_uw or in
 # batch or cycle count (scalar vs packed64 in zero-delay and glitch mode;
 # packed64 vs 256 vs 512), or if a gate fails:
-#   - zero-delay: packed64 more than 30x faster than scalar;
+#   - zero-delay: packed64 (slot-packed words) more than 55x faster than
+#     scalar;
 #   - glitch: packed64 time-packed glitch words more than 5.7x faster than
 #     the scalar event sim;
 #   - zero-delay: packed256 more than 1.15x faster than packed64;
+#   - phases: on each shape, the 64-lane zero-delay word's total per
+#     lane-cycle at most 3x the 512-lane word's;
 #   - optimize: incremental guard scoring (bit-identical per candidate to
 #     the from-scratch scorer) faster than from-scratch, and at least 200x
 #     in full mode; rewrite dirty-cone replay strictly less work than one
@@ -56,8 +59,7 @@ cargo run --release --offline -p hlpower-bench --bin repro -- \
 # 512-lane kernels and Auto return different records, or if, in the
 # `record` section (a pipeline cut, a precomputed comparator and a
 # one-hot FSM), the recorder's activity differs from the scalar run's;
-# the `timed` section and the `phases` split (zero-delay layers and one
-# glitch-aware word per shape and width) have no speed gate.
+# the `timed` section has no speed gate.
 # The per-lane bit-identity battery runs in the test step above
 # (tests/wide_differential.rs).
 cargo bench --offline -p hlpower-bench --bench kernels

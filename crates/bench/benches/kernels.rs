@@ -17,18 +17,22 @@
 //! ratio: one full replay per candidate must cost more nodes than the
 //! dirty cones it re-evaluated.
 //!
-//! The phases section splits one full packed word of 100 cycles on each
+//! The phases section times one full packed word of 100 cycles on each
 //! of three shapes (the multiplier, an 8-tap FIR, 2,000-gate random
-//! logic) at 64, 256 and 512 lanes into its layers, in ns per lane-cycle:
+//! logic) at 64, 256 and 512 lanes, in ns per lane-cycle: its `total`
+//! through `simulate_packed_lanes`, and the layers of the stepped word,
 //! `stimulus` (drawing and packing the word's random input bits,
-//! `random_words`), `settle` (a fresh simulator stepped over those words)
-//! and `finalize` (`take_lane_powers`), next to the `total` of the same
-//! word through `simulate_packed_lanes`; beside them it times one full
-//! glitch-aware word of 16 cycles through `simulate_packed_glitch_lanes`.
+//! `random_words`), `stepped_settle` (a fresh `WideSim` stepped over
+//! those words a cycle at a time) and `stepped_finalize` (its
+//! `take_lane_powers`). A 512-lane word's `total` runs that stepped path;
+//! a 64- or 256-lane word's settles its cycles slot-packed on 512 lanes,
+//! so there the stepped legs are the reference its samples must match to
+//! the bit, not its own layers. Beside them it times one full glitch-aware
+//! word of 16 cycles through `simulate_packed_glitch_lanes`.
 //! Its shape and width cells are timed in interleaved rounds: each round
 //! times one rep of every cell, and each cell keeps its fastest rep per
-//! leg, so a slow stretch of the host lands on every cell alike. It has
-//! no gate.
+//! leg, so a slow stretch of the host lands on every cell alike. Its gate
+//! holds each shape's 64-lane `total` to at most 3x its 512-lane `total`.
 //!
 //! The timed section profiles short streams (300 and 513 vectors) of the
 //! 4- and 16-bit multipliers with `timed_activity`, the glitch scorer of
@@ -98,7 +102,11 @@ struct Comparison {
 // with the lane-parallel stimulus and fused finalize), and never below 1.
 // The glitch floor was raised again with the time-packed glitch words,
 // whose row read 8.66-13.87x over 20 smoke runs (12.4-19.4x in full mode)
-// on that host.
+// on that host, and the zero-delay floor with the slot-packed zero-delay
+// words, whose row read 83.1-145.4x over 10 smoke runs. Slot-packed
+// 64-lane words narrowed the `zd_widths` row to 1.23-1.57x in smoke runs
+// (1.63-1.70x in full mode); its floor stays at 1.15, above two thirds of
+// that, so that a slower 256-lane word still fails it.
 const COMPARISONS: [Comparison; 3] = [
     Comparison {
         name: "zd_scalar_vs_packed64",
@@ -108,7 +116,7 @@ const COMPARISONS: [Comparison; 3] = [
         full: (200, 256, 5),
         kernels: &[Scalar, Packed64],
         gate: (Packed64, Scalar),
-        floor: 30.0,
+        floor: 55.0,
     },
     Comparison {
         name: "glitch_scalar_vs_packed64",
@@ -311,9 +319,9 @@ fn phase_shapes() -> Vec<(&'static str, Netlist)> {
 }
 
 /// One shape and width cell of the phases section: one full `W` word of
-/// [`PHASE_CYCLES`] cycles on `nl`, split into stimulus, settle and
-/// finalize, next to the whole word and one full glitch-aware word of
-/// [`GLITCH_CYCLES`] cycles.
+/// [`PHASE_CYCLES`] cycles on `nl`, whole and split into the stepped
+/// word's stimulus, settle and finalize, next to one full glitch-aware
+/// word of [`GLITCH_CYCLES`] cycles.
 struct PhaseCell<'a, W: Word> {
     shape: &'static str,
     nl: &'a Netlist,
@@ -358,7 +366,8 @@ impl<'a, W: Word> PhaseCell<'a, W> {
             streams: lanes.iter().map(|r| Rng::seed_from_u64(r.seed).split(r.batch)).collect(),
             lanes,
             packed: vec![W::zero(); nl.input_count() * PHASE_CYCLES],
-            legs: ["total", "stimulus", "settle", "finalize", "glitch"].map(Leg::new),
+            legs: ["total", "stimulus", "stepped_settle", "stepped_finalize", "glitch"]
+                .map(Leg::new),
             whole: Vec::new(),
             split: Vec::new(),
         }
@@ -416,8 +425,8 @@ impl<W: Word> Phase for PhaseCell<'_, W> {
         let (t, sm, st, f) = (ns(total), ns(stimulus), ns(settle), ns(finalize));
         let g = glitch.seconds() * 1e9 / (W::LANES * GLITCH_CYCLES) as f64;
         println!(
-            "  phases {shape:<9} {:>3} lanes  total {t:>6.1}  stimulus {sm:>5.1}  settle {st:>6.1}  \
-             finalize {f:>5.1}  glitch {g:>7.1} ns/lane-cycle",
+            "  phases {shape:<9} {:>3} lanes  total {t:>6.1}  stimulus {sm:>5.1}  stepped: settle \
+             {st:>6.1}  finalize {f:>5.1}  glitch {g:>7.1} ns/lane-cycle",
             W::LANES
         );
         json!({
@@ -426,7 +435,12 @@ impl<W: Word> Phase for PhaseCell<'_, W> {
             "lanes": W::LANES,
             "cycles": PHASE_CYCLES,
             "reps": total.reps.len(),
-            "ns_per_lane_cycle": { "total": t, "stimulus": sm, "settle": st, "finalize": f },
+            "ns_per_lane_cycle": {
+                "total": t,
+                "stimulus": sm,
+                "stepped_settle": st,
+                "stepped_finalize": f,
+            },
             "counters": total.counters.clone(),
             "glitch": {
                 "cycles": GLITCH_CYCLES,
@@ -437,11 +451,20 @@ impl<W: Word> Phase for PhaseCell<'_, W> {
     }
 }
 
+/// The phases section's gate: a 64-lane zero-delay word's `total` per
+/// lane-cycle may be at most this many times the 512-lane word's on each
+/// shape, half again the highest reading of slot-packed 64-lane words
+/// over 10 smoke runs on a 2-vCPU AVX-512 host (0.74-2.02x). Stepped a
+/// cycle at a time, as before they were slot-packed, they read 3.4-5.0x
+/// in full mode and 3.6-4.4x in a smoke run on that host.
+const NARROW_WORD_CEILING: f64 = 3.0;
+
 /// The phases section: every shape at 64, 256 and 512 lanes, timed in
 /// interleaved rounds (each round times one rep of every cell, and each
 /// cell keeps its fastest rep per leg), so a slow stretch of the host
-/// lands on every cell alike rather than on one.
-fn phases(full: bool) -> Value {
+/// lands on every cell alike rather than on one. Its JSON, with a failed
+/// [`NARROW_WORD_CEILING`] report pushed onto `failures`.
+fn phases(full: bool, failures: &mut Vec<String>) -> Value {
     let rounds = if full { 15 } else { 3 };
     let shapes = phase_shapes();
     let mut cells: Vec<Box<dyn Phase + '_>> = Vec::new();
@@ -453,7 +476,22 @@ fn phases(full: bool) -> Value {
     for _ in 0..rounds {
         cells.iter_mut().for_each(|cell| cell.round());
     }
-    Value::Arr(cells.iter().map(|cell| cell.report()).collect())
+    let reports: Vec<Value> = cells.iter().map(|cell| cell.report()).collect();
+    let total = |cell: &Value| {
+        cell.get("ns_per_lane_cycle").and_then(|n| n.get("total")).and_then(Value::as_f64)
+    };
+    for shape in reports.chunks_exact(3) {
+        let ratio = total(&shape[0]).unwrap_or(f64::NAN) / total(&shape[2]).unwrap_or(f64::NAN);
+        // A missing cell reads NaN, which fails too.
+        if ratio.is_nan() || ratio > NARROW_WORD_CEILING {
+            let name = shape[0].get("shape").and_then(Value::as_str).unwrap_or("?");
+            failures.push(format!(
+                "phases {name}: the 64-lane total is {ratio:.2}x the 512-lane total, more than \
+                 {NARROW_WORD_CEILING}x"
+            ));
+        }
+    }
+    Value::Arr(reports)
 }
 
 /// The timed section's kernels: every packed width, and `Auto`.
@@ -722,7 +760,7 @@ fn main() {
     let mut failures = Vec::new();
     let comparisons: Vec<Value> =
         COMPARISONS.iter().map(|row| compare(&nl, row, full, &mut failures)).collect();
-    let phases = phases(full);
+    let phases = phases(full, &mut failures);
     let timed = timed(full);
     let record = record(full, &mut failures);
     let opt = optimize(full, &mut failures);

@@ -245,8 +245,13 @@ fn build_in_order(
     for item in &items {
         driven[item.slot()] = true;
     }
+    // A port name the netlist would refuse (one its emitter would declare
+    // twice) is a syntax error of the source, not a panic.
+    let clash = |message, at| NetlistError::ParseSyntax { format, at: src.locate(at), message };
     for &(slot, group) in &inputs {
-        let id = nl.input(slot_names[slot].as_ref());
+        let name = slot_names[slot].as_ref();
+        nl.check_port(name, true).map_err(|m| clash(m, Loc::start()))?;
+        let id = nl.input(name);
         if let Some(g) = group {
             let gid = nl.group(g);
             nl.set_node_group(id, gid);
@@ -329,6 +334,7 @@ fn build_in_order(
             at: src.locate(slot_ref.at),
             name: slot_names[slot_ref.slot].to_string(),
         })?;
+        nl.check_port(&name, false).map_err(|m| clash(m, slot_ref.at))?;
         nl.set_output(name, id);
     }
     Ok(nl)

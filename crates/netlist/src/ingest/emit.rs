@@ -56,7 +56,7 @@ fn is_plain_ident(s: &str) -> bool {
 }
 
 /// Splits `base[bit]` names (the shape `input_bus`/`output_bus` produce).
-fn split_bus_bit(s: &str) -> Option<(&str, u64)> {
+pub(crate) fn split_bus_bit(s: &str) -> Option<(&str, u64)> {
     let open = s.find('[')?;
     let (base, rest) = s.split_at(open);
     let digits = rest.strip_prefix('[')?.strip_suffix(']')?;

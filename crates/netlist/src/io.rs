@@ -170,6 +170,7 @@ pub fn parse_netlist(text: &str) -> Result<Netlist, ParseNetlistError> {
                 let name = words
                     .get(1)
                     .ok_or_else(|| malformed(head.loc, "input needs a name".to_string()))?;
+                nl.check_port(name.text, true).map_err(|m| malformed(name.loc, m))?;
                 let id = nl.input(name.text);
                 names.insert(name.text, id);
             }
@@ -229,6 +230,7 @@ pub fn parse_netlist(text: &str) -> Result<Netlist, ParseNetlistError> {
                     return Err(malformed(head.loc, "output needs a name and a node".to_string()));
                 }
                 let id = *names.get(words[2].text).ok_or_else(|| unknown(&words[2]))?;
+                nl.check_port(words[1].text, false).map_err(|m| malformed(words[1].loc, m))?;
                 nl.set_output(words[1].text, id);
             }
             "group" => {
@@ -358,6 +360,32 @@ mod tests {
             }
             other => panic!("wrong variant: {other:?}"),
         }
+    }
+
+    #[test]
+    fn duplicate_port_names_are_malformed() {
+        // A second input of one name points at the repeated name.
+        match parse_netlist("input a\ninput a\n").unwrap_err() {
+            ParseNetlistError::Malformed { line, col, .. } => assert_eq!((line, col), (2, 7)),
+            other => panic!("wrong variant: {other:?}"),
+        }
+        // An output may not take an input's name, nor a bus bit of it.
+        match parse_netlist("input a\noutput a a\n").unwrap_err() {
+            ParseNetlistError::Malformed { line, col, .. } => assert_eq!((line, col), (2, 8)),
+            other => panic!("wrong variant: {other:?}"),
+        }
+        assert!(matches!(
+            parse_netlist("input a[0]\noutput a[1] a[0]\n"),
+            Err(ParseNetlistError::Malformed { line: 2, .. })
+        ));
+        // Sniffed source text (the server's path) gets the same error.
+        assert!(matches!(
+            crate::ingest_auto(None, "input a\ninput a\n"),
+            Err(crate::NetlistError::ParseSyntax { .. })
+        ));
+        // Distinct bits of one bus, one direction, are fine.
+        let nl = parse_netlist("input a[0]\ninput a[1]\noutput y a[1]\n").expect("well-formed");
+        assert_eq!((nl.input_count(), nl.outputs().len()), (2, 1));
     }
 
     #[test]

@@ -24,9 +24,11 @@
 //! simulator per batch) or a bit-parallel [`WideSim`] / [`WideTimedSim`]
 //! at 64, 256, or 512 lanes, which packs that many batches into the bit
 //! lanes of one compiled simulator instance ([`McKernel::Auto`], the
-//! default, picks the width from the batch budget; a glitch word's cycles
-//! are then replayed time-packed, on timed words up to 512 lanes wide,
-//! see [`simulate_packed_glitch_lanes`]). Per-lane toggle counts
+//! default, picks the width from the batch budget; a zero-delay word then
+//! settles its cycles side by side on words up to 512 lanes wide, see
+//! [`simulate_packed_lanes`], and a glitch word's cycles are replayed
+//! time-packed the same way, see [`simulate_packed_glitch_lanes`]).
+//! Per-lane toggle counts
 //! are exact integers, so every kernel produces **bit-identical results**
 //! — the packed kernels are purely a wall-clock optimization and the
 //! scalar kernel remains available as the differential oracle. Batches
@@ -36,6 +38,7 @@
 use hlpower_obs::metrics as obs;
 use hlpower_obs::trace;
 use std::any::Any;
+use std::borrow::Cow;
 
 use hlpower_rng::{par, LaneRng, Rng};
 
@@ -45,7 +48,9 @@ use crate::library::Library;
 use crate::netlist::Netlist;
 use crate::power::PowerModel;
 use crate::sim::ZeroDelaySim;
-use crate::simwide::{random_words, CompiledKernel, TimePacked, WideSim, WideTimedSim};
+use crate::simwide::{
+    random_words, CompiledKernel, Program, SlotPacked, TimePacked, WideSim, WideTimedSim,
+};
 use crate::streams::RandomVectors;
 use crate::words::{Word, W256, W512};
 
@@ -77,12 +82,15 @@ pub enum McKernel {
     /// One scalar simulator per batch — [`ZeroDelaySim`], or
     /// [`EventDrivenSim`] in glitch mode. The differential oracle.
     Scalar,
-    /// 64 batches per word: one 64-lane [`WideSim`]`<u64>`, or in glitch
-    /// mode a word settled zero-delay at 64 lanes whose cycles replay
-    /// time-packed on the widest [`WideTimedSim`] they fill (see
+    /// 64 batches per word, whose cycles settle side by side on 256- or
+    /// 512-lane words (see [`simulate_packed_lanes`]; a word of fewer than
+    /// 4 cycles steps one 64-lane [`WideSim`]`<u64>`), or in glitch mode a
+    /// word settled zero-delay at 64 lanes whose cycles replay time-packed
+    /// on the widest [`WideTimedSim`] they fill (see
     /// [`simulate_packed_glitch_lanes`]).
     Packed64,
-    /// 256 batches per word: one [`WideSim`]`<`[`W256`]`>`, or in glitch
+    /// 256 batches per word, two cycles side by side on 512-lane words
+    /// (one [`WideSim`]`<`[`W256`]`>` for a 1-cycle word), or in glitch
     /// mode a 256-lane word replayed time-packed on 256- or 512-lane
     /// [`WideTimedSim`] words.
     Packed256,
@@ -381,9 +389,16 @@ where
     I: IntoIterator<Item = Vec<bool>>,
     I::IntoIter: 'static,
 {
-    // Surface cyclic-netlist errors once, up front, rather than from
-    // whichever worker happens to hit them first.
-    ZeroDelaySim::new(netlist)?;
+    let kernel = kernel.resolve(opts.max_batches);
+    let width = kernel.lanes();
+    // One compiled instruction stream for every packed word of the run.
+    // Compiling (or, for the scalar kernel, sorting) surfaces a cyclic
+    // netlist's error once, up front, rather than from whichever worker
+    // happens to hit it first.
+    let compiled = match width {
+        1 => netlist.topo_order().map(|_| None)?,
+        _ => Some(CompiledKernel::compile(netlist)?),
+    };
     if threads == 0 {
         return Err(NetlistError::InvalidThreadCount {
             reason: "explicit worker count 0".to_string(),
@@ -396,10 +411,6 @@ where
     // it through `Activity::power` (which re-derives load caps and the
     // group breakdown every call) used to dwarf the packed simulation.
     let model = PowerModel::new(netlist, lib);
-    let kernel = kernel.resolve(opts.max_batches);
-    let width = kernel.lanes();
-    // One compiled instruction stream for every packed word of the run.
-    let compiled = if width > 1 { Some(CompiledKernel::compile(netlist)?) } else { None };
     let timing_lib = glitch.then_some(lib);
     let groups_per_wave = if width > 1 { WAVE_WORDS } else { WAVE };
     let mut replay = StoppingReplay::new(opts);
@@ -524,28 +535,19 @@ impl StoppingReplay {
         self.total_cycles += cycles;
         obs::MC_BATCHES.inc();
         obs::MC_CYCLES.add(cycles);
-        if self.samples.len() >= 2 {
-            let (_, hw) = mean_half_width(&self.samples, self.opts.z);
+        // One pass over the samples per push serves the telemetry and both
+        // stop tests.
+        let (n, (mean, hw)) = (self.samples.len(), mean_half_width(&self.samples, self.opts.z));
+        if n >= 2 {
             obs::MC_CI_HALF_WIDTH_UW.push(hw);
             obs::MC_CI_HALF_WIDTH_NW.record((hw * 1000.0).round() as u64);
         }
-        if self.samples.len() >= 5 {
-            let (mean, hw) = mean_half_width(&self.samples, self.opts.z);
-            if mean > 0.0 && hw / mean < self.opts.target_relative_error {
-                self.stopped = Some(MonteCarloResult {
-                    power_uw: mean,
-                    half_width_uw: hw,
-                    batches: self.samples.len(),
-                    cycles: self.total_cycles,
-                });
-            }
-        }
-        if self.stopped.is_none() && self.samples.len() >= self.opts.max_batches {
-            let (mean, hw) = mean_half_width(&self.samples, self.opts.z);
+        let converged = n >= 5 && mean > 0.0 && hw / mean < self.opts.target_relative_error;
+        if converged || n >= self.opts.max_batches {
             self.stopped = Some(MonteCarloResult {
                 power_uw: mean,
                 half_width_uw: hw,
-                batches: self.samples.len(),
+                batches: n,
                 cycles: self.total_cycles,
             });
         }
@@ -739,7 +741,16 @@ where
 /// Each lane `l` runs batch `lanes[l]`: a fresh stream split from that
 /// lane's own root seed, stepped for that lane's own cycle budget, then
 /// masked out (the prefix-closed active-set contract of
-/// [`WideSim::step_masked`]). Because a lane's toggle counters are a pure
+/// [`WideSim::step_masked`]).
+///
+/// The word is slot-packed: `T` is the width [`McKernel::Auto`] resolves
+/// for the word's lane-cycles (`cycles * W::LANES` for its longest
+/// budget), and while `T` is wider than `W`, `T::LANES / W::LANES`
+/// consecutive cycles settle side by side in each `T`-lane block, each
+/// slot's toggles counted against the slot before it and summed over the
+/// slots into `W`-lane count planes. A word with `T = W` (512-lane words,
+/// and 64-lane words of fewer than 4 cycles) steps one [`WideSim`] a cycle
+/// at a time. Because a lane's toggle counters are a pure
 /// function of its own stream, the returned per-lane `(power, cycles)`
 /// sample is **bit-identical** to the same batch simulated alone — by the
 /// scalar kernel, by a solo packed run, or packed next to any other
@@ -777,6 +788,21 @@ where
     assert!(lanes.len() <= W::LANES, "{} requests exceed {} lanes", lanes.len(), W::LANES);
     let _batch_t = obs::MC_BATCH_NS.time();
     let _span = trace::span_dyn("mc", || format!("mc.word:{}", lanes.len()));
+    let cycles = lanes.iter().map(|r| r.cycles).max().unwrap_or(0);
+    let (nl, k) = (netlist, kernel);
+    match McKernel::Auto.resolve(cycles * W::LANES).lanes() {
+        256 if W::LANES < 256 => {
+            if let Some(depth) = SlotPacked::<W, W256>::depth(cycles) {
+                return slot_packed_lanes::<W, W256, _, _>(nl, model, k, depth, stream_fn, lanes);
+            }
+        }
+        512 if W::LANES < 512 => {
+            if let Some(depth) = SlotPacked::<W, W512>::depth(cycles) {
+                return slot_packed_lanes::<W, W512, _, _>(nl, model, k, depth, stream_fn, lanes);
+            }
+        }
+        _ => {}
+    }
     let mut sim = match kernel {
         Some(k) => WideSim::<W>::with_kernel(netlist, k)?,
         None => WideSim::<W>::new(netlist)?,
@@ -784,6 +810,39 @@ where
     let got = run_lanes(netlist, lanes, stream_fn, |words, active| sim.step_masked(words, active))?;
     let samples = sim.take_lane_powers(model);
     Ok(collect_lane_samples(&got, samples))
+}
+
+/// [`simulate_packed_lanes`] settling slot-packed on `T`-lane blocks with
+/// `depth` count planes per node ([`SlotPacked`]). Each lane's counted
+/// cycles are its vectors consumed, less the uncounted first.
+fn slot_packed_lanes<W: Word, T: Word, F, I>(
+    netlist: &Netlist,
+    model: &PowerModel,
+    kernel: Option<&CompiledKernel>,
+    depth: usize,
+    stream_fn: &F,
+    lanes: &[LaneRequest],
+) -> Result<Vec<Option<(f64, u64)>>, NetlistError>
+where
+    F: Fn(Rng) -> I,
+    I: IntoIterator<Item = Vec<bool>>,
+    I::IntoIter: 'static,
+{
+    let program = match kernel {
+        Some(k) => {
+            k.check_matches(netlist)?;
+            Cow::Borrowed(&k.program)
+        }
+        None => Cow::Owned(Program::compile(netlist)?),
+    };
+    let mut word = SlotPacked::<W, T>::new(netlist, program, depth);
+    let got = run_lanes(netlist, lanes, stream_fn, |words, active| {
+        word.step_masked(words, active);
+        Ok(())
+    })?;
+    let mut cycles = vec![0u64; W::LANES];
+    cycles.iter_mut().zip(&got).for_each(|(c, &g)| *c = g.saturating_sub(1) as u64);
+    Ok(collect_lane_samples(&got, word.take_lane_powers(model, &cycles)))
 }
 
 /// The glitch-aware (real-delay) sibling of [`simulate_packed_lanes`]:

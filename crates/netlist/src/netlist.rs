@@ -1,9 +1,11 @@
 //! Structural netlist representation.
 
+use std::collections::HashMap;
 use std::fmt;
 
 use crate::cone::refill;
 use crate::error::NetlistError;
+use crate::ingest::emit::split_bus_bit;
 use crate::library::{GateKind, Library};
 
 /// Identifier of a node (net driver) within a [`Netlist`].
@@ -125,6 +127,10 @@ pub struct Netlist {
     dffs: Vec<NodeId>,
     groups: Vec<String>,
     default_group: Option<GroupId>,
+    /// Each declared port name (`base` for a bus bit `base[k]`, else the
+    /// full name): whether it declares inputs, and a bus's bit indices,
+    /// sorted.
+    ports: HashMap<String, (bool, Option<Vec<u64>>)>,
 }
 
 impl Netlist {
@@ -140,10 +146,56 @@ impl Netlist {
     }
 
     /// Adds a named primary input and returns its node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the name clashes with a port already declared (see
+    /// [`check_port`](Self::check_port)).
     pub fn input(&mut self, name: impl Into<String>) -> NodeId {
-        let id = self.push(NodeKind::Input, Some(name.into()));
+        let name = name.into();
+        self.declare_port(&name, true);
+        let id = self.push(NodeKind::Input, Some(name));
         self.inputs.push(id);
         id
+    }
+
+    /// Checks that a port named `name`, an input if `input`, can be
+    /// declared, so that [`crate::emit_verilog`] does not declare one name
+    /// twice: no port has that name, and a declared name (`base` for a bus
+    /// bit `base[k]`, else the full name) is shared only by bus bits of one
+    /// direction.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the clash.
+    pub fn check_port(&self, name: &str, input: bool) -> Result<(), String> {
+        let (base, bit) = split_bus_bit(name).map_or((name, None), |(base, k)| (base, Some(k)));
+        let clash = match (self.ports.get(base), bit) {
+            (None, _) => false,
+            (Some((was_input, Some(bits))), Some(k)) => {
+                *was_input != input || bits.binary_search(&k).is_ok()
+            }
+            _ => true,
+        };
+        match clash {
+            true => Err(format!("port '{name}' is declared twice")),
+            false => Ok(()),
+        }
+    }
+
+    /// Records a port declaration, panicking on a clash.
+    fn declare_port(&mut self, name: &str, input: bool) {
+        if let Err(clash) = self.check_port(name, input) {
+            panic!("{clash}");
+        }
+        let Some((base, k)) = split_bus_bit(name) else {
+            self.ports.insert(name.to_string(), (input, None));
+            return;
+        };
+        let bits = self.ports.entry(base.to_string()).or_insert((input, Some(Vec::new())));
+        let bits = bits.1.as_mut().expect("a bus entry");
+        let at = bits.partition_point(|&b| b < k);
+        bits.insert(at, k);
     }
 
     /// Adds a bus of `width` primary inputs named `name[0]..name[width-1]`,
@@ -376,8 +428,15 @@ impl Netlist {
     }
 
     /// Declares a named primary output.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the name clashes with a port already declared (see
+    /// [`check_port`](Self::check_port)).
     pub fn set_output(&mut self, name: impl Into<String>, node: NodeId) {
-        self.outputs.push((name.into(), node));
+        let name = name.into();
+        self.declare_port(&name, false);
+        self.outputs.push((name, node));
     }
 
     /// Declares a bus of primary outputs named `name[0]..`.

@@ -15,7 +15,9 @@
 //!
 //! # Counts and takes
 //!
-//! Both kernels count toggles in one crate-private type, `Counts`:
+//! Both kernels count toggles in one crate-private type, `Counts` (the
+//! slot-packed zero-delay word below keeps its own compact planes and
+//! shares only the finalize):
 //! vertical bit planes per node plus the exact per-lane totals spilled
 //! out of them ([`WideSim`] holds one, [`WideTimedSim`] one for all
 //! transitions and one for functional transitions). A run ends in one of
@@ -42,6 +44,15 @@
 //! [`WideTimedSim::step_masked`] still steps one cycle at a time for
 //! callers that drive the kernel directly.
 //!
+//! # Slot-packed zero-delay words
+//!
+//! The zero-delay Monte-Carlo word (`SlotPacked`, behind
+//! [`crate::simulate_packed_lanes`]) packs the same way with no timed
+//! replay: cycle `c` of a `W`-lane word fills slot `c % S` of a `T`-lane
+//! block, each full block settles once, a slot's toggles are counted
+//! against the slot below it, and vertical adders sum them over the slots
+//! into `W`-lane count planes that the shared finalize reads.
+//!
 //! # Runtime SIMD fast path
 //!
 //! The zero-delay settle loop — the hot core of every packed step — is
@@ -66,6 +77,7 @@
 //! every circuit generator and the ingested example netlists.
 
 use std::any::TypeId;
+use std::borrow::Cow;
 use std::sync::OnceLock;
 
 use hlpower_obs::metrics as obs;
@@ -202,9 +214,31 @@ impl Program {
     /// Evaluates every instruction once, in topological order: the
     /// zero-delay settle, counting nothing.
     pub(crate) fn run<W: Word>(&self, values: &mut [W]) {
-        for ins in &self.instrs {
+        self.run_instrs(&self.instrs, values);
+    }
+
+    /// Evaluates `instrs`, part of this program's stream in its order,
+    /// counting nothing.
+    fn run_instrs<W: Word>(&self, instrs: &[Instr], values: &mut [W]) {
+        for ins in instrs {
             values[ins.out as usize] = self.eval(values, ins);
         }
+    }
+
+    /// The instructions of the fan-in cone of value slots `roots`, in
+    /// stream order, by one reverse sweep over `nodes` slots.
+    fn cone(&self, nodes: usize, roots: &[u32]) -> Vec<Instr> {
+        let mut need = vec![false; nodes];
+        roots.iter().for_each(|&r| need[r as usize] = true);
+        let mut cone = Vec::new();
+        for ins in self.instrs.iter().rev() {
+            if need[ins.out as usize] {
+                self.fanins(ins).iter().for_each(|&f| need[f as usize] = true);
+                cone.push(*ins);
+            }
+        }
+        cone.reverse();
+        cone
     }
 
     /// The value slots `ins` reads, in pin order (a repeated fanin is
@@ -528,51 +562,68 @@ impl<W: Word> Counts<W> {
         model: &PowerModel,
         lane_cycles: &[u64],
     ) -> (Vec<(f64, u64)>, u64) {
-        let mut net_fj = vec![0.0f64; lane_cycles.len()];
-        let mut int_fj = vec![0.0f64; lane_cycles.len()];
-        let (net, int) = model.toggle_energies_fj();
         let planes = W::flat_chunks_mut(&mut self.planes);
-        let total = lane_energy(planes, &self.spill, (net, int, &mut net_fj, &mut int_fj));
-        let samples = (net_fj.iter().zip(&int_fj).zip(lane_cycles))
-            .map(|((&net, &int), &cycles)| (model.power_uw(net, int, cycles), cycles))
-            .collect();
+        let (samples, total) = lane_powers(planes, PLANES, &self.spill, model, lane_cycles);
         (samples, total + self.spill.drain(..).sum::<u64>())
     }
 }
 
+/// The fused finalize of both packed kernels: per-lane `(power µW, counted
+/// cycles)` samples from count planes (flat `u64` chunks, `depth` planes
+/// of `lane_cycles.len()` lanes per node, plane `p` weighing `2^p`) plus
+/// the exact spilled per-lane totals, and the planes' total count. Zeroes
+/// the planes.
+fn lane_powers(
+    planes: &mut [u64],
+    depth: usize,
+    spill: &[u64],
+    model: &PowerModel,
+    lane_cycles: &[u64],
+) -> (Vec<(f64, u64)>, u64) {
+    let mut net_fj = vec![0.0f64; lane_cycles.len()];
+    let mut int_fj = vec![0.0f64; lane_cycles.len()];
+    let (net, int) = model.toggle_energies_fj();
+    let total = lane_energy(planes, spill, depth, (net, int, &mut net_fj, &mut int_fj));
+    let samples = (net_fj.iter().zip(&int_fj).zip(lane_cycles))
+        .map(|((&net, &int), &cycles)| (model.power_uw(net, int, cycles), cycles))
+        .collect();
+    (samples, total)
+}
+
 /// Runs `lane_energy_body` on the widest vector ISA this machine has.
-fn lane_energy(planes: &mut [u64], spill: &[u64], energy: Energy<'_>) -> u64 {
+fn lane_energy(planes: &mut [u64], spill: &[u64], depth: usize, energy: Energy<'_>) -> u64 {
     #[cfg(target_arch = "x86_64")]
     match simd_level() {
         // SAFETY (both arms): the wrapper's feature was runtime-detected.
-        SimdLevel::Avx512 => return unsafe { lane_energy_avx512(planes, spill, energy) },
-        SimdLevel::Avx2 => return unsafe { lane_energy_avx2(planes, spill, energy) },
+        SimdLevel::Avx512 => return unsafe { lane_energy_avx512(planes, spill, depth, energy) },
+        SimdLevel::Avx2 => return unsafe { lane_energy_avx2(planes, spill, depth, energy) },
         SimdLevel::Scalar => {}
     }
-    lane_energy_body(planes, spill, energy)
+    lane_energy_body(planes, spill, depth, energy)
 }
 
 /// Per-node `(net, internal)` fJ per toggle, and the per-lane `(net,
 /// internal)` fJ accumulators the finalize adds into.
 type Energy<'a> = (&'a [f64], &'a [f64], &'a mut [f64], &'a mut [f64]);
 
-/// The fused finalize over `u64` chunks: for each node and 64-lane chunk,
-/// rebuilds each lane's count from the nonzero planes (bit `p` from plane
-/// `p`) and adds `c * count` into the lane's energies, zeroing the planes.
-/// Returns the planes' total count. Kept `#[inline(always)]` so the
-/// `#[target_feature]` wrappers below re-compile it per ISA.
+/// The fused finalize over `u64` chunks, `depth` planes per node: for
+/// each node and 64-lane chunk, rebuilds each lane's count from the
+/// nonzero planes (bit `p` from plane `p`) and adds `c * count` into the
+/// lane's energies, zeroing the planes. Returns the planes' total count.
+/// Kept `#[inline(always)]` so the `#[target_feature]` wrappers below
+/// re-compile it per ISA.
 #[inline(always)]
-fn lane_energy_body(planes: &mut [u64], spill: &[u64], energy: Energy<'_>) -> u64 {
+fn lane_energy_body(planes: &mut [u64], spill: &[u64], depth: usize, energy: Energy<'_>) -> u64 {
     let (net_per_toggle, int_per_toggle, net_fj, int_fj) = energy;
     let lanes = net_fj.len();
     let chunks = lanes / 64;
     let mut total = 0u64;
-    for (node, node_planes) in planes.chunks_exact_mut(PLANES * chunks).enumerate() {
+    for (node, node_planes) in planes.chunks_exact_mut(depth * chunks).enumerate() {
         let (c_net, c_int) = (net_per_toggle[node], int_per_toggle[node]);
         for c in 0..chunks {
             let mut halves = [[0u32; 32]; 2];
             let mut any = false;
-            for p in 0..PLANES {
+            for p in 0..depth {
                 let w = std::mem::take(&mut node_planes[p * chunks + c]);
                 if w == 0 {
                     continue;
@@ -619,8 +670,13 @@ fn lane_energy_body(planes: &mut [u64], spill: &[u64], energy: Energy<'_>) -> u6
 /// The caller must have verified AVX2 support at runtime.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn lane_energy_avx2(planes: &mut [u64], spill: &[u64], energy: Energy<'_>) -> u64 {
-    lane_energy_body(planes, spill, energy)
+unsafe fn lane_energy_avx2(
+    planes: &mut [u64],
+    spill: &[u64],
+    depth: usize,
+    energy: Energy<'_>,
+) -> u64 {
+    lane_energy_body(planes, spill, depth, energy)
 }
 
 /// `lane_energy_body` re-compiled with AVX-512F codegen.
@@ -630,8 +686,13 @@ unsafe fn lane_energy_avx2(planes: &mut [u64], spill: &[u64], energy: Energy<'_>
 /// The caller must have verified AVX-512F support at runtime.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn lane_energy_avx512(planes: &mut [u64], spill: &[u64], energy: Energy<'_>) -> u64 {
-    lane_energy_body(planes, spill, energy)
+unsafe fn lane_energy_avx512(
+    planes: &mut [u64],
+    spill: &[u64],
+    depth: usize,
+    energy: Energy<'_>,
+) -> u64 {
+    lane_energy_body(planes, spill, depth, energy)
 }
 
 /// Fills flat packed input words (`stride` chunks each, see
@@ -677,108 +738,103 @@ unsafe fn coins_avx512(lanes: &mut LaneRng, out: &mut [u64], stride: usize) {
     lanes.fill_coins(out, stride);
 }
 
+/// How the settle loop counts toggles: `tally(node, old, new)` sees each
+/// evaluated node's value before and after.
+trait Tally {
+    type Word: Word;
+    fn tally(&mut self, node: usize, old: Self::Word, new: Self::Word);
+}
+
+/// [`WideSim`]'s tally: the lanes of `mask` that toggled, bumped into
+/// `PLANES` planes per node ([`bump_planes`]). A zero mask never touches
+/// the planes, so they may be empty.
+struct Planes<'a, W: Word> {
+    planes: &'a mut [W],
+    mask: W,
+}
+
+impl<W: Word> Tally for Planes<'_, W> {
+    type Word = W;
+    #[inline(always)]
+    fn tally(&mut self, node: usize, old: W, new: W) {
+        bump_planes(self.planes, node * PLANES, old.xor(new).and(self.mask));
+    }
+}
+
+/// [`SlotPacked`]'s tally: a `T`-lane block's slot toggles in `mask`,
+/// summed into `depth` `W`-lane planes per node ([`count_slots`]).
+struct Slots<'a, W: Word, T: Word> {
+    counts: &'a mut [W],
+    depth: usize,
+    mask: T,
+}
+
+impl<W: Word, T: Word> Tally for Slots<'_, W, T> {
+    type Word = T;
+    #[inline(always)]
+    fn tally(&mut self, node: usize, old: T, new: T) {
+        let counts = &mut self.counts[node * self.depth..][..self.depth];
+        count_slots::<W, T>(counts, old, new, self.mask);
+    }
+}
+
 /// The zero-delay settle loop: evaluates the compiled instruction stream
-/// against the packed values, bumping toggle planes for changed lanes.
-/// Kept as one `#[inline(always)]` body so the `#[target_feature]`
-/// wrappers below re-compile the identical code under wider vector ISAs.
+/// against the packed values, tallying each node's toggles. Kept as one
+/// `#[inline(always)]` body so the `#[target_feature]` wrappers below
+/// re-compile the identical code under wider vector ISAs.
 #[inline(always)]
-fn settle_body<W: Word>(program: &Program, values: &mut [W], planes: &mut [W], count_mask: W) {
+fn settle_body<C: Tally>(program: &Program, values: &mut [C::Word], tally: &mut C) {
     for idx in 0..program.instrs.len() {
         let ins = program.instrs[idx];
         let new = program.eval(values, &ins);
         let slot = ins.out as usize;
-        bump_planes(planes, slot * PLANES, values[slot].xor(new).and(count_mask));
+        tally.tally(slot, values[slot], new);
         values[slot] = new;
     }
 }
 
-/// `settle_body` re-compiled with AVX2 codegen. Monomorphic (rather than
-/// a generic `#[target_feature]` fn) so dispatch stays a plain TypeId
-/// check with identity slice casts.
+/// `settle_body` re-compiled with AVX2 codegen (for [`W256`], and for
+/// [`W512`] as two 256-bit ops per word).
 ///
 /// # Safety
 ///
 /// The caller must have verified AVX2 support at runtime.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn settle_avx2_w256(
-    program: &Program,
-    values: &mut [W256],
-    planes: &mut [W256],
-    count_mask: W256,
-) {
-    settle_body(program, values, planes, count_mask);
+unsafe fn settle_avx2<C: Tally>(program: &Program, values: &mut [C::Word], tally: &mut C) {
+    settle_body(program, values, tally);
 }
 
-/// `settle_body` for [`W512`] under AVX2 (two 256-bit ops per word).
-///
-/// # Safety
-///
-/// The caller must have verified AVX2 support at runtime.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn settle_avx2_w512(
-    program: &Program,
-    values: &mut [W512],
-    planes: &mut [W512],
-    count_mask: W512,
-) {
-    settle_body(program, values, planes, count_mask);
-}
-
-/// `settle_body` for [`W512`] under AVX-512F (one 512-bit op per word).
+/// `settle_body` re-compiled with AVX-512F codegen (one 512-bit op per
+/// [`W512`] word).
 ///
 /// # Safety
 ///
 /// The caller must have verified AVX-512F support at runtime.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn settle_avx512_w512(
-    program: &Program,
-    values: &mut [W512],
-    planes: &mut [W512],
-    count_mask: W512,
-) {
-    settle_body(program, values, planes, count_mask);
+unsafe fn settle_avx512<C: Tally>(program: &Program, values: &mut [C::Word], tally: &mut C) {
+    settle_body(program, values, tally);
 }
 
 /// Dispatches the settle loop to the widest vector path this machine and
 /// word width support. Bit-identical to the portable path by
 /// construction (pure boolean algebra, no reassociation-sensitive math).
-fn settle<W: Word>(program: &Program, values: &mut [W], planes: &mut [W], count_mask: W) {
+fn settle<C: Tally>(program: &Program, values: &mut [C::Word], tally: &mut C) {
     #[cfg(target_arch = "x86_64")]
     {
-        let level = simd_level();
-        if level >= SimdLevel::Avx2 && TypeId::of::<W>() == TypeId::of::<W256>() {
-            // SAFETY: the TypeId check proves `W == W256`, so the raw
-            // slice casts are identity casts; AVX2 was runtime-verified.
-            unsafe {
-                settle_avx2_w256(
-                    program,
-                    &mut *(values as *mut [W] as *mut [W256]),
-                    &mut *(planes as *mut [W] as *mut [W256]),
-                    *(&count_mask as *const W as *const W256),
-                );
-            }
-            return;
+        let (level, word) = (simd_level(), TypeId::of::<C::Word>());
+        let wide = word == TypeId::of::<W256>() || word == TypeId::of::<W512>();
+        if word == TypeId::of::<W512>() && level >= SimdLevel::Avx512 {
+            // SAFETY: AVX-512F was runtime-verified.
+            return unsafe { settle_avx512(program, values, tally) };
         }
-        if TypeId::of::<W>() == TypeId::of::<W512>() && level >= SimdLevel::Avx2 {
-            // SAFETY: as above with `W == W512`; the chosen wrapper's
-            // feature was runtime-verified.
-            unsafe {
-                let values = &mut *(values as *mut [W] as *mut [W512]);
-                let planes = &mut *(planes as *mut [W] as *mut [W512]);
-                let count_mask = *(&count_mask as *const W as *const W512);
-                if level >= SimdLevel::Avx512 {
-                    settle_avx512_w512(program, values, planes, count_mask);
-                } else {
-                    settle_avx2_w512(program, values, planes, count_mask);
-                }
-            }
-            return;
+        if wide && level >= SimdLevel::Avx2 {
+            // SAFETY: AVX2 was runtime-verified.
+            return unsafe { settle_avx2(program, values, tally) };
         }
     }
-    settle_body(program, values, planes, count_mask);
+    settle_body(program, values, tally);
 }
 
 /// Each flip-flop's power-on next-state word and D-input slot, parallel
@@ -939,7 +995,8 @@ impl<'a, W: Word> WideSim<'a, W> {
         }
         // Settle combinational logic via the compiled instruction stream
         // (runtime-dispatched to the widest available vector path).
-        settle(&self.program, &mut self.values, &mut self.toggles.planes, count_mask);
+        let tally = &mut Planes { planes: &mut self.toggles.planes, mask: count_mask };
+        settle(&self.program, &mut self.values, tally);
         // Sample D inputs for the next cycle.
         for (i, &d) in self.dff_d.iter().enumerate() {
             self.dff_next[i] = self.values[d as usize];
@@ -1013,6 +1070,208 @@ impl<'a, W: Word> WideSim<'a, W> {
         self.lane_cycles.fill(0);
         self.pending = 0;
     }
+}
+
+/// One word of `W` zero-delay Monte-Carlo lanes, settled slot-packed on
+/// `T`-lane words, `S = T::LANES / W::LANES` cycles side by side.
+///
+/// Cycle `c` of the word fills slot `c % S` of the block's `T`-lane
+/// source words (flip-flop outputs and primary inputs), whole 64-lane
+/// chunks with no bit shuffling, and each full block settles once at `T`.
+/// A slot's toggles are its value against the slot below it, slot 0's
+/// against the previous block's top slot (`slot_shift`), masked to the
+/// cycle's active lanes; cycle 0 is never counted. Vertical adders sum
+/// them over the slots, branch-free, and add the sum into `depth` count
+/// planes of `W` lanes per node, deep enough for every cycle of the word,
+/// so nothing carries out (`count_slots`). The take runs the shared
+/// finalize on those planes, so each sample equals the one a `W`-lane
+/// [`WideSim`] stepped a cycle at a time computes, bit for bit. The word
+/// holds one `T` value and `depth` `W`-lane planes per node: 112 bytes for
+/// a 64-lane word of 60 cycles on 512 lanes, against the 136 of a stepped
+/// word's value and 16 planes.
+///
+/// A flip-flop's output is a source like a primary input. Each step runs
+/// the instructions of the flip-flops' D-input fan-in cone at `W`,
+/// uncounted, to get the next cycle's outputs; for a delay line, whose D
+/// inputs are sources, that cone is empty.
+#[derive(Debug)]
+pub(crate) struct SlotPacked<'a, W: Word, T: Word> {
+    netlist: &'a Netlist,
+    program: Cow<'a, Program>,
+    /// The D-input fan-in cone's instructions, in topological order, and
+    /// the `W`-lane values they run on.
+    cone: Vec<Instr>,
+    narrow: Vec<W>,
+    /// Next-state words latched per DFF (parallel to `netlist.dffs()`).
+    dff_next: Vec<W>,
+    /// Per-DFF D-input slots.
+    dff_d: Vec<u32>,
+    /// The block being filled: one word per source (flip-flop outputs,
+    /// then primary inputs), and the lanes each slot counts.
+    sources: Vec<T>,
+    mask: T,
+    /// Slots of the block filled so far, and steps taken.
+    filled: usize,
+    cycle: usize,
+    /// The last block's settled value per node.
+    values: Vec<T>,
+    /// `depth` count planes per node.
+    counts: Vec<W>,
+    depth: usize,
+}
+
+impl<'a, W: Word, T: Word> SlotPacked<'a, W, T> {
+    /// Count planes per node for a word of `cycles` steps: enough for a
+    /// toggle every cycle, or `None` past [`PLANES`].
+    pub(crate) fn depth(cycles: usize) -> Option<usize> {
+        let depth = (usize::BITS - cycles.leading_zeros()).max(1) as usize;
+        (depth <= PLANES).then_some(depth)
+    }
+
+    /// A word at its power-on values, settling on `program` (compiled
+    /// from `netlist`) and counting in `depth` planes per node.
+    pub(crate) fn new(netlist: &'a Netlist, program: Cow<'a, Program>, depth: usize) -> Self {
+        assert!(T::CHUNKS > W::CHUNKS && T::CHUNKS % W::CHUNKS == 0, "{} slots", T::LANES);
+        let (dff_next, dff_d) = registers::<W>(netlist);
+        let cone = program.cone(netlist.node_count(), &dff_d);
+        let sources = dff_d.len() + netlist.input_count();
+        SlotPacked {
+            netlist,
+            narrow: if dff_d.is_empty() { Vec::new() } else { program.init_words::<W>() },
+            cone,
+            dff_next,
+            dff_d,
+            sources: vec![T::zero(); sources],
+            mask: T::zero(),
+            filled: 0,
+            cycle: 0,
+            values: program.init_words::<T>(),
+            counts: vec![W::zero(); netlist.node_count() * depth],
+            depth,
+            program,
+        }
+    }
+
+    /// Advances every lane by one clock cycle, as [`WideSim::step_masked`]:
+    /// the same prefix-closed active-set contract, with `inputs` one word
+    /// per primary input. Settles the block once its slots are full.
+    pub(crate) fn step_masked(&mut self, inputs: &[W], mask: W) {
+        debug_assert_eq!(inputs.len(), self.netlist.input_count(), "one word per primary input");
+        let slot = self.filled * W::CHUNKS..(self.filled + 1) * W::CHUNKS;
+        let put = |word: &mut T, w: &W| word.chunks_mut()[slot.clone()].copy_from_slice(w.chunks());
+        let words = self.dff_next.iter().chain(inputs);
+        self.sources.iter_mut().zip(words).for_each(|(word, w)| put(word, w));
+        put(&mut self.mask, &if self.cycle == 0 { W::zero() } else { mask });
+        if !self.dff_d.is_empty() {
+            let nl = self.netlist;
+            for (q, &w) in
+                nl.dffs().iter().chain(nl.inputs()).zip(self.dff_next.iter().chain(inputs))
+            {
+                self.narrow[q.index()] = w;
+            }
+            self.program.run_instrs(&self.cone, &mut self.narrow);
+            for (next, &d) in self.dff_next.iter_mut().zip(&self.dff_d) {
+                *next = self.narrow[d as usize];
+            }
+            obs::SIM64_GATE_EVALS.add(self.cone.len() as u64);
+        }
+        self.filled += 1;
+        self.cycle += 1;
+        if self.filled * W::CHUNKS == T::CHUNKS {
+            self.settle_block();
+        }
+    }
+
+    /// Settles the filled slots, if any, counting their toggles; the empty
+    /// rest of the block is masked out.
+    fn settle_block(&mut self) {
+        if self.filled == 0 {
+            return;
+        }
+        let SlotPacked { netlist: nl, program, sources, mask, values, counts, depth, .. } = self;
+        let tally = &mut Slots::<W, T> { counts, depth: *depth, mask: *mask };
+        for (q, &new) in nl.dffs().iter().chain(nl.inputs()).zip(sources.iter()) {
+            tally.tally(q.index(), values[q.index()], new);
+            values[q.index()] = new;
+        }
+        settle(program, values, tally);
+        obs::SIM64_STEPS.inc();
+        obs::SIM64_GATE_EVALS.add(program.instrs.len() as u64);
+        (self.mask, self.filled) = (T::zero(), 0);
+    }
+
+    /// Settles what is left and returns one `(power µW, counted cycles)`
+    /// sample per lane of `W`, `lane_cycles[l]` counted cycles for lane
+    /// `l`.
+    pub(crate) fn take_lane_powers(
+        mut self,
+        model: &PowerModel,
+        lane_cycles: &[u64],
+    ) -> Vec<(f64, u64)> {
+        self.settle_block();
+        let counts = W::flat_chunks_mut(&mut self.counts);
+        let (out, toggles) = lane_powers(counts, self.depth, &[], model, lane_cycles);
+        obs::SIM64_TOGGLES.add(toggles);
+        obs::SIM64_LANE_CYCLES.add(lane_cycles.iter().sum());
+        out
+    }
+}
+
+/// `new` moved up one `W` slot, its lowest slot taken from `old`'s top
+/// one: each slot lane's value one cycle earlier.
+#[inline(always)]
+fn slot_shift<W: Word, T: Word>(old: T, new: T) -> T {
+    let (k, n) = (W::CHUNKS, T::CHUNKS);
+    let mut prev = new;
+    prev.chunks_mut()[k..].copy_from_slice(&new.chunks()[..n - k]);
+    prev.chunks_mut()[..k].copy_from_slice(&old.chunks()[n - k..]);
+    prev
+}
+
+/// Adds a node's slot toggles (`new` against [`slot_shift`], in `mask`)
+/// into its `W`-lane count planes, branch-free. Each halving adds the
+/// upper half of the live slots onto the lower half with vertical full
+/// adders, so `sum` ends as the per-lane total over the slots in its low
+/// `W` chunks, `log2(S) + 1` planes deep, which ripples into `counts`.
+#[inline(always)]
+fn count_slots<W: Word, T: Word>(counts: &mut [W], old: T, new: T, mask: T) {
+    let mut sum = [T::zero(); 4];
+    sum[0] = new.xor(slot_shift::<W, T>(old, new)).and(mask);
+    let (mut width, mut bits) = (T::CHUNKS, 1);
+    while width > W::CHUNKS {
+        width /= 2;
+        let mut carry = T::zero();
+        for plane in &mut sum[..bits] {
+            let (a, b) = (*plane, chunks_down(*plane, width));
+            (*plane, carry) = full_add(a, b, carry);
+        }
+        sum[bits] = carry;
+        bits += 1;
+    }
+    let mut carry = W::zero();
+    for (q, count) in counts.iter_mut().enumerate() {
+        let mut add = W::zero();
+        if q < bits {
+            add.chunks_mut().copy_from_slice(&sum[q].chunks()[..W::CHUNKS]);
+        }
+        (*count, carry) = full_add(*count, add, carry);
+    }
+    debug_assert!(carry.is_zero(), "slot counts overflowed");
+}
+
+/// `x` moved down `k` chunks, zero-filled from the top.
+#[inline(always)]
+fn chunks_down<T: Word>(x: T, k: usize) -> T {
+    let mut out = T::zero();
+    out.chunks_mut()[..T::CHUNKS - k].copy_from_slice(&x.chunks()[k..]);
+    out
+}
+
+/// One vertical full adder: the sum and carry words of `a + b + c`.
+#[inline(always)]
+fn full_add<W: Word>(a: W, b: W, c: W) -> (W, W) {
+    let ab = a.xor(b);
+    (ab.xor(c), a.and(b).or(c.and(ab)))
 }
 
 /// The width-generic lane-parallel compiled *timed* (glitch-capturing)
@@ -1651,7 +1910,7 @@ impl<'a, W: Word, T: Word> TimePacked<'a, W, T> {
         }
         // The dispatched settle loop, counting nothing: a zero count mask
         // never touches the (empty) planes.
-        settle(&blocks.sim.program, values, &mut [], W::zero());
+        settle(&blocks.sim.program, values, &mut Planes { planes: &mut [], mask: W::zero() });
         for (next, &d) in dff_next.iter_mut().zip(dff_d.iter()) {
             *next = values[d as usize];
         }

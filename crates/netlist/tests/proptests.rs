@@ -2,8 +2,8 @@
 //! in-tree [`hlpower_rng::check`] harness.
 
 use hlpower_netlist::{
-    gen, streams, words, ConeResim, GateKind, IncrementalSim, Library, Netlist, NetlistEditor,
-    NodeId, NodeKind, ResimScratch, ZeroDelaySim,
+    emit_verilog, gen, parse_verilog, streams, structurally_equivalent, words, ConeResim, GateKind,
+    IncrementalSim, Library, Netlist, NetlistEditor, NodeId, NodeKind, ResimScratch, ZeroDelaySim,
 };
 use hlpower_rng::check::Check;
 use hlpower_rng::Rng;
@@ -486,4 +486,92 @@ fn hamming_is_symmetric() {
         assert_eq!(words::hamming(&va, &va), 0);
         assert_eq!(words::hamming(&va, &vb) as u32, (a ^ b).count_ones());
     });
+}
+
+/// Port names the round-trip property draws from: plain identifiers, a
+/// Verilog keyword and a name that must be escaped, so duplicates and
+/// input/output and scalar/bus clashes come up often.
+const PORT_NAMES: [&str; 6] = ["a", "b", "y", "q", "wire", "d.0"];
+
+/// Declares one scalar port or one whole bus (inputs if `input`) named
+/// from [`PORT_NAMES`], unless `check_port` refuses one of its names;
+/// returns the bits it declared.
+fn declare_ports(rng: &mut Rng, nl: &mut Netlist, input: bool, drivers: &[NodeId]) -> usize {
+    let base = PORT_NAMES[rng.gen_range(0..PORT_NAMES.len())];
+    let names: Vec<String> = match rng.gen_range(0..3u32) {
+        0 => vec![base.to_string()],
+        _ => (0..rng.gen_range(1..4usize)).map(|i| format!("{base}[{i}]")).collect(),
+    };
+    if names.iter().any(|name| nl.check_port(name, input).is_err()) {
+        return 0;
+    }
+    for name in &names {
+        if input {
+            nl.input(name.as_str());
+        } else {
+            nl.set_output(name.as_str(), drivers[rng.gen_range(0..drivers.len())]);
+        }
+    }
+    names.len()
+}
+
+/// Every netlist the builder API accepts survives `parse(emit_verilog)`:
+/// inputs first (so arena indices line up), then random gates and
+/// flip-flops, then outputs, declared as scalars or whole buses with
+/// names that often clash. A clashing port is refused by `check_port`
+/// before it is declared.
+#[test]
+fn builder_netlists_round_trip_through_verilog() {
+    Check::new("builder_netlists_round_trip_through_verilog").cases(128).run(|rng| {
+        let mut nl = Netlist::new();
+        while nl.input_count() == 0 {
+            for _ in 0..rng.gen_range(1..5u32) {
+                declare_ports(rng, &mut nl, true, &[]);
+            }
+        }
+        let mut nodes: Vec<NodeId> = nl.inputs().to_vec();
+        for _ in 0..rng.gen_range(0..12u32) {
+            let mut pick = || nodes[rng.gen_range(0..nodes.len())];
+            let (x, y, z) = (pick(), pick(), pick());
+            let node = match rng.gen_range(0..6u32) {
+                0 => nl.and([x, y]),
+                1 => nl.xor([x, y, z]),
+                2 => nl.nor([x, y]),
+                3 => nl.not(x),
+                4 => nl.mux(x, y, z),
+                _ => nl.dff(x, rng.gen_bool(0.5)),
+            };
+            nodes.push(node);
+        }
+        for _ in 0..rng.gen_range(1..5u32) {
+            declare_ports(rng, &mut nl, false, &nodes);
+        }
+        let text = emit_verilog(&nl, "m");
+        let back = parse_verilog(&text).unwrap_or_else(|e| panic!("re-parse failed: {e}\n{text}"));
+        structurally_equivalent(&nl, &back).unwrap_or_else(|e| panic!("{e}\n{text}"));
+    });
+}
+
+/// A port name that clashes with a declared one is refused: the same full
+/// name, a base shared by inputs and outputs, or a scalar sharing a bus's
+/// base. `Netlist::input` and `set_output` panic on it.
+#[test]
+fn clashing_port_names_are_refused() {
+    let mut nl = Netlist::new();
+    let y = nl.input_bus("y", 2);
+    assert!(nl.check_port("y[2]", true).is_ok(), "a bus may grow");
+    for (name, input) in [("y[0]", true), ("y[2]", false), ("y", true), ("y", false)] {
+        assert!(nl.check_port(name, input).is_err(), "{name} (input {input})");
+    }
+    nl.set_output("z", y[0]);
+    assert!(nl.check_port("z", false).is_err());
+    assert!(nl.check_port("z[0]", false).is_err());
+    let twice = std::panic::catch_unwind(move || nl.input("z"));
+    assert!(twice.is_err(), "declaring a clashing port panics");
+    // `random_logic` names its outputs `y[i]`: a second `y` bus, which
+    // made the emitter declare `y` twice, is refused.
+    let mut nl = Netlist::new();
+    gen::random_logic(&mut nl, 3, 4, 12, 2);
+    assert!(nl.check_port("y[0]", false).is_err());
+    assert!(parse_verilog(&emit_verilog(&nl, "m")).is_ok());
 }

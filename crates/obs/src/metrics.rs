@@ -42,17 +42,20 @@ pub static SIM_ZD_TOGGLES: ShardedCounter = ShardedCounter::new();
 // --- Packed zero-delay simulation -----------------------------------------
 
 /// Word steps taken by the lane-parallel packed simulator (each advances
-/// every lane of one word one cycle).
+/// every lane of one word one cycle), or blocks a slot-packed zero-delay
+/// word settled (each several of its cycles side by side).
 pub static SIM64_STEPS: ShardedCounter = ShardedCounter::new();
 /// Word-wide gate evaluations: by the lane-parallel simulator per step,
+/// by a slot-packed word per block (plus its flip-flop cone per cycle),
 /// and by the time-packed recorder per recording block.
 pub static SIM64_GATE_EVALS: ShardedCounter = ShardedCounter::new();
-/// Counted lane-cycles: active lanes per counted step (lane-parallel) or
-/// valid cycles per time-packed recording block.
+/// Counted lane-cycles: active lanes per counted step (lane-parallel),
+/// every lane's counted cycles of a slot-packed word, or valid cycles per
+/// time-packed recording block.
 pub static SIM64_LANE_CYCLES: ShardedCounter = ShardedCounter::new();
 /// Node transitions read out of the zero-delay packed simulator's count
 /// planes by any of its takes (`take_lane_powers`, `take_activity`,
-/// `take_lane_activities`).
+/// `take_lane_activities`), or a slot-packed word's by its finalize.
 pub static SIM64_TOGGLES: ShardedCounter = ShardedCounter::new();
 /// Time-packed recording blocks evaluated: one compiled evaluation of a
 /// combinational netlist covers up to 64 consecutive cycles.
