@@ -47,7 +47,9 @@ cargo run --release --offline -p hlpower-bench --bin repro -- \
 #     the scalar event sim;
 #   - zero-delay: packed256 more than 1.15x faster than packed64;
 #   - phases: on each shape, the 64-lane zero-delay word's total per
-#     lane-cycle at most 3x the 512-lane word's;
+#     lane-cycle at most 3x the 512-lane word's, and the 512-lane word's
+#     total at most 1.35x the sum of the same word's stepped legs
+#     (stimulus + stepped_settle + stepped_finalize);
 #   - optimize: incremental guard scoring (bit-identical per candidate to
 #     the from-scratch scorer) faster than from-scratch, and at least 200x
 #     in full mode; rewrite dirty-cone replay strictly less work than one

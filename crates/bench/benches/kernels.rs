@@ -20,19 +20,20 @@
 //! The phases section times one full packed word of 100 cycles on each
 //! of three shapes (the multiplier, an 8-tap FIR, 2,000-gate random
 //! logic) at 64, 256 and 512 lanes, in ns per lane-cycle: its `total`
-//! through `simulate_packed_lanes`, and the layers of the stepped word,
+//! through `simulate_packed_lanes`, which settles every word's cycles
+//! slot-packed on 512-lane blocks, and the legs of the same word stepped
+//! a cycle at a time, the reference its samples must match to the bit:
 //! `stimulus` (drawing and packing the word's random input bits,
 //! `random_words`), `stepped_settle` (a fresh `WideSim` stepped over
-//! those words a cycle at a time) and `stepped_finalize` (its
-//! `take_lane_powers`). A 512-lane word's `total` runs that stepped path;
-//! a 64- or 256-lane word's settles its cycles slot-packed on 512 lanes,
-//! so there the stepped legs are the reference its samples must match to
-//! the bit, not its own layers. Beside them it times one full glitch-aware
-//! word of 16 cycles through `simulate_packed_glitch_lanes`.
+//! those words) and `stepped_finalize` (its `take_lane_powers`). Beside
+//! them it times one full glitch-aware word of 16 cycles through
+//! `simulate_packed_glitch_lanes`.
 //! Its shape and width cells are timed in interleaved rounds: each round
 //! times one rep of every cell, and each cell keeps its fastest rep per
-//! leg, so a slow stretch of the host lands on every cell alike. Its gate
-//! holds each shape's 64-lane `total` to at most 3x its 512-lane `total`.
+//! leg, so a slow stretch of the host lands on every cell alike. Its
+//! gates hold each shape's 64-lane `total` to at most 3x its 512-lane
+//! `total`, and the 512-lane `total` to at most
+//! [`STEPPED_WORD_CEILING`] times the sum of its stepped legs.
 //!
 //! The timed section profiles short streams (300 and 513 vectors) of the
 //! 4- and 16-bit multipliers with `timed_activity`, the glitch scorer of
@@ -105,8 +106,9 @@ struct Comparison {
 // on that host, and the zero-delay floor with the slot-packed zero-delay
 // words, whose row read 83.1-145.4x over 10 smoke runs. Slot-packed
 // 64-lane words narrowed the `zd_widths` row to 1.23-1.57x in smoke runs
-// (1.63-1.70x in full mode); its floor stays at 1.15, above two thirds of
-// that, so that a slower 256-lane word still fails it.
+// (1.63-1.70x in full mode), and settling every word on 512-lane blocks
+// to 1.15-1.28x over 10 smoke runs; its floor stays at 1.15, so that a
+// slower 256-lane word still fails it.
 const COMPARISONS: [Comparison; 3] = [
     Comparison {
         name: "zd_scalar_vs_packed64",
@@ -459,11 +461,20 @@ impl<W: Word> Phase for PhaseCell<'_, W> {
 /// in full mode and 3.6-4.4x in a smoke run on that host.
 const NARROW_WORD_CEILING: f64 = 3.0;
 
+/// The phases section's other gate: a 512-lane zero-delay word's `total`
+/// per lane-cycle (one cycle per slot-packed block) may be at most this
+/// many times the sum of its stepped legs (`stimulus + stepped_settle +
+/// stepped_finalize`) on each shape, so stepping the word a cycle at a
+/// time cannot quietly become the faster path. Half again the highest
+/// reading over 10 smoke runs on a 2-vCPU AVX-512 host (0.61-0.90x).
+const STEPPED_WORD_CEILING: f64 = 1.35;
+
 /// The phases section: every shape at 64, 256 and 512 lanes, timed in
 /// interleaved rounds (each round times one rep of every cell, and each
 /// cell keeps its fastest rep per leg), so a slow stretch of the host
-/// lands on every cell alike rather than on one. Its JSON, with a failed
-/// [`NARROW_WORD_CEILING`] report pushed onto `failures`.
+/// lands on every cell alike rather than on one. Its JSON, with failed
+/// [`NARROW_WORD_CEILING`] and [`STEPPED_WORD_CEILING`] reports pushed
+/// onto `failures`.
 fn phases(full: bool, failures: &mut Vec<String>) -> Value {
     let rounds = if full { 15 } else { 3 };
     let shapes = phase_shapes();
@@ -477,17 +488,29 @@ fn phases(full: bool, failures: &mut Vec<String>) -> Value {
         cells.iter_mut().for_each(|cell| cell.round());
     }
     let reports: Vec<Value> = cells.iter().map(|cell| cell.report()).collect();
-    let total = |cell: &Value| {
-        cell.get("ns_per_lane_cycle").and_then(|n| n.get("total")).and_then(Value::as_f64)
+    // A missing cell or leg reads NaN, which fails too.
+    let ns = |cell: &Value, leg: &str| {
+        let ns = cell.get("ns_per_lane_cycle").and_then(|n| n.get(leg));
+        ns.and_then(Value::as_f64).unwrap_or(f64::NAN)
     };
     for shape in reports.chunks_exact(3) {
-        let ratio = total(&shape[0]).unwrap_or(f64::NAN) / total(&shape[2]).unwrap_or(f64::NAN);
-        // A missing cell reads NaN, which fails too.
+        let name = shape[0].get("shape").and_then(Value::as_str).unwrap_or("?");
+        let ratio = ns(&shape[0], "total") / ns(&shape[2], "total");
         if ratio.is_nan() || ratio > NARROW_WORD_CEILING {
-            let name = shape[0].get("shape").and_then(Value::as_str).unwrap_or("?");
             failures.push(format!(
                 "phases {name}: the 64-lane total is {ratio:.2}x the 512-lane total, more than \
                  {NARROW_WORD_CEILING}x"
+            ));
+        }
+        let stepped: f64 = ["stimulus", "stepped_settle", "stepped_finalize"]
+            .iter()
+            .map(|leg| ns(&shape[2], leg))
+            .sum();
+        let ratio = ns(&shape[2], "total") / stepped;
+        if ratio.is_nan() || ratio > STEPPED_WORD_CEILING {
+            failures.push(format!(
+                "phases {name}: the 512-lane total is {ratio:.2}x its stepped legs' sum, more \
+                 than {STEPPED_WORD_CEILING}x"
             ));
         }
     }

@@ -21,13 +21,13 @@
 //!
 //! The seeded engine runs on one of several simulation kernels
 //! ([`McKernel`]): the scalar [`ZeroDelaySim`] / [`EventDrivenSim`] (one
-//! simulator per batch) or a bit-parallel [`WideSim`] / [`WideTimedSim`]
-//! at 64, 256, or 512 lanes, which packs that many batches into the bit
-//! lanes of one compiled simulator instance ([`McKernel::Auto`], the
-//! default, picks the width from the batch budget; a zero-delay word then
-//! settles its cycles side by side on words up to 512 lanes wide, see
-//! [`simulate_packed_lanes`], and a glitch word's cycles are replayed
-//! time-packed the same way, see [`simulate_packed_glitch_lanes`]).
+//! simulator per batch) or a bit-parallel word of 64, 256, or 512 lanes,
+//! which packs that many batches into the bit lanes of one compiled
+//! instruction stream ([`McKernel::Auto`], the default, picks the width
+//! from the batch budget; a zero-delay word then settles its cycles side
+//! by side on 512-lane blocks, see [`simulate_packed_lanes`], and a glitch
+//! word's cycles are replayed time-packed on [`WideTimedSim`] words, see
+//! [`simulate_packed_glitch_lanes`]).
 //! Per-lane toggle counts
 //! are exact integers, so every kernel produces **bit-identical results**
 //! — the packed kernels are purely a wall-clock optimization and the
@@ -48,9 +48,7 @@ use crate::library::Library;
 use crate::netlist::Netlist;
 use crate::power::PowerModel;
 use crate::sim::ZeroDelaySim;
-use crate::simwide::{
-    random_words, CompiledKernel, Program, SlotPacked, TimePacked, WideSim, WideTimedSim,
-};
+use crate::simwide::{random_words, CompiledKernel, Program, SlotPacked, TimePacked, WideTimedSim};
 use crate::streams::RandomVectors;
 use crate::words::{Word, W256, W512};
 
@@ -82,19 +80,17 @@ pub enum McKernel {
     /// One scalar simulator per batch — [`ZeroDelaySim`], or
     /// [`EventDrivenSim`] in glitch mode. The differential oracle.
     Scalar,
-    /// 64 batches per word, whose cycles settle side by side on 256- or
-    /// 512-lane words (see [`simulate_packed_lanes`]; a word of fewer than
-    /// 4 cycles steps one 64-lane [`WideSim`]`<u64>`), or in glitch mode a
+    /// 64 batches per word, whose cycles settle eight side by side on
+    /// 512-lane blocks (see [`simulate_packed_lanes`]), or in glitch mode a
     /// word settled zero-delay at 64 lanes whose cycles replay time-packed
     /// on the widest [`WideTimedSim`] they fill (see
     /// [`simulate_packed_glitch_lanes`]).
     Packed64,
-    /// 256 batches per word, two cycles side by side on 512-lane words
-    /// (one [`WideSim`]`<`[`W256`]`>` for a 1-cycle word), or in glitch
-    /// mode a 256-lane word replayed time-packed on 256- or 512-lane
-    /// [`WideTimedSim`] words.
+    /// 256 batches per word, two cycles side by side on 512-lane blocks,
+    /// or in glitch mode a 256-lane word replayed time-packed on 256- or
+    /// 512-lane [`WideTimedSim`] words.
     Packed256,
-    /// 512 batches per word: one [`WideSim`]`<`[`W512`]`>`, or in glitch
+    /// 512 batches per word, one cycle per 512-lane block, or in glitch
     /// mode a 512-lane word replayed on 512-lane [`WideTimedSim`] words,
     /// one cycle per word.
     Packed512,
@@ -741,16 +737,14 @@ where
 /// Each lane `l` runs batch `lanes[l]`: a fresh stream split from that
 /// lane's own root seed, stepped for that lane's own cycle budget, then
 /// masked out (the prefix-closed active-set contract of
-/// [`WideSim::step_masked`]).
+/// [`WideSim::step_masked`](crate::WideSim::step_masked)).
 ///
-/// The word is slot-packed: `T` is the width [`McKernel::Auto`] resolves
-/// for the word's lane-cycles (`cycles * W::LANES` for its longest
-/// budget), and while `T` is wider than `W`, `T::LANES / W::LANES`
-/// consecutive cycles settle side by side in each `T`-lane block, each
-/// slot's toggles counted against the slot before it and summed over the
-/// slots into `W`-lane count planes. A word with `T = W` (512-lane words,
-/// and 64-lane words of fewer than 4 cycles) steps one [`WideSim`] a cycle
-/// at a time. Because a lane's toggle counters are a pure
+/// Every word, of any width and length, is slot-packed: `512 / W::LANES`
+/// consecutive cycles (8, 2 or 1) settle side by side in each 512-lane
+/// block, each slot's toggles counted against the slot before it and
+/// summed over the slots into `W`-lane count planes, so the samples equal
+/// those of stepping one `W`-lane [`WideSim`](crate::WideSim) a cycle at
+/// a time, bit for bit. Because a lane's toggle counters are a pure
 /// function of its own stream, the returned per-lane `(power, cycles)`
 /// sample is **bit-identical** to the same batch simulated alone — by the
 /// scalar kernel, by a solo packed run, or packed next to any other
@@ -788,46 +782,6 @@ where
     assert!(lanes.len() <= W::LANES, "{} requests exceed {} lanes", lanes.len(), W::LANES);
     let _batch_t = obs::MC_BATCH_NS.time();
     let _span = trace::span_dyn("mc", || format!("mc.word:{}", lanes.len()));
-    let cycles = lanes.iter().map(|r| r.cycles).max().unwrap_or(0);
-    let (nl, k) = (netlist, kernel);
-    match McKernel::Auto.resolve(cycles * W::LANES).lanes() {
-        256 if W::LANES < 256 => {
-            if let Some(depth) = SlotPacked::<W, W256>::depth(cycles) {
-                return slot_packed_lanes::<W, W256, _, _>(nl, model, k, depth, stream_fn, lanes);
-            }
-        }
-        512 if W::LANES < 512 => {
-            if let Some(depth) = SlotPacked::<W, W512>::depth(cycles) {
-                return slot_packed_lanes::<W, W512, _, _>(nl, model, k, depth, stream_fn, lanes);
-            }
-        }
-        _ => {}
-    }
-    let mut sim = match kernel {
-        Some(k) => WideSim::<W>::with_kernel(netlist, k)?,
-        None => WideSim::<W>::new(netlist)?,
-    };
-    let got = run_lanes(netlist, lanes, stream_fn, |words, active| sim.step_masked(words, active))?;
-    let samples = sim.take_lane_powers(model);
-    Ok(collect_lane_samples(&got, samples))
-}
-
-/// [`simulate_packed_lanes`] settling slot-packed on `T`-lane blocks with
-/// `depth` count planes per node ([`SlotPacked`]). Each lane's counted
-/// cycles are its vectors consumed, less the uncounted first.
-fn slot_packed_lanes<W: Word, T: Word, F, I>(
-    netlist: &Netlist,
-    model: &PowerModel,
-    kernel: Option<&CompiledKernel>,
-    depth: usize,
-    stream_fn: &F,
-    lanes: &[LaneRequest],
-) -> Result<Vec<Option<(f64, u64)>>, NetlistError>
-where
-    F: Fn(Rng) -> I,
-    I: IntoIterator<Item = Vec<bool>>,
-    I::IntoIter: 'static,
-{
     let program = match kernel {
         Some(k) => {
             k.check_matches(netlist)?;
@@ -835,14 +789,17 @@ where
         }
         None => Cow::Owned(Program::compile(netlist)?),
     };
-    let mut word = SlotPacked::<W, T>::new(netlist, program, depth);
+    let cycles = lanes.iter().map(|r| r.cycles).max().unwrap_or(0);
+    let mut word = SlotPacked::<W>::new(netlist, program, cycles);
     let got = run_lanes(netlist, lanes, stream_fn, |words, active| {
         word.step_masked(words, active);
         Ok(())
     })?;
-    let mut cycles = vec![0u64; W::LANES];
-    cycles.iter_mut().zip(&got).for_each(|(c, &g)| *c = g.saturating_sub(1) as u64);
-    Ok(collect_lane_samples(&got, word.take_lane_powers(model, &cycles)))
+    // Each lane's counted cycles are its vectors consumed, less the
+    // uncounted first.
+    let mut counted = vec![0u64; W::LANES];
+    counted.iter_mut().zip(&got).for_each(|(c, &g)| *c = g.saturating_sub(1) as u64);
+    Ok(collect_lane_samples(&got, word.take_lane_powers(model, &counted)))
 }
 
 /// The glitch-aware (real-delay) sibling of [`simulate_packed_lanes`]:

@@ -15,12 +15,11 @@
 //!
 //! # Counts and takes
 //!
-//! Both kernels count toggles in one crate-private type, `Counts` (the
-//! slot-packed zero-delay word below keeps its own compact planes and
-//! shares only the finalize):
+//! Every packed kernel counts toggles in one crate-private type, `Counts`:
 //! vertical bit planes per node plus the exact per-lane totals spilled
-//! out of them ([`WideSim`] holds one, [`WideTimedSim`] one for all
-//! transitions and one for functional transitions). A run ends in one of
+//! out of them ([`WideSim`] holds one, the slot-packed zero-delay word
+//! below one only as deep as its cycle count needs, [`WideTimedSim`] one
+//! for all transitions and one for functional transitions). A run ends in one of
 //! three takes, each a read of those counts: `take_lane_powers` (per-lane
 //! power samples, the Monte-Carlo finalize), `take_activity` (per-node
 //! totals by plane popcount, lanes merged) and `take_lane_activities`
@@ -46,12 +45,14 @@
 //!
 //! # Slot-packed zero-delay words
 //!
-//! The zero-delay Monte-Carlo word (`SlotPacked`, behind
+//! Every zero-delay Monte-Carlo word (`SlotPacked`, behind
 //! [`crate::simulate_packed_lanes`]) packs the same way with no timed
-//! replay: cycle `c` of a `W`-lane word fills slot `c % S` of a `T`-lane
-//! block, each full block settles once, a slot's toggles are counted
-//! against the slot below it, and vertical adders sum them over the slots
-//! into `W`-lane count planes that the shared finalize reads.
+//! replay: cycle `c` of a `W`-lane word fills slot `c % S` of a 512-lane
+//! block, `S = 512 / W` (8, 2 or 1), each full block settles once, a
+//! slot's toggles are counted against the slot below it, and vertical
+//! adders sum them over the slots into the word's `W`-lane `Counts`.
+//! [`WideSim`] steps one cycle at a time; it is the public stepper and
+//! the reference the slot-packed words are tested against.
 //!
 //! # Runtime SIMD fast path
 //!
@@ -318,14 +319,10 @@ impl CompiledKernel {
     }
 }
 
-/// Bit planes per node in the vertical carry-save toggle counters: a node
-/// can absorb `2^PLANES - 1` toggles per lane between flushes.
+/// Bit planes per node in the vertical toggle counters, at most: a node
+/// absorbs `2^PLANES - 1` toggles per lane before its count spills into
+/// exact 64-bit totals.
 pub(crate) const PLANES: usize = 16;
-
-/// Counted steps between plane flushes in the zero-delay kernel; one
-/// fewer than the plane capacity so the carry chain can never overflow
-/// out of the top plane.
-const FLUSH_INTERVAL: u64 = (1 << PLANES) - 1;
 
 /// The vector instruction set the hot settle loop runs on, detected once
 /// per process (see [`simd_level`]). Ordering is by width, so
@@ -361,23 +358,10 @@ pub fn simd_level() -> SimdLevel {
     })
 }
 
-/// Adds `carry` (a set of lanes that toggled) into a node's vertical
-/// bit-plane counter. Amortized cost is ~2 word operations: the carry
-/// chain almost always dies in the low planes.
-#[inline(always)]
-pub(crate) fn bump_planes<W: Word>(planes: &mut [W], base: usize, mut carry: W) {
-    let mut p = 0;
-    while !carry.is_zero() {
-        let t = planes[base + p];
-        planes[base + p] = t.xor(carry);
-        carry = carry.and(t);
-        p += 1;
-    }
-}
-
-/// One run's toggle counts for every lane of every node: `PLANES`
-/// vertical bit planes per node (bit `l` of plane `p` is bit `p` of lane
-/// `l`'s count) plus the exact per-lane totals moved out of them.
+/// One run's toggle counts for every lane of every node: `depth` (at most
+/// [`PLANES`]) vertical bit planes per node (bit `l` of plane `p` is bit
+/// `p` of lane `l`'s count) plus the exact per-lane totals moved out of
+/// them.
 ///
 /// Every count a packed kernel reports is read here, so each question a
 /// take asks is answered once: per-lane totals for the per-lane records,
@@ -386,8 +370,9 @@ pub(crate) fn bump_planes<W: Word>(planes: &mut [W], base: usize, mut carry: W) 
 /// Monte-Carlo finalize, and the run's grand total for the counters.
 #[derive(Debug, Clone)]
 pub(crate) struct Counts<W: Word> {
-    /// `PLANES` words per node.
+    /// `depth` words per node.
     planes: Vec<W>,
+    depth: usize,
     /// Exact per-lane totals spilled or flushed out of the planes (`node *
     /// W::LANES + lane`), empty until a spill or flush needs them: most
     /// runs never spill, so most never pay for the `nodes x lanes` array.
@@ -395,24 +380,27 @@ pub(crate) struct Counts<W: Word> {
 }
 
 impl<W: Word> Counts<W> {
-    /// All-zero counters for `nodes` nodes.
+    /// All-zero counters for `nodes` nodes, [`PLANES`] planes deep.
     fn new(nodes: usize) -> Self {
-        Counts { planes: vec![W::zero(); nodes * PLANES], spill: Vec::new() }
+        Self::with_depth(nodes, PLANES)
+    }
+
+    /// All-zero counters for `nodes` nodes, `depth` planes deep.
+    fn with_depth(nodes: usize, depth: usize) -> Self {
+        Counts { planes: vec![W::zero(); nodes * depth], depth, spill: Vec::new() }
     }
 
     fn nodes(&self) -> usize {
-        self.planes.len() / PLANES
+        self.planes.len() / self.depth
     }
 
     /// Adds `2^plane` for every lane set in `carry` into `node`'s counter,
     /// spilling exactly into the 64-bit totals if the carry ripples out of
-    /// the top plane (the timed kernel can toggle a node many times per
-    /// step, so the flush schedule of the zero-delay kernel does not
-    /// apply).
-    #[inline]
+    /// the top plane.
+    #[inline(always)]
     fn bump_at(&mut self, node: usize, plane: usize, mut carry: W) {
-        let base = node * PLANES;
-        for p in plane..PLANES {
+        let base = node * self.depth;
+        for p in plane..self.depth {
             if carry.is_zero() {
                 return;
             }
@@ -420,12 +408,38 @@ impl<W: Word> Counts<W> {
             self.planes[base + p] = t.xor(carry);
             carry = carry.and(t);
         }
-        // Carry out of the top plane: the plane stack wrapped modulo
-        // `2^PLANES` for these lanes, so credit the wrapped weight directly.
+        if !carry.is_zero() {
+            self.spill_top(node, carry);
+        }
+    }
+
+    /// Adds `sum`, a count in vertical planes (plane `q` weighs `2^q` per
+    /// lane), into `node`'s counter branch-free, a full adder per plane,
+    /// spilling as [`bump_at`](Self::bump_at) does. Planes of `sum` past
+    /// the counter's depth must be zero.
+    #[inline(always)]
+    fn add(&mut self, node: usize, sum: &[W]) {
+        debug_assert!(sum.iter().skip(self.depth).all(|w| w.is_zero()), "sum deeper than counts");
+        let planes = &mut self.planes[node * self.depth..][..self.depth];
+        let mut carry = W::zero();
+        for (q, plane) in planes.iter_mut().enumerate() {
+            let s = if q < sum.len() { sum[q] } else { W::zero() };
+            (*plane, carry) = full_add(*plane, s, carry);
+        }
+        if !carry.is_zero() {
+            self.spill_top(node, carry);
+        }
+    }
+
+    /// Credits a carry out of `node`'s top plane: the plane stack wrapped
+    /// modulo `2^depth` for these lanes, so add the wrapped weight to
+    /// their exact totals.
+    #[cold]
+    fn spill_top(&mut self, node: usize, carry: W) {
         if self.spill.is_empty() {
             self.spill.resize(self.nodes() * W::LANES, 0);
         }
-        Self::add_lanes(&mut self.spill[node * W::LANES..], carry, 1 << PLANES);
+        Self::add_lanes(&mut self.spill[node * W::LANES..], carry, 1 << self.depth);
     }
 
     /// Adds carry-save planes (plane `p` weighs `2^p` per set lane) into
@@ -448,8 +462,7 @@ impl<W: Word> Counts<W> {
         }
     }
 
-    /// Moves the planes into the exact per-lane totals: the zero-delay
-    /// kernel's periodic flush, before its planes can overflow.
+    /// Moves the planes into the exact per-lane totals.
     fn flush(&mut self) {
         self.spill = self.lane_totals();
         self.planes.fill(W::zero());
@@ -460,7 +473,7 @@ impl<W: Word> Counts<W> {
     fn lane_totals(&self) -> Vec<u64> {
         let mut totals = self.spill.clone();
         totals.resize(self.nodes() * W::LANES, 0);
-        for (node, planes) in self.planes.chunks_exact(PLANES).enumerate() {
+        for (node, planes) in self.planes.chunks_exact(self.depth).enumerate() {
             for (p, &w) in planes.iter().enumerate() {
                 Self::add_lanes(&mut totals[node * W::LANES..], w, 1 << p);
             }
@@ -489,7 +502,9 @@ impl<W: Word> Counts<W> {
     /// Per-node totals summed over the lanes: `Σ_p count_ones(plane_p) <<
     /// p` per node plus its spilled row. Zeroes the counters.
     fn take_nodes(&mut self) -> Vec<u64> {
-        let mut totals: Vec<u64> = self.planes.chunks_exact_mut(PLANES).map(Self::drain).collect();
+        let depth = self.depth;
+        let mut totals: Vec<u64> =
+            self.planes.chunks_exact_mut(depth).map(|p| Self::drain(p, depth)).collect();
         for (t, row) in totals.iter_mut().zip(self.spill.chunks_exact(W::LANES)) {
             *t += row.iter().sum::<u64>();
         }
@@ -500,15 +515,15 @@ impl<W: Word> Counts<W> {
     /// The run's total count over every node and lane; zeroes the
     /// counters.
     fn take_total(&mut self) -> u64 {
-        Self::drain(&mut self.planes) + self.spill.drain(..).sum::<u64>()
+        Self::drain(&mut self.planes, self.depth) + self.spill.drain(..).sum::<u64>()
     }
 
-    /// Zeroes whole plane stacks and returns the count they held: plane
-    /// `p` of each stack weighs `2^p` per set lane.
-    fn drain(planes: &mut [W]) -> u64 {
+    /// Zeroes whole stacks of `depth` planes and returns the count they
+    /// held: plane `p` of each stack weighs `2^p` per set lane.
+    fn drain(planes: &mut [W], depth: usize) -> u64 {
         let mut total = 0u64;
         for (i, w) in planes.iter_mut().enumerate() {
-            total += u64::from(w.count_ones()) << (i % PLANES);
+            total += u64::from(w.count_ones()) << (i % depth);
             *w = W::zero();
         }
         total
@@ -530,7 +545,7 @@ impl<W: Word> Counts<W> {
             for slot in word.chunks().chunks_exact(V::CHUNKS) {
                 let mut v = V::zero();
                 v.chunks_mut().copy_from_slice(slot);
-                out.bump_at(i / PLANES, i % PLANES, v);
+                out.bump_at(i / self.depth, i % self.depth, v);
             }
         }
         if !self.spill.is_empty() {
@@ -547,8 +562,8 @@ impl<W: Word> Counts<W> {
     }
 
     /// Turns the counts into per-lane `(power µW, counted cycles)`
-    /// samples in one pass and returns them with the run's total count;
-    /// zeroes the counters.
+    /// samples in one pass, the fused finalize of every packed kernel, and
+    /// returns them with the run's total count; zeroes the counters.
     ///
     /// Lane `l`'s sample is bit-identical to `model.total_power_uw` of
     /// lane `l`'s activity record: its count at each node is the same
@@ -562,32 +577,17 @@ impl<W: Word> Counts<W> {
         model: &PowerModel,
         lane_cycles: &[u64],
     ) -> (Vec<(f64, u64)>, u64) {
+        let mut net_fj = vec![0.0f64; lane_cycles.len()];
+        let mut int_fj = vec![0.0f64; lane_cycles.len()];
+        let (net, int) = model.toggle_energies_fj();
+        let energy = (net, int, &mut net_fj[..], &mut int_fj[..]);
         let planes = W::flat_chunks_mut(&mut self.planes);
-        let (samples, total) = lane_powers(planes, PLANES, &self.spill, model, lane_cycles);
+        let total = lane_energy(planes, &self.spill, self.depth, energy);
+        let samples = (net_fj.iter().zip(&int_fj).zip(lane_cycles))
+            .map(|((&net, &int), &cycles)| (model.power_uw(net, int, cycles), cycles))
+            .collect();
         (samples, total + self.spill.drain(..).sum::<u64>())
     }
-}
-
-/// The fused finalize of both packed kernels: per-lane `(power µW, counted
-/// cycles)` samples from count planes (flat `u64` chunks, `depth` planes
-/// of `lane_cycles.len()` lanes per node, plane `p` weighing `2^p`) plus
-/// the exact spilled per-lane totals, and the planes' total count. Zeroes
-/// the planes.
-fn lane_powers(
-    planes: &mut [u64],
-    depth: usize,
-    spill: &[u64],
-    model: &PowerModel,
-    lane_cycles: &[u64],
-) -> (Vec<(f64, u64)>, u64) {
-    let mut net_fj = vec![0.0f64; lane_cycles.len()];
-    let mut int_fj = vec![0.0f64; lane_cycles.len()];
-    let (net, int) = model.toggle_energies_fj();
-    let total = lane_energy(planes, spill, depth, (net, int, &mut net_fj, &mut int_fj));
-    let samples = (net_fj.iter().zip(&int_fj).zip(lane_cycles))
-        .map(|((&net, &int), &cycles)| (model.power_uw(net, int, cycles), cycles))
-        .collect();
-    (samples, total)
 }
 
 /// Runs `lane_energy_body` on the widest vector ISA this machine has.
@@ -739,42 +739,41 @@ unsafe fn coins_avx512(lanes: &mut LaneRng, out: &mut [u64], stride: usize) {
 }
 
 /// How the settle loop counts toggles: `tally(node, old, new)` sees each
-/// evaluated node's value before and after.
-trait Tally {
-    type Word: Word;
-    fn tally(&mut self, node: usize, old: Self::Word, new: Self::Word);
+/// evaluated node's `W` value before and after. `()` counts nothing.
+trait Tally<W: Word> {
+    fn tally(&mut self, node: usize, old: W, new: W);
+}
+
+impl<W: Word> Tally<W> for () {
+    #[inline(always)]
+    fn tally(&mut self, _: usize, _: W, _: W) {}
 }
 
 /// [`WideSim`]'s tally: the lanes of `mask` that toggled, bumped into
-/// `PLANES` planes per node ([`bump_planes`]). A zero mask never touches
-/// the planes, so they may be empty.
-struct Planes<'a, W: Word> {
-    planes: &'a mut [W],
+/// its counts.
+struct Toggles<'a, W: Word> {
+    counts: &'a mut Counts<W>,
     mask: W,
 }
 
-impl<W: Word> Tally for Planes<'_, W> {
-    type Word = W;
+impl<W: Word> Tally<W> for Toggles<'_, W> {
     #[inline(always)]
     fn tally(&mut self, node: usize, old: W, new: W) {
-        bump_planes(self.planes, node * PLANES, old.xor(new).and(self.mask));
+        self.counts.bump_at(node, 0, old.xor(new).and(self.mask));
     }
 }
 
-/// [`SlotPacked`]'s tally: a `T`-lane block's slot toggles in `mask`,
-/// summed into `depth` `W`-lane planes per node ([`count_slots`]).
-struct Slots<'a, W: Word, T: Word> {
-    counts: &'a mut [W],
-    depth: usize,
-    mask: T,
+/// [`SlotPacked`]'s tally: a block's slot toggles in `mask`, summed into
+/// the word's `W`-lane counts ([`count_slots`]).
+struct Slots<'a, W: Word> {
+    counts: &'a mut Counts<W>,
+    mask: Block,
 }
 
-impl<W: Word, T: Word> Tally for Slots<'_, W, T> {
-    type Word = T;
+impl<W: Word> Tally<Block> for Slots<'_, W> {
     #[inline(always)]
-    fn tally(&mut self, node: usize, old: T, new: T) {
-        let counts = &mut self.counts[node * self.depth..][..self.depth];
-        count_slots::<W, T>(counts, old, new, self.mask);
+    fn tally(&mut self, node: usize, old: Block, new: Block) {
+        count_slots(self.counts, node, old, new, self.mask);
     }
 }
 
@@ -783,7 +782,7 @@ impl<W: Word, T: Word> Tally for Slots<'_, W, T> {
 /// `#[inline(always)]` body so the `#[target_feature]` wrappers below
 /// re-compile the identical code under wider vector ISAs.
 #[inline(always)]
-fn settle_body<C: Tally>(program: &Program, values: &mut [C::Word], tally: &mut C) {
+fn settle_body<W: Word, C: Tally<W>>(program: &Program, values: &mut [W], tally: &mut C) {
     for idx in 0..program.instrs.len() {
         let ins = program.instrs[idx];
         let new = program.eval(values, &ins);
@@ -801,7 +800,7 @@ fn settle_body<C: Tally>(program: &Program, values: &mut [C::Word], tally: &mut 
 /// The caller must have verified AVX2 support at runtime.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn settle_avx2<C: Tally>(program: &Program, values: &mut [C::Word], tally: &mut C) {
+unsafe fn settle_avx2<W: Word, C: Tally<W>>(program: &Program, values: &mut [W], tally: &mut C) {
     settle_body(program, values, tally);
 }
 
@@ -813,17 +812,17 @@ unsafe fn settle_avx2<C: Tally>(program: &Program, values: &mut [C::Word], tally
 /// The caller must have verified AVX-512F support at runtime.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn settle_avx512<C: Tally>(program: &Program, values: &mut [C::Word], tally: &mut C) {
+unsafe fn settle_avx512<W: Word, C: Tally<W>>(program: &Program, values: &mut [W], tally: &mut C) {
     settle_body(program, values, tally);
 }
 
 /// Dispatches the settle loop to the widest vector path this machine and
 /// word width support. Bit-identical to the portable path by
 /// construction (pure boolean algebra, no reassociation-sensitive math).
-fn settle<C: Tally>(program: &Program, values: &mut [C::Word], tally: &mut C) {
+fn settle<W: Word, C: Tally<W>>(program: &Program, values: &mut [W], tally: &mut C) {
     #[cfg(target_arch = "x86_64")]
     {
-        let (level, word) = (simd_level(), TypeId::of::<C::Word>());
+        let (level, word) = (simd_level(), TypeId::of::<W>());
         let wide = word == TypeId::of::<W256>() || word == TypeId::of::<W512>();
         if word == TypeId::of::<W512>() && level >= SimdLevel::Avx512 {
             // SAFETY: AVX-512F was runtime-verified.
@@ -871,8 +870,6 @@ pub struct WideSim<'a, W: Word> {
     toggles: Counts<W>,
     /// Counted cycles per lane (`W::LANES` entries).
     lane_cycles: Vec<u64>,
-    /// Counted steps since the last plane flush.
-    pending: u64,
     initialized: bool,
 }
 
@@ -915,7 +912,6 @@ impl<'a, W: Word> WideSim<'a, W> {
             dff_d,
             toggles: Counts::new(netlist.node_count()),
             lane_cycles: vec![0; W::LANES],
-            pending: 0,
             initialized: false,
         })
     }
@@ -971,31 +967,17 @@ impl<'a, W: Word> WideSim<'a, W> {
         // The first step only establishes values (no previous vector to
         // toggle from); count nothing by masking every diff to zero.
         let count_mask = if self.initialized { mask } else { W::zero() };
-        // Present DFF outputs (sampled at the previous edge).
-        for (i, &q) in self.netlist.dffs().iter().enumerate() {
-            let slot = q.index();
-            let new = self.dff_next[i];
-            bump_planes(
-                &mut self.toggles.planes,
-                slot * PLANES,
-                self.values[slot].xor(new).and(count_mask),
-            );
-            self.values[slot] = new;
-        }
-        // Apply primary inputs.
-        for (i, &inp) in self.netlist.inputs().iter().enumerate() {
-            let slot = inp.index();
-            let new = inputs[i];
-            bump_planes(
-                &mut self.toggles.planes,
-                slot * PLANES,
-                self.values[slot].xor(new).and(count_mask),
-            );
-            self.values[slot] = new;
+        let tally = &mut Toggles { counts: &mut self.toggles, mask: count_mask };
+        // Present DFF outputs (sampled at the previous edge), then apply
+        // primary inputs.
+        let nl = self.netlist;
+        for (q, &new) in nl.dffs().iter().chain(nl.inputs()).zip(self.dff_next.iter().chain(inputs))
+        {
+            tally.tally(q.index(), self.values[q.index()], new);
+            self.values[q.index()] = new;
         }
         // Settle combinational logic via the compiled instruction stream
         // (runtime-dispatched to the widest available vector path).
-        let tally = &mut Planes { planes: &mut self.toggles.planes, mask: count_mask };
         settle(&self.program, &mut self.values, tally);
         // Sample D inputs for the next cycle.
         for (i, &d) in self.dff_d.iter().enumerate() {
@@ -1005,11 +987,6 @@ impl<'a, W: Word> WideSim<'a, W> {
             obs::SIM64_LANE_CYCLES.add(mask.count_ones() as u64);
             for l in 0..W::LANES {
                 self.lane_cycles[l] += mask.lane(l) as u64;
-            }
-            self.pending += 1;
-            if self.pending >= FLUSH_INTERVAL {
-                self.toggles.flush();
-                self.pending = 0;
             }
         }
         self.initialized = true;
@@ -1029,7 +1006,7 @@ impl<'a, W: Word> WideSim<'a, W> {
         let out = (lanes.into_iter().zip(&self.lane_cycles))
             .map(|(toggles, &cycles)| Activity { toggles, cycles })
             .collect();
-        self.reset_cycles();
+        self.lane_cycles.fill(0);
         out
     }
 
@@ -1041,14 +1018,14 @@ impl<'a, W: Word> WideSim<'a, W> {
     /// This is the Monte-Carlo fast path: one pass turns each node's
     /// count planes into per-lane counts and adds their energy straight
     /// into per-lane accumulators, with no `nodes x lanes` toggle array
-    /// unless the run flushed its planes mid-run. Lane `l`'s sample is
+    /// unless a count spilled out of its planes. Lane `l`'s sample is
     /// bit-identical to `model.total_power_uw(&lane_activity)` of the
     /// record [`take_lane_activities`](Self::take_lane_activities) would
     /// have returned for that lane.
     pub fn take_lane_powers(&mut self, model: &PowerModel) -> Vec<(f64, u64)> {
         let (out, toggles) = self.toggles.take_lane_powers(model, &self.lane_cycles);
         obs::SIM64_TOGGLES.add(toggles);
-        self.reset_cycles();
+        self.lane_cycles.fill(0);
         out
     }
 
@@ -1060,46 +1037,45 @@ impl<'a, W: Word> WideSim<'a, W> {
         let toggles = self.toggles.take_nodes();
         obs::SIM64_TOGGLES.add(toggles.iter().sum());
         let cycles = self.lane_cycles.iter().sum();
-        self.reset_cycles();
-        Activity { toggles, cycles }
-    }
-
-    /// Zeroes the per-lane cycle counts and restarts the flush schedule
-    /// (every take leaves the planes empty).
-    fn reset_cycles(&mut self) {
         self.lane_cycles.fill(0);
-        self.pending = 0;
+        Activity { toggles, cycles }
     }
 }
 
+/// The block every zero-delay Monte-Carlo word settles on.
+type Block = W512;
+
 /// One word of `W` zero-delay Monte-Carlo lanes, settled slot-packed on
-/// `T`-lane words, `S = T::LANES / W::LANES` cycles side by side.
+/// 512-lane blocks, [`SLOTS`](Self::SLOTS) `S = 512 / W::LANES` cycles side
+/// by side (8 for a 64-lane word, 2 for a 256-lane word, 1 for a 512-lane
+/// word).
 ///
-/// Cycle `c` of the word fills slot `c % S` of the block's `T`-lane
-/// source words (flip-flop outputs and primary inputs), whole 64-lane
-/// chunks with no bit shuffling, and each full block settles once at `T`.
-/// A slot's toggles are its value against the slot below it, slot 0's
-/// against the previous block's top slot (`slot_shift`), masked to the
-/// cycle's active lanes; cycle 0 is never counted. Vertical adders sum
-/// them over the slots, branch-free, and add the sum into `depth` count
-/// planes of `W` lanes per node, deep enough for every cycle of the word,
-/// so nothing carries out (`count_slots`). The take runs the shared
-/// finalize on those planes, so each sample equals the one a `W`-lane
-/// [`WideSim`] stepped a cycle at a time computes, bit for bit. The word
-/// holds one `T` value and `depth` `W`-lane planes per node: 112 bytes for
-/// a 64-lane word of 60 cycles on 512 lanes, against the 136 of a stepped
-/// word's value and 16 planes.
+/// Cycle `c` of the word fills slot `c % S` of the block's source words
+/// (flip-flop outputs and primary inputs), whole 64-lane chunks with no
+/// bit shuffling, and each full block settles once. A slot's toggles are
+/// its value against the slot below it, slot 0's against the previous
+/// block's top slot (`slot_shift`), masked to the cycle's active lanes;
+/// cycle 0 is never counted. Vertical adders sum them over the slots,
+/// branch-free, and add the sum into the word's `Counts`, `bits(cycles)`
+/// planes of `W` lanes per node, at most [`PLANES`], so only a word of
+/// 2^16 cycles or more can spill into exact totals (`count_slots`). The
+/// take runs the shared finalize on those counts, so each sample equals
+/// the one a `W`-lane [`WideSim`] stepped a cycle at a time computes, bit
+/// for bit. A word of 100 cycles holds 7 planes per node, against
+/// [`WideSim`]'s 16.
 ///
-/// A flip-flop's output is a source like a primary input. Each step runs
-/// the instructions of the flip-flops' D-input fan-in cone at `W`,
-/// uncounted, to get the next cycle's outputs; for a delay line, whose D
-/// inputs are sources, that cone is empty.
+/// A flip-flop's output is a source like a primary input. With several
+/// slots per block, each step runs the instructions of the flip-flops'
+/// D-input fan-in cone at `W`, uncounted, to get the next cycle's outputs
+/// (for a delay line, whose D inputs are sources, that cone is empty).
+/// With one slot per block, the flip-flops latch from the settled block.
 #[derive(Debug)]
-pub(crate) struct SlotPacked<'a, W: Word, T: Word> {
+pub(crate) struct SlotPacked<'a, W: Word> {
     netlist: &'a Netlist,
     program: Cow<'a, Program>,
     /// The D-input fan-in cone's instructions, in topological order, and
-    /// the `W`-lane values they run on.
+    /// the `W`-lane values they run on; both empty without flip-flops or
+    /// at one slot per block.
     cone: Vec<Instr>,
     narrow: Vec<W>,
     /// Next-state words latched per DFF (parallel to `netlist.dffs()`).
@@ -1108,46 +1084,42 @@ pub(crate) struct SlotPacked<'a, W: Word, T: Word> {
     dff_d: Vec<u32>,
     /// The block being filled: one word per source (flip-flop outputs,
     /// then primary inputs), and the lanes each slot counts.
-    sources: Vec<T>,
-    mask: T,
+    sources: Vec<Block>,
+    mask: Block,
     /// Slots of the block filled so far, and steps taken.
     filled: usize,
     cycle: usize,
     /// The last block's settled value per node.
-    values: Vec<T>,
-    /// `depth` count planes per node.
-    counts: Vec<W>,
-    depth: usize,
+    values: Vec<Block>,
+    counts: Counts<W>,
 }
 
-impl<'a, W: Word, T: Word> SlotPacked<'a, W, T> {
-    /// Count planes per node for a word of `cycles` steps: enough for a
-    /// toggle every cycle, or `None` past [`PLANES`].
-    pub(crate) fn depth(cycles: usize) -> Option<usize> {
-        let depth = (usize::BITS - cycles.leading_zeros()).max(1) as usize;
-        (depth <= PLANES).then_some(depth)
-    }
+impl<'a, W: Word> SlotPacked<'a, W> {
+    /// Cycles settled side by side in one block.
+    const SLOTS: usize = Block::CHUNKS / W::CHUNKS;
 
-    /// A word at its power-on values, settling on `program` (compiled
-    /// from `netlist`) and counting in `depth` planes per node.
-    pub(crate) fn new(netlist: &'a Netlist, program: Cow<'a, Program>, depth: usize) -> Self {
-        assert!(T::CHUNKS > W::CHUNKS && T::CHUNKS % W::CHUNKS == 0, "{} slots", T::LANES);
+    /// A word of at most `cycles` steps at its power-on values, settling
+    /// on `program` (compiled from `netlist`).
+    pub(crate) fn new(netlist: &'a Netlist, program: Cow<'a, Program>, cycles: usize) -> Self {
+        assert!(Block::CHUNKS % W::CHUNKS == 0, "{} lanes cannot pack {}", Block::LANES, W::LANES);
         let (dff_next, dff_d) = registers::<W>(netlist);
-        let cone = program.cone(netlist.node_count(), &dff_d);
+        let cone_pass = Self::SLOTS > 1 && !dff_d.is_empty();
+        let cone = if cone_pass { program.cone(netlist.node_count(), &dff_d) } else { Vec::new() };
+        // Deep enough for a toggle every cycle, up to the spill.
+        let depth = (usize::BITS - cycles.leading_zeros()).clamp(1, PLANES as u32) as usize;
         let sources = dff_d.len() + netlist.input_count();
         SlotPacked {
             netlist,
-            narrow: if dff_d.is_empty() { Vec::new() } else { program.init_words::<W>() },
+            narrow: if cone_pass { program.init_words::<W>() } else { Vec::new() },
             cone,
             dff_next,
             dff_d,
-            sources: vec![T::zero(); sources],
-            mask: T::zero(),
+            sources: vec![Block::zero(); sources],
+            mask: Block::zero(),
             filled: 0,
             cycle: 0,
-            values: program.init_words::<T>(),
-            counts: vec![W::zero(); netlist.node_count() * depth],
-            depth,
+            values: program.init_words::<Block>(),
+            counts: Counts::with_depth(netlist.node_count(), depth),
             program,
         }
     }
@@ -1158,11 +1130,12 @@ impl<'a, W: Word, T: Word> SlotPacked<'a, W, T> {
     pub(crate) fn step_masked(&mut self, inputs: &[W], mask: W) {
         debug_assert_eq!(inputs.len(), self.netlist.input_count(), "one word per primary input");
         let slot = self.filled * W::CHUNKS..(self.filled + 1) * W::CHUNKS;
-        let put = |word: &mut T, w: &W| word.chunks_mut()[slot.clone()].copy_from_slice(w.chunks());
+        let put =
+            |word: &mut Block, w: &W| word.chunks_mut()[slot.clone()].copy_from_slice(w.chunks());
         let words = self.dff_next.iter().chain(inputs);
         self.sources.iter_mut().zip(words).for_each(|(word, w)| put(word, w));
         put(&mut self.mask, &if self.cycle == 0 { W::zero() } else { mask });
-        if !self.dff_d.is_empty() {
+        if !self.narrow.is_empty() {
             let nl = self.netlist;
             for (q, &w) in
                 nl.dffs().iter().chain(nl.inputs()).zip(self.dff_next.iter().chain(inputs))
@@ -1177,8 +1150,14 @@ impl<'a, W: Word, T: Word> SlotPacked<'a, W, T> {
         }
         self.filled += 1;
         self.cycle += 1;
-        if self.filled * W::CHUNKS == T::CHUNKS {
+        if self.filled == Self::SLOTS {
             self.settle_block();
+            if Self::SLOTS == 1 {
+                // The settled block is this cycle: latch its D inputs.
+                for (next, &d) in self.dff_next.iter_mut().zip(&self.dff_d) {
+                    next.chunks_mut().copy_from_slice(self.values[d as usize].chunks());
+                }
+            }
         }
     }
 
@@ -1188,8 +1167,8 @@ impl<'a, W: Word, T: Word> SlotPacked<'a, W, T> {
         if self.filled == 0 {
             return;
         }
-        let SlotPacked { netlist: nl, program, sources, mask, values, counts, depth, .. } = self;
-        let tally = &mut Slots::<W, T> { counts, depth: *depth, mask: *mask };
+        let SlotPacked { netlist: nl, program, sources, mask, values, counts, .. } = self;
+        let tally = &mut Slots { counts, mask: *mask };
         for (q, &new) in nl.dffs().iter().chain(nl.inputs()).zip(sources.iter()) {
             tally.tally(q.index(), values[q.index()], new);
             values[q.index()] = new;
@@ -1197,7 +1176,7 @@ impl<'a, W: Word, T: Word> SlotPacked<'a, W, T> {
         settle(program, values, tally);
         obs::SIM64_STEPS.inc();
         obs::SIM64_GATE_EVALS.add(program.instrs.len() as u64);
-        (self.mask, self.filled) = (T::zero(), 0);
+        (self.mask, self.filled) = (Block::zero(), 0);
     }
 
     /// Settles what is left and returns one `(power µW, counted cycles)`
@@ -1209,8 +1188,7 @@ impl<'a, W: Word, T: Word> SlotPacked<'a, W, T> {
         lane_cycles: &[u64],
     ) -> Vec<(f64, u64)> {
         self.settle_block();
-        let counts = W::flat_chunks_mut(&mut self.counts);
-        let (out, toggles) = lane_powers(counts, self.depth, &[], model, lane_cycles);
+        let (out, toggles) = self.counts.take_lane_powers(model, lane_cycles);
         obs::SIM64_TOGGLES.add(toggles);
         obs::SIM64_LANE_CYCLES.add(lane_cycles.iter().sum());
         out
@@ -1220,8 +1198,8 @@ impl<'a, W: Word, T: Word> SlotPacked<'a, W, T> {
 /// `new` moved up one `W` slot, its lowest slot taken from `old`'s top
 /// one: each slot lane's value one cycle earlier.
 #[inline(always)]
-fn slot_shift<W: Word, T: Word>(old: T, new: T) -> T {
-    let (k, n) = (W::CHUNKS, T::CHUNKS);
+fn slot_shift<W: Word>(old: Block, new: Block) -> Block {
+    let (k, n) = (W::CHUNKS, Block::CHUNKS);
     let mut prev = new;
     prev.chunks_mut()[k..].copy_from_slice(&new.chunks()[..n - k]);
     prev.chunks_mut()[..k].copy_from_slice(&old.chunks()[n - k..]);
@@ -1229,18 +1207,22 @@ fn slot_shift<W: Word, T: Word>(old: T, new: T) -> T {
 }
 
 /// Adds a node's slot toggles (`new` against [`slot_shift`], in `mask`)
-/// into its `W`-lane count planes, branch-free. Each halving adds the
-/// upper half of the live slots onto the lower half with vertical full
-/// adders, so `sum` ends as the per-lane total over the slots in its low
-/// `W` chunks, `log2(S) + 1` planes deep, which ripples into `counts`.
+/// into its `W`-lane counts; a block with none adds nothing. Each halving
+/// adds the upper half of the live slots onto the lower half with
+/// vertical full adders, so `sum` ends as the per-lane total over the
+/// slots in its low `W` chunks, `log2(S) + 1` planes deep, which
+/// [`Counts::add`] ripples in.
 #[inline(always)]
-fn count_slots<W: Word, T: Word>(counts: &mut [W], old: T, new: T, mask: T) {
-    let mut sum = [T::zero(); 4];
-    sum[0] = new.xor(slot_shift::<W, T>(old, new)).and(mask);
-    let (mut width, mut bits) = (T::CHUNKS, 1);
+fn count_slots<W: Word>(counts: &mut Counts<W>, node: usize, old: Block, new: Block, mask: Block) {
+    let toggled = new.xor(slot_shift::<W>(old, new)).and(mask);
+    if toggled.is_zero() {
+        return;
+    }
+    let mut sum = [toggled, Block::zero(), Block::zero(), Block::zero()];
+    let (mut width, mut bits) = (Block::CHUNKS, 1);
     while width > W::CHUNKS {
         width /= 2;
-        let mut carry = T::zero();
+        let mut carry = Block::zero();
         for plane in &mut sum[..bits] {
             let (a, b) = (*plane, chunks_down(*plane, width));
             (*plane, carry) = full_add(a, b, carry);
@@ -1248,15 +1230,11 @@ fn count_slots<W: Word, T: Word>(counts: &mut [W], old: T, new: T, mask: T) {
         sum[bits] = carry;
         bits += 1;
     }
-    let mut carry = W::zero();
-    for (q, count) in counts.iter_mut().enumerate() {
-        let mut add = W::zero();
-        if q < bits {
-            add.chunks_mut().copy_from_slice(&sum[q].chunks()[..W::CHUNKS]);
-        }
-        (*count, carry) = full_add(*count, add, carry);
+    let mut low = [W::zero(); 4];
+    for (w, plane) in low.iter_mut().zip(&sum[..bits]) {
+        w.chunks_mut().copy_from_slice(&plane.chunks()[..W::CHUNKS]);
     }
-    debug_assert!(carry.is_zero(), "slot counts overflowed");
+    counts.add(node, &low[..bits]);
 }
 
 /// `x` moved down `k` chunks, zero-filled from the top.
@@ -1908,9 +1886,8 @@ impl<'a, W: Word, T: Word> TimePacked<'a, W, T> {
         for (i, &word) in nl.inputs().iter().zip(inputs) {
             values[i.index()] = word;
         }
-        // The dispatched settle loop, counting nothing: a zero count mask
-        // never touches the (empty) planes.
-        settle(&blocks.sim.program, values, &mut Planes { planes: &mut [], mask: W::zero() });
+        // The dispatched settle loop, counting nothing.
+        settle(&blocks.sim.program, values, &mut ());
         for (next, &d) in dff_next.iter_mut().zip(dff_d.iter()) {
             *next = values[d as usize];
         }

@@ -1,15 +1,15 @@
 //! Slot-packed zero-delay words against the scalar kernel, to the bit.
 //!
-//! A zero-delay word of `W` lanes settles `S` of its cycles side by side
-//! on wider words: `S` is 8 for a 64-lane word of at least 8 cycles (on
-//! 512 lanes), 4 for one of 4 to 7 cycles, 2 for a 256-lane word, and 1
-//! (stepped a cycle at a time) for a 512-lane word or a 64-lane word of
-//! fewer than 4 cycles. Every lane's sample must agree with the scalar
-//! kernel's on `f64::to_bits` and cycle count, for multi-tenant words with
-//! ragged budgets whose longest is not a multiple of `S`, on a
-//! combinational netlist, a delay line (flip-flops fed by sources) and a
-//! registered accumulator (flip-flops fed through gates, with feedback),
-//! on the lane-parallel stimulus and on streams that end early.
+//! A zero-delay word of `W` lanes settles `S = 512 / W` of its cycles side
+//! by side on 512-lane blocks, whatever its length: 8 for a 64-lane word,
+//! 2 for a 256-lane word and 1 for a 512-lane word. Every lane's sample
+//! must agree with the scalar kernel's on `f64::to_bits` and cycle count,
+//! for multi-tenant words with ragged budgets whose longest is not a
+//! multiple of `S`, on a combinational netlist, a delay line (flip-flops
+//! fed by sources) and a registered accumulator (flip-flops fed through
+//! gates, with feedback), on the lane-parallel stimulus and on streams
+//! that end early, and for a word long enough that its counts pass the
+//! top count plane.
 
 use hlpower_netlist::{
     gen, simulate_lanes, streams, LaneRequest, Library, McKernel, Netlist, PowerModel,
@@ -70,7 +70,8 @@ fn words(width: usize) -> Vec<(String, Vec<LaneRequest>)> {
         ("few".to_string(), tenants(width, width - 3, &[11, 23, 7])),
     ];
     if width == 64 {
-        // Four slots (at most 7 cycles) and one (at most 3).
+        // Words of at most 7 and at most 3 cycles: fewer cycles than a
+        // 512-lane block has slots.
         out.push(("four slots".to_string(), tenants(width, 1, &[7, 3, 0, 5, 6])));
         out.push(("one slot".to_string(), tenants(width, 0, &[3, 1, 2, 0])));
     }
@@ -129,5 +130,37 @@ fn a_lane_counts_the_same_alone_and_among_tenants() {
     for (l, lane) in lanes.iter().enumerate().step_by(7) {
         let alone = run(&nl, McKernel::Packed64, &random, std::slice::from_ref(lane));
         assert_eq!(alone[0], packed[l], "lane {l} ({lane:?})");
+    }
+}
+
+/// A 2-bit accumulator `q <- q ^ (a & b)`, `r <- r ^ a`: gates on both
+/// flip-flops' D inputs, each reading its flip-flop back.
+fn parity() -> Netlist {
+    let mut nl = Netlist::new();
+    let (a, b) = (nl.input("a"), nl.input("b"));
+    let (q, r) = (nl.dff_placeholder(false), nl.dff_placeholder(true));
+    let ab = nl.and([a, b]);
+    let (dq, dr) = (nl.xor([q, ab]), nl.xor([r, a]));
+    nl.connect_dff_d(q, dq);
+    nl.connect_dff_d(r, dr);
+    nl.set_output("q", q);
+    nl.set_output("r", r);
+    nl
+}
+
+/// One lane of 70,000 cycles whose inputs all toggle every cycle: its
+/// input nodes count 69,999 toggles, past the 2^16 - 1 the top count plane
+/// holds, so the count spills into exact totals.
+#[test]
+fn a_word_past_the_top_count_plane_stays_exact() {
+    const CYCLES: usize = 70_000;
+    let nl = parity();
+    let w = nl.input_count();
+    let toggling = move |_: Rng| (0..CYCLES).map(move |c| vec![c % 2 == 1; w]);
+    let lane = [LaneRequest { seed: 1, batch: 0, cycles: CYCLES }];
+    let scalar = run(&nl, McKernel::Scalar, &toggling, &lane);
+    assert_eq!(scalar[0] as u64, CYCLES as u64 - 1, "counted cycles");
+    for kernel in [McKernel::Packed64, McKernel::Packed512] {
+        assert_eq!(run(&nl, kernel, &toggling, &lane), scalar, "{kernel:?}");
     }
 }

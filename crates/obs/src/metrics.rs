@@ -41,21 +41,22 @@ pub static SIM_ZD_TOGGLES: ShardedCounter = ShardedCounter::new();
 
 // --- Packed zero-delay simulation -----------------------------------------
 
-/// Word steps taken by the lane-parallel packed simulator (each advances
-/// every lane of one word one cycle), or blocks a slot-packed zero-delay
-/// word settled (each several of its cycles side by side).
+/// 512-lane blocks a zero-delay Monte-Carlo word settled (each up to
+/// `512 / W` of its cycles side by side), or steps of the public
+/// lane-parallel stepper `WideSim` (each advances every lane of one word
+/// one cycle).
 pub static SIM64_STEPS: ShardedCounter = ShardedCounter::new();
-/// Word-wide gate evaluations: by the lane-parallel simulator per step,
-/// by a slot-packed word per block (plus its flip-flop cone per cycle),
-/// and by the time-packed recorder per recording block.
+/// Word-wide gate evaluations: by a zero-delay Monte-Carlo word per block
+/// (plus, below 512 lanes, its flip-flop cone per cycle), by `WideSim`
+/// per step, and by the time-packed recorder per recording block.
 pub static SIM64_GATE_EVALS: ShardedCounter = ShardedCounter::new();
-/// Counted lane-cycles: active lanes per counted step (lane-parallel),
-/// every lane's counted cycles of a slot-packed word, or valid cycles per
-/// time-packed recording block.
+/// Counted lane-cycles: every lane's counted cycles of a zero-delay
+/// Monte-Carlo word, active lanes per counted `WideSim` step, or valid
+/// cycles per time-packed recording block.
 pub static SIM64_LANE_CYCLES: ShardedCounter = ShardedCounter::new();
-/// Node transitions read out of the zero-delay packed simulator's count
-/// planes by any of its takes (`take_lane_powers`, `take_activity`,
-/// `take_lane_activities`), or a slot-packed word's by its finalize.
+/// Node transitions read out of a zero-delay Monte-Carlo word's count
+/// planes by its finalize, or out of `WideSim`'s by any of its takes
+/// (`take_lane_powers`, `take_activity`, `take_lane_activities`).
 pub static SIM64_TOGGLES: ShardedCounter = ShardedCounter::new();
 /// Time-packed recording blocks evaluated: one compiled evaluation of a
 /// combinational netlist covers up to 64 consecutive cycles.
